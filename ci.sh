@@ -48,6 +48,14 @@ cargo build --release --workspace
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== benchmark adapter gate (benchmark/ builds and passes against this driver API) =="
+# benchmark/ is a workspace of its own whose adapter (src/layers.rs) calls
+# the driver crates by name; a driver-API change that breaks it must fail
+# here, not in the benchmark run. Same target directory as
+# benchmark/run.sh uses, so the crates are not built a second time.
+CARGO_TARGET_DIR=target cargo build --release --offline --manifest-path benchmark/Cargo.toml
+CARGO_TARGET_DIR=target cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "== sanitizer tests (checked feature) =="
 cargo test -q -p qmc-drivers --features checked
 
@@ -89,22 +97,27 @@ rm -f KERNEL_BENCH.log
 echo "== checkpoint/resume parity smoke (kill at step 3, resume to 6) =="
 # A run checkpointed at an interior generation and restarted from the
 # file must end with the same per-walker FNV-1a population hash as the
-# run that was never killed — for per-walker AND crowd batching. The
-# stream file must be valid NDJSON while we're at it.
+# run that was never killed — for per-walker AND crowd batching, DMC and
+# VMC (whose 24 sweeps are six blocks of four, so its steps count x4).
+# The stream file must be valid NDJSON while we're at it.
 CK_DIR=$(mktemp -d)
 trap 'rm -rf "$CK_DIR"' EXIT
-for batch_args in "" "--crowd 2"; do
+for batch_args in "" "--crowd 2" "--driver vmc" "--driver vmc --crowd 2"; do
+    case "$batch_args" in
+        *vmc*) cut=12; total=24 ;;
+        *) cut=3; total=6 ;;
+    esac
     # shellcheck disable=SC2086  # batch_args is deliberately word-split
     straight=$(./target/release/miniqmc --benchmark graphite --threads 2 \
-        --walkers 4 --steps 6 --warmup 1 --seed 11 $batch_args \
+        --walkers 4 --steps $total --warmup 1 --seed 11 $batch_args \
         | grep '^walker-hash')
     # shellcheck disable=SC2086
     ./target/release/miniqmc --benchmark graphite --threads 2 \
-        --walkers 4 --steps 3 --warmup 1 --seed 11 $batch_args \
+        --walkers 4 --steps $cut --warmup 1 --seed 11 $batch_args \
         --checkpoint "$CK_DIR/ck.qmc:3" --stream "$CK_DIR/run.ndjson" > /dev/null
     # shellcheck disable=SC2086
     resumed=$(./target/release/miniqmc --benchmark graphite --threads 2 \
-        --walkers 4 --steps 6 --warmup 1 --seed 11 $batch_args \
+        --walkers 4 --steps $total --warmup 1 --seed 11 $batch_args \
         --resume "$CK_DIR/ck.qmc" --stream "$CK_DIR/run.ndjson" \
         | grep '^walker-hash')
     if [ "$straight" != "$resumed" ]; then
@@ -126,7 +139,7 @@ EOF
 done
 # A corrupt resume file must fail with a diagnostic, not a panic.
 echo "garbage" > "$CK_DIR/bad.qmc"
-if ./target/release/miniqmc --benchmark graphite --walkers 2 --steps 2 \
+if ./target/release/miniqmc --benchmark graphite --walkers 2 --steps 2 --warmup 1 \
     --resume "$CK_DIR/bad.qmc" 2> "$CK_DIR/err.log"; then
     echo "ci: corrupt resume file was accepted" >&2
     exit 1

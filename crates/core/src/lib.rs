@@ -26,10 +26,10 @@ pub use qmc_workloads as workloads;
 /// Frequently used items in one import.
 pub mod prelude {
     pub use qmc_containers::{Matrix, Pos, Real, TinyVector, VectorSoaContainer};
-    pub use qmc_crowd::{run_dmc_crowd, run_vmc_crowd, Crowd, CrowdScheduler};
+    pub use qmc_crowd::{Crowd, CrowdScheduler};
     pub use qmc_drivers::{
-        initial_population, run_dmc, run_dmc_parallel, run_vmc, Batching, DmcParams, DmcResult,
-        HamiltonianSet, QmcEngine, VmcParams, Walker,
+        initial_population, run_dmc, run_vmc, Batching, Crew, DmcParams, DmcResult, HamiltonianSet,
+        QmcEngine, RunControl, VmcParams, VmcResult, Walker,
     };
     pub use qmc_hamiltonian::{kinetic_energy, CoulombEE, CoulombEI, LocalEnergy, NonLocalPP};
     pub use qmc_instrument::{Kernel, Profile};

@@ -1,7 +1,7 @@
 //! [`Crowd`]: a batch of engines advancing walkers in lock-step.
 
 use qmc_containers::{Pos, Real, TinyVector};
-use qmc_drivers::{limited_drift, QmcEngine, SweepStats, Walker};
+use qmc_drivers::{limited_drift, Crew, QmcEngine, SweepStats, Walker};
 use qmc_particles::{gaussian_pos, ParticleSet};
 use qmc_wavefunction::TrialWaveFunction;
 use rand::RngExt;
@@ -205,5 +205,28 @@ impl<T: Real> Crowd<T> {
             }
         }
         stats
+    }
+}
+
+/// A crowd is the width-`W` crew member: the drivers' block loops call
+/// the lock-step [`Crowd::sweep`] and [`Crowd::refresh_block`] above.
+impl<T: Real> Crew<T> for Crowd<T> {
+    const SPAN: &'static str = "crowd generation";
+    const BLOCK_SPANS: bool = true;
+
+    fn width(&self) -> usize {
+        self.size()
+    }
+
+    fn slot_mut(&mut self, s: usize) -> &mut QmcEngine<T> {
+        Crowd::slot_mut(self, s)
+    }
+
+    fn refresh_block(&mut self, nw: usize) {
+        Crowd::refresh_block(self, nw);
+    }
+
+    fn sweep_block(&mut self, block: &mut [Walker<T>], tau: f64, stats: &mut [SweepStats]) {
+        stats[..block.len()].copy_from_slice(&self.sweep(block, tau));
     }
 }

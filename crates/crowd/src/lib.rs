@@ -8,23 +8,20 @@
 //! `SpoSet::mw_evaluate_vgl`, `qmc_particles::mw_candidate_rows`) instead
 //! of one walker's worth of work.
 //!
-//! The [`CrowdScheduler`] maps crowds onto the thread crew exactly like
-//! `qmc_drivers::parallel` maps single engines: contiguous walker chunks
-//! per thread, walker-order energy reduction. Combined with per-walker
-//! RNG streams and unchanged per-walker floating-point op sequences, the
-//! crowd drivers [`run_vmc_crowd`] and [`run_dmc_crowd`] are bit-identical
-//! to their per-walker counterparts for any crowd size and thread count —
-//! batching is purely an execution-shape choice
-//! (`qmc_drivers::Batching`).
+//! [`Crowd`] implements `qmc_drivers::Crew`, so the one VMC block loop and
+//! the one DMC generation loop (`qmc_drivers::run_vmc` / `run_dmc`) run
+//! over a slice of crowds exactly as they run over a slice of engines:
+//! contiguous walker chunks per crew member, walker-order energy
+//! reduction. Combined with per-walker RNG streams and unchanged
+//! per-walker floating-point op sequences, a crowd crew is bit-identical
+//! to an engine crew for any crowd size and thread count — batching is
+//! purely an execution-shape choice (`qmc_drivers::Batching`). The
+//! [`CrowdScheduler`] sizes and builds the crew.
 
 #![forbid(unsafe_code)]
 
 pub mod crowd;
-pub mod dmc;
 pub mod scheduler;
-pub mod vmc;
 
 pub use crowd::Crowd;
-pub use dmc::{run_dmc_crowd, run_dmc_crowd_controlled};
 pub use scheduler::CrowdScheduler;
-pub use vmc::{run_vmc_crowd, run_vmc_crowd_controlled};

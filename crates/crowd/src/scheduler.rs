@@ -1,21 +1,12 @@
-//! [`CrowdScheduler`]: maps crowds onto the thread crew.
-//!
-//! Mirrors the per-walker crew of `qmc_drivers::parallel`: one worker
-//! thread per crowd, contiguous walker chunks per thread, and walkers
-//! streamed through each crowd in crowd-sized lock-step blocks. The
-//! chunking and the deterministic walker-order energy reduction
-//! (`qmc_drivers::det_sum_by`) are identical to the per-walker path, so
-//! the branch controller sees bit-identical input for any thread count
-//! and crowd size.
+//! [`CrowdScheduler`]: sizes and builds the crowd crew — one crowd per
+//! worker thread, `crowd_size` slot engines each — that `qmc_drivers`'
+//! `run_vmc` / `run_dmc` run over.
 
 use crate::crowd::Crowd;
-use parking_lot::Mutex;
 use qmc_containers::Real;
-use qmc_drivers::{chunks_mut, det_sum_by, BranchController, QmcEngine, Walker};
-use qmc_instrument::{drain_thread_profile, span, span_lazy, ProfileSet};
+use qmc_drivers::QmcEngine;
 
-/// Builds crowds for a thread crew and runs lock-step DMC generations
-/// over them.
+/// Builds the crowds of a thread crew.
 #[derive(Clone, Copy, Debug)]
 pub struct CrowdScheduler {
     threads: usize,
@@ -71,77 +62,5 @@ impl CrowdScheduler {
                 crowd
             })
             .collect()
-    }
-
-    /// One DMC generation: each thread streams its contiguous walker
-    /// chunk through its crowd in lock-step blocks (sweep, then measure /
-    /// reweight / store in slot order). Returns
-    /// `(sum w*E, sum w, accepted, attempted)` with the energy sums
-    /// reduced after the parallel section through
-    /// [`qmc_drivers::det_sum_by`] over walker order — the same
-    /// fixed-shape tree as `qmc_drivers::parallel_generation`, so the
-    /// result is bit-identical to the per-walker drive for any thread
-    /// count, crowd size or task schedule. Kernel time drains into
-    /// per-crowd groups of `profile` (group index = crowd index).
-    pub fn generation<T: Real>(
-        crowds: &mut [Crowd<T>],
-        walkers: &mut [Walker<T>],
-        tau: f64,
-        refresh: bool,
-        branch: &BranchController,
-        profile: &Mutex<ProfileSet>,
-    ) -> (f64, f64, usize, usize) {
-        if walkers.is_empty() {
-            return (0.0, 0.0, 0, 0);
-        }
-        let counts = Mutex::new((0usize, 0usize));
-        rayon::scope(|scope| {
-            let chunks = chunks_mut(walkers, crowds.len());
-            for (c, (crowd, chunk)) in crowds.iter_mut().zip(chunks).enumerate() {
-                let counts = &counts;
-                let profile = &profile;
-                scope.spawn(move || {
-                    qmc_instrument::enable_ftz();
-                    let _span = span("crowd generation", c as u64);
-                    let (mut acc, mut att) = (0usize, 0usize);
-                    let cs = crowd.size();
-                    for (b, block) in chunk.chunks_mut(cs).enumerate() {
-                        let _block_span = span_lazy(c as u64, || format!("block {b}"));
-                        for (s, w) in block.iter_mut().enumerate() {
-                            crowd.slot_mut(s).load_walker(w);
-                        }
-                        if refresh {
-                            // Per-slot scalar refresh unless the crowd has
-                            // fusion enabled (see `Crowd::refresh_block`).
-                            crowd.refresh_block(block.len());
-                        }
-                        let stats = crowd.sweep(block, tau);
-                        for (s, w) in block.iter_mut().enumerate() {
-                            acc += stats[s].accepted;
-                            att += stats[s].attempted;
-                            let e = crowd.slot_mut(s);
-                            let el = e.measure(&mut w.rng).total();
-                            qmc_instrument::check_finite(
-                                qmc_instrument::CheckKind::LocalEnergy,
-                                el,
-                            );
-                            let factor = branch.weight_factor(w.e_local, el);
-                            w.weight *= factor;
-                            w.age = if stats[s].accepted == 0 { w.age + 1 } else { 0 };
-                            w.e_local = el;
-                            e.store_walker(w);
-                        }
-                    }
-                    let mut counts = counts.lock();
-                    counts.0 += acc;
-                    counts.1 += att;
-                    profile.lock().merge_group(c, &drain_thread_profile());
-                });
-            }
-        });
-        let (acc, att) = counts.into_inner();
-        let esum = det_sum_by(walkers.len(), |i| walkers[i].weight * walkers[i].e_local);
-        let wsum = det_sum_by(walkers.len(), |i| walkers[i].weight);
-        (esum, wsum, acc, att)
     }
 }

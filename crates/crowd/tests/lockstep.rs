@@ -1,13 +1,13 @@
-//! Lock-step parity: the crowd drivers must be bit-identical to the
-//! per-walker drivers for any crowd size (walkers keep private RNG
-//! streams and their per-walker floating-point op sequences are
-//! unchanged).
+//! Lock-step parity: the drivers on a crew of crowds must be bit-identical
+//! to the drivers on a crew of engines for any crowd size (walkers keep
+//! private RNG streams and their per-walker floating-point op sequences
+//! are unchanged).
 
 use qmc_containers::{Pos, TinyVector};
-use qmc_crowd::{run_dmc_crowd, run_vmc_crowd, Crowd, CrowdScheduler};
+use qmc_crowd::{Crowd, CrowdScheduler};
 use qmc_drivers::{
-    initial_population, run_dmc_parallel, run_vmc, DmcParams, HamiltonianSet, QmcEngine, VmcParams,
-    Walker,
+    initial_population, Crew, DmcParams, DmcResult, HamiltonianSet, QmcEngine, RunControl,
+    VmcParams, VmcResult, Walker,
 };
 use qmc_particles::{CrystalLattice, Layout, ParticleSet, Species};
 use qmc_wavefunction::{CosineSpo, DetUpdateMode, DiracDeterminant, TrialWaveFunction};
@@ -15,6 +15,26 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 const L: f64 = 6.0;
+
+/// Uncontrolled VMC over `crew`.
+fn run_vmc<C: Crew<f64>>(
+    crew: &mut [C],
+    walkers: &mut [Walker<f64>],
+    params: &VmcParams,
+) -> VmcResult {
+    let run = qmc_drivers::run_vmc(crew, walkers, params, None, &mut RunControl::none());
+    run.expect("no checkpoint to write").0
+}
+
+/// Uncontrolled DMC over `crew`.
+fn run_dmc<C: Crew<f64>>(
+    crew: &mut [C],
+    walkers: &mut Vec<Walker<f64>>,
+    params: &DmcParams,
+) -> DmcResult {
+    let run = qmc_drivers::run_dmc(crew, walkers, params, None, &mut RunControl::none());
+    run.expect("no checkpoint to write").0
+}
 
 fn engine(n: usize, seed: u64) -> (QmcEngine<f64>, Vec<Pos<f64>>) {
     let lat = CrystalLattice::cubic(L);
@@ -77,7 +97,7 @@ fn vmc_crowd_is_bitwise_per_walker_for_any_crowd_size() {
     };
     let (mut eng, pos) = engine(n, 17);
     let mut ref_walkers = initial_population::<f64>(&pos, 5, 23);
-    let reference = run_vmc(&mut eng, &mut ref_walkers, &params);
+    let reference = run_vmc(std::slice::from_mut(&mut eng), &mut ref_walkers, &params);
 
     // Crowd sizes below, equal to, and above the population; 5 walkers
     // exercise a ragged final block.
@@ -85,7 +105,7 @@ fn vmc_crowd_is_bitwise_per_walker_for_any_crowd_size() {
         let slots = (0..crowd_size).map(|_| engine(n, 17).0).collect();
         let mut crowd = Crowd::new(slots);
         let mut walkers = initial_population::<f64>(&pos, 5, 23);
-        let res = run_vmc_crowd(&mut crowd, &mut walkers, &params);
+        let res = run_vmc(std::slice::from_mut(&mut crowd), &mut walkers, &params);
         assert_eq!(
             res.energy.blocking(),
             reference.energy.blocking(),
@@ -95,6 +115,19 @@ fn vmc_crowd_is_bitwise_per_walker_for_any_crowd_size() {
         assert_eq!(res.samples, reference.samples);
         assert_walkers_bitwise(&walkers, &ref_walkers);
     }
+
+    // Crews of more than one member: crowds and engines over threads.
+    let mut crowds = CrowdScheduler::new(2, 2).build_crowds(|| engine(n, 17).0);
+    let mut walkers = initial_population::<f64>(&pos, 5, 23);
+    let res = run_vmc(&mut crowds, &mut walkers, &params);
+    assert_eq!(res.energy.blocking(), reference.energy.blocking());
+    assert_walkers_bitwise(&walkers, &ref_walkers);
+    let mut engines: Vec<QmcEngine<f64>> = (0..3).map(|_| engine(n, 17).0).collect();
+    let mut walkers = initial_population::<f64>(&pos, 5, 23);
+    let res = run_vmc(&mut engines, &mut walkers, &params);
+    assert_eq!(res.energy.blocking(), reference.energy.blocking());
+    assert_eq!(res.acceptance, reference.acceptance);
+    assert_walkers_bitwise(&walkers, &ref_walkers);
 }
 
 #[test]
@@ -112,13 +145,13 @@ fn dmc_crowd_is_bitwise_per_walker_crew() {
     let mut engines: Vec<QmcEngine<f64>> = (0..2).map(|_| engine(n, 31).0).collect();
     let pos = engine(n, 31).1;
     let mut ref_walkers = initial_population::<f64>(&pos, 6, 41);
-    let (reference, _) = run_dmc_parallel(&mut engines, &mut ref_walkers, &params);
+    let reference = run_dmc(&mut engines, &mut ref_walkers, &params);
 
     for (threads, crowd_size) in [(1usize, 1usize), (1, 4), (2, 3), (3, 8)] {
         let sched = CrowdScheduler::new(threads, crowd_size);
         let mut crowds = sched.build_crowds(|| engine(n, 31).0);
         let mut walkers = initial_population::<f64>(&pos, 6, 41);
-        let (res, _) = run_dmc_crowd(&mut crowds, &mut walkers, &params);
+        let res = run_dmc(&mut crowds, &mut walkers, &params);
         let tag = format!("threads {threads} crowd {crowd_size}");
         assert_eq!(res.energy.blocking(), reference.energy.blocking(), "{tag}");
         assert_eq!(res.population, reference.population, "{tag}");
@@ -140,7 +173,7 @@ fn dmc_crowd_handles_empty_population() {
         target_population: 4,
         ..Default::default()
     };
-    let (res, _) = run_dmc_crowd(&mut crowds, &mut walkers, &params);
+    let res = run_dmc(&mut crowds, &mut walkers, &params);
     assert_eq!(res.samples, 0);
     assert!(res.energy.blocking().0.is_finite() || res.energy.blocking().0.is_nan());
 }

@@ -4,9 +4,10 @@
 //! (one engine sweeps each walker to completion before touching the next)
 //! and crowd-based lock-step execution, where a crowd of walkers advances
 //! through the PbyP sweep together so leaf kernels see multi-walker
-//! batches (QMCPACK's performance-portable driver design). The crowd
-//! drivers live in the `qmc-crowd` crate; this enum is the dial the
-//! drivers, workloads and binaries share.
+//! batches (QMCPACK's performance-portable driver design). The drivers
+//! themselves never read it — they run over whatever [`crate::Crew`] they
+//! are handed; this enum is the dial workloads and binaries use to say
+//! which crew to build (`QmcEngine`s, or `qmc_crowd::Crowd`s).
 
 /// How walkers are mapped onto engines within a thread.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -29,7 +30,7 @@ impl Batching {
         }
     }
 
-    /// True when the crowd scheduler should be used.
+    /// True when the crew is built from crowds.
     pub fn is_crowd(self) -> bool {
         matches!(self, Batching::Crowd(_))
     }

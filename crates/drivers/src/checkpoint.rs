@@ -88,12 +88,20 @@ impl DriverKind {
     }
 }
 
-/// Why a checkpoint could not be read. Every variant renders as a clear
-/// one-line message; nothing in the decode path panics on bad input.
+/// Why a checkpoint could not be read or written. Every variant renders
+/// as a clear one-line message; nothing in the decode path panics on bad
+/// input.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// Filesystem error reading or writing the checkpoint.
+    /// Filesystem error reading the checkpoint.
     Io(std::io::Error),
+    /// Filesystem error writing a due checkpoint during a run.
+    Write {
+        /// Checkpoint path of the run's [`CheckpointSpec`].
+        path: String,
+        /// The underlying I/O failure.
+        source: std::io::Error,
+    },
     /// File shorter than the fixed header + checksum.
     TooShort(usize),
     /// FNV-1a checksum over the payload does not match the stored value.
@@ -126,6 +134,9 @@ impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CheckpointError::Io(e) => write!(f, "checkpoint I/O error: {e}"),
+            CheckpointError::Write { path, source } => {
+                write!(f, "cannot write checkpoint to {path}: {source}")
+            }
             CheckpointError::TooShort(n) => {
                 write!(f, "not a checkpoint: file is only {n} bytes")
             }
@@ -212,11 +223,12 @@ impl CheckpointSpec {
     }
 }
 
-/// Per-run control hooks threaded through the driver variants: periodic
-/// checkpointing and a per-block observer (the streaming-telemetry sink).
+/// Per-run control hooks of the drivers: periodic checkpointing and a
+/// per-block observer (the streaming-telemetry sink).
 /// [`RunControl::none`] is the plain uncontrolled run.
 ///
-/// A checkpoint *write* failure panics with the path and cause: a
+/// A checkpoint *write* failure is returned as
+/// [`CheckpointError::Write`] and ends the run at that boundary: a
 /// production job that silently stops checkpointing has lost its
 /// fault-tolerance guarantee, which must be loud.
 #[derive(Default)]
@@ -233,7 +245,25 @@ impl RunControl<'_> {
         Self::default()
     }
 
-    /// Hook the DMC drivers call after [`DmcState::finish_generation`].
+    /// Writes the checkpoint with `write` when one is due after
+    /// `completed` generations/blocks.
+    fn checkpoint_if_due(
+        &self,
+        completed: usize,
+        write: impl FnOnce(&str) -> std::io::Result<()>,
+    ) -> Result<(), CheckpointError> {
+        match &self.checkpoint {
+            Some(spec) if spec.due(completed) => {
+                write(&spec.path).map_err(|source| CheckpointError::Write {
+                    path: spec.path.clone(),
+                    source,
+                })
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Hook the DMC driver calls after [`DmcState::finish_generation`].
     pub fn after_dmc_generation<T: Real>(
         &mut self,
         state: &DmcState,
@@ -241,13 +271,10 @@ impl RunControl<'_> {
         params: &DmcParams,
         e_block: f64,
         wsum: f64,
-    ) {
-        if let Some(spec) = &self.checkpoint {
-            if spec.due(state.step) {
-                write_dmc_checkpoint(&spec.path, state, walkers)
-                    .unwrap_or_else(|e| panic!("cannot write checkpoint to {}: {e}", spec.path));
-            }
-        }
+    ) -> Result<(), CheckpointError> {
+        self.checkpoint_if_due(state.step, |path| {
+            write_dmc_checkpoint(path, state, walkers)
+        })?;
         if let Some(cb) = self.on_block.as_mut() {
             cb(&BlockEvent {
                 driver: "dmc",
@@ -262,9 +289,10 @@ impl RunControl<'_> {
                 weight: wsum,
             });
         }
+        Ok(())
     }
 
-    /// Hook the VMC drivers call after each completed block.
+    /// Hook the VMC driver calls after each completed block.
     /// `samples_before` is the estimator length before the block, so the
     /// block's own energy mean can be reported as the delta.
     pub fn after_vmc_block<T: Real>(
@@ -273,13 +301,10 @@ impl RunControl<'_> {
         walkers: &[Walker<T>],
         params: &VmcParams,
         samples_before: usize,
-    ) {
-        if let Some(spec) = &self.checkpoint {
-            if spec.due(state.block) {
-                write_vmc_checkpoint(&spec.path, state, walkers)
-                    .unwrap_or_else(|e| panic!("cannot write checkpoint to {}: {e}", spec.path));
-            }
-        }
+    ) -> Result<(), CheckpointError> {
+        self.checkpoint_if_due(state.block, |path| {
+            write_vmc_checkpoint(path, state, walkers)
+        })?;
         if let Some(cb) = self.on_block.as_mut() {
             let fresh = &state.energy.samples()[samples_before..];
             let e_block = if fresh.is_empty() {
@@ -301,6 +326,7 @@ impl RunControl<'_> {
                 weight: f64::NAN,
             });
         }
+        Ok(())
     }
 }
 

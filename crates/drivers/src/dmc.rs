@@ -2,11 +2,11 @@
 //!
 //! Particle-by-particle drift-diffusion sweeps, local-energy measurement,
 //! walker reweighting, birth/death branching and trial-energy feedback.
-//! [`run_dmc`] drives a single engine; the multithreaded version lives in
-//! [`crate::parallel`].
+//! [`run_dmc`] is the one generation loop; how it executes — one engine,
+//! a thread crew of engines, lock-step crowds — is the [`Crew`] it is
+//! handed, never a different function.
 //!
-//! All driver variants (single-engine, thread crew, lock-step crowd) share
-//! [`DmcState`]: the complete between-generation state of a run. A
+//! [`DmcState`] is the complete between-generation state of a run. A
 //! checkpoint is nothing but a serialized `DmcState` plus the walker
 //! population, and resuming is entering the generation loop with a
 //! restored state instead of a fresh one — the same code path either way,
@@ -14,12 +14,14 @@
 
 use crate::batching::Batching;
 use crate::branch::BranchController;
-use crate::checkpoint::RunControl;
-use crate::engine::QmcEngine;
+use crate::checkpoint::{CheckpointError, RunControl};
+use crate::crew::{fan_out, init_walkers, Crew};
+use crate::engine::SweepStats;
 use crate::estimator::ScalarEstimator;
 use crate::reduce;
 use crate::walker::Walker;
 use qmc_containers::Real;
+use qmc_instrument::{drain_thread_profile, span_lazy, ProfileSet};
 
 /// DMC run parameters.
 #[derive(Clone, Copy, Debug)]
@@ -37,9 +39,9 @@ pub struct DmcParams {
     pub recompute_every: usize,
     /// Master seed for the branching stream.
     pub seed: u64,
-    /// Walker batching strategy (the crowd drive lives in `qmc-crowd`;
-    /// [`run_dmc`] and [`crate::parallel::run_dmc_parallel`] themselves
-    /// always execute per-walker).
+    /// Walker batching the caller built its crew for. Descriptive only:
+    /// [`run_dmc`] never reads it — the crew it is handed decides how
+    /// walkers are batched.
     pub batching: Batching,
 }
 
@@ -118,10 +120,9 @@ impl DmcState {
     }
 
     /// Completes one generation: accumulates statistics, branches the
-    /// population and applies the trial-energy feedback. This is the
-    /// shared tail of every DMC driver variant (single-engine, parallel,
-    /// crowd) — they must stay bitwise identical, so the logic lives once.
-    /// Returns this generation's energy estimate.
+    /// population and applies the trial-energy feedback — the tail of
+    /// every generation, whatever crew advanced the walkers. Returns this
+    /// generation's energy estimate.
     pub fn finish_generation<T: Real>(
         &mut self,
         walkers: &mut Vec<Walker<T>>,
@@ -164,72 +165,109 @@ impl DmcState {
     }
 }
 
-/// Runs DMC on one engine. `walkers` is consumed/regenerated by branching.
-pub fn run_dmc<T: Real>(
-    engine: &mut QmcEngine<T>,
-    walkers: &mut Vec<Walker<T>>,
-    params: &DmcParams,
-) -> DmcResult {
-    run_dmc_controlled(engine, walkers, params, None, &mut RunControl::none())
+/// Advances `chunk` one DMC generation through one crew member, in
+/// lock-step blocks of the member's width: load, optional from-scratch
+/// refresh, sweep, then measure / reweight / age / store in slot order.
+/// Returns `(accepted, attempted)`. `lane` is the trace lane of the
+/// per-block spans.
+pub(crate) fn advance<T: Real, C: Crew<T>>(
+    lane: u64,
+    member: &mut C,
+    chunk: &mut [Walker<T>],
+    tau: f64,
+    refresh: bool,
+    branch: &BranchController,
+) -> (usize, usize) {
+    let width = member.width();
+    let mut stats = vec![SweepStats::default(); width];
+    let (mut acc, mut att) = (0usize, 0usize);
+    for (b, block) in chunk.chunks_mut(width).enumerate() {
+        let _block_span = C::BLOCK_SPANS.then(|| span_lazy(lane, || format!("block {b}")));
+        for (s, w) in block.iter_mut().enumerate() {
+            member.slot_mut(s).load_walker(w);
+        }
+        if refresh {
+            member.refresh_block(block.len());
+        }
+        member.sweep_block(block, tau, &mut stats);
+        for (s, w) in block.iter_mut().enumerate() {
+            acc += stats[s].accepted;
+            att += stats[s].attempted;
+            let engine = member.slot_mut(s);
+            let el = engine.measure(&mut w.rng).total();
+            qmc_instrument::check_finite(qmc_instrument::CheckKind::LocalEnergy, el);
+            w.weight *= branch.weight_factor(w.e_local, el);
+            w.age = if stats[s].accepted == 0 { w.age + 1 } else { 0 };
+            w.e_local = el;
+            engine.store_walker(w);
+        }
+    }
+    (acc, att)
 }
 
-/// [`run_dmc`] with checkpoint/resume control. When `resume` is `Some`,
-/// walker initialization is skipped entirely (the restored walkers carry
-/// their buffers and RNG streams) and the generation loop continues from
-/// `state.step`; the run is bitwise identical to one that never stopped.
-pub fn run_dmc_controlled<T: Real>(
-    engine: &mut QmcEngine<T>,
+/// Runs DMC over a walker crew (one member per worker thread; a crew of
+/// one runs on the calling thread). `walkers` is consumed/regenerated by
+/// branching. Returns the result together with the merged kernel
+/// [`ProfileSet`]: one group per crew member, the coordinator's own time
+/// (branching etc.) folded into the aggregate only.
+///
+/// When `resume` is `Some`, walker initialization is skipped entirely (the
+/// restored walkers carry their buffers and RNG streams) and the
+/// generation loop continues from `state.step`; the run is bitwise
+/// identical to one that never stopped, under whatever crew it resumes.
+/// `None, &mut RunControl::none()` is the plain uncontrolled run.
+///
+/// The energy/weight sums are reduced from the stored per-walker fields
+/// after the fan-out through [`reduce::det_sum_by`] — a fixed-shape
+/// pairwise tree over walker order — so the branch controller sees
+/// bit-identical input for any crew kind, crew size or task schedule.
+///
+/// Fails only when a due checkpoint cannot be written; the run stops at
+/// that generation boundary.
+pub fn run_dmc<T: Real, C: Crew<T>>(
+    crew: &mut [C],
     walkers: &mut Vec<Walker<T>>,
     params: &DmcParams,
     resume: Option<DmcState>,
     control: &mut RunControl<'_>,
-) -> DmcResult {
+) -> Result<(DmcResult, ProfileSet), CheckpointError> {
+    assert!(!crew.is_empty(), "a run needs at least one crew member");
     qmc_instrument::enable_ftz();
+    let mut profile = ProfileSet::with_groups(crew.len());
     let mut state = if let Some(state) = resume {
         state
     } else {
-        // Initialize fresh walkers and the trial energy.
-        let mut e0_acc = 0.0;
-        for w in walkers.iter_mut() {
-            engine.init_walker(w);
-            e0_acc += w.e_local;
-        }
+        init_walkers(crew, walkers, "init", &mut profile);
         let e0 = if walkers.is_empty() {
             0.0
         } else {
             // qmclint: allow(precision-cast) — walker/step counts convert exactly to f64 for statistics.
-            e0_acc / walkers.len() as f64
+            walkers.iter().map(|w| w.e_local).sum::<f64>() / walkers.len() as f64
         };
         DmcState::fresh(e0, params)
     };
 
     while state.step < params.steps {
         let step = state.step;
-        let (mut acc, mut att) = (0usize, 0usize);
-        for w in walkers.iter_mut() {
-            engine.load_walker(w);
-            if params.recompute_every > 0 && step % params.recompute_every == 0 {
-                engine.refresh_from_scratch();
-            }
-            let stats = engine.sweep(params.tau, &mut w.rng);
-            acc += stats.accepted;
-            att += stats.attempted;
-            let el = engine.measure(&mut w.rng).total();
-            qmc_instrument::check_finite(qmc_instrument::CheckKind::LocalEnergy, el);
-            let factor = state.branch.weight_factor(w.e_local, el);
-            w.weight *= factor;
-            w.age = if stats.accepted == 0 { w.age + 1 } else { 0 };
-            w.e_local = el;
-            engine.store_walker(w);
-        }
-        // Deterministic generation merge from the stored per-walker fields
-        // — the same tree shape as every parallel driver variant, so the
-        // branch controller sees bit-identical input across all of them.
+        // Driver-level step span on its own lane, above the crew lanes.
+        let _step_span = span_lazy(crew.len() as u64, || format!("step {step}"));
+        let refresh = params.recompute_every > 0 && step % params.recompute_every == 0;
+        let branch = &state.branch;
+        let counts = fan_out(
+            crew,
+            walkers,
+            C::SPAN,
+            &mut profile,
+            |lane, member, chunk| advance(lane, member, chunk, params.tau, refresh, branch),
+        );
+        let acc = counts.iter().map(|c| c.0).sum();
+        let att = counts.iter().map(|c| c.1).sum();
         let esum = reduce::det_sum_by(walkers.len(), |i| walkers[i].weight * walkers[i].e_local);
         let wsum = reduce::det_sum_by(walkers.len(), |i| walkers[i].weight);
         let e_avg = state.finish_generation(walkers, params.warmup, esum, wsum, acc, att);
-        control.after_dmc_generation(&state, walkers, params, e_avg, wsum);
+        control.after_dmc_generation(&state, walkers, params, e_avg, wsum)?;
     }
 
-    state.into_result()
+    profile.merge_total(&drain_thread_profile());
+    Ok((state.into_result(), profile))
 }

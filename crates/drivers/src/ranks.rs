@@ -128,17 +128,18 @@ where
                 );
 
                 for step in 0..params.steps {
-                    // Drift-diffusion + measurement for the local block,
-                    // then the deterministic walker-order partial for this
-                    // rank's contribution to the allreduce.
-                    for w in &mut walkers {
-                        engine.load_walker(w);
-                        engine.sweep(params.tau, &mut w.rng);
-                        let el = engine.measure(&mut w.rng).total();
-                        w.weight *= branch.weight_factor(w.e_local, el);
-                        w.e_local = el;
-                        engine.store_walker(w);
-                    }
+                    // The shared DMC walker advance for the local block
+                    // (no refresh cadence on ranks), then the deterministic
+                    // walker-order partial for this rank's contribution to
+                    // the allreduce.
+                    crate::dmc::advance(
+                        rank as u64,
+                        &mut engine,
+                        &mut walkers,
+                        params.tau,
+                        false,
+                        &branch,
+                    );
                     let esum = crate::reduce::det_sum_by(walkers.len(), |i| {
                         walkers[i].weight * walkers[i].e_local
                     });
@@ -176,12 +177,7 @@ where
                     branch.e_trial = shared.lock().e_trial;
 
                     // --- load balance: surplus ranks push, deficit pull ---
-                    let avg = {
-                        let mut s = shared.lock();
-                        let avg = (s.pops / ranks).max(1);
-                        let _ = &mut s;
-                        avg
-                    };
+                    let avg = (shared.lock().pops / ranks).max(1);
                     if walkers.len() > avg {
                         let surplus = walkers.len() - avg;
                         let mut msgs = Vec::with_capacity(surplus);

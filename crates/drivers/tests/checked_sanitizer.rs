@@ -7,7 +7,7 @@
 //! there is nothing to test (the checks are no-ops).
 #![cfg(feature = "checked")]
 
-use qmc_drivers::{run_vmc, BranchController, VmcParams};
+use qmc_drivers::{run_vmc, BranchController, RunControl, VmcParams};
 use qmc_instrument::{sanitizer_enabled, set_drift_tolerance, take_sanitizer_stats, CheckKind};
 use std::sync::{Mutex, MutexGuard};
 
@@ -110,7 +110,9 @@ fn clean_vmc_run_checks_without_violations() {
         measure_every: 1,
         batching: qmc_drivers::Batching::PerWalker,
     };
-    let res = run_vmc(&mut engine, &mut walkers, &params);
+    let crew = std::slice::from_mut(&mut engine);
+    let (res, _profile) = run_vmc(crew, &mut walkers, &params, None, &mut RunControl::none())
+        .expect("no checkpoint to write");
     assert!(res.samples > 0);
     let stats = take_sanitizer_stats();
     assert!(

@@ -3,7 +3,8 @@
 
 use qmc_containers::{Pos, TinyVector};
 use qmc_drivers::{
-    initial_population, run_dmc, run_vmc, DmcParams, HamiltonianSet, QmcEngine, VmcParams,
+    initial_population, DmcParams, DmcResult, HamiltonianSet, QmcEngine, RunControl, VmcParams,
+    VmcResult, Walker,
 };
 use qmc_particles::{CrystalLattice, Layout, ParticleSet, Species};
 use qmc_wavefunction::{CosineSpo, DetUpdateMode, DiracDeterminant, TrialWaveFunction};
@@ -11,6 +12,28 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 const L: f64 = 6.0;
+
+/// Serial uncontrolled VMC: a crew of one engine.
+fn run_vmc(
+    engine: &mut QmcEngine<f64>,
+    walkers: &mut [Walker<f64>],
+    params: &VmcParams,
+) -> VmcResult {
+    let crew = std::slice::from_mut(engine);
+    let run = qmc_drivers::run_vmc(crew, walkers, params, None, &mut RunControl::none());
+    run.expect("no checkpoint to write").0
+}
+
+/// Serial uncontrolled DMC: a crew of one engine.
+fn run_dmc(
+    engine: &mut QmcEngine<f64>,
+    walkers: &mut Vec<Walker<f64>>,
+    params: &DmcParams,
+) -> DmcResult {
+    let crew = std::slice::from_mut(engine);
+    let run = qmc_drivers::run_dmc(crew, walkers, params, None, &mut RunControl::none());
+    run.expect("no checkpoint to write").0
+}
 
 fn engine(n: usize, seed: u64) -> (QmcEngine<f64>, Vec<Pos<f64>>) {
     let lat = CrystalLattice::cubic(L);

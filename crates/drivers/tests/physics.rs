@@ -8,8 +8,8 @@
 
 use qmc_containers::{Pos, TinyVector};
 use qmc_drivers::{
-    initial_population, run_dmc, run_dmc_parallel, run_vmc, DmcParams, HamiltonianSet, QmcEngine,
-    VmcParams,
+    initial_population, DmcParams, DmcResult, HamiltonianSet, QmcEngine, RunControl, VmcParams,
+    VmcResult, Walker,
 };
 use qmc_particles::{CrystalLattice, Layout, ParticleSet, Species};
 use qmc_wavefunction::{CosineSpo, DetUpdateMode, DiracDeterminant, TrialWaveFunction};
@@ -17,6 +17,28 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 const L: f64 = 6.0;
+
+/// Serial uncontrolled VMC: a crew of one engine.
+fn run_vmc(
+    engine: &mut QmcEngine<f64>,
+    walkers: &mut [Walker<f64>],
+    params: &VmcParams,
+) -> VmcResult {
+    let crew = std::slice::from_mut(engine);
+    let run = qmc_drivers::run_vmc(crew, walkers, params, None, &mut RunControl::none());
+    run.expect("no checkpoint to write").0
+}
+
+/// Serial uncontrolled DMC: a crew of one engine.
+fn run_dmc(
+    engine: &mut QmcEngine<f64>,
+    walkers: &mut Vec<Walker<f64>>,
+    params: &DmcParams,
+) -> DmcResult {
+    let crew = std::slice::from_mut(engine);
+    let run = qmc_drivers::run_dmc(crew, walkers, params, None, &mut RunControl::none());
+    run.expect("no checkpoint to write").0
+}
 
 fn free_engine(n: usize, layout: Layout, mode: DetUpdateMode) -> (QmcEngine<f64>, f64) {
     let lat = CrystalLattice::cubic(L);
@@ -190,7 +212,14 @@ fn parallel_dmc_matches_exact_energy_and_merges_profile() {
         seed: 41,
         ..Default::default()
     };
-    let (res, profile) = run_dmc_parallel(&mut engines, &mut walkers, &params);
+    let (res, profile) = qmc_drivers::run_dmc(
+        &mut engines,
+        &mut walkers,
+        &params,
+        None,
+        &mut RunControl::none(),
+    )
+    .expect("no checkpoint to write");
     let (mean, _, _) = res.energy.blocking();
     assert!(
         (mean - exact).abs() < 1e-7,

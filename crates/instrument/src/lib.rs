@@ -52,6 +52,6 @@ pub use span::{
 };
 pub use stream::{BlockEvent, StreamWriter, RUN_STREAM_SCHEMA};
 pub use timer::{
-    add_flops_bytes, drain_thread_profile, time_kernel, Kernel, KernelStats, Profile, ProfileSet,
-    ALL_KERNELS, NUM_KERNELS,
+    add_flops_bytes, drain_thread_profile, merge_thread_profile, time_kernel, Kernel, KernelStats,
+    Profile, ProfileSet, ALL_KERNELS, NUM_KERNELS,
 };

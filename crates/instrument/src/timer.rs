@@ -291,6 +291,13 @@ pub fn drain_thread_profile() -> Profile {
     LOCAL.with(|p| std::mem::take(&mut *p.borrow_mut()))
 }
 
+/// Merges `profile` back into the calling thread's profile — the inverse
+/// of [`drain_thread_profile`], for a caller that drained on behalf of
+/// code which reads the thread-local itself.
+pub fn merge_thread_profile(profile: &Profile) {
+    LOCAL.with(|p| p.borrow_mut().merge(profile));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

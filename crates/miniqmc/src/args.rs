@@ -55,6 +55,20 @@ impl Options {
             .unwrap_or(default)
     }
 
+    /// Value of `key` parsed as `T`, `default` when the option is absent,
+    /// and a one-line error naming the option when its value is missing
+    /// or does not parse.
+    pub fn try_get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        let expected = std::any::type_name::<T>();
+        match self.values.get(key) {
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("--{key}: cannot use '{v}' (valid: a {expected} value)")),
+            None if self.has_flag(key) => Err(format!("--{key} needs a {expected} value")),
+            None => Ok(default),
+        }
+    }
+
     /// Raw string value of `key`.
     pub fn get_str(&self, key: &str) -> Option<&str> {
         self.values.get(key).map(std::string::String::as_str)
@@ -93,6 +107,20 @@ mod tests {
         assert_eq!(o.get("nel", 48usize), 48);
         assert_eq!(o.get("tau", 0.01f64), 0.01);
         assert!(!o.has_flag("verbose"));
+    }
+
+    #[test]
+    fn try_get_rejects_what_get_defaults() {
+        let o = parse(&["--steps", "abc", "--walkers", "4", "--warmup"]);
+        assert_eq!(o.get("steps", 10usize), 10);
+        let err = o.try_get("steps", 10usize).unwrap_err();
+        assert!(err.contains("--steps") && err.contains("abc"), "{err}");
+        assert!(o
+            .try_get("warmup", 2usize)
+            .unwrap_err()
+            .contains("--warmup"));
+        assert_eq!(o.try_get("walkers", 8usize), Ok(4));
+        assert_eq!(o.try_get("threads", 2usize), Ok(2));
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! The full miniapp (§7.1): a DMC calculation with particle-by-particle
-//! updates and non-local pseudopotentials on a benchmark workload, for any
-//! code version of the paper's ladder. Prints throughput and the hot-spot
-//! profile, or emits the structured run report / Chrome trace. Long runs
-//! can checkpoint (`--checkpoint`), resume bitwise (`--resume`) and stream
-//! telemetry (`--stream`).
+//! The full miniapp (§7.1): a DMC (or, with `--driver vmc`, VMC)
+//! calculation with particle-by-particle updates and non-local
+//! pseudopotentials on a benchmark workload, for any code version of the
+//! paper's ladder, over a crew of `--threads` engines or crowds. Prints
+//! throughput and the hot-spot profile, or emits the structured run
+//! report / Chrome trace. Long runs can checkpoint (`--checkpoint`),
+//! resume bitwise (`--resume`) and stream telemetry (`--stream`).
 //!
 //! ```text
 //! miniqmc --benchmark nio32 --size scaled --code current \
@@ -12,16 +13,12 @@
 //! ```
 
 use miniqmc::Options;
-use qmc_crowd::{run_vmc_crowd_controlled, Crowd};
-use qmc_drivers::{
-    initial_population, population_digest, run_vmc_controlled, Batching, CheckpointSpec,
-    RunControl, VmcParams,
-};
+use qmc_drivers::{Batching, CheckpointError, CheckpointSpec, DriverKind};
 use qmc_instrument::{
     chrome_trace_json, enable_tracing, take_trace_events, BlockEvent, StreamWriter,
 };
 use qmc_workloads::{
-    checkpoint_step, run_dmc_benchmark_controlled, BenchControl, Benchmark, CodeVersion, RunConfig,
+    checkpoint_step, run_benchmark_controlled, BenchControl, Benchmark, CodeVersion, RunConfig,
     Size, Workload,
 };
 
@@ -83,15 +80,35 @@ fn parse_code(s: &str) -> Result<CodeVersion, String> {
         "refmp" | "ref+mp" => Ok(CodeVersion::RefMp),
         "soadp" | "soa" => Ok(CodeVersion::SoaDouble),
         "current" => Ok(CodeVersion::Current),
-        other => {
-            if let Some(k) = other.strip_prefix("delayed") {
-                Ok(CodeVersion::CurrentDelayed(k.parse().unwrap_or(16)))
-            } else {
-                Err(format!(
-                    "unknown code version '{other}' (valid: ref, refmp, soa, current, delayedK)"
-                ))
-            }
-        }
+        other => match other.strip_prefix("delayed").map(str::parse) {
+            Some(Ok(k)) if k >= 1 => Ok(CodeVersion::CurrentDelayed(k)),
+            _ => Err(format!(
+                "unknown code version '{other}' (valid: ref, refmp, soa, current, delayedK with K >= 1)"
+            )),
+        },
+    }
+}
+
+/// Value of `--key`, `default` when absent; an unusable value is a usage
+/// error, not a silent default.
+fn arg<T: std::str::FromStr>(opts: &Options, key: &str, default: T) -> T {
+    opts.try_get(key, default)
+        .unwrap_or_else(|e| fail_usage(&e))
+}
+
+fn parse_size(s: &str) -> Result<Size, String> {
+    match s {
+        "scaled" => Ok(Size::Scaled),
+        "full" => Ok(Size::Full),
+        other => Err(format!("unknown size '{other}' (valid: scaled, full)")),
+    }
+}
+
+fn parse_driver(s: &str) -> Result<DriverKind, String> {
+    match s {
+        "dmc" => Ok(DriverKind::Dmc),
+        "vmc" => Ok(DriverKind::Vmc),
+        other => Err(format!("unknown driver '{other}' (valid: dmc, vmc)")),
     }
 }
 
@@ -130,12 +147,12 @@ fn main() {
     }
     let benchmark = parse_benchmark(opts.get_str("benchmark").unwrap_or("nio32"))
         .unwrap_or_else(|e| fail_usage(&e));
-    let size = match opts.get_str("size").unwrap_or("scaled") {
-        "full" => Size::Full,
-        _ => Size::Scaled,
-    };
+    let size =
+        parse_size(opts.get_str("size").unwrap_or("scaled")).unwrap_or_else(|e| fail_usage(&e));
     let code =
         parse_code(opts.get_str("code").unwrap_or("current")).unwrap_or_else(|e| fail_usage(&e));
+    let driver =
+        parse_driver(opts.get_str("driver").unwrap_or("dmc")).unwrap_or_else(|e| fail_usage(&e));
     let mode = parse_profile(opts.get_str("profile").unwrap_or("summary"))
         .unwrap_or_else(|e| fail_usage(&e));
     // Pin the kernel backend before any engine/table is built — engines
@@ -144,14 +161,14 @@ fn main() {
         let backend = qmc_kernels::Backend::parse(b).unwrap_or_else(|e| fail_usage(&e));
         qmc_kernels::set_backend(backend);
     }
-    let crowd = opts.get("crowd", 0usize);
+    let crowd = arg(&opts, "crowd", 0usize);
     let cfg = RunConfig {
-        threads: opts.get("threads", 2usize),
-        walkers: opts.get("walkers", 8usize),
-        steps: opts.get("steps", 10usize),
-        warmup: opts.get("warmup", 2usize),
-        tau: opts.get("tau", 0.005f64),
-        seed: opts.get("seed", 42u64),
+        threads: arg(&opts, "threads", 2),
+        walkers: arg(&opts, "walkers", 8),
+        steps: arg(&opts, "steps", 10),
+        warmup: arg(&opts, "warmup", 2),
+        tau: arg(&opts, "tau", 0.005),
+        seed: arg(&opts, "seed", 42),
         batching: if crowd > 0 {
             Batching::Crowd(crowd)
         } else {
@@ -162,6 +179,12 @@ fn main() {
     if cfg.fused_refresh && crowd == 0 {
         fail_usage("--fused-refresh requires --crowd W");
     }
+    if driver == DriverKind::Dmc && cfg.warmup >= cfg.steps {
+        fail_usage(&format!(
+            "--warmup {} leaves no measured generation of --steps {} (valid: warmup < steps)",
+            cfg.warmup, cfg.steps
+        ));
+    }
     let checkpoint = opts
         .get_str("checkpoint")
         .map(|s| CheckpointSpec::parse(s).unwrap_or_else(|e| fail_usage(&e)));
@@ -171,6 +194,9 @@ fn main() {
     // In JSON mode stdout carries only the report; everything human goes
     // to stderr.
     let json_mode = matches!(mode, ProfileMode::Json);
+    if json_mode && driver == DriverKind::Vmc {
+        fail_usage("--profile json is only available for the DMC driver");
+    }
     macro_rules! say {
         ($($arg:tt)*) => {
             if json_mode { eprintln!($($arg)*) } else { println!($($arg)*) }
@@ -200,48 +226,41 @@ fn main() {
             Batching::Crowd(w) => format!("crowd({w})"),
         }
     );
-
-    if opts.get_str("driver") == Some("vmc") {
-        if json_mode {
-            fail_usage("--profile json is only available for the DMC driver");
+    // A VMC run counts blocks of sweeps where DMC counts generations.
+    let steps_total = match driver {
+        DriverKind::Dmc => cfg.steps,
+        DriverKind::Vmc => {
+            let params = cfg.vmc_params();
+            println!(
+                "driver = VMC: {} blocks x {} sweeps",
+                params.blocks, params.steps_per_block
+            );
+            params.blocks
         }
-        run_vmc_mode(
-            &workload,
-            code,
-            &cfg,
-            &mode,
-            checkpoint,
-            resume,
-            stream_path,
-        );
-        return;
-    }
+    };
 
     let trace_file = matches!(mode, ProfileMode::Trace(_));
-    if trace_file {
-        enable_tracing(true);
-    }
     // With a stream but no trace file, spans drain into the stream per
     // block; a requested trace file keeps them all for itself.
     let stream_trace = stream_path.is_some() && !trace_file;
-    if stream_trace {
+    if trace_file || stream_trace {
         enable_tracing(true);
     }
 
     let mut stream = open_stream(stream_path, resume.is_some());
     if let Some(s) = stream.as_mut() {
         let resumed_from = resume.map(|p| {
-            checkpoint_step(p, code.single_precision())
+            checkpoint_step(p, code.single_precision(), driver)
                 .unwrap_or_else(|e| fail_run(&format!("cannot resume from {p}: {e}")))
         });
         s.start(
-            "dmc",
+            driver.label(),
             workload.spec.name,
             &code.label(),
             qmc_kernels::Backend::current().label(),
             cfg.threads,
             cfg.walkers,
-            cfg.steps,
+            steps_total,
             resumed_from,
         )
         .unwrap_or_else(|e| fail_run(&format!("cannot write stream: {e}")));
@@ -270,9 +289,11 @@ fn main() {
             None
         },
     };
-    let out = run_dmc_benchmark_controlled(&workload, code, &cfg, ctl)
-        .unwrap_or_else(|e| fail_run(&format!("cannot resume: {e}")));
-    let report = out.report(&workload, &cfg);
+    let out =
+        run_benchmark_controlled(&workload, code, &cfg, driver, ctl).unwrap_or_else(|e| match e {
+            CheckpointError::Write { .. } => fail_run(&e.to_string()),
+            e => fail_run(&format!("cannot resume: {e}")),
+        });
     if let Some(s) = stream.as_mut() {
         s.end(
             out.seconds,
@@ -285,11 +306,25 @@ fn main() {
         .ok();
     }
 
-    match mode {
-        ProfileMode::Json => {
-            println!("{}", report.to_json());
+    if json_mode {
+        println!("{}", out.report(&workload, &cfg).to_json());
+        return;
+    }
+    match driver {
+        DriverKind::Vmc => {
+            println!(
+                "VMC energy {:.4} +- {:.4} (tau_corr {:.1}), acceptance {:.3}",
+                out.energy.0, out.energy.1, out.energy.2, out.acceptance
+            );
+            println!("walker-hash      {:016x}", out.walker_hash);
+            println!(
+                "throughput {:.2} sweeps/s ({} sweeps in {:.3} s)",
+                out.throughput(),
+                out.samples,
+                out.seconds
+            );
         }
-        ProfileMode::Summary | ProfileMode::Trace(_) => {
+        DriverKind::Dmc => {
             println!();
             println!(
                 "throughput       {:>12.2} samples/s   ({} samples in {:.3} s)",
@@ -313,21 +348,21 @@ fn main() {
                 out.engine_bytes as f64 / (1 << 20) as f64,
                 out.table_bytes as f64 / (1 << 20) as f64
             );
-            if report.drift.refreshes > 0 {
+            if out.drift.refreshes > 0 {
                 println!(
                     "mp drift         mean |dlogpsi| {:.3e}, max {:.3e} over {} refreshes",
-                    report.drift.mean_abs(),
-                    report.drift.max_abs,
-                    report.drift.refreshes
+                    out.drift.mean_abs(),
+                    out.drift.max_abs,
+                    out.drift.refreshes
                 );
             }
             println!();
             println!("hot-spot profile (merged over threads):");
             print!("{}", out.profile.to_table());
-            if let ProfileMode::Trace(path) = mode {
-                write_trace(&path);
-            }
         }
+    }
+    if let ProfileMode::Trace(path) = mode {
+        write_trace(&path);
     }
 }
 
@@ -358,140 +393,5 @@ fn write_trace(path: &str) {
             eprintln!("miniqmc: cannot write trace to {path}: {e}");
             std::process::exit(1);
         }
-    }
-}
-
-/// VMC mode: a variational run with per-block recompute — one engine, or
-/// one lock-step crowd when `--crowd W` is given (results are identical).
-/// Checkpoint/resume/stream work exactly as in DMC mode, against VMC
-/// checkpoints.
-fn run_vmc_mode(
-    workload: &Workload,
-    code: CodeVersion,
-    cfg: &RunConfig,
-    mode: &ProfileMode,
-    checkpoint: Option<CheckpointSpec>,
-    resume: Option<&str>,
-    stream_path: Option<&str>,
-) {
-    let params = VmcParams {
-        blocks: (cfg.steps / 4).max(1),
-        steps_per_block: 4,
-        tau: cfg.tau.max(0.05),
-        measure_every: 1,
-        batching: cfg.batching,
-    };
-    println!(
-        "driver = VMC: {} blocks x {} sweeps",
-        params.blocks, params.steps_per_block
-    );
-    let trace_file = matches!(mode, ProfileMode::Trace(_));
-    if trace_file {
-        enable_tracing(true);
-    }
-    let stream_trace = stream_path.is_some() && !trace_file;
-    if stream_trace {
-        enable_tracing(true);
-    }
-    let mut stream = open_stream(stream_path, resume.is_some());
-    macro_rules! go {
-        ($build:expr) => {{
-            let (mut walkers, resume_state) = match resume {
-                Some(p) => match qmc_drivers::read_vmc_checkpoint(p) {
-                    Ok((state, ws)) => (ws, Some(state)),
-                    Err(e) => fail_run(&format!("cannot resume from {p}: {e}")),
-                },
-                None => (
-                    initial_population(workload.initial_positions(), cfg.walkers, cfg.seed),
-                    None,
-                ),
-            };
-            if let Some(s) = stream.as_mut() {
-                s.start(
-                    "vmc",
-                    workload.spec.name,
-                    &code.label(),
-                    qmc_kernels::Backend::current().label(),
-                    1,
-                    cfg.walkers,
-                    params.blocks,
-                    resume_state.as_ref().map(|st| st.block as u64),
-                )
-                .unwrap_or_else(|e| fail_run(&format!("cannot write stream: {e}")));
-            }
-            let spec_for_stream = checkpoint.clone();
-            let stream_checkpoint = checkpoint;
-            let mut on_block = |ev: &BlockEvent| {
-                if let Some(s) = stream.as_mut() {
-                    s.block(ev).ok();
-                    if stream_trace {
-                        s.trace_events(&take_trace_events()).ok();
-                    }
-                    if let Some(spec) = spec_for_stream.as_ref() {
-                        if spec.due(ev.step as usize) {
-                            s.checkpoint(ev.step, &spec.path).ok();
-                        }
-                    }
-                }
-            };
-            let mut control = RunControl {
-                checkpoint: stream_checkpoint,
-                on_block: if stream_path.is_some() {
-                    Some(&mut on_block)
-                } else {
-                    None
-                },
-            };
-            let t0 = std::time::Instant::now();
-            let res = match cfg.batching {
-                Batching::PerWalker => {
-                    let mut engine = $build;
-                    run_vmc_controlled(
-                        &mut engine,
-                        &mut walkers,
-                        &params,
-                        resume_state,
-                        &mut control,
-                    )
-                }
-                Batching::Crowd(_) => {
-                    let slots = (0..cfg.batching.crowd_size()).map(|_| $build).collect();
-                    let mut crowd = Crowd::new(slots);
-                    crowd.set_fused_refresh(cfg.fused_refresh);
-                    run_vmc_crowd_controlled(
-                        &mut crowd,
-                        &mut walkers,
-                        &params,
-                        resume_state,
-                        &mut control,
-                    )
-                }
-            };
-            let secs = t0.elapsed().as_secs_f64();
-            let hash = population_digest(&walkers);
-            let (e, err, tau_corr) = res.energy.blocking();
-            println!(
-                "VMC energy {:.4} +- {:.4} (tau_corr {:.1}), acceptance {:.3}",
-                e, err, tau_corr, res.acceptance
-            );
-            println!("walker-hash      {:016x}", hash);
-            println!(
-                "throughput {:.2} sweeps/s ({} sweeps in {:.3} s)",
-                res.samples as f64 / secs,
-                res.samples,
-                secs
-            );
-            if let Some(s) = stream.as_mut() {
-                s.end(secs, res.samples, e, err, res.acceptance, hash).ok();
-            }
-        }};
-    }
-    if code.single_precision() {
-        go!(workload.build_engine_f32(code));
-    } else {
-        go!(workload.build_engine_f64(code));
-    }
-    if let ProfileMode::Trace(path) = mode {
-        write_trace(path);
     }
 }

@@ -74,6 +74,117 @@ fn bad_profile_mode_prints_usage_and_exits_nonzero() {
     assert!(stderr.contains("unknown profile mode"), "{stderr}");
 }
 
+/// Arguments that used to be silently replaced by a default are usage
+/// errors: exit 2 and one line naming the option and what it accepts.
+#[test]
+fn unusable_argument_values_are_usage_errors_not_defaults() {
+    let cases: [(&[&str], &[&str]); 7] = [
+        (
+            &["--driver", "bogus"],
+            &["unknown driver 'bogus'", "dmc, vmc"],
+        ),
+        (
+            &["--size", "bogus"],
+            &["unknown size 'bogus'", "scaled, full"],
+        ),
+        (&["--steps", "abc"], &["--steps", "'abc'", "usize"]),
+        (&["--tau", "fast"], &["--tau", "'fast'", "f64"]),
+        (&["--walkers"], &["--walkers needs a usize value"]),
+        (
+            &["--code", "delayedXYZ"],
+            &["unknown code version 'delayedxyz'", "delayedK"],
+        ),
+        (
+            &["--steps", "2", "--warmup", "5"],
+            &["--warmup 5", "--steps 2", "warmup < steps"],
+        ),
+    ];
+    for (args, expected) in cases {
+        let out = miniqmc().args(args).output().expect("spawn miniqmc");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        for part in expected {
+            assert!(first.contains(part), "{args:?}: '{part}' not in '{first}'");
+        }
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+/// A checkpoint that cannot be written ends the run with a diagnostic and
+/// exit code 1 — for either driver, never a panic backtrace.
+#[test]
+fn unwritable_checkpoint_path_fails_cleanly() {
+    for driver in ["dmc", "vmc"] {
+        let out = miniqmc()
+            .args(tiny_args())
+            .args(["--driver", driver])
+            .args(["--checkpoint", "/nonexistent/dir/ck.qmc:1"])
+            .output()
+            .expect("spawn miniqmc");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{driver}: {stderr}");
+        assert!(
+            stderr.contains("cannot write checkpoint to /nonexistent/dir/ck.qmc"),
+            "{driver}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{driver}: {stderr}");
+    }
+}
+
+/// `--driver vmc` runs over the same crew `--threads`/`--crowd` describe
+/// for DMC, and the result does not depend on the crew: one engine, two
+/// engine threads and two crowd threads end on the same population hash.
+#[test]
+fn vmc_walker_hash_is_independent_of_the_crew() {
+    let run = |crew: &[&str]| {
+        let out = miniqmc()
+            .args(["--benchmark", "graphite", "--driver", "vmc"])
+            .args(["--walkers", "4", "--steps", "8", "--seed", "11"])
+            .args(crew)
+            .output()
+            .expect("spawn miniqmc");
+        assert!(
+            out.status.success(),
+            "{crew:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        walker_hash_line(out.stdout.as_slice())
+    };
+    let serial = run(&["--threads", "1"]);
+    assert_eq!(serial, run(&["--threads", "2"]), "two engine threads");
+    assert_eq!(
+        serial,
+        run(&["--threads", "2", "--crowd", "2"]),
+        "two crowd threads"
+    );
+
+    // The second thread really works: the stream reports the crew size
+    // and carries worker spans from lane 1.
+    let stream = std::env::temp_dir().join(format!("miniqmc_vmc_{}.ndjson", std::process::id()));
+    let stream_arg = stream.display().to_string();
+    assert_eq!(
+        serial,
+        run(&["--threads", "2", "--stream", &stream_arg]),
+        "streamed"
+    );
+    let text = std::fs::read_to_string(&stream).expect("stream written");
+    let _ = std::fs::remove_file(&stream);
+    let records: Vec<_> = text
+        .lines()
+        .map(|l| json::parse(l).expect("stream line is JSON"))
+        .collect();
+    let num = |r: &json::JsonValue, key: &str| r.get(key).and_then(json::JsonValue::as_f64);
+    assert_eq!(num(&records[0], "threads"), Some(2.0), "start record");
+    assert!(
+        records.iter().any(|r| {
+            r.get("name").and_then(|n| n.as_str()) == Some("vmc worker block")
+                && num(r, "lane") == Some(1.0)
+        }),
+        "no worker span from the second crew member"
+    );
+}
+
 #[test]
 fn golden_json_report_covers_all_kernels_within_wall_time() {
     let out = miniqmc()
@@ -391,7 +502,8 @@ fn corrupt_resume_file_fails_cleanly() {
     let bad = dir.join(format!("miniqmc_bad_ck_{}.qmc", std::process::id()));
     std::fs::write(&bad, b"this is not a checkpoint at all").expect("write corrupt file");
     let out = miniqmc()
-        .args(["--benchmark", "graphite", "--walkers", "2", "--steps", "2"])
+        .args(["--benchmark", "graphite", "--walkers", "2"])
+        .args(["--steps", "2", "--warmup", "1"])
         .args(["--resume", &bad.display().to_string()])
         .output()
         .expect("spawn miniqmc");

@@ -51,8 +51,10 @@ pub const SKIP_DIRS: [&str; 4] = ["target", ".git", "node_modules", "shims"];
 
 /// Root modules of the lock-order rule: every function defined here (and
 /// everything reachable from it through the call graph) must agree on one
-/// acquisition order per lock pair. The crowd scheduler is the only place
-/// the lock-step drivers hold more than one `parking_lot` lock at a time.
+/// acquisition order per lock pair. Since the crowd drivers merged into
+/// the lock-free crew fan-out of `qmc-drivers`, nothing under this root
+/// takes a lock any more; whether the rule moves to `ranks.rs` or goes is
+/// ROADMAP item 5's call.
 pub const LOCK_ROOTS: [&str; 1] = ["crates/crowd/"];
 
 /// Designated mixed-precision modules (ISSUE rule 1): the only places a
@@ -336,34 +338,16 @@ pub struct SchedRoot {
 /// The schedule-coverage registry: every non-test parallel entry point in
 /// a physics crate must have a row here, and every row must point at a
 /// live case that still (transitively) mentions the witness identifier.
+/// `fan_out` is the one spawn site under both drivers (`run_vmc` and
+/// `run_dmc` over any crew), so one row covers every driver shape.
 /// `run_multi_rank` spawns OS threads directly (`std::thread::scope` —
 /// barrier synchronization would deadlock under the shim's serial
 /// schedules), so its case exercises it without a schedule sweep.
-pub const SCHED_ROOTS: [SchedRoot; 8] = [
+pub const SCHED_ROOTS: [SchedRoot; 4] = [
     SchedRoot {
-        entry: "parallel_generation",
-        case: "explore_dmc_parallel",
-        via: "run_dmc_parallel",
-    },
-    SchedRoot {
-        entry: "run_vmc_parallel",
-        case: "explore_vmc",
-        via: "run_vmc_parallel",
-    },
-    SchedRoot {
-        entry: "run_dmc_parallel_controlled",
-        case: "explore_dmc_parallel",
-        via: "run_dmc_parallel",
-    },
-    SchedRoot {
-        entry: "generation",
-        case: "explore_dmc_crowd",
-        via: "run_dmc_crowd",
-    },
-    SchedRoot {
-        entry: "run_dmc_crowd_controlled",
-        case: "explore_dmc_crowd",
-        via: "run_dmc_crowd",
+        entry: "fan_out",
+        case: "explore_schedules",
+        via: "run_dmc",
     },
     SchedRoot {
         entry: "run_multi_rank",
@@ -372,7 +356,7 @@ pub const SCHED_ROOTS: [SchedRoot; 8] = [
     },
     SchedRoot {
         entry: "set_control_points",
-        case: "explore_vmc",
+        case: "explore_schedules",
         via: "build_engine_f32",
     },
     SchedRoot {
@@ -459,8 +443,8 @@ mod tests {
             }
         }
         assert_eq!(
-            sched_root("parallel_generation").map(|r| r.case),
-            Some("explore_dmc_parallel")
+            sched_root("fan_out").map(|r| r.case),
+            Some("explore_schedules")
         );
         assert!(sched_root("not_a_parallel_entry").is_none());
     }

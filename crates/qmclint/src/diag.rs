@@ -408,12 +408,12 @@ mod tests {
     #[test]
     fn par_block_renders_inventory_and_rule_counts() {
         let d = Diagnostic {
-            file: "crates/drivers/src/parallel.rs".into(),
+            file: "crates/drivers/src/crew.rs".into(),
             line: 90,
             rule: Rule::ParallelReductionOrder,
             message: "bare `esum += ..` merged after a parallel section".into(),
             suggestion: "reduce through qmc_drivers::reduce::det_sum_by".into(),
-            chain: vec!["parallel_generation (crates/drivers/src/parallel.rs:60)".into()],
+            chain: vec!["fan_out (crates/drivers/src/crew.rs:60)".into()],
         };
         let par = ParSummary {
             spawn_sites: 9,

@@ -618,8 +618,8 @@ mod tests {
         // Registered, with a live case that reaches the witness: silent.
         let (diags, par) = run(&[
             (
-                "crates/drivers/src/parallel.rs",
-                "pub fn parallel_generation(scope: &Scope) {\n\
+                "crates/drivers/src/crew.rs",
+                "pub fn fan_out(scope: &Scope) {\n\
                      for t in 0..2 {\n\
                          scope.spawn(move || { work(t); });\n\
                      }\n\
@@ -628,8 +628,8 @@ mod tests {
             ),
             (
                 "crates/qmcsched/src/lib.rs",
-                "pub fn explore_dmc_parallel() { run_dmc_parallel(); }\n\
-                 fn run_dmc_parallel() {}\n",
+                "pub fn explore_schedules() { run_dmc(); }\n\
+                 fn run_dmc() {}\n",
                 UTIL,
             ),
         ]);
@@ -639,8 +639,8 @@ mod tests {
         // Registered but the case lost the witness: stale row.
         let (diags, _) = run(&[
             (
-                "crates/drivers/src/parallel.rs",
-                "pub fn parallel_generation(scope: &Scope) {\n\
+                "crates/drivers/src/crew.rs",
+                "pub fn fan_out(scope: &Scope) {\n\
                      for t in 0..2 {\n\
                          scope.spawn(move || { work(t); });\n\
                      }\n\
@@ -649,7 +649,7 @@ mod tests {
             ),
             (
                 "crates/qmcsched/src/lib.rs",
-                "pub fn explore_dmc_parallel() { something_else(); }\n",
+                "pub fn explore_schedules() { something_else(); }\n",
                 UTIL,
             ),
         ]);

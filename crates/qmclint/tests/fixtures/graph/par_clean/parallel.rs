@@ -7,8 +7,8 @@
 //! reduction flows through the deterministic pairwise tree, and the entry
 //! point is registered with a live `qmcsched` case.
 
-/// A registered parallel generation doing everything the blessed way.
-pub fn parallel_generation(chunks: Vec<Chunk>, terms: &[f64], counts: &Mutex<Counts>) -> f64 {
+/// A registered parallel fan-out doing everything the blessed way.
+pub fn fan_out(chunks: Vec<Chunk>, terms: &[f64], counts: &Mutex<Counts>) -> f64 {
     rayon::scope(|scope| {
         for (t, chunk) in chunks.into_iter().enumerate() {
             scope.spawn(move || {

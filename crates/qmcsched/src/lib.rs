@@ -1,8 +1,8 @@
 //! # qmcsched — deterministic schedule checker for the QMC drivers
 //!
-//! The lock-step crowd drivers and the per-walker thread crews claim a
-//! strong property: results are **bitwise independent of the thread
-//! schedule**, because every walker carries its own RNG stream and every
+//! The VMC and DMC drivers claim a strong property of every walker crew
+//! they run over (engines, lock-step crowds, fused crowds): results are
+//! **bitwise independent of the thread schedule**, because every walker carries its own RNG stream and every
 //! cross-walker reduction happens sequentially in walker order after the
 //! parallel section. PR 1's tests exercised that claim only under the
 //! schedules the OS happened to produce. This crate makes the claim a
@@ -20,11 +20,11 @@
 
 #![forbid(unsafe_code)]
 
-use qmc_containers::Real;
-use qmc_crowd::{run_dmc_crowd, run_vmc_crowd, CrowdScheduler};
+use qmc_crowd::CrowdScheduler;
 use qmc_drivers::{
-    initial_population, run_dmc_parallel, run_multi_rank, run_vmc_parallel, Batching, DmcParams,
-    MultiRankParams, QmcEngine, VmcParams, Walker,
+    initial_population, read_dmc_checkpoint, read_vmc_checkpoint, run_dmc, run_multi_rank, run_vmc,
+    Batching, CheckpointSpec, Crew, DmcParams, DriverKind, MultiRankParams, QmcEngine, RunControl,
+    VmcParams, Walker,
 };
 use qmc_instrument::json::JsonWriter;
 use qmc_workloads::{Benchmark, CodeVersion, Size, Workload};
@@ -73,7 +73,7 @@ pub struct RunFingerprint {
 /// Parity verdict for one driver across the whole schedule set.
 #[derive(Clone, Debug)]
 pub struct DriverParity {
-    /// Driver label (`vmc-parallel`, `dmc-parallel`, `dmc-crowd`).
+    /// Case label (`vmc-engines`, `dmc-fused-crowds`, `dmc-thread-sweep`, ...).
     pub driver: String,
     /// One fingerprint per explored schedule.
     pub runs: Vec<RunFingerprint>,
@@ -118,32 +118,69 @@ fn workload(seed: u64) -> Workload {
     Workload::new(Benchmark::Graphite, Size::Scaled, seed)
 }
 
-/// Runs the parallel VMC driver once under each schedule.
-pub fn explore_vmc(cfg: &HarnessConfig) -> DriverParity {
-    let w = workload(cfg.seed);
-    let params = VmcParams {
+/// The kind of crew a run executes on. Engines and plain crowds are
+/// bitwise identical per walker; fused crowds regroup the floating point
+/// of block refreshes, so they hold parity among themselves only.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CrewKind {
+    /// One `QmcEngine` per thread, one walker at a time.
+    Engines,
+    /// One lock-step crowd of [`CROWD_SIZE`] walkers per thread.
+    Crowds,
+    /// Crowds with the fused (multi-walker SPO kernel) block refresh.
+    FusedCrowds,
+}
+
+/// Walkers per lock-step block of the harness crowds.
+pub const CROWD_SIZE: usize = 2;
+
+impl CrewKind {
+    /// Every crew kind, in the order the explorations cross them.
+    pub const ALL: [CrewKind; 3] = [CrewKind::Engines, CrewKind::Crowds, CrewKind::FusedCrowds];
+
+    /// Short stable label for reports and test output.
+    pub fn label(self) -> &'static str {
+        match self {
+            CrewKind::Engines => "engines",
+            CrewKind::Crowds => "crowds",
+            CrewKind::FusedCrowds => "fused-crowds",
+        }
+    }
+
+    fn batching(self) -> Batching {
+        match self {
+            CrewKind::Engines => Batching::PerWalker,
+            CrewKind::Crowds | CrewKind::FusedCrowds => Batching::Crowd(CROWD_SIZE),
+        }
+    }
+}
+
+/// One execution shape of one method: what a harness run varies besides
+/// the schedule.
+#[derive(Clone, Copy, Debug)]
+pub struct Shape {
+    /// VMC (`cfg.steps` blocks) or DMC (`cfg.steps` generations).
+    pub driver: DriverKind,
+    /// What the crew is made of.
+    pub crew: CrewKind,
+    /// Crew members (worker threads).
+    pub threads: usize,
+}
+
+impl Shape {
+    /// `vmc-engines`, `dmc-fused-crowds`, ...
+    pub fn label(self) -> String {
+        format!("{}-{}", self.driver.label(), self.crew.label())
+    }
+}
+
+fn vmc_params(cfg: &HarnessConfig, batching: Batching) -> VmcParams {
+    VmcParams {
         blocks: cfg.steps,
         steps_per_block: 3,
         tau: 0.3,
         measure_every: 1,
-        batching: Batching::PerWalker,
-    };
-    let runs = schedules()
-        .into_iter()
-        .map(|sched| {
-            with_schedule(sched, || {
-                let mut engines: Vec<QmcEngine<f32>> = (0..cfg.threads)
-                    .map(|_| w.build_engine_f32(CodeVersion::Current))
-                    .collect();
-                let mut walkers = initial_population(w.initial_positions(), cfg.walkers, cfg.seed);
-                let res = run_vmc_parallel(&mut engines, &mut walkers, &params);
-                vmc_fingerprint(sched.label(), &walkers, &res)
-            })
-        })
-        .collect();
-    DriverParity {
-        driver: "vmc-parallel".into(),
-        runs,
+        batching,
     }
 }
 
@@ -159,89 +196,150 @@ fn dmc_params(cfg: &HarnessConfig, batching: Batching) -> DmcParams {
     }
 }
 
-fn dmc_fingerprint<T: Real>(
-    label: String,
-    walkers: &[Walker<T>],
-    res: &qmc_drivers::DmcResult,
-) -> RunFingerprint {
-    let mut scalars = Fnv::new();
-    scalars.f64(res.energy.mean());
-    scalars.f64(res.acceptance);
-    scalars.f64(res.e_trial);
-    scalars.u64(res.samples);
-    for &p in &res.population {
-        scalars.u64(p as u64);
-    }
+fn fingerprint(label: String, walkers: &[Walker<f32>], scalars: u64) -> RunFingerprint {
     RunFingerprint {
         schedule: label,
-        walkers: walkers.iter().map(walker_digest).collect(),
-        scalars: scalars.value(),
+        walkers: walkers.iter().map(walker_digest_full).collect(),
+        scalars,
     }
 }
 
-fn vmc_fingerprint<T: Real>(
-    label: String,
-    walkers: &[Walker<T>],
-    res: &qmc_drivers::VmcResult,
+/// Runs `shape` once for `cfg.steps` steps through the one driver entry
+/// point of its method: builds the crew the shape names, starts from
+/// fresh walkers or — with `resume` — from that checkpoint file, and
+/// writes checkpoints at the `checkpoint` cadence. The fingerprint's
+/// `schedule` label is `threads:N`.
+pub fn run_shape(
+    w: &Workload,
+    shape: Shape,
+    cfg: &HarnessConfig,
+    resume: Option<&str>,
+    checkpoint: Option<CheckpointSpec>,
 ) -> RunFingerprint {
-    let mut scalars = Fnv::new();
-    scalars.f64(res.energy.mean());
-    scalars.f64(res.acceptance);
-    scalars.u64(res.samples);
-    RunFingerprint {
-        schedule: label,
-        walkers: walkers.iter().map(walker_digest).collect(),
-        scalars: scalars.value(),
+    let build = || w.build_engine_f32(CodeVersion::Current);
+    match shape.crew {
+        CrewKind::Engines => {
+            let mut crew: Vec<QmcEngine<f32>> = (0..shape.threads).map(|_| build()).collect();
+            drive(&mut crew, w, shape, cfg, resume, checkpoint)
+        }
+        CrewKind::Crowds | CrewKind::FusedCrowds => {
+            let mut crew = CrowdScheduler::new(shape.threads, CROWD_SIZE)
+                .with_fused_refresh(shape.crew == CrewKind::FusedCrowds)
+                .build_crowds(build);
+            drive(&mut crew, w, shape, cfg, resume, checkpoint)
+        }
     }
 }
 
-/// Runs the per-walker parallel DMC driver once under each schedule.
-pub fn explore_dmc_parallel(cfg: &HarnessConfig) -> DriverParity {
+fn drive<C: Crew<f32>>(
+    crew: &mut [C],
+    w: &Workload,
+    shape: Shape,
+    cfg: &HarnessConfig,
+    resume: Option<&str>,
+    checkpoint: Option<CheckpointSpec>,
+) -> RunFingerprint {
+    let fresh = || initial_population::<f32>(w.initial_positions(), cfg.walkers, cfg.seed);
+    let mut control = RunControl {
+        checkpoint,
+        on_block: None,
+    };
+    let label = format!("threads:{}", shape.threads);
+    let mut scalars = Fnv::new();
+    match shape.driver {
+        DriverKind::Dmc => {
+            let restored =
+                resume.map(|path| read_dmc_checkpoint(path).expect("read DMC checkpoint"));
+            let (state, mut walkers) = match restored {
+                Some((state, walkers)) => (Some(state), walkers),
+                None => (None, fresh()),
+            };
+            let params = dmc_params(cfg, shape.crew.batching());
+            let (res, _profile) = run_dmc(crew, &mut walkers, &params, state, &mut control)
+                .expect("harness checkpoint path is writable");
+            scalars.f64(res.energy.mean());
+            scalars.f64(res.acceptance);
+            scalars.f64(res.e_trial);
+            scalars.u64(res.samples);
+            for &p in &res.population {
+                scalars.u64(p as u64);
+            }
+            fingerprint(label, &walkers, scalars.value())
+        }
+        DriverKind::Vmc => {
+            let restored =
+                resume.map(|path| read_vmc_checkpoint(path).expect("read VMC checkpoint"));
+            let (state, mut walkers) = match restored {
+                Some((state, walkers)) => (Some(state), walkers),
+                None => (None, fresh()),
+            };
+            let params = vmc_params(cfg, shape.crew.batching());
+            let (res, _profile) = run_vmc(crew, &mut walkers, &params, state, &mut control)
+                .expect("harness checkpoint path is writable");
+            scalars.f64(res.energy.mean());
+            scalars.f64(res.acceptance);
+            scalars.u64(res.samples);
+            fingerprint(label, &walkers, scalars.value())
+        }
+    }
+}
+
+/// Runs `shape` killed at the interior step `cfg.steps / 2` (the periodic
+/// cadence writes the checkpoint, as in a real job) and resumed from the
+/// file to `cfg.steps` on a freshly built crew of shape `resumed_on` — the
+/// restart path. The fingerprint is the resumed run's.
+pub fn run_shape_resumed(
+    w: &Workload,
+    shape: Shape,
+    resumed_on: Shape,
+    cfg: &HarnessConfig,
+    path: &str,
+) -> RunFingerprint {
+    let cut = cfg.steps / 2;
+    assert!(cut > 0 && cut < cfg.steps, "no interior step to cut at");
+    let spec = CheckpointSpec {
+        path: path.to_string(),
+        every: cut,
+    };
+    let killed = HarnessConfig { steps: cut, ..*cfg };
+    run_shape(w, shape, &killed, None, Some(spec));
+    let mut run = run_shape(w, resumed_on, cfg, Some(path), None);
+    // Scratch file: a leftover only costs disk, so a failed removal is ignored.
+    let _ = std::fs::remove_file(path);
+    run.schedule.push_str("/resumed");
+    run
+}
+
+/// A scratch checkpoint path private to this process.
+pub fn scratch_path(name: &str) -> String {
+    let dir = std::env::temp_dir().join(format!("qmcsched_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir.join(name).to_string_lossy().into_owned()
+}
+
+/// Runs one method on one crew kind at `cfg.threads` once under each
+/// schedule of [`schedules`].
+pub fn explore_schedules(driver: DriverKind, crew: CrewKind, cfg: &HarnessConfig) -> DriverParity {
     let w = workload(cfg.seed);
-    let params = dmc_params(cfg, Batching::PerWalker);
+    let shape = Shape {
+        driver,
+        crew,
+        threads: cfg.threads,
+    };
     let runs = schedules()
         .into_iter()
-        .map(|sched| {
-            with_schedule(sched, || {
-                let mut engines: Vec<QmcEngine<f32>> = (0..cfg.threads)
-                    .map(|_| w.build_engine_f32(CodeVersion::Current))
-                    .collect();
-                let mut walkers = initial_population(w.initial_positions(), cfg.walkers, cfg.seed);
-                let (res, _profile) = run_dmc_parallel(&mut engines, &mut walkers, &params);
-                dmc_fingerprint(sched.label(), &walkers, &res)
-            })
+        .map(|sched| RunFingerprint {
+            schedule: sched.label(),
+            ..with_schedule(sched, || run_shape(&w, shape, cfg, None, None))
         })
         .collect();
     DriverParity {
-        driver: "dmc-parallel".into(),
+        driver: shape.label(),
         runs,
     }
 }
 
-/// Runs the lock-step crowd DMC driver once under each schedule.
-pub fn explore_dmc_crowd(cfg: &HarnessConfig) -> DriverParity {
-    let w = workload(cfg.seed);
-    let params = dmc_params(cfg, Batching::Crowd(2));
-    let runs = schedules()
-        .into_iter()
-        .map(|sched| {
-            with_schedule(sched, || {
-                let scheduler = CrowdScheduler::new(cfg.threads, 2);
-                let mut crowds =
-                    scheduler.build_crowds(|| w.build_engine_f32(CodeVersion::Current));
-                let mut walkers = initial_population(w.initial_positions(), cfg.walkers, cfg.seed);
-                let (res, _profile) = run_dmc_crowd(&mut crowds, &mut walkers, &params);
-                dmc_fingerprint(sched.label(), &walkers, &res)
-            })
-        })
-        .collect();
-    DriverParity {
-        driver: "dmc-crowd".into(),
-        runs,
-    }
-}
-
-/// Runs the parallel VMC driver once per kernel backend and compares the
+/// Runs VMC on an engine crew once per kernel backend and compares the
 /// trajectories per walker. The kernel library's verification contract
 /// (`qmc-kernels`) documents `reference` and `soa` as bitwise-identical
 /// on every kernel family, so the whole VMC trajectory must digest
@@ -250,12 +348,10 @@ pub fn explore_dmc_crowd(cfg: &HarnessConfig) -> DriverParity {
 /// promises a tolerance, so trajectories may legitimately diverge.
 pub fn explore_backends(cfg: &HarnessConfig) -> DriverParity {
     let w = workload(cfg.seed);
-    let params = VmcParams {
-        blocks: cfg.steps,
-        steps_per_block: 3,
-        tau: 0.3,
-        measure_every: 1,
-        batching: Batching::PerWalker,
+    let shape = Shape {
+        driver: DriverKind::Vmc,
+        crew: CrewKind::Engines,
+        threads: cfg.threads,
     };
     let prev = qmc_kernels::Backend::current();
     let runs = [qmc_kernels::Backend::Reference, qmc_kernels::Backend::Soa]
@@ -264,19 +360,9 @@ pub fn explore_backends(cfg: &HarnessConfig) -> DriverParity {
             // Engines capture the backend at construction, so it must be
             // pinned before the build.
             qmc_kernels::set_backend(backend);
-            let mut engines: Vec<QmcEngine<f32>> = (0..cfg.threads)
-                .map(|_| w.build_engine_f32(CodeVersion::Current))
-                .collect();
-            let mut walkers = initial_population(w.initial_positions(), cfg.walkers, cfg.seed);
-            let res = run_vmc_parallel(&mut engines, &mut walkers, &params);
-            let mut scalars = Fnv::new();
-            scalars.f64(res.energy.mean());
-            scalars.f64(res.acceptance);
-            scalars.u64(res.samples);
             RunFingerprint {
                 schedule: format!("backend:{}", backend.label()),
-                walkers: walkers.iter().map(walker_digest).collect(),
-                scalars: scalars.value(),
+                ..run_shape(&w, shape, cfg, None, None)
             }
         })
         .collect();
@@ -313,19 +399,13 @@ impl SimdToleranceCase {
     }
 }
 
-/// The f32 rung of the backend parity ladder: runs the parallel VMC
-/// driver (f32 engines) under the `reference` and `simd` kernel backends
-/// and compares energies within [`SimdToleranceCase::tolerance`] — the
+/// The f32 rung of the backend parity ladder: runs VMC on an engine crew
+/// (f32 engines) under the `reference` and `simd` kernel backends and
+/// compares energies within [`SimdToleranceCase::tolerance`] — the
 /// tolerance-contract companion to [`explore_backends`]' bitwise gate.
 pub fn explore_simd_tolerance(cfg: &HarnessConfig) -> SimdToleranceCase {
     let w = workload(cfg.seed);
-    let params = VmcParams {
-        blocks: cfg.steps,
-        steps_per_block: 3,
-        tau: 0.3,
-        measure_every: 1,
-        batching: Batching::PerWalker,
-    };
+    let params = vmc_params(cfg, Batching::PerWalker);
     let prev = qmc_kernels::Backend::current();
     let run = |backend: qmc_kernels::Backend| {
         qmc_kernels::set_backend(backend);
@@ -333,7 +413,14 @@ pub fn explore_simd_tolerance(cfg: &HarnessConfig) -> SimdToleranceCase {
             .map(|_| w.build_engine_f32(CodeVersion::Current))
             .collect();
         let mut walkers = initial_population(w.initial_positions(), cfg.walkers, cfg.seed);
-        let res = run_vmc_parallel(&mut engines, &mut walkers, &params);
+        let (res, _profile) = run_vmc(
+            &mut engines,
+            &mut walkers,
+            &params,
+            None,
+            &mut RunControl::none(),
+        )
+        .expect("an uncontrolled run writes no checkpoint");
         (res.energy.mean(), res.energy.variance(), res.samples)
     };
     let (e_ref, var_ref, n_ref) = run(qmc_kernels::Backend::Reference);
@@ -347,99 +434,56 @@ pub fn explore_simd_tolerance(cfg: &HarnessConfig) -> SimdToleranceCase {
     }
 }
 
-/// Thread-count sweep: runs the VMC and DMC drivers at 1, 2 and 4 worker
-/// threads (and, for VMC, additionally under crowd batching) and demands
-/// bitwise parity of every per-walker digest and every scalar output.
+/// Shape sweep: for each method, every crew kind at 1, 2 and 4 crew
+/// members, each both run straight and killed at an interior step then
+/// resumed from the checkpoint file — all through the one driver entry
+/// point — demanding bitwise parity of every per-walker digest and every
+/// scalar output. Engines and plain crowds share one parity set per
+/// method (batching is purely an execution shape); fused crowds form
+/// their own.
 ///
-/// The schedule sweeps ([`explore_vmc`] &c.) vary the interleaving at a
-/// *fixed* thread count; this case varies the thread count itself, which
-/// also moves every chunk boundary. It holds because per-walker
-/// trajectories are walker-owned (own RNG stream, state loaded/stored per
-/// walker) and every cross-walker reduction either drains sample buffers
-/// sequentially in walker order or goes through
-/// `qmc_drivers::reduce::det_sum*`, whose fixed-shape pairwise tree
-/// depends only on the term count — never on thread count or chunking.
+/// The schedule sweeps ([`explore_schedules`]) vary the interleaving at a
+/// *fixed* shape; this case varies the shape itself, which also moves
+/// every chunk boundary. It holds because per-walker trajectories are
+/// walker-owned (own RNG stream, state loaded/stored per walker) and
+/// every cross-walker reduction either drains sample buffers sequentially
+/// in walker order or goes through `qmc_drivers::reduce::det_sum*`, whose
+/// fixed-shape pairwise tree depends only on the term count — never on
+/// crew size or chunking — and because a checkpoint pins physics state,
+/// not execution shape.
 pub fn explore_thread_sweep(cfg: &HarnessConfig) -> Vec<DriverParity> {
     let w = workload(cfg.seed);
-    let threads = [1usize, 2, 4];
-
-    // VMC, per-walker batching at each thread count, plus the crowd-
-    // batched driver: both are documented bitwise identical to the
-    // single-engine `run_vmc`, so one parity set covers both batchings.
-    let vmc_params = VmcParams {
-        blocks: cfg.steps,
-        steps_per_block: 3,
-        tau: 0.3,
-        measure_every: 1,
-        batching: Batching::PerWalker,
-    };
-    let mut vmc_runs: Vec<RunFingerprint> = threads
-        .iter()
-        .map(|&t| {
-            let mut engines: Vec<QmcEngine<f32>> = (0..t)
-                .map(|_| w.build_engine_f32(CodeVersion::Current))
-                .collect();
-            let mut walkers = initial_population(w.initial_positions(), cfg.walkers, cfg.seed);
-            let res = run_vmc_parallel(&mut engines, &mut walkers, &vmc_params);
-            vmc_fingerprint(format!("threads:{t}"), &walkers, &res)
-        })
-        .collect();
-    {
-        let crowd_params = VmcParams {
-            batching: Batching::Crowd(2),
-            ..vmc_params
-        };
-        let mut crowds =
-            CrowdScheduler::new(1, 2).build_crowds(|| w.build_engine_f32(CodeVersion::Current));
-        let mut walkers = initial_population(w.initial_positions(), cfg.walkers, cfg.seed);
-        let res = run_vmc_crowd(&mut crowds[0], &mut walkers, &crowd_params);
-        vmc_runs.push(vmc_fingerprint("crowd:2".into(), &walkers, &res));
+    let mut out = Vec::new();
+    for driver in [DriverKind::Vmc, DriverKind::Dmc] {
+        let sets = [
+            ("thread-sweep", &[CrewKind::Engines, CrewKind::Crowds][..]),
+            ("fused-thread-sweep", &[CrewKind::FusedCrowds][..]),
+        ];
+        for (name, kinds) in sets {
+            let mut runs = Vec::new();
+            for &crew in kinds {
+                for threads in [1usize, 2, 4] {
+                    let shape = Shape {
+                        driver,
+                        crew,
+                        threads,
+                    };
+                    let tag = |run: RunFingerprint| RunFingerprint {
+                        schedule: format!("{}/{}", crew.label(), run.schedule),
+                        ..run
+                    };
+                    runs.push(tag(run_shape(&w, shape, cfg, None, None)));
+                    let path = scratch_path(&format!("{}-{threads}.qmc", shape.label()));
+                    runs.push(tag(run_shape_resumed(&w, shape, shape, cfg, &path)));
+                }
+            }
+            out.push(DriverParity {
+                driver: format!("{}-{name}", driver.label()),
+                runs,
+            });
+        }
     }
-
-    // DMC, per-walker batching: generation merges flow through
-    // `det_sum_by` over walker-indexed terms, so moving the chunk
-    // boundaries must not move a single bit.
-    let dmc_pw = dmc_params(cfg, Batching::PerWalker);
-    let dmc_runs: Vec<RunFingerprint> = threads
-        .iter()
-        .map(|&t| {
-            let mut engines: Vec<QmcEngine<f32>> = (0..t)
-                .map(|_| w.build_engine_f32(CodeVersion::Current))
-                .collect();
-            let mut walkers = initial_population(w.initial_positions(), cfg.walkers, cfg.seed);
-            let (res, _profile) = run_dmc_parallel(&mut engines, &mut walkers, &dmc_pw);
-            dmc_fingerprint(format!("threads:{t}"), &walkers, &res)
-        })
-        .collect();
-
-    // DMC, crowd batching: the thread count sets how many crowds the
-    // scheduler fans the generation over.
-    let dmc_cw = dmc_params(cfg, Batching::Crowd(2));
-    let crowd_runs: Vec<RunFingerprint> = threads
-        .iter()
-        .map(|&t| {
-            let scheduler = CrowdScheduler::new(t, 2);
-            let mut crowds = scheduler.build_crowds(|| w.build_engine_f32(CodeVersion::Current));
-            let mut walkers = initial_population(w.initial_positions(), cfg.walkers, cfg.seed);
-            let (res, _profile) = run_dmc_crowd(&mut crowds, &mut walkers, &dmc_cw);
-            dmc_fingerprint(format!("threads:{t}"), &walkers, &res)
-        })
-        .collect();
-
-    vec![
-        DriverParity {
-            driver: "vmc-thread-sweep".into(),
-            runs: vmc_runs,
-        },
-        DriverParity {
-            driver: "dmc-thread-sweep".into(),
-            runs: dmc_runs,
-        },
-        DriverParity {
-            driver: "dmc-crowd-thread-sweep".into(),
-            runs: crowd_runs,
-        },
-    ]
+    out
 }
 
 /// Repeats the simulated multi-rank DMC run and demands bitwise-identical
@@ -534,14 +578,16 @@ pub fn explore_tiled_spline(cfg: &HarnessConfig) -> DriverParity {
     }
 }
 
-/// Runs every driver exploration at the default harness size.
+/// Runs every exploration: the schedule sweep of each method on each crew
+/// kind, the backend and shape sweeps, multi-rank and the tiled spline.
 pub fn explore_all(cfg: &HarnessConfig) -> Vec<DriverParity> {
-    let mut out = vec![
-        explore_vmc(cfg),
-        explore_dmc_parallel(cfg),
-        explore_dmc_crowd(cfg),
-        explore_backends(cfg),
-    ];
+    let mut out = Vec::new();
+    for driver in [DriverKind::Vmc, DriverKind::Dmc] {
+        for crew in CrewKind::ALL {
+            out.push(explore_schedules(driver, crew, cfg));
+        }
+    }
+    out.push(explore_backends(cfg));
     out.extend(explore_thread_sweep(cfg));
     out.push(explore_multi_rank(cfg));
     out.push(explore_tiled_spline(cfg));

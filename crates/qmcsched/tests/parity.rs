@@ -1,9 +1,10 @@
-//! Schedule-independence parity tests: the claim made by the crowd and
-//! per-walker drivers — results bitwise independent of the thread schedule
-//! — checked under ≥ 8 explicitly enumerated interleavings per driver.
+//! Schedule-independence parity tests: the drivers' claim — results
+//! bitwise independent of the thread schedule, on every kind of crew —
+//! checked under ≥ 8 explicitly enumerated interleavings per case.
 
 use parking_lot::Mutex;
-use qmcsched::{explore_dmc_crowd, explore_dmc_parallel, explore_vmc, HarnessConfig};
+use qmc_drivers::DriverKind;
+use qmcsched::{explore_schedules, CrewKind, HarnessConfig};
 use rayon::schedule::{with_schedule, Order, Schedule};
 
 fn assert_parity(parity: &qmcsched::DriverParity) {
@@ -34,19 +35,14 @@ fn assert_parity(parity: &qmcsched::DriverParity) {
     assert!(parity.parity());
 }
 
+/// Every method on every crew kind, through the one driver entry point.
 #[test]
-fn vmc_parallel_is_schedule_independent() {
-    assert_parity(&explore_vmc(&HarnessConfig::default()));
-}
-
-#[test]
-fn dmc_parallel_is_schedule_independent() {
-    assert_parity(&explore_dmc_parallel(&HarnessConfig::default()));
-}
-
-#[test]
-fn dmc_crowd_is_schedule_independent() {
-    assert_parity(&explore_dmc_crowd(&HarnessConfig::default()));
+fn every_method_and_crew_kind_is_schedule_independent() {
+    for driver in [DriverKind::Vmc, DriverKind::Dmc] {
+        for crew in CrewKind::ALL {
+            assert_parity(&explore_schedules(driver, crew, &HarnessConfig::default()));
+        }
+    }
 }
 
 #[test]
@@ -58,7 +54,7 @@ fn ragged_and_single_thread_shapes_hold_parity_too() {
             steps: 3,
             seed: 7,
         };
-        assert_parity(&explore_dmc_crowd(&cfg));
+        assert_parity(&explore_schedules(DriverKind::Dmc, CrewKind::Crowds, &cfg));
     }
 }
 
@@ -144,7 +140,7 @@ fn json_report_round_trips_through_the_strict_parser() {
         steps: 2,
         seed: 5,
     };
-    let results = vec![explore_vmc(&cfg)];
+    let results = vec![explore_schedules(DriverKind::Vmc, CrewKind::Engines, &cfg)];
     let json = qmcsched::render_json(&results);
     let parsed = qmc_instrument::json::parse(&json).expect("qmcsched JSON parses");
     assert_eq!(

@@ -17,7 +17,7 @@ pub mod spec;
 pub use build::{CodeVersion, Workload};
 pub use qmc_drivers::Batching;
 pub use run::{
-    checkpoint_step, run_dmc_benchmark, run_dmc_benchmark_controlled, BenchControl, RunConfig,
-    RunOutcome,
+    checkpoint_step, run_benchmark_controlled, run_dmc_benchmark, run_dmc_benchmark_controlled,
+    BenchControl, RunConfig, RunOutcome,
 };
 pub use spec::{Benchmark, IonSpec, Size, WorkloadSpec};

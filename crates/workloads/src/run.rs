@@ -1,14 +1,16 @@
 //! The benchmark runner shared by every figure/table harness: builds a
-//! thread crew of engines for a (workload, code version) pair, runs DMC,
-//! and reports the paper's figures of merit — throughput `P = M <N_w> /
-//! T_CPU` (§6.2), the merged per-kernel profile, and memory accounting.
+//! thread crew of engines or crowds for a (workload, code version) pair,
+//! runs DMC (or VMC), and reports the paper's figures of merit —
+//! throughput `P = M <N_w> / T_CPU` (§6.2), the merged per-kernel profile,
+//! and memory accounting.
 
 use crate::build::{CodeVersion, Workload};
 use qmc_containers::Real;
-use qmc_crowd::{run_dmc_crowd_controlled, CrowdScheduler};
+use qmc_crowd::CrowdScheduler;
 use qmc_drivers::{
-    initial_population, population_digest, read_dmc_checkpoint, run_dmc_parallel_controlled,
-    Batching, CheckpointError, CheckpointSpec, DmcParams, DmcState, QmcEngine, RunControl, Walker,
+    initial_population, population_digest, read_dmc_checkpoint, read_vmc_checkpoint, run_dmc,
+    run_vmc, Batching, CheckpointError, CheckpointSpec, Crew, DmcParams, DmcResult, DriverKind,
+    QmcEngine, RunControl, VmcParams,
 };
 use qmc_instrument::{
     take_drift_stats, take_sanitizer_stats, BlockEvent, DriftStats, Profile, RunReport,
@@ -38,6 +40,21 @@ pub struct RunConfig {
     /// regroups floating point, so it gives up the crowd's bitwise parity
     /// with the per-walker drivers. Ignored for per-walker batching.
     pub fused_refresh: bool,
+}
+
+impl RunConfig {
+    /// The VMC run this configuration describes: `steps` sweeps in blocks
+    /// of four (one from-scratch recompute per block), measured every
+    /// sweep, with the time step floored at a VMC-sized 0.05.
+    pub fn vmc_params(&self) -> VmcParams {
+        VmcParams {
+            blocks: (self.steps / 4).max(1),
+            steps_per_block: 4,
+            tau: self.tau.max(0.05),
+            measure_every: 1,
+            batching: self.batching,
+        }
+    }
 }
 
 impl Default for RunConfig {
@@ -175,97 +192,104 @@ pub struct BenchControl<'a> {
     pub on_block: Option<&'a mut dyn FnMut(&BlockEvent)>,
 }
 
-/// Reads just the completed-step counter of a DMC checkpoint (for the
-/// stream `start` record of a resumed run, before the run itself opens
-/// the file).
-pub fn checkpoint_step(path: &str, single_precision: bool) -> Result<u64, CheckpointError> {
-    if single_precision {
-        read_dmc_checkpoint::<f32>(path).map(|(s, _)| s.step as u64)
-    } else {
-        read_dmc_checkpoint::<f64>(path).map(|(s, _)| s.step as u64)
-    }
+/// Reads just the completed-step (DMC) or completed-block (VMC) counter
+/// of a checkpoint (for the stream `start` record of a resumed run,
+/// before the run itself opens the file).
+pub fn checkpoint_step(
+    path: &str,
+    single_precision: bool,
+    driver: DriverKind,
+) -> Result<u64, CheckpointError> {
+    let step = match (driver, single_precision) {
+        (DriverKind::Dmc, true) => read_dmc_checkpoint::<f32>(path)?.0.step,
+        (DriverKind::Dmc, false) => read_dmc_checkpoint::<f64>(path)?.0.step,
+        (DriverKind::Vmc, true) => read_vmc_checkpoint::<f32>(path)?.0.block,
+        (DriverKind::Vmc, false) => read_vmc_checkpoint::<f64>(path)?.0.block,
+    };
+    Ok(step as u64)
 }
 
+/// Builds the crew `cfg` describes — `threads` engines, or `threads`
+/// crowds under crowd batching — and runs `driver` over it.
 fn run_generic<T: Real>(
-    build_engine: impl FnMut() -> QmcEngine<T>,
-    workload: &Workload,
-    code: CodeVersion,
-    cfg: &RunConfig,
-) -> RunOutcome {
-    run_generic_controlled(build_engine, workload, code, cfg, BenchControl::default())
-        .expect("uncontrolled run reads no checkpoint and cannot fail")
-}
-
-fn run_generic_controlled<T: Real>(
     mut build_engine: impl FnMut() -> QmcEngine<T>,
     workload: &Workload,
     code: CodeVersion,
     cfg: &RunConfig,
+    driver: DriverKind,
     ctl: BenchControl<'_>,
 ) -> Result<RunOutcome, CheckpointError> {
-    let (mut walkers, resume_state): (Vec<Walker<T>>, Option<DmcState>) = match ctl.resume {
-        Some(path) => {
-            let (state, walkers) = read_dmc_checkpoint::<T>(path)?;
-            (walkers, Some(state))
+    let threads = cfg.threads.max(1);
+    match cfg.batching {
+        Batching::PerWalker => {
+            let mut crew: Vec<QmcEngine<T>> = (0..threads).map(|_| build_engine()).collect();
+            run_on_crew(&mut crew, workload, code, cfg, driver, ctl)
         }
-        None => (
-            initial_population(workload.initial_positions(), cfg.walkers, cfg.seed),
-            None,
-        ),
-    };
+        Batching::Crowd(_) => {
+            let mut crew = CrowdScheduler::new(threads, cfg.batching.crowd_size())
+                .with_fused_refresh(cfg.fused_refresh)
+                .build_crowds(build_engine);
+            run_on_crew(&mut crew, workload, code, cfg, driver, ctl)
+        }
+    }
+}
+
+fn run_on_crew<T: Real, C: Crew<T>>(
+    crew: &mut [C],
+    workload: &Workload,
+    code: CodeVersion,
+    cfg: &RunConfig,
+    driver: DriverKind,
+    ctl: BenchControl<'_>,
+) -> Result<RunOutcome, CheckpointError> {
+    let fresh = || initial_population::<T>(workload.initial_positions(), cfg.walkers, cfg.seed);
     let mut control = RunControl {
         checkpoint: ctl.checkpoint,
         on_block: ctl.on_block,
     };
-    let params = DmcParams {
-        steps: cfg.steps,
-        warmup: cfg.warmup,
-        tau: cfg.tau,
-        target_population: cfg.walkers,
-        recompute_every: 16,
-        seed: cfg.seed ^ 0xD00D,
-        batching: cfg.batching,
-    };
-    let threads = cfg.threads.max(1);
     // Reset the global drift and sanitizer counters so the run owns what
     // it reports.
     take_drift_stats();
     take_sanitizer_stats();
-    let (res, profile, engine_bytes, seconds);
-    match cfg.batching {
-        Batching::PerWalker => {
-            let mut engines: Vec<QmcEngine<T>> = (0..threads).map(|_| build_engine()).collect();
+    let (walkers, res, profile, seconds) = match driver {
+        DriverKind::Dmc => {
+            let (state, mut walkers) = match ctl.resume.map(read_dmc_checkpoint).transpose()? {
+                Some((state, walkers)) => (Some(state), walkers),
+                None => (None, fresh()),
+            };
+            let params = DmcParams {
+                steps: cfg.steps,
+                warmup: cfg.warmup,
+                tau: cfg.tau,
+                target_population: cfg.walkers,
+                recompute_every: 16,
+                seed: cfg.seed ^ 0xD00D,
+                batching: cfg.batching,
+            };
             let t0 = std::time::Instant::now();
-            let (r, p) = run_dmc_parallel_controlled(
-                &mut engines,
-                &mut walkers,
-                &params,
-                resume_state,
-                &mut control,
-            );
-            seconds = t0.elapsed().as_secs_f64();
-            engine_bytes = engines.first().map_or(0, qmc_drivers::QmcEngine::bytes);
-            res = r;
-            profile = p;
+            let (res, profile) = run_dmc(crew, &mut walkers, &params, state, &mut control)?;
+            (walkers, res, profile, t0.elapsed().as_secs_f64())
         }
-        Batching::Crowd(_) => {
-            let sched = CrowdScheduler::new(threads, cfg.batching.crowd_size())
-                .with_fused_refresh(cfg.fused_refresh);
-            let mut crowds = sched.build_crowds(build_engine);
+        DriverKind::Vmc => {
+            let (state, mut walkers) = match ctl.resume.map(read_vmc_checkpoint).transpose()? {
+                Some((state, walkers)) => (Some(state), walkers),
+                None => (None, fresh()),
+            };
+            let params = cfg.vmc_params();
             let t0 = std::time::Instant::now();
-            let (r, p) = run_dmc_crowd_controlled(
-                &mut crowds,
-                &mut walkers,
-                &params,
-                resume_state,
-                &mut control,
-            );
-            seconds = t0.elapsed().as_secs_f64();
-            engine_bytes = crowds.first().map_or(0, qmc_crowd::Crowd::engine_bytes);
-            res = r;
-            profile = p;
+            let (res, profile) = run_vmc(crew, &mut walkers, &params, state, &mut control)?;
+            // VMC has no population dynamics and no trial energy.
+            let res = DmcResult {
+                energy: res.energy,
+                population: Vec::new(),
+                acceptance: res.acceptance,
+                samples: res.samples,
+                e_trial: f64::NAN,
+                e_trial_trace: Vec::new(),
+            };
+            (walkers, res, profile, t0.elapsed().as_secs_f64())
         }
-    }
+    };
 
     Ok(RunOutcome {
         label: code.label(),
@@ -281,7 +305,7 @@ fn run_generic_controlled<T: Real>(
         drift: take_drift_stats(),
         sanitizer: take_sanitizer_stats(),
         walker_bytes: walkers.first().map_or(0, qmc_drivers::Walker::bytes),
-        engine_bytes,
+        engine_bytes: crew[0].slot_mut(0).bytes(),
         table_bytes: workload.table_bytes(code.single_precision()),
         final_population: walkers.len(),
         walker_hash: population_digest(&walkers),
@@ -291,27 +315,40 @@ fn run_generic_controlled<T: Real>(
 /// Runs a DMC benchmark for any code version, dispatching on precision
 /// and on the walker-batching strategy.
 pub fn run_dmc_benchmark(workload: &Workload, code: CodeVersion, cfg: &RunConfig) -> RunOutcome {
-    if code.single_precision() {
-        run_generic(|| workload.build_engine_f32(code), workload, code, cfg)
-    } else {
-        run_generic(|| workload.build_engine_f64(code), workload, code, cfg)
-    }
+    run_dmc_benchmark_controlled(workload, code, cfg, BenchControl::default())
+        .expect("an uncontrolled run reads and writes no checkpoint")
 }
 
-/// [`run_dmc_benchmark`] with checkpoint/resume/telemetry control. The
-/// only fallible path is reading the resume checkpoint (wrong precision
-/// for the code version, corruption, truncation — all clean
-/// [`CheckpointError`]s).
+/// [`run_dmc_benchmark`] with checkpoint/resume/telemetry control.
 pub fn run_dmc_benchmark_controlled(
     workload: &Workload,
     code: CodeVersion,
     cfg: &RunConfig,
     ctl: BenchControl<'_>,
 ) -> Result<RunOutcome, CheckpointError> {
+    run_benchmark_controlled(workload, code, cfg, DriverKind::Dmc, ctl)
+}
+
+/// Runs `driver` on the workload for any code version, dispatching on
+/// precision and on the walker-batching strategy, with
+/// checkpoint/resume/telemetry control. A VMC run is `cfg.vmc_params()`;
+/// its outcome carries no population or trial-energy trace. The fallible
+/// paths are reading the resume checkpoint (wrong precision for the code
+/// version, corruption, truncation) and writing a due one — all clean
+/// [`CheckpointError`]s.
+pub fn run_benchmark_controlled(
+    workload: &Workload,
+    code: CodeVersion,
+    cfg: &RunConfig,
+    driver: DriverKind,
+    ctl: BenchControl<'_>,
+) -> Result<RunOutcome, CheckpointError> {
     if code.single_precision() {
-        run_generic_controlled(|| workload.build_engine_f32(code), workload, code, cfg, ctl)
+        let build = || workload.build_engine_f32(code);
+        run_generic(build, workload, code, cfg, driver, ctl)
     } else {
-        run_generic_controlled(|| workload.build_engine_f64(code), workload, code, cfg, ctl)
+        let build = || workload.build_engine_f64(code);
+        run_generic(build, workload, code, cfg, driver, ctl)
     }
 }
 

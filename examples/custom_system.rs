@@ -133,8 +133,10 @@ fn main() {
     let mut engine = QmcEngine::new(electrons, psi, ham);
     println!("custom system: {}", engine.psi.describe());
     let mut walkers = initial_population::<f64>(&e_init, 6, 19);
-    let res = run_dmc(
-        &mut engine,
+    // Serial, uncontrolled run: a crew of one engine, no resume state, no
+    // checkpointing (the only way `run_dmc` can fail).
+    let (res, _profile) = run_dmc(
+        std::slice::from_mut(&mut engine),
         &mut walkers,
         &DmcParams {
             steps: 30,
@@ -145,7 +147,10 @@ fn main() {
             seed: 5,
             ..Default::default()
         },
-    );
+        None,
+        &mut RunControl::none(),
+    )
+    .expect("no checkpoint to write");
     let (e, err, _) = res.energy.blocking();
     println!(
         "DMC energy {e:.4} +- {err:.4} hartree, acceptance {:.2}, population {}",

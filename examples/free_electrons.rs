@@ -57,8 +57,10 @@ fn main() {
 
     println!("free-electron determinant, N = {n}, L = {l}\n");
 
-    let vmc = run_vmc(
-        &mut engine,
+    // Serial, uncontrolled runs: a crew of one engine, no resume state, no
+    // checkpointing (the only way a driver can fail).
+    let (vmc, _profile) = run_vmc(
+        std::slice::from_mut(&mut engine),
         &mut walkers,
         &VmcParams {
             blocks: 4,
@@ -67,7 +69,10 @@ fn main() {
             measure_every: 1,
             ..Default::default()
         },
-    );
+        None,
+        &mut RunControl::none(),
+    )
+    .expect("no checkpoint to write");
     let (e_vmc, _, _) = vmc.energy.blocking();
     println!(
         "VMC : E = {:.10}  variance = {:.2e}  acceptance = {:.2}",
@@ -76,8 +81,8 @@ fn main() {
         vmc.acceptance
     );
 
-    let dmc = run_dmc(
-        &mut engine,
+    let (dmc, _profile) = run_dmc(
+        std::slice::from_mut(&mut engine),
         &mut walkers,
         &DmcParams {
             steps: 40,
@@ -88,7 +93,10 @@ fn main() {
             seed: 77,
             ..Default::default()
         },
-    );
+        None,
+        &mut RunControl::none(),
+    )
+    .expect("no checkpoint to write");
     let (e_dmc, err, tau_corr) = dmc.energy.blocking();
     println!(
         "DMC : E = {:.10} +- {:.1e}  tau_corr = {:.1}  final population = {}",
