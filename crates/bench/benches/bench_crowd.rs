@@ -15,11 +15,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qmc_bspline::CubicBspline1D;
 use qmc_containers::{Pos, TinyVector};
-use qmc_kernels::{set_backend, Backend};
+use qmc_kernels::Backend;
 use qmc_particles::{random_positions_in_cell, CrystalLattice, Layout, ParticleSet, Species};
 use qmc_wavefunction::{
     traits::WaveFunctionComponent, BatchedWaveFunctionComponent, BsplineSpo, J2Soa, PairFunctors,
-    SpoLayout, SpoSet,
+    SpoSet,
 };
 use qmc_workloads::{Benchmark, Size, Workload};
 use rand::rngs::StdRng;
@@ -32,23 +32,18 @@ fn bench_spo_mw_vgl(c: &mut Criterion) {
     // NiO-32 at the scaled size: the real orbital count and spline grid of
     // the workload the acceptance criterion names. The crowd×backend
     // matrix: both drive modes (per-walker loop vs fused batch) at every
-    // crowd size, for every kernel backend — `BsplineSpo` captures the
-    // backend at construction, so one SPO instance is built per backend.
+    // crowd size, for every kernel backend — `BsplineSpo` is built on a
+    // backend, so one SPO instance per backend.
     let w = Workload::new(Benchmark::NiO32, Size::Scaled, 11);
     let lattice = CrystalLattice::<f64>::orthorhombic(w.spec.supercell(Size::Scaled));
 
     let mut rng = StdRng::seed_from_u64(17);
     let pool = random_positions_in_cell(&lattice, 256, &mut rng);
 
-    let session_backend = Backend::current();
-    let ns = {
-        let spo = BsplineSpo::new(w.table_f64(), lattice.clone(), SpoLayout::Soa);
-        spo.size()
-    };
+    let ns = w.num_orbitals();
     let mut group = c.benchmark_group(format!("crowd_spo_vgl_ns{ns}"));
     for backend in Backend::ALL {
-        set_backend(backend);
-        let mut spo = BsplineSpo::new(w.table_f64(), lattice.clone(), SpoLayout::Soa);
+        let mut spo = BsplineSpo::new(w.table_f64(), lattice.clone(), backend);
         for &nw in &CROWD_SIZES {
             let mut psi = vec![0.0f64; nw * ns];
             let mut grad = vec![0.0f64; 3 * nw * ns];
@@ -87,7 +82,6 @@ fn bench_spo_mw_vgl(c: &mut Criterion) {
             );
         }
     }
-    set_backend(session_backend);
     group.finish();
 }
 

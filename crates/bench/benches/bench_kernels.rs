@@ -1,12 +1,13 @@
 //! Criterion bench: per-backend coverage of the `qmc-kernels` dispatch
 //! points — every [`Backend`] times every extracted kernel family
-//! (B-spline v/vgh/mw-vgl, the NLPP-sized value-only batch, distance
-//! rows, J2 accumulation) plus the f32 rung of the lane-width ladder, so
-//! a backend regression shows up in the same Criterion series the
-//! cross-backend verifier gates for correctness.
+//! (B-spline v/vgh/mw-vgl in both precisions, the NLPP-sized value-only
+//! batch, distance rows, J2 accumulation), so a backend regression shows
+//! up in the same Criterion series the cross-backend verifier gates for
+//! correctness.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qmc_bspline::MultiBspline3D;
+use qmc_containers::Real;
 use qmc_kernels::bspline::{evaluate_v, evaluate_vgh, mw_evaluate_v, mw_evaluate_vgl};
 use qmc_kernels::distance::distance_row;
 use qmc_kernels::jastrow::j2_row_vgl;
@@ -16,21 +17,29 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
 
-fn bench_bspline_backends(c: &mut Criterion) {
+/// `Bspline-v`, `Bspline-vgh` (Figs. 2 and 7) and the fused multi-walker
+/// vgl at precision `T`; the f32 instance is the 16-lane rung of the
+/// lane-width ladder.
+fn bench_bspline_precision<T: Real>(c: &mut Criterion, group: &str) {
     let ns = 128;
-    let table = MultiBspline3D::<f64>::random([16, 16, 16], ns, 11);
+    let table = MultiBspline3D::<T>::random([16, 16, 16], ns, 11);
     let view = table.view();
-    let gmat = [[0.31, 0.0, 0.0], [0.02, 0.27, 0.0], [0.0, 0.01, 0.22]];
-    let lapmet = [0.10, 0.09, 0.05, 0.01, 0.02, 0.005];
+    let t = T::from_f64;
+    let gmat = [
+        [t(0.31), t(0.0), t(0.0)],
+        [t(0.02), t(0.27), t(0.0)],
+        [t(0.0), t(0.01), t(0.22)],
+    ];
+    let lapmet = [t(0.10), t(0.09), t(0.05), t(0.01), t(0.02), t(0.005)];
     let mut rng = StdRng::seed_from_u64(5);
-    let points: Vec<[f64; 3]> = (0..16)
-        .map(|_| [rng.random(), rng.random(), rng.random()])
+    let points: Vec<[T; 3]> = (0..16)
+        .map(|_| [t(rng.random()), t(rng.random()), t(rng.random())])
         .collect();
     let nw = points.len();
 
-    let mut group = c.benchmark_group(format!("kernels_bspline_ns{ns}"));
+    let mut group = c.benchmark_group(format!("{group}_ns{ns}"));
     for b in Backend::ALL {
-        let mut psi = vec![0.0; ns];
+        let mut psi = vec![T::ZERO; ns];
         let mut idx = 0usize;
         group.bench_function(BenchmarkId::new("v", b.label()), |bench| {
             bench.iter(|| {
@@ -39,7 +48,11 @@ fn bench_bspline_backends(c: &mut Criterion) {
                 black_box(&psi);
             });
         });
-        let (mut p, mut g, mut h) = (vec![0.0; ns], vec![0.0; 3 * ns], vec![0.0; 6 * ns]);
+        let (mut p, mut g, mut h) = (
+            vec![T::ZERO; ns],
+            vec![T::ZERO; 3 * ns],
+            vec![T::ZERO; 6 * ns],
+        );
         group.bench_function(BenchmarkId::new("vgh", b.label()), |bench| {
             bench.iter(|| {
                 idx = (idx + 1) % nw;
@@ -48,9 +61,9 @@ fn bench_bspline_backends(c: &mut Criterion) {
             });
         });
         let (mut pw, mut gw, mut lw) = (
-            vec![0.0; nw * ns],
-            vec![0.0; 3 * nw * ns],
-            vec![0.0; nw * ns],
+            vec![T::ZERO; nw * ns],
+            vec![T::ZERO; 3 * nw * ns],
+            vec![T::ZERO; nw * ns],
         );
         group.bench_function(BenchmarkId::new("mw_vgl", b.label()), |bench| {
             bench.iter(|| {
@@ -60,6 +73,11 @@ fn bench_bspline_backends(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+fn bench_bspline_backends(c: &mut Criterion) {
+    bench_bspline_precision::<f64>(c, "kernels_bspline");
+    bench_bspline_precision::<f32>(c, "kernels_bspline_f32");
 }
 
 /// The NLPP quadrature inner loop: 12 value-only orbital evaluations per
@@ -88,40 +106,6 @@ fn bench_nlpp_v_backends(c: &mut Criterion) {
                 idx = (idx + 1) % quads.len();
                 mw_evaluate_v(b, &view, &quads[idx], &mut psi);
                 black_box(&psi);
-            });
-        });
-    }
-    group.finish();
-}
-
-/// The f32 rung of the lane-width ladder: same kernels, 16-wide lanes.
-fn bench_bspline_f32_backends(c: &mut Criterion) {
-    let ns = 128;
-    let table = MultiBspline3D::<f32>::random([16, 16, 16], ns, 11);
-    let view = table.view();
-    let mut rng = StdRng::seed_from_u64(5);
-    let points: Vec<[f32; 3]> = (0..16)
-        .map(|_| [rng.random(), rng.random(), rng.random()])
-        .collect();
-    let nw = points.len();
-
-    let mut group = c.benchmark_group(format!("kernels_bspline_f32_ns{ns}"));
-    for b in Backend::ALL {
-        let mut psi = vec![0.0f32; ns];
-        let mut idx = 0usize;
-        group.bench_function(BenchmarkId::new("v", b.label()), |bench| {
-            bench.iter(|| {
-                idx = (idx + 1) % nw;
-                evaluate_v(b, &view, points[idx], &mut psi);
-                black_box(&psi);
-            });
-        });
-        let (mut p, mut g, mut h) = (vec![0.0f32; ns], vec![0.0f32; 3 * ns], vec![0.0f32; 6 * ns]);
-        group.bench_function(BenchmarkId::new("vgh", b.label()), |bench| {
-            bench.iter(|| {
-                idx = (idx + 1) % nw;
-                evaluate_vgh(b, &view, points[idx], &mut p, &mut g, &mut h);
-                black_box(&p);
             });
         });
     }
@@ -175,7 +159,6 @@ criterion_group!(
     benches,
     bench_bspline_backends,
     bench_nlpp_v_backends,
-    bench_bspline_f32_backends,
     bench_distance_backends,
     bench_jastrow_backends
 );

@@ -102,7 +102,7 @@ pub fn run_best_batched(
         batching,
         // The bench harness measures the batched code path, so crowd runs
         // opt into the fused block refresh — this is what keeps the
-        // `Bspline-mw-vgl` column live in the snapshots.
+        // `Bspline-mw-vgl` column live in the reports.
         fused_refresh: matches!(batching, qmc_workloads::Batching::Crowd(_)),
         ..cfg.run_config()
     };

@@ -1,16 +1,14 @@
 //! # qmc-bspline
 //!
-//! B-spline evaluation engine, the Rust equivalent of einspline plus
+//! B-spline data, the Rust equivalent of einspline's tables plus
 //! QMCPACK's `BsplineFunctor`:
 //!
 //! * [`CubicBspline1D`] — 1D cubic B-spline functors with finite cutoff and
 //!   cusp conditions, the basis of the Jastrow factors (§3, Fig. 3).
-//! * [`MultiBspline3D`] — periodic tricubic multi-spline tables evaluating
-//!   all single-particle orbitals at a point, with both the paper's
-//!   reference (spline-outer) and optimized (spline-innermost, SIMD
-//!   friendly) loop orders, in `f32` or `f64` (§7.2-7.3).
-//! * [`TiledMultiBspline3D`] — the AoSoA-tiled variant the paper proposes
-//!   as future work (§8.4 of the paper, its ref. 8), with rayon tile parallelism.
+//! * [`MultiBspline3D`] — periodic tricubic multi-spline coefficient tables
+//!   in `f32` or `f64` (§7.2-7.3): allocation, the in-place fill, periodic
+//!   ghost layers and the `SplineView` handed to `qmc_kernels::bspline`,
+//!   which owns every evaluation (reference, soa and simd loop orders).
 
 #![forbid(unsafe_code)]
 // Indexed loops over multiple parallel slices are the deliberate idiom in
@@ -20,8 +18,6 @@
 
 pub mod cubic1d;
 pub mod spline3d;
-pub mod tiled;
 
 pub use cubic1d::{bspline_weights, CubicBspline1D};
 pub use spline3d::{solve_cyclic_tridiagonal, MultiBspline3D};
-pub use tiled::TiledMultiBspline3D;

@@ -1,32 +1,23 @@
-//! Periodic tricubic multi-B-spline tables: the SPO evaluation engine.
+//! Periodic tricubic multi-B-spline tables: the SPO coefficient store.
 //!
 //! This is the Rust equivalent of einspline's `multi_UBspline_3d` used by
 //! QMCPACK for single-particle orbitals (SPOs). A single table holds the
-//! control coefficients of `num_splines` orbitals on a periodic 3D grid;
-//! one evaluation produces the values (and optionally gradients/Hessians)
-//! of *all* orbitals at a point.
+//! control coefficients of `num_splines` orbitals on a periodic 3D grid.
 //!
-//! The evaluation loops themselves live in `qmc-kernels` behind the
-//! [`Backend`] dispatch seam; this type owns the table (allocation,
-//! interpolating fits, periodic ghost layers) and delegates every
-//! evaluation through [`MultiBspline3D::view`]:
-//!
-//! * [`MultiBspline3D::evaluate_v`] / [`MultiBspline3D::evaluate_vgh`] —
-//!   the optimized `soa` backend: spline index innermost, streaming
-//!   contiguous SIMD-friendly slabs (the layout the paper credits for the
-//!   Bspline speedups).
-//! * [`MultiBspline3D::evaluate_v_ref`] / [`MultiBspline3D::evaluate_vgh_ref`]
-//!   — the `reference` backend: spline index outermost, reproducing the
-//!   strided access pattern of per-orbital evaluation.
-//! * [`MultiBspline3D::evaluate_v_backend`] and friends — explicit backend
-//!   choice, including the register-blocked `simd` backend.
+//! This type owns the table and nothing else: allocation, the one fill
+//! routine ([`MultiBspline3D::set_control_points`]) behind every
+//! constructor, the periodic ghost layers, and the borrowed
+//! [`SplineView`] that `qmc_kernels::bspline` evaluates against. Every
+//! evaluation (`evaluate_v`, `mw_evaluate_v`, `evaluate_vgh`,
+//! `evaluate_vgl`, `mw_evaluate_vgl`) lives there and takes the
+//! `Backend` by name.
 //!
 //! Coordinates are *fractional* (`[0,1)` per dimension); derivative outputs
 //! are with respect to the fractional coordinates. The SPO wrapper in
 //! `qmc-wavefunction` applies the lattice transform to Cartesian space.
 
 use qmc_containers::{padded_len, AlignedVec, Real};
-use qmc_kernels::{Backend, SplineView};
+use qmc_kernels::SplineView;
 
 /// Solves the cyclic tridiagonal system with constant stencil
 /// `(a, b, a)` (sub/diag/super plus periodic corners) for the right-hand
@@ -106,53 +97,49 @@ impl<T: Real> MultiBspline3D<T> {
         let mut table = Self::zeros(grid, num_splines);
         let scale = 1.0 / (num_splines as f64).sqrt();
         let mut state = seed.wrapping_mul(2685821657736338717).max(1);
-        let mut next = move || {
-            // xorshift64*
+        // One xorshift64* draw per control point: the stream follows the
+        // fill order, which is what pins every coefficient to its seed.
+        table.set_control_points(|_, _, _, _| {
             state ^= state >> 12;
             state ^= state << 25;
             state ^= state >> 27;
             let bits = state.wrapping_mul(0x2545F4914F6CDD1D);
-            ((bits >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        };
-        let [nx, ny, nz] = grid;
-        // Fill logical control points, then replicate ghosts.
-        let mut logical = vec![0.0f64; nx * ny * nz * num_splines];
-        for v in &mut logical {
-            *v = next() * scale;
-        }
-        table.set_control_points(|ix, iy, iz, s| {
-            logical[((ix * ny + iy) * nz + iz) * num_splines + s]
+            (((bits >> 11) as f64 / (1u64 << 53) as f64) - 0.5) * scale
         });
         table
     }
 
-    /// Sets all logical control points from a closure and replicates the +3
-    /// periodic ghost layers. Slabs along the first grid axis are filled in
-    /// parallel (rayon): at paper-sized grids the table holds 10^8+
-    /// coefficients and this is the dominant setup cost.
-    pub fn set_control_points(&mut self, f: impl Fn(usize, usize, usize, usize) -> f64 + Sync) {
-        use rayon::prelude::*;
+    /// The one table fill: sets every logical control point from `f`,
+    /// called exactly once per point in storage order (`ix`, `iy`, `iz`,
+    /// spline innermost), converting straight into the padded storage,
+    /// and replicates the +3 periodic ghost layers by copying finished
+    /// rows, lines and slabs. Pad lanes stay zero.
+    pub fn set_control_points(&mut self, mut f: impl FnMut(usize, usize, usize, usize) -> f64) {
         let [nx, ny, nz] = self.grid;
         let ns = self.num_splines;
-        let ns_pad = self.ns_pad;
-        let slab = (ny + 3) * (nz + 3) * ns_pad;
-        self.coefs
-            .as_mut_slice()
-            .par_chunks_mut(slab)
-            .enumerate()
-            .for_each(|(ix, chunk)| {
-                let lx = ix % nx;
-                for iy in 0..ny + 3 {
-                    let ly = iy % ny;
-                    for iz in 0..nz + 3 {
-                        let lz = iz % nz;
-                        let base = (iy * (nz + 3) + iz) * ns_pad;
-                        for s in 0..ns {
-                            chunk[base + s] = T::from_f64(f(lx, ly, lz, s));
-                        }
+        // Strides: one grid point, one z line, one yz slab.
+        let row = self.ns_pad;
+        let line = (nz + 3) * row;
+        let slab = (ny + 3) * line;
+        let coefs = self.coefs.as_mut_slice();
+        for ix in 0..nx {
+            for iy in 0..ny {
+                let at = ix * slab + iy * line;
+                for iz in 0..nz {
+                    let point = &mut coefs[at + iz * row..][..ns];
+                    for (s, c) in point.iter_mut().enumerate() {
+                        *c = T::from_f64(f(ix, iy, iz, s));
                     }
                 }
-            });
+                // z ghosts: rows nz..nz+3 of this line image rows 0..3.
+                coefs.copy_within(at..at + 3 * row, at + nz * row);
+            }
+            // y ghosts: lines ny..ny+3 of this slab image lines 0..3.
+            let at = ix * slab;
+            coefs.copy_within(at..at + 3 * line, at + ny * line);
+        }
+        // x ghosts: slabs nx..nx+3 image slabs 0..3.
+        coefs.copy_within(0..3 * slab, nx * slab);
     }
 
     /// Builds an *interpolating* table: the resulting splines take the
@@ -265,162 +252,13 @@ impl<T: Real> MultiBspline3D<T> {
             coefs: self.coefs.as_slice(),
         }
     }
-
-    /// Value-only evaluation on an explicit kernel backend.
-    pub fn evaluate_v_backend(&self, backend: Backend, u: [T; 3], psi: &mut [T]) {
-        qmc_kernels::bspline::evaluate_v(backend, &self.view(), u, psi);
-    }
-
-    /// Optimized value-only evaluation at fractional coordinates `u`,
-    /// writing `num_splines` values into `psi`. Spline index innermost
-    /// (the `soa` backend).
-    pub fn evaluate_v(&self, u: [T; 3], psi: &mut [T]) {
-        self.evaluate_v_backend(Backend::Soa, u, psi);
-    }
-
-    /// Multi-walker value-only evaluation on an explicit kernel backend:
-    /// evaluates `us.len()` positions against the shared coefficient
-    /// table, point `q` owning `psi[q*ns..(q+1)*ns]`. Per-point results
-    /// are bit-identical to [`Self::evaluate_v_backend`] on the same
-    /// backend — this is the NLPP quadrature fast path, where one
-    /// electron's 12 rotated positions share a single dispatch.
-    // qmclint: allow(timer-coverage) — timed by the caller: BsplineSpo
-    // wraps this in Kernel::BsplineV; the bspline crate itself stays free
-    // of instrumentation dependencies.
-    pub fn mw_evaluate_v_backend(&self, backend: Backend, us: &[[T; 3]], psi: &mut [T]) {
-        qmc_kernels::bspline::mw_evaluate_v(backend, &self.view(), us, psi);
-    }
-
-    /// Value+gradient+Hessian evaluation on an explicit kernel backend.
-    pub fn evaluate_vgh_backend(
-        &self,
-        backend: Backend,
-        u: [T; 3],
-        psi: &mut [T],
-        grad: &mut [T],
-        hess: &mut [T],
-    ) {
-        qmc_kernels::bspline::evaluate_vgh(backend, &self.view(), u, psi, grad, hess);
-    }
-
-    /// Optimized value+gradient+Hessian evaluation. Gradients are w.r.t.
-    /// fractional coordinates; the Hessian is packed `[xx,xy,xz,yy,yz,zz]`
-    /// as six slabs of `num_splines` values in `hess`.
-    ///
-    /// `grad` holds three slabs of `num_splines` values (`[3 * ns]`).
-    pub fn evaluate_vgh(&self, u: [T; 3], psi: &mut [T], grad: &mut [T], hess: &mut [T]) {
-        self.evaluate_vgh_backend(Backend::Soa, u, psi, grad, hess);
-    }
-
-    /// Fused value + *Cartesian* gradient + Laplacian evaluation.
-    ///
-    /// Instead of accumulating the ten value/gradient/Hessian slabs and
-    /// transforming per orbital afterwards (the `evaluate_vgh` + SPO-vgl
-    /// two-pass path), the lattice transform is precontracted into the
-    /// per-node stencil weights: `gmat` is the fractional-to-Cartesian
-    /// gradient matrix (`CrystalLattice::grad_transform`) and `lapmet` the
-    /// packed Laplacian metric with doubled off-diagonals
-    /// (`CrystalLattice::laplacian_metric`). Grid scaling is folded into the
-    /// one-dimensional weights, so only **five** accumulation slabs stream
-    /// through memory per node (value, three Cartesian gradients,
-    /// Laplacian) instead of ten plus a transform pass.
-    ///
-    /// `grad` holds three slabs of `num_splines` Cartesian components; this
-    /// path is *not* bit-identical to `evaluate_vgh` + transform (different
-    /// summation order), so the drivers keep it out of the
-    /// determinism-critical sweep and use it for batched SPO evaluation.
-    pub fn evaluate_vgl(
-        &self,
-        u: [T; 3],
-        gmat: &[[T; 3]; 3],
-        lapmet: &[T; 6],
-        psi: &mut [T],
-        grad: &mut [T],
-        lap: &mut [T],
-    ) {
-        self.evaluate_vgl_backend(Backend::Soa, u, gmat, lapmet, psi, grad, lap);
-    }
-
-    /// Fused VGL evaluation on an explicit kernel backend.
-    // Kernel entry point: flat output slabs as separate slices on purpose
-    // (bundling them would force callers to build views on the hot path).
-    #[allow(clippy::too_many_arguments)]
-    pub fn evaluate_vgl_backend(
-        &self,
-        backend: Backend,
-        u: [T; 3],
-        gmat: &[[T; 3]; 3],
-        lapmet: &[T; 6],
-        psi: &mut [T],
-        grad: &mut [T],
-        lap: &mut [T],
-    ) {
-        qmc_kernels::bspline::evaluate_vgl(backend, &self.view(), u, gmat, lapmet, psi, grad, lap);
-    }
-
-    /// Multi-walker fused VGL: evaluates `us.len()` positions against the
-    /// shared coefficient table in one call. Outputs are walker-major —
-    /// walker `w` owns `psi[w*ns..]`, `grad[w*3*ns..]`, `lap[w*ns..]`.
-    /// Per-walker results are bit-identical to [`Self::evaluate_vgl`] at
-    /// the same position (each walker is an independent accumulation).
-    // qmclint: allow(timer-coverage) — timed by the caller: BsplineSpo wraps
-    // this in Kernel::BsplineMwVGL; the bspline crate itself stays free of
-    // instrumentation dependencies.
-    pub fn mw_evaluate_vgl(
-        &self,
-        us: &[[T; 3]],
-        gmat: &[[T; 3]; 3],
-        lapmet: &[T; 6],
-        psi: &mut [T],
-        grad: &mut [T],
-        lap: &mut [T],
-    ) {
-        self.mw_evaluate_vgl_backend(Backend::Soa, us, gmat, lapmet, psi, grad, lap);
-    }
-
-    /// Multi-walker fused VGL on an explicit kernel backend.
-    // qmclint: allow(timer-coverage) — timed by the caller: BsplineSpo wraps
-    // this in Kernel::BsplineMwVGL; the bspline crate itself stays free of
-    // instrumentation dependencies.
-    // Kernel entry point: flat output slabs as separate slices on purpose.
-    #[allow(clippy::too_many_arguments)]
-    pub fn mw_evaluate_vgl_backend(
-        &self,
-        backend: Backend,
-        us: &[[T; 3]],
-        gmat: &[[T; 3]; 3],
-        lapmet: &[T; 6],
-        psi: &mut [T],
-        grad: &mut [T],
-        lap: &mut [T],
-    ) {
-        qmc_kernels::bspline::mw_evaluate_vgl(
-            backend,
-            &self.view(),
-            us,
-            gmat,
-            lapmet,
-            psi,
-            grad,
-            lap,
-        );
-    }
-
-    /// Reference value-only evaluation: spline index outermost (the
-    /// per-orbital strided pattern of the baseline code).
-    pub fn evaluate_v_ref(&self, u: [T; 3], psi: &mut [T]) {
-        self.evaluate_v_backend(Backend::Reference, u, psi);
-    }
-
-    /// Reference value+gradient+Hessian evaluation (spline outermost).
-    pub fn evaluate_vgh_ref(&self, u: [T; 3], psi: &mut [T], grad: &mut [T], hess: &mut [T]) {
-        self.evaluate_vgh_backend(Backend::Reference, u, psi, grad, hess);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qmc_kernels::bspline::{evaluate_v, evaluate_vgh, evaluate_vgl, mw_evaluate_vgl};
+    use qmc_kernels::Backend;
 
     #[test]
     fn cyclic_tridiagonal_solver() {
@@ -458,7 +296,7 @@ mod tests {
                 iy as f64 / n as f64,
                 iz as f64 / n as f64,
             ];
-            t.evaluate_v(u, &mut psi);
+            evaluate_v(Backend::Soa, &t.view(), u, &mut psi);
             for s in 0..3 {
                 let expect = trig(ix, iy, iz, s, n);
                 assert!(
@@ -476,15 +314,15 @@ mod tests {
         let ns = 9;
         let u = [0.37, 0.81, 0.12];
         let (mut p1, mut p2) = (vec![0.0; ns], vec![0.0; ns]);
-        t.evaluate_v(u, &mut p1);
-        t.evaluate_v_ref(u, &mut p2);
+        evaluate_v(Backend::Soa, &t.view(), u, &mut p1);
+        evaluate_v(Backend::Reference, &t.view(), u, &mut p2);
         for s in 0..ns {
             assert!((p1[s] - p2[s]).abs() < 1e-13);
         }
         let (mut g1, mut g2) = (vec![0.0; 3 * ns], vec![0.0; 3 * ns]);
         let (mut h1, mut h2) = (vec![0.0; 6 * ns], vec![0.0; 6 * ns]);
-        t.evaluate_vgh(u, &mut p1, &mut g1, &mut h1);
-        t.evaluate_vgh_ref(u, &mut p2, &mut g2, &mut h2);
+        evaluate_vgh(Backend::Soa, &t.view(), u, &mut p1, &mut g1, &mut h1);
+        evaluate_vgh(Backend::Reference, &t.view(), u, &mut p2, &mut g2, &mut h2);
         for i in 0..3 * ns {
             assert!((g1[i] - g2[i]).abs() < 1e-11);
         }
@@ -499,11 +337,11 @@ mod tests {
         let ns = 4;
         let u = [0.9, 0.45, 0.63];
         let mut pv = vec![0.0; ns];
-        t.evaluate_v(u, &mut pv);
+        evaluate_v(Backend::Soa, &t.view(), u, &mut pv);
         let mut p = vec![0.0; ns];
         let mut g = vec![0.0; 3 * ns];
         let mut h = vec![0.0; 6 * ns];
-        t.evaluate_vgh(u, &mut p, &mut g, &mut h);
+        evaluate_vgh(Backend::Soa, &t.view(), u, &mut p, &mut g, &mut h);
         for s in 0..ns {
             assert!((p[s] - pv[s]).abs() < 1e-13);
         }
@@ -517,7 +355,7 @@ mod tests {
         let mut p = vec![0.0; ns];
         let mut g = vec![0.0; 3 * ns];
         let mut h = vec![0.0; 6 * ns];
-        t.evaluate_vgh(u, &mut p, &mut g, &mut h);
+        evaluate_vgh(Backend::Soa, &t.view(), u, &mut p, &mut g, &mut h);
         let eps = 1e-6;
         for d in 0..3 {
             let mut up = u;
@@ -525,8 +363,8 @@ mod tests {
             let mut um = u;
             um[d] -= eps;
             let (mut pp, mut pm) = (vec![0.0; ns], vec![0.0; ns]);
-            t.evaluate_v(up, &mut pp);
-            t.evaluate_v(um, &mut pm);
+            evaluate_v(Backend::Soa, &t.view(), up, &mut pp);
+            evaluate_v(Backend::Soa, &t.view(), um, &mut pm);
             for s in 0..ns {
                 let fd = (pp[s] - pm[s]) / (2.0 * eps);
                 assert!(
@@ -543,8 +381,8 @@ mod tests {
             let mut um = u;
             um[d] -= eps;
             let (mut pp, mut pm) = (vec![0.0; ns], vec![0.0; ns]);
-            t.evaluate_v(up, &mut pp);
-            t.evaluate_v(um, &mut pm);
+            evaluate_v(Backend::Soa, &t.view(), up, &mut pp);
+            evaluate_v(Backend::Soa, &t.view(), um, &mut pm);
             for s in 0..ns {
                 let fd = (pp[s] - 2.0 * p[s] + pm[s]) / (eps * eps);
                 assert!(
@@ -587,7 +425,14 @@ mod tests {
         let mut p_ref = vec![0.0; ns];
         let mut g_frac = vec![0.0; 3 * ns];
         let mut h_frac = vec![0.0; 6 * ns];
-        t.evaluate_vgh(u, &mut p_ref, &mut g_frac, &mut h_frac);
+        evaluate_vgh(
+            Backend::Soa,
+            &t.view(),
+            u,
+            &mut p_ref,
+            &mut g_frac,
+            &mut h_frac,
+        );
         let mut g_ref = vec![0.0; 3 * ns];
         let mut l_ref = vec![0.0; ns];
         for s in 0..ns {
@@ -600,7 +445,16 @@ mod tests {
         let mut p = vec![0.0; ns];
         let mut g = vec![0.0; 3 * ns];
         let mut lap = vec![0.0; ns];
-        t.evaluate_vgl(u, &gmat, &lapmet, &mut p, &mut g, &mut lap);
+        evaluate_vgl(
+            Backend::Soa,
+            &t.view(),
+            u,
+            &gmat,
+            &lapmet,
+            &mut p,
+            &mut g,
+            &mut lap,
+        );
         for s in 0..ns {
             assert!((p[s] - p_ref[s]).abs() < 1e-13, "value s={s}");
             assert!((lap[s] - l_ref[s]).abs() < 1e-9, "lap s={s}");
@@ -620,12 +474,13 @@ mod tests {
         let mut psi = vec![0.0; nw * ns];
         let mut grad = vec![0.0; nw * 3 * ns];
         let mut lap = vec![0.0; nw * ns];
-        t.mw_evaluate_vgl(&us, &gmat, &lapmet, &mut psi, &mut grad, &mut lap);
+        let (b, v) = (Backend::Soa, t.view());
+        mw_evaluate_vgl(b, &v, &us, &gmat, &lapmet, &mut psi, &mut grad, &mut lap);
         for (w, &u) in us.iter().enumerate() {
             let mut p1 = vec![0.0; ns];
             let mut g1 = vec![0.0; 3 * ns];
             let mut l1 = vec![0.0; ns];
-            t.evaluate_vgl(u, &gmat, &lapmet, &mut p1, &mut g1, &mut l1);
+            evaluate_vgl(b, &v, u, &gmat, &lapmet, &mut p1, &mut g1, &mut l1);
             assert_eq!(&psi[w * ns..(w + 1) * ns], &p1[..], "walker {w} psi");
             assert_eq!(
                 &grad[w * 3 * ns..(w + 1) * 3 * ns],
@@ -641,8 +496,8 @@ mod tests {
         let t = MultiBspline3D::<f64>::random([6, 6, 6], 2, 5);
         let mut a = vec![0.0; 2];
         let mut b = vec![0.0; 2];
-        t.evaluate_v([0.25, 0.5, 0.75], &mut a);
-        t.evaluate_v([1.25, -0.5, 0.75 - 2.0], &mut b);
+        evaluate_v(Backend::Soa, &t.view(), [0.25, 0.5, 0.75], &mut a);
+        evaluate_v(Backend::Soa, &t.view(), [1.25, -0.5, 0.75 - 2.0], &mut b);
         for s in 0..2 {
             assert!(
                 (a[s] - b[s]).abs() < 1e-12,
@@ -663,8 +518,9 @@ mod tests {
         let mut p32 = vec![0.0f32; 2];
         for i in 0..20 {
             let u = [0.05 * i as f64, 0.03 * i as f64, 0.07 * i as f64];
-            t64.evaluate_v(u, &mut p64);
-            t32.evaluate_v([u[0] as f32, u[1] as f32, u[2] as f32], &mut p32);
+            evaluate_v(Backend::Soa, &t64.view(), u, &mut p64);
+            let u32 = [u[0] as f32, u[1] as f32, u[2] as f32];
+            evaluate_v(Backend::Soa, &t32.view(), u32, &mut p32);
             for s in 0..2 {
                 assert!(
                     (p64[s] - p32[s] as f64).abs() < 1e-4,

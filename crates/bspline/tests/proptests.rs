@@ -2,6 +2,8 @@
 
 use proptest::prelude::*;
 use qmc_bspline::{solve_cyclic_tridiagonal, CubicBspline1D, MultiBspline3D};
+use qmc_kernels::bspline::evaluate_v;
+use qmc_kernels::Backend;
 
 proptest! {
     /// The cyclic tridiagonal solver satisfies A x = rhs for arbitrary
@@ -55,8 +57,10 @@ proptest! {
         let t = MultiBspline3D::<f64>::random([5, 6, 7], 3, 99);
         let mut a = vec![0.0; 3];
         let mut b = vec![0.0; 3];
-        t.evaluate_v([ux, uy, uz], &mut a);
-        t.evaluate_v(
+        evaluate_v(Backend::Soa, &t.view(), [ux, uy, uz], &mut a);
+        evaluate_v(
+            Backend::Soa,
+            &t.view(),
             [ux + sx as f64, uy + sy as f64, uz + sz as f64],
             &mut b,
         );
@@ -73,8 +77,8 @@ proptest! {
         let ns = 5;
         let t = MultiBspline3D::<f64>::random([6, 6, 6], ns, 3);
         let (mut a, mut b) = (vec![0.0; ns], vec![0.0; ns]);
-        t.evaluate_v([ux, uy, uz], &mut a);
-        t.evaluate_v_ref([ux, uy, uz], &mut b);
+        evaluate_v(Backend::Soa, &t.view(), [ux, uy, uz], &mut a);
+        evaluate_v(Backend::Reference, &t.view(), [ux, uy, uz], &mut b);
         for s in 0..ns {
             prop_assert!((a[s] - b[s]).abs() < 1e-12);
         }

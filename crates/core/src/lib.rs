@@ -18,6 +18,7 @@ pub use qmc_crowd as crowd;
 pub use qmc_drivers as drivers;
 pub use qmc_hamiltonian as hamiltonian;
 pub use qmc_instrument as instrument;
+pub use qmc_kernels as kernels;
 pub use qmc_linalg as linalg;
 pub use qmc_particles as particles;
 pub use qmc_wavefunction as wavefunction;
@@ -33,10 +34,11 @@ pub mod prelude {
     };
     pub use qmc_hamiltonian::{kinetic_energy, CoulombEE, CoulombEI, LocalEnergy, NonLocalPP};
     pub use qmc_instrument::{Kernel, Profile};
+    pub use qmc_kernels::Backend;
     pub use qmc_particles::{CrystalLattice, Layout, ParticleSet, Species};
     pub use qmc_wavefunction::{
         BsplineSpo, CosineSpo, DetUpdateMode, DiracDeterminant, J1Ref, J1Soa, J2Ref, J2Soa,
-        PairFunctors, SpoLayout, TrialWaveFunction,
+        PairFunctors, TrialWaveFunction,
     };
     pub use qmc_workloads::{
         run_dmc_benchmark, Benchmark, CodeVersion, RunConfig, RunOutcome, Size, Workload,

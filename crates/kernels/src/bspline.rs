@@ -154,7 +154,7 @@ fn v_setup<T: Real>(t: &SplineView<'_, T>, u: [T; 3]) -> ([usize; 3], [[T; 4]; 3
     ([ix, iy, iz], [wx, wy, wz])
 }
 
-/// Spline-outermost scalar loops (moved from `evaluate_v_ref`).
+/// Spline-outermost scalar loops.
 fn v_reference<T: Real>(t: &SplineView<'_, T>, u: [T; 3], psi: &mut [T]) {
     assert!(psi.len() >= t.num_splines);
     let ([ix, iy, iz], [wx, wy, wz]) = v_setup(t, u);
@@ -173,7 +173,7 @@ fn v_reference<T: Real>(t: &SplineView<'_, T>, u: [T; 3], psi: &mut [T]) {
     }
 }
 
-/// Spline-innermost auto-vectorized slabs (moved from `evaluate_v`).
+/// Spline-innermost auto-vectorized slabs.
 fn v_soa<T: Real>(t: &SplineView<'_, T>, u: [T; 3], psi: &mut [T]) {
     let ns = t.num_splines;
     assert!(psi.len() >= ns);
@@ -375,7 +375,7 @@ pub fn evaluate_vgh<T: Real>(
     scale_derivatives(t.grid, ns, grad, hess);
 }
 
-/// Spline-outermost scalar loops (moved from `evaluate_vgh_ref`).
+/// Spline-outermost scalar loops.
 fn vgh_reference<T: Real>(
     t: &SplineView<'_, T>,
     u: [T; 3],
@@ -409,7 +409,7 @@ fn vgh_reference<T: Real>(
     }
 }
 
-/// Spline-innermost auto-vectorized slabs (moved from `evaluate_vgh`).
+/// Spline-innermost auto-vectorized slabs.
 fn vgh_soa<T: Real>(
     t: &SplineView<'_, T>,
     u: [T; 3],
@@ -690,7 +690,7 @@ fn vgl_reference<T: Real>(
     }
 }
 
-/// Spline-innermost auto-vectorized slabs (moved from `evaluate_vgl`).
+/// Spline-innermost auto-vectorized slabs.
 fn vgl_soa<T: Real>(
     t: &SplineView<'_, T>,
     u: [T; 3],

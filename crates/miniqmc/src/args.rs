@@ -47,14 +47,6 @@ impl Options {
         Self::parse(std::env::args())
     }
 
-    /// Value of `key` parsed as `T`, or `default`.
-    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.values
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
     /// Value of `key` parsed as `T`, `default` when the option is absent,
     /// and a one-line error naming the option when its value is missing
     /// or does not parse.
@@ -78,6 +70,27 @@ impl Options {
     pub fn has_flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
+
+    /// Reports a usage error — one line, `program: msg`, on stderr — and
+    /// exits 2: a bad invocation must not panic with a backtrace.
+    pub fn fail_usage(&self, msg: &str) -> ! {
+        eprintln!("{}: {msg}", self.program);
+        std::process::exit(2);
+    }
+}
+
+/// Lower bound on a size or count, to chain after [`Options::try_get`]
+/// with `and_then`: values below `min` become an error in `try_get`'s
+/// format naming the option, so they are refused before anything is built
+/// from them.
+pub fn at_least(key: &str, min: usize) -> impl Fn(usize) -> Result<usize, String> + '_ {
+    move |v| {
+        if v >= min {
+            Ok(v)
+        } else {
+            Err(format!("--{key}: cannot use '{v}' (valid: at least {min})"))
+        }
+    }
 }
 
 #[cfg(test)]
@@ -94,8 +107,8 @@ mod tests {
     #[test]
     fn long_short_and_equals_forms() {
         let o = parse(&["--nel", "64", "-i=10", "--verbose", "--layout", "soa"]);
-        assert_eq!(o.get("nel", 0usize), 64);
-        assert_eq!(o.get("i", 0usize), 10);
+        assert_eq!(o.try_get("nel", 0usize), Ok(64));
+        assert_eq!(o.try_get("i", 0usize), Ok(10));
         assert!(o.has_flag("verbose"));
         assert_eq!(o.get_str("layout"), Some("soa"));
         assert_eq!(o.program, "prog");
@@ -104,15 +117,14 @@ mod tests {
     #[test]
     fn defaults_apply() {
         let o = parse(&[]);
-        assert_eq!(o.get("nel", 48usize), 48);
-        assert_eq!(o.get("tau", 0.01f64), 0.01);
+        assert_eq!(o.try_get("nel", 48usize), Ok(48));
+        assert_eq!(o.try_get("tau", 0.01f64), Ok(0.01));
         assert!(!o.has_flag("verbose"));
     }
 
     #[test]
-    fn try_get_rejects_what_get_defaults() {
+    fn try_get_rejects_unusable_values() {
         let o = parse(&["--steps", "abc", "--walkers", "4", "--warmup"]);
-        assert_eq!(o.get("steps", 10usize), 10);
         let err = o.try_get("steps", 10usize).unwrap_err();
         assert!(err.contains("--steps") && err.contains("abc"), "{err}");
         assert!(o
@@ -124,10 +136,22 @@ mod tests {
     }
 
     #[test]
+    fn at_least_names_the_option_and_the_bound() {
+        let o = parse(&["--grid", "2", "--splines", "8"]);
+        let err = o.try_get("grid", 48).and_then(at_least("grid", 4));
+        assert_eq!(
+            err,
+            Err("--grid: cannot use '2' (valid: at least 4)".into())
+        );
+        let ok = o.try_get("splines", 1).and_then(at_least("splines", 1));
+        assert_eq!(ok, Ok(8));
+    }
+
+    #[test]
     fn negative_numbers_are_not_eaten_as_flags() {
         // `--shift -1.5`: the value starts with '-', so it becomes a flag;
         // the documented way is `--shift=-1.5`.
         let o = parse(&["--shift=-1.5"]);
-        assert_eq!(o.get("shift", 0.0f64), -1.5);
+        assert_eq!(o.try_get("shift", 0.0f64), Ok(-1.5));
     }
 }

@@ -6,17 +6,18 @@
 //! The two stacks share neither layout nor precision, so agreement here
 //! exercises every kernel pair in the paper's ladder at once.
 
-use miniqmc::Options;
+use miniqmc::{at_least, Options};
 use qmc_containers::{Pos, TinyVector};
 use qmc_workloads::{Benchmark, CodeVersion, Size, Workload};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-fn main() {
-    let opts = Options::from_env();
-    let sweeps = opts.get("sweeps", 2usize);
-    let seed = opts.get("seed", 42u64);
-    let tol_ratio = opts.get("tol", 5e-3f64);
+fn run(opts: &Options) -> Result<(), String> {
+    let sweeps = opts
+        .try_get("sweeps", 2usize)
+        .and_then(at_least("sweeps", 1))?;
+    let seed = opts.try_get("seed", 42u64)?;
+    let tol_ratio = opts.try_get("tol", 5e-3f64)?;
 
     let w = Workload::new(Benchmark::NiO32, Size::Scaled, seed);
     println!(
@@ -88,5 +89,13 @@ fn main() {
     } else {
         eprintln!("check_wfc FAILED");
         std::process::exit(1);
+    }
+    Ok(())
+}
+
+fn main() {
+    let opts = Options::from_env();
+    if let Err(e) = run(&opts) {
+        opts.fail_usage(&e);
     }
 }

@@ -10,14 +10,12 @@
 
 use std::io::Read;
 
-/// Schema-specific checks for qmclint reports. `qmclint/1` (lexical +
-/// graph rules only), `qmclint/2` (adds the `effects` block) and
-/// `qmclint/3` (adds the `par` concurrency block) are all accepted; any
-/// other version is a hard error so a silent format bump cannot sail
-/// through CI.
+/// Schema-specific checks for qmclint reports. `qmclint/3` is the one
+/// version the analyzer has ever written to disk; any other version is a
+/// hard error so a silent format bump cannot sail through CI.
 fn check_qmclint(schema: &str, v: &qmc_instrument::json::JsonValue) {
-    if schema != "qmclint/1" && schema != "qmclint/2" && schema != "qmclint/3" {
-        eprintln!("json_check: unknown qmclint schema `{schema}`");
+    if schema != "qmclint/3" {
+        eprintln!("json_check: unsupported qmclint schema `{schema}` (only qmclint/3 is accepted)");
         std::process::exit(1);
     }
     for key in ["files_scanned", "diagnostics_total", "by_rule"] {
@@ -26,37 +24,35 @@ fn check_qmclint(schema: &str, v: &qmc_instrument::json::JsonValue) {
             std::process::exit(1);
         }
     }
-    if schema == "qmclint/2" || schema == "qmclint/3" {
-        let Some(effects) = v.get("effects") else {
-            eprintln!("json_check: {schema} report missing `effects` block");
+    let blocks: [(&str, &[&str]); 2] = [
+        (
+            "effects",
+            &[
+                "pure_roots",
+                "rng_draw_sites",
+                "checkpointed_structs",
+                "rules",
+            ],
+        ),
+        (
+            "par",
+            &[
+                "spawn_sites",
+                "parallel_fns",
+                "sched_cases",
+                "det_reduce_calls",
+                "rules",
+            ],
+        ),
+    ];
+    for (name, keys) in blocks {
+        let Some(block) = v.get(name) else {
+            eprintln!("json_check: {schema} report missing `{name}` block");
             std::process::exit(1);
         };
-        for key in [
-            "pure_roots",
-            "rng_draw_sites",
-            "checkpointed_structs",
-            "rules",
-        ] {
-            if effects.get(key).is_none() {
-                eprintln!("json_check: {schema} `effects` block missing `{key}`");
-                std::process::exit(1);
-            }
-        }
-    }
-    if schema == "qmclint/3" {
-        let Some(par) = v.get("par") else {
-            eprintln!("json_check: qmclint/3 report missing `par` block");
-            std::process::exit(1);
-        };
-        for key in [
-            "spawn_sites",
-            "parallel_fns",
-            "sched_cases",
-            "det_reduce_calls",
-            "rules",
-        ] {
-            if par.get(key).is_none() {
-                eprintln!("json_check: qmclint/3 `par` block missing `{key}`");
+        for key in keys {
+            if block.get(key).is_none() {
+                eprintln!("json_check: {schema} `{name}` block missing `{key}`");
                 std::process::exit(1);
             }
         }

@@ -7,7 +7,7 @@
 //! mini_dist --nel 384 --iters 100 --l 15.8
 //! ```
 
-use miniqmc::Options;
+use miniqmc::{at_least, Options};
 use qmc_containers::TinyVector;
 use qmc_particles::{random_positions_in_cell, CrystalLattice, Layout, ParticleSet, Species};
 use rand::rngs::StdRng;
@@ -56,12 +56,18 @@ fn run_cycle(p: &mut ParticleSet<f64>, iters: usize, l: f64, seed: u64) -> f64 {
     t0.elapsed().as_secs_f64()
 }
 
-fn main() {
-    let opts = Options::from_env();
-    let n = opts.get("nel", 384usize);
-    let iters = opts.get("iters", 50usize);
-    let l = opts.get("l", 15.8f64);
-    let seed = opts.get("seed", 1u64);
+fn run(opts: &Options) -> Result<(), String> {
+    let n = opts.try_get("nel", 384usize).and_then(at_least("nel", 1))?;
+    let iters = opts
+        .try_get("iters", 50usize)
+        .and_then(at_least("iters", 1))?;
+    let l = opts.try_get("l", 15.8f64)?;
+    if !(l > 0.0 && l.is_finite()) {
+        return Err(format!(
+            "--l: cannot use '{l}' (valid: a positive cell edge)"
+        ));
+    }
+    let seed = opts.try_get("seed", 1u64)?;
 
     println!("mini_dist: N = {n}, iters = {iters}, cubic cell L = {l}");
     let moves = (n * iters) as f64;
@@ -101,4 +107,12 @@ fn main() {
     }
     println!("cross-check max |d_aos - d_soa| = {max_diff:.2e}");
     assert!(max_diff < 1e-9, "layout mismatch");
+    Ok(())
+}
+
+fn main() {
+    let opts = Options::from_env();
+    if let Err(e) = run(&opts) {
+        opts.fail_usage(&e);
+    }
 }

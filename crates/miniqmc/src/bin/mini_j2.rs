@@ -7,7 +7,7 @@
 //! mini_j2 --nel 384 --iters 20 --l 15.8
 //! ```
 
-use miniqmc::Options;
+use miniqmc::{at_least, Options};
 use qmc_bspline::CubicBspline1D;
 use qmc_containers::TinyVector;
 use qmc_particles::{random_positions_in_cell, CrystalLattice, Layout, ParticleSet, Species};
@@ -94,12 +94,18 @@ fn cycle(
     t0.elapsed().as_secs_f64()
 }
 
-fn main() {
-    let opts = Options::from_env();
-    let n = opts.get("nel", 384usize);
-    let iters = opts.get("iters", 20usize);
-    let l = opts.get("l", 15.8f64);
-    let seed = opts.get("seed", 1u64);
+fn run(opts: &Options) -> Result<(), String> {
+    let n = opts.try_get("nel", 384usize).and_then(at_least("nel", 1))?;
+    let iters = opts
+        .try_get("iters", 20usize)
+        .and_then(at_least("iters", 1))?;
+    let l = opts.try_get("l", 15.8f64)?;
+    if !(l > 0.0 && l.is_finite()) {
+        return Err(format!(
+            "--l: cannot use '{l}' (valid: a positive cell edge)"
+        ));
+    }
+    let seed = opts.try_get("seed", 1u64)?;
     let rc = (l / 2.0 * 0.99).min(3.9);
 
     println!("mini_j2: N = {n}, iters = {iters}, L = {l}, r_cut = {rc:.2}");
@@ -136,4 +142,12 @@ fn main() {
         (log_ref - log_soa).abs() < 1e-6 * (1.0 + log_ref.abs()),
         "J2 implementations disagree"
     );
+    Ok(())
+}
+
+fn main() {
+    let opts = Options::from_env();
+    if let Err(e) = run(&opts) {
+        opts.fail_usage(&e);
+    }
 }

@@ -10,7 +10,7 @@
 //!   benchmark workload, any code version, with hot-spot profile output.
 //! * `mini_dist` — distance-table kernel miniapp (AoS vs SoA).
 //! * `mini_j2` — two-body Jastrow miniapp (stored vs compute-on-the-fly).
-//! * `mini_bspline` — 3D spline miniapp (layouts x precisions).
+//! * `mini_bspline` — 3D spline miniapp (kernel backends x precisions).
 //! * `check_wfc` — full-wavefunction correctness checker (Ref vs Current).
 //! * `check_spo` — SPO evaluator correctness checker.
 
@@ -18,4 +18,4 @@
 
 pub mod args;
 
-pub use args::Options;
+pub use args::{at_least, Options};

@@ -1,6 +1,7 @@
-//! End-to-end CLI tests for the `miniqmc` binary: bad-argument handling
-//! (usage + nonzero exit instead of a panic backtrace) and the golden
-//! `--profile json` / `--profile trace:PATH` report paths.
+//! End-to-end CLI tests: bad-argument handling of `miniqmc` and the
+//! kernel miniapps (usage error + exit 2 instead of a panic backtrace or a
+//! silent default) and `miniqmc`'s golden `--profile json` /
+//! `--profile trace:PATH` report paths.
 
 use qmc_instrument::{json, ALL_KERNELS};
 use std::process::Command;
@@ -74,40 +75,87 @@ fn bad_profile_mode_prints_usage_and_exits_nonzero() {
     assert!(stderr.contains("unknown profile mode"), "{stderr}");
 }
 
-/// Arguments that used to be silently replaced by a default are usage
-/// errors: exit 2 and one line naming the option and what it accepts.
+/// Arguments that used to be silently replaced by a default, or to panic
+/// inside a constructor, are usage errors in every miniapp: exit 2 and one
+/// line naming the option and what it accepts.
 #[test]
 fn unusable_argument_values_are_usage_errors_not_defaults() {
-    let cases: [(&[&str], &[&str]); 7] = [
+    let miniqmc = env!("CARGO_BIN_EXE_miniqmc");
+    let mini_bspline = env!("CARGO_BIN_EXE_mini_bspline");
+    let check_spo = env!("CARGO_BIN_EXE_check_spo");
+    let mini_dist = env!("CARGO_BIN_EXE_mini_dist");
+    let mini_j2 = env!("CARGO_BIN_EXE_mini_j2");
+    let check_wfc = env!("CARGO_BIN_EXE_check_wfc");
+    let cases: [(&str, &[&str], &[&str]); 20] = [
         (
+            miniqmc,
             &["--driver", "bogus"],
             &["unknown driver 'bogus'", "dmc, vmc"],
         ),
         (
+            miniqmc,
             &["--size", "bogus"],
             &["unknown size 'bogus'", "scaled, full"],
         ),
-        (&["--steps", "abc"], &["--steps", "'abc'", "usize"]),
-        (&["--tau", "fast"], &["--tau", "'fast'", "f64"]),
-        (&["--walkers"], &["--walkers needs a usize value"]),
+        (miniqmc, &["--steps", "abc"], &["--steps", "'abc'", "usize"]),
+        (miniqmc, &["--tau", "fast"], &["--tau", "'fast'", "f64"]),
+        (miniqmc, &["--walkers"], &["--walkers needs a usize value"]),
         (
+            miniqmc,
             &["--code", "delayedXYZ"],
             &["unknown code version 'delayedxyz'", "delayedK"],
         ),
         (
+            miniqmc,
             &["--steps", "2", "--warmup", "5"],
             &["--warmup 5", "--steps 2", "warmup < steps"],
         ),
+        (
+            mini_bspline,
+            &["--grid", "2"],
+            &["--grid", "'2'", "at least 4"],
+        ),
+        (
+            mini_bspline,
+            &["--grid", "abc"],
+            &["--grid", "'abc'", "usize"],
+        ),
+        (
+            mini_bspline,
+            &["--splines", "0"],
+            &["--splines", "at least 1"],
+        ),
+        (mini_bspline, &["--evals", "0"], &["--evals", "at least 1"]),
+        (check_spo, &["--splines", "0"], &["--splines", "at least 1"]),
+        (
+            check_spo,
+            &["--grid", "3"],
+            &["--grid", "'3'", "at least 4"],
+        ),
+        (check_spo, &["--seed", "-1"], &["--seed needs a u64 value"]),
+        (mini_dist, &["--nel", "0"], &["--nel", "at least 1"]),
+        (mini_dist, &["--l", "0"], &["--l", "positive cell edge"]),
+        (
+            mini_j2,
+            &["--iters", "many"],
+            &["--iters", "'many'", "usize"],
+        ),
+        (mini_j2, &["--l", "nan"], &["--l", "positive cell edge"]),
+        (check_wfc, &["--sweeps", "0"], &["--sweeps", "at least 1"]),
+        (check_wfc, &["--tol"], &["--tol needs a f64 value"]),
     ];
-    for (args, expected) in cases {
-        let out = miniqmc().args(args).output().expect("spawn miniqmc");
+    for (bin, args, expected) in cases {
+        let out = Command::new(bin).args(args).output().expect("spawn");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
         let first = stderr.lines().next().unwrap_or_default();
         for part in expected {
-            assert!(first.contains(part), "{args:?}: '{part}' not in '{first}'");
+            assert!(
+                first.contains(part),
+                "{bin} {args:?}: '{part}' not in '{first}'"
+            );
         }
-        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
     }
 }
 

@@ -51,11 +51,11 @@ pub const SKIP_DIRS: [&str; 4] = ["target", ".git", "node_modules", "shims"];
 
 /// Root modules of the lock-order rule: every function defined here (and
 /// everything reachable from it through the call graph) must agree on one
-/// acquisition order per lock pair. Since the crowd drivers merged into
-/// the lock-free crew fan-out of `qmc-drivers`, nothing under this root
-/// takes a lock any more; whether the rule moves to `ranks.rs` or goes is
-/// ROADMAP item 5's call.
-pub const LOCK_ROOTS: [&str; 1] = ["crates/crowd/"];
+/// acquisition order per lock pair. The simulated multi-rank driver is the
+/// one non-test file that takes locks (its ranks hold `shared` while they
+/// take `slots`, `energies` and `samples`); the crew fan-out under
+/// `run_vmc`/`run_dmc` is lock-free.
+pub const LOCK_ROOTS: [&str; 1] = ["crates/drivers/src/ranks.rs"];
 
 /// Designated mixed-precision modules (ISSUE rule 1): the only places a
 /// raw `as f32`/`as f64` cast or suffixed float literal is legal without a
@@ -342,8 +342,10 @@ pub struct SchedRoot {
 /// `run_dmc` over any crew), so one row covers every driver shape.
 /// `run_multi_rank` spawns OS threads directly (`std::thread::scope` —
 /// barrier synchronization would deadlock under the shim's serial
-/// schedules), so its case exercises it without a schedule sweep.
-pub const SCHED_ROOTS: [SchedRoot; 4] = [
+/// schedules), so its case exercises it without a schedule sweep. These
+/// two are the workspace's only spawn sites: spline tables are filled
+/// serially in place and evaluated by the single-threaded kernels.
+pub const SCHED_ROOTS: [SchedRoot; 2] = [
     SchedRoot {
         entry: "fan_out",
         case: "explore_schedules",
@@ -353,16 +355,6 @@ pub const SCHED_ROOTS: [SchedRoot; 4] = [
         entry: "run_multi_rank",
         case: "explore_multi_rank",
         via: "run_multi_rank",
-    },
-    SchedRoot {
-        entry: "set_control_points",
-        case: "explore_schedules",
-        via: "build_engine_f32",
-    },
-    SchedRoot {
-        entry: "evaluate_v_parallel",
-        case: "explore_tiled_spline",
-        via: "evaluate_v_parallel",
     },
 ];
 
@@ -434,6 +426,7 @@ mod tests {
 
     #[test]
     fn sched_registry_shape() {
+        assert_eq!(SCHED_ROOTS.len(), 2, "fan_out and run_multi_rank");
         // Rows are keyed by entry name; duplicates would shadow silently.
         for (i, a) in SCHED_ROOTS.iter().enumerate() {
             assert!(a.case.starts_with("explore_"), "case {}", a.case);

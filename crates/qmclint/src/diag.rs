@@ -27,7 +27,7 @@ pub enum Rule {
     /// accumulator without a designated promotion site.
     PrecisionFlow,
     /// Inconsistent lock-acquisition order among functions reachable from
-    /// the crowd scheduler (potential deadlock).
+    /// the multi-rank driver (potential deadlock).
     LockOrder,
     /// Walker/RNG/buffer state mutated on a path reachable from a
     /// designated pure root (serializers, digests, estimator readers,

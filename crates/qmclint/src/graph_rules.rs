@@ -10,8 +10,8 @@
 //!    `f32`-returning call) folded into an `f64` accumulator without a
 //!    designated promotion site (`f64::from`, `.to_f64()`, `T::from_f64`).
 //! 3. **lock-order** — two lock names acquired in opposite orders by
-//!    functions reachable from the crowd scheduler (deadlock risk under
-//!    the lock-step drivers).
+//!    functions reachable from the multi-rank driver, the one place that
+//!    nests locks (deadlock risk between its rank threads).
 //!
 //! All three honour the same `// qmclint: allow(<rule>) — <why>` markers
 //! as the lexical rules, at the anchor site of the diagnostic.
@@ -230,7 +230,7 @@ pub fn check_precision_flow(model: &WorkspaceModel, diags: &mut Vec<Diagnostic>)
 }
 
 /// Rule: lock-order. Collects `first -> second` acquisition constraints
-/// from every function reachable from the crowd scheduler (intra-function
+/// from every function reachable from the lock roots (intra-function
 /// and through calls made while a guard is held); opposite orders for the
 /// same pair of lock names are a deadlock risk and get reported with both
 /// sites.
@@ -319,11 +319,11 @@ pub fn check_lock_order(model: &WorkspaceModel, diags: &mut Vec<Diagnostic>) {
             line: *line_ab,
             rule: Rule::LockOrder,
             message: format!(
-                "inconsistent lock order reachable from the crowd scheduler: `{a}` is taken \
+                "inconsistent lock order reachable from the multi-rank driver: `{a}` is taken \
                  before `{b}` here, but `{b}` before `{a}` at {file_ba}:{line_ba}"
             ),
-            suggestion: "pick one acquisition order for this lock pair everywhere (the crowd \
-                         convention is documented in DESIGN.md), or justify with \
+            suggestion: "pick one acquisition order for this lock pair everywhere (`shared` \
+                         is the outermost lock in `ranks.rs`), or justify with \
                          `// qmclint: allow(lock-order) — <why>`"
                 .into(),
             chain: chain_ab.clone(),
@@ -458,7 +458,7 @@ mod tests {
     fn lock_order_contradiction_is_reported() {
         let src = "fn forward(&self) {\n    let a = self.alpha.lock();\n    self.beta.lock().touch();\n}\n\
                    fn backward(&self) {\n    let b = self.beta.lock();\n    self.alpha.lock().touch();\n}\n";
-        let d = run(&[("crates/crowd/src/pair.rs", src, PHYS)]);
+        let d = run(&[("crates/drivers/src/ranks.rs", src, PHYS)]);
         assert_eq!(d.len(), 1, "{d:#?}");
         assert_eq!(d[0].rule, Rule::LockOrder);
         assert!(d[0].message.contains("alpha") && d[0].message.contains("beta"));
@@ -468,18 +468,21 @@ mod tests {
     fn lock_order_consistent_usage_is_silent() {
         let src = "fn one(&self) {\n    let a = self.counts.lock();\n    self.profile.lock().touch();\n}\n\
                    fn two(&self) {\n    let a = self.counts.lock();\n    self.profile.lock().touch();\n}\n";
-        assert!(run(&[("crates/crowd/src/ok.rs", src, PHYS)]).is_empty());
+        assert!(run(&[("crates/drivers/src/ranks.rs", src, PHYS)]).is_empty());
     }
 
     #[test]
     fn lock_order_propagates_through_calls() {
+        // Only the first file is a lock root; both orders are found
+        // through the calls it makes into the second.
         let a =
-            "pub fn generation(&self) {\n    let g = self.counts.lock();\n    finish(self);\n}\n";
+            "pub fn generation(&self) {\n    let g = self.counts.lock();\n    finish(self);\n}\n\
+                 pub fn report(&self) {\n    other(self);\n}\n";
         let b = "pub fn finish(s: &S) {\n    s.profile.lock().touch();\n}\n\
                  pub fn other(s: &S) {\n    let p = s.profile.lock();\n    s.counts.lock().touch();\n}\n";
         let d = run(&[
-            ("crates/crowd/src/sched.rs", a, PHYS),
-            ("crates/crowd/src/helpers.rs", b, PHYS),
+            ("crates/drivers/src/ranks.rs", a, PHYS),
+            ("crates/drivers/src/helpers.rs", b, PHYS),
         ]);
         assert_eq!(d.len(), 1, "{d:#?}");
         assert_eq!(d[0].rule, Rule::LockOrder);

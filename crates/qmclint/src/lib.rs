@@ -27,7 +27,7 @@
 //! 7. **precision-flow** — `f32` locals/returns folded into `f64`
 //!    accumulators without a designated promotion site.
 //! 8. **lock-order** — inconsistent lock-acquisition order among the
-//!    functions reachable from the crowd scheduler.
+//!    functions reachable from the multi-rank driver.
 //!
 //! v3 grows the model into an effect system: every function gets a
 //! mutation-effect set over walker/RNG/buffer state (draw sites, stream

@@ -1,4 +1,4 @@
-// fixture-path: crates/drivers/src/clean_fixture.rs
+// fixture-path: crates/drivers/src/ranks.rs
 // fixture-silences: precision-flow, lock-order
 //! Clean case: the same shapes as the violation fixtures, made legal the
 //! intended ways — explicit promotion, a cold callee, a justified allow

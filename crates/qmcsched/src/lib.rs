@@ -535,51 +535,8 @@ pub fn explore_multi_rank(cfg: &HarnessConfig) -> DriverParity {
     }
 }
 
-/// Runs the tiled B-spline `evaluate_v_parallel` (a `par_chunks_mut` +
-/// `par_iter` zip over output tiles) under every schedule and against the
-/// serial `evaluate_v`, comparing the output coefficients to the bit.
-/// Tiles write disjoint output chunks, so any interleaving — and the
-/// serial path — must produce identical bits.
-pub fn explore_tiled_spline(cfg: &HarnessConfig) -> DriverParity {
-    // Ragged on purpose: 19 splines over tile width 4 leaves a short
-    // final tile, so chunk boundaries are exercised, not just round ones.
-    let spline = qmc_bspline::TiledMultiBspline3D::<f32>::random([5, 5, 5], 19, 4, cfg.seed);
-    let u = [0.31f32, 0.57, 0.83];
-    let digest = |psi: &[f32]| {
-        let mut d = Fnv::new();
-        for &x in psi {
-            d.u64(u64::from(x.to_bits()));
-        }
-        d.value()
-    };
-    let mut runs = vec![{
-        let mut psi = vec![0.0f32; spline.num_splines()];
-        spline.evaluate_v(u, &mut psi);
-        RunFingerprint {
-            schedule: "serial".into(),
-            walkers: Vec::new(),
-            scalars: digest(&psi),
-        }
-    }];
-    runs.extend(schedules().into_iter().map(|sched| {
-        with_schedule(sched, || {
-            let mut psi = vec![0.0f32; spline.num_splines()];
-            spline.evaluate_v_parallel(u, &mut psi);
-            RunFingerprint {
-                schedule: sched.label(),
-                walkers: Vec::new(),
-                scalars: digest(&psi),
-            }
-        })
-    }));
-    DriverParity {
-        driver: "tiled-spline".into(),
-        runs,
-    }
-}
-
 /// Runs every exploration: the schedule sweep of each method on each crew
-/// kind, the backend and shape sweeps, multi-rank and the tiled spline.
+/// kind, the backend and shape sweeps, and multi-rank.
 pub fn explore_all(cfg: &HarnessConfig) -> Vec<DriverParity> {
     let mut out = Vec::new();
     for driver in [DriverKind::Vmc, DriverKind::Dmc] {
@@ -590,7 +547,6 @@ pub fn explore_all(cfg: &HarnessConfig) -> Vec<DriverParity> {
     out.push(explore_backends(cfg));
     out.extend(explore_thread_sweep(cfg));
     out.push(explore_multi_rank(cfg));
-    out.push(explore_tiled_spline(cfg));
     out
 }
 
@@ -719,20 +675,6 @@ mod tests {
         assert!(
             p.parity(),
             "multi-rank allreduce leaked schedule into the bits: {:?}",
-            p.runs
-                .iter()
-                .map(|r| (&r.schedule, r.scalars))
-                .collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn tiled_spline_parallel_eval_matches_serial_under_every_schedule() {
-        let p = explore_tiled_spline(&HarnessConfig::default());
-        assert!(p.runs.len() > schedules().len());
-        assert!(
-            p.parity(),
-            "tiled spline evaluation depends on the schedule: {:?}",
             p.runs
                 .iter()
                 .map(|r| (&r.schedule, r.scalars))

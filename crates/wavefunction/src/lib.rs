@@ -34,6 +34,6 @@ pub use determinant::{
     DetUpdateMode, DiracDeterminant, DEFAULT_RECOMPUTE_SWEEPS_DP, DEFAULT_RECOMPUTE_SWEEPS_SP,
 };
 pub use jastrow::{J1Ref, J1Soa, J2Ref, J2Soa, PairFunctors};
-pub use spo::{BsplineSpo, CosineSpo, SpoLayout, SpoSet};
+pub use spo::{BsplineSpo, CosineSpo, SpoSet};
 pub use traits::WaveFunctionComponent;
 pub use twf::TrialWaveFunction;

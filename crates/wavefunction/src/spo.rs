@@ -1,16 +1,17 @@
 //! Single-particle orbital (SPO) sets.
 //!
 //! [`SpoSet`] produces the values / gradients / Laplacians of all orbitals
-//! at a point. The production implementation is [`BsplineSpo`], wrapping the
-//! tricubic multi-spline tables of `qmc-bspline` (with the paper's Ref and
-//! Current loop orders and either precision); [`CosineSpo`] is an analytic
+//! at a point. The production implementation is [`BsplineSpo`]: a shared
+//! `qmc-bspline` coefficient table evaluated through `qmc_kernels::bspline`
+//! on the backend it was built with, plus the lattice transform, the kernel
+//! timers and the FLOP/byte accounting; [`CosineSpo`] is an analytic
 //! plane-wave-like set used for correctness tests where every derivative is
 //! known in closed form.
 
 use qmc_bspline::MultiBspline3D;
 use qmc_containers::{Pos, Real, TinyVector};
 use qmc_instrument::{add_flops_bytes, time_kernel, Kernel};
-use qmc_kernels::Backend;
+use qmc_kernels::{bspline, Backend};
 use qmc_particles::CrystalLattice;
 use std::sync::Arc;
 
@@ -70,25 +71,13 @@ pub trait SpoSet<T: Real>: Send + Sync {
     }
 }
 
-/// Evaluation strategy for [`BsplineSpo`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpoLayout {
-    /// Baseline spline-outer loops (strided accesses).
-    Ref,
-    /// Optimized spline-innermost loops (contiguous SIMD slabs).
-    Soa,
-}
-
 /// B-spline-backed SPO set on a periodic cell. The coefficient table is
 /// shared (`Arc`) between all walkers/threads, as in QMCPACK where the
 /// read-only table is the single biggest allocation (Table 1).
 pub struct BsplineSpo<T: Real> {
     table: Arc<MultiBspline3D<T>>,
     lattice: CrystalLattice<T>,
-    layout: SpoLayout,
-    /// Kernel backend captured at construction: the `Ref` layout pins the
-    /// scalar reference backend; the `Soa` layout takes the process-wide
-    /// selection (`QMC_KERNEL_BACKEND` / `--backend`).
+    /// Kernel backend every evaluation of this set runs on.
     backend: Backend,
     /// Precontracted fractional-to-Cartesian gradient matrix (fused
     /// batched-VGL path).
@@ -110,7 +99,6 @@ impl<T: Real> Clone for BsplineSpo<T> {
         Self {
             table: Arc::clone(&self.table),
             lattice: self.lattice.clone(),
-            layout: self.layout,
             backend: self.backend,
             gmat: self.gmat,
             lapmet: self.lapmet,
@@ -122,23 +110,18 @@ impl<T: Real> Clone for BsplineSpo<T> {
 }
 
 impl<T: Real> BsplineSpo<T> {
-    /// Wraps a shared spline table for a given cell and loop order.
+    /// Wraps a shared spline table for a given cell and kernel backend.
     pub fn new(
         table: Arc<MultiBspline3D<T>>,
         lattice: CrystalLattice<T>,
-        layout: SpoLayout,
+        backend: Backend,
     ) -> Self {
         let ns = table.num_splines();
         let gmat = lattice.grad_transform();
         let lapmet = lattice.laplacian_metric();
-        let backend = match layout {
-            SpoLayout::Ref => Backend::Reference,
-            SpoLayout::Soa => Backend::current(),
-        };
         Self {
             table,
             lattice,
-            layout,
             backend,
             gmat,
             lapmet,
@@ -168,7 +151,7 @@ impl<T: Real> SpoSet<T> for BsplineSpo<T> {
         let u = self.to_frac(pos);
         let ns = self.size();
         time_kernel(Kernel::BsplineV, || {
-            self.table.evaluate_v_backend(self.backend, u, psi);
+            bspline::evaluate_v(self.backend, &self.table.view(), u, psi);
         });
         add_flops_bytes(
             Kernel::BsplineV,
@@ -190,7 +173,7 @@ impl<T: Real> SpoSet<T> for BsplineSpo<T> {
             ..
         } = self;
         time_kernel(Kernel::BsplineVGH, || {
-            table.evaluate_vgh_backend(*backend, u, psi, fg, fh);
+            bspline::evaluate_vgh(*backend, &table.view(), u, psi, fg, fh);
         });
         add_flops_bytes(
             Kernel::BsplineVGH,
@@ -241,8 +224,9 @@ impl<T: Real> SpoSet<T> for BsplineSpo<T> {
             *u = self.to_frac(p);
         }
         time_kernel(Kernel::BsplineMwVGL, || {
-            self.table.mw_evaluate_vgl_backend(
+            bspline::mw_evaluate_vgl(
                 self.backend,
+                &self.table.view(),
                 &us[..nw],
                 &self.gmat,
                 &self.lapmet,
@@ -274,8 +258,7 @@ impl<T: Real> SpoSet<T> for BsplineSpo<T> {
             *u = self.to_frac(p);
         }
         time_kernel(Kernel::BsplineV, || {
-            self.table
-                .mw_evaluate_v_backend(self.backend, &us[..nq], psi);
+            bspline::mw_evaluate_v(self.backend, &self.table.view(), &us[..nq], psi);
         });
         self.scratch_frac = us;
         add_flops_bytes(
@@ -415,8 +398,8 @@ mod tests {
     fn bspline_spo_layouts_agree() {
         let lat = CrystalLattice::<f64>::orthorhombic([3.0, 4.0, 5.0]);
         let table = Arc::new(MultiBspline3D::<f64>::random([6, 6, 6], 7, 13));
-        let mut spo_ref = BsplineSpo::new(Arc::clone(&table), lat.clone(), SpoLayout::Ref);
-        let mut spo_soa = BsplineSpo::new(table, lat, SpoLayout::Soa);
+        let mut spo_ref = BsplineSpo::new(Arc::clone(&table), lat.clone(), Backend::Reference);
+        let mut spo_soa = BsplineSpo::new(table, lat, Backend::Soa);
         let pos = TinyVector([1.3, 0.4, 4.1]);
         let ns = 7;
         let (mut p1, mut p2) = (vec![0.0; ns], vec![0.0; ns]);
@@ -441,7 +424,7 @@ mod tests {
     fn bspline_mw_vgl_matches_scalar_loop() {
         let lat = CrystalLattice::<f64>::orthorhombic([3.0, 4.0, 5.0]);
         let table = Arc::new(MultiBspline3D::<f64>::random([6, 6, 6], 9, 31));
-        let mut spo = BsplineSpo::new(table, lat, SpoLayout::Soa);
+        let mut spo = BsplineSpo::new(table, lat, Backend::current());
         let ns = 9;
         let pos = [
             TinyVector([1.3, 0.4, 4.1]),
@@ -502,7 +485,7 @@ mod tests {
     fn bspline_spo_gradient_finite_difference() {
         let lat = CrystalLattice::<f64>::orthorhombic([3.0, 3.0, 3.0]);
         let table = Arc::new(MultiBspline3D::<f64>::random([8, 8, 8], 3, 21));
-        let mut spo = BsplineSpo::new(table, lat, SpoLayout::Soa);
+        let mut spo = BsplineSpo::new(table, lat, Backend::current());
         let pos = TinyVector([0.77, 1.93, 2.46]);
         let ns = 3;
         let mut psi = vec![0.0; ns];

@@ -9,10 +9,11 @@ use qmc_bspline::{CubicBspline1D, MultiBspline3D};
 use qmc_containers::{Pos, Real, TinyVector};
 use qmc_drivers::{HamiltonianSet, QmcEngine};
 use qmc_hamiltonian::{CoulombEE, CoulombEI, NonLocalPP, PpChannel, PseudoSpecies};
+use qmc_kernels::Backend;
 use qmc_particles::{CrystalLattice, Layout, ParticleSet, Species};
 use qmc_wavefunction::{
     BsplineSpo, DetUpdateMode, DiracDeterminant, J1Ref, J1Soa, J2Ref, J2Soa, PairFunctors,
-    SpoLayout, TrialWaveFunction,
+    TrialWaveFunction,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,10 +64,14 @@ impl CodeVersion {
         }
     }
 
-    fn spo_layout(&self) -> SpoLayout {
+    /// B-spline kernel backend: the AoS versions pin the scalar reference
+    /// loops; the SoA versions take the process-wide selection
+    /// (`QMC_KERNEL_BACKEND` / `--backend`), captured when an engine is
+    /// built.
+    fn spo_backend(&self) -> Backend {
         match self.layout() {
-            Layout::Aos => SpoLayout::Ref,
-            Layout::Soa => SpoLayout::Soa,
+            Layout::Aos => Backend::Reference,
+            Layout::Soa => Backend::current(),
         }
     }
 
@@ -338,13 +343,8 @@ impl Workload {
     }
 
     /// Assembles one engine at precision `T` with the given shared table.
-    fn assemble<T: Real>(
-        &self,
-        table: &Arc<MultiBspline3D<T>>,
-        layout: Layout,
-        spo_layout: SpoLayout,
-        det_mode: DetUpdateMode,
-    ) -> QmcEngine<T> {
+    fn assemble<T: Real>(&self, table: &Arc<MultiBspline3D<T>>, code: CodeVersion) -> QmcEngine<T> {
+        let layout = code.layout();
         let ions: ParticleSet<T> = self.ions();
         let mut e: ParticleSet<T> = self.electrons();
         let h_aa = e.add_table_aa(layout);
@@ -378,12 +378,12 @@ impl Workload {
         let n = e.len();
         let lat: CrystalLattice<T> = self.lattice();
         for (first, nel) in [(0, n / 2), (n / 2, n - n / 2)] {
-            let spo = BsplineSpo::new(Arc::clone(table), lat.clone(), spo_layout);
+            let spo = BsplineSpo::new(Arc::clone(table), lat.clone(), code.spo_backend());
             psi.add(Box::new(DiracDeterminant::new(
                 Box::new(spo),
                 first,
                 nel,
-                det_mode,
+                code.det_mode(),
             )));
         }
 
@@ -405,12 +405,7 @@ impl Workload {
             !code.single_precision(),
             "{code:?} is a single-precision version"
         );
-        self.assemble(
-            &self.table_f64(),
-            code.layout(),
-            code.spo_layout(),
-            code.det_mode(),
-        )
+        self.assemble(&self.table_f64(), code)
     }
 
     /// Builds a single-precision engine (`RefMp`, `Current`, ...).
@@ -419,12 +414,7 @@ impl Workload {
             code.single_precision(),
             "{code:?} is a double-precision version"
         );
-        self.assemble(
-            &self.table_f32(),
-            code.layout(),
-            code.spo_layout(),
-            code.det_mode(),
-        )
+        self.assemble(&self.table_f32(), code)
     }
 }
 

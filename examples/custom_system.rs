@@ -100,7 +100,7 @@ fn main() {
             Box::new(BsplineSpo::new(
                 Arc::clone(&table),
                 lattice.clone(),
-                SpoLayout::Soa,
+                Backend::current(),
             )),
             first,
             nel,
