@@ -10,32 +10,10 @@ cargo fmt --all -- --check
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== qmclint (lexical + call-graph + effect + concurrency invariants, JSON gate) =="
+echo "== qmclint (lexical + call-graph + effect invariants) =="
+# qmclint exits nonzero on any finding; json_check then validates the
+# report itself: schema qmclint/4 and every by_rule count at zero.
 cargo run --release -q -p qmclint -- --root . --json > QMCLINT.json
-# Belt and braces: the exit code above already gates, but also refuse a
-# report with any nonzero per-rule count, so a new diagnostic class can
-# never slip through at nonzero volume. The by_rule object now includes
-# the v3 effect rules and the v4 concurrency rules
-# (shared-mutable-capture, parallel-reduction-order, rng-capture,
-# schedule-coverage), so the same grep sweeps them to zero.
-grep -q '"schema":"qmclint/3"' QMCLINT.json
-grep -q '"diagnostics_total":0' QMCLINT.json
-! grep -o '"by_rule":{[^}]*}' QMCLINT.json | grep -q ':[1-9]'
-# The v4 pass must actually have run: the par inventory has to show a
-# live spawn-site census (an all-zero inventory would mean the analyzer
-# silently skipped the parallel model), and each concurrency rule must
-# be present in by_rule at exactly zero.
-grep -qE '"par":\{"spawn_sites":[1-9][0-9]*' QMCLINT.json
-grep -qE '"parallel_fns":[1-9][0-9]*' QMCLINT.json
-grep -qE '"det_reduce_calls":[1-9][0-9]*' QMCLINT.json
-for rule in shared-mutable-capture parallel-reduction-order rng-capture schedule-coverage; do
-    grep -q "\"${rule}\":0" QMCLINT.json || {
-        echo "ci: concurrency rule '${rule}' missing from by_rule at zero" >&2
-        exit 1
-    }
-done
-# Structural check: the report must parse and carry the effects and par
-# blocks (json_check accepts qmclint/3 and nothing else).
 cargo run --release -q -p miniqmc --bin json_check < QMCLINT.json
 rm -f QMCLINT.json
 

@@ -6,11 +6,14 @@
 //! optimizations are on-node and leave communication untouched.
 //!
 //! This host exposes limited hardware parallelism, so ranks are *time-
-//! shared* (oversubscribed threads running the full rank protocol:
-//! allreduce barriers + walker exchange). With the total population fixed,
+//! shared* (oversubscribed threads running the full rank protocol: one
+//! fork-join per generation, then the allreduce and the exchange of
+//! serialized walkers on the coordinator). With the total population fixed,
 //! the serialized compute is constant across rank counts, so any wall-time
 //! growth is synchronization/communication overhead — precisely the
-//! quantity whose smallness the paper's near-ideal slopes demonstrate. We
+//! quantity whose smallness the paper's near-ideal slopes demonstrate.
+//! Engine construction and walker initialisation are outside the timed
+//! generation loop. We
 //! report that overhead, the implied parallel efficiency
 //! `T_1 / T_R` on an R-core machine, and the Ref/Current speedup per rank
 //! count.

@@ -7,6 +7,7 @@
 
 #![forbid(unsafe_code)]
 
+use miniqmc::{at_least, Options};
 use qmc_workloads::{Benchmark, CodeVersion, RunConfig, Size, Workload};
 
 /// Common harness configuration parsed from `std::env::args`.
@@ -29,26 +30,28 @@ pub struct HarnessConfig {
 
 impl HarnessConfig {
     /// Parses `--full`, `--threads N`, `--walkers N`, `--steps N`,
-    /// `--seed N` from the process arguments.
+    /// `--seed N` and `--reps N` from the process arguments. A value that
+    /// does not parse, an option without its value or a count below 1 is a
+    /// usage error: one line naming the option on stderr and exit 2,
+    /// before anything is built.
     pub fn from_env() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let get = |key: &str, default: usize| -> usize {
-            args.iter()
-                .position(|a| a == key)
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        };
-        let full = args.iter().any(|a| a == "--full");
+        let opts = Options::from_env();
+        Self::from_options(&opts).unwrap_or_else(|msg| opts.fail_usage(&msg))
+    }
+
+    fn from_options(opts: &Options) -> Result<Self, String> {
+        let count =
+            |key: &str, default: usize| opts.try_get(key, default).and_then(at_least(key, 1));
+        let full = opts.has_flag("full");
         let default_threads = std::thread::available_parallelism().map_or(2, |n| n.get().min(8));
-        Self {
+        Ok(Self {
             full,
-            threads: get("--threads", default_threads),
-            walkers: get("--walkers", 8),
-            steps: get("--steps", if full { 10 } else { 8 }),
-            seed: get("--seed", 42) as u64,
-            reps: get("--reps", 2),
-        }
+            threads: count("threads", default_threads)?,
+            walkers: count("walkers", 8)?,
+            steps: count("steps", if full { 10 } else { 8 })?,
+            seed: opts.try_get("seed", 42)?,
+            reps: count("reps", 2)?,
+        })
     }
 
     /// Problem size implied by `--full`.

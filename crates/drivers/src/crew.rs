@@ -6,13 +6,17 @@
 //! [`QmcEngine`] is the width-1 member (its scalar [`QmcEngine::sweep`],
 //! one walker at a time); `qmc_crowd::Crowd` is the width-`W` member whose
 //! sweep hands the wavefunction layer multi-walker batches. [`fan_out`]
-//! splits the walkers into contiguous chunks, one per member; a crew of
-//! one runs on the calling thread.
+//! splits the walkers into contiguous chunks, one per member, and hands the
+//! member/chunk pairs to [`fan_out_tasks`], the generic fork-join the
+//! simulated ranks of [`crate::ranks`] run on as well; a single task runs
+//! on the calling thread.
 //!
-//! All thread fan-out goes through `rayon::scope` (the in-tree shim), so
-//! the whole crew is subject to the deterministic schedules the `qmcsched`
-//! harness installs via `rayon::schedule` — the lever behind the
-//! schedule-independence (bitwise parity) checks.
+//! [`fan_out_tasks`] is the only function in the workspace that names
+//! `rayon::scope` (the in-tree shim), so every thread the program starts is
+//! subject to the deterministic schedules the `qmcsched` harness installs
+//! via `rayon::schedule` — the lever behind the schedule-independence
+//! (bitwise parity) checks — and the scope join is the only
+//! synchronisation: no locks, no barriers.
 
 use crate::engine::{QmcEngine, SweepStats};
 use crate::walker::Walker;
@@ -86,13 +90,50 @@ fn chunks_mut<I>(items: &mut [I], parts: usize) -> Vec<&mut [I]> {
     out
 }
 
+/// Runs `work(lane, task)` for every task (lane = task index) and returns
+/// the results in task order. Tasks run on scoped worker threads; a single
+/// task runs on the calling thread. Each task's kernel profile drains into
+/// its own group of `profile` (group index = task index), so anything a
+/// caller reduces from the returned values is independent of thread count
+/// and task schedule. The only spawn site in the workspace.
+pub(crate) fn fan_out_tasks<K: Send, R: Send>(
+    tasks: Vec<K>,
+    span_name: &'static str,
+    profile: &mut ProfileSet,
+    work: impl Fn(u64, K) -> R + Sync,
+) -> Vec<R> {
+    let run = |t: usize, task: K| -> (R, Profile) {
+        qmc_instrument::enable_ftz();
+        let _span = span(span_name, t as u64);
+        let r = work(t as u64, task);
+        (r, drain_thread_profile())
+    };
+    let mut done: Vec<Option<(R, Profile)>> = tasks.iter().map(|_| None).collect();
+    if tasks.len() == 1 {
+        // What the calling thread timed so far is the coordinator's.
+        profile.merge_total(&drain_thread_profile());
+        done[0] = tasks.into_iter().next().map(|task| run(0, task));
+    } else {
+        rayon::scope(|scope| {
+            for (t, (task, slot)) in tasks.into_iter().zip(done.iter_mut()).enumerate() {
+                let run = &run;
+                scope.spawn(move || *slot = Some(run(t, task)));
+            }
+        });
+    }
+    let mut results = Vec::with_capacity(done.len());
+    for (t, (r, p)) in done.into_iter().flatten().enumerate() {
+        profile.merge_group(t, &p);
+        results.push(r);
+    }
+    results
+}
+
 /// Runs `work(lane, member, chunk)` for every crew member over its
-/// contiguous chunk of `walkers` and returns the results in crew order.
-/// Members run on scoped worker threads; a crew of one runs on the calling
-/// thread. Each member's kernel profile drains into its own group of
-/// `profile` (group index = crew index), so anything a caller reduces from
-/// the returned values or the stored walker fields is independent of
-/// thread count, chunking and task schedule.
+/// contiguous chunk of `walkers` and returns the results in crew order
+/// ([`fan_out_tasks`] over the member/chunk pairs), so anything a caller
+/// reduces from the returned values or the stored walker fields is
+/// independent of thread count, chunking and task schedule.
 pub(crate) fn fan_out<T, C, R>(
     crew: &mut [C],
     walkers: &mut [Walker<T>],
@@ -105,35 +146,11 @@ where
     C: Crew<T>,
     R: Send,
 {
-    let run = |t: usize, member: &mut C, chunk: &mut [Walker<T>]| -> (R, Profile) {
-        qmc_instrument::enable_ftz();
-        let _span = span(span_name, t as u64);
-        let r = work(t as u64, member, chunk);
-        (r, drain_thread_profile())
-    };
-    let chunks = chunks_mut(walkers, crew.len());
-    let mut done: Vec<Option<(R, Profile)>> = chunks.iter().map(|_| None).collect();
-    if crew.len() == 1 {
-        // What the calling thread timed so far is the coordinator's.
-        profile.merge_total(&drain_thread_profile());
-        for (chunk, slot) in chunks.into_iter().zip(done.iter_mut()) {
-            *slot = Some(run(0, &mut crew[0], chunk));
-        }
-    } else {
-        rayon::scope(|scope| {
-            let members = crew.iter_mut().zip(chunks).zip(done.iter_mut());
-            for (t, ((member, chunk), slot)) in members.enumerate() {
-                let run = &run;
-                scope.spawn(move || *slot = Some(run(t, member, chunk)));
-            }
-        });
-    }
-    let mut results = Vec::with_capacity(done.len());
-    for (t, (r, p)) in done.into_iter().flatten().enumerate() {
-        profile.merge_group(t, &p);
-        results.push(r);
-    }
-    results
+    let parts = crew.len();
+    let tasks: Vec<_> = crew.iter_mut().zip(chunks_mut(walkers, parts)).collect();
+    fan_out_tasks(tasks, span_name, profile, |lane, (member, chunk)| {
+        work(lane, member, chunk)
+    })
 }
 
 /// Initializes fresh walkers over the crew (slot 0 of each member).
@@ -185,5 +202,31 @@ mod tests {
         let mut profile = ProfileSet::default();
         let out = fan_out(&mut crew, &mut walkers, "test", &mut profile, |_, _, _| 1);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn task_results_come_back_in_task_order_under_any_schedule() {
+        use rayon::schedule::{with_schedule, Order, Schedule};
+        let mut profile = ProfileSet::with_groups(5);
+        let out = with_schedule(Schedule::Serial(Order::Reverse), || {
+            fan_out_tasks((0..5u64).collect(), "test", &mut profile, |lane, k| {
+                (lane, 10 * k)
+            })
+        });
+        assert_eq!(out, [(0, 0), (1, 10), (2, 20), (3, 30), (4, 40)]);
+    }
+
+    #[test]
+    fn a_single_task_runs_on_the_calling_thread() {
+        let here = std::thread::current().id();
+        let mut profile = ProfileSet::with_groups(2);
+        let one = fan_out_tasks(vec![()], "test", &mut profile, |_, ()| {
+            std::thread::current().id()
+        });
+        assert_eq!(one, [here]);
+        let two = fan_out_tasks(vec![(), ()], "test", &mut profile, |_, ()| {
+            std::thread::current().id()
+        });
+        assert!(two.iter().all(|id| *id != here), "two tasks fork");
     }
 }

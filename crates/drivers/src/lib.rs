@@ -8,9 +8,12 @@
 //! * [`engine`] — the per-thread compute engine (ParticleSet +
 //!   TrialWaveFunction + Hamiltonian) with the drift-diffusion PbyP sweep.
 //! * [`vmc`] / [`dmc`] — the two drivers, one loop each.
-//! * [`crew`] — the walker crew the drivers run over (the OpenMP level).
-//! * [`ranks`] — simulated multi-rank execution with allreduce and walker
-//!   exchange, for the strong-scaling study (Fig. 1).
+//! * [`crew`] — the walker crew the drivers run over (the OpenMP level)
+//!   and `fan_out_tasks`, the one place the program starts threads.
+//! * [`ranks`] — simulated multi-rank execution for the strong-scaling
+//!   study (Fig. 1): a coordinator loop that forks each generation over the
+//!   ranks and does allreduce and walker exchange between the forks, in
+//!   rank order.
 //! * [`estimator`] / [`branch`] — statistics and population control.
 //! * [`reduce`] — the fixed-shape deterministic reduction ([`det_sum`])
 //!   the drivers merge per-walker quantities through.

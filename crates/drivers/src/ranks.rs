@@ -1,29 +1,36 @@
 //! Simulated multi-rank (MPI-like) DMC execution for the strong-scaling
 //! study of Fig. 1.
 //!
-//! Each "rank" is a thread with its own engine and walker sub-population.
-//! Per generation, ranks synchronize at a barrier, allreduce the weighted
-//! energy and population (mirroring the paper's `allreduce` for `E_L`),
-//! and rebalance walkers through a shared exchange pool (the `send/recv of
-//! serialized Walker objects` in §8). The allreduce gathers rank-indexed
-//! partials and reduces them with [`crate::reduce::det_sum_by`], so rank
-//! arrival order cannot perturb the trial-energy bits. The paper's observation — that the
-//! optimizations leave communication untouched and near-ideal scaling
+//! Each "rank" is an engine, a walker sub-population and a rank-local
+//! branch controller. A coordinator loop on the calling thread runs one
+//! generation as one fork-join over the ranks ([`fan_out_tasks`]: the
+//! shared [`crate::dmc::advance`], the rank's walker-order partials, the
+//! rank-local branch) and does the population-level steps serially between
+//! fan-outs, in rank order: the allreduce of the weighted energy and
+//! population (mirroring the paper's `allreduce` for `E_L`) through
+//! [`det_sum_by`] over the rank-indexed partials, the trial-energy update,
+//! and the rebalancing of walkers through an exchange pool (the `send/recv
+//! of serialized Walker objects` in §8). Nothing a rank computes depends
+//! on when another rank ran, so the result is bitwise the same for any
+//! rank count, thread schedule and repeat. The paper's observation — that
+//! the optimizations leave communication untouched and near-ideal scaling
 //! intact — is what this module lets the harness demonstrate.
 
 // qmclint: allow-file(precision-cast) — rank-aggregation statistics (means, weights,
 // counts) are f64 by definition of the run report.
 use crate::branch::BranchController;
+use crate::crew::fan_out_tasks;
 use crate::engine::QmcEngine;
+use crate::reduce::{det_sum_by, det_weighted_mean};
 use crate::serialize::{deserialize_walker, reseed_for_migration, serialize_walker};
-use parking_lot::Mutex;
+use crate::walker::{initial_population, Walker};
 use qmc_containers::Real;
-use std::sync::Barrier;
+use qmc_instrument::ProfileSet;
 
 /// Parameters for a simulated multi-rank DMC run.
 #[derive(Clone, Copy, Debug)]
 pub struct MultiRankParams {
-    /// Number of simulated ranks (threads).
+    /// Number of simulated ranks (one worker thread each).
     pub ranks: usize,
     /// Total target population across ranks.
     pub total_population: usize,
@@ -61,11 +68,11 @@ impl MultiRankResult {
     }
 }
 
-struct SharedGen {
-    pops: usize,
-    e_trial: f64,
-    pool_moved: u64,
-    bytes_moved: u64,
+/// One simulated rank: what an MPI process would own.
+struct Rank<T: Real> {
+    engine: QmcEngine<T>,
+    walkers: Vec<Walker<T>>,
+    branch: BranchController,
 }
 
 /// Runs DMC over `params.ranks` simulated ranks. `build_engine(rank)`
@@ -79,150 +86,100 @@ where
     T: Real,
     F: Fn(usize) -> QmcEngine<T> + Sync,
 {
-    let ranks = params.ranks.max(1);
-    let per_rank = (params.total_population / ranks).max(1);
-    let barrier = Barrier::new(ranks);
-    let shared = Mutex::new(SharedGen {
-        pops: 0,
-        e_trial: 0.0,
-        pool_moved: 0,
-        bytes_moved: 0,
-    });
-    // Rank-indexed `(sum w*E, sum w)` partials for the allreduce: each
-    // rank writes its own slot, so barrier arrival order cannot perturb
-    // the deterministic rank-order reduction rank 0 performs.
-    let slots: Mutex<Vec<(f64, f64)>> = Mutex::new(vec![(0.0, 0.0); ranks]);
-    // The exchange pool holds *serialized* walker messages, exactly what
-    // an MPI implementation would send/recv (§8).
-    let pool: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
-    let energies = Mutex::new(Vec::<(f64, f64)>::new());
-    let samples = Mutex::new(0u64);
-
-    let t0 = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for rank in 0..ranks {
-            let build_engine = &build_engine;
-            let barrier = &barrier;
-            let shared = &shared;
-            let slots = &slots;
-            let pool = &pool;
-            let energies = &energies;
-            let samples = &samples;
-            scope.spawn(move || {
-                qmc_instrument::enable_ftz();
-                let mut engine = build_engine(rank);
-                let mut walkers = crate::walker::initial_population::<T>(
-                    initial_positions,
-                    per_rank,
-                    params.seed ^ (rank as u64).wrapping_mul(0x9E3779B97F4A7C15),
-                );
-                for w in &mut walkers {
-                    engine.init_walker(w);
-                }
-                let e0 = walkers.iter().map(|w| w.e_local).sum::<f64>() / walkers.len() as f64;
-                let mut branch = BranchController::new(
-                    per_rank,
-                    e0,
-                    params.tau,
-                    params.seed ^ 0xABCD ^ rank as u64,
-                );
-
-                for step in 0..params.steps {
-                    // The shared DMC walker advance for the local block
-                    // (no refresh cadence on ranks), then the deterministic
-                    // walker-order partial for this rank's contribution to
-                    // the allreduce.
-                    crate::dmc::advance(
-                        rank as u64,
-                        &mut engine,
-                        &mut walkers,
-                        params.tau,
-                        false,
-                        &branch,
-                    );
-                    let esum = crate::reduce::det_sum_by(walkers.len(), |i| {
-                        walkers[i].weight * walkers[i].e_local
-                    });
-                    let wsum = crate::reduce::det_sum_by(walkers.len(), |i| walkers[i].weight);
-                    branch.branch(&mut walkers);
-
-                    // --- allreduce of E_L and population ---
-                    slots.lock()[rank] = (esum, wsum);
-                    {
-                        let mut s = shared.lock();
-                        s.pops += walkers.len();
-                    }
-                    barrier.wait();
-                    // Rank 0 reduces the rank-indexed partials in rank
-                    // order (fixed tree shape — arrival order cannot
-                    // change the bits) and computes the trial energy.
-                    if rank == 0 {
-                        let (g_esum, g_wsum) = {
-                            let sl = slots.lock();
-                            (
-                                crate::reduce::det_sum_by(sl.len(), |r| sl[r].0),
-                                crate::reduce::det_sum_by(sl.len(), |r| sl[r].1),
-                            )
-                        };
-                        let mut s = shared.lock();
-                        let e_avg = if g_wsum > 0.0 { g_esum / g_wsum } else { e0 };
-                        let ratio = s.pops as f64 / params.total_population as f64;
-                        s.e_trial = e_avg - (1.0 / params.tau) * ratio.ln().clamp(-1.0, 1.0);
-                        if step >= params.warmup {
-                            energies.lock().push((e_avg, g_wsum));
-                            *samples.lock() += s.pops as u64;
-                        }
-                    }
-                    barrier.wait();
-                    branch.e_trial = shared.lock().e_trial;
-
-                    // --- load balance: surplus ranks push, deficit pull ---
-                    let avg = (shared.lock().pops / ranks).max(1);
-                    if walkers.len() > avg {
-                        let surplus = walkers.len() - avg;
-                        let mut msgs = Vec::with_capacity(surplus);
-                        let mut bytes = 0u64;
-                        for mut w in walkers.drain(walkers.len() - surplus..) {
-                            // Migration policy: decorrelate the stream
-                            // before the walker leaves this rank.
-                            reseed_for_migration(&mut w);
-                            let msg = serialize_walker(&w);
-                            bytes += msg.len() as u64;
-                            msgs.push(msg);
-                        }
-                        pool.lock().extend(msgs);
-                        let mut s = shared.lock();
-                        s.pool_moved += surplus as u64;
-                        s.bytes_moved += bytes;
-                    }
-                    barrier.wait();
-                    if walkers.len() < avg {
-                        let mut p = pool.lock();
-                        while walkers.len() < avg {
-                            match p.pop() {
-                                Some(msg) => walkers.push(deserialize_walker(&msg)),
-                                None => break,
-                            }
-                        }
-                    }
-                    barrier.wait();
-                    if rank == 0 {
-                        shared.lock().pops = 0;
-                    }
-                    barrier.wait();
-                }
-            });
+    let n = params.ranks.max(1);
+    let per_rank = (params.total_population / n).max(1);
+    // Kernel profiles of the ranks are drained per task and not reported.
+    let mut profile = ProfileSet::with_groups(n);
+    let mut ranks = fan_out_tasks((0..n).collect(), "rank init", &mut profile, |_, rank| {
+        let mut engine = build_engine(rank);
+        let mut walkers = initial_population::<T>(
+            initial_positions,
+            per_rank,
+            params.seed ^ (rank as u64).wrapping_mul(0x9E3779B97F4A7C15),
+        );
+        for w in &mut walkers {
+            engine.init_walker(w);
+        }
+        let e0 = walkers.iter().map(|w| w.e_local).sum::<f64>() / walkers.len() as f64;
+        let seed = params.seed ^ 0xABCD ^ rank as u64;
+        Rank {
+            engine,
+            walkers,
+            branch: BranchController::new(per_rank, e0, params.tau, seed),
         }
     });
+    let e0 = ranks[0].branch.e_trial;
+    // The exchange pool holds *serialized* walker messages, exactly what
+    // an MPI implementation would send/recv (§8); what a generation leaves
+    // in it stays for the next.
+    let mut pool: Vec<Vec<u8>> = Vec::new();
+    let mut energies = Vec::<(f64, f64)>::new();
+    let (mut samples, mut exchanged, mut bytes_exchanged) = (0u64, 0u64, 0u64);
+
+    let t0 = std::time::Instant::now();
+    for step in 0..params.steps {
+        // The shared DMC walker advance for the local block (no refresh
+        // cadence on ranks), the rank's `(sum w*E, sum w)` contribution to
+        // the allreduce in walker order, then the rank-local branch.
+        let tasks = ranks.iter_mut().collect();
+        let partials = fan_out_tasks(tasks, "rank", &mut profile, |lane, r: &mut Rank<T>| {
+            crate::dmc::advance(
+                lane,
+                &mut r.engine,
+                &mut r.walkers,
+                params.tau,
+                false,
+                &r.branch,
+            );
+            let w = &r.walkers;
+            let esum = det_sum_by(w.len(), |i| w[i].weight * w[i].e_local);
+            let wsum = det_sum_by(w.len(), |i| w[i].weight);
+            r.branch.branch(&mut r.walkers);
+            (esum, wsum)
+        });
+
+        // --- allreduce of E_L and population, then the trial energy ---
+        let g_esum = det_sum_by(n, |r| partials[r].0);
+        let g_wsum = det_sum_by(n, |r| partials[r].1);
+        let pops: usize = ranks.iter().map(|r| r.walkers.len()).sum();
+        let e_avg = if g_wsum > 0.0 { g_esum / g_wsum } else { e0 };
+        let ratio = pops as f64 / params.total_population as f64;
+        let e_trial = e_avg - (1.0 / params.tau) * ratio.ln().clamp(-1.0, 1.0);
+        if step >= params.warmup {
+            energies.push((e_avg, g_wsum));
+            samples += pops as u64;
+        }
+
+        // --- load balance: surplus ranks push, then deficit ranks pull,
+        // each by ascending rank ---
+        let avg = (pops / n).max(1);
+        for r in &mut ranks {
+            r.branch.e_trial = e_trial;
+            let surplus = r.walkers.len().saturating_sub(avg);
+            for mut w in r.walkers.drain(r.walkers.len() - surplus..) {
+                // Migration policy: decorrelate the stream before the
+                // walker leaves this rank.
+                reseed_for_migration(&mut w);
+                let msg = serialize_walker(&w);
+                bytes_exchanged += msg.len() as u64;
+                pool.push(msg);
+            }
+            exchanged += surplus as u64;
+        }
+        for r in &mut ranks {
+            while r.walkers.len() < avg {
+                let Some(msg) = pool.pop() else { break };
+                r.walkers.push(deserialize_walker(&msg));
+            }
+        }
+    }
     let seconds = t0.elapsed().as_secs_f64();
 
-    let energies = energies.into_inner();
-    let shared = shared.into_inner();
     MultiRankResult {
         seconds,
-        samples: samples.into_inner(),
-        energy: crate::reduce::det_weighted_mean(&energies, 0.0),
-        exchanged: shared.pool_moved,
-        bytes_exchanged: shared.bytes_moved,
+        samples,
+        energy: det_weighted_mean(&energies, 0.0),
+        exchanged,
+        bytes_exchanged,
     }
 }

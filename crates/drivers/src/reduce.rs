@@ -3,8 +3,8 @@
 //! Every parallel driver in this workspace ends a generation by reducing
 //! per-walker quantities (weighted local energies, weights) into scalars.
 //! Until PR 10 that invariant — "reduced sequentially in walker order" —
-//! lived in comments; [`det_sum`] makes it a primitive the `qmclint`
-//! `parallel-reduction-order` rule can point at.
+//! lived in comments; [`det_sum`] makes it a primitive every cross-task
+//! merge goes through, after the join, in task order.
 //!
 //! [`det_sum`] is a *fixed-shape pairwise tree*: the association pattern
 //! of the floating-point additions depends only on the number of terms,

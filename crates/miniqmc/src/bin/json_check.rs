@@ -8,55 +8,46 @@
 //! json_check < QMCLINT.json
 //! ```
 
+use qmc_instrument::json::JsonValue;
 use std::io::Read;
 
-/// Schema-specific checks for qmclint reports. `qmclint/3` is the one
-/// version the analyzer has ever written to disk; any other version is a
-/// hard error so a silent format bump cannot sail through CI.
-fn check_qmclint(schema: &str, v: &qmc_instrument::json::JsonValue) {
-    if schema != "qmclint/3" {
-        eprintln!("json_check: unsupported qmclint schema `{schema}` (only qmclint/3 is accepted)");
-        std::process::exit(1);
+fn member<'a>(obj: &'a JsonValue, key: &str) -> Result<&'a JsonValue, String> {
+    obj.get(key)
+        .ok_or_else(|| format!("qmclint report missing `{key}`"))
+}
+
+/// Checks a qmclint report. `qmclint/4` is the one version accepted — any
+/// other is a hard error naming it, so a silent format bump cannot sail
+/// through CI — and the report must be clean: `diagnostics_total` and
+/// every `by_rule` count zero, with the `effects` inventory present.
+fn check_qmclint(schema: &str, v: &JsonValue) -> Result<(), String> {
+    if schema != "qmclint/4" {
+        return Err(format!(
+            "unsupported qmclint schema `{schema}` (only qmclint/4 is accepted)"
+        ));
     }
-    for key in ["files_scanned", "diagnostics_total", "by_rule"] {
-        if v.get(key).is_none() {
-            eprintln!("json_check: {schema} report missing `{key}`");
-            std::process::exit(1);
+    member(v, "files_scanned")?;
+    if member(v, "diagnostics_total")?.as_f64() != Some(0.0) {
+        return Err("qmclint report has diagnostics".into());
+    }
+    let by_rule = member(v, "by_rule")?
+        .as_obj()
+        .ok_or("qmclint `by_rule` is not an object")?;
+    for (rule, count) in by_rule {
+        if count.as_f64() != Some(0.0) {
+            return Err(format!("qmclint rule `{rule}` is not at zero"));
         }
     }
-    let blocks: [(&str, &[&str]); 2] = [
-        (
-            "effects",
-            &[
-                "pure_roots",
-                "rng_draw_sites",
-                "checkpointed_structs",
-                "rules",
-            ],
-        ),
-        (
-            "par",
-            &[
-                "spawn_sites",
-                "parallel_fns",
-                "sched_cases",
-                "det_reduce_calls",
-                "rules",
-            ],
-        ),
-    ];
-    for (name, keys) in blocks {
-        let Some(block) = v.get(name) else {
-            eprintln!("json_check: {schema} report missing `{name}` block");
-            std::process::exit(1);
-        };
-        for key in keys {
-            if block.get(key).is_none() {
-                eprintln!("json_check: {schema} `{name}` block missing `{key}`");
-                std::process::exit(1);
-            }
-        }
+    let effects = member(v, "effects")?;
+    for key in [
+        "pure_roots",
+        "rng_draw_sites",
+        "checkpointed_structs",
+        "rules",
+    ] {
+        member(effects, key)?;
     }
+    Ok(())
 }
 
 fn main() {
@@ -75,7 +66,10 @@ fn main() {
             // from other producers (e.g. Chrome traces) just passes.
             if let Some(schema) = v.get("schema").and_then(|s| s.as_str()) {
                 if schema.starts_with("qmclint/") {
-                    check_qmclint(schema, &v);
+                    if let Err(msg) = check_qmclint(schema, &v) {
+                        eprintln!("json_check: {msg}");
+                        std::process::exit(1);
+                    }
                 }
                 // Gate on the runtime sanitizer: a `checked` build that
                 // observed non-finite accumulator values or out-of-bound
@@ -83,7 +77,7 @@ fn main() {
                 let violations = v
                     .get("sanitizer")
                     .and_then(|s| s.get("total_violations"))
-                    .and_then(qmc_instrument::json::JsonValue::as_f64)
+                    .and_then(JsonValue::as_f64)
                     .unwrap_or(0.0);
                 if violations > 0.0 {
                     eprintln!("json_check: sanitizer reported {violations} invariant violation(s)");

@@ -49,14 +49,6 @@ const EXEMPT_PREFIXES: [&str; 2] = ["tests/", "examples/"];
 /// canonical paths, so symlink cycles terminate.
 pub const SKIP_DIRS: [&str; 4] = ["target", ".git", "node_modules", "shims"];
 
-/// Root modules of the lock-order rule: every function defined here (and
-/// everything reachable from it through the call graph) must agree on one
-/// acquisition order per lock pair. The simulated multi-rank driver is the
-/// one non-test file that takes locks (its ranks hold `shared` while they
-/// take `slots`, `energies` and `samples`); the crew fan-out under
-/// `run_vmc`/`run_dmc` is lock-free.
-pub const LOCK_ROOTS: [&str; 1] = ["crates/drivers/src/ranks.rs"];
-
 /// Designated mixed-precision modules (ISSUE rule 1): the only places a
 /// raw `as f32`/`as f64` cast or suffixed float literal is legal without a
 /// justification. Everything else must go through the `Real` trait
@@ -133,7 +125,7 @@ pub fn is_cold_fn_name(name: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Effect-system configuration (qmclint v3)
+// Effect-system configuration
 // ---------------------------------------------------------------------------
 
 /// RNG draw methods on the vendored `shims/rand` `StdRng` (and the `Rng`
@@ -281,87 +273,20 @@ pub const CHECKPOINTED_STRUCTS: [CheckpointedStruct; 5] = [
 ];
 
 // ---------------------------------------------------------------------------
-// Concurrency-safety configuration (qmclint v4)
+// Thread-spawn configuration
 // ---------------------------------------------------------------------------
 
-/// Methods that introduce a concurrently-executed closure on the vendored
-/// `shims/rayon` scope (and `std::thread::scope`, which spells the spawn
-/// identically). Like [`RNG_DRAW_METHODS`], the shim itself is exempt from
-/// linting, so spawn *sites* are recognized lexically; the shim-side
-/// `SPAWN_METHODS` mirror test keeps this list honest.
+/// Methods that start a thread on the vendored `shims/rayon` scope (and on
+/// `std::thread::scope`, which spells the spawn identically). The shim
+/// itself is exempt from linting, so spawn sites are recognized lexically;
+/// the shim-side `SPAWN_METHODS` mirror test keeps this list honest.
 pub const SPAWN_METHODS: [&str; 1] = ["spawn"];
 
-/// Parallel-iterator adapters of the rayon shim: a `.for_each(|..| ..)`
-/// whose receiver chain passes through one of these is a parallel closure
-/// site. `par_chunks_mut` is the provably-disjoint pattern — its closure
-/// parameters are per-chunk exclusive borrows and therefore sanctioned
-/// mutation targets.
-pub const PAR_ITER_METHODS: [&str; 2] = ["par_chunks_mut", "par_iter"];
-
-/// Interior-mutability methods whose call on a captured receiver counts as
-/// a mutation for the shared-mutable-capture rule even without an `=`.
-pub const INTERIOR_MUT_METHODS: [&str; 6] = [
-    "store",
-    "fetch_add",
-    "fetch_sub",
-    "borrow_mut",
-    "replace",
-    "set",
-];
-
-/// The deterministic reduction primitive: an accumulation whose right-hand
-/// side flows through one of these is ordered by construction (fixed-shape
-/// pairwise tree, bitwise invariant to thread count and chunking) and is
-/// exempt from the parallel-reduction-order rule.
-pub const DET_REDUCE_FNS: [&str; 3] = ["det_sum", "det_sum_by", "det_weighted_mean"];
-
-/// Where the named schedule-exploration cases live. Only non-test
-/// functions named `explore_*` defined under this prefix satisfy the
-/// schedule-coverage rule.
-pub const SCHED_CASE_PATH: &str = "crates/qmcsched/src/";
-
-/// One row of the schedule-coverage registry: a parallel entry point, the
-/// named `qmcsched` case that exercises it, and a witness identifier that
-/// must appear in the case's transitive identifier surface. The witness is
-/// the reviewed annotation (like the timer-coverage `Kernel` variants);
-/// the identifier cross-check is what keeps the row from going stale when
-/// the case is refactored away from the entry point.
-pub struct SchedRoot {
-    /// Parallel entry point: a non-test function containing a spawn site.
-    pub entry: &'static str,
-    /// The `explore_*` case in [`SCHED_CASE_PATH`] exercising it.
-    pub case: &'static str,
-    /// Identifier that must be transitively reachable from the case.
-    pub via: &'static str,
-}
-
-/// The schedule-coverage registry: every non-test parallel entry point in
-/// a physics crate must have a row here, and every row must point at a
-/// live case that still (transitively) mentions the witness identifier.
-/// `fan_out` is the one spawn site under both drivers (`run_vmc` and
-/// `run_dmc` over any crew), so one row covers every driver shape.
-/// `run_multi_rank` spawns OS threads directly (`std::thread::scope` —
-/// barrier synchronization would deadlock under the shim's serial
-/// schedules), so its case exercises it without a schedule sweep. These
-/// two are the workspace's only spawn sites: spline tables are filled
-/// serially in place and evaluated by the single-threaded kernels.
-pub const SCHED_ROOTS: [SchedRoot; 2] = [
-    SchedRoot {
-        entry: "fan_out",
-        case: "explore_schedules",
-        via: "run_dmc",
-    },
-    SchedRoot {
-        entry: "run_multi_rank",
-        case: "explore_multi_rank",
-        via: "run_multi_rank",
-    },
-];
-
-/// Looks up the registry row for a parallel entry point.
-pub fn sched_root(entry: &str) -> Option<&'static SchedRoot> {
-    SCHED_ROOTS.iter().find(|r| r.entry == entry)
-}
+/// The one linted file that may call a [`SPAWN_METHODS`] method: the crew
+/// fan-out (`fan_out_tasks`) every driver forks through, swept across
+/// schedules by `qmcsched`. A spawn anywhere else — physics crate or not —
+/// is a `determinism` diagnostic.
+pub const SPAWN_SITE: &str = "crates/drivers/src/crew.rs";
 
 #[cfg(test)]
 mod tests {
@@ -422,24 +347,6 @@ mod tests {
             "read_dmc_checkpoint"
         ));
         assert!(!is_pure_root("crates/drivers/src/walker.rs", "branch_copy"));
-    }
-
-    #[test]
-    fn sched_registry_shape() {
-        assert_eq!(SCHED_ROOTS.len(), 2, "fan_out and run_multi_rank");
-        // Rows are keyed by entry name; duplicates would shadow silently.
-        for (i, a) in SCHED_ROOTS.iter().enumerate() {
-            assert!(a.case.starts_with("explore_"), "case {}", a.case);
-            assert!(!a.via.is_empty());
-            for b in &SCHED_ROOTS[i + 1..] {
-                assert_ne!(a.entry, b.entry, "duplicate registry entry");
-            }
-        }
-        assert_eq!(
-            sched_root("fan_out").map(|r| r.case),
-            Some("explore_schedules")
-        );
-        assert!(sched_root("not_a_parallel_entry").is_none());
     }
 
     #[test]

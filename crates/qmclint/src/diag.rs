@@ -16,8 +16,9 @@ pub enum Rule {
     /// `mw_*` kernel entry points not wrapped in a `Kernel::*` timer, and
     /// `Kernel` variants never timed anywhere.
     TimerCoverage,
-    /// Non-deterministic constructs (`SystemTime`, `thread_rng`, hash-map
-    /// iteration) in physics crates.
+    /// Sources of run-to-run nondeterminism: `SystemTime`, `thread_rng`,
+    /// hash-map iteration and lock/barrier primitives in physics crates,
+    /// and a thread spawn anywhere but `config::SPAWN_SITE`.
     Determinism,
     /// Allocation / panic machinery reachable from a hot kernel entry
     /// point through its transitive callee set (the inter-procedural half
@@ -26,9 +27,6 @@ pub enum Rule {
     /// `f32`-typed locals or `f32`-returning calls flowing into an `f64`
     /// accumulator without a designated promotion site.
     PrecisionFlow,
-    /// Inconsistent lock-acquisition order among functions reachable from
-    /// the multi-rank driver (potential deadlock).
-    LockOrder,
     /// Walker/RNG/buffer state mutated on a path reachable from a
     /// designated pure root (serializers, digests, estimator readers,
     /// `Clone` impls) — the PR-7 bug class, caught before it breaks
@@ -43,25 +41,6 @@ pub enum Rule {
     /// without extending the `qmc-checkpoint/1` codec fails here instead
     /// of silently breaking restart parity.
     StateCoverage,
-    /// A `&mut`/interior-mutable capture mutated from a parallel closure
-    /// while aliased across concurrently-spawned siblings. Provably
-    /// disjoint patterns (closure parameters from `par_chunks_mut`,
-    /// per-iteration bindings, lock-guarded chains) are sanctioned.
-    SharedMutableCapture,
-    /// A bare `+=`/`-=` float accumulation inside (or merging after) a
-    /// parallel section instead of the deterministic fixed-shape reduction
-    /// (`qmc_drivers::reduce::det_sum*`) or the documented walker-order
-    /// sequential merge — the schedule-dependent-bits bug class.
-    ParallelReductionOrder,
-    /// A single RNG borrow crossing a spawn boundary: a draw through a
-    /// captured stream shared between parallel closures. Walkers own their
-    /// streams; re-keying happens only in `reseed_for_migration`.
-    RngCapture,
-    /// A parallel entry point (a non-test function containing a spawn
-    /// site) with no registered named `qmcsched` case exercising it, or a
-    /// registry row gone stale (case missing, witness ident no longer
-    /// reachable from the case).
-    ScheduleCoverage,
     /// Malformed `qmclint:` marker (unknown rule, missing justification).
     BadMarker,
 }
@@ -76,28 +55,17 @@ pub const ALL_RULES: [Rule; 5] = [
     Rule::Determinism,
 ];
 
-/// The workspace-level rules that need the call-graph model (qmclint v2).
+/// The workspace-level rules that need the call-graph model.
 /// Exercised by the multi-file fixtures under `tests/fixtures/graph/`.
-pub const GRAPH_RULES: [Rule; 3] = [Rule::HotPathCall, Rule::PrecisionFlow, Rule::LockOrder];
+pub const GRAPH_RULES: [Rule; 2] = [Rule::HotPathCall, Rule::PrecisionFlow];
 
-/// The mutation-effect rules layered on the call graph (qmclint v3). Like
+/// The mutation-effect rules layered on the call graph. Like
 /// the graph rules they are exercised by multi-file fixtures under
 /// `tests/fixtures/graph/`.
 pub const EFFECT_RULES: [Rule; 3] = [
     Rule::SerializationPurity,
     Rule::RngDiscipline,
     Rule::StateCoverage,
-];
-
-/// The concurrency-safety rules over the spawn-site model (qmclint v4),
-/// run ahead of the sharded executor so every parallel construct lands
-/// with its aliasing, reduction order and schedule coverage already
-/// checked. Exercised by multi-file fixtures under `tests/fixtures/graph/`.
-pub const PAR_RULES: [Rule; 4] = [
-    Rule::SharedMutableCapture,
-    Rule::ParallelReductionOrder,
-    Rule::RngCapture,
-    Rule::ScheduleCoverage,
 ];
 
 impl Rule {
@@ -111,14 +79,9 @@ impl Rule {
             Rule::Determinism => "determinism",
             Rule::HotPathCall => "hot-path-call",
             Rule::PrecisionFlow => "precision-flow",
-            Rule::LockOrder => "lock-order",
             Rule::SerializationPurity => "serialization-purity",
             Rule::RngDiscipline => "rng-discipline",
             Rule::StateCoverage => "state-coverage",
-            Rule::SharedMutableCapture => "shared-mutable-capture",
-            Rule::ParallelReductionOrder => "parallel-reduction-order",
-            Rule::RngCapture => "rng-capture",
-            Rule::ScheduleCoverage => "schedule-coverage",
             Rule::BadMarker => "bad-marker",
         }
     }
@@ -133,14 +96,9 @@ impl Rule {
             "determinism" => Some(Rule::Determinism),
             "hot-path-call" => Some(Rule::HotPathCall),
             "precision-flow" => Some(Rule::PrecisionFlow),
-            "lock-order" => Some(Rule::LockOrder),
             "serialization-purity" => Some(Rule::SerializationPurity),
             "rng-discipline" => Some(Rule::RngDiscipline),
             "state-coverage" => Some(Rule::StateCoverage),
-            "shared-mutable-capture" => Some(Rule::SharedMutableCapture),
-            "parallel-reduction-order" => Some(Rule::ParallelReductionOrder),
-            "rng-capture" => Some(Rule::RngCapture),
-            "schedule-coverage" => Some(Rule::ScheduleCoverage),
             "bad-marker" => Some(Rule::BadMarker),
             _ => None,
         }
@@ -208,7 +166,7 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Workspace-wide effect-inference inventory reported alongside the
-/// diagnostics in the `qmclint/2` `effects` block. All counts are over the
+/// diagnostics in the `effects` block. All counts are over the
 /// analyzed model (test-masked items excluded), so CI can watch the
 /// analysis surface itself — a pure-root inventory dropping to zero means
 /// the serialization-purity rule silently stopped seeing its roots.
@@ -224,44 +182,15 @@ pub struct EffectsSummary {
     pub checkpointed_structs: Vec<(String, usize)>,
 }
 
-/// Workspace-wide concurrency inventory reported alongside the diagnostics
-/// in the `qmclint/3` `par` block. Like [`EffectsSummary`], the counts let
-/// CI watch the analysis surface itself — `spawn_sites` dropping to zero
-/// means the classifier silently stopped seeing the parallel sections.
-#[derive(Clone, Debug, Default)]
-pub struct ParSummary {
-    /// Parallel-closure sites (`scope.spawn`, `par_chunks_mut`/`par_iter`
-    /// `for_each`) in analyzed non-test functions.
-    pub spawn_sites: usize,
-    /// Non-test functions containing at least one spawn site — the
-    /// parallel entry points the schedule-coverage rule tracks.
-    pub parallel_fns: usize,
-    /// Named `qmcsched` exploration cases found (`explore_*` functions in
-    /// `crates/qmcsched/src/`).
-    pub sched_cases: usize,
-    /// Call sites to the deterministic reduction primitive
-    /// (`det_sum` / `det_sum_by` / `det_weighted_mean`).
-    pub det_reduce_calls: usize,
-}
-
-/// Renders a full report (`qmclint/3` schema) as machine-readable JSON.
-///
-/// Each schema bump has been purely additive. v2 added the `by_rule`
-/// count object (every rule id at its count — the CI gate greps this to
-/// fail on any diagnostic class going nonzero) and a per-diagnostic
-/// `chain` array. The `qmclint/2` tag added the `effects` block:
-/// per-effect-rule counts, the pure-root inventory and
-/// per-checkpointed-struct field tallies from [`EffectsSummary`].
-/// `qmclint/3` extends `by_rule` with the four concurrency rules and adds
-/// the `par` block: the spawn-site / parallel-fn / sched-case /
-/// det-reduce-call inventory from [`ParSummary`] plus per-par-rule counts.
-pub fn render_json(
-    diags: &[Diagnostic],
-    files_scanned: usize,
-    effects: &EffectsSummary,
-    par: &ParSummary,
-) -> String {
-    let mut out = String::from("{\"schema\":\"qmclint/3\",");
+/// Renders a full report (`qmclint/4` schema) as machine-readable JSON:
+/// the `by_rule` count object (every rule id at its count — `json_check`
+/// fails CI on any diagnostic class going nonzero), the `effects` block
+/// (per-effect-rule counts, the pure-root inventory and
+/// per-checkpointed-struct field tallies from [`EffectsSummary`]) and the
+/// diagnostics, each with its `chain` array when it has one. `qmclint/4`
+/// is `qmclint/3` without the five concurrency rules and the `par` block.
+pub fn render_json(diags: &[Diagnostic], files_scanned: usize, effects: &EffectsSummary) -> String {
+    let mut out = String::from("{\"schema\":\"qmclint/4\",");
     let _ = write!(out, "\"files_scanned\":{files_scanned},");
     let _ = write!(out, "\"diagnostics_total\":{},", diags.len());
     out.push_str("\"by_rule\":{");
@@ -269,7 +198,6 @@ pub fn render_json(
         .iter()
         .chain(GRAPH_RULES.iter())
         .chain(EFFECT_RULES.iter())
-        .chain(PAR_RULES.iter())
         .copied()
         .chain([Rule::BadMarker])
         .collect();
@@ -292,19 +220,6 @@ pub fn render_json(
     }
     out.push_str("},\"rules\":{");
     for (i, rule) in EFFECT_RULES.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let count = diags.iter().filter(|d| d.rule == *rule).count();
-        let _ = write!(out, "\"{rule}\":{count}");
-    }
-    out.push_str("}},\"par\":{");
-    let _ = write!(out, "\"spawn_sites\":{},", par.spawn_sites);
-    let _ = write!(out, "\"parallel_fns\":{},", par.parallel_fns);
-    let _ = write!(out, "\"sched_cases\":{},", par.sched_cases);
-    let _ = write!(out, "\"det_reduce_calls\":{},", par.det_reduce_calls);
-    out.push_str("\"rules\":{");
-    for (i, rule) in PAR_RULES.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -347,12 +262,7 @@ mod tests {
 
     #[test]
     fn rule_ids_roundtrip() {
-        for r in ALL_RULES
-            .iter()
-            .chain(&GRAPH_RULES)
-            .chain(&EFFECT_RULES)
-            .chain(&PAR_RULES)
-        {
+        for r in ALL_RULES.iter().chain(&GRAPH_RULES).chain(&EFFECT_RULES) {
             assert_eq!(Rule::from_id(r.id()), Some(*r));
         }
         assert_eq!(Rule::from_id("nope"), None);
@@ -368,15 +278,15 @@ mod tests {
             suggestion: "don't".into(),
             chain: Vec::new(),
         };
-        let j = render_json(&[d], 1, &EffectsSummary::default(), &ParSummary::default());
+        let j = render_json(&[d], 1, &EffectsSummary::default());
         assert!(j.contains("\\`unwrap()\\`") || j.contains("`unwrap()`"));
         assert!(j.contains("\"files_scanned\":1"));
         assert!(j.contains("\"rule\":\"hot-path\""));
         assert!(j.contains("\"by_rule\":{"));
         assert!(j.contains("\"hot-path\":1"));
-        assert!(j.contains("\"lock-order\":0"));
+        assert!(j.contains("\"determinism\":0"));
         assert!(j.contains("\"serialization-purity\":0"));
-        assert!(j.contains("\"shared-mutable-capture\":0"));
+        assert!(!j.contains("\"par\""), "the par block is gone in qmclint/4");
     }
 
     #[test]
@@ -394,8 +304,8 @@ mod tests {
             rng_draw_sites: 5,
             checkpointed_structs: vec![("DmcState".into(), 9), ("Walker".into(), 8)],
         };
-        let j = render_json(&[d], 3, &effects, &ParSummary::default());
-        assert!(j.starts_with("{\"schema\":\"qmclint/3\","));
+        let j = render_json(&[d], 3, &effects);
+        assert!(j.starts_with("{\"schema\":\"qmclint/4\","));
         assert!(j.contains(
             "\"effects\":{\"pure_roots\":7,\"rng_draw_sites\":5,\
              \"checkpointed_structs\":{\"DmcState\":9,\"Walker\":8},\
@@ -403,34 +313,6 @@ mod tests {
         ));
         // The top-level by_rule object carries the effect rules too.
         assert!(j.contains("\"serialization-purity\":1"));
-    }
-
-    #[test]
-    fn par_block_renders_inventory_and_rule_counts() {
-        let d = Diagnostic {
-            file: "crates/drivers/src/crew.rs".into(),
-            line: 90,
-            rule: Rule::ParallelReductionOrder,
-            message: "bare `esum += ..` merged after a parallel section".into(),
-            suggestion: "reduce through qmc_drivers::reduce::det_sum_by".into(),
-            chain: vec!["fan_out (crates/drivers/src/crew.rs:60)".into()],
-        };
-        let par = ParSummary {
-            spawn_sites: 9,
-            parallel_fns: 8,
-            sched_cases: 8,
-            det_reduce_calls: 14,
-        };
-        let j = render_json(&[d], 4, &EffectsSummary::default(), &par);
-        assert!(j.starts_with("{\"schema\":\"qmclint/3\","));
-        assert!(j.contains(
-            "\"par\":{\"spawn_sites\":9,\"parallel_fns\":8,\
-             \"sched_cases\":8,\"det_reduce_calls\":14,\
-             \"rules\":{\"shared-mutable-capture\":0,\"parallel-reduction-order\":1,\
-             \"rng-capture\":0,\"schedule-coverage\":0}}"
-        ));
-        // The top-level by_rule object carries the par rules too.
-        assert!(j.contains("\"parallel-reduction-order\":1"));
     }
 
     #[test]
@@ -446,7 +328,7 @@ mod tests {
         assert!(d
             .render_human()
             .contains("via: evaluate (a.rs:3) -> helper (b.rs:9)"));
-        let j = render_json(&[d], 2, &EffectsSummary::default(), &ParSummary::default());
+        let j = render_json(&[d], 2, &EffectsSummary::default());
         assert!(j.contains("\"chain\":[\"evaluate (a.rs:3)\",\"helper (b.rs:9)\"]"));
         assert!(j.contains("\"hot-path-call\":1"));
     }

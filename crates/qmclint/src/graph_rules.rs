@@ -1,5 +1,4 @@
-//! The qmclint v2 workspace rules, run over the [`crate::model`] call
-//! graph:
+//! The workspace rules run over the [`crate::model`] call graph:
 //!
 //! 1. **hot-path-call** — allocation / panic machinery anywhere in the
 //!    transitive callee set of a kernel entry point. The per-file
@@ -9,16 +8,12 @@
 //! 2. **precision-flow** — an `f32`-typed local (or the result of an
 //!    `f32`-returning call) folded into an `f64` accumulator without a
 //!    designated promotion site (`f64::from`, `.to_f64()`, `T::from_f64`).
-//! 3. **lock-order** — two lock names acquired in opposite orders by
-//!    functions reachable from the multi-rank driver, the one place that
-//!    nests locks (deadlock risk between its rank threads).
 //!
-//! All three honour the same `// qmclint: allow(<rule>) — <why>` markers
+//! Both honour the same `// qmclint: allow(<rule>) — <why>` markers
 //! as the lexical rules, at the anchor site of the diagnostic.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::config::LOCK_ROOTS;
 use crate::diag::{Diagnostic, Rule};
 use crate::model::WorkspaceModel;
 
@@ -26,11 +21,10 @@ use crate::model::WorkspaceModel;
 /// this workspace, finite under lexically-misresolved recursion.
 const MAX_DEPTH: usize = 8;
 
-/// Runs all three graph rules.
+/// Runs both graph rules.
 pub fn check_graph(model: &WorkspaceModel, diags: &mut Vec<Diagnostic>) {
     check_hot_path_graph(model, diags);
     check_precision_flow(model, diags);
-    check_lock_order(model, diags);
 }
 
 fn hop(model: &WorkspaceModel, id: (usize, usize), line: u32) -> String {
@@ -229,134 +223,6 @@ pub fn check_precision_flow(model: &WorkspaceModel, diags: &mut Vec<Diagnostic>)
     }
 }
 
-/// Rule: lock-order. Collects `first -> second` acquisition constraints
-/// from every function reachable from the lock roots (intra-function
-/// and through calls made while a guard is held); opposite orders for the
-/// same pair of lock names are a deadlock risk and get reported with both
-/// sites.
-pub fn check_lock_order(model: &WorkspaceModel, diags: &mut Vec<Diagnostic>) {
-    // Reachable set, seeded with every fn in the lock-root modules.
-    let mut queue: Vec<(usize, usize)> = Vec::new();
-    for (fi, file) in model.files.iter().enumerate() {
-        if LOCK_ROOTS.iter().any(|r| file.path.starts_with(r)) {
-            for (fni, f) in file.fns.iter().enumerate() {
-                if !f.in_test {
-                    queue.push((fi, fni));
-                }
-            }
-        }
-    }
-    let mut reachable: BTreeSet<(usize, usize)> = queue.iter().copied().collect();
-    while let Some(id) = queue.pop() {
-        for call in &model.func(id).calls {
-            if let Some(next) = model.resolve(id.0, &call.callee, call.method) {
-                if reachable.insert(next) {
-                    queue.push(next);
-                }
-            }
-        }
-    }
-
-    // Ordered-pair constraints: (first, second) -> first witnessing site.
-    type Site = (String, u32, Vec<String>);
-    let mut edges: BTreeMap<(String, String), Site> = BTreeMap::new();
-    let mut memo: BTreeMap<(usize, usize), BTreeSet<String>> = BTreeMap::new();
-    for &id in &reachable {
-        let f = model.func(id);
-        let path = &model.files[id.0].path;
-        for acq in &f.locks {
-            for h in &acq.held {
-                edges
-                    .entry((h.clone(), acq.name.clone()))
-                    .or_insert_with(|| (path.clone(), acq.line, vec![hop(model, id, acq.line)]));
-            }
-        }
-        for call in &f.calls {
-            if call.held.is_empty() {
-                continue;
-            }
-            let Some(callee) = model.resolve(id.0, &call.callee, call.method) else {
-                continue;
-            };
-            let mut seen = BTreeSet::new();
-            let taken = transitive_locks(model, callee, 0, &mut seen, &mut memo);
-            for l in &taken {
-                for h in &call.held {
-                    if h != l {
-                        edges.entry((h.clone(), l.clone())).or_insert_with(|| {
-                            (
-                                path.clone(),
-                                call.line,
-                                vec![
-                                    hop(model, id, call.line),
-                                    hop(model, callee, model.func(callee).line),
-                                ],
-                            )
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    // Contradictions: both (a, b) and (b, a) present.
-    for ((a, b), (file_ab, line_ab, chain_ab)) in &edges {
-        if a >= b {
-            continue;
-        }
-        let Some((file_ba, line_ba, _)) = edges.get(&(b.clone(), a.clone())) else {
-            continue;
-        };
-        let allowed = model.files.iter().any(|f| {
-            (&f.path == file_ab && f.allows.allowed(Rule::LockOrder, *line_ab))
-                || (&f.path == file_ba && f.allows.allowed(Rule::LockOrder, *line_ba))
-        });
-        if allowed {
-            continue;
-        }
-        diags.push(Diagnostic {
-            file: file_ab.clone(),
-            line: *line_ab,
-            rule: Rule::LockOrder,
-            message: format!(
-                "inconsistent lock order reachable from the multi-rank driver: `{a}` is taken \
-                 before `{b}` here, but `{b}` before `{a}` at {file_ba}:{line_ba}"
-            ),
-            suggestion: "pick one acquisition order for this lock pair everywhere (`shared` \
-                         is the outermost lock in `ranks.rs`), or justify with \
-                         `// qmclint: allow(lock-order) — <why>`"
-                .into(),
-            chain: chain_ab.clone(),
-        });
-    }
-}
-
-/// Lock names acquired by `id` or any of its (resolved) transitive
-/// callees, depth-capped and memoized.
-fn transitive_locks(
-    model: &WorkspaceModel,
-    id: (usize, usize),
-    depth: usize,
-    seen: &mut BTreeSet<(usize, usize)>,
-    memo: &mut BTreeMap<(usize, usize), BTreeSet<String>>,
-) -> BTreeSet<String> {
-    if let Some(cached) = memo.get(&id) {
-        return cached.clone();
-    }
-    if depth > MAX_DEPTH || !seen.insert(id) {
-        return BTreeSet::new();
-    }
-    let f = model.func(id);
-    let mut out: BTreeSet<String> = f.locks.iter().map(|l| l.name.clone()).collect();
-    for call in &f.calls {
-        if let Some(next) = model.resolve(id.0, &call.callee, call.method) {
-            out.extend(transitive_locks(model, next, depth + 1, seen, memo));
-        }
-    }
-    memo.insert(id, out.clone());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -452,39 +318,5 @@ mod tests {
         let promoted = "fn cheap() -> f32 { 0.5 }\n\
                         fn accumulate() {\n    let e = cheap();\n    let mut total: f64 = 0.0;\n    total += f64::from(e);\n}\n";
         assert!(run(&[("crates/drivers/src/acc.rs", promoted, PHYS)]).is_empty());
-    }
-
-    #[test]
-    fn lock_order_contradiction_is_reported() {
-        let src = "fn forward(&self) {\n    let a = self.alpha.lock();\n    self.beta.lock().touch();\n}\n\
-                   fn backward(&self) {\n    let b = self.beta.lock();\n    self.alpha.lock().touch();\n}\n";
-        let d = run(&[("crates/drivers/src/ranks.rs", src, PHYS)]);
-        assert_eq!(d.len(), 1, "{d:#?}");
-        assert_eq!(d[0].rule, Rule::LockOrder);
-        assert!(d[0].message.contains("alpha") && d[0].message.contains("beta"));
-    }
-
-    #[test]
-    fn lock_order_consistent_usage_is_silent() {
-        let src = "fn one(&self) {\n    let a = self.counts.lock();\n    self.profile.lock().touch();\n}\n\
-                   fn two(&self) {\n    let a = self.counts.lock();\n    self.profile.lock().touch();\n}\n";
-        assert!(run(&[("crates/drivers/src/ranks.rs", src, PHYS)]).is_empty());
-    }
-
-    #[test]
-    fn lock_order_propagates_through_calls() {
-        // Only the first file is a lock root; both orders are found
-        // through the calls it makes into the second.
-        let a =
-            "pub fn generation(&self) {\n    let g = self.counts.lock();\n    finish(self);\n}\n\
-                 pub fn report(&self) {\n    other(self);\n}\n";
-        let b = "pub fn finish(s: &S) {\n    s.profile.lock().touch();\n}\n\
-                 pub fn other(s: &S) {\n    let p = s.profile.lock();\n    s.counts.lock().touch();\n}\n";
-        let d = run(&[
-            ("crates/drivers/src/ranks.rs", a, PHYS),
-            ("crates/drivers/src/helpers.rs", b, PHYS),
-        ]);
-        assert_eq!(d.len(), 1, "{d:#?}");
-        assert_eq!(d[0].rule, Rule::LockOrder);
     }
 }

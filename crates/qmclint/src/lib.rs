@@ -15,55 +15,40 @@
 //! 3. **unsafe-comment** — every `unsafe` carries a `// SAFETY:` comment.
 //! 4. **timer-coverage** — `mw_*` entry points are timed, and every
 //!    `Kernel` variant is referenced by some instrumentation site.
-//! 5. **determinism** — no wall clocks, OS entropy, or hash-map iteration
-//!    in physics crates.
+//! 5. **determinism** — no wall clocks, OS entropy, hash-map iteration,
+//!    locks or barriers in physics crates, and no thread spawn anywhere
+//!    but the crew fan-out (`config::SPAWN_SITE`).
 //!
-//! v2 adds a workspace [`model`] (function table + call graph over the
-//! token-tree parse) and three inter-procedural rules on top of it
-//! ([`graph_rules`]):
+//! A workspace [`model`] (function table + call graph over the token-tree
+//! parse) carries two inter-procedural rules ([`graph_rules`]):
 //!
 //! 6. **hot-path-call** — allocation/panic anywhere in the transitive
 //!    callee set of a kernel entry point, reported with the call chain.
 //! 7. **precision-flow** — `f32` locals/returns folded into `f64`
 //!    accumulators without a designated promotion site.
-//! 8. **lock-order** — inconsistent lock-acquisition order among the
-//!    functions reachable from the multi-rank driver.
 //!
-//! v3 grows the model into an effect system: every function gets a
+//! The model is also an effect system: every function gets a
 //! mutation-effect set over walker/RNG/buffer state (draw sites, stream
 //! re-keys, buffer-cursor mutations, tracked-field writes), closed
 //! transitively over the call graph, plus struct models with named
 //! fields. Three rules ride on it ([`effect_rules`]):
 //!
-//! 9. **serialization-purity** — paths reachable from pure roots
+//! 8. **serialization-purity** — paths reachable from pure roots
 //!    (serializers, digests, estimator readers, `Clone` impls) must have
 //!    an empty mutation-effect set; the PR-7 checkpoint bugs are the
 //!    archetypes and live on as fixtures.
-//! 10. **rng-discipline** — draw sites confined to sanctioned
-//!     driver/branch/move territory; re-keys confined to explicit
-//!     migration markers.
-//! 11. **state-coverage** — every field of a registered checkpointed
+//! 9. **rng-discipline** — draw sites confined to sanctioned
+//!    driver/branch/move territory; re-keys confined to explicit
+//!    migration markers.
+//! 10. **state-coverage** — every field of a registered checkpointed
 //!     struct must be carried by serialize, deserialize, digest and
 //!     clone, so the `qmc-checkpoint/1` codec can never silently drop
 //!     state.
 //!
-//! v4 models every parallel section (`scope.spawn` closures,
-//! `par_chunks_mut`/`par_iter` `for_each` bodies) — captures, mutations,
-//! RNG draws — and runs four concurrency rules on it ([`par_rules`]),
-//! ahead of the sharded executor:
-//!
-//! 12. **shared-mutable-capture** — mutation of a capture aliased across
-//!     concurrently-spawned closures; task-local bindings and lock-guarded
-//!     chains are sanctioned.
-//! 13. **parallel-reduction-order** — bare float `+=` accumulation in a
-//!     function with parallel sections; reductions must flow through
-//!     `qmc_drivers::reduce::det_sum*` (fixed-shape pairwise tree) so the
-//!     bits cannot follow the thread schedule.
-//! 14. **rng-capture** — an RNG stream borrowed across a spawn boundary
-//!     instead of per-task ownership.
-//! 15. **schedule-coverage** — every parallel entry point in a physics
-//!     crate is registered with a named `qmcsched` case, cross-checked
-//!     registry-with-witness style like timer-coverage.
+//! (The eleventh rule id, `bad-marker`, polices the markers themselves.)
+//! Concurrency is policed by structure instead of by a model: the program
+//! has one spawn site and no lock (rule 5 keeps it that way) and
+//! `qmcsched` sweeps that site across schedules.
 //!
 //! Dependency-free by necessity (the registry is unreachable): the lexer
 //! is hand-rolled, and the configuration lives in [`config`] rather than a
@@ -79,7 +64,6 @@ pub mod effect_rules;
 pub mod graph_rules;
 pub mod lexer;
 pub mod model;
-pub mod par_rules;
 pub mod rules;
 
 use std::collections::BTreeSet;
@@ -87,8 +71,7 @@ use std::path::{Path, PathBuf};
 
 pub use config::{classify, FileClass};
 pub use diag::{
-    render_json, Diagnostic, EffectsSummary, ParSummary, Rule, ALL_RULES, EFFECT_RULES,
-    GRAPH_RULES, PAR_RULES,
+    render_json, Diagnostic, EffectsSummary, Rule, ALL_RULES, EFFECT_RULES, GRAPH_RULES,
 };
 pub use model::WorkspaceModel;
 pub use rules::{check_kernel_coverage, lint_source, KernelUsage};
@@ -102,8 +85,6 @@ pub struct LintReport {
     pub files_scanned: usize,
     /// Effect-inference inventory for the `effects` block.
     pub effects: EffectsSummary,
-    /// Parallel-section inventory for the `qmclint/3` `par` block.
-    pub par: ParSummary,
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>, visited: &mut BTreeSet<PathBuf>) {
@@ -185,7 +166,6 @@ pub fn lint_files(files: &[(String, String)]) -> LintReport {
     let model = WorkspaceModel::build(&model_input);
     graph_rules::check_graph(&model, &mut report.diagnostics);
     report.effects = effect_rules::check_effects(&model, &mut report.diagnostics);
-    report.par = par_rules::check_par(&model, &mut report.diagnostics);
 
     report
         .diagnostics
@@ -194,8 +174,8 @@ pub fn lint_files(files: &[(String, String)]) -> LintReport {
 }
 
 /// Lints every non-exempt `.rs` file under `root` (the repo checkout),
-/// runs the workspace-level kernel-coverage cross-check and the v2 graph
-/// rules.
+/// runs the workspace-level kernel-coverage cross-check and the graph and
+/// effect rules.
 pub fn lint_workspace(root: &Path) -> LintReport {
     lint_files(&collect_sources(root))
 }

@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Human output is one `file:line: [rule] message` block per finding;
-//! `--json` emits the `qmclint/3` machine-readable report on stdout
+//! `--json` emits the `qmclint/4` machine-readable report on stdout
 //! (diagnostics still summarized on stderr). Exit codes: 0 clean,
 //! 1 findings, 2 bad usage.
 
@@ -41,12 +41,7 @@ fn main() {
     if json {
         println!(
             "{}",
-            qmclint::render_json(
-                &report.diagnostics,
-                report.files_scanned,
-                &report.effects,
-                &report.par
-            )
+            qmclint::render_json(&report.diagnostics, report.files_scanned, &report.effects)
         );
     } else {
         for d in &report.diagnostics {

@@ -4,11 +4,10 @@
 //! The per-file rules in [`crate::rules`] see one file at a time; the
 //! invariants they cannot check are the *inter-procedural* ones — an
 //! allocation two calls away from a kernel entry point, an `f32` value
-//! laundered through a helper's return type, two functions taking the
-//! same pair of locks in opposite orders. This module builds the shared
+//! laundered through a helper's return type. This module builds the shared
 //! substrate those rules (in [`crate::graph_rules`]) run on: for every
-//! function, its resolved outgoing calls, its allocation/panic sites, its
-//! lock-acquisition sequence and its precision-relevant locals.
+//! function, its resolved outgoing calls, its allocation/panic sites and
+//! its precision-relevant locals.
 //!
 //! Resolution is deliberately conservative (same file, then unique within
 //! the crate, then — for free functions only — unique in the workspace);
@@ -30,8 +29,6 @@ pub struct CallSite {
     pub line: u32,
     /// True for `.name(...)` method calls (resolved more conservatively).
     pub method: bool,
-    /// Lock guards (by lock name) lexically held at the call site.
-    pub held: Vec<String>,
 }
 
 /// One allocation / panic site inside a function body.
@@ -43,19 +40,6 @@ pub struct HotSite {
     pub line: u32,
     /// True for panic machinery, false for allocation.
     pub panic: bool,
-}
-
-/// One `.lock()` acquisition inside a function body.
-#[derive(Debug)]
-pub struct LockAcq {
-    /// Lock name (last path segment of the receiver: `self.profile.lock()`
-    /// records `profile`).
-    pub name: String,
-    /// 1-based line.
-    pub line: u32,
-    /// Lock guards held when this one is acquired (intra-function order
-    /// constraints `held -> name`).
-    pub held: Vec<String>,
 }
 
 /// A compound assignment (`target += rhs;` / `target -= rhs;`) — the
@@ -119,80 +103,6 @@ pub struct StructModel {
     pub in_test: bool,
 }
 
-/// How a parallel closure is introduced (qmclint v4).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpawnKind {
-    /// `scope.spawn(move || ..)` — one scoped task per call. Concurrency
-    /// with siblings comes from spawning in a loop (or spawning twice);
-    /// `std::thread::scope` spells the spawn identically and is modeled
-    /// the same way.
-    ScopeSpawn,
-    /// A `.for_each(|..| ..)` terminating a `par_chunks_mut`/`par_iter`
-    /// chain — concurrent by construction.
-    ParForEach,
-}
-
-/// A mutation of a named place inside a parallel closure.
-#[derive(Clone, Debug)]
-pub struct ParMut {
-    /// Base identifier of the mutated place (`s` for `s.esum += ..`).
-    pub base: String,
-    /// Rendered place (`s.esum`, `c.0`) or interior-mutability method
-    /// name (`fetch_add`).
-    pub what: String,
-    /// 1-based line.
-    pub line: u32,
-    /// Assignment operator: `None` for plain `=` and interior-mutability
-    /// method calls, `Some('+')` for `+=`, and so on.
-    pub op: Option<char>,
-    /// The receiver chain passes through `.lock()` — synchronized, so the
-    /// aliasing rule sanctions it (reduction *order* is checked anyway).
-    pub via_lock: bool,
-    /// Identifiers on the right-hand side (assignments only).
-    pub rhs_idents: Vec<String>,
-    /// Call names on the right-hand side (assignments only).
-    pub rhs_calls: Vec<String>,
-    /// The right-hand side spells a float literal or an `f32`/`f64` cast.
-    pub rhs_float: bool,
-}
-
-/// An RNG draw inside a parallel closure, with its receiver chain base.
-#[derive(Clone, Debug)]
-pub struct ParDraw {
-    /// Base identifier of the receiver (`w` for `w.rng.random()`).
-    pub base: String,
-    /// Draw method name.
-    pub method: String,
-    /// 1-based line.
-    pub line: u32,
-}
-
-/// One parallel-closure site (qmclint v4): everything the concurrency
-/// rules need to classify its captures.
-#[derive(Clone, Debug)]
-pub struct SpawnSite {
-    /// How the closure is spawned.
-    pub kind: SpawnKind,
-    /// 1-based line of the spawn method.
-    pub line: u32,
-    /// Lexically inside a `for`/`while`/`loop` body: spawned repeatedly,
-    /// so sibling closures run concurrently.
-    pub in_loop: bool,
-    /// Closure parameter idents — per-task exclusive bindings (the
-    /// provably-disjoint `par_chunks_mut` chunks arrive here).
-    pub params: Vec<String>,
-    /// Idents bound inside the closure body (`let`, `for`, nested closure
-    /// params) — task-local, never shared.
-    pub locals: BTreeSet<String>,
-    /// Mutations of named places in the body.
-    pub muts: Vec<ParMut>,
-    /// RNG draws in the body.
-    pub draws: Vec<ParDraw>,
-    /// Bare `rng`-named idents used (not via a field access) in the body,
-    /// with their lines — a captured stream passed onward.
-    pub rng_uses: Vec<(String, u32)>,
-}
-
 /// A `let` binding initialised from a call (`let x = helper();`).
 #[derive(Debug)]
 pub struct LetCall {
@@ -224,8 +134,6 @@ pub struct FnModel {
     pub calls: Vec<CallSite>,
     /// Allocation / panic sites.
     pub hots: Vec<HotSite>,
-    /// Lock acquisitions, in body order.
-    pub locks: Vec<LockAcq>,
     /// Locals declared `: f32`.
     pub f32_lets: Vec<(String, u32)>,
     /// Locals declared `: f64`.
@@ -240,15 +148,6 @@ pub struct FnModel {
     /// field-mention surface the state-coverage rule diffs against
     /// checkpointed-struct fields.
     pub idents: BTreeSet<String>,
-    /// Parallel-closure sites in the body (qmclint v4).
-    pub spawns: Vec<SpawnSite>,
-    /// Locals bound with a float-spelled type or initializer, tuple
-    /// patterns included (`let (mut esum, mut wsum) = (0.0, 0.0)`) — the
-    /// accumulator candidates of the parallel-reduction-order rule.
-    pub float_lets: BTreeSet<String>,
-    /// Idents bound by `for` patterns anywhere in the body —
-    /// per-iteration bindings, sanctioned capture targets.
-    pub loop_idents: BTreeSet<String>,
 }
 
 /// One file in the model.
@@ -298,19 +197,6 @@ fn crate_key(path: &str) -> String {
     }
 }
 
-/// Walks back from token `i` to the start of the enclosing statement and
-/// reports whether it begins with `let`.
-fn stmt_is_let(tokens: &[Tok], i: usize, lo: usize) -> bool {
-    let mut j = i;
-    while j > lo {
-        j -= 1;
-        if let TokKind::Punct(';' | '{' | '}') = tokens[j].kind {
-            return tokens.get(j + 1).is_some_and(|t| t.is_ident("let"));
-        }
-    }
-    tokens.get(lo).is_some_and(|t| t.is_ident("let"))
-}
-
 fn is_promotion(name: &str) -> bool {
     matches!(name, "from" | "from_f64" | "to_f64" | "into")
 }
@@ -356,19 +242,14 @@ impl WorkspaceModel {
                         ret_f32: ret_is_f32(tokens, span.sig, b0),
                         calls: Vec::new(),
                         hots: Vec::new(),
-                        locks: Vec::new(),
                         f32_lets: Vec::new(),
                         f64_lets: Vec::new(),
                         accumulates: Vec::new(),
                         let_calls: Vec::new(),
                         effects: Vec::new(),
                         idents: BTreeSet::new(),
-                        spawns: Vec::new(),
-                        float_lets: BTreeSet::new(),
-                        loop_idents: BTreeSet::new(),
                     };
                     scan_body(tokens, b0, b1, &mut f);
-                    scan_par(tokens, b0, b1, &mut f);
                     // Signature identifiers join the mention surface:
                     // deserialize carriers often name fields as params.
                     for t in &tokens[span.sig..b0] {
@@ -564,85 +445,45 @@ fn parse_struct(
     Some(s)
 }
 
-/// Single pass over a function body collecting calls, hot sites, lock
-/// acquisitions and precision-relevant locals.
-#[allow(clippy::too_many_lines)]
+/// Single pass over a function body collecting calls, hot sites and
+/// precision-relevant locals.
 fn scan_body(tokens: &[Tok], b0: usize, b1: usize, f: &mut FnModel) {
-    let mut depth = 0u32;
-    // Let-bound lock guards in scope: (block depth at acquisition, name).
-    let mut held: Vec<(u32, String)> = Vec::new();
-    let mut i = b0;
-    while i <= b1 {
+    for i in b0..=b1 {
         let t = &tokens[i];
-        match t.kind {
-            TokKind::Punct('{') => depth += 1,
-            TokKind::Punct('}') => {
-                depth = depth.saturating_sub(1);
-                held.retain(|(d, _)| *d <= depth);
-            }
-            TokKind::Ident => {
-                f.idents.insert(t.text.clone());
-                scan_effect(tokens, i, f);
-                // `.lock()` acquisition.
-                if t.text == "lock"
-                    && i > 0
-                    && tokens[i - 1].is_punct('.')
-                    && tokens.get(i + 1).is_some_and(|n| n.is_punct('('))
-                    && tokens.get(i + 2).is_some_and(|n| n.is_punct(')'))
-                {
-                    if i >= 2 && tokens[i - 2].kind == TokKind::Ident {
-                        let name = tokens[i - 2].text.clone();
-                        let held_now: Vec<String> = held
-                            .iter()
-                            .map(|(_, n)| n.clone())
-                            .filter(|n| n != &name)
-                            .collect();
-                        f.locks.push(LockAcq {
-                            name: name.clone(),
-                            line: t.line,
-                            held: held_now,
-                        });
-                        if stmt_is_let(tokens, i, b0) {
-                            held.push((depth, name));
-                        }
-                    }
-                    i += 3;
-                    continue;
-                }
-                // Hot (allocation / panic) site.
-                if let Some((what, panic)) = hot_site(tokens, i) {
-                    f.hots.push(HotSite {
-                        what: what.to_string(),
-                        line: t.line,
-                        panic,
-                    });
-                }
-                // `let` bindings: typed precision locals and call inits.
-                if t.text == "let" {
-                    scan_let(tokens, i, b1, f);
-                }
-                // Compound assignment accumulator: `x += ...;` / `x -= ...;`.
-                if tokens
-                    .get(i + 1)
-                    .is_some_and(|n| n.is_punct('+') || n.is_punct('-'))
-                    && tokens.get(i + 2).is_some_and(|n| n.is_punct('='))
-                    && (i == b0 || !tokens[i - 1].is_punct('.'))
-                {
-                    scan_accumulate(tokens, i, b1, f);
-                }
-                // Call site.
-                if let Some(callee) = call_at(tokens, i) {
-                    f.calls.push(CallSite {
-                        callee,
-                        line: t.line,
-                        method: tokens[i - 1].is_punct('.'),
-                        held: held.iter().map(|(_, n)| n.clone()).collect(),
-                    });
-                }
-            }
-            _ => {}
+        if t.kind != TokKind::Ident {
+            continue;
         }
-        i += 1;
+        f.idents.insert(t.text.clone());
+        scan_effect(tokens, i, f);
+        // Hot (allocation / panic) site.
+        if let Some((what, panic)) = hot_site(tokens, i) {
+            f.hots.push(HotSite {
+                what: what.to_string(),
+                line: t.line,
+                panic,
+            });
+        }
+        // `let` bindings: typed precision locals and call inits.
+        if t.text == "let" {
+            scan_let(tokens, i, b1, f);
+        }
+        // Compound assignment accumulator: `x += ...;` / `x -= ...;`.
+        if tokens
+            .get(i + 1)
+            .is_some_and(|n| n.is_punct('+') || n.is_punct('-'))
+            && tokens.get(i + 2).is_some_and(|n| n.is_punct('='))
+            && (i == b0 || !tokens[i - 1].is_punct('.'))
+        {
+            scan_accumulate(tokens, i, b1, f);
+        }
+        // Call site.
+        if let Some(callee) = call_at(tokens, i) {
+            f.calls.push(CallSite {
+                callee,
+                line: t.line,
+                method: tokens[i - 1].is_punct('.'),
+            });
+        }
     }
 }
 
@@ -837,552 +678,6 @@ fn scan_accumulate(tokens: &[Tok], i: usize, b1: usize, f: &mut FnModel) {
     });
 }
 
-// ---------------------------------------------------------------------------
-// Concurrency scanning (qmclint v4)
-// ---------------------------------------------------------------------------
-
-/// Is this numeric literal spelled as a float (`0.5`, `1.0f64`, `2f32`)?
-/// Radix-prefixed literals never are (`0x1E` is not an exponent).
-fn num_is_float(text: &str) -> bool {
-    if text.starts_with("0x") || text.starts_with("0b") || text.starts_with("0o") {
-        return false;
-    }
-    text.contains('.') || text.ends_with("f32") || text.ends_with("f64")
-}
-
-/// Second pass over a function body (qmclint v4): spawn sites,
-/// float-spelled `let` bindings and `for`-pattern idents, with loop-body
-/// tracking so a spawn inside a loop is known to have concurrent siblings.
-/// Separate from [`scan_body`] to keep the single-pass collectors simple.
-fn scan_par(tokens: &[Tok], b0: usize, b1: usize, f: &mut FnModel) {
-    let mut depth = 0u32;
-    // Brace depths at which a `for`/`while`/`loop` body started.
-    let mut loop_stack: Vec<u32> = Vec::new();
-    let mut pending_loop = false;
-    let mut i = b0;
-    while i <= b1 {
-        let t = &tokens[i];
-        match t.kind {
-            TokKind::Punct('{') => {
-                depth += 1;
-                if pending_loop {
-                    loop_stack.push(depth);
-                    pending_loop = false;
-                }
-            }
-            TokKind::Punct('}') => {
-                depth = depth.saturating_sub(1);
-                while loop_stack.last().is_some_and(|d| *d > depth) {
-                    loop_stack.pop();
-                }
-            }
-            TokKind::Ident => match t.text.as_str() {
-                "for" => {
-                    pending_loop = true;
-                    let mut j = i + 1;
-                    while j <= b1 && !tokens[j].is_ident("in") && !tokens[j].is_punct('{') {
-                        if tokens[j].kind == TokKind::Ident && !tokens[j].is_ident("mut") {
-                            f.loop_idents.insert(tokens[j].text.clone());
-                        }
-                        j += 1;
-                    }
-                }
-                "while" | "loop" => pending_loop = true,
-                "let" => scan_float_let(tokens, i, b1, f),
-                name => {
-                    let is_method_call = i > b0
-                        && tokens[i - 1].is_punct('.')
-                        && tokens.get(i + 1).is_some_and(|n| n.is_punct('('));
-                    if is_method_call && crate::config::SPAWN_METHODS.contains(&name) {
-                        if let Some(site) = parse_spawn(
-                            tokens,
-                            i,
-                            b1,
-                            SpawnKind::ScopeSpawn,
-                            !loop_stack.is_empty(),
-                        ) {
-                            f.spawns.push(site);
-                        }
-                    } else if is_method_call && name == "for_each" && chain_has_par(tokens, i, b0) {
-                        if let Some(site) = parse_spawn(tokens, i, b1, SpawnKind::ParForEach, true)
-                        {
-                            f.spawns.push(site);
-                        }
-                    }
-                }
-            },
-            _ => {}
-        }
-        i += 1;
-    }
-}
-
-/// Does the receiver chain of the `.for_each(` at token `i` pass through a
-/// parallel-iterator adapter? Scans back to the start of the enclosing
-/// statement — lexical, like the rest of the model.
-fn chain_has_par(tokens: &[Tok], i: usize, b0: usize) -> bool {
-    let mut j = i;
-    while j > b0 {
-        j -= 1;
-        if let TokKind::Punct(';' | '{' | '}') = tokens[j].kind {
-            break;
-        }
-        if tokens[j].kind == TokKind::Ident
-            && crate::config::PAR_ITER_METHODS.contains(&tokens[j].text.as_str())
-        {
-            return true;
-        }
-    }
-    false
-}
-
-/// Parses the closure argument of the spawn method at token `i` into a
-/// [`SpawnSite`]. Returns `None` when the argument is not a closure.
-fn parse_spawn(
-    tokens: &[Tok],
-    i: usize,
-    b1: usize,
-    kind: SpawnKind,
-    in_loop: bool,
-) -> Option<SpawnSite> {
-    let mut j = i + 2; // past the method's `(`
-    if tokens.get(j).is_some_and(|t| t.is_ident("move")) {
-        j += 1;
-    }
-    if !tokens.get(j).is_some_and(|t| t.is_punct('|')) {
-        return None;
-    }
-    j += 1;
-    let mut params = Vec::new();
-    while j <= b1 && !tokens[j].is_punct('|') {
-        if tokens[j].kind == TokKind::Ident && !tokens[j].is_ident("mut") {
-            params.push(tokens[j].text.clone());
-        }
-        j += 1;
-    }
-    j += 1; // past the closing `|`
-    let (s0, s1) = if tokens.get(j).is_some_and(|t| t.is_punct('{')) {
-        // Braced body: the matching brace.
-        let mut d = 0i32;
-        let mut k = j;
-        loop {
-            match tokens.get(k)?.kind {
-                TokKind::Punct('{') => d += 1,
-                TokKind::Punct('}') => {
-                    d -= 1;
-                    if d == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        (j, k)
-    } else {
-        // Expression body: up to the spawn call's closing `)`.
-        let mut d = 1i32;
-        let mut k = j;
-        while k <= b1 {
-            match tokens[k].kind {
-                TokKind::Punct('(') => d += 1,
-                TokKind::Punct(')') => {
-                    d -= 1;
-                    if d == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        (j, k.saturating_sub(1))
-    };
-    let mut site = SpawnSite {
-        kind,
-        line: tokens[i].line,
-        in_loop,
-        params,
-        locals: BTreeSet::new(),
-        muts: Vec::new(),
-        draws: Vec::new(),
-        rng_uses: Vec::new(),
-    };
-    analyze_spawn_body(tokens, s0, s1, &mut site);
-    Some(site)
-}
-
-/// Walks a spawn-closure body collecting task-local bindings, place
-/// mutations, RNG draws and bare stream uses.
-fn analyze_spawn_body(tokens: &[Tok], s0: usize, s1: usize, site: &mut SpawnSite) {
-    let mut i = s0;
-    while i <= s1 {
-        let t = &tokens[i];
-        if t.kind != TokKind::Ident {
-            // Nested closure params (`.map(|w| ..)`, `det_sum_by(n, |i| ..)`)
-            // are task-local too. A `|` opens a closure when it directly
-            // follows `(`, `,` or `move`; `a || b` and bit-ors do not.
-            if t.kind == TokKind::Punct('|')
-                && i > s0
-                && (tokens[i - 1].is_punct('(')
-                    || tokens[i - 1].is_punct(',')
-                    || tokens[i - 1].is_ident("move"))
-            {
-                let mut j = i + 1;
-                while j <= s1 && !tokens[j].is_punct('|') {
-                    if tokens[j].kind == TokKind::Ident && !tokens[j].is_ident("mut") {
-                        site.locals.insert(tokens[j].text.clone());
-                    }
-                    j += 1;
-                }
-                i = j + 1;
-                continue;
-            }
-            i += 1;
-            continue;
-        }
-        match t.text.as_str() {
-            "let" => {
-                // Pattern idents up to the init/type — tuple patterns too.
-                let mut j = i + 1;
-                while j <= s1
-                    && !tokens[j].is_punct('=')
-                    && !tokens[j].is_punct(':')
-                    && !tokens[j].is_punct(';')
-                {
-                    if tokens[j].kind == TokKind::Ident && !tokens[j].is_ident("mut") {
-                        site.locals.insert(tokens[j].text.clone());
-                    }
-                    j += 1;
-                }
-                i = j; // initializer tokens are scanned normally
-                continue;
-            }
-            "for" => {
-                let mut j = i + 1;
-                while j <= s1 && !tokens[j].is_ident("in") && !tokens[j].is_punct('{') {
-                    if tokens[j].kind == TokKind::Ident && !tokens[j].is_ident("mut") {
-                        site.locals.insert(tokens[j].text.clone());
-                    }
-                    j += 1;
-                }
-                i = j;
-                continue;
-            }
-            _ => {}
-        }
-        // RNG draw with its receiver base.
-        if RNG_DRAW_METHODS.contains(&t.text.as_str())
-            && i > s0
-            && tokens[i - 1].is_punct('.')
-            && tokens
-                .get(i + 1)
-                .is_some_and(|n| n.is_punct('(') || n.is_punct(':'))
-        {
-            if let Some(base) = receiver_base(tokens, i, s0) {
-                site.draws.push(ParDraw {
-                    base,
-                    method: t.text.clone(),
-                    line: t.line,
-                });
-            }
-        }
-        // A bare stream ident: the borrow itself crossing the spawn
-        // boundary, e.g. passed to a helper. Not a field access (`w.rng`
-        // is the walker's own stream) and not a method receiver (`rng.
-        // random()` is already recorded as a draw — one site, one record).
-        if (t.text == "rng" || t.text.ends_with("_rng"))
-            && !tokens[i - 1].is_punct('.')
-            && !tokens.get(i + 1).is_some_and(|n| n.is_punct('.'))
-        {
-            site.rng_uses.push((t.text.clone(), t.line));
-        }
-        // Statement-leading place chain -> mutation site?
-        if stmt_leading(tokens, i, s0) && !KEYWORDS.contains(&t.text.as_str()) {
-            if let Some((m, next)) = parse_place_mut(tokens, i, s1) {
-                site.muts.push(m);
-                i = next;
-                continue;
-            }
-        }
-        i += 1;
-    }
-}
-
-/// Can token `i` begin a statement (after `;`, a brace, or a leading
-/// deref `*`)?
-fn stmt_leading(tokens: &[Tok], i: usize, s0: usize) -> bool {
-    if i == s0 {
-        return true;
-    }
-    match tokens[i - 1].kind {
-        TokKind::Punct(';' | '{' | '}') => true,
-        TokKind::Punct('*') => {
-            i >= 2 && matches!(tokens[i - 2].kind, TokKind::Punct(';' | '{' | '}' | '('))
-        }
-        _ => false,
-    }
-}
-
-/// Tries to parse a place-mutation at token `i`: a field/index/method
-/// chain ending in `=`, a compound `op=`, or an interior-mutability method
-/// call. Returns the mutation and the token index to resume scanning at.
-fn parse_place_mut(tokens: &[Tok], i: usize, s1: usize) -> Option<(ParMut, usize)> {
-    let base = tokens[i].text.clone();
-    let mut what = base.clone();
-    let mut via_lock = false;
-    let mut interior: Option<String> = None;
-    let mut j = i + 1;
-    loop {
-        match tokens.get(j).map(|t| &t.kind) {
-            Some(TokKind::Punct('.')) => {
-                let seg = tokens.get(j + 1)?;
-                if !matches!(seg.kind, TokKind::Ident | TokKind::Num) {
-                    return None;
-                }
-                if tokens.get(j + 2).is_some_and(|n| n.is_punct('(')) {
-                    // Method-call segment: consume its balanced args.
-                    if seg.is_ident("lock") {
-                        via_lock = true;
-                    }
-                    if crate::config::INTERIOR_MUT_METHODS.contains(&seg.text.as_str()) {
-                        interior = Some(seg.text.clone());
-                    }
-                    let mut d = 0i32;
-                    let mut k = j + 2;
-                    while k <= s1 {
-                        match tokens[k].kind {
-                            TokKind::Punct('(') => d += 1,
-                            TokKind::Punct(')') => {
-                                d -= 1;
-                                if d == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        k += 1;
-                    }
-                    j = k + 1;
-                } else {
-                    what.push('.');
-                    what.push_str(&seg.text);
-                    j += 2;
-                }
-            }
-            Some(TokKind::Punct('[')) => {
-                let mut d = 0i32;
-                let mut k = j;
-                while k <= s1 {
-                    match tokens[k].kind {
-                        TokKind::Punct('[') => d += 1,
-                        TokKind::Punct(']') => {
-                            d -= 1;
-                            if d == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    k += 1;
-                }
-                j = k + 1;
-            }
-            _ => break,
-        }
-    }
-    let line = tokens[i].line;
-    let (op, assign) = match tokens.get(j).map(|t| &t.kind) {
-        Some(TokKind::Punct('=')) if !tokens.get(j + 1).is_some_and(|n| n.is_punct('=')) => {
-            (None, true)
-        }
-        Some(TokKind::Punct(c @ ('+' | '-' | '*' | '/')))
-            if tokens.get(j + 1).is_some_and(|n| n.is_punct('=')) =>
-        {
-            (Some(*c), true)
-        }
-        _ => (None, false),
-    };
-    if assign {
-        let rhs_start = j + if op.is_some() { 2 } else { 1 };
-        let (rhs_idents, rhs_calls, rhs_float) = scan_par_rhs(tokens, rhs_start, s1);
-        return Some((
-            ParMut {
-                base,
-                what,
-                line,
-                op,
-                via_lock,
-                rhs_idents,
-                rhs_calls,
-                rhs_float,
-            },
-            rhs_start,
-        ));
-    }
-    if let Some(method) = interior {
-        if !via_lock {
-            return Some((
-                ParMut {
-                    base,
-                    what: method,
-                    line,
-                    op: None,
-                    via_lock,
-                    rhs_idents: Vec::new(),
-                    rhs_calls: Vec::new(),
-                    rhs_float: false,
-                },
-                i + 1,
-            ));
-        }
-    }
-    None
-}
-
-/// Collects idents / calls / float spelling on an assignment RHS, up to
-/// the statement end.
-fn scan_par_rhs(tokens: &[Tok], start: usize, s1: usize) -> (Vec<String>, Vec<String>, bool) {
-    let mut idents = Vec::new();
-    let mut calls = Vec::new();
-    let mut float = false;
-    let mut d = 0i32;
-    let mut k = start;
-    while k <= s1 {
-        match &tokens[k].kind {
-            TokKind::Punct('(' | '[' | '{') => d += 1,
-            TokKind::Punct(')' | ']' | '}') => {
-                if d == 0 {
-                    break;
-                }
-                d -= 1;
-            }
-            TokKind::Punct(';') if d <= 0 => break,
-            TokKind::Num if num_is_float(&tokens[k].text) => float = true,
-            TokKind::Ident => {
-                let txt = tokens[k].text.as_str();
-                if txt == "f32" || txt == "f64" {
-                    float = true;
-                }
-                if let Some(c) = call_at(tokens, k) {
-                    calls.push(c);
-                } else if !KEYWORDS.contains(&txt) {
-                    idents.push(txt.to_string());
-                }
-            }
-            _ => {}
-        }
-        k += 1;
-    }
-    (idents, calls, float)
-}
-
-/// Walks a method receiver chain backwards from the `.` before token `i`
-/// to its base ident (`walkers[i].rng.random()` -> `walkers`).
-fn receiver_base(tokens: &[Tok], i: usize, s0: usize) -> Option<String> {
-    let mut j = i - 1; // the `.` before the method
-    let mut base = None;
-    while j > s0 && tokens[j].is_punct('.') {
-        let mut k = j - 1;
-        // Skip balanced `(..)` / `[..]` groups (call args, indexing).
-        while k > s0 && (tokens[k].is_punct(')') || tokens[k].is_punct(']')) {
-            let (open, close) = if tokens[k].is_punct(')') {
-                ('(', ')')
-            } else {
-                ('[', ']')
-            };
-            let mut d = 0i32;
-            while k > s0 {
-                if tokens[k].is_punct(close) {
-                    d += 1;
-                } else if tokens[k].is_punct(open) {
-                    d -= 1;
-                    if d == 0 {
-                        break;
-                    }
-                }
-                k -= 1;
-            }
-            k = k.saturating_sub(1);
-        }
-        match tokens[k].kind {
-            TokKind::Ident => base = Some(tokens[k].text.clone()),
-            TokKind::Num => {}
-            _ => return base,
-        }
-        if k <= s0 {
-            break;
-        }
-        j = k - 1;
-    }
-    base
-}
-
-/// Records the pattern idents of a `let` whose type or initializer is
-/// spelled float — tuple destructuring included.
-fn scan_float_let(tokens: &[Tok], i: usize, b1: usize, f: &mut FnModel) {
-    let mut names = Vec::new();
-    let mut is_float = false;
-    let mut in_type = false;
-    let mut d = 0i32;
-    let mut j = i + 1;
-    while j <= b1 {
-        let t = &tokens[j];
-        match t.kind {
-            TokKind::Punct('(') => d += 1,
-            TokKind::Punct(')') => d -= 1,
-            TokKind::Punct(':')
-                if d <= 0
-                    && !tokens.get(j + 1).is_some_and(|n| n.is_punct(':'))
-                    && !tokens
-                        .get(j.wrapping_sub(1))
-                        .is_some_and(|n| n.is_punct(':')) =>
-            {
-                in_type = true;
-            }
-            TokKind::Punct('=' | ';') if d <= 0 => break,
-            TokKind::Ident => {
-                if t.is_ident("f32") || t.is_ident("f64") {
-                    if in_type {
-                        is_float = true;
-                    }
-                } else if !in_type && !t.is_ident("mut") && !t.is_ident("ref") {
-                    names.push(t.text.clone());
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    // Initializer: any float literal or `f32`/`f64` spelling marks the
-    // whole pattern (conservative for mixed tuples).
-    let mut k = j + 1;
-    let mut d2 = 0i32;
-    while k <= b1 && tokens.get(j).is_some_and(|t| t.is_punct('=')) {
-        match &tokens[k].kind {
-            TokKind::Punct('(' | '[' | '{') => d2 += 1,
-            TokKind::Punct(')' | ']' | '}') => {
-                if d2 == 0 {
-                    break;
-                }
-                d2 -= 1;
-            }
-            TokKind::Punct(';') if d2 <= 0 => break,
-            TokKind::Num if num_is_float(&tokens[k].text) => is_float = true,
-            TokKind::Ident if tokens[k].is_ident("f32") || tokens[k].is_ident("f64") => {
-                is_float = true;
-            }
-            _ => {}
-        }
-        k += 1;
-    }
-    if is_float {
-        for n in names {
-            f.float_lets.insert(n);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1430,32 +725,6 @@ mod tests {
         assert_eq!(acc.accumulates.len(), 1);
         assert_eq!(acc.accumulates[0].target, "total");
         assert!(acc.accumulates[0].rhs_idents.contains(&"e".to_string()));
-    }
-
-    #[test]
-    fn lock_sequences_track_held_guards() {
-        let m = build_one(
-            "fn generation(&self) {\n    let mut c = self.counts.lock();\n    self.profile.lock().merge();\n}\n",
-        );
-        let f = &m.files[0].fns[0];
-        assert_eq!(f.locks.len(), 2);
-        assert_eq!(f.locks[0].name, "counts");
-        assert!(f.locks[0].held.is_empty());
-        assert_eq!(f.locks[1].name, "profile");
-        assert_eq!(f.locks[1].held, vec!["counts".to_string()]);
-    }
-
-    #[test]
-    fn inline_guard_does_not_stay_held_and_blocks_scope_guards() {
-        let m = build_one(
-            "fn a(&self) {\n    self.alpha.lock().touch();\n    self.beta.lock().touch();\n    {\n        let g = self.gamma.lock();\n    }\n    self.delta.lock().touch();\n}\n",
-        );
-        let f = &m.files[0].fns[0];
-        // alpha/beta inline: neither held at the next acquisition.
-        assert!(f.locks[1].held.is_empty());
-        // gamma let-bound in an inner block: released before delta.
-        assert_eq!(f.locks[2].name, "gamma");
-        assert!(f.locks[3].held.is_empty(), "{:?}", f.locks[3]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! amount of in-source annotation (`// qmclint: allow(<rule>) — <why>`,
 //! `// qmclint: cold — <why>`) where the project knowingly deviates.
 
-use crate::config::{is_cold_fn_name, FileClass};
+use crate::config::{is_cold_fn_name, FileClass, SPAWN_METHODS, SPAWN_SITE};
 use crate::diag::{Diagnostic, Rule};
 use crate::lexer::{float_suffix, lex, Lexed, Tok, TokKind};
 
@@ -508,35 +508,50 @@ pub fn lint_source(
         }
     }
 
-    // Rule 5: determinism (physics crates).
-    if class.physics {
-        for (i, t) in tokens.iter().enumerate() {
-            if mask[i] || t.kind != TokKind::Ident {
-                continue;
-            }
-            let bad = matches!(
-                t.text.as_str(),
-                "SystemTime" | "thread_rng" | "HashMap" | "HashSet"
-            );
-            if bad {
-                let hint = match t.text.as_str() {
-                    "SystemTime" => "wall-clock time must not enter physics results",
-                    "thread_rng" => "RNG must flow through the seeded per-walker streams",
-                    _ => "hash-map iteration order is nondeterministic across runs",
-                };
-                push(
-                    diags,
-                    Rule::Determinism,
-                    t.line,
-                    format!("nondeterministic `{}` in a physics crate — {hint}", t.text),
-                    "use seeded `StdRng` streams, `BTreeMap`, or index-keyed `Vec`s; \
-                     or justify with `// qmclint: allow(determinism) — <why>`"
-                        .into(),
-                );
-            }
+    // Rule 5: determinism. In physics crates: wall clocks, OS entropy,
+    // hash-map iteration, locks and barriers. In every linted file: a
+    // thread spawn outside the crew fan-out.
+    for (i, t) in tokens.iter().enumerate() {
+        if mask[i] || t.kind != TokKind::Ident {
+            continue;
         }
+        let name = t.text.as_str();
+        // `name(` directly after `c`: a method (`.`) or path (`:`) call.
+        let called_after = |c: char| {
+            i > 0 && tokens[i - 1].is_punct(c) && tokens.get(i + 1).is_some_and(|n| n.is_punct('('))
+        };
+        let spawn = SPAWN_METHODS.contains(&name) && (called_after('.') || called_after(':'));
+        let hint = if spawn && path != SPAWN_SITE {
+            "threads start only in the crew fan-out (`fan_out_tasks`), whose \
+             schedules qmcsched sweeps"
+        } else if !class.physics {
+            continue;
+        } else {
+            match name {
+                "SystemTime" => "wall-clock time must not enter physics results",
+                "thread_rng" => "RNG must flow through the seeded per-walker streams",
+                "HashMap" | "HashSet" => "hash-map iteration order is nondeterministic across runs",
+                "Mutex" | "RwLock" | "Barrier" | "Condvar" => LOCK_HINT,
+                "lock" if called_after('.') => LOCK_HINT,
+                _ => continue,
+            }
+        };
+        push(
+            diags,
+            Rule::Determinism,
+            t.line,
+            format!("`{name}` is a source of run-to-run nondeterminism — {hint}"),
+            "use seeded `StdRng` streams, `BTreeMap` or index-keyed `Vec`s, fork through \
+             the crew fan-out and combine results after the join; or justify with \
+             `// qmclint: allow(determinism) — <why>`"
+                .into(),
+        );
     }
 }
+
+/// Why a lock or barrier in a physics crate is a determinism finding.
+const LOCK_HINT: &str = "lock and barrier arrival order follows the thread schedule; \
+                         combine results in task order after the fan-out joins";
 
 /// Rule 4 (workspace half): parses the `Kernel` enum out of
 /// `crates/instrument/src/timer.rs` and reports variants that no
@@ -722,6 +737,36 @@ mod tests {
         assert!(d.iter().all(|d| d.rule == Rule::Determinism));
         // Not a physics crate: silent.
         assert!(run("use std::collections::HashMap;", PLAIN).is_empty());
+    }
+
+    #[test]
+    fn determinism_flags_spawns_everywhere_and_locks_in_physics() {
+        let spawn = "fn f() { std::thread::scope(|s| { s.spawn(|| ()); }); }";
+        for class in [PLAIN, PHYS] {
+            let d = run(spawn, class);
+            assert_eq!(d.len(), 1, "{d:?}");
+            assert_eq!(d[0].rule, Rule::Determinism);
+        }
+        // The crew fan-out is the one sanctioned spawn site.
+        let mut diags = Vec::new();
+        lint_source(
+            SPAWN_SITE,
+            spawn,
+            PHYS,
+            &mut diags,
+            &mut KernelUsage::default(),
+        );
+        assert!(diags.is_empty(), "{diags:?}");
+
+        let locks = "use std::sync::Mutex;\nfn f(m: &Mutex<u32>) -> u32 { *m.lock().unwrap() }";
+        let d = run(locks, PHYS);
+        assert_eq!(
+            d.iter().map(|d| d.line).collect::<Vec<_>>(),
+            [1, 2, 2],
+            "{d:?}"
+        );
+        // Observability code keeps its locks.
+        assert!(run(locks, PLAIN).is_empty());
     }
 
     #[test]

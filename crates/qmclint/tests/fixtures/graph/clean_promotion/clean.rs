@@ -1,8 +1,8 @@
 // fixture-path: crates/drivers/src/ranks.rs
-// fixture-silences: precision-flow, lock-order
+// fixture-silences: precision-flow
 //! Clean case: the same shapes as the violation fixtures, made legal the
-//! intended ways — explicit promotion, a cold callee, a justified allow
-//! marker, and one consistent lock order.
+//! intended ways — explicit promotion, a cold callee and a justified allow
+//! marker.
 
 fn cheap_energy() -> f32 {
     0.5
@@ -16,16 +16,4 @@ pub fn accumulate(n: usize) -> f64 {
         total += f64::from(e);
     }
     total
-}
-
-/// Consistent `counts` -> `profile` order everywhere: no contradiction.
-pub fn merge_one(s: &Shared) {
-    let c = s.counts.lock();
-    s.profile.lock().merge(&c);
-}
-
-/// Same pair, same order, different function.
-pub fn merge_two(s: &Shared) {
-    let c = s.counts.lock();
-    s.profile.lock().merge(&c);
 }

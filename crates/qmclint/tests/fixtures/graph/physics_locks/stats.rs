@@ -1,10 +1,9 @@
 // fixture-path: crates/drivers/src/stats_fixture.rs
 //! ...while the stats snapshot it calls takes `profile` before `counts`:
-//! the classic ABBA deadlock, visible only across the two files (this one
-//! is no lock root; it is reached through the call graph).
+//! the classic ABBA deadlock across the two files.
 
 /// Acquires `profile`, then `counts` while the first guard is held.
 pub fn snapshot(s: &Shared) {
-    let p = s.profile.lock();
-    s.counts.lock().read_into(&p);
+    let p = s.profile.lock(); //~ determinism
+    s.counts.lock().read_into(&p); //~ determinism
 }

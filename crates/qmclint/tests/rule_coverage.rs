@@ -10,14 +10,13 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use qmclint::{Rule, ALL_RULES, EFFECT_RULES, GRAPH_RULES, PAR_RULES};
+use qmclint::{Rule, ALL_RULES, EFFECT_RULES, GRAPH_RULES};
 
 /// The full rule inventory the corpus must cover.
 fn every_rule() -> Vec<Rule> {
     let mut rules: Vec<Rule> = ALL_RULES.to_vec();
     rules.extend(GRAPH_RULES);
     rules.extend(EFFECT_RULES);
-    rules.extend(PAR_RULES);
     rules.push(Rule::BadMarker);
     rules
 }

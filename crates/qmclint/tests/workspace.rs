@@ -69,26 +69,25 @@ fn unsafe_audit_forbids_everywhere_it_can() {
     );
 }
 
-/// The lock-order rule must start where locks are really taken: its roots
-/// went stale once (a crate that had stopped locking) and the rule then
-/// passed over an empty set. Every root has to be a live file whose
-/// functions acquire a lock while holding another.
+/// Threads start in one place: exactly one linted file calls a
+/// `SPAWN_METHODS` method, and it is the crew fan-out the `determinism`
+/// rule exempts. If the fan-out moves, `config::SPAWN_SITE` moves with it
+/// or this fails — the exemption can never point at a file that no longer
+/// spawns while a new site goes unnoticed.
 #[test]
-fn lock_order_roots_hold_real_acquisition_orders() {
+fn the_crew_fan_out_is_the_only_spawn_site() {
+    use qmclint::config::{SPAWN_METHODS, SPAWN_SITE};
     let model = workspace_model();
-    for lock_root in qmclint::config::LOCK_ROOTS {
-        let nested: Vec<String> = model
-            .files
-            .iter()
-            .filter(|f| f.path.starts_with(lock_root))
-            .flat_map(|f| &f.fns)
-            .filter(|f| !f.in_test)
-            .flat_map(|f| &f.locks)
-            .flat_map(|acq| acq.held.iter().map(move |h| format!("{h} -> {}", acq.name)))
-            .collect();
-        assert!(
-            nested.iter().any(|e| e == "shared -> energies"),
-            "lock root `{lock_root}` orders no lock pair any more: {nested:?}"
-        );
-    }
+    let spawning: Vec<&str> = model
+        .files
+        .iter()
+        .filter(|file| {
+            file.fns
+                .iter()
+                .flat_map(|f| &f.calls)
+                .any(|call| call.method && SPAWN_METHODS.contains(&call.callee.as_str()))
+        })
+        .map(|file| file.path.as_str())
+        .collect();
+    assert_eq!(spawning, [SPAWN_SITE]);
 }

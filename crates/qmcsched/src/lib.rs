@@ -486,53 +486,59 @@ pub fn explore_thread_sweep(cfg: &HarnessConfig) -> Vec<DriverParity> {
     out
 }
 
-/// Repeats the simulated multi-rank DMC run and demands bitwise-identical
-/// outputs. OS thread scheduling genuinely varies between repeats, so this
-/// is a live nondeterminism probe of the allreduce: it holds because each
-/// rank writes its `(Σ wE, Σ w)` partial into a rank-indexed slot and rank
-/// 0 reduces the slots with `det_sum_by` — barrier arrival order cannot
-/// reach the bits.
-///
-/// Two ranks exactly: with two ranks at most one rank can hold a surplus
-/// in any generation (both above the average population is impossible),
-/// so the serialized-walker exchange pool has a single writer between
-/// barriers and walker migration is deterministic too. Wider rank counts
-/// would race concurrent surplus pushes for pool order — a real (benign)
-/// nondeterminism in walker *placement* this case deliberately leaves out
-/// of scope.
-pub fn explore_multi_rank(cfg: &HarnessConfig) -> DriverParity {
+/// Runs the simulated multi-rank DMC once under each schedule of
+/// [`schedules`] at 2, 3 and 4 ranks — one parity set per rank count —
+/// comparing all four result scalars bitwise. It holds because ranks meet
+/// only at the fork-join of `fan_out_tasks`: the allreduce reduces
+/// rank-indexed partials with `det_sum_by`, and the coordinator moves
+/// serialized walkers through the exchange pool by ascending rank, so
+/// neither the energy nor walker placement can see the schedule. The
+/// population and time step make walkers really migrate (asserted per
+/// run), so the exchange path is what is being swept.
+pub fn explore_multi_rank(cfg: &HarnessConfig) -> Vec<DriverParity> {
     let w = workload(cfg.seed);
-    let params = MultiRankParams {
-        ranks: 2,
-        total_population: cfg.walkers.max(4),
-        steps: cfg.steps,
-        warmup: 1,
-        tau: 0.003,
-        seed: cfg.seed ^ 0x5EED,
+    let explore = |ranks: usize| {
+        let params = MultiRankParams {
+            ranks,
+            total_population: 12,
+            steps: cfg.steps,
+            warmup: 1,
+            tau: 0.02,
+            seed: cfg.seed ^ 0x5EED,
+        };
+        let runs = schedules()
+            .into_iter()
+            .map(|sched| {
+                let res = with_schedule(sched, || {
+                    run_multi_rank(
+                        |_rank| w.build_engine_f32(CodeVersion::Current),
+                        w.initial_positions(),
+                        &params,
+                    )
+                });
+                assert!(
+                    res.exchanged > 0,
+                    "multi-rank-{ranks}: no walker migrated under `{}`",
+                    sched.label()
+                );
+                let mut scalars = Fnv::new();
+                scalars.f64(res.energy);
+                scalars.u64(res.samples);
+                scalars.u64(res.exchanged);
+                scalars.u64(res.bytes_exchanged);
+                RunFingerprint {
+                    schedule: sched.label(),
+                    walkers: Vec::new(),
+                    scalars: scalars.value(),
+                }
+            })
+            .collect();
+        DriverParity {
+            driver: format!("multi-rank-{ranks}"),
+            runs,
+        }
     };
-    let runs = (0..3)
-        .map(|rep| {
-            let res = run_multi_rank(
-                |_rank| w.build_engine_f32(CodeVersion::Current),
-                w.initial_positions(),
-                &params,
-            );
-            let mut scalars = Fnv::new();
-            scalars.f64(res.energy);
-            scalars.u64(res.samples);
-            scalars.u64(res.exchanged);
-            scalars.u64(res.bytes_exchanged);
-            RunFingerprint {
-                schedule: format!("repeat:{rep}"),
-                walkers: Vec::new(),
-                scalars: scalars.value(),
-            }
-        })
-        .collect();
-    DriverParity {
-        driver: "multi-rank".into(),
-        runs,
-    }
+    [2, 3, 4].map(explore).into()
 }
 
 /// Runs every exploration: the schedule sweep of each method on each crew
@@ -546,7 +552,7 @@ pub fn explore_all(cfg: &HarnessConfig) -> Vec<DriverParity> {
     }
     out.push(explore_backends(cfg));
     out.extend(explore_thread_sweep(cfg));
-    out.push(explore_multi_rank(cfg));
+    out.extend(explore_multi_rank(cfg));
     out
 }
 
@@ -589,6 +595,13 @@ pub fn render_json(results: &[DriverParity]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{PoisonError, RwLock};
+
+    /// `qmc_kernels::set_backend` is process-wide and engines capture it
+    /// when they are built, while the tests of one binary run on parallel
+    /// threads: a test that switches the backend holds this exclusively, a
+    /// test that builds engines holds it shared.
+    static BACKEND: RwLock<()> = RwLock::new(());
 
     #[test]
     fn fnv_is_order_sensitive() {
@@ -613,6 +626,7 @@ mod tests {
 
     #[test]
     fn reference_and_soa_backends_agree_bitwise() {
+        let _backend = BACKEND.write().unwrap_or_else(PoisonError::into_inner);
         // The kernel library documents reference <-> soa as bitwise on
         // every kernel family; a whole VMC trajectory must therefore
         // digest equal per walker.
@@ -630,6 +644,7 @@ mod tests {
 
     #[test]
     fn simd_backend_energy_within_documented_tolerance() {
+        let _backend = BACKEND.write().unwrap_or_else(PoisonError::into_inner);
         // The simd backend's J2 reductions carry a tolerance contract, not
         // a bitwise one, so the f32-rung gate is statistical: the VMC
         // energy must land within six combined standard errors of the
@@ -649,6 +664,7 @@ mod tests {
 
     #[test]
     fn thread_sweep_is_bitwise_across_1_2_4_threads() {
+        let _backend = BACKEND.read().unwrap_or_else(PoisonError::into_inner);
         // The acceptance claim of the deterministic reduction work: VMC
         // and DMC trajectories, per-walker and crowd batching, must not
         // move a bit when the worker-thread count (and with it every
@@ -669,24 +685,29 @@ mod tests {
     }
 
     #[test]
-    fn multi_rank_repeats_are_bitwise() {
-        let p = explore_multi_rank(&HarnessConfig::default());
-        assert_eq!(p.runs.len(), 3);
-        assert!(
-            p.parity(),
-            "multi-rank allreduce leaked schedule into the bits: {:?}",
-            p.runs
-                .iter()
-                .map(|r| (&r.schedule, r.scalars))
-                .collect::<Vec<_>>()
-        );
+    fn multi_rank_is_schedule_independent_at_2_3_and_4_ranks() {
+        let _backend = BACKEND.read().unwrap_or_else(PoisonError::into_inner);
+        let sets = explore_multi_rank(&HarnessConfig::default());
+        assert_eq!(sets.len(), 3);
+        for p in sets {
+            assert_eq!(p.runs.len(), schedules().len(), "{}", p.driver);
+            assert!(
+                p.parity(),
+                "{}: the schedule reached the bits: {:?}",
+                p.driver,
+                p.runs
+                    .iter()
+                    .map(|r| (&r.schedule, r.scalars))
+                    .collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]
     fn thread_sweep_would_catch_an_injected_bare_merge() {
-        // Negative control for the sweep: re-create the exact defect the
-        // `parallel-reduction-order` rule and `det_sum` exist to prevent —
-        // per-chunk partial folds merged in chunk-completion order — and
+        // Negative control for the sweep: re-create the exact defect
+        // `det_sum` exists to prevent — per-chunk partial folds merged in
+        // chunk-completion order — and
         // show the 1/2/4-thread fingerprints diverge, while the
         // deterministic tree over the same terms does not. If this test
         // ever starts failing on the `injected` side, the harness has

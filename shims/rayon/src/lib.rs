@@ -1,13 +1,12 @@
 //! Minimal offline stand-in for `rayon`.
 //!
-//! Provides the tiny slice-parallelism surface the workspace uses
-//! (`par_chunks_mut().enumerate().for_each`, `par_chunks_mut().zip(par_iter())
-//! .for_each`) plus the scoped task API (`scope(|s| s.spawn(...))`) on top
-//! of `std::thread::scope`. Work is split into one contiguous block per
-//! hardware thread; closures must be `Sync` exactly as with real rayon, so
-//! swapping the registry crate back in is a one-line manifest change.
+//! Provides the scoped task API the workspace uses (`scope(|s|
+//! s.spawn(...))`) on top of `std::thread::scope`: one OS thread per
+//! spawned task, joined when the scope returns. Closures must be `Send`
+//! exactly as with real rayon, so swapping the registry crate back in is a
+//! one-line manifest change.
 //!
-//! Unlike real rayon, every parallel construct routes its task set through
+//! Unlike real rayon, a scope routes its task set through
 //! [`schedule::run_tasks`], so the `qmcsched` harness can replace the free
 //! OS interleaving with explicitly enumerated deterministic schedules (see
 //! [`schedule`]).
@@ -20,16 +19,12 @@
 pub mod schedule;
 
 /// The scoped-spawn entry points this shim exposes, re-stated as data.
-/// `qmclint`'s spawn-site scanner recognizes parallel closures lexically
-/// (this crate is lint-exempt), so its `config::SPAWN_METHODS` list must
-/// mirror the real API surface — the mirror test below pins the two
-/// together. Extending the spawn API without extending both lists is a
-/// test failure, not a silent analysis gap.
+/// `qmclint`'s `determinism` rule recognizes thread spawns lexically (this
+/// crate is lint-exempt), so its `config::SPAWN_METHODS` list must mirror
+/// the real API surface — the mirror test below pins the two together.
+/// Extending the spawn API without extending both lists is a test
+/// failure, not a silent analysis gap.
 pub const SPAWN_METHODS: [&str; 1] = ["spawn"];
-
-/// The parallel-iterator adapters this shim exposes, mirrored by
-/// `qmclint`'s `config::PAR_ITER_METHODS` the same way.
-pub const PAR_ITER_METHODS: [&str; 2] = ["par_chunks_mut", "par_iter"];
 
 /// A scoped task set, after `rayon::Scope`: tasks spawned here are
 /// guaranteed to complete before [`scope`] returns.
@@ -67,140 +62,13 @@ where
     r
 }
 
-/// An eagerly collected "parallel iterator": items are distributed over a
-/// scoped thread crew at the terminal `for_each`.
-pub struct ParIter<I> {
-    items: Vec<I>,
-}
-
-impl<I: Send> ParIter<I> {
-    pub fn enumerate(self) -> ParIter<(usize, I)> {
-        ParIter {
-            items: self.items.into_iter().enumerate().collect(),
-        }
-    }
-
-    pub fn zip<J: Send>(self, other: ParIter<J>) -> ParIter<(I, J)> {
-        ParIter {
-            items: self.items.into_iter().zip(other.items).collect(),
-        }
-    }
-
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(I) + Sync,
-    {
-        let n = self.items.len();
-        let threads = std::thread::available_parallelism()
-            .map_or(1, std::num::NonZero::get)
-            .min(n.max(1));
-        if threads <= 1 {
-            for item in self.items {
-                f(item);
-            }
-            return;
-        }
-        let block = n.div_ceil(threads);
-        let mut blocks: Vec<Vec<I>> = Vec::with_capacity(threads);
-        let mut items = self.items;
-        while !items.is_empty() {
-            let tail = items.split_off(items.len().min(block));
-            blocks.push(std::mem::replace(&mut items, tail));
-        }
-        let f = &f;
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = blocks
-            .into_iter()
-            .map(|block| {
-                Box::new(move || {
-                    for item in block {
-                        f(item);
-                    }
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        schedule::run_tasks(tasks);
-    }
-}
-
-pub trait ParallelSliceMut<T: Send> {
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<&mut [T]>;
-}
-
-impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<&mut [T]> {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        ParIter {
-            items: self.chunks_mut(chunk_size).collect(),
-        }
-    }
-}
-
-pub trait IntoParallelRefIterator<'data> {
-    type Item: Send + 'data;
-    fn par_iter(&'data self) -> ParIter<Self::Item>;
-}
-
-impl<'data, T: Sync + 'data> IntoParallelRefIterator<'data> for [T] {
-    type Item = &'data T;
-    fn par_iter(&'data self) -> ParIter<&'data T> {
-        ParIter {
-            items: self.iter().collect(),
-        }
-    }
-}
-
-impl<'data, T: Sync + 'data> IntoParallelRefIterator<'data> for Vec<T> {
-    type Item = &'data T;
-    fn par_iter(&'data self) -> ParIter<&'data T> {
-        ParIter {
-            items: self.iter().collect(),
-        }
-    }
-}
-
-pub mod prelude {
-    pub use crate::{IntoParallelRefIterator, ParallelSliceMut};
-}
-
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
-
     #[test]
     fn spawn_api_mirrors_qmclint_config() {
-        // The linter models spawn sites lexically; this is the pin that
-        // keeps its method lists equal to the API this shim actually
+        // The linter recognizes spawn calls lexically; this is the pin that
+        // keeps its method list equal to the API this shim actually
         // exposes.
         assert_eq!(crate::SPAWN_METHODS, qmclint::config::SPAWN_METHODS);
-        assert_eq!(crate::PAR_ITER_METHODS, qmclint::config::PAR_ITER_METHODS);
-    }
-
-    #[test]
-    fn chunked_fill_covers_everything() {
-        let mut data = vec![0u64; 1013];
-        data.par_chunks_mut(64).enumerate().for_each(|(i, chunk)| {
-            for (j, v) in chunk.iter_mut().enumerate() {
-                *v = (i * 64 + j) as u64;
-            }
-        });
-        for (k, &v) in data.iter().enumerate() {
-            assert_eq!(v, k as u64);
-        }
-    }
-
-    #[test]
-    fn zip_pairs_in_order() {
-        let tags: Vec<usize> = (0..10).collect();
-        let mut out = vec![0usize; 40];
-        out.par_chunks_mut(4)
-            .zip(tags.par_iter())
-            .for_each(|(chunk, &tag)| {
-                for v in chunk.iter_mut() {
-                    *v = tag;
-                }
-            });
-        for (k, &v) in out.iter().enumerate() {
-            assert_eq!(v, k / 4);
-        }
     }
 }

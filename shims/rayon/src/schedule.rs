@@ -1,9 +1,9 @@
 //! Deterministic task scheduling: the `qmcsched` seam.
 //!
-//! Every parallel construct in this shim (`scope` task sets, `par_chunks_mut`
-//! block sets) funnels its work through [`run_tasks`]. By default tasks run
-//! concurrently on one OS thread each — the behaviour real rayon's
-//! work-stealing pool approximates for our coarse task sets. Installing a
+//! Every `scope` task set of this shim funnels its work through
+//! [`run_tasks`]. By default tasks run concurrently on one OS thread each —
+//! the behaviour real rayon's work-stealing pool approximates for our
+//! coarse task sets. Installing a
 //! [`Schedule`] via [`with_schedule`] replaces that free-running execution
 //! with an explicitly enumerated thread interleaving: tasks still run on
 //! distinct OS threads (so cross-thread memory effects stay real), but a
@@ -11,9 +11,9 @@
 //! schedules, the order in which they run to completion.
 //!
 //! This is the loom-style lever the `qmcsched` harness uses to prove the
-//! lock-step crowd drivers are bitwise schedule-independent: the same run is
-//! repeated under many permutations/interleavings and every per-walker
-//! result must come out identical.
+//! drivers are bitwise schedule-independent: the same run is repeated under
+//! many permutations/interleavings and every per-walker result must come
+//! out identical.
 
 use std::sync::{Condvar, Mutex, PoisonError};
 
@@ -115,8 +115,8 @@ impl Drop for Restore {
     }
 }
 
-/// Runs `f` with `schedule` installed for every parallel construct in this
-/// shim, process-wide. Concurrent callers serialize on an internal guard so
+/// Runs `f` with `schedule` installed for every scope of this shim,
+/// process-wide. Concurrent callers serialize on an internal guard so
 /// explorations from different tests cannot interleave their installs.
 pub fn with_schedule<R>(schedule: Schedule, f: impl FnOnce() -> R) -> R {
     let _excl = lock(&EXCLUSIVE);
@@ -268,10 +268,13 @@ mod tests {
 
     #[test]
     fn active_restores_after_panic_free_run() {
-        assert_eq!(active(), Schedule::Concurrent);
         with_schedule(Schedule::Serial(Order::Forward), || {
             assert_eq!(active(), Schedule::Serial(Order::Forward));
         });
+        // Sibling tests install schedules of their own on parallel threads;
+        // with the install guard held none is in flight, so what `active`
+        // reads is what the last `with_schedule` left behind.
+        let _excl = lock(&EXCLUSIVE);
         assert_eq!(active(), Schedule::Concurrent);
     }
 }

@@ -135,6 +135,41 @@ fn multi_rank_run_produces_consistent_energy() {
     );
 }
 
+/// Three ranks is the first count at which two ranks can hold a surplus in
+/// the same generation; walker placement must still not depend on which
+/// rank thread ran first.
+#[test]
+fn three_rank_run_repeats_bitwise() {
+    use qmc::drivers::{run_multi_rank, MultiRankParams};
+    let w = Workload::new(Benchmark::Graphite, Size::Scaled, 23);
+    let params = MultiRankParams {
+        ranks: 3,
+        total_population: 9,
+        steps: 6,
+        warmup: 1,
+        tau: 0.02,
+        seed: 23,
+    };
+    let run = || {
+        let r = run_multi_rank(
+            |_rank| w.build_engine_f32(CodeVersion::Current),
+            w.initial_positions(),
+            &params,
+        );
+        (
+            r.energy.to_bits(),
+            r.samples,
+            r.exchanged,
+            r.bytes_exchanged,
+        )
+    };
+    let first = run();
+    assert!(first.2 > 0, "no walker migrated: {first:?}");
+    for _ in 0..2 {
+        assert_eq!(run(), first);
+    }
+}
+
 #[test]
 fn table1_metadata_is_internally_consistent() {
     for b in Benchmark::all() {
