@@ -72,6 +72,13 @@ for k in ("v", "vgh", "mw_vgl"):
 EOF
 rm -f KERNEL_BENCH.log
 
+echo "== determinant speedup gate (blocked vs serial-chain oracle, release) =="
+# The determinant path is FMA-latency-bound unless several independent
+# accumulators run side by side: the blocked Sherman-Morrison update must
+# stay >= 1.5x and the row-wise LU inverse >= 2x ahead of the scalar code
+# kept in crates/linalg/tests/oracle.rs, or a refactor re-serialised them.
+cargo test -q --release -p qmc-linalg --test oracle -- --ignored
+
 echo "== checkpoint/resume parity smoke (kill at step 3, resume to 6) =="
 # A run checkpointed at an interior generation and restarted from the
 # file must end with the same per-walker FNV-1a population hash as the
@@ -130,6 +137,9 @@ cargo bench -p qmc-bench --bench bench_crowd -- --test
 
 echo "== bench smoke (backend kernel benches) =="
 cargo bench -p qmc-bench --bench bench_kernels -- --test
+
+echo "== bench smoke (determinant updates and LU inverse) =="
+cargo bench -p qmc-bench --bench bench_determinant -- --test
 
 echo "== run-report smoke (miniqmc --profile json) =="
 ./target/release/miniqmc --benchmark graphite --threads 1 --walkers 2 \

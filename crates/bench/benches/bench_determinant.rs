@@ -1,16 +1,18 @@
 //! Criterion bench: determinant-inverse updates — Sherman–Morrison rank-1
 //! (the baseline `DetUpdate` of §8.4) versus the delayed Woodbury engine
 //! at several delay depths, measured over full N-move sweeps so the
-//! delayed engine's blocked flush cost is amortized realistically.
+//! delayed engine's blocked flush cost is amortized realistically — in
+//! f32 (the precision the engines run) and f64 — plus the from-scratch
+//! `LuFactor::inverse` of the periodic recompute.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qmc_containers::Matrix;
+use qmc_containers::{Matrix, Real};
 use qmc_linalg::{
-    det_ratio_row, sherman_morrison_update, transposed_inverse_log_det, DelayedInverse,
+    det_ratio_row, sherman_morrison_update, transposed_inverse_log_det, DelayedInverse, LuFactor,
 };
 use std::hint::black_box;
 
-fn well_conditioned(n: usize, seed: u64) -> Matrix<f64> {
+fn well_conditioned<T: Real>(n: usize, seed: u64) -> Matrix<T> {
     let mut state = seed;
     let mut next = move || {
         state = state
@@ -18,48 +20,63 @@ fn well_conditioned(n: usize, seed: u64) -> Matrix<f64> {
             .wrapping_add(1442695040888963407);
         ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
     };
-    Matrix::from_fn(n, n, |i, j| next() + if i == j { 4.0 } else { 0.0 })
+    Matrix::from_fn(n, n, |i, j| {
+        T::from_f64(next() + if i == j { 4.0 } else { 0.0 })
+    })
 }
 
-fn new_row(n: usize, k: usize) -> Vec<f64> {
+fn new_row<T: Real>(n: usize, k: usize) -> Vec<T> {
     (0..n)
-        .map(|j| 0.05 * (j as f64 - k as f64) + if j == k { 3.5 } else { 0.2 })
+        .map(|j| T::from_f64(0.05 * (j as f64 - k as f64) + if j == k { 3.5 } else { 0.2 }))
         .collect()
+}
+
+/// One precision's rows for dimension `n`: a full Sherman–Morrison sweep,
+/// the delayed engine at `delays`, and the from-scratch LU inverse.
+fn bench_precision<T: Real>(c: &mut Criterion, n: usize, delays: &[usize]) {
+    let a = well_conditioned::<T>(n, 9);
+    let (minv_t, _, _) = transposed_inverse_log_det(&a).unwrap();
+    let rows: Vec<Vec<T>> = (0..n).map(|k| new_row(n, k)).collect();
+    let prec = std::any::type_name::<T>();
+
+    let mut group = c.benchmark_group(format!("det_update_N{n}_{prec}"));
+    group.bench_function(BenchmarkId::new("sweep", "sherman_morrison"), |b| {
+        b.iter(|| {
+            let mut m = minv_t.clone();
+            for (k, v) in rows.iter().enumerate() {
+                let r = det_ratio_row(&m, k, v);
+                sherman_morrison_update(&mut m, k, v, r);
+            }
+            black_box(&m);
+        });
+    });
+    for &delay in delays {
+        group.bench_function(BenchmarkId::new("sweep", format!("delayed{delay}")), |b| {
+            b.iter(|| {
+                let mut d = DelayedInverse::new(minv_t.clone(), delay);
+                let mut inv_row = vec![T::ZERO; n];
+                for (k, v) in rows.iter().enumerate() {
+                    black_box(d.ratio_with_inv_row(k, v, &mut inv_row));
+                    d.accept(k, v);
+                }
+                d.flush();
+                black_box(d.minv_t());
+            });
+        });
+    }
+    let lu = LuFactor::new(&a).unwrap();
+    group.bench_function("lu_inverse", |b| b.iter(|| black_box(lu.inverse())));
+    group.finish();
 }
 
 fn bench_determinant(c: &mut Criterion) {
     for &n in &[48usize, 192] {
-        let a = well_conditioned(n, 9);
-        let (minv_t, _, _) = transposed_inverse_log_det(&a).unwrap();
-        let rows: Vec<Vec<f64>> = (0..n).map(|k| new_row(n, k)).collect();
-
-        let mut group = c.benchmark_group(format!("det_update_N{n}"));
-        group.bench_function(BenchmarkId::new("sweep", "sherman_morrison"), |b| {
-            b.iter(|| {
-                let mut m = minv_t.clone();
-                for (k, v) in rows.iter().enumerate() {
-                    let r = det_ratio_row(&m, k, v);
-                    sherman_morrison_update(&mut m, k, v, r);
-                }
-                black_box(&m);
-            });
-        });
-        for &delay in &[4usize, 16, 32] {
-            group.bench_function(BenchmarkId::new("sweep", format!("delayed{delay}")), |b| {
-                b.iter(|| {
-                    let mut d = DelayedInverse::new(minv_t.clone(), delay);
-                    let mut inv_row = vec![0.0f64; n];
-                    for (k, v) in rows.iter().enumerate() {
-                        black_box(d.ratio_with_inv_row(k, v, &mut inv_row));
-                        d.accept(k, v);
-                    }
-                    d.flush();
-                    black_box(d.minv_t());
-                });
-            });
-        }
-        group.finish();
+        // f32 is what the engines update, f64 what the recompute inverts.
+        bench_precision::<f32>(c, n, &[4, 16, 32]);
+        bench_precision::<f64>(c, n, &[4, 16, 32]);
     }
+    // NiO-64 size: one spin's determinant of the largest Table-1 system.
+    bench_precision::<f32>(c, 384, &[]);
 }
 
 criterion_group!(benches, bench_determinant);

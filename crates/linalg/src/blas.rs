@@ -2,10 +2,16 @@
 //!
 //! QMCPACK leans on vendor BLAS for the Sherman–Morrison (BLAS2) and delayed
 //! (BLAS3) determinant updates; this workspace has no external BLAS, so we
-//! provide the handful of kernels the determinant code needs, written as
-//! contiguous-slice loops the compiler auto-vectorizes: `dot`, `axpy` and
-//! `scal` are what the update engines run on, `gemm` is the oracle the LU
-//! tests multiply `A · A⁻¹` with.
+//! provide the handful of kernels the determinant code needs: `dot`, `dots`,
+//! `axpy` and `scal` are what the update engines run on, `gemm` is the
+//! oracle the LU tests multiply `A · A⁻¹` with.
+//!
+//! `axpy` and `scal` are element-wise, so the compiler vectorizes them. A
+//! reduction is different: `dot` is one chain of dependent `mul_add`s that
+//! rustc may not reassociate, so it runs at one FMA *latency* per element.
+//! [`dots`] is the cure that keeps the bits: `R` independent chains against
+//! one shared vector advance together, each still summing its own elements
+//! in `dot`'s order, so the latency of one chain hides behind the others.
 
 use qmc_containers::{Matrix, Real};
 
@@ -16,6 +22,24 @@ pub fn dot<T: Real>(x: &[T], y: &[T]) -> T {
     let mut acc = T::ZERO;
     for (a, b) in x.iter().zip(y) {
         acc = a.mul_add(*b, acc);
+    }
+    acc
+}
+
+/// `R` dot products against one shared vector: `dots(rows, v)[r]` is
+/// `dot(rows[r], v)` bit for bit, because accumulator `r` sees exactly
+/// `dot`'s `mul_add` sequence; the `R` chains are independent, so they
+/// overlap in the FMA pipeline instead of each waiting out its own latency.
+#[inline]
+pub fn dots<T: Real, const R: usize>(rows: [&[T]; R], v: &[T]) -> [T; R] {
+    let n = v.len();
+    // One re-slice per row up front: the inner loop carries no bounds check.
+    let rows = rows.map(|r| &r[..n]);
+    let mut acc = [T::ZERO; R];
+    for i in 0..n {
+        for r in 0..R {
+            acc[r] = rows[r][i].mul_add(v[i], acc[r]);
+        }
     }
     acc
 }

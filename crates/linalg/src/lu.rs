@@ -4,7 +4,18 @@
 //! recompute-from-scratch that bounds mixed-precision drift (§7.2 of the
 //! paper, its ref. 13). The recompute always runs in `f64` regardless of the
 //! kernel precision.
+//!
+//! [`LuFactor::solve_in_place`] substitutes one right-hand side: each
+//! `x[i]` is a chain of dependent `mul_add`s over `x[..i]`, bound by FMA
+//! latency. [`LuFactor::inverse`] needs `n` of those solves and runs them
+//! all at once instead: `X` holds one right-hand side per column, and the
+//! substitution step `x[i] -= lu[i][j] * x[j]` becomes the contiguous
+//! `axpy(-lu[i][j], X.row(j), X.row(i))` over every column. Column `c` of
+//! `X` sees exactly `solve_in_place`'s `mul_add` sequence in the same `j`
+//! order (the columns never mix), so the result is bit-identical to `n`
+//! separate solves; only the chains now run side by side in vector lanes.
 
+use crate::blas::axpy;
 use qmc_containers::{Matrix, Real};
 
 /// LU factorization `P A = L U` stored packed in a single matrix.
@@ -117,22 +128,36 @@ impl<T: Real> LuFactor<T> {
         b.copy_from_slice(&x);
     }
 
-    /// Dense inverse of the factorized matrix.
+    /// Dense inverse of the factorized matrix: all `n` right-hand sides of
+    /// `A X = I` are solved at once, row-wise (see the module docs).
     // qmclint: cold — dense inversion is the periodic from-scratch
     // recompute, amortized over the recompute interval.
     pub fn inverse(&self) -> Matrix<T> {
         let n = self.n();
-        let mut inv = Matrix::zeros(n, n);
-        let mut col = vec![T::ZERO; n];
-        for j in 0..n {
-            col.fill(T::ZERO);
-            col[j] = T::ONE;
-            self.solve_in_place(&mut col);
-            for i in 0..n {
-                inv[(i, j)] = col[i];
+        // The permuted identity: column c is `solve_in_place`'s permuted e_c.
+        let mut x = Matrix::zeros(n, n);
+        for i in 0..n {
+            x[(i, self.piv[i])] = T::ONE;
+        }
+        // Forward substitution (L has unit diagonal).
+        for i in 1..n {
+            for j in 0..i {
+                let (xj, xi) = x.two_rows_mut(j, i);
+                axpy(-self.lu[(i, j)], xj, xi);
             }
         }
-        inv
+        // Backward substitution.
+        for i in (0..n).rev() {
+            for j in i + 1..n {
+                let (xj, xi) = x.two_rows_mut(j, i);
+                axpy(-self.lu[(i, j)], xj, xi);
+            }
+            let d = self.lu[(i, i)];
+            for e in x.row_mut(i) {
+                *e /= d;
+            }
+        }
+        x
     }
 }
 

@@ -5,8 +5,16 @@
 //! inverse* `M = (A^{-1})^T`, i.e. `M[k][j] = A^{-1}[j][k]`, so that both the
 //! determinant ratio for moving electron `k` (Eq. 6 of the paper) and the
 //! gradient ratio are contiguous dot products against row `k` of `M`.
+//!
+//! The Sherman–Morrison update needs `w = M v`, one dot product per row.
+//! Taken one row at a time that is `n` dependent FMA chains of length `n`,
+//! bound by FMA latency, not by bandwidth (the 192² f32 inverse sits in L2).
+//! [`sherman_morrison_update`] therefore takes the rows in blocks through
+//! [`dots`], which is bit-identical to the row-at-a-time loop: every `w[j]`
+//! keeps `dot`'s summation order, a block's rows are all read before any of
+//! them is written, and row `k` is not written until the final scaling.
 
-use crate::blas::{axpy, dot, scal};
+use crate::blas::{axpy, dot, dots, scal};
 use qmc_containers::{Matrix, Real};
 
 /// Determinant ratio `det A' / det A` when row `k` of `A` is replaced by the
@@ -19,6 +27,11 @@ pub fn det_ratio_row<T: Real>(minv_t: &Matrix<T>, k: usize, v: &[T]) -> T {
     dot(minv_t.row(k), v)
 }
 
+/// Rows of `M` whose `w[j] = M.row(j) . v` are taken in one [`dots`] call:
+/// enough independent FMA chains to cover the FMA latency, few enough that
+/// the accumulators stay in registers.
+const R: usize = 8;
+
 /// Sherman–Morrison update of the transposed inverse after *accepting* the
 /// replacement of row `k` of `A` by `v`, with `ratio` the value returned by
 /// [`det_ratio_row`] for this move.
@@ -30,17 +43,26 @@ pub fn sherman_morrison_update<T: Real>(minv_t: &mut Matrix<T>, k: usize, v: &[T
     let n = minv_t.rows();
     debug_assert_eq!(v.len(), n);
     let inv_ratio = T::ONE / ratio;
-    // Allocation-free: each w[j] = dot(M.row(j), v) is consumed immediately
-    // after it is produced. Row j is only read before its own update and
-    // row k stays untouched until the final scaling, so this is arithmetic-
-    // identical to materializing w = M v up front.
-    for j in 0..n {
-        if j == k {
-            continue;
+    // Allocation-free: a block's w[j] = dot(M.row(j), v) are consumed right
+    // after they are produced. Row j is only read before its own update
+    // and row k stays untouched until the final scaling, so this is
+    // arithmetic-identical to materializing w = M v up front.
+    let update_row = |m: &mut Matrix<T>, j: usize, w: T| {
+        if j != k {
+            let (rk, rj) = m.two_rows_mut(k, j);
+            axpy(-w * inv_ratio, rk, rj);
         }
-        let c = -dot(minv_t.row(j), v) * inv_ratio;
-        let (rk, rj) = minv_t.two_rows_mut(k, j);
-        axpy(c, rk, rj);
+    };
+    let blocked = n - n % R;
+    for j0 in (0..blocked).step_by(R) {
+        let w = dots::<T, R>(std::array::from_fn(|r| minv_t.row(j0 + r)), v);
+        for (r, wj) in w.into_iter().enumerate() {
+            update_row(minv_t, j0 + r, wj);
+        }
+    }
+    for j in blocked..n {
+        let w = dot(minv_t.row(j), v);
+        update_row(minv_t, j, w);
     }
     scal(inv_ratio, minv_t.row_mut(k));
 }

@@ -15,7 +15,7 @@ use crate::traits::WaveFunctionComponent;
 use qmc_containers::{AlignedVec, Matrix, Pos, Real, TinyVector};
 use qmc_instrument::{add_flops_bytes, time_kernel, Kernel};
 use qmc_linalg::{
-    det_ratio_row, sherman_morrison_update, transposed_inverse_log_det, DelayedInverse,
+    det_ratio_row, dot, dots, sherman_morrison_update, transposed_inverse_log_det, DelayedInverse,
 };
 use qmc_particles::ParticleSet;
 
@@ -36,6 +36,10 @@ enum InverseEngine<T: Real> {
     Direct(Matrix<T>),
     Delayed(DelayedInverse<T>),
 }
+
+/// Quadrature points whose value-only ratios share one pass over the inverse
+/// row (one [`dots`] call) in [`DiracDeterminant::ratios_value_only`].
+const NQ_BLOCK: usize = 8;
 
 /// Default accepted-move recompute cadence, in units of sweeps (times
 /// `nel`): single-precision inverses drift fast enough that QMCPACK-style
@@ -343,7 +347,7 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
         self.spo.evaluate_v(newpos, self.psi_v.as_mut_slice());
         let r = time_kernel(Kernel::DetRatio, || {
             self.engine_inv_row(local);
-            det_ratio_row_from_slice(self.inv_row.as_slice(), &self.psi_v.as_slice()[..self.nel])
+            dot(self.inv_row.as_slice(), &self.psi_v.as_slice()[..self.nel])
         });
         add_flops_bytes(
             Kernel::DetRatio,
@@ -381,9 +385,17 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
         self.spo.mw_evaluate_v(positions, &mut self.mw_psi_v);
         time_kernel(Kernel::DetRatio, || {
             self.engine_inv_row(local);
-            for (q, r) in ratios[..nq].iter_mut().enumerate() {
-                let row = &self.mw_psi_v[q * ns..q * ns + self.nel];
-                *r *= det_ratio_row_from_slice(self.inv_row.as_slice(), row).to_f64();
+            let inv = self.inv_row.as_slice();
+            let psi = |q: usize| &self.mw_psi_v[q * ns..q * ns + self.nel];
+            let blocked = nq - nq % NQ_BLOCK;
+            for q0 in (0..blocked).step_by(NQ_BLOCK) {
+                let d = dots::<T, NQ_BLOCK>(std::array::from_fn(|b| psi(q0 + b)), inv);
+                for (r, d) in ratios[q0..q0 + NQ_BLOCK].iter_mut().zip(d) {
+                    *r *= d.to_f64();
+                }
+            }
+            for q in blocked..nq {
+                ratios[q] *= dot(inv, psi(q)).to_f64();
             }
         });
         add_flops_bytes(
@@ -407,23 +419,30 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
             self.psi_g.as_mut_slice(),
             self.psi_l.as_mut_slice(),
         );
-        let ns = self.psi_v.len();
-        let r = time_kernel(Kernel::DetRatio, || {
+        let (ns, nel) = (self.psi_v.len(), self.nel);
+        // Ratio and the three gradient components share the inverse row:
+        // four independent reductions in one pass.
+        let [r, gx, gy, gz] = time_kernel(Kernel::DetRatio, || {
             self.engine_inv_row(local);
-            det_ratio_row_from_slice(self.inv_row.as_slice(), &self.psi_v.as_slice()[..self.nel])
+            let psi_g = self.psi_g.as_slice();
+            dots(
+                [
+                    &self.psi_v.as_slice()[..nel],
+                    &psi_g[..nel],
+                    &psi_g[ns..ns + nel],
+                    &psi_g[2 * ns..2 * ns + nel],
+                ],
+                self.inv_row.as_slice(),
+            )
         });
+        add_flops_bytes(
+            Kernel::DetRatio,
+            (8 * nel) as u64,
+            (5 * nel * std::mem::size_of::<T>()) as u64,
+        );
         self.cur_ratio = r.to_f64();
         self.cur_has_vgl = true;
-        let inv = self.inv_row.as_slice();
-        let mut g = TinyVector::<f64, 3>::zero();
-        for d in 0..3 {
-            let gd = &self.psi_g.as_slice()[d * ns..d * ns + self.nel];
-            let mut acc = T::ZERO;
-            for j in 0..self.nel {
-                acc = gd[j].mul_add(inv[j], acc);
-            }
-            g[d] = acc.to_f64() / self.cur_ratio;
-        }
+        let g = TinyVector([gx, gy, gz].map(|c| c.to_f64() / self.cur_ratio));
         *grad += g;
         self.cur_ratio
     }
@@ -434,17 +453,11 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
         }
         let local = iat - self.first;
         self.engine_inv_row(local);
-        let inv = self.inv_row.as_slice();
-        let mut g = TinyVector::<f64, 3>::zero();
-        for d in 0..3 {
-            let gd = self.g_m[d].row(local);
-            let mut acc = T::ZERO;
-            for j in 0..self.nel {
-                acc = gd[j].mul_add(inv[j], acc);
-            }
-            g[d] = acc.to_f64();
-        }
-        g
+        let g = dots(
+            [0, 1, 2].map(|d| self.g_m[d].row(local)),
+            self.inv_row.as_slice(),
+        );
+        TinyVector(g.map(Real::to_f64))
     }
 
     fn accept_move(&mut self, p: &ParticleSet<T>, iat: usize) {
@@ -477,9 +490,10 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
                 }
             }
         });
+        // Sherman–Morrison is a gemv (w = M v) and a ger (M -= w M.row(k)).
         add_flops_bytes(
             Kernel::DetUpdate,
-            (2 * nel * nel) as u64,
+            (4 * nel * nel) as u64,
             (3 * nel * nel * std::mem::size_of::<T>()) as u64,
         );
         // Keep psiM / gM / lM rows current.
@@ -514,22 +528,17 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
         time_kernel(Kernel::SpoVGL, || {
             for i in 0..nel {
                 self.engine_inv_row(i);
-                let inv = self.inv_row.as_slice();
-                let mut g = TinyVector::<f64, 3>::zero();
-                for d in 0..3 {
-                    let gd = self.g_m[d].row(i);
-                    let mut acc = T::ZERO;
-                    for j in 0..nel {
-                        acc = gd[j].mul_add(inv[j], acc);
-                    }
-                    g[d] = acc.to_f64();
-                }
-                let ld = self.l_m.row(i);
-                let mut acc = T::ZERO;
-                for j in 0..nel {
-                    acc = ld[j].mul_add(inv[j], acc);
-                }
-                let lap = acc.to_f64();
+                let [gx, gy, gz, lap] = dots(
+                    [
+                        self.g_m[0].row(i),
+                        self.g_m[1].row(i),
+                        self.g_m[2].row(i),
+                        self.l_m.row(i),
+                    ],
+                    self.inv_row.as_slice(),
+                );
+                let g = TinyVector([gx, gy, gz].map(Real::to_f64));
+                let lap = lap.to_f64();
                 p.g[self.first + i] += g;
                 p.l[self.first + i] += lap - g.norm2();
             }
@@ -560,11 +569,15 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
             buf.get_matrix(&mut self.g_m[d]);
         }
         buf.get_matrix(&mut self.l_m);
-        let mut minv = Matrix::zeros(self.nel, self.nel);
-        buf.get_matrix(&mut minv);
         match &mut self.engine {
-            InverseEngine::Direct(m) => *m = minv,
-            InverseEngine::Delayed(d) => d.reset(minv),
+            // Straight into the engine's matrix: its row padding is already
+            // zero and `get_matrix` writes the logical columns only.
+            InverseEngine::Direct(m) => buf.get_matrix(m),
+            InverseEngine::Delayed(d) => {
+                let mut minv = Matrix::zeros(self.nel, self.nel);
+                buf.get_matrix(&mut minv);
+                d.reset(minv);
+            }
         }
         self.log_value = buf.get_f64();
         self.sign = buf.get_f64();
@@ -589,11 +602,58 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
     }
 }
 
-#[inline]
-fn det_ratio_row_from_slice<T: Real>(inv_row: &[T], v: &[T]) -> T {
-    let mut acc = T::ZERO;
-    for (a, b) in inv_row.iter().zip(v) {
-        acc = a.mul_add(*b, acc);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spo::CosineSpo;
+    use qmc_instrument::drain_thread_profile;
+    use qmc_particles::{CrystalLattice, Layout, Species};
+
+    /// The model counts the roofline columns divide by: one `ratio_grad` is
+    /// four dots against the inverse row, one accepted move is a gemv and a
+    /// ger over the inverse.
+    #[test]
+    fn ratio_grad_and_accept_move_book_their_model_flops_and_bytes() {
+        let nel = 6;
+        let side = 7.0;
+        let pos: Vec<Pos<f64>> = (0..nel)
+            .map(|i| {
+                let t = i as f64;
+                TinyVector([0.9 + 1.1 * t, 6.1 - 0.8 * t, (2.3 * t + 0.4) % side])
+            })
+            .collect();
+        let species = Species {
+            name: "u".into(),
+            charge: -1.0,
+        };
+        let mut p = ParticleSet::new("e", CrystalLattice::cubic(side), vec![(species, pos)]);
+        p.add_table_aa(Layout::Soa);
+        p.update_tables();
+        let mut det = DiracDeterminant::new(
+            Box::new(CosineSpo::<f64>::new(nel, [side; 3])),
+            0,
+            nel,
+            DetUpdateMode::ShermanMorrison,
+        );
+        det.evaluate_log(&mut p);
+
+        p.prepare_move(2);
+        p.make_move(2, p.pos(2) + TinyVector([0.2, -0.1, 0.15]));
+        drain_thread_profile();
+        det.ratio_grad(&p, 2, &mut TinyVector::zero());
+        det.accept_move(&p, 2);
+        let profile = drain_thread_profile();
+
+        let size = std::mem::size_of::<f64>();
+        let ratio = profile.get(Kernel::DetRatio);
+        assert_eq!(
+            (ratio.calls, ratio.flops, ratio.bytes),
+            (1, (8 * nel) as u64, (5 * nel * size) as u64)
+        );
+        let update = profile.get(Kernel::DetUpdate);
+        assert_eq!(
+            (update.calls, update.flops, update.bytes),
+            (1, (4 * nel * nel) as u64, (3 * nel * nel * size) as u64)
+        );
     }
-    acc
 }

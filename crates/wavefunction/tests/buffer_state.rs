@@ -116,6 +116,17 @@ fn roundtrip_under_scramble(
     buf.rewind();
     c.load_state(&mut buf);
     assert!(buf.fully_consumed(), "buffer layout mismatch");
+    // Save → perturb → load → save: nothing of the scrambled state may
+    // survive the load, so the second buffer is the first bit for bit
+    // (the determinant reads its inverse straight into the engine's own
+    // matrix, or resets the delayed engine with it).
+    let mut resaved = WalkerBuffer::new();
+    c.save_state(&mut resaved);
+    let bits = |b: &WalkerBuffer<f64>| -> Vec<u64> {
+        let all = b.reals().iter().chain(b.doubles());
+        all.map(|x| x.to_bits()).collect()
+    };
+    assert_eq!(bits(&buf), bits(&resaved), "load then save is not identity");
     assert!(
         (c.log_value() - log0).abs() < 1e-12,
         "log after restore: {} vs {}",

@@ -140,3 +140,57 @@ proptest! {
         protocol_check(&mut p, &mut c, iat, TinyVector([dx, dy, dz]))?;
     }
 }
+
+/// The NLPP fast path takes its quadrature points eight at a time against
+/// the one inverse row; every per-point factor must still be `ratio`'s
+/// contraction bit for bit — with a single point, a tail shorter than a
+/// block, exactly one block, and blocks plus a tail.
+#[test]
+fn ratios_value_only_equals_per_point_ratio_bitwise() {
+    let n = 10;
+    let coords: Vec<(f64, f64, f64)> = (0..n)
+        .map(|i| {
+            let t = i as f64;
+            (
+                (0.13 + 0.31 * t).fract(),
+                (0.71 + 0.17 * t).fract(),
+                (0.29 + 0.43 * t).fract(),
+            )
+        })
+        .collect();
+    let mut p = electrons(&coords);
+    p.add_table_aa(Layout::Soa);
+    let mut c = DiracDeterminant::new(
+        Box::new(CosineSpo::<f64>::new(n, [L, L, L])),
+        0,
+        n,
+        DetUpdateMode::ShermanMorrison,
+    );
+    p.update_tables();
+    c.evaluate_log(&mut p);
+
+    let iat = 3;
+    for nq in [1usize, 7, 8, 9, 12, 18] {
+        let positions: Vec<Pos<f64>> = (0..nq)
+            .map(|q| {
+                let t = q as f64;
+                p.pos(iat) + TinyVector([0.21 * (t + 1.0).sin(), 0.17 * t.cos(), 0.05 * t - 0.3])
+            })
+            .collect();
+        let mut batched = vec![1.0; nq];
+        assert!(c.ratios_value_only(&p, iat, &positions, &mut batched));
+        for (q, &r) in positions.iter().enumerate() {
+            p.prepare_move(iat);
+            p.make_move(iat, r);
+            let per_point = c.ratio(&p, iat);
+            c.restore(iat);
+            p.reject_move(iat);
+            assert_eq!(
+                batched[q].to_bits(),
+                per_point.to_bits(),
+                "nq={nq} point {q}: {} vs {per_point}",
+                batched[q]
+            );
+        }
+    }
+}
