@@ -76,8 +76,17 @@ echo "== determinant speedup gate (blocked vs serial-chain oracle, release) =="
 # The determinant path is FMA-latency-bound unless several independent
 # accumulators run side by side: the blocked Sherman-Morrison update must
 # stay >= 1.5x and the row-wise LU inverse >= 2x ahead of the scalar code
-# kept in crates/linalg/tests/oracle.rs, or a refactor re-serialised them.
+# kept in crates/linalg/tests/oracle.rs, or a refactor re-serialised them;
+# the engine's row-axpy update on A^-1 must stay >= 1.5x ahead of the
+# row-blocked one, whose n^2 FMAs are scalar.
 cargo test -q --release -p qmc-linalg --test oracle -- --ignored
+
+echo "== vgh prefetch gate (hinted vs un-hinted loop on a 419 MiB table, release) =="
+# Out of cache the simd vgh kernel is latency-bound unless it asks for the
+# next lane block's 64 cache lines while it computes the current one: it
+# must stay >= 1.5x ahead of the un-hinted loop kept in
+# crates/kernels/tests/backend_matrix.rs, bit for bit equal to it.
+cargo test -q --release -p qmc-kernels --test backend_matrix -- --ignored
 
 echo "== checkpoint/resume parity smoke (kill at step 3, resume to 6) =="
 # A run checkpointed at an interior generation and restarted from the

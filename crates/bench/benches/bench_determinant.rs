@@ -1,14 +1,21 @@
 //! Criterion bench: determinant-inverse updates — Sherman–Morrison rank-1
-//! (the baseline `DetUpdate` of §8.4) versus the delayed Woodbury engine
-//! at several delay depths, measured over full N-move sweeps so the
-//! delayed engine's blocked flush cost is amortized realistically — in
-//! f32 (the precision the engines run) and f64 — plus the from-scratch
-//! `LuFactor::inverse` of the periodic recompute.
+//! (the baseline `DetUpdate` of §8.4) on the inverse as the engine stores
+//! it (`sherman_morrison_inverse`, row axpys on `A⁻¹`) and on the
+//! transposed inverse (`sherman_morrison_update`, the bit oracle), versus
+//! the delayed Woodbury engine at several delay depths, measured over full
+//! N-move sweeps so the delayed engine's blocked flush cost is amortized
+//! realistically — in f32 (the precision the engines run) and f64 — plus
+//! what the storage order costs elsewhere (the strided column read behind
+//! every ratio, the blocked transpose behind every walker save) and the
+//! from-scratch `LuFactor::inverse` of the periodic recompute. Sizes are
+//! one spin's determinant of the benchmark ladder: 32 (Graphite / Be-64
+//! scaled), 128 (Graphite), 192 (NiO-32), 384 (NiO-64).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qmc_containers::{Matrix, Real};
+use qmc_containers::{transpose_into, Matrix, Real};
 use qmc_linalg::{
-    det_ratio_row, sherman_morrison_update, transposed_inverse_log_det, DelayedInverse, LuFactor,
+    det_ratio_row, invert_with_log_det, sherman_morrison_inverse, sherman_morrison_update,
+    DelayedInverse, LuFactor,
 };
 use std::hint::black_box;
 
@@ -31,15 +38,45 @@ fn new_row<T: Real>(n: usize, k: usize) -> Vec<T> {
         .collect()
 }
 
-/// One precision's rows for dimension `n`: a full Sherman–Morrison sweep,
-/// the delayed engine at `delays`, and the from-scratch LU inverse.
+/// One precision's rows for dimension `n`: a full Sherman–Morrison sweep in
+/// both storage orders, the delayed engine at `delays`, the column read and
+/// save transpose the engine's order costs, and the from-scratch LU inverse.
 fn bench_precision<T: Real>(c: &mut Criterion, n: usize, delays: &[usize]) {
     let a = well_conditioned::<T>(n, 9);
-    let (minv_t, _, _) = transposed_inverse_log_det(&a).unwrap();
+    let (inv, _, _) = invert_with_log_det(&a).unwrap();
+    let minv_t = inv.transposed();
     let rows: Vec<Vec<T>> = (0..n).map(|k| new_row(n, k)).collect();
     let prec = std::any::type_name::<T>();
 
     let mut group = c.benchmark_group(format!("det_update_N{n}_{prec}"));
+    group.bench_function(BenchmarkId::new("sweep", "sherman_morrison_inverse"), |b| {
+        let mut w = vec![T::ZERO; n];
+        b.iter(|| {
+            let mut m = inv.clone();
+            for (k, v) in rows.iter().enumerate() {
+                black_box(sherman_morrison_inverse(&mut m, k, v, &mut w));
+            }
+            black_box(&m);
+        });
+    });
+    group.bench_function(BenchmarkId::new("sweep", "column_read"), |b| {
+        let mut col = vec![T::ZERO; n];
+        b.iter(|| {
+            for k in 0..n {
+                for (i, out) in col.iter_mut().enumerate() {
+                    *out = inv[(i, k)];
+                }
+                black_box(&col);
+            }
+        });
+    });
+    group.bench_function("save_transpose", |b| {
+        let mut flat = vec![T::ZERO; n * n];
+        b.iter(|| {
+            transpose_into(inv.as_slice(), inv.stride(), n, n, &mut flat, n);
+            black_box(&flat);
+        });
+    });
     group.bench_function(BenchmarkId::new("sweep", "sherman_morrison"), |b| {
         b.iter(|| {
             let mut m = minv_t.clone();
@@ -70,13 +107,13 @@ fn bench_precision<T: Real>(c: &mut Criterion, n: usize, delays: &[usize]) {
 }
 
 fn bench_determinant(c: &mut Criterion) {
-    for &n in &[48usize, 192] {
+    for &n in &[32usize, 128, 192] {
         // f32 is what the engines update, f64 what the recompute inverts.
-        bench_precision::<f32>(c, n, &[4, 16, 32]);
-        bench_precision::<f64>(c, n, &[4, 16, 32]);
+        bench_precision::<f32>(c, n, &[4, 16]);
+        bench_precision::<f64>(c, n, &[4, 16]);
     }
-    // NiO-64 size: one spin's determinant of the largest Table-1 system.
     bench_precision::<f32>(c, 384, &[]);
+    bench_precision::<f64>(c, 384, &[]);
 }
 
 criterion_group!(benches, bench_determinant);

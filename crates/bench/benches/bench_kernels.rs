@@ -3,9 +3,11 @@
 //! (B-spline v/vgh/mw-vgl in both precisions, the NLPP-sized value-only
 //! batch, distance rows, J2 accumulation), so a backend regression shows
 //! up in the same Criterion series the cross-backend verifier gates for
-//! correctness.
+//! correctness. Those tables (7 MiB, 16 repeated points) are cache-hot;
+//! the `dram` group times the NiO-32 shape far out of cache, where what
+//! binds is the memory system, and prints the byte rate beside the time.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qmc_bspline::MultiBspline3D;
 use qmc_containers::Real;
 use qmc_kernels::bspline::{evaluate_v, evaluate_vgh, mw_evaluate_v, mw_evaluate_vgl};
@@ -78,6 +80,42 @@ fn bench_bspline_precision<T: Real>(c: &mut Criterion, group: &str) {
 fn bench_bspline_backends(c: &mut Criterion) {
     bench_bspline_precision::<f64>(c, "kernels_bspline");
     bench_bspline_precision::<f32>(c, "kernels_bspline_f32");
+}
+
+/// The cache-hot rows above cannot tell a kernel that streams from one that
+/// waits on every miss: this one runs `simd` v and vgh on the `nio32-dmc`
+/// table shape (80³ x 192 f32, 419 MiB) over distinct random points, and
+/// prints GB/s over the 64 stencil rows x `ns` x 4 B each point reads.
+/// Both kernels read the same rows, so a gap between their rates is
+/// access-pattern latency, not bandwidth.
+fn bench_bspline_dram(c: &mut Criterion) {
+    let ns = 192;
+    let table = MultiBspline3D::<f32>::random([80, 80, 80], ns, 17);
+    let view = table.view();
+    let mut rng = StdRng::seed_from_u64(19);
+    let points: Vec<[f32; 3]> = (0..4096)
+        .map(|_| [rng.random(), rng.random(), rng.random()])
+        .collect();
+    let mut idx = 0usize;
+    let (mut p, mut g, mut h) = (vec![0.0f32; ns], vec![0.0f32; 3 * ns], vec![0.0f32; 6 * ns]);
+
+    let mut group = c.benchmark_group(format!("kernels_bspline_dram_f32_80x80x80_ns{ns}"));
+    group.throughput(Throughput::Bytes((64 * ns * 4) as u64));
+    group.bench_function(BenchmarkId::new("v", "simd"), |bench| {
+        bench.iter(|| {
+            idx = (idx + 1) % points.len();
+            evaluate_v(Backend::Simd, &view, points[idx], &mut p);
+            black_box(&p);
+        });
+    });
+    group.bench_function(BenchmarkId::new("vgh", "simd"), |bench| {
+        bench.iter(|| {
+            idx = (idx + 1) % points.len();
+            evaluate_vgh(Backend::Simd, &view, points[idx], &mut p, &mut g, &mut h);
+            black_box(&p);
+        });
+    });
+    group.finish();
 }
 
 /// The NLPP quadrature inner loop: 12 value-only orbital evaluations per
@@ -158,6 +196,7 @@ fn bench_jastrow_backends(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_bspline_backends,
+    bench_bspline_dram,
     bench_nlpp_v_backends,
     bench_distance_backends,
     bench_jastrow_backends

@@ -1,9 +1,11 @@
 //! # qmc-containers
 //!
 //! Data-layout foundation for the QMC workspace: the precision abstraction
-//! ([`Real`]), SIMD-aligned storage ([`AlignedVec`]), the AoS physics vector
-//! ([`TinyVector`]), the paper's structure-of-arrays container
-//! ([`VectorSoaContainer`], Fig. 5) and a row-padded dense [`Matrix`].
+//! ([`Real`]), SIMD-aligned storage ([`AlignedVec`]) and the cache hint
+//! ([`prefetch_read`]) — this crate's audited `unsafe`, both in
+//! `aligned.rs` — the AoS physics vector ([`TinyVector`]), the paper's
+//! structure-of-arrays container ([`VectorSoaContainer`], Fig. 5) and a
+//! row-padded dense [`Matrix`].
 //!
 //! These reproduce the containers introduced in §7.3 of *Mathuriya et al.,
 //! SC'17*: AoS objects (`Vector<TinyVector<T,D>>`) remain the high-level
@@ -21,8 +23,8 @@ pub mod real;
 pub mod soa;
 pub mod tiny;
 
-pub use aligned::{lanes_per_align, padded_len, AlignedVec, QMC_SIMD_ALIGN};
-pub use matrix::Matrix;
+pub use aligned::{lanes_per_align, padded_len, prefetch_read, AlignedVec, QMC_SIMD_ALIGN};
+pub use matrix::{transpose_into, Matrix};
 pub use real::Real;
 pub use soa::VectorSoaContainer;
 pub use tiny::{Pos, TinyVector};

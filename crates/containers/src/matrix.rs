@@ -9,6 +9,37 @@ use crate::aligned::{padded_len, AlignedVec};
 use crate::real::Real;
 use std::ops::{Index, IndexMut};
 
+/// Edge of the square tiles [`transpose_into`] moves: a tile's source rows
+/// and destination rows are both a cache line or two, so neither side of
+/// the copy strides through memory one element per line.
+const TRANSPOSE_TILE: usize = 16;
+
+/// Out-of-place blocked transpose between two strided row-major buffers:
+/// `dst[j * dst_stride + i] = src[i * src_stride + j]` for `i < rows`,
+/// `j < cols`. Allocation-free; elements are copied, never recomputed.
+pub fn transpose_into<T: Copy>(
+    src: &[T],
+    src_stride: usize,
+    rows: usize,
+    cols: usize,
+    dst: &mut [T],
+    dst_stride: usize,
+) {
+    assert!(src_stride >= cols && dst_stride >= rows, "rows overlap");
+    for i0 in (0..rows).step_by(TRANSPOSE_TILE) {
+        let i1 = (i0 + TRANSPOSE_TILE).min(rows);
+        for j0 in (0..cols).step_by(TRANSPOSE_TILE) {
+            let j1 = (j0 + TRANSPOSE_TILE).min(cols);
+            for j in j0..j1 {
+                let out = &mut dst[j * dst_stride + i0..j * dst_stride + i1];
+                for (o, i) in out.iter_mut().zip(i0..i1) {
+                    *o = src[i * src_stride + j];
+                }
+            }
+        }
+    }
+}
+
 /// Dense `rows x cols` matrix whose rows are padded to stride `>= cols`.
 #[derive(Clone, Debug)]
 pub struct Matrix<T: Real> {
@@ -141,6 +172,21 @@ impl<T: Real> Matrix<T> {
         Self::from_fn(n, n, |i, j| if i == j { T::ONE } else { T::ZERO })
     }
 
+    /// The transpose as a new (row-padded) matrix, via [`transpose_into`].
+    pub fn transposed(&self) -> Matrix<T> {
+        let mut t = Matrix::zeros(self.cols, self.rows);
+        let stride = t.stride;
+        transpose_into(
+            &self.data,
+            self.stride,
+            self.rows,
+            self.cols,
+            t.data.as_mut_slice(),
+            stride,
+        );
+        t
+    }
+
     /// Casts every logical element through `f64` into another precision.
     pub fn cast<U: Real>(&self) -> Matrix<U> {
         Matrix::from_fn(self.rows, self.cols, |i, j| {
@@ -236,6 +282,24 @@ mod tests {
         let j: Matrix<f32> = i.cast();
         assert_eq!(j[(2, 2)], 1.0f32);
         assert_eq!(i.max_abs_diff(&j.cast()), 0.0);
+    }
+
+    #[test]
+    fn transpose_covers_whole_tiles_and_ragged_edges() {
+        for (rows, cols) in [(1, 1), (3, 5), (16, 16), (17, 33), (40, 19)] {
+            let m = Matrix::<f32>::from_fn(rows, cols, |i, j| (100 * i + j) as f32);
+            let t = m.transposed();
+            assert_eq!((t.rows(), t.cols()), (cols, rows));
+            for i in 0..rows {
+                for j in 0..cols {
+                    assert_eq!(t[(j, i)], m[(i, j)]);
+                }
+            }
+            // Padding of the destination stays zero.
+            for j in 0..cols {
+                assert!(t.row_padded(j)[rows..].iter().all(|&x| x == 0.0));
+            }
+        }
     }
 
     #[test]

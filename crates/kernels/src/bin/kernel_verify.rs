@@ -5,7 +5,8 @@
 //! explicit log line per backend; CI greps for those lines so no backend
 //! can be skipped silently. `--bench` times the dominant B-spline kernels
 //! per backend and prints the simd-vs-reference speedups (run under
-//! `--release`; debug timings are meaningless).
+//! `--release`; debug timings are meaningless), then one `dram` line: the
+//! same kernels on a table far out of cache, with the byte rate they reach.
 
 use qmc_containers::{padded_len, AlignedVec, Real};
 use qmc_kernels::bspline::{evaluate_v, evaluate_vgh, mw_evaluate_v, mw_evaluate_vgl};
@@ -397,6 +398,41 @@ fn bench() {
     );
 }
 
+/// The rows above run a 7 MiB table at four repeated points — L1/L2-hot,
+/// blind to a kernel that waits out every miss. This line runs `simd` v
+/// and vgh on the NiO-32 shape (80³ x 192 f32, 419 MiB) at distinct random
+/// points and prints the rate over the 64 x `ns` x 4 B each point reads;
+/// both read the same rows, so a gap between the two rates is latency.
+/// Informational: outside the speedup gate.
+fn bench_dram() {
+    let ns = 192;
+    let table = Table::<f32>::random([80, 80, 80], ns, 505);
+    let t = table.view();
+    let mut rng = Rng::new(606);
+    let us: Vec<[f32; 3]> = (0..2048)
+        .map(|_| [rng.next() as f32, rng.next() as f32, rng.next() as f32])
+        .collect();
+    let (mut p, mut g, mut h) = (vec![0.0f32; ns], vec![0.0f32; 3 * ns], vec![0.0f32; 6 * ns]);
+    let points = us.len() as f64;
+    let t_v = best_time(3, 1, || {
+        for &u in &us {
+            evaluate_v(Backend::Simd, &t, u, &mut p);
+        }
+    }) / points;
+    let t_vgh = best_time(3, 1, || {
+        for &u in &us {
+            evaluate_vgh(Backend::Simd, &t, u, &mut p, &mut g, &mut h);
+        }
+    }) / points;
+    // Bytes per nanosecond is GB/s.
+    let bytes = (64 * ns * 4) as f64;
+    println!(
+        "kernel-bench: dram backend=simd f32 grid=80x80x80 ns={ns} points={points} v_ns={t_v:.0} v_gbs={:.1} vgh_ns={t_vgh:.0} vgh_gbs={:.1}",
+        bytes / t_v,
+        bytes / t_vgh
+    );
+}
+
 fn main() {
     let bench_mode = std::env::args().any(|a| a == "--bench");
     for b in Backend::ALL {
@@ -405,5 +441,6 @@ fn main() {
     }
     if bench_mode {
         bench();
+        bench_dram();
     }
 }

@@ -29,10 +29,31 @@
 //! runs 8-wide, `f32` runs 16-wide (one 512-bit register either way).
 //! Widening never reorders a per-orbital accumulation, so the bitwise
 //! contract holds on both rungs.
+//!
+//! ## Why `vgh` hints and `v` does not
+//!
+//! On a table far out of cache both `simd` kernels read the same 64 rows,
+//! yet `v` streamed them at the one-core DRAM rate while `vgh` reached less
+//! than a third of it. `v` keeps four accumulators per tile, so each row
+//! visit takes four consecutive lines and the whole 64-node body is short
+//! enough that the misses of the next tile start under the current one.
+//! `vgh` keeps ten accumulators per block, so each of its `ns / W` passes
+//! touches exactly *one* line in each of 64 rows that lie a row, a plane
+//! or a slab apart — no stream for a hardware prefetcher to see — and its
+//! 64-node FMA body is longer than the reorder window, so the misses of
+//! pass `p + 1` cannot begin under pass `p`: latency-bound, not
+//! bandwidth-bound. `vgh_simd_w` therefore issues
+//! [`qmc_containers::prefetch_read`] for the next pass's line beside each
+//! row load (one block ahead measured best; further ahead, the whole
+//! stencil up front, or an L2-only hint were each slower). A next-point
+//! hint in [`mw_evaluate_v`] and a single-pass twelve-block `v` tile were
+//! measured flat: `v` has no latency left to hide, only bytes. The hint is
+//! a safe function whose one `unsafe` block lives in `qmc-containers`; this
+//! crate keeps `#![forbid(unsafe_code)]`, and the hint cannot move a bit.
 
 use crate::lanes::{wide_f32, WideLane};
 use crate::Backend;
-use qmc_containers::Real;
+use qmc_containers::{prefetch_read, Real};
 
 /// Cubic B-spline basis weights for parameter `u` in `[0, 1)`.
 ///
@@ -513,6 +534,11 @@ fn vgh_simd<T: Real>(
 /// (A 2-block macro-tile was measured *slower* here — twenty live
 /// accumulators spill — so vgh keeps one block per pass and takes its
 /// tiling win from the hoisted [`vgh_weight_table`] alone.)
+///
+/// One block per pass means each pass reads exactly one cache line (`W`
+/// lanes = 64 bytes on both rungs) in each of the 64 stencil rows, so every
+/// pass asks for the next pass's 64 lines while it computes (see the module
+/// docs). The hints touch no arithmetic, loop order, weight or store.
 fn vgh_simd_w<T: Real, const W: usize>(
     t: &SplineView<'_, T>,
     u: [T; 3],
@@ -523,12 +549,27 @@ fn vgh_simd_w<T: Real, const W: usize>(
     let ns = t.num_splines;
     let ([ix, iy, iz], w9) = vgh_setup(t, u);
     let bases = stencil_bases(t, ix, iy, iz);
+    // The first pass has no earlier one to hide its lines under: ask for
+    // them before the weight table is built.
+    if ns > 0 {
+        for &base in &bases {
+            prefetch_read(&t.coefs[base]);
+        }
+    }
     let w = vgh_weight_table(&w9);
     let mut s0 = 0;
     while s0 + W <= ns {
+        // Lanes `s0 + W..` are read by the next pass or by the scalar tail
+        // if an orbital lives there; rows are `ns_pad >= ns` long, so the
+        // hinted element is always inside the row.
+        let ahead = s0 + W < ns;
         let mut acc = [WideLane::<T, W>::zero(); 10];
         for k in 0..64 {
-            let cf = WideLane::load(&t.coefs[bases[k] + s0..]);
+            let row = &t.coefs[bases[k] + s0..];
+            if ahead {
+                prefetch_read(&row[W]);
+            }
+            let cf = WideLane::load(row);
             for q in 0..10 {
                 acc[q] = acc[q].fma_scalar(w[k][q], cf);
             }

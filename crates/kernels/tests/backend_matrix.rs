@@ -13,12 +13,13 @@
 
 use qmc_containers::{padded_len, AlignedVec, Real};
 use qmc_kernels::bspline::{
-    evaluate_v, evaluate_vgh, evaluate_vgl, mw_evaluate_v, mw_evaluate_vgl,
+    bspline_weights, evaluate_v, evaluate_vgh, evaluate_vgl, locate, mw_evaluate_v, mw_evaluate_vgl,
 };
 use qmc_kernels::distance::distance_row;
 use qmc_kernels::jastrow::{
     j2_accept_grad_row, j2_accept_value_rows, j2_row_sum, j2_row_vg, j2_row_vgl,
 };
+use qmc_kernels::lanes::WideLane;
 use qmc_kernels::{Backend, MinImageCell, SplineView};
 
 // -- seeded input generators ------------------------------------------------
@@ -316,6 +317,187 @@ fn bspline_stencil_edges_f64() {
 #[test]
 fn bspline_stencil_edges_f32() {
     bspline_edge_matrix::<f32>(17, 53);
+}
+
+// -- vgh prefetch hints: no bit moved, no index outside the table ------------
+
+/// The simd vgh kernel hints the cache line one lane block ahead of the
+/// one it reads. Sizes: no whole block (1, 15), exact multiples of both
+/// rungs' block, where the last pass must hint nothing (16, 32, 192), a
+/// block plus a tail inside `ns_pad > ns` (17, 33). Positions: every
+/// corner combination of u = 0 and the last cell of each axis, whose
+/// stencils end on the `+3` ghost layers — the table's slice ends with the
+/// last of them, so a hint past it is an index panic here.
+fn vgh_hint_matrix<T: Real>() {
+    let grid = [5usize, 6, 7];
+    let corners: Vec<[T; 3]> = (0..8u32)
+        .map(|m| {
+            std::array::from_fn(|d| {
+                let cells = grid[d] as f64;
+                let last_cell = (cells - 0.4) / cells;
+                T::from_f64(if m >> d & 1 == 0 { 0.0 } else { last_cell })
+            })
+        })
+        .collect();
+    for ns in [1usize, 15, 16, 17, 32, 33, 192] {
+        let table = Table::<T>::random(grid, ns, 1000 + ns as u64);
+        let t = table.view();
+        for &u in corners.iter().chain(&positions::<T>(2, ns as u64)) {
+            let eval = |b| {
+                let mut out = (
+                    vec![T::ZERO; ns],
+                    vec![T::ZERO; 3 * ns],
+                    vec![T::ZERO; 6 * ns],
+                );
+                evaluate_vgh(b, &t, u, &mut out.0, &mut out.1, &mut out.2);
+                out
+            };
+            let want = eval(Backend::Reference);
+            for b in [Backend::Soa, Backend::Simd] {
+                let got = eval(b);
+                assert_eq!(got.0, want.0, "{b}: vgh psi, ns={ns} at {u:?}");
+                assert_eq!(got.1, want.1, "{b}: vgh grad, ns={ns} at {u:?}");
+                assert_eq!(got.2, want.2, "{b}: vgh hess, ns={ns} at {u:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn vgh_hints_move_no_bit_and_stay_in_the_table_f64() {
+    vgh_hint_matrix::<f64>();
+}
+
+#[test]
+fn vgh_hints_move_no_bit_and_stay_in_the_table_f32() {
+    vgh_hint_matrix::<f32>();
+}
+
+/// The simd vgh kernel as it was before it hinted, f32 rung only and for
+/// `ns` a multiple of the block: the baseline of the timing gate below,
+/// kept here because the library holds the loop once.
+fn vgh_simd_unhinted(
+    t: &SplineView<'_, f32>,
+    u: [f32; 3],
+    psi: &mut [f32],
+    grad: &mut [f32],
+    hess: &mut [f32],
+) {
+    const W: usize = 16;
+    let ns = t.num_splines;
+    assert_eq!(ns % W, 0);
+    let [nx, ny, nz] = t.grid;
+    let (ix, ux) = locate(u[0], nx);
+    let (iy, uy) = locate(u[1], ny);
+    let (iz, uz) = locate(u[2], nz);
+    let (wx, dwx, d2wx) = bspline_weights(ux);
+    let (wy, dwy, d2wy) = bspline_weights(uy);
+    let (wz, dwz, d2wz) = bspline_weights(uz);
+    let mut bases = [0usize; 64];
+    let mut w = [[0.0f32; 10]; 64];
+    let mut k = 0;
+    for a in 0..4 {
+        for b in 0..4 {
+            let ab_v = wx[a] * wy[b];
+            let ab_gx = dwx[a] * wy[b];
+            let ab_gy = wx[a] * dwy[b];
+            let ab_hxx = d2wx[a] * wy[b];
+            let ab_hxy = dwx[a] * dwy[b];
+            let ab_hyy = wx[a] * d2wy[b];
+            for c in 0..4 {
+                bases[k] = (((ix + a) * (ny + 3) + iy + b) * (nz + 3) + iz + c) * t.ns_pad;
+                w[k] = [
+                    ab_v * wz[c],
+                    ab_gx * wz[c],
+                    ab_gy * wz[c],
+                    ab_v * dwz[c],
+                    ab_hxx * wz[c],
+                    ab_hxy * wz[c],
+                    ab_gx * dwz[c],
+                    ab_hyy * wz[c],
+                    ab_gy * dwz[c],
+                    ab_v * d2wz[c],
+                ];
+                k += 1;
+            }
+        }
+    }
+    for s0 in (0..ns).step_by(W) {
+        let mut acc = [WideLane::<f32, W>::zero(); 10];
+        for k in 0..64 {
+            let cf = WideLane::load(&t.coefs[bases[k] + s0..]);
+            for q in 0..10 {
+                acc[q] = acc[q].fma_scalar(w[k][q], cf);
+            }
+        }
+        acc[0].store(&mut psi[s0..]);
+        for d in 0..3 {
+            acc[1 + d].store(&mut grad[d * ns + s0..]);
+        }
+        for h in 0..6 {
+            acc[4 + h].store(&mut hess[h * ns + s0..]);
+        }
+    }
+    let n = [nx as f32, ny as f32, nz as f32];
+    for d in 0..3 {
+        for x in &mut grad[d * ns..(d + 1) * ns] {
+            *x *= n[d];
+        }
+    }
+    for (h, (a, b)) in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+        .into_iter()
+        .enumerate()
+    {
+        let scale = n[a] * n[b];
+        for x in &mut hess[h * ns..(h + 1) * ns] {
+            *x *= scale;
+        }
+    }
+}
+
+/// Timing gate (release mode, `-- --ignored`; `ci.sh` runs it): on a table
+/// far out of cache — the NiO-32 shape, 80³ x 192 f32, 419 MiB — the
+/// hinted kernel must stay >= 1.5x ahead of the un-hinted loop it replaced
+/// (measured 2.4x when the gate was set), with every output bit equal.
+#[test]
+#[ignore = "timing gate on a 419 MiB table: run in release mode (ci.sh does)"]
+fn vgh_hints_pay_on_an_out_of_cache_table() {
+    let ns = 192;
+    let table = Table::<f32>::random([80, 80, 80], ns, 7);
+    let t = table.view();
+    let us = positions::<f32>(2048, 99);
+    let mut out = (vec![0.0f32; ns], vec![0.0f32; 3 * ns], vec![0.0f32; 6 * ns]);
+    let mut want = out.clone();
+    for &u in &us[..64] {
+        evaluate_vgh(Backend::Simd, &t, u, &mut out.0, &mut out.1, &mut out.2);
+        vgh_simd_unhinted(&t, u, &mut want.0, &mut want.1, &mut want.2);
+        assert!(
+            out == want,
+            "hinted vgh differs from the un-hinted loop at {u:?}"
+        );
+    }
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..3 {
+        for (side, slot) in best.iter_mut().enumerate() {
+            let t0 = std::time::Instant::now();
+            for &u in &us {
+                if side == 0 {
+                    vgh_simd_unhinted(&t, u, &mut out.0, &mut out.1, &mut out.2);
+                } else {
+                    evaluate_vgh(Backend::Simd, &t, u, &mut out.0, &mut out.1, &mut out.2);
+                }
+                std::hint::black_box(&mut out);
+            }
+            *slot = slot.min(t0.elapsed().as_secs_f64() / us.len() as f64);
+        }
+    }
+    let [unhinted, hinted] = best.map(|s| s * 1e6);
+    let gain = unhinted / hinted;
+    println!("vgh f32 80^3 x {ns}: {unhinted:.2} -> {hinted:.2} us/point, {gain:.2}x");
+    assert!(
+        gain >= 1.5,
+        "hinted vgh is only {gain:.2}x the un-hinted loop out of cache (>= 1.5x required)"
+    );
 }
 
 // -- distance family: bitwise across all backends ---------------------------

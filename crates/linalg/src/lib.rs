@@ -20,4 +20,6 @@ pub mod updates;
 pub use blas::{axpy, dot, dots, gemm, scal};
 pub use delayed::DelayedInverse;
 pub use lu::{invert_with_log_det, LuFactor, SingularMatrix};
-pub use updates::{det_ratio_row, sherman_morrison_update, transposed_inverse_log_det};
+pub use updates::{
+    det_ratio_row, sherman_morrison_inverse, sherman_morrison_update, transposed_inverse_log_det,
+};

@@ -1,18 +1,34 @@
 //! Determinant ratios and Sherman–Morrison rank-1 inverse updates.
 //!
 //! Convention (same as QMCPACK): the Slater matrix is `A[i][j] = phi_j(r_i)`
-//! (row per electron, column per orbital). The engine stores the *transposed
-//! inverse* `M = (A^{-1})^T`, i.e. `M[k][j] = A^{-1}[j][k]`, so that both the
-//! determinant ratio for moving electron `k` (Eq. 6 of the paper) and the
-//! gradient ratio are contiguous dot products against row `k` of `M`.
+//! (row per electron, column per orbital). Two storage orders of its inverse
+//! appear here, with the same numbers in them:
 //!
-//! The Sherman–Morrison update needs `w = M v`, one dot product per row.
-//! Taken one row at a time that is `n` dependent FMA chains of length `n`,
-//! bound by FMA latency, not by bandwidth (the 192² f32 inverse sits in L2).
-//! [`sherman_morrison_update`] therefore takes the rows in blocks through
-//! [`dots`], which is bit-identical to the row-at-a-time loop: every `w[j]`
-//! keeps `dot`'s summation order, a block's rows are all read before any of
-//! them is written, and row `k` is not written until the final scaling.
+//! * `B = A^{-1}` as LU returns it, `B[i][k] = A^{-1}[i][k]` — what the
+//!   determinant engine holds and [`sherman_morrison_inverse`] updates;
+//! * the *transposed inverse* `M = B^T`, `M[k][j] = B[j][k]` — what
+//!   [`det_ratio_row`] and [`sherman_morrison_update`] work on, the delayed
+//!   engine keeps, and the walker buffer serializes (row = electron).
+//!
+//! Replacing row `k` of `A` by `v` needs `w = M v`, i.e. `w[j] = M.row(j) .
+//! v`. In `M`'s order that is `n` reductions, each a chain of dependent
+//! `mul_add`s rustc may not reassociate; [`sherman_morrison_update`] runs
+//! them eight at a time through [`dots`], which covers the FMA latency but
+//! still issues `n²` *scalar* FMAs — the issue-rate bound at NiO size. In
+//! `B`'s order the very same sums are `w += v[i] * B.row(i)` for
+//! `i = 0..n`: each `w[j]` receives `B[i][j] * v[i] = M[j][i] * v[i]` in
+//! ascending `i`, exactly `dot(M.row(j), v)`'s `mul_add` sequence, but the
+//! `n` chains now sit side by side in vector lanes — `n²/W` FMAs. The
+//! rank-1 correction is elementwise in either order (`M[j][i] += c[j] *
+//! M[k][i]` is `B[i][j] += c[j] * B[i][k]`), so both kernels produce the
+//! same bits in every element; `tests/oracle.rs` holds them to that with
+//! `to_bits` over chained moves, and [`sherman_morrison_update`] /
+//! [`det_ratio_row`] stay as that oracle (and the delayed engine's tests').
+//!
+//! [`sherman_morrison_update`] is bit-identical to the row-at-a-time loop:
+//! every `w[j]` keeps `dot`'s summation order, a block's rows are all read
+//! before any of them is written, and row `k` is not written until the
+//! final scaling.
 
 use crate::blas::{axpy, dot, dots, scal};
 use qmc_containers::{Matrix, Real};
@@ -67,16 +83,44 @@ pub fn sherman_morrison_update<T: Real>(minv_t: &mut Matrix<T>, k: usize, v: &[T
     scal(inv_ratio, minv_t.row_mut(k));
 }
 
+/// Ratio and Sherman–Morrison update in one call on the inverse stored as
+/// `B = A^{-1}` (see the module docs), after *accepting* the replacement of
+/// row `k` of `A` by `v`. Returns `det A' / det A`. `w` is caller-owned
+/// scratch of length `n`; nothing is allocated.
+///
+/// With `w = B^T v` (so `w[k]` is the ratio) and `c = -w / w[k]`:
+/// `B'[i][j] = B[i][j] + c[j] B[i][k]` for `j != k`, `B'[i][k] = B[i][k] /
+/// w[k]`. Bit for bit what [`det_ratio_row`] + [`sherman_morrison_update`]
+/// leave in `M = B^T`: `w` accumulates in `dot`'s order, the correction is
+/// `axpy`'s `mul_add` per element, and column `k` is `scal`'s multiply.
+pub fn sherman_morrison_inverse<T: Real>(b: &mut Matrix<T>, k: usize, v: &[T], w: &mut [T]) -> T {
+    let n = b.rows();
+    debug_assert!(b.cols() == n && v.len() == n && w.len() == n && k < n);
+    w.fill(T::ZERO);
+    for (i, &vi) in v.iter().enumerate() {
+        axpy(vi, b.row(i), w);
+    }
+    let ratio = w[k];
+    let inv_ratio = T::ONE / ratio;
+    for wj in w.iter_mut() {
+        *wj = -*wj * inv_ratio;
+    }
+    for i in 0..n {
+        let row = b.row_mut(i);
+        let bik = row[k];
+        axpy(bik, w, row);
+        row[k] = bik * inv_ratio;
+    }
+    ratio
+}
+
 /// Builds the transposed inverse `(A^{-1})^T` together with
-/// `(log|det A|, sign)` via LU. This is the from-scratch path used at setup
-/// and for the periodic mixed-precision recompute.
+/// `(log|det A|, sign)` via LU.
 pub fn transposed_inverse_log_det<T: Real>(
     a: &Matrix<T>,
 ) -> Result<(Matrix<T>, f64, f64), crate::lu::SingularMatrix> {
     let (inv, log, sign) = crate::lu::invert_with_log_det(a)?;
-    let n = a.rows();
-    let minv_t = Matrix::from_fn(n, n, |i, j| inv[(j, i)]);
-    Ok((minv_t, log, sign))
+    Ok((inv.transposed(), log, sign))
 }
 
 #[cfg(test)]

@@ -7,13 +7,18 @@
 //! loop can go wrong: block edges, a tail shorter than a block, `n` smaller
 //! than a block, and matrices that pivot.
 //!
+//! `sherman_morrison_inverse`, the kernel the determinant engine runs on
+//! `B = A⁻¹`, claims the same of `det_ratio_row` + `sherman_morrison_update`
+//! on `M = Bᵀ`: those two retained functions are its oracle, ratio and
+//! every element after every move of the same chains.
+//!
 //! The `#[ignore]`d test at the bottom is the speed gate `ci.sh` runs in
 //! release mode, so a refactor that re-serialises the chains fails CI.
 
 use qmc_containers::{Matrix, Real};
 use qmc_linalg::{
-    axpy, det_ratio_row, dot, dots, scal, sherman_morrison_update, transposed_inverse_log_det,
-    LuFactor,
+    axpy, det_ratio_row, dot, dots, scal, sherman_morrison_inverse, sherman_morrison_update,
+    transposed_inverse_log_det, LuFactor,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -151,6 +156,9 @@ fn check_sherman_morrison<T: Real>(n: usize) {
     let mut rng = Lcg(n as u64 + 1);
     let mut blocked = starting_inverse::<T>(n, &mut rng);
     let mut oracle = blocked.clone();
+    // The engine's storage order: the same numbers as `B = Mᵀ`.
+    let mut inverse = blocked.transposed();
+    let mut w = vec![T::ZERO; n];
     // Block edges first (k in the first block, on its last row, on the first
     // row of the second, in the tail), then the rest of the 4n-move chain.
     let edges = [0, R - 1, R, n.saturating_sub(R), n - 1];
@@ -165,9 +173,22 @@ fn check_sherman_morrison<T: Real>(n: usize) {
         sherman_morrison_update(&mut blocked, k, &v, ratio);
         scalar_sherman_morrison(&mut oracle, k, &v, ratio);
         assert_same_bits(&blocked, &oracle, &format!("n={n} step {step} k={k}"));
+        let inverse_ratio = sherman_morrison_inverse(&mut inverse, k, &v, &mut w);
+        assert_eq!(
+            bits(inverse_ratio),
+            bits(ratio),
+            "n={n} step {step} k={k}: ratio on the inverse vs det_ratio_row"
+        );
+        assert_same_bits(
+            &inverse.transposed(),
+            &blocked,
+            &format!("inverse layout, n={n} step {step} k={k}"),
+        );
     }
 }
 
+/// The row-blocked update on `M` and the row-axpy update on `B = Mᵀ` both
+/// against the scalar loop.
 #[test]
 fn blocked_sherman_morrison_is_the_scalar_loop_bit_for_bit() {
     for n in [1usize, 2, 7, 8, 9, 15, 16, 17, 67, 192] {
@@ -204,7 +225,9 @@ fn best_of(repeats: usize, mut f: impl FnMut()) -> f64 {
 /// Speed gate (release mode, `-- --ignored`): the blocked forms must stay
 /// well ahead of the serial chains they replaced, at the NiO-32 size the
 /// benchmark's `nio32-dmc` workload runs (n = 192 per spin, f32 engine,
-/// f64 recompute). Measured 4.0x and 9.5x when this gate was set.
+/// f64 recompute). Measured 4.0x and 9.5x when this gate was set — and the
+/// row-axpy form on `A⁻¹` must stay ahead of the row-blocked one whose
+/// `n²` FMAs are scalar (measured 2.0x).
 #[test]
 #[ignore = "timing gate: run in release mode (ci.sh does)"]
 fn blocked_forms_outrun_the_serial_chains() {
@@ -228,6 +251,22 @@ fn blocked_forms_outrun_the_serial_chains() {
     assert!(
         gain >= 1.5,
         "blocked Sherman-Morrison is only {gain:.2}x the serial loop (>= 1.5x required)"
+    );
+
+    let start_inverse = start.transposed();
+    let mut w = vec![0.0f32; n];
+    let on_inverse = best_of(7, || {
+        let mut b = start_inverse.clone();
+        for (k, v) in rows.iter().enumerate() {
+            black_box(sherman_morrison_inverse(&mut b, k, v, &mut w));
+        }
+        black_box(&b);
+    });
+    let gain = blocked / on_inverse;
+    println!("sherman_morrison_inverse f32 n={n}: {gain:.2}x over the row-blocked update");
+    assert!(
+        gain >= 1.5,
+        "Sherman-Morrison on the inverse is only {gain:.2}x the row-blocked one (>= 1.5x required)"
     );
 
     let lu = LuFactor::new(&pivoting_matrix::<f64>(n, &mut rng)).unwrap();

@@ -11,7 +11,7 @@
 //! Scalars that are precision-critical (log values, signs) are kept in a
 //! separate `f64` stream regardless of the kernel precision `T`.
 
-use qmc_containers::{Matrix, Real};
+use qmc_containers::{transpose_into, Matrix, Real};
 
 /// Growable typed buffer with separate working-precision and double
 /// streams. Writing appends; reading consumes via internal cursors.
@@ -59,6 +59,21 @@ impl<T: Real> WalkerBuffer<T> {
         }
     }
 
+    /// Appends the logical region of the *transpose* of `m`, row by row —
+    /// `m.cols()` runs of `m.rows()` scalars — without materializing it.
+    pub fn put_matrix_transposed(&mut self, m: &Matrix<T>) {
+        let start = self.reals.len();
+        self.reals.resize(start + m.rows() * m.cols(), T::ZERO);
+        transpose_into(
+            m.as_slice(),
+            m.stride(),
+            m.rows(),
+            m.cols(),
+            &mut self.reals[start..],
+            m.rows(),
+        );
+    }
+
     /// Appends a double-precision scalar.
     pub fn put_f64(&mut self, x: f64) {
         // qmclint: allow(hot-path-call) — save_state clears and refills
@@ -83,6 +98,23 @@ impl<T: Real> WalkerBuffer<T> {
                 .copy_from_slice(&self.reals[self.r_cursor..end]);
             self.r_cursor = end;
         }
+    }
+
+    /// Reads what [`Self::put_matrix_transposed`] wrote back into the
+    /// logical region of `m`.
+    pub fn get_matrix_transposed(&mut self, m: &mut Matrix<T>) {
+        let (rows, cols, stride) = (m.rows(), m.cols(), m.stride());
+        let end = self.r_cursor + rows * cols;
+        // The stream holds the transpose: `cols` runs of `rows` scalars.
+        transpose_into(
+            &self.reals[self.r_cursor..end],
+            rows,
+            cols,
+            rows,
+            m.as_mut_slice(),
+            stride,
+        );
+        self.r_cursor = end;
     }
 
     /// Reads a double-precision scalar.
@@ -170,6 +202,24 @@ mod tests {
         let mut m2 = Matrix::<f64>::zeros(3, 5);
         b.get_matrix(&mut m2);
         assert_eq!(m.max_abs_diff(&m2), 0.0);
+    }
+
+    #[test]
+    fn transposed_put_is_put_of_the_transpose_and_reads_back() {
+        // 19 x 35: a whole transpose tile plus ragged edges both ways.
+        let m = Matrix::<f32>::from_fn(19, 35, |i, j| (i * 100 + j) as f32);
+        let mut direct = WalkerBuffer::<f32>::new();
+        direct.put_matrix(&m.transposed());
+        let mut b = WalkerBuffer::<f32>::new();
+        b.put_slice(&[-1.0]);
+        b.put_matrix_transposed(&m);
+        assert_eq!(&b.reals()[1..], direct.reals());
+        b.rewind();
+        b.get_slice(&mut [0.0]);
+        let mut back = Matrix::<f32>::zeros(19, 35);
+        b.get_matrix_transposed(&mut back);
+        assert!(b.fully_consumed());
+        assert_eq!(m.max_abs_diff(&back), 0.0);
     }
 
     #[test]

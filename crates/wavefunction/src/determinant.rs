@@ -2,21 +2,41 @@
 //!
 //! Implements the determinant part of Eq. 2: `D = det|A|` with
 //! `A[i][j] = phi_j(r_i)` over one spin's electrons. Ratios use the matrix
-//! determinant lemma (Eq. 6) as a contiguous dot against the transposed
-//! inverse; accepted moves update the inverse with Sherman–Morrison (the
-//! baseline `DetUpdate` kernel) or with the delayed Woodbury engine of
-//! §8.4. The inverse is recomputed from scratch in double precision every
-//! `recompute_period` accepted sweeps to bound mixed-precision drift
-//! (§7.2 of the paper, ref. 13).
+//! determinant lemma (Eq. 6) as a dot against column `k` of `A⁻¹`; accepted
+//! moves update the inverse with Sherman–Morrison (the baseline `DetUpdate`
+//! kernel) or with the delayed Woodbury engine of §8.4. The inverse is
+//! recomputed from scratch in double precision every `recompute_period`
+//! accepted sweeps to bound mixed-precision drift (§7.2 of the paper,
+//! ref. 13).
+//!
+//! ## Storage order of the inverse
+//!
+//! The Sherman–Morrison engine holds `B = A⁻¹` row-major, as LU returns it,
+//! not the transposed inverse `M = Bᵀ` whose row `k` the ratio wants,
+//! because the update dominates and is an issue-rate problem in `M`'s order
+//! (`n²` scalar FMAs) but `2n²/W` vector FMAs in `B`'s — see
+//! `qmc_linalg::updates`. Both sides of that trade keep every bit:
+//!
+//! * the ratio side copies column `k` of `B` — a strided read, paid once
+//!   per electron — into the `inv_row` scratch that used to receive row `k`
+//!   of `M`. The scratch then holds the same numbers in the same order, so
+//!   `ratio`, `ratio_grad`, `eval_grad`, `ratios_value_only` and
+//!   `accumulate_gl` run the `dot`/`dots` calls they always ran;
+//! * the update side accumulates `w[j]` as a sum of row axpys in ascending
+//!   `i`, which is `dot(M.row(j), v)`'s `mul_add` sequence for every `j`,
+//!   and its rank-1 correction is the same `mul_add` per element.
+//!
+//! `save_state`/`load_state` still write and read the inverse row =
+//! electron (`M`'s order) through a blocked transpose, so the walker
+//! buffer, the checkpoint format and every walker hash are unchanged —
+//! which is the end-to-end proof of the two claims above.
 
 use crate::buffer::WalkerBuffer;
 use crate::spo::SpoSet;
 use crate::traits::WaveFunctionComponent;
 use qmc_containers::{AlignedVec, Matrix, Pos, Real, TinyVector};
 use qmc_instrument::{add_flops_bytes, time_kernel, Kernel};
-use qmc_linalg::{
-    det_ratio_row, dot, dots, sherman_morrison_update, transposed_inverse_log_det, DelayedInverse,
-};
+use qmc_linalg::{dot, dots, invert_with_log_det, sherman_morrison_inverse, DelayedInverse};
 use qmc_particles::ParticleSet;
 
 /// Inverse-update algorithm selector.
@@ -33,7 +53,9 @@ pub enum DetUpdateMode {
 // determinant (two per engine), which is not worth it.
 #[allow(clippy::large_enum_variant)]
 enum InverseEngine<T: Real> {
+    /// `B = A⁻¹`, row-major (module docs).
     Direct(Matrix<T>),
+    /// Owns the transposed inverse `Bᵀ` plus its pending panels.
     Delayed(DelayedInverse<T>),
 }
 
@@ -65,7 +87,15 @@ pub struct DiracDeterminant<T: Real> {
     psi_v: AlignedVec<T>,
     psi_g: AlignedVec<T>,
     psi_l: AlignedVec<T>,
+    /// Column `k` of `A⁻¹` for the electron in [`Self::inv_col`].
     inv_row: AlignedVec<T>,
+    /// Which electron's column `inv_row` holds, if the Sherman–Morrison
+    /// engine's matrix has not changed since it was read: lets
+    /// `eval_grad(k)` and the `ratio_grad(k)` after it share one strided
+    /// read. Cleared wherever that matrix is written.
+    inv_col: Option<usize>,
+    /// `w` scratch of [`sherman_morrison_inverse`].
+    sm_w: AlignedVec<T>,
     /// Scratch for batched value-only quadrature ratios (NLPP fast path);
     /// grown once to `nq * ns`, then reused allocation-free.
     mw_psi_v: Vec<T>,
@@ -106,6 +136,8 @@ impl<T: Real> DiracDeterminant<T> {
             psi_g: AlignedVec::zeros(3 * ns),
             psi_l: AlignedVec::zeros(ns),
             inv_row: AlignedVec::zeros(nel),
+            inv_col: None,
+            sm_w: AlignedVec::zeros(nel),
             mw_psi_v: Vec::new(),
             cur_ratio: 1.0,
             cur_has_vgl: false,
@@ -135,28 +167,33 @@ impl<T: Real> DiracDeterminant<T> {
         iat >= self.first && iat < self.first + self.nel
     }
 
-    /// Rebuilds the transposed inverse from the stored Slater matrix in
-    /// double precision and resets the engine (mixed-precision hygiene).
-    /// Returns the double-precision transposed inverse.
+    /// Rebuilds the inverse from the stored Slater matrix in double
+    /// precision and resets the engine (mixed-precision hygiene). Returns
+    /// the double-precision `A⁻¹` as LU produced it.
     fn reinvert(&mut self) -> Matrix<f64> {
         let a64: Matrix<f64> = self.psi_m.cast();
-        let (minv_t64, log, sign) =
-            transposed_inverse_log_det(&a64).expect("singular Slater matrix");
-        let minv_t: Matrix<T> = minv_t64.cast();
+        let (inv64, log, sign) = invert_with_log_det(&a64).expect("singular Slater matrix");
         match &mut self.engine {
-            InverseEngine::Direct(m) => *m = minv_t,
-            InverseEngine::Delayed(d) => d.reset(minv_t),
+            InverseEngine::Direct(b) => *b = inv64.cast(),
+            InverseEngine::Delayed(d) => d.reset(inv64.transposed().cast()),
         }
+        self.inv_col = None;
         self.log_value = log;
         self.sign = sign;
         self.accepted_since_recompute = 0;
-        minv_t64
+        inv64
     }
 
+    /// Fills `inv_row` with column `local` of `A⁻¹`.
     fn engine_inv_row(&mut self, local: usize) {
         match &mut self.engine {
-            InverseEngine::Direct(m) => {
-                self.inv_row.as_mut_slice().copy_from_slice(m.row(local));
+            InverseEngine::Direct(b) => {
+                if self.inv_col != Some(local) {
+                    for (i, out) in self.inv_row.iter_mut().enumerate() {
+                        *out = b[(i, local)];
+                    }
+                    self.inv_col = Some(local);
+                }
             }
             InverseEngine::Delayed(d) => {
                 d.inv_row(local, self.inv_row.as_mut_slice());
@@ -178,16 +215,18 @@ impl<T: Real> DiracDeterminant<T> {
     /// the scalar and crowd-batched from-scratch paths.
     fn finish_log(&mut self, p: &mut ParticleSet<T>) -> f64 {
         let nel = self.nel;
-        let minv_t64 = self.reinvert();
+        let inv64 = self.reinvert();
         for i in 0..nel {
-            let mi = minv_t64.row(i);
             let mut g = TinyVector::<f64, 3>::zero();
             let mut lap: f64 = 0.0;
             for j in 0..nel {
+                // Column i of A⁻¹, read in place: these sums are chains of
+                // dependent adds, so the strided load hides under them.
+                let mij = inv64[(j, i)];
                 for d in 0..3 {
-                    g[d] += self.g_m[d][(i, j)].to_f64() * mi[j];
+                    g[d] += self.g_m[d][(i, j)].to_f64() * mij;
                 }
-                lap += self.l_m[(i, j)].to_f64() * mi[j];
+                lap += self.l_m[(i, j)].to_f64() * mij;
             }
             p.g[self.first + i] += g;
             p.l[self.first + i] += lap - g.norm2();
@@ -481,16 +520,16 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
         time_kernel(Kernel::DetUpdate, || {
             let v = &self.psi_v.as_slice()[..nel];
             match &mut self.engine {
-                InverseEngine::Direct(m) => {
-                    let ratio = det_ratio_row(m, local, v);
-                    sherman_morrison_update(m, local, v, ratio);
+                InverseEngine::Direct(b) => {
+                    sherman_morrison_inverse(b, local, v, self.sm_w.as_mut_slice());
                 }
                 InverseEngine::Delayed(d) => {
                     d.accept(local, v);
                 }
             }
         });
-        // Sherman–Morrison is a gemv (w = M v) and a ger (M -= w M.row(k)).
+        self.inv_col = None;
+        // Sherman–Morrison is a gemv (w = Bᵀ v) and a ger (B += B.col(k) cᵀ).
         add_flops_bytes(
             Kernel::DetUpdate,
             (4 * nel * nel) as u64,
@@ -552,8 +591,10 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
             buf.put_matrix(&self.g_m[d]);
         }
         buf.put_matrix(&self.l_m);
+        // Serialized row = electron (the transposed inverse) on both
+        // engines: the buffer layout predates the engine's storage order.
         match &self.engine {
-            InverseEngine::Direct(m) => buf.put_matrix(m),
+            InverseEngine::Direct(b) => buf.put_matrix_transposed(b),
             InverseEngine::Delayed(d) => buf.put_matrix(d.minv_t()),
         }
         buf.put_f64(self.log_value);
@@ -571,14 +612,15 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
         buf.get_matrix(&mut self.l_m);
         match &mut self.engine {
             // Straight into the engine's matrix: its row padding is already
-            // zero and `get_matrix` writes the logical columns only.
-            InverseEngine::Direct(m) => buf.get_matrix(m),
+            // zero and the read writes the logical columns only.
+            InverseEngine::Direct(b) => buf.get_matrix_transposed(b),
             InverseEngine::Delayed(d) => {
                 let mut minv = Matrix::zeros(self.nel, self.nel);
                 buf.get_matrix(&mut minv);
                 d.reset(minv);
             }
         }
+        self.inv_col = None;
         self.log_value = buf.get_f64();
         self.sign = buf.get_f64();
         self.accepted_since_recompute = buf.get_f64() as usize;
@@ -609,32 +651,43 @@ mod tests {
     use qmc_instrument::drain_thread_profile;
     use qmc_particles::{CrystalLattice, Layout, Species};
 
-    /// The model counts the roofline columns divide by: one `ratio_grad` is
-    /// four dots against the inverse row, one accepted move is a gemv and a
-    /// ger over the inverse.
-    #[test]
-    fn ratio_grad_and_accept_move_book_their_model_flops_and_bytes() {
-        let nel = 6;
-        let side = 7.0;
-        let pos: Vec<Pos<f64>> = (0..nel)
+    const NEL: usize = 6;
+    const SIDE: f64 = 7.0;
+
+    fn electrons() -> ParticleSet<f64> {
+        let pos: Vec<Pos<f64>> = (0..NEL)
             .map(|i| {
                 let t = i as f64;
-                TinyVector([0.9 + 1.1 * t, 6.1 - 0.8 * t, (2.3 * t + 0.4) % side])
+                TinyVector([0.9 + 1.1 * t, 6.1 - 0.8 * t, (2.3 * t + 0.4) % SIDE])
             })
             .collect();
         let species = Species {
             name: "u".into(),
             charge: -1.0,
         };
-        let mut p = ParticleSet::new("e", CrystalLattice::cubic(side), vec![(species, pos)]);
+        let mut p = ParticleSet::new("e", CrystalLattice::cubic(SIDE), vec![(species, pos)]);
         p.add_table_aa(Layout::Soa);
         p.update_tables();
-        let mut det = DiracDeterminant::new(
-            Box::new(CosineSpo::<f64>::new(nel, [side; 3])),
+        p
+    }
+
+    fn determinant() -> DiracDeterminant<f64> {
+        DiracDeterminant::new(
+            Box::new(CosineSpo::<f64>::new(NEL, [SIDE; 3])),
             0,
-            nel,
+            NEL,
             DetUpdateMode::ShermanMorrison,
-        );
+        )
+    }
+
+    /// The model counts the roofline columns divide by: one `ratio_grad` is
+    /// four dots against the inverse row, one accepted move is a gemv and a
+    /// ger over the inverse.
+    #[test]
+    fn ratio_grad_and_accept_move_book_their_model_flops_and_bytes() {
+        let nel = NEL;
+        let mut p = electrons();
+        let mut det = determinant();
         det.evaluate_log(&mut p);
 
         p.prepare_move(2);
@@ -655,5 +708,53 @@ mod tests {
             (update.calls, update.flops, update.bytes),
             (1, (4 * nel * nel) as u64, (3 * nel * nel * size) as u64)
         );
+    }
+
+    /// `inv_row` remembers which column of `A⁻¹` it holds so `eval_grad(k)`
+    /// and the `ratio_grad(k)` after it share one strided read. Every write
+    /// to the engine's matrix — an accepted move, a from-scratch recompute,
+    /// a `load_state` — must forget it: after each, `eval_grad(k)` has to
+    /// agree bit for bit with a determinant that never cached anything.
+    #[test]
+    fn a_stale_inverse_column_is_impossible() {
+        let k = 2;
+        let mut p = electrons();
+        let mut det = determinant();
+        det.evaluate_log(&mut p);
+        let fresh_grad = |det: &mut DiracDeterminant<f64>, p: &ParticleSet<f64>| {
+            let mut buf = WalkerBuffer::new();
+            det.save_state(&mut buf);
+            let mut fresh = determinant();
+            buf.rewind();
+            fresh.load_state(&mut buf);
+            fresh.eval_grad(p, k)
+        };
+        let before = det.eval_grad(&p, k);
+
+        // An accepted move of electron k itself, column k cached.
+        p.prepare_move(k);
+        p.make_move(k, p.pos(k) + TinyVector([0.2, -0.1, 0.15]));
+        det.ratio_grad(&p, k, &mut TinyVector::zero());
+        det.accept_move(&p, k);
+        p.accept_move(k);
+        let after_accept = det.eval_grad(&p, k);
+        assert_ne!(after_accept, before, "the move changed nothing");
+        assert_eq!(after_accept, fresh_grad(&mut det, &p));
+
+        // A load of another walker's state, column k cached again.
+        let mut other = WalkerBuffer::new();
+        let mut q = electrons();
+        let mut elsewhere = determinant();
+        elsewhere.evaluate_log(&mut q);
+        elsewhere.save_state(&mut other);
+        other.rewind();
+        det.load_state(&mut other);
+        assert_eq!(det.eval_grad(&q, k), before);
+
+        // A from-scratch recompute at the moved positions, column k cached.
+        det.evaluate_log(&mut p);
+        let recomputed = det.eval_grad(&p, k);
+        assert_ne!(recomputed, before);
+        assert_eq!(recomputed, fresh_grad(&mut det, &p));
     }
 }

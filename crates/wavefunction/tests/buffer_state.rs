@@ -222,3 +222,87 @@ fn determinant_state_roundtrip_delayed() {
     );
     roundtrip_under_scramble(&mut p, &mut c, 600);
 }
+
+/// FNV-1a over the bit patterns of a save buffer, working-precision stream
+/// first, then the double stream.
+fn buffer_digest<T: qmc_containers::Real>(buf: &WalkerBuffer<T>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let reals = buf.reals().iter().map(|x| x.to_f64().to_bits());
+    for word in reals.chain(buf.doubles().iter().map(|x| x.to_bits())) {
+        for byte in word.to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// A fixed `CosineSpo` determinant driven through a fixed accept/reject
+/// sequence (long enough to cross one in-sweep recompute), then saved.
+fn driven_determinant_digest<T: qmc_containers::Real>(nel: usize, recompute: usize) -> u64 {
+    let pos: Vec<Pos<f64>> = (0..nel)
+        .map(|i| {
+            let t = i as f64;
+            TinyVector([
+                (0.9 + 1.37 * t) % L,
+                (6.1 + 0.83 * t * t) % L,
+                (2.3 * t + 0.4) % L,
+            ])
+        })
+        .collect();
+    let species = Species {
+        name: "u".into(),
+        charge: -1.0,
+    };
+    let mut p = ParticleSet::<T>::new("e", CrystalLattice::cubic(L), vec![(species, pos)]);
+    p.add_table_aa(Layout::Soa);
+    p.update_tables();
+    let mut det = DiracDeterminant::new(
+        Box::new(CosineSpo::<T>::new(nel, [L, L, L])),
+        0,
+        nel,
+        DetUpdateMode::ShermanMorrison,
+    );
+    det.set_recompute_period(recompute);
+    det.evaluate_log(&mut p);
+    for m in 0..3 * nel {
+        let iat = (5 * m + 2) % nel;
+        let s = m as f64;
+        p.prepare_move(iat);
+        let step = TinyVector([
+            T::from_f64(0.31 * (1.0 + s).sin()),
+            T::from_f64(-0.27 * (2.0 + 0.7 * s).cos()),
+            T::from_f64(0.19 * (0.3 * s).sin()),
+        ]);
+        p.make_move(iat, p.pos(iat) + step);
+        det.eval_grad(&p, iat);
+        det.ratio_grad(&p, iat, &mut TinyVector::zero());
+        if m % 3 == 2 {
+            det.restore(iat);
+            p.reject_move(iat);
+        } else {
+            det.accept_move(&p, iat);
+            p.accept_move(iat);
+        }
+    }
+    let mut buf = WalkerBuffer::new();
+    det.save_state(&mut buf);
+    buffer_digest(&buf)
+}
+
+/// The serialized order of the determinant's state (inverse written row =
+/// electron) and every bit in it are pinned: these digests were recorded on
+/// the parent of the PR that turned the engine's storage into `A⁻¹`, before
+/// any edit. The checkpoint format and every walker hash hang on them.
+#[test]
+fn determinant_save_buffer_digest_is_pinned() {
+    assert_eq!(
+        driven_determinant_digest::<f64>(6, 1000),
+        0xb470_1966_90fc_a199,
+        "f64, nel = 6, no recompute"
+    );
+    assert_eq!(
+        driven_determinant_digest::<f32>(19, 11),
+        0x1ce7_7e86_d7df_a93c,
+        "f32, nel = 19 (one 16-lane block + tail), recompute every 11 accepts"
+    );
+}

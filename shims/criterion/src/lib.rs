@@ -50,16 +50,17 @@ impl Criterion {
         BenchmarkGroup {
             criterion: self,
             name: name.into(),
+            bytes_per_iter: None,
             _measurement: std::marker::PhantomData,
         }
     }
 
     pub fn bench_function<I: Into<BenchmarkId>>(&mut self, id: I, mut f: impl FnMut(&mut Bencher)) {
         let id = id.into();
-        self.run_one(&id.full, &mut f);
+        self.run_one(&id.full, None, &mut f);
     }
 
-    fn run_one(&mut self, id: &str, f: &mut dyn FnMut(&mut Bencher)) {
+    fn run_one(&mut self, id: &str, bytes_per_iter: Option<u64>, f: &mut dyn FnMut(&mut Bencher)) {
         if let Some(filter) = &self.filter {
             if !id.contains(filter.as_str()) {
                 return;
@@ -75,8 +76,12 @@ impl Criterion {
         if self.test_mode {
             println!("test {id} ... ok");
         } else if bencher.iters > 0 {
+            // Bytes per nanosecond is GB/s.
+            let rate = bytes_per_iter
+                .map(|b| format!("  {:.2} GB/s", b as f64 / bencher.ns_per_iter))
+                .unwrap_or_default();
             println!(
-                "{id:<48} {:>12.1} ns/iter ({} iters)",
+                "{id:<48} {:>12.1} ns/iter ({} iters){rate}",
                 bencher.ns_per_iter, bencher.iters
             );
         }
@@ -89,9 +94,15 @@ pub mod measurement {
     pub struct WallTime;
 }
 
+/// Work done by one iteration, for the rate column (`group.throughput`).
+pub enum Throughput {
+    Bytes(u64),
+}
+
 pub struct BenchmarkGroup<'c, M = measurement::WallTime> {
     criterion: &'c mut Criterion,
     name: String,
+    bytes_per_iter: Option<u64>,
     _measurement: std::marker::PhantomData<M>,
 }
 
@@ -99,6 +110,13 @@ impl<M> BenchmarkGroup<'_, M> {
     /// Accepted for API compatibility; the shim sizes runs by wall-clock
     /// budget, not sample count.
     pub fn sample_size(&mut self, _n: usize) -> &mut Self {
+        self
+    }
+
+    /// Benchmarks of this group from here on also report GB/s.
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        let Throughput::Bytes(b) = t;
+        self.bytes_per_iter = Some(b);
         self
     }
 
@@ -114,7 +132,7 @@ impl<M> BenchmarkGroup<'_, M> {
     ) -> &mut Self {
         let id = id.into();
         let full = format!("{}/{}", self.name, id.full);
-        self.criterion.run_one(&full, &mut f);
+        self.criterion.run_one(&full, self.bytes_per_iter, &mut f);
         self
     }
 
