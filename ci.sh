@@ -150,6 +150,9 @@ cargo bench -p qmc-bench --bench bench_kernels -- --test
 echo "== bench smoke (determinant updates and LU inverse) =="
 cargo bench -p qmc-bench --bench bench_determinant -- --test
 
+echo "== bench smoke (sweep + measurement, NLPP shell) =="
+cargo bench -p qmc-bench --bench bench_sweep -- --test
+
 echo "== run-report smoke (miniqmc --profile json) =="
 ./target/release/miniqmc --benchmark graphite --threads 1 --walkers 2 \
     --steps 4 --warmup 1 --profile json | ./target/release/json_check

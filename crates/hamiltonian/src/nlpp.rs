@@ -28,7 +28,7 @@ use rand::Rng;
 /// `v_l(r) = v0 * exp(-alpha r^2)`.
 #[derive(Clone, Copy, Debug)]
 pub struct PpChannel {
-    /// Angular momentum (0 or 1 supported).
+    /// Angular momentum (`l <= 2`, the range of [`legendre`]).
     pub l: usize,
     /// Channel strength at `r = 0` (hartree).
     pub v0: f64,
@@ -47,11 +47,15 @@ impl PpChannel {
 /// The non-local part of one ion species' pseudopotential.
 #[derive(Clone, Debug)]
 pub struct PseudoSpecies {
-    /// Channels (at most `l = 1` in this model).
+    /// Channels (at most [`MAX_CHANNELS`], each with `l <= 2`).
     pub channels: Vec<PpChannel>,
     /// Cutoff radius beyond which the non-local part vanishes.
     pub r_cut: f64,
 }
+
+/// Most channels one species may carry (the quadrature's per-channel sums
+/// live in a fixed array).
+pub const MAX_CHANNELS: usize = 4;
 
 /// The 12-vertex icosahedral quadrature grid (unit vectors, equal weights);
 /// integrates spherical harmonics exactly through `l = 5`.
@@ -97,9 +101,25 @@ pub struct NonLocalPP {
 
 impl NonLocalPP {
     /// Builds the evaluator over AB table `table` with one
-    /// [`PseudoSpecies`] per ion group of `ions`.
+    /// [`PseudoSpecies`] per ion group of `ions`. Panics, naming the
+    /// species, on a channel with `l > 2` or more than [`MAX_CHANNELS`]
+    /// channels — neither can be evaluated.
     pub fn new<T: Real>(table: usize, ions: &ParticleSet<T>, species: Vec<PseudoSpecies>) -> Self {
         assert_eq!(species.len(), ions.num_groups());
+        for (g, sp) in species.iter().enumerate() {
+            let name = &ions.species(g).name;
+            assert!(
+                sp.channels.len() <= MAX_CHANNELS,
+                "NonLocalPP: species '{name}' has {} channels, at most {MAX_CHANNELS} are supported",
+                sp.channels.len()
+            );
+            if let Some(ch) = sp.channels.iter().find(|ch| ch.l > 2) {
+                panic!(
+                    "NonLocalPP: species '{name}' has an l = {} channel, only l <= 2 is supported",
+                    ch.l
+                );
+            }
+        }
         let ion_group = (0..ions.len()).map(|a| ions.group_of(a)).collect();
         let mut ion_pos = vec![TinyVector::zero(); ions.len()];
         ions.store_positions(&mut ion_pos);
@@ -169,10 +189,9 @@ impl NonLocalPP {
             let mut dirs = vec![TinyVector::<f64, 3>::zero(); npts];
             let mut newpos = vec![Pos::<T>::zero(); npts];
             let mut ratios = vec![0.0f64; npts];
-            let mut channel_sums = [0.0f64; 4];
+            let mut channel_sums = [0.0f64; MAX_CHANNELS];
             for (i, a, r) in pairs {
                 let sp = &self.species[self.ion_group[a]];
-                debug_assert!(sp.channels.len() <= channel_sums.len());
                 let rot = random_rotation(rng);
                 // Old direction from ion to electron.
                 let old_dir = lat64.min_image(epos[i] - self.ion_pos[a]);
@@ -183,12 +202,10 @@ impl NonLocalPP {
                     dirs[k] = rotate(rot, *q);
                     newpos[k] = (self.ion_pos[a] + dirs[k] * r).cast();
                 }
-                // ... then evaluate every quadrature ratio through the
-                // batched value-only path: determinants share one
-                // Bspline-v dispatch and one inverse-row extraction for
-                // all points, Jastrows fall back to per-point candidate
-                // rows. Bitwise identical to the per-point
-                // make_move/calc_ratio/reject loop.
+                // ... then evaluate the whole shell in one call per
+                // component: determinants share one Bspline-v dispatch and
+                // one inverse-row extraction for all points, the SoA
+                // Jastrows one staged candidate-row call per table.
                 psi.calc_ratios_v(p, i, &newpos, &mut ratios);
                 channel_sums[..sp.channels.len()].fill(0.0);
                 for (k, dir) in dirs.iter().enumerate() {
@@ -309,6 +326,54 @@ mod tests {
         assert_eq!(ch.value(0.0), 2.0);
         assert!(ch.value(1.0) < 2.0);
         assert!(ch.value(3.0) < 1e-5);
+    }
+
+    fn species(channels: Vec<PpChannel>) -> (ParticleSet<f64>, Vec<PseudoSpecies>) {
+        use qmc_particles::{CrystalLattice, Species};
+        let ions = ParticleSet::new(
+            "ion0",
+            CrystalLattice::cubic(6.0),
+            vec![(
+                Species {
+                    name: "Xe".into(),
+                    charge: 8.0,
+                },
+                vec![TinyVector([1.0, 2.0, 3.0])],
+            )],
+        );
+        let sp = PseudoSpecies {
+            channels,
+            r_cut: 1.5,
+        };
+        (ions, vec![sp])
+    }
+
+    fn channel(l: usize) -> PpChannel {
+        PpChannel {
+            l,
+            v0: 1.0,
+            alpha: 1.0,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "species 'Xe' has an l = 3 channel")]
+    fn new_rejects_l_above_two() {
+        let (ions, sp) = species(vec![channel(0), channel(3)]);
+        NonLocalPP::new(0, &ions, sp);
+    }
+
+    #[test]
+    #[should_panic(expected = "species 'Xe' has 5 channels")]
+    fn new_rejects_a_fifth_channel() {
+        let (ions, sp) = species((0..5).map(|l| channel(l % 3)).collect());
+        NonLocalPP::new(0, &ions, sp);
+    }
+
+    #[test]
+    fn new_accepts_four_channels_up_to_l_two() {
+        let (ions, sp) = species(vec![channel(0), channel(1), channel(2), channel(2)]);
+        NonLocalPP::new(0, &ions, sp);
     }
 
     #[test]

@@ -364,6 +364,29 @@ impl<T: Real> DistTableAASoA<T> {
         );
     }
 
+    /// Candidate rows for particle `iat` moved to each of `positions` (one
+    /// NLPP quadrature shell): row `q` of `stage` is exactly the `temp`
+    /// row [`Self::move_candidate`] would leave for `positions[q]` — the
+    /// same `compute_row` on the captured backend, self-distance poisoned —
+    /// all under **one** timer scope. The table itself is not touched.
+    pub fn candidate_rows(
+        &self,
+        rsoa: &VectorSoaContainer<T, 3>,
+        iat: usize,
+        positions: &[Pos<T>],
+        stage: &mut MwRowStage<T>,
+    ) {
+        stage_rows(
+            self.backend,
+            &self.lattice,
+            |_| rsoa,
+            positions,
+            Some(iat),
+            Kernel::DistTableAA,
+            stage,
+        );
+    }
+
     /// Crowd-batched [`Self::prepare_move`]: refreshes row `iat` of every
     /// walker's table back-to-back under **one** timer scope. Per walker
     /// this runs the identical `compute_row` call, so results are bitwise
@@ -497,32 +520,34 @@ impl<T: Real> DistTableAASoA<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-walker (crowd) candidate rows.
+// Staged candidate rows: crowd batches and NLPP quadrature shells.
 // ---------------------------------------------------------------------------
 
-/// Walker-major SoA staging buffer for batched candidate distance rows.
+/// SoA staging buffer for batched candidate distance rows, one padded
+/// aligned row per candidate position.
 ///
-/// One crowd-sized batch of proposed single-particle moves produces one
-/// candidate row per walker; the rows are stored contiguously per walker
-/// (walker-major) in padded aligned storage, so the per-walker row is
-/// exactly the slab a scalar `move_candidate` would have produced.
+/// Rows are either walker-major (one crowd-sized batch of proposed moves,
+/// row `w` = walker `w`'s candidate, [`mw_candidate_rows`]) or point-major
+/// (one NLPP quadrature shell of a single electron, row `q` = point `q`,
+/// the tables' `candidate_rows`). Either way each row is exactly the slab a
+/// scalar `move_candidate` would have produced.
 pub struct MwRowStage<T: Real> {
     n: usize,
     stride: usize,
-    walkers: usize,
+    rows: usize,
     dist: AlignedVec<T>,
     disp: [AlignedVec<T>; 3],
 }
 
 impl<T: Real> MwRowStage<T> {
-    /// Allocates staging rows of `n` partners for `walkers` walkers.
-    pub fn new(n: usize, walkers: usize) -> Self {
+    /// Allocates `rows` staging rows of `n` partners each.
+    pub fn new(n: usize, rows: usize) -> Self {
         let stride = qmc_containers::padded_len::<T>(n);
-        let total = stride * walkers.max(1);
+        let total = stride * rows.max(1);
         Self {
             n,
             stride,
-            walkers,
+            rows,
             dist: AlignedVec::zeros(total),
             disp: [
                 AlignedVec::zeros(total),
@@ -542,21 +567,21 @@ impl<T: Real> MwRowStage<T> {
         self.n == 0
     }
 
-    /// Number of walker slots.
-    pub fn num_walkers(&self) -> usize {
-        self.walkers
+    /// Number of row slots.
+    pub fn num_rows(&self) -> usize {
+        self.rows
     }
 
-    /// Candidate distances of walker `w`.
+    /// Candidate distances of row `r`.
     #[inline]
-    pub fn dist_row(&self, w: usize) -> &[T] {
-        &self.dist.as_slice()[w * self.stride..w * self.stride + self.n]
+    pub fn dist_row(&self, r: usize) -> &[T] {
+        &self.dist.as_slice()[r * self.stride..r * self.stride + self.n]
     }
 
-    /// Candidate displacement component `d` of walker `w` (`r_j - r_cand`).
+    /// Candidate displacement component `d` of row `r` (`r_j - r_cand`).
     #[inline]
-    pub fn disp_row(&self, d: usize, w: usize) -> &[T] {
-        &self.disp[d].as_slice()[w * self.stride..w * self.stride + self.n]
+    pub fn disp_row(&self, d: usize, r: usize) -> &[T] {
+        &self.disp[d].as_slice()[r * self.stride..r * self.stride + self.n]
     }
 
     /// Bytes of staging storage (memory ledger).
@@ -571,40 +596,34 @@ impl<T: Real> MwRowStage<T> {
     }
 }
 
-/// Batched candidate-row computation: for each walker `w`, computes the
-/// distances/displacements from `newpos[w]` to every position in
-/// `sources[w]`, writing walker `w`'s row of `stage`. Elementwise identical
-/// to calling the scalar `move_candidate` per walker; the batch shares one
-/// timer scope and streams the walker-major staging buffer.
-///
-/// `poison_self = Some(iat)` writes the self-distance sentinel used by AA
-/// tables into column `iat`; pass `None` for AB (electron-ion) rows.
-/// `kernel` attributes the timing (AA or AB distance-table kernel).
-pub fn mw_candidate_rows<T: Real>(
+/// Fills row `r` of `stage` with the candidate row from `positions[r]` to
+/// every position in `source(r)` — `compute_row` on `backend`, the
+/// self-distance sentinel written into column `iat` when `poison_self =
+/// Some(iat)` — for every `r`, under one `kernel` timer scope.
+fn stage_rows<'a, T: Real>(
+    backend: Backend,
     lattice: &CrystalLattice<T>,
-    sources: &[&VectorSoaContainer<T, 3>],
-    newpos: &[Pos<T>],
+    source: impl Fn(usize) -> &'a VectorSoaContainer<T, 3>,
+    positions: &[Pos<T>],
     poison_self: Option<usize>,
     kernel: Kernel,
     stage: &mut MwRowStage<T>,
 ) {
-    let nw = sources.len();
-    assert_eq!(newpos.len(), nw);
-    assert!(nw <= stage.num_walkers());
-    let n = stage.n;
-    let stride = stage.stride;
-    let backend = Backend::current();
+    let rows = positions.len();
+    assert!(rows <= stage.num_rows());
+    let (n, stride) = (stage.n, stage.stride);
     time_kernel(kernel, || {
-        for w in 0..nw {
-            assert_eq!(sources[w].len(), n);
-            let base = w * stride;
+        for (r, &pos) in positions.iter().enumerate() {
+            let src = source(r);
+            assert_eq!(src.len(), n);
+            let base = r * stride;
             let d = &mut stage.dist.as_mut_slice()[base..base + n];
             let [a, b, c] = &mut stage.disp;
             compute_row(
                 backend,
                 lattice,
-                sources[w],
-                newpos[w],
+                src,
+                pos,
                 n,
                 d,
                 [
@@ -620,8 +639,39 @@ pub fn mw_candidate_rows<T: Real>(
     });
     add_flops_bytes(
         kernel,
-        18 * (nw * n) as u64,
-        7 * std::mem::size_of::<T>() as u64 * (nw * n) as u64,
+        18 * (rows * n) as u64,
+        7 * std::mem::size_of::<T>() as u64 * (rows * n) as u64,
+    );
+}
+
+/// Batched candidate-row computation: for each walker `w`, computes the
+/// distances/displacements from `newpos[w]` to every position in
+/// `sources[w]`, writing walker `w`'s row of `stage`. Elementwise identical
+/// to calling the scalar `move_candidate` per walker; the batch shares one
+/// timer scope and streams the walker-major staging buffer.
+///
+/// `poison_self = Some(iat)` writes the self-distance sentinel used by AA
+/// tables into column `iat`; pass `None` for AB (electron-ion) rows.
+/// `kernel` attributes the timing (AA or AB distance-table kernel).
+// qmclint: allow(timer-coverage) — the body is one `stage_rows` call, which
+// opens the `kernel` scope around every row.
+pub fn mw_candidate_rows<T: Real>(
+    lattice: &CrystalLattice<T>,
+    sources: &[&VectorSoaContainer<T, 3>],
+    newpos: &[Pos<T>],
+    poison_self: Option<usize>,
+    kernel: Kernel,
+    stage: &mut MwRowStage<T>,
+) {
+    assert_eq!(newpos.len(), sources.len());
+    stage_rows(
+        Backend::current(),
+        lattice,
+        |w| sources[w],
+        newpos,
+        poison_self,
+        kernel,
+        stage,
     );
 }
 
@@ -881,6 +931,23 @@ impl<T: Real> DistTableABSoA<T> {
             Kernel::DistTableAB,
             18 * self.nion as u64,
             7 * std::mem::size_of::<T>() as u64 * self.nion as u64,
+        );
+    }
+
+    /// Candidate electron-ion rows for one electron moved to each of
+    /// `positions` (one NLPP quadrature shell): row `q` of `stage` is
+    /// exactly the `temp` row [`Self::move_candidate`] would leave for
+    /// `positions[q]`, all under **one** timer scope. The table itself is
+    /// not touched.
+    pub fn candidate_rows(&self, positions: &[Pos<T>], stage: &mut MwRowStage<T>) {
+        stage_rows(
+            self.backend,
+            &self.lattice,
+            |_| &self.ions_soa,
+            positions,
+            None,
+            Kernel::DistTableAB,
+            stage,
         );
     }
 
@@ -1186,6 +1253,33 @@ mod tests {
         t.move_candidate(0, newpos[0]);
         for a in 0..4 {
             assert_eq!(stage.dist_row(0)[a], t.temp_dist()[a]);
+        }
+    }
+
+    #[test]
+    fn shell_candidate_rows_bitwise_match_move_candidate() {
+        let l = 6.5;
+        let lat = CrystalLattice::<f64>::cubic(l);
+        let (n, nion, iat) = (11, 4, 7);
+        let rsoa = soa_of(&positions(n, l, 41));
+        let ions = positions(nion, l, 43);
+        let mut aa = DistTableAASoA::new(n, lat.clone());
+        let mut ab = DistTableABSoA::new(n, &ions, lat);
+        aa.evaluate(&rsoa);
+        ab.evaluate(&rsoa);
+        let shell = positions(9, l, 47);
+        let (mut saa, mut sab) = (MwRowStage::new(n, 12), MwRowStage::new(nion, 12));
+        aa.candidate_rows(&rsoa, iat, &shell, &mut saa);
+        ab.candidate_rows(&shell, &mut sab);
+        for (q, &pos) in shell.iter().enumerate() {
+            aa.move_candidate(&rsoa, iat, pos);
+            ab.move_candidate(iat, pos);
+            assert_eq!(saa.dist_row(q), aa.temp_dist(), "AA point {q}");
+            assert_eq!(sab.dist_row(q), ab.temp_dist(), "AB point {q}");
+            for d in 0..3 {
+                assert_eq!(saa.disp_row(d, q), aa.temp_disp(d), "AA point {q} disp {d}");
+                assert_eq!(sab.disp_row(d, q), ab.temp_disp(d), "AB point {q} disp {d}");
+            }
         }
     }
 

@@ -100,6 +100,10 @@ impl<T: Real> WaveFunctionComponent<T> for J1Ref<T> {
         "J1-ref"
     }
 
+    fn is_jastrow(&self) -> bool {
+        true
+    }
+
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
     }

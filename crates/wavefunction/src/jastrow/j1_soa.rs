@@ -9,7 +9,7 @@ use crate::traits::WaveFunctionComponent;
 use qmc_bspline::CubicBspline1D;
 use qmc_containers::{padded_len, AlignedVec, Pos, Real, TinyVector, VectorSoaContainer};
 use qmc_instrument::{add_flops_bytes, time_kernel, Kernel};
-use qmc_particles::ParticleSet;
+use qmc_particles::{MwRowStage, ParticleSet};
 
 /// Optimized (SoA, compute-on-the-fly) one-body Jastrow factor.
 pub struct J1Soa<T: Real> {
@@ -24,6 +24,9 @@ pub struct J1Soa<T: Real> {
     cur_u: AlignedVec<T>,
     cur_dud: AlignedVec<T>,
     cur_lap: AlignedVec<T>,
+    /// Candidate rows of one NLPP shell (point-major), grown to the shell
+    /// size on first use.
+    shell: MwRowStage<T>,
     cur_vat: f64,
     cur_has_grad: bool,
     log_value: f64,
@@ -56,6 +59,7 @@ impl<T: Real> J1Soa<T> {
             cur_u: AlignedVec::zeros(np),
             cur_dud: AlignedVec::zeros(np),
             cur_lap: AlignedVec::zeros(np),
+            shell: MwRowStage::new(nion, 0),
             cur_vat: 0.0,
             cur_has_grad: false,
             log_value: 0.0,
@@ -85,27 +89,33 @@ impl<T: Real> J1Soa<T> {
         let _ = nion;
     }
 
-    fn batch_v(&mut self, dists: &[T]) {
-        let Self {
-            functors,
-            ion_groups,
-            cur_u,
-            ..
-        } = self;
+    /// `sum_a u(r_a)` over one electron-ion distance row, staged through
+    /// `u` — the value-only reduction of [`WaveFunctionComponent::ratio`].
+    fn row_value(
+        functors: &[CubicBspline1D<T>],
+        ion_groups: &[std::ops::Range<usize>],
+        dists: &[T],
+        u: &mut [T],
+    ) -> T {
         for (g, r) in ion_groups.iter().enumerate() {
             let (lo, hi) = (r.start, r.end);
-            evaluate_v_batch(
-                &functors[g],
-                &dists[lo..hi],
-                &mut cur_u.as_mut_slice()[lo..hi],
-            );
+            evaluate_v_batch(&functors[g], &dists[lo..hi], &mut u[lo..hi]);
         }
+        let mut v = T::ZERO;
+        for &x in &u[..dists.len()] {
+            v += x;
+        }
+        v
     }
 }
 
 impl<T: Real> WaveFunctionComponent<T> for J1Soa<T> {
     fn name(&self) -> &'static str {
         "J1-soa"
+    }
+
+    fn is_jastrow(&self) -> bool {
+        true
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
@@ -154,11 +164,12 @@ impl<T: Real> WaveFunctionComponent<T> for J1Soa<T> {
 
     fn ratio(&mut self, p: &ParticleSet<T>, iat: usize) -> f64 {
         time_kernel(Kernel::J1, || {
-            self.batch_v(p.table(self.table).as_ab_soa().temp_dist());
-            let mut v = T::ZERO;
-            for &u in &self.cur_u.as_slice()[..self.nion] {
-                v += u;
-            }
+            let v = Self::row_value(
+                &self.functors,
+                &self.ion_groups,
+                p.table(self.table).as_ab_soa().temp_dist(),
+                self.cur_u.as_mut_slice(),
+            );
             self.cur_vat = v.to_f64();
             self.cur_has_grad = false;
             add_flops_bytes(
@@ -168,6 +179,44 @@ impl<T: Real> WaveFunctionComponent<T> for J1Soa<T> {
             );
             (-(self.cur_vat - self.vat[iat].to_f64())).exp()
         })
+    }
+
+    /// One shell, one call per kernel: the AB table stages all `nq`
+    /// candidate rows under one DistTable-AB scope, then one J1 scope runs
+    /// [`Self::ratio`]'s row reduction per point — bitwise its factor,
+    /// leaving the accumulators and the active-move state alone.
+    fn ratios_value_only(
+        &mut self,
+        p: &ParticleSet<T>,
+        iat: usize,
+        positions: &[Pos<T>],
+        ratios: &mut [f64],
+    ) -> bool {
+        let (nion, nq) = (self.nion, positions.len());
+        if self.shell.num_rows() < nq {
+            self.shell = MwRowStage::new(nion, nq);
+        }
+        let t = p.table(self.table).as_ab_soa();
+        t.candidate_rows(positions, &mut self.shell);
+        time_kernel(Kernel::J1, || {
+            let vat = self.vat[iat].to_f64();
+            for (q, r) in ratios[..nq].iter_mut().enumerate() {
+                let v = Self::row_value(
+                    &self.functors,
+                    &self.ion_groups,
+                    self.shell.dist_row(q),
+                    self.cur_u.as_mut_slice(),
+                )
+                .to_f64();
+                *r *= (-(v - vat)).exp();
+            }
+            add_flops_bytes(
+                Kernel::J1,
+                (nq * nion * 14) as u64,
+                (nq * nion * 2 * std::mem::size_of::<T>()) as u64,
+            );
+        });
+        true
     }
 
     fn ratio_grad(&mut self, p: &ParticleSet<T>, iat: usize, grad: &mut Pos<f64>) -> f64 {

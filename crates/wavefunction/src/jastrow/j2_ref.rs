@@ -94,6 +94,10 @@ impl<T: Real> WaveFunctionComponent<T> for J2Ref<T> {
         "J2-ref"
     }
 
+    fn is_jastrow(&self) -> bool {
+        true
+    }
+
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
     }

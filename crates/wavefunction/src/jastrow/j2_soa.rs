@@ -20,7 +20,7 @@ use qmc_kernels::jastrow::{
     j2_accept_grad_row, j2_accept_value_rows, j2_row_sum, j2_row_vg, j2_row_vgl,
 };
 use qmc_kernels::Backend;
-use qmc_particles::ParticleSet;
+use qmc_particles::{MwRowStage, ParticleSet};
 
 /// Optimized (SoA, compute-on-the-fly) two-body Jastrow factor.
 pub struct J2Soa<T: Real> {
@@ -40,6 +40,9 @@ pub struct J2Soa<T: Real> {
     old_u: AlignedVec<T>,
     old_dud: AlignedVec<T>,
     old_lap: AlignedVec<T>,
+    /// Candidate rows of one NLPP shell (point-major), grown to the shell
+    /// size on first use.
+    shell: MwRowStage<T>,
     cur_vat: f64,
     cur_has_grad: bool,
     log_value: f64,
@@ -66,6 +69,7 @@ impl<T: Real> J2Soa<T> {
             old_u: AlignedVec::zeros(np),
             old_dud: AlignedVec::zeros(np),
             old_lap: AlignedVec::zeros(np),
+            shell: MwRowStage::new(n, 0),
             cur_vat: 0.0,
             cur_has_grad: false,
             log_value: 0.0,
@@ -116,6 +120,10 @@ impl<T: Real> J2Soa<T> {
 impl<T: Real> WaveFunctionComponent<T> for J2Soa<T> {
     fn name(&self) -> &'static str {
         "J2-soa"
+    }
+
+    fn is_jastrow(&self) -> bool {
+        true
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
@@ -191,6 +199,46 @@ impl<T: Real> WaveFunctionComponent<T> for J2Soa<T> {
             );
             (-(self.cur_vat - self.vat[iat].to_f64())).exp()
         })
+    }
+
+    /// One shell, one call per kernel: the AA table stages all `nq`
+    /// candidate rows under one DistTable-AA scope, then one J2 scope runs
+    /// [`Self::ratio`]'s functor row and reduction per point — bitwise its
+    /// factor, leaving the accumulators and the active-move state alone.
+    fn ratios_value_only(
+        &mut self,
+        p: &ParticleSet<T>,
+        iat: usize,
+        positions: &[Pos<T>],
+        ratios: &mut [f64],
+    ) -> bool {
+        let (n, nq) = (self.n, positions.len());
+        if self.shell.num_rows() < nq {
+            self.shell = MwRowStage::new(n, nq);
+        }
+        let t = p.table(self.table).as_aa_soa();
+        t.candidate_rows(p.rsoa(), iat, positions, &mut self.shell);
+        time_kernel(Kernel::J2, || {
+            let gk = p.group_of(iat);
+            let vat = self.vat[iat].to_f64();
+            for (q, r) in ratios[..nq].iter_mut().enumerate() {
+                Self::batch_v(
+                    &self.functors,
+                    p,
+                    gk,
+                    self.shell.dist_row(q),
+                    &mut self.cur_u.as_mut_slice()[..n],
+                );
+                let v = j2_row_sum(self.backend, self.cur_u.as_slice(), n).to_f64();
+                *r *= (-(v - vat)).exp();
+            }
+            add_flops_bytes(
+                Kernel::J2,
+                (nq * n * 14) as u64,
+                (nq * n * 2 * std::mem::size_of::<T>()) as u64,
+            );
+        });
+        true
     }
 
     fn ratio_grad(&mut self, p: &ParticleSet<T>, iat: usize, grad: &mut Pos<f64>) -> f64 {

@@ -36,16 +36,16 @@ pub trait WaveFunctionComponent<T: Real>: Send {
 
     /// Batched value-only ratios for the NLPP quadrature loop: multiplies
     /// `psi_c(.., r_q, ..) / psi_c(R)` for particle `iat` moved to each
-    /// `positions[q]` into `ratios[q]`, *without* candidate distance rows
-    /// (no `ParticleSet::make_move`). Returns `true` when handled.
+    /// `positions[q]` into `ratios[q]`, *without* `ParticleSet::make_move`
+    /// (the particle set is only read). Returns `true` when handled.
     ///
     /// The default returns `false` untouched, telling the caller this
     /// component needs the per-point `make_move` + [`Self::ratio`]
-    /// fallback (components whose ratio reads distance tables, e.g. the
-    /// Jastrow factors). Implementations must produce each per-point
-    /// factor **bitwise identical** to [`Self::ratio`] at the same
-    /// position — the determinant override batches the orbital
-    /// evaluations but keeps the same per-point contraction.
+    /// fallback (the AoS `Ref` Jastrows). Implementations must produce
+    /// each per-point factor **bitwise identical** to [`Self::ratio`] at
+    /// the same position — the determinant batches the orbital
+    /// evaluations, the SoA Jastrows stage every candidate row in one
+    /// distance-table call, and both keep the per-point contraction.
     fn ratios_value_only(
         &mut self,
         _p: &ParticleSet<T>,
@@ -53,6 +53,14 @@ pub trait WaveFunctionComponent<T: Real>: Send {
         _positions: &[Pos<T>],
         _ratios: &mut [f64],
     ) -> bool {
+        false
+    }
+
+    /// True for a Jastrow factor. `TrialWaveFunction::calc_ratios_v`
+    /// multiplies every determinant's factor into a quadrature ratio
+    /// before any Jastrow's — the order every recorded NLPP energy bit was
+    /// produced in.
+    fn is_jastrow(&self) -> bool {
         false
     }
 

@@ -81,17 +81,20 @@ impl<T: Real> TrialWaveFunction<T> {
     }
 
     /// Value-only ratios `Psi_T(.., r_q, ..) / Psi_T(R)` for particle
-    /// `iat` moved to each of `positions` — the NLPP quadrature inner
-    /// loop. Components with a batched value-only path (determinants)
-    /// evaluate every point in one dispatch; the rest fall back to one
-    /// `make_move` + [`WaveFunctionComponent::ratio`] + restore pass per
-    /// point. `p` comes back with no active move.
+    /// `iat` moved to each of `positions` — the NLPP quadrature shell.
+    /// Every component with a batched value-only path (the determinants
+    /// and the SoA Jastrows) costs one call per shell, i.e. one timer
+    /// scope per kernel; only components without one (the AoS `Ref`
+    /// Jastrows) fall back to one `make_move` +
+    /// [`WaveFunctionComponent::ratio`] + restore pass per point. `p`
+    /// comes back with no active move.
     ///
-    /// Products are bitwise identical to the per-point
-    /// [`Self::calc_ratio`] reference loop: each per-point factor is
-    /// bitwise identical by the `ratios_value_only` contract, and the
-    /// engines compose determinants before Jastrows, so the f64 factor
-    /// order is preserved (two-factor products commute bitwise anyway).
+    /// Factors are multiplied determinants first, then the Jastrows in
+    /// component order (D·J2·J1 on every engine), so each `ratios[q]` is
+    /// bitwise the per-point product of [`WaveFunctionComponent::ratio`]
+    /// factors in that order. It is *not* bitwise [`Self::calc_ratio`],
+    /// which multiplies in component order (J2·J1·D): the two agree to a
+    /// few ULP.
     pub fn calc_ratios_v(
         &mut self,
         p: &mut ParticleSet<T>,
@@ -107,9 +110,13 @@ impl<T: Real> TrialWaveFunction<T> {
         }
         // Deferred components tracked by bitmask: no per-call allocation.
         let mut deferred: u64 = 0;
-        for (ci, c) in self.components.iter_mut().enumerate() {
-            if !c.ratios_value_only(p, iat, positions, &mut ratios[..nq]) {
-                deferred |= 1 << ci;
+        for jastrows in [false, true] {
+            for (ci, c) in self.components.iter_mut().enumerate() {
+                if c.is_jastrow() == jastrows
+                    && !c.ratios_value_only(p, iat, positions, &mut ratios[..nq])
+                {
+                    deferred |= 1 << ci;
+                }
             }
         }
         if deferred != 0 {
