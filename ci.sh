@@ -154,14 +154,23 @@ echo "== bench smoke (sweep + measurement, NLPP shell) =="
 cargo bench -p qmc-bench --bench bench_sweep -- --test
 
 echo "== run-report smoke (miniqmc --profile json) =="
-./target/release/miniqmc --benchmark graphite --threads 1 --walkers 2 \
-    --steps 4 --warmup 1 --profile json | ./target/release/json_check
+# json_check also gates attribution: kernel seconds finite, >= 0, and
+# summing to <= seconds x threads. Kernel times are sampled (1 call in
+# 16), so the run is sized to ~0.94M kernel calls (~0.75 s). There the
+# sum's sampling error, sqrt(sum over kernels of 15 s_k^2 / calls_k), is
+# 0.6 % of wall time, and the busy share measured 0.955-0.959 over six
+# runs on a 2-vCPU x86-64 host: 7 sigma of headroom. At the old
+# 2-walker, 4-step size the error was ~8 % and the gate failed.
+./target/release/miniqmc --benchmark graphite --threads 1 --walkers 8 \
+    --steps 96 --warmup 1 --profile json | ./target/release/json_check
 
 echo "== run-report smoke (checked build: sanitizer live) =="
 # Rebuild with the runtime invariant sanitizer compiled in; json_check
-# exits nonzero if the report carries any sanitizer violations.
+# exits nonzero if the report carries any sanitizer violations. Same
+# size and the same attribution gate: this build's busy share measured
+# 0.946-0.954 over six runs (sampling error 0.6 %, 8 sigma of headroom).
 cargo build --release -q -p miniqmc --features checked
-./target/release/miniqmc --benchmark graphite --threads 1 --walkers 2 \
-    --steps 4 --warmup 1 --profile json | ./target/release/json_check
+./target/release/miniqmc --benchmark graphite --threads 1 --walkers 8 \
+    --steps 96 --warmup 1 --profile json | ./target/release/json_check
 
 echo "CI OK"

@@ -1,7 +1,9 @@
 //! CI helper: reads JSON from stdin, validates it with the in-tree
 //! parser, and exits nonzero (with a message) when it is empty or
 //! malformed. Used by `ci.sh` to smoke-test `miniqmc --profile json`
-//! and the qmclint report.
+//! (a `qmc-run-report/1` document must also attribute no more time to
+//! kernels than the run had, and carry no sanitizer violations) and the
+//! qmclint report.
 //!
 //! ```text
 //! miniqmc --benchmark graphite --profile json | json_check
@@ -9,11 +11,46 @@
 //! ```
 
 use qmc_instrument::json::JsonValue;
+use qmc_instrument::RUN_REPORT_SCHEMA;
 use std::io::Read;
 
 fn member<'a>(obj: &'a JsonValue, key: &str) -> Result<&'a JsonValue, String> {
     obj.get(key)
-        .ok_or_else(|| format!("qmclint report missing `{key}`"))
+        .ok_or_else(|| format!("report missing `{key}`"))
+}
+
+fn number(obj: &JsonValue, key: &str) -> Result<f64, String> {
+    member(obj, key)?
+        .as_f64()
+        .ok_or_else(|| format!("report `{key}` is not a number"))
+}
+
+/// Checks a run report's time attribution: every kernel's `seconds` is a
+/// finite number ≥ 0, and together they fit in the run's thread time,
+/// Σ `kernels.*.seconds` ≤ `seconds` × `threads` (busy shares sum to at
+/// most 1). Kernel seconds are sampled estimates, so the sum gate is only
+/// as tight as the run is long; `ci.sh` sizes its smoke runs for that.
+fn check_run_report(v: &JsonValue) -> Result<(), String> {
+    let kernels = member(v, "kernels")?
+        .as_obj()
+        .ok_or("report `kernels` is not an object")?;
+    let mut sum = 0.0;
+    for (label, stats) in kernels {
+        let s = stats
+            .get("seconds")
+            .and_then(JsonValue::as_f64)
+            .filter(|s| s.is_finite() && *s >= 0.0)
+            .ok_or_else(|| format!("kernel `{label}` seconds is not a finite number >= 0"))?;
+        sum += s;
+    }
+    let (wall, threads) = (number(v, "seconds")?, number(v, "threads")?);
+    if sum > wall * threads {
+        return Err(format!(
+            "kernel seconds sum to {sum:.6} s, more than the run's {wall:.6} s x {threads} \
+             thread(s): busy shares add up to more than 1"
+        ));
+    }
+    Ok(())
 }
 
 /// Checks a qmclint report. `qmclint/4` is the one version accepted — any
@@ -65,11 +102,16 @@ fn main() {
             // A run report must at least carry its schema tag; plain JSON
             // from other producers (e.g. Chrome traces) just passes.
             if let Some(schema) = v.get("schema").and_then(|s| s.as_str()) {
-                if schema.starts_with("qmclint/") {
-                    if let Err(msg) = check_qmclint(schema, &v) {
-                        eprintln!("json_check: {msg}");
-                        std::process::exit(1);
-                    }
+                let checked = if schema.starts_with("qmclint/") {
+                    check_qmclint(schema, &v)
+                } else if schema == RUN_REPORT_SCHEMA {
+                    check_run_report(&v)
+                } else {
+                    Ok(())
+                };
+                if let Err(msg) = checked {
+                    eprintln!("json_check: {msg}");
+                    std::process::exit(1);
                 }
                 // Gate on the runtime sanitizer: a `checked` build that
                 // observed non-finite accumulator values or out-of-bound

@@ -10,8 +10,7 @@ fn miniqmc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_miniqmc"))
 }
 
-/// Tiny graphite run on one thread: per-kernel scopes are non-nested leaf
-/// timers, so with a single worker their times must sum to <= wall time.
+/// Tiny graphite run on one thread.
 fn tiny_args() -> [&'static str; 10] {
     [
         "--benchmark",
@@ -235,9 +234,11 @@ fn vmc_walker_hash_is_independent_of_the_crew() {
 
 #[test]
 fn golden_json_report_covers_all_kernels_within_wall_time() {
+    const STEPS: usize = 32;
     let out = miniqmc()
-        .args(tiny_args())
-        .args(["--profile", "json"])
+        .args(["--benchmark", "graphite", "--threads", "1"])
+        .args(["--walkers", "2", "--steps", &STEPS.to_string()])
+        .args(["--warmup", "1", "--profile", "json"])
         .output()
         .expect("spawn miniqmc");
     assert!(
@@ -258,20 +259,33 @@ fn golden_json_report_covers_all_kernels_within_wall_time() {
     );
 
     // Every kernel category is present, and per-kernel times sum to no
-    // more than the total wall time (single-threaded leaf timers).
+    // more than the total wall time (single-threaded leaf timers) — up to
+    // the sampling error of the estimate. Kernel times are sampled (1 call
+    // in 16, weighted by 16): a kernel of `c` calls and `s` estimated
+    // seconds carries a standard error of about s·√(15 / c), and a debug
+    // build spends ~98 % of this run inside kernels, so a bare `<=` would
+    // fail on the sampling realisation alone. The sum may exceed wall time
+    // by 4σ, which at this run length is ~12 %: a doubled weight (~2×
+    // wall) or a doubled B-spline scope (+35 %) still fails.
     let kernels = v.get("kernels").expect("kernels object");
-    let mut kernel_sum = 0.0;
+    let (mut kernel_sum, mut variance) = (0.0, 0.0);
     for &k in &ALL_KERNELS {
         let s = kernels
             .get(k.label())
             .unwrap_or_else(|| panic!("kernel '{}' missing from report", k.label()));
-        kernel_sum += s.get("seconds").unwrap().as_f64().expect("seconds");
+        let seconds = s.get("seconds").unwrap().as_f64().expect("seconds");
+        let calls = s.get("calls").unwrap().as_f64().expect("calls");
+        kernel_sum += seconds;
+        if calls > 0.0 {
+            variance += 15.0 * seconds * seconds / calls;
+        }
     }
     let wall = v.get("seconds").unwrap().as_f64().expect("wall seconds");
     assert!(wall > 0.0);
+    let bound = wall + 4.0 * variance.sqrt();
     assert!(
-        kernel_sum <= wall,
-        "kernel sum {kernel_sum} exceeds wall {wall}"
+        kernel_sum <= bound,
+        "kernel sum {kernel_sum} exceeds wall {wall} + 4 sigma = {bound}"
     );
     assert!(kernel_sum > 0.0, "profile must not be empty");
 
@@ -279,10 +293,57 @@ fn golden_json_report_covers_all_kernels_within_wall_time() {
     let acc = v.get("acceptance").unwrap().as_f64().unwrap();
     assert!(acc > 0.0 && acc <= 1.0);
     let pop = v.get("population").unwrap().as_arr().unwrap();
-    assert_eq!(pop.len(), 4, "one population entry per step");
-    assert!(v.get("e_trial_trace").unwrap().as_arr().unwrap().len() == 4);
+    assert_eq!(pop.len(), STEPS, "one population entry per step");
+    assert!(v.get("e_trial_trace").unwrap().as_arr().unwrap().len() == STEPS);
     // Per-worker profiles: one group for the single thread.
     assert_eq!(v.get("crowd_kernels").unwrap().as_arr().unwrap().len(), 1);
+}
+
+/// `json_check` gates a run report's attribution: kernel seconds must be
+/// finite and ≥ 0 and sum to no more than `seconds` × `threads`.
+#[test]
+fn json_check_rejects_kernel_time_beyond_wall_time() {
+    use std::io::Write;
+    use std::process::Stdio;
+    let check = |doc: &str| {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_json_check"))
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn json_check");
+        child
+            .stdin
+            .take()
+            .expect("stdin")
+            .write_all(doc.as_bytes())
+            .expect("write report");
+        let out = child.wait_with_output().expect("json_check exits");
+        (
+            out.status.success(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let report = |j2: &str, det: &str| {
+        format!(
+            r#"{{"schema":"{}","seconds":0.5,"threads":2,"kernels":{{"J2":{{"seconds":{j2},"calls":9}},"DetRatio":{{"seconds":{det},"calls":3}}}}}}"#,
+            qmc_instrument::RUN_REPORT_SCHEMA
+        )
+    };
+
+    let (ok, stderr) = check(&report("0.6", "0.3"));
+    assert!(ok, "0.9 s of kernels in 0.5 s x 2 threads: {stderr}");
+
+    let (ok, stderr) = check(&report("0.7", "0.4"));
+    assert!(!ok, "1.1 s of kernels in 0.5 s x 2 threads was accepted");
+    assert!(
+        stderr.contains("sum to 1.100000 s"),
+        "message must name the sum: {stderr}"
+    );
+
+    let (ok, stderr) = check(&report("null", "0.1"));
+    assert!(!ok, "a non-finite kernel time was accepted");
+    assert!(stderr.contains("`J2` seconds"), "{stderr}");
 }
 
 #[test]

@@ -168,15 +168,19 @@ impl<T: Real> DiracDeterminant<T> {
     }
 
     /// Rebuilds the inverse from the stored Slater matrix in double
-    /// precision and resets the engine (mixed-precision hygiene). Returns
-    /// the double-precision `A⁻¹` as LU produced it.
+    /// precision and resets the engine (mixed-precision hygiene), under the
+    /// `DetUpdate` timer. Returns the double-precision `A⁻¹` as LU produced
+    /// it.
     fn reinvert(&mut self) -> Matrix<f64> {
-        let a64: Matrix<f64> = self.psi_m.cast();
-        let (inv64, log, sign) = invert_with_log_det(&a64).expect("singular Slater matrix");
-        match &mut self.engine {
-            InverseEngine::Direct(b) => *b = inv64.cast(),
-            InverseEngine::Delayed(d) => d.reset(inv64.transposed().cast()),
-        }
+        let (inv64, log, sign) = time_kernel(Kernel::DetUpdate, || {
+            let a64: Matrix<f64> = self.psi_m.cast();
+            let (inv64, log, sign) = invert_with_log_det(&a64).expect("singular Slater matrix");
+            match &mut self.engine {
+                InverseEngine::Direct(b) => *b = inv64.cast(),
+                InverseEngine::Delayed(d) => d.reset(inv64.transposed().cast()),
+            }
+            (inv64, log, sign)
+        });
         self.inv_col = None;
         self.log_value = log;
         self.sign = sign;
@@ -491,10 +495,19 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
             return TinyVector::zero();
         }
         let local = iat - self.first;
-        self.engine_inv_row(local);
-        let g = dots(
-            [0, 1, 2].map(|d| self.g_m[d].row(local)),
-            self.inv_row.as_slice(),
+        let g = time_kernel(Kernel::DetRatio, || {
+            self.engine_inv_row(local);
+            dots(
+                [0, 1, 2].map(|d| self.g_m[d].row(local)),
+                self.inv_row.as_slice(),
+            )
+        });
+        // Three dots against the inverse column: 6·nel FLOPs over the
+        // column and three gradient rows.
+        add_flops_bytes(
+            Kernel::DetRatio,
+            (6 * self.nel) as u64,
+            (4 * self.nel * std::mem::size_of::<T>()) as u64,
         );
         TinyVector(g.map(Real::to_f64))
     }
@@ -707,6 +720,32 @@ mod tests {
         assert_eq!(
             (update.calls, update.flops, update.bytes),
             (1, (4 * nel * nel) as u64, (3 * nel * nel * size) as u64)
+        );
+    }
+
+    /// No determinant work runs outside a timer: the from-scratch reinvert
+    /// is a `DetUpdate` scope, and `eval_grad` (the inverse column and three
+    /// dots) a `DetRatio` scope with its model counts.
+    #[test]
+    fn reinvert_and_eval_grad_are_timed() {
+        let nel = NEL;
+        let mut p = electrons();
+        let mut det = determinant();
+        drain_thread_profile();
+        det.evaluate_log(&mut p);
+        let profile = drain_thread_profile();
+        assert_eq!(profile.get(Kernel::DetUpdate).calls, 1, "reinvert");
+
+        det.eval_grad(&p, 2);
+        let profile = drain_thread_profile();
+        let ratio = profile.get(Kernel::DetRatio);
+        assert_eq!(
+            (ratio.calls, ratio.flops, ratio.bytes),
+            (
+                1,
+                (6 * nel) as u64,
+                (4 * nel * std::mem::size_of::<f64>()) as u64
+            )
         );
     }
 

@@ -1,0 +1,106 @@
+//! Timing never touches physics: the kernel timers share no state with any
+//! walker stream, so when and how often a thread drains its profile cannot
+//! move a bit of the Markov chains — and the exact profile fields (`calls`,
+//! `flops`, `bytes`) do not depend on the drain granularity either.
+//!
+//! Every test here builds engines on the simd backend; `set_backend` is
+//! process-wide, but no test in this binary selects anything else.
+
+use qmc_drivers::{
+    initial_population, population_digest, run_dmc, Crew, DmcParams, QmcEngine, RunControl,
+    SweepStats, Walker,
+};
+use qmc_instrument::{drain_thread_profile, Profile, ALL_KERNELS};
+use qmc_kernels::{set_backend, Backend};
+use qmc_workloads::{Benchmark, CodeVersion, Size, Workload};
+
+/// A per-walker crew member that drains its thread's kernel profile before
+/// every walker's sweep (so after the previous walker's measure and store),
+/// keeping what it drained so the run's totals can still be compared.
+struct DrainEveryWalker {
+    engine: QmcEngine<f32>,
+    drained: Profile,
+}
+
+impl Crew<f32> for DrainEveryWalker {
+    const SPAN: &'static str = "worker block";
+    const BLOCK_SPANS: bool = false;
+
+    fn width(&self) -> usize {
+        1
+    }
+
+    fn slot_mut(&mut self, _s: usize) -> &mut QmcEngine<f32> {
+        &mut self.engine
+    }
+
+    fn refresh_block(&mut self, _nw: usize) {
+        self.engine.refresh_from_scratch();
+    }
+
+    fn sweep_block(&mut self, block: &mut [Walker<f32>], tau: f64, stats: &mut [SweepStats]) {
+        self.drained.merge(&drain_thread_profile());
+        stats[0] = self.engine.sweep(tau, &mut block[0].rng);
+    }
+}
+
+/// Per-walker DMC on scaled Graphite, f32 `Current`, over `crew`: returns
+/// the final population digest (`walker_digest_full` per walker) and the
+/// run's aggregate profile.
+fn run<C: Crew<f32>>(w: &Workload, crew: &mut [C]) -> (u64, Profile) {
+    let mut walkers = initial_population::<f32>(w.initial_positions(), 4, 99);
+    let params = DmcParams {
+        steps: 12,
+        warmup: 1,
+        tau: 0.003,
+        target_population: 4,
+        recompute_every: 4,
+        // Seed 99 (0x63), branched as the benchmark runner derives it.
+        seed: 0x63 ^ 0xD00D,
+        ..Default::default()
+    };
+    let (_, profile) = run_dmc(crew, &mut walkers, &params, None, &mut RunControl::none())
+        .expect("an uncontrolled run writes no checkpoint");
+    (population_digest(&walkers), profile.total)
+}
+
+/// The digest is the same whether each thread drains after every walker or
+/// only where the driver drains (once per generation, per crew member), and
+/// both equal the digest recorded on the parent of the sampled-timer change
+/// (c4457e1), before any edit. `calls`, `flops` and `bytes` agree exactly.
+#[test]
+fn drain_granularity_moves_no_bit_and_no_count() {
+    set_backend(Backend::Simd);
+    let w = Workload::new(Benchmark::Graphite, Size::Scaled, 99);
+
+    let mut plain: Vec<QmcEngine<f32>> = (0..2)
+        .map(|_| w.build_engine_f32(CodeVersion::Current))
+        .collect();
+    let (once, once_profile) = run(&w, &mut plain);
+
+    let mut draining: Vec<DrainEveryWalker> = (0..2)
+        .map(|_| DrainEveryWalker {
+            engine: w.build_engine_f32(CodeVersion::Current),
+            drained: Profile::default(),
+        })
+        .collect();
+    let (every, mut every_profile) = run(&w, &mut draining);
+    for member in &draining {
+        every_profile.merge(&member.drained);
+    }
+
+    assert_eq!(once, every, "drain granularity moved the population digest");
+    assert_eq!(
+        once, 0x1ab4_a304_8c24_9284,
+        "population digest recorded on the parent"
+    );
+    for &k in &ALL_KERNELS {
+        let (a, b) = (once_profile.get(k), every_profile.get(k));
+        assert_eq!(
+            (a.calls, a.flops, a.bytes),
+            (b.calls, b.flops, b.bytes),
+            "{}: exact fields depend on when the profile is drained",
+            k.label()
+        );
+    }
+}
