@@ -150,7 +150,7 @@ cargo bench -p qmc-bench --bench bench_kernels -- --test
 echo "== bench smoke (determinant updates and LU inverse) =="
 cargo bench -p qmc-bench --bench bench_determinant -- --test
 
-echo "== bench smoke (sweep + measurement, NLPP shell) =="
+echo "== bench smoke (sweep + measurement, NLPP shell, J2 functor rows) =="
 cargo bench -p qmc-bench --bench bench_sweep -- --test
 
 echo "== run-report smoke (miniqmc --profile json) =="

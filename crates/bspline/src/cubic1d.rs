@@ -3,9 +3,12 @@
 //! §3 of the paper: "The one-dimensional cubic B-spline is extensively used
 //! in QMCPACK because of its generality and computational efficiency". Each
 //! Jastrow functor `U(r)` (Fig. 3) is such a spline with a finite cutoff
-//! `r_cut`; beyond the cutoff the functor and its derivatives vanish, which
-//! is the branch condition the paper notes slightly lowers the SIMD
-//! efficiency of the Jastrow kernels.
+//! `r_cut`; beyond the cutoff the functor and its derivatives vanish. The
+//! paper notes that this branch slightly lowers the SIMD efficiency of the
+//! Jastrow kernels. Here the Jastrow rows no longer branch per partner:
+//! they build one `d < r_cut` bit mask per 64 partners and call the scalar
+//! [`CubicBspline1D::evaluate`] / [`CubicBspline1D::evaluate_vgl`] only on
+//! its set bits (`qmc_wavefunction::jastrow::evaluate_vgl_row`).
 
 use qmc_containers::{Matrix, Real};
 
@@ -130,22 +133,6 @@ impl<T: Real> CubicBspline1D<T> {
         (v, dv * self.inv_h, d2v * self.inv_h * self.inv_h)
     }
 
-    /// Sum of `U(d)` over a slice of distances; the vectorizable inner loop
-    /// of the compute-on-the-fly two-body Jastrow. Entries with `skip ==
-    /// Some(i)` index (the active electron itself) are excluded.
-    pub fn sum_batch(&self, distances: &[T], skip: Option<usize>) -> T {
-        let mut acc = T::ZERO;
-        for (i, &d) in distances.iter().enumerate() {
-            if Some(i) == skip {
-                continue;
-            }
-            if d < self.r_cut {
-                acc += self.evaluate(d);
-            }
-        }
-        acc
-    }
-
     /// Casts the functor to another precision.
     // qmclint: cold — one-time precision conversion of the functor table at
     // setup (the paper's f64-fit, f32-evaluate pipeline).
@@ -249,21 +236,5 @@ mod tests {
             let d = (sp64.evaluate(r) - sp32.evaluate(r as f32) as f64).abs();
             assert!(d < 1e-6, "r={r}: diff {d}");
         }
-    }
-
-    #[test]
-    fn sum_batch_matches_scalar_loop() {
-        let sp = CubicBspline1D::<f64>::fit(|r| 1.0 / (1.0 + r), -1.0, 2.0, 8);
-        let ds = [0.1, 0.5, 2.5, 1.0, 0.9];
-        let manual: f64 = ds
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != 2)
-            .map(|(_, &d)| sp.evaluate(d))
-            .sum();
-        // index 2 is beyond cutoff anyway; also test skip semantics
-        assert!((sp.sum_batch(&ds, None) - manual).abs() < 1e-14);
-        let manual_skip: f64 = manual - sp.evaluate(0.1);
-        assert!((sp.sum_batch(&ds, Some(0)) - manual_skip).abs() < 1e-14);
     }
 }

@@ -23,7 +23,10 @@
 //!   coefficient rows, and each macro-tile of lane blocks keeps *all* of
 //!   its accumulators in [`WideLane`] registers across the whole 64-node
 //!   stencil — one store per output slab instead of one read-modify-write
-//!   slab pass per node.
+//!   slab pass per node. `v` runs 4-block tiles, then one 2-block tile
+//!   for a remainder of `2W..4W` orbitals (the whole of Graphite-64's 32
+//!   f32 orbitals per spin), then single blocks; `vgl` runs 2-block tiles
+//!   and `vgh` single blocks.
 //!
 //! Lane width follows the mixed-precision ladder ([`wide_f32`]): `f64`
 //! runs 8-wide, `f32` runs 16-wide (one 512-bit register either way).
@@ -250,7 +253,10 @@ fn v_simd<T: Real>(t: &SplineView<'_, T>, u: [T; 3], psi: &mut [T]) {
 /// orbitals) keeps four accumulator registers live across the whole
 /// stencil — one store per block instead of one read-modify-write slab
 /// pass per node, and four independent FMA chains per node to cover the
-/// FMA latency.
+/// FMA latency. A remainder of `2*W..4*W` orbitals takes one 2-block tile
+/// before the 1-block loop: at `ns = 2*W` (Graphite-64, `ns = 32` in f32)
+/// the 4-block tile never runs, and two chains per node beat two lone
+/// passes of one. No tile changes an orbital's node order.
 fn v_simd_w<T: Real, const W: usize>(t: &SplineView<'_, T>, u: [T; 3], psi: &mut [T]) {
     let ns = t.num_splines;
     assert!(psi.len() >= ns);
@@ -259,29 +265,15 @@ fn v_simd_w<T: Real, const W: usize>(t: &SplineView<'_, T>, u: [T; 3], psi: &mut
     let w = v_weight_table(&w3);
     let mut s0 = 0;
     while s0 + 4 * W <= ns {
-        let mut a0 = WideLane::<T, W>::zero();
-        let mut a1 = WideLane::<T, W>::zero();
-        let mut a2 = WideLane::<T, W>::zero();
-        let mut a3 = WideLane::<T, W>::zero();
-        for k in 0..64 {
-            let row = &t.coefs[bases[k] + s0..];
-            a0 = a0.fma_scalar(w[k], WideLane::load(row));
-            a1 = a1.fma_scalar(w[k], WideLane::load(&row[W..]));
-            a2 = a2.fma_scalar(w[k], WideLane::load(&row[2 * W..]));
-            a3 = a3.fma_scalar(w[k], WideLane::load(&row[3 * W..]));
-        }
-        a0.store(&mut psi[s0..]);
-        a1.store(&mut psi[s0 + W..]);
-        a2.store(&mut psi[s0 + 2 * W..]);
-        a3.store(&mut psi[s0 + 3 * W..]);
+        v_tile::<T, W, 4>(t, &bases, &w, s0, psi);
         s0 += 4 * W;
     }
+    if s0 + 2 * W <= ns {
+        v_tile::<T, W, 2>(t, &bases, &w, s0, psi);
+        s0 += 2 * W;
+    }
     while s0 + W <= ns {
-        let mut acc = WideLane::<T, W>::zero();
-        for k in 0..64 {
-            acc = acc.fma_scalar(w[k], WideLane::load(&t.coefs[bases[k] + s0..]));
-        }
-        acc.store(&mut psi[s0..]);
+        v_tile::<T, W, 1>(t, &bases, &w, s0, psi);
         s0 += W;
     }
     // Scalar tail: same per-orbital node order as the blocks.
@@ -291,6 +283,29 @@ fn v_simd_w<T: Real, const W: usize>(t: &SplineView<'_, T>, u: [T; 3], psi: &mut
             acc = w[k].mul_add(t.coefs[bases[k] + s], acc);
         }
         psi[s] = acc;
+    }
+}
+
+/// One `B`-block tile of [`v_simd_w`] at orbital `s0`: `B` accumulators
+/// stay live across the whole stencil, `B` independent FMA chains per
+/// node, one store per block.
+#[inline(always)]
+fn v_tile<T: Real, const W: usize, const B: usize>(
+    t: &SplineView<'_, T>,
+    bases: &[usize; 64],
+    w: &[T; 64],
+    s0: usize,
+    psi: &mut [T],
+) {
+    let mut acc = [WideLane::<T, W>::zero(); B];
+    for k in 0..64 {
+        let row = &t.coefs[bases[k] + s0..];
+        for (b, a) in acc.iter_mut().enumerate() {
+            *a = a.fma_scalar(w[k], WideLane::load(&row[b * W..]));
+        }
+    }
+    for (b, a) in acc.iter().enumerate() {
+        a.store(&mut psi[s0 + b * W..]);
     }
 }
 

@@ -1,8 +1,10 @@
 //! Two-body Jastrow accumulation kernels behind the [`Backend`] seam.
 //!
-//! The functor evaluations (`u(r)`, `u'(r)/r`, Laplacian terms) stay in
-//! `qmc-wavefunction` — they carry the cutoff branch and the group
-//! dispatch. What lives here are the hot row reductions and forward-update
+//! The functor rows (`u(r)`, `u'(r)/r`, Laplacian terms) stay in
+//! `qmc-wavefunction::jastrow` — they own the cutoff mask (one `d < r_cut`
+//! bit per partner, the scalar functor run only on set bits) and the
+//! group dispatch, and have no backend arms. What lives here are the hot
+//! row reductions and forward-update
 //! slab passes that `J2Soa` runs per electron: contract a finished
 //! functor row against the displacement rows into the per-electron
 //! accumulators (value, gradient, Laplacian of `log psi`).

@@ -221,15 +221,18 @@ fn mw_v_matrix<T: Real>(ns: usize, nq: usize, seed: u64) {
 
     let mut mw_ref = vec![T::ZERO; nq * ns];
     mw_evaluate_v(Backend::Reference, &t, &us, &mut mw_ref);
-    // Per-point parity: the batch must match a loop of single-point calls.
+    // Per-point parity: the batch must match single-point calls, on every
+    // backend.
     for (q, &u) in us.iter().enumerate() {
-        let mut psi = vec![T::ZERO; ns];
-        evaluate_v(Backend::Reference, &t, u, &mut psi);
-        assert_eq!(
-            &mw_ref[q * ns..(q + 1) * ns],
-            &psi[..],
-            "mw-v point {q} differs from evaluate_v"
-        );
+        for b in Backend::ALL {
+            let mut psi = vec![T::ZERO; ns];
+            evaluate_v(b, &t, u, &mut psi);
+            assert_eq!(
+                &mw_ref[q * ns..(q + 1) * ns],
+                &psi[..],
+                "{b}: evaluate_v at point {q} differs from the reference mw-v, ns={ns}"
+            );
+        }
     }
     for b in [Backend::Soa, Backend::Simd] {
         let mut mw = vec![T::ZERO; nq * ns];
@@ -246,6 +249,20 @@ fn mw_v_bitwise_f64() {
 #[test]
 fn mw_v_bitwise_f32() {
     mw_v_matrix::<f32>(19, 12, 43);
+}
+
+/// The simd `v` tiles by orbital count: 4-block tiles, one 2-block tile
+/// for a `2W..4W` remainder, single blocks, a scalar tail. These sizes
+/// sit on both sides of every switch at the rung's lane width `W` (16 in
+/// f32, 8 in f64), so each tile combination runs at least once.
+#[test]
+fn v_tiles_bitwise_at_every_block_boundary() {
+    for ns in [16, 31, 32, 33, 47, 48, 63, 64, 65] {
+        mw_v_matrix::<f32>(ns, 3, 700 + ns as u64);
+    }
+    for ns in [8, 15, 16, 17, 24, 31, 32, 33] {
+        mw_v_matrix::<f64>(ns, 3, 800 + ns as u64);
+    }
 }
 
 // -- stencil-edge positions: fractional coordinates hugging grid nodes ------

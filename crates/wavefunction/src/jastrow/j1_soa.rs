@@ -3,7 +3,7 @@
 //! Keeps only per-electron accumulators; ions never move, so acceptance
 //! touches a single electron's entries (no neighbour forward updates).
 
-use super::{evaluate_v_batch, evaluate_vgl_batch};
+use super::{evaluate_v_row, evaluate_vgl_row};
 use crate::buffer::WalkerBuffer;
 use crate::traits::WaveFunctionComponent;
 use qmc_bspline::CubicBspline1D;
@@ -67,26 +67,15 @@ impl<T: Real> J1Soa<T> {
     }
 
     fn batch_vgl(&mut self, dists: &[T]) {
-        let Self {
-            functors,
-            ion_groups,
-            cur_u,
-            cur_dud,
-            cur_lap,
-            nion,
-            ..
-        } = self;
-        for (g, r) in ion_groups.iter().enumerate() {
-            let (lo, hi) = (r.start, r.end);
-            evaluate_vgl_batch(
-                &functors[g],
-                &dists[lo..hi],
-                &mut cur_u.as_mut_slice()[lo..hi],
-                &mut cur_dud.as_mut_slice()[lo..hi],
-                &mut cur_lap.as_mut_slice()[lo..hi],
-            );
-        }
-        let _ = nion;
+        let nion = self.nion;
+        evaluate_vgl_row(
+            &self.functors,
+            &self.ion_groups,
+            &dists[..nion],
+            &mut self.cur_u.as_mut_slice()[..nion],
+            &mut self.cur_dud.as_mut_slice()[..nion],
+            &mut self.cur_lap.as_mut_slice()[..nion],
+        );
     }
 
     /// `sum_a u(r_a)` over one electron-ion distance row, staged through
@@ -97,10 +86,7 @@ impl<T: Real> J1Soa<T> {
         dists: &[T],
         u: &mut [T],
     ) -> T {
-        for (g, r) in ion_groups.iter().enumerate() {
-            let (lo, hi) = (r.start, r.end);
-            evaluate_v_batch(&functors[g], &dists[lo..hi], &mut u[lo..hi]);
-        }
+        evaluate_v_row(functors, ion_groups, dists, u);
         let mut v = T::ZERO;
         for &x in &u[..dists.len()] {
             v += x;

@@ -6,12 +6,12 @@
 //! per-electron accumulators (value, gradient, Laplacian of `log psi`),
 //! `5 N sizeof(T)` per walker, maintained by forward updates on acceptance.
 //!
-//! The functor batch evaluations stay here (cutoff branch + group
-//! dispatch); the row reductions and forward-update slabs run in
-//! `qmc_kernels::jastrow` behind the backend seam captured at
+//! The functor rows stay here (one cutoff mask per row, group dispatch,
+//! see [`super::evaluate_vgl_row`]); the row reductions and forward-update
+//! slabs run in `qmc_kernels::jastrow` behind the backend seam captured at
 //! construction.
 
-use super::{evaluate_v_batch, evaluate_vgl_batch, PairFunctors};
+use super::{evaluate_v_row, evaluate_vgl_row, PairFunctors};
 use crate::buffer::WalkerBuffer;
 use crate::traits::WaveFunctionComponent;
 use qmc_containers::{padded_len, AlignedVec, Pos, Real, TinyVector, VectorSoaContainer};
@@ -21,11 +21,14 @@ use qmc_kernels::jastrow::{
 };
 use qmc_kernels::Backend;
 use qmc_particles::{MwRowStage, ParticleSet};
+use std::ops::Range;
 
 /// Optimized (SoA, compute-on-the-fly) two-body Jastrow factor.
 pub struct J2Soa<T: Real> {
     table: usize,
     functors: PairFunctors<T>,
+    /// Electron index range of each group (spin).
+    groups: Vec<Range<usize>>,
     n: usize,
     /// Per-electron value sums `sum_j u(r_ij)`.
     vat: AlignedVec<T>,
@@ -59,6 +62,7 @@ impl<T: Real> J2Soa<T> {
         Self {
             table,
             functors,
+            groups: (0..p.num_groups()).map(|g| p.group_range(g)).collect(),
             n,
             vat: AlignedVec::zeros(n),
             gat: VectorSoaContainer::new(n),
@@ -77,43 +81,9 @@ impl<T: Real> J2Soa<T> {
         }
     }
 
-    /// Group-wise vectorized VGL batch over a distance row into the given
-    /// scratch arrays.
-    fn batch_vgl(
-        functors: &PairFunctors<T>,
-        p: &ParticleSet<T>,
-        gk: usize,
-        dists: &[T],
-        u: &mut [T],
-        dud: &mut [T],
-        lap: &mut [T],
-    ) {
-        for g2 in 0..p.num_groups() {
-            let r = p.group_range(g2);
-            let (lo, hi) = (r.start, r.end);
-            let f = functors.get(gk, g2);
-            evaluate_vgl_batch(
-                f,
-                &dists[lo..hi],
-                &mut u[lo..hi],
-                &mut dud[lo..hi],
-                &mut lap[lo..hi],
-            );
-        }
-    }
-
-    fn batch_v(
-        functors: &PairFunctors<T>,
-        p: &ParticleSet<T>,
-        gk: usize,
-        dists: &[T],
-        u: &mut [T],
-    ) {
-        for g2 in 0..p.num_groups() {
-            let r = p.group_range(g2);
-            let f = functors.get(gk, g2);
-            evaluate_v_batch(f, &dists[r.start..r.end], &mut u[r]);
-        }
+    /// The pair functors, row `g` serving an electron of group `g`.
+    pub fn functors(&self) -> &PairFunctors<T> {
+        &self.functors
     }
 }
 
@@ -136,13 +106,10 @@ impl<T: Real> WaveFunctionComponent<T> for J2Soa<T> {
             let t = p.table(self.table).as_aa_soa();
             let mut logpsi: f64 = 0.0;
             for i in 0..n {
-                let gk = p.group_of(i);
-                let dists = t.dist_row(i);
-                Self::batch_vgl(
-                    &self.functors,
-                    p,
-                    gk,
-                    dists,
+                evaluate_vgl_row(
+                    self.functors.row(p.group_of(i)),
+                    &self.groups,
+                    &t.dist_row(i)[..n],
                     &mut self.cur_u.as_mut_slice()[..n],
                     &mut self.cur_dud.as_mut_slice()[..n],
                     &mut self.cur_lap.as_mut_slice()[..n],
@@ -181,12 +148,10 @@ impl<T: Real> WaveFunctionComponent<T> for J2Soa<T> {
     fn ratio(&mut self, p: &ParticleSet<T>, iat: usize) -> f64 {
         time_kernel(Kernel::J2, || {
             let t = p.table(self.table).as_aa_soa();
-            let gk = p.group_of(iat);
-            Self::batch_v(
-                &self.functors,
-                p,
-                gk,
-                t.temp_dist(),
+            evaluate_v_row(
+                self.functors.row(p.group_of(iat)),
+                &self.groups,
+                &t.temp_dist()[..self.n],
                 &mut self.cur_u.as_mut_slice()[..self.n],
             );
             let v = j2_row_sum(self.backend, self.cur_u.as_slice(), self.n);
@@ -219,14 +184,13 @@ impl<T: Real> WaveFunctionComponent<T> for J2Soa<T> {
         let t = p.table(self.table).as_aa_soa();
         t.candidate_rows(p.rsoa(), iat, positions, &mut self.shell);
         time_kernel(Kernel::J2, || {
-            let gk = p.group_of(iat);
+            let functors = self.functors.row(p.group_of(iat));
             let vat = self.vat[iat].to_f64();
             for (q, r) in ratios[..nq].iter_mut().enumerate() {
-                Self::batch_v(
-                    &self.functors,
-                    p,
-                    gk,
-                    self.shell.dist_row(q),
+                evaluate_v_row(
+                    functors,
+                    &self.groups,
+                    &self.shell.dist_row(q)[..n],
                     &mut self.cur_u.as_mut_slice()[..n],
                 );
                 let v = j2_row_sum(self.backend, self.cur_u.as_slice(), n).to_f64();
@@ -244,13 +208,11 @@ impl<T: Real> WaveFunctionComponent<T> for J2Soa<T> {
     fn ratio_grad(&mut self, p: &ParticleSet<T>, iat: usize, grad: &mut Pos<f64>) -> f64 {
         time_kernel(Kernel::J2, || {
             let t = p.table(self.table).as_aa_soa();
-            let gk = p.group_of(iat);
             let n = self.n;
-            Self::batch_vgl(
-                &self.functors,
-                p,
-                gk,
-                t.temp_dist(),
+            evaluate_vgl_row(
+                self.functors.row(p.group_of(iat)),
+                &self.groups,
+                &t.temp_dist()[..n],
                 &mut self.cur_u.as_mut_slice()[..n],
                 &mut self.cur_dud.as_mut_slice()[..n],
                 &mut self.cur_lap.as_mut_slice()[..n],
@@ -285,24 +247,22 @@ impl<T: Real> WaveFunctionComponent<T> for J2Soa<T> {
         time_kernel(Kernel::J2, || {
             let n = self.n;
             let t = p.table(self.table).as_aa_soa();
-            let gk = p.group_of(iat);
+            let functors = self.functors.row(p.group_of(iat));
             if !self.cur_has_grad {
-                Self::batch_vgl(
-                    &self.functors,
-                    p,
-                    gk,
-                    t.temp_dist(),
+                evaluate_vgl_row(
+                    functors,
+                    &self.groups,
+                    &t.temp_dist()[..n],
                     &mut self.cur_u.as_mut_slice()[..n],
                     &mut self.cur_dud.as_mut_slice()[..n],
                     &mut self.cur_lap.as_mut_slice()[..n],
                 );
             }
             // Old row terms against the current (pre-accept) positions.
-            Self::batch_vgl(
-                &self.functors,
-                p,
-                gk,
-                t.dist_row(iat),
+            evaluate_vgl_row(
+                functors,
+                &self.groups,
+                &t.dist_row(iat)[..n],
                 &mut self.old_u.as_mut_slice()[..n],
                 &mut self.old_dud.as_mut_slice()[..n],
                 &mut self.old_lap.as_mut_slice()[..n],
