@@ -5,7 +5,7 @@
 //! engines advances its walkers through the particle-by-particle
 //! drift-diffusion sweep in lock-step, so every stage hands the
 //! wavefunction layer a multi-walker batch (`TrialWaveFunction::mw_*`,
-//! `SpoSet::mw_evaluate_vgl`, `qmc_particles::mw_candidate_rows`) instead
+//! `SpoSet::mw_evaluate_vgl`, `ParticleSet::mw_prepare_moves`) instead
 //! of one walker's worth of work.
 //!
 //! [`Crowd`] implements `qmc_drivers::Crew`, so the one VMC block loop and

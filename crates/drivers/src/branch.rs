@@ -37,16 +37,32 @@ impl BranchController {
         }
     }
 
-    /// The raw state words of the controller's private branching stream,
-    /// for bitwise checkpointing.
-    pub fn rng_state(&self) -> [u64; 4] {
-        self.rng.state()
+    /// Every field, in the order [`Self::restore`] takes them, with the
+    /// private branching stream as its raw state words: what a bitwise
+    /// checkpoint writes. The destructuring names every field, so a field
+    /// added here does not compile until the codec carries it.
+    pub(crate) fn checkpoint_fields(&self) -> (usize, f64, f64, f64, usize, [u64; 4]) {
+        let Self {
+            target_population,
+            e_trial,
+            feedback,
+            tau,
+            max_age,
+            rng,
+        } = self;
+        (
+            *target_population,
+            *e_trial,
+            *feedback,
+            *tau,
+            *max_age,
+            rng.state(),
+        )
     }
 
-    /// Rebuilds a controller from checkpointed state: every public field
-    /// plus the exact branching-stream state from [`Self::rng_state`], so
-    /// a restored controller draws the same uniforms an uninterrupted run
-    /// would have.
+    /// Rebuilds a controller from the checkpointed fields, the branching
+    /// stream from its exact state words, so a restored controller draws
+    /// the same uniforms an uninterrupted run would have.
     pub fn restore(
         target_population: usize,
         e_trial: f64,
@@ -256,13 +272,15 @@ mod tests {
         live.branch(&mut warm); // advance the private stream
         live.update_trial_energy(-1.2, warm.len());
 
+        let (target_population, e_trial, feedback, tau, max_age, rng_state) =
+            live.checkpoint_fields();
         let mut restored = BranchController::restore(
-            live.target_population,
-            live.e_trial,
-            live.feedback,
-            live.tau,
-            live.max_age,
-            live.rng_state(),
+            target_population,
+            e_trial,
+            feedback,
+            tau,
+            max_age,
+            rng_state,
         );
         // Identical populations, identical decisions, identical streams after.
         let mut a = initial_population::<f64>(&zero_positions(1), 15, 8);
@@ -274,7 +292,7 @@ mod tests {
         live.branch(&mut a);
         restored.branch(&mut b);
         assert_eq!(a.len(), b.len());
-        assert_eq!(live.rng_state(), restored.rng_state());
+        assert_eq!(live.checkpoint_fields(), restored.checkpoint_fields());
         assert_eq!(
             live.weight_factor(-1.0, -1.1),
             restored.weight_factor(-1.0, -1.1)

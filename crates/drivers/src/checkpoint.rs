@@ -43,7 +43,7 @@ use crate::serialize::{
 };
 use crate::vmc::{VmcParams, VmcState};
 use crate::walker::Walker;
-use crate::BranchController;
+use crate::{BranchController, ScalarEstimator};
 use qmc_containers::Real;
 use qmc_instrument::BlockEvent;
 
@@ -346,6 +346,12 @@ fn push_series(out: &mut Vec<u8>, xs: &[f64]) {
     }
 }
 
+fn push_estimator(out: &mut Vec<u8>, energy: &ScalarEstimator) {
+    let (samples, weights) = energy.series();
+    push_series(out, samples);
+    push_series(out, weights);
+}
+
 fn header<T: Real>(driver: DriverKind) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
     push_u64(&mut out, MAGIC);
@@ -377,35 +383,54 @@ fn seal_and_write(path: &str, mut bytes: Vec<u8>) -> std::io::Result<()> {
 }
 
 /// Writes a DMC checkpoint: header, [`DmcState`], walkers, checksum.
+///
+/// The state destructurings name every field (the branch controller and
+/// the estimator name theirs in their own modules), so a field added to
+/// any of them does not compile until the format carries it.
 pub fn write_dmc_checkpoint<T: Real>(
     path: &str,
     state: &DmcState,
     walkers: &[Walker<T>],
 ) -> std::io::Result<()> {
+    let DmcState {
+        branch,
+        energy,
+        population,
+        e_trial_trace,
+        accepted,
+        attempted,
+        samples,
+        step,
+        e0,
+    } = state;
     let mut out = header::<T>(DriverKind::Dmc);
-    push_u64(&mut out, state.step as u64);
-    push_u64(&mut out, state.samples);
-    push_u64(&mut out, state.accepted as u64);
-    push_u64(&mut out, state.attempted as u64);
-    push_f64(&mut out, state.e0);
-    push_series(&mut out, state.energy.samples());
-    push_series(&mut out, state.energy.weights());
-    push_u64(&mut out, state.population.len() as u64);
-    for &p in &state.population {
+    push_u64(&mut out, *step as u64);
+    push_u64(&mut out, *samples);
+    push_u64(&mut out, *accepted as u64);
+    push_u64(&mut out, *attempted as u64);
+    push_f64(&mut out, *e0);
+    push_estimator(&mut out, energy);
+    push_u64(&mut out, population.len() as u64);
+    for &p in population {
         push_u64(&mut out, p as u64);
     }
-    push_series(&mut out, &state.e_trial_trace);
-    push_u64(&mut out, state.branch.target_population as u64);
-    push_f64(&mut out, state.branch.e_trial);
-    push_f64(&mut out, state.branch.feedback);
-    push_f64(&mut out, state.branch.tau);
-    push_u64(&mut out, state.branch.max_age as u64);
-    for s in state.branch.rng_state() {
+    push_series(&mut out, e_trial_trace);
+    let (target_population, e_trial, feedback, tau, max_age, rng_state) =
+        branch.checkpoint_fields();
+    push_u64(&mut out, target_population as u64);
+    push_f64(&mut out, e_trial);
+    push_f64(&mut out, feedback);
+    push_f64(&mut out, tau);
+    push_u64(&mut out, max_age as u64);
+    for s in rng_state {
         push_u64(&mut out, s);
     }
     push_walkers(&mut out, walkers);
     seal_and_write(path, out)
 }
+// Checkpoint writers only read the run: a `&mut` state or walker slice
+// would not compile against these pins.
+const _: fn(&str, &DmcState, &[Walker<f64>]) -> std::io::Result<()> = write_dmc_checkpoint::<f64>;
 
 /// Writes a VMC checkpoint: header, [`VmcState`], walkers, checksum.
 pub fn write_vmc_checkpoint<T: Real>(
@@ -413,16 +438,23 @@ pub fn write_vmc_checkpoint<T: Real>(
     state: &VmcState,
     walkers: &[Walker<T>],
 ) -> std::io::Result<()> {
+    let VmcState {
+        energy,
+        accepted,
+        attempted,
+        samples,
+        block,
+    } = state;
     let mut out = header::<T>(DriverKind::Vmc);
-    push_u64(&mut out, state.block as u64);
-    push_u64(&mut out, state.samples);
-    push_u64(&mut out, state.accepted as u64);
-    push_u64(&mut out, state.attempted as u64);
-    push_series(&mut out, state.energy.samples());
-    push_series(&mut out, state.energy.weights());
+    push_u64(&mut out, *block as u64);
+    push_u64(&mut out, *samples);
+    push_u64(&mut out, *accepted as u64);
+    push_u64(&mut out, *attempted as u64);
+    push_estimator(&mut out, energy);
     push_walkers(&mut out, walkers);
     seal_and_write(path, out)
 }
+const _: fn(&str, &VmcState, &[Walker<f64>]) -> std::io::Result<()> = write_vmc_checkpoint::<f64>;
 
 // ---------------------------------------------------------------------
 // Decoding
@@ -491,6 +523,22 @@ fn read_series(r: &mut WireReader<'_>, what: &str) -> Result<Vec<f64>, Checkpoin
     Ok(out)
 }
 
+fn read_estimator(r: &mut WireReader<'_>) -> Result<ScalarEstimator, CheckpointError> {
+    let samples = read_series(r, "energy samples")?;
+    let weights = read_series(r, "energy weights")?;
+    if samples.len() != weights.len() {
+        return Err(CheckpointError::Malformed(WireError {
+            at: r.offset(),
+            what: format!(
+                "estimator series lengths differ: {} samples vs {} weights",
+                samples.len(),
+                weights.len()
+            ),
+        }));
+    }
+    Ok(ScalarEstimator::from_series(samples, weights))
+}
+
 fn read_walkers<T: Real>(r: &mut WireReader<'_>) -> Result<Vec<Walker<T>>, CheckpointError> {
     let count = r.count("walker count", 8)?;
     let mut walkers = Vec::with_capacity(count);
@@ -522,22 +570,7 @@ pub fn read_dmc_checkpoint<T: Real>(
     let accepted = r.u64("accepted")? as usize;
     let attempted = r.u64("attempted")? as usize;
     let e0 = r.f64("e0")?;
-    let e_samples = read_series(&mut r, "energy samples")?;
-    let e_weights = read_series(&mut r, "energy weights")?;
-    if e_samples.len() != e_weights.len() {
-        return Err(CheckpointError::Malformed(WireError {
-            at: r.offset(),
-            what: format!(
-                "estimator series lengths differ: {} samples vs {} weights",
-                e_samples.len(),
-                e_weights.len()
-            ),
-        }));
-    }
-    let mut energy = crate::ScalarEstimator::new();
-    for (&x, &w) in e_samples.iter().zip(&e_weights) {
-        energy.push(x, w);
-    }
+    let energy = read_estimator(&mut r)?;
     let npop = r.count("population trace", 8)?;
     let mut population = Vec::with_capacity(npop);
     for _ in 0..npop {
@@ -591,22 +624,7 @@ pub fn read_vmc_checkpoint<T: Real>(
     let samples = r.u64("samples")?;
     let accepted = r.u64("accepted")? as usize;
     let attempted = r.u64("attempted")? as usize;
-    let e_samples = read_series(&mut r, "energy samples")?;
-    let e_weights = read_series(&mut r, "energy weights")?;
-    if e_samples.len() != e_weights.len() {
-        return Err(CheckpointError::Malformed(WireError {
-            at: r.offset(),
-            what: format!(
-                "estimator series lengths differ: {} samples vs {} weights",
-                e_samples.len(),
-                e_weights.len()
-            ),
-        }));
-    }
-    let mut energy = crate::ScalarEstimator::new();
-    for (&x, &w) in e_samples.iter().zip(&e_weights) {
-        energy.push(x, w);
-    }
+    let energy = read_estimator(&mut r)?;
     let walkers = read_walkers::<T>(&mut r)?;
     r.finish("vmc checkpoint")
         .map_err(CheckpointError::Malformed)?;
@@ -672,15 +690,17 @@ mod tests {
         assert_eq!(back.accepted, state.accepted);
         assert_eq!(back.attempted, state.attempted);
         assert_eq!(back.e0.to_bits(), state.e0.to_bits());
-        assert_eq!(back.energy.samples(), state.energy.samples());
-        assert_eq!(back.energy.weights(), state.energy.weights());
+        assert_eq!(back.energy.series(), state.energy.series());
         assert_eq!(back.population, state.population);
         assert_eq!(back.e_trial_trace, state.e_trial_trace);
         assert_eq!(
             back.branch.e_trial.to_bits(),
             state.branch.e_trial.to_bits()
         );
-        assert_eq!(back.branch.rng_state(), state.branch.rng_state());
+        assert_eq!(
+            back.branch.checkpoint_fields(),
+            state.branch.checkpoint_fields()
+        );
         // The walker population restores bitwise, RNG streams included.
         assert_eq!(
             population_digest(&back_walkers),

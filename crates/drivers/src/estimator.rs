@@ -99,9 +99,18 @@ impl ScalarEstimator {
         &self.samples
     }
 
-    /// Raw weights view (parallel to [`Self::samples`]; checkpoint codec).
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
+    /// Every field, as the checkpoint codec writes it: samples, then the
+    /// parallel weights. The destructuring names every field, so a field
+    /// added here does not compile until the codec carries it.
+    pub(crate) fn series(&self) -> (&[f64], &[f64]) {
+        let Self { samples, weights } = self;
+        (samples, weights)
+    }
+
+    /// Rebuilds an estimator from the two parallel series of
+    /// [`Self::series`] (the checkpoint codec checks their lengths).
+    pub(crate) fn from_series(samples: Vec<f64>, weights: Vec<f64>) -> Self {
+        Self { samples, weights }
     }
 }
 

@@ -10,6 +10,8 @@
 
 use crate::walker::Walker;
 use qmc_containers::Real;
+use qmc_wavefunction::WalkerBuffer;
+use rand::rngs::StdRng;
 
 /// FNV-1a 64-bit, folding in raw little-endian bytes: the digest is a pure
 /// function of the bit patterns, so equal digests mean bitwise-equal state.
@@ -61,28 +63,29 @@ pub fn walker_digest<T: Real>(w: &Walker<T>) -> u64 {
     fold_walker(&mut h, w);
     h.value()
 }
+// Digests are pure: a `&mut` receiver would not compile against these pins.
+const _: fn(&Walker<f64>) -> u64 = walker_digest::<f64>;
 
 /// Bitwise digest of one walker *including* its raw RNG state words and
 /// its scratch-buffer payload and cursors — the strongest per-walker
 /// equality: two walkers with equal full digests will produce
-/// bitwise-identical trajectories forever after. Folding the buffer is
-/// what closes the state-coverage gap qmclint v3 gates: a stale cached
-/// value or a dirty read cursor breaks restart parity even when the
-/// positions and scalars agree.
+/// bitwise-identical trajectories forever after. Every field of the
+/// walker is folded: a stale cached value or a dirty read cursor breaks
+/// restart parity even when the positions and scalars agree.
 pub fn walker_digest_full<T: Real>(w: &Walker<T>) -> u64 {
     let mut h = Fnv::new();
-    fold_walker(&mut h, w);
-    for s in w.rng.state() {
+    let (rng, buffer) = fold_walker(&mut h, w);
+    for s in rng.state() {
         h.u64(s);
     }
-    let (r_cursor, d_cursor) = w.buffer.cursors();
-    let reals = w.buffer.reals();
+    let (r_cursor, d_cursor) = buffer.cursors();
+    let reals = buffer.reals();
     h.u64(reals.len() as u64);
     for x in reals {
         h.f64(x.to_f64());
     }
     h.u64(r_cursor as u64);
-    let doubles = w.buffer.doubles();
+    let doubles = buffer.doubles();
     h.u64(doubles.len() as u64);
     for &x in doubles {
         h.f64(x);
@@ -90,18 +93,33 @@ pub fn walker_digest_full<T: Real>(w: &Walker<T>) -> u64 {
     h.u64(d_cursor as u64);
     h.value()
 }
+const _: fn(&Walker<f64>) -> u64 = walker_digest_full::<f64>;
 
-fn fold_walker<T: Real>(h: &mut Fnv, w: &Walker<T>) {
-    for p in &w.r {
+/// Folds the positions and scalars, and returns the two fields only
+/// [`walker_digest_full`] folds. The destructuring names every field, so
+/// a field added to [`Walker`] does not compile until the digest folds it.
+fn fold_walker<'w, T: Real>(h: &mut Fnv, w: &'w Walker<T>) -> (&'w StdRng, &'w WalkerBuffer<T>) {
+    let Walker {
+        r,
+        buffer,
+        weight,
+        multiplicity,
+        age,
+        e_local,
+        log_psi,
+        rng,
+    } = w;
+    for p in r {
         for d in 0..3 {
             h.f64(p[d]);
         }
     }
-    h.f64(w.weight);
-    h.f64(w.multiplicity);
-    h.u64(w.age as u64);
-    h.f64(w.e_local);
-    h.f64(w.log_psi);
+    h.f64(*weight);
+    h.f64(*multiplicity);
+    h.u64(*age as u64);
+    h.f64(*e_local);
+    h.f64(*log_psi);
+    (rng, buffer)
 }
 
 /// Digest of a whole population, in walker order, using the full
@@ -115,6 +133,7 @@ pub fn population_digest<T: Real>(walkers: &[Walker<T>]) -> u64 {
     }
     h.value()
 }
+const _: fn(&[Walker<f64>]) -> u64 = population_digest::<f64>;
 
 #[cfg(test)]
 mod tests {

@@ -135,34 +135,47 @@ pub(crate) fn push_f64(out: &mut Vec<u8>, x: f64) {
 /// Layout: `n_particles, positions (3 f64 each), weight, multiplicity,
 /// age, e_local, log_psi, rng state (4 u64), n_reals, reals (widened to
 /// f64), r_cursor, n_doubles, doubles, d_cursor`.
+///
+/// The destructuring names every field, so a field added to [`Walker`]
+/// does not compile until the codec carries it.
 pub fn serialize_walker<T: Real>(w: &Walker<T>) -> Vec<u8> {
+    let Walker {
+        r,
+        buffer,
+        weight,
+        multiplicity,
+        age,
+        e_local,
+        log_psi,
+        rng,
+    } = w;
     let mut out = Vec::with_capacity(w.bytes() + 128);
-    push_u64(&mut out, w.r.len() as u64);
-    for p in &w.r {
+    push_u64(&mut out, r.len() as u64);
+    for p in r {
         for d in 0..3 {
             push_f64(&mut out, p[d]);
         }
     }
-    push_f64(&mut out, w.weight);
-    push_f64(&mut out, w.multiplicity);
-    push_u64(&mut out, w.age as u64);
-    push_f64(&mut out, w.e_local);
-    push_f64(&mut out, w.log_psi);
-    for s in w.rng.state() {
+    push_f64(&mut out, *weight);
+    push_f64(&mut out, *multiplicity);
+    push_u64(&mut out, *age as u64);
+    push_f64(&mut out, *e_local);
+    push_f64(&mut out, *log_psi);
+    for s in rng.state() {
         push_u64(&mut out, s);
     }
 
     // Anonymous buffer: cursor-independent snapshot plus the cursors
     // themselves, so a walker checkpointed mid-consumption restores
     // mid-consumption.
-    let (r_cursor, d_cursor) = w.buffer.cursors();
-    let reals = w.buffer.reals();
+    let (r_cursor, d_cursor) = buffer.cursors();
+    let reals = buffer.reals();
     push_u64(&mut out, reals.len() as u64);
     for x in reals {
         push_f64(&mut out, x.to_f64());
     }
     push_u64(&mut out, r_cursor as u64);
-    let doubles = w.buffer.doubles();
+    let doubles = buffer.doubles();
     push_u64(&mut out, doubles.len() as u64);
     for x in doubles {
         push_f64(&mut out, *x);
@@ -170,6 +183,8 @@ pub fn serialize_walker<T: Real>(w: &Walker<T>) -> Vec<u8> {
     push_u64(&mut out, d_cursor as u64);
     out
 }
+// Serializing is pure: a `&mut` receiver would not compile against this pin.
+const _: fn(&Walker<f64>) -> Vec<u8> = serialize_walker::<f64>;
 
 /// Re-keys a walker's RNG stream in place: draws a fresh seed from the
 /// walker's own stream and restarts from it. This is the statistical
@@ -236,15 +251,16 @@ pub(crate) fn decode_walker<T: Real>(r: &mut WireReader<'_>) -> Result<Walker<T>
     // Bounded by the stream lengths just checked, so the casts are exact.
     buffer.set_cursors(r_cursor as usize, d_cursor as usize);
 
-    let mut w = Walker::new(pos, 0);
-    w.weight = weight;
-    w.multiplicity = multiplicity;
-    w.age = age;
-    w.e_local = e_local;
-    w.log_psi = log_psi;
-    w.rng = StdRng::from_state(state);
-    w.buffer = buffer;
-    Ok(w)
+    Ok(Walker {
+        r: pos,
+        buffer,
+        weight,
+        multiplicity,
+        age,
+        e_local,
+        log_psi,
+        rng: StdRng::from_state(state),
+    })
 }
 
 /// Deserializes a walker, panicking on malformed input. Rank migration

@@ -53,14 +53,14 @@ fn check_run_report(v: &JsonValue) -> Result<(), String> {
     Ok(())
 }
 
-/// Checks a qmclint report. `qmclint/4` is the one version accepted — any
+/// Checks a qmclint report. `qmclint/5` is the one version accepted — any
 /// other is a hard error naming it, so a silent format bump cannot sail
 /// through CI — and the report must be clean: `diagnostics_total` and
-/// every `by_rule` count zero, with the `effects` inventory present.
+/// every `by_rule` count zero.
 fn check_qmclint(schema: &str, v: &JsonValue) -> Result<(), String> {
-    if schema != "qmclint/4" {
+    if schema != "qmclint/5" {
         return Err(format!(
-            "unsupported qmclint schema `{schema}` (only qmclint/4 is accepted)"
+            "unsupported qmclint schema `{schema}` (only qmclint/5 is accepted)"
         ));
     }
     member(v, "files_scanned")?;
@@ -74,15 +74,6 @@ fn check_qmclint(schema: &str, v: &JsonValue) -> Result<(), String> {
         if count.as_f64() != Some(0.0) {
             return Err(format!("qmclint rule `{rule}` is not at zero"));
         }
-    }
-    let effects = member(v, "effects")?;
-    for key in [
-        "pure_roots",
-        "rng_draw_sites",
-        "checkpointed_structs",
-        "rules",
-    ] {
-        member(effects, key)?;
     }
     Ok(())
 }

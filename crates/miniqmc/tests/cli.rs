@@ -299,31 +299,33 @@ fn golden_json_report_covers_all_kernels_within_wall_time() {
     assert_eq!(v.get("crowd_kernels").unwrap().as_arr().unwrap().len(), 1);
 }
 
+/// Pipes `doc` through `json_check`: (exit success, stderr).
+fn check(doc: &str) -> (bool, String) {
+    use std::io::Write;
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_json_check"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn json_check");
+    child
+        .stdin
+        .take()
+        .expect("stdin")
+        .write_all(doc.as_bytes())
+        .expect("write report");
+    let out = child.wait_with_output().expect("json_check exits");
+    (
+        out.status.success(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
 /// `json_check` gates a run report's attribution: kernel seconds must be
 /// finite and ≥ 0 and sum to no more than `seconds` × `threads`.
 #[test]
 fn json_check_rejects_kernel_time_beyond_wall_time() {
-    use std::io::Write;
-    use std::process::Stdio;
-    let check = |doc: &str| {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_json_check"))
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn json_check");
-        child
-            .stdin
-            .take()
-            .expect("stdin")
-            .write_all(doc.as_bytes())
-            .expect("write report");
-        let out = child.wait_with_output().expect("json_check exits");
-        (
-            out.status.success(),
-            String::from_utf8_lossy(&out.stderr).into_owned(),
-        )
-    };
     let report = |j2: &str, det: &str| {
         format!(
             r#"{{"schema":"{}","seconds":0.5,"threads":2,"kernels":{{"J2":{{"seconds":{j2},"calls":9}},"DetRatio":{{"seconds":{det},"calls":3}}}}}}"#,
@@ -344,6 +346,29 @@ fn json_check_rejects_kernel_time_beyond_wall_time() {
     let (ok, stderr) = check(&report("null", "0.1"));
     assert!(!ok, "a non-finite kernel time was accepted");
     assert!(stderr.contains("`J2` seconds"), "{stderr}");
+}
+
+/// `json_check` accepts a clean `qmclint/5` report only: any other
+/// version is refused by name, and so is a nonzero rule count.
+#[test]
+fn json_check_accepts_qmclint_5_only() {
+    let report = |schema: &str, hot: u32| {
+        format!(
+            r#"{{"schema":"{schema}","files_scanned":9,"diagnostics_total":{hot},"by_rule":{{"hot-path":{hot},"bad-marker":0}},"diagnostics":[]}}"#
+        )
+    };
+    let (ok, stderr) = check(&report("qmclint/5", 0));
+    assert!(ok, "a clean qmclint/5 report was refused: {stderr}");
+
+    for old in ["qmclint/4", "qmclint/6"] {
+        let (ok, stderr) = check(&report(old, 0));
+        assert!(!ok, "{old} was accepted");
+        assert!(stderr.contains(&format!("`{old}`")), "{stderr}");
+    }
+
+    let (ok, stderr) = check(&report("qmclint/5", 1));
+    assert!(!ok, "a report with diagnostics was accepted");
+    assert!(stderr.contains("diagnostics"), "{stderr}");
 }
 
 #[test]

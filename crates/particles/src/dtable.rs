@@ -379,7 +379,7 @@ impl<T: Real> DistTableAASoA<T> {
         stage_rows(
             self.backend,
             &self.lattice,
-            |_| rsoa,
+            rsoa,
             positions,
             Some(iat),
             Kernel::DistTableAA,
@@ -526,11 +526,9 @@ impl<T: Real> DistTableAASoA<T> {
 /// SoA staging buffer for batched candidate distance rows, one padded
 /// aligned row per candidate position.
 ///
-/// Rows are either walker-major (one crowd-sized batch of proposed moves,
-/// row `w` = walker `w`'s candidate, [`mw_candidate_rows`]) or point-major
-/// (one NLPP quadrature shell of a single electron, row `q` = point `q`,
-/// the tables' `candidate_rows`). Either way each row is exactly the slab a
-/// scalar `move_candidate` would have produced.
+/// Rows are point-major: one NLPP quadrature shell of a single electron,
+/// row `q` = point `q`, filled by the tables' `candidate_rows`. Each row is
+/// exactly the slab a scalar `move_candidate` would have produced.
 pub struct MwRowStage<T: Real> {
     n: usize,
     stride: usize,
@@ -597,13 +595,13 @@ impl<T: Real> MwRowStage<T> {
 }
 
 /// Fills row `r` of `stage` with the candidate row from `positions[r]` to
-/// every position in `source(r)` — `compute_row` on `backend`, the
+/// every position in `src` — `compute_row` on `backend`, the
 /// self-distance sentinel written into column `iat` when `poison_self =
 /// Some(iat)` — for every `r`, under one `kernel` timer scope.
-fn stage_rows<'a, T: Real>(
+fn stage_rows<T: Real>(
     backend: Backend,
     lattice: &CrystalLattice<T>,
-    source: impl Fn(usize) -> &'a VectorSoaContainer<T, 3>,
+    src: &VectorSoaContainer<T, 3>,
     positions: &[Pos<T>],
     poison_self: Option<usize>,
     kernel: Kernel,
@@ -612,10 +610,9 @@ fn stage_rows<'a, T: Real>(
     let rows = positions.len();
     assert!(rows <= stage.num_rows());
     let (n, stride) = (stage.n, stage.stride);
+    assert_eq!(src.len(), n);
     time_kernel(kernel, || {
         for (r, &pos) in positions.iter().enumerate() {
-            let src = source(r);
-            assert_eq!(src.len(), n);
             let base = r * stride;
             let d = &mut stage.dist.as_mut_slice()[base..base + n];
             let [a, b, c] = &mut stage.disp;
@@ -641,37 +638,6 @@ fn stage_rows<'a, T: Real>(
         kernel,
         18 * (rows * n) as u64,
         7 * std::mem::size_of::<T>() as u64 * (rows * n) as u64,
-    );
-}
-
-/// Batched candidate-row computation: for each walker `w`, computes the
-/// distances/displacements from `newpos[w]` to every position in
-/// `sources[w]`, writing walker `w`'s row of `stage`. Elementwise identical
-/// to calling the scalar `move_candidate` per walker; the batch shares one
-/// timer scope and streams the walker-major staging buffer.
-///
-/// `poison_self = Some(iat)` writes the self-distance sentinel used by AA
-/// tables into column `iat`; pass `None` for AB (electron-ion) rows.
-/// `kernel` attributes the timing (AA or AB distance-table kernel).
-// qmclint: allow(timer-coverage) — the body is one `stage_rows` call, which
-// opens the `kernel` scope around every row.
-pub fn mw_candidate_rows<T: Real>(
-    lattice: &CrystalLattice<T>,
-    sources: &[&VectorSoaContainer<T, 3>],
-    newpos: &[Pos<T>],
-    poison_self: Option<usize>,
-    kernel: Kernel,
-    stage: &mut MwRowStage<T>,
-) {
-    assert_eq!(newpos.len(), sources.len());
-    stage_rows(
-        Backend::current(),
-        lattice,
-        |w| sources[w],
-        newpos,
-        poison_self,
-        kernel,
-        stage,
     );
 }
 
@@ -943,7 +909,7 @@ impl<T: Real> DistTableABSoA<T> {
         stage_rows(
             self.backend,
             &self.lattice,
-            |_| &self.ions_soa,
+            &self.ions_soa,
             positions,
             None,
             Kernel::DistTableAB,
@@ -1187,73 +1153,6 @@ mod tests {
         tref.accept(3);
         tsoa.accept(3);
         assert!((tref.dist(3, 0) - tsoa.dist_row(3)[0]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mw_candidate_rows_bitwise_match_scalar() {
-        let l = 7.5;
-        let lat = CrystalLattice::<f64>::cubic(l);
-        let n = 12;
-        let iat = 5;
-        // Three walkers with distinct configurations and proposals.
-        let configs: Vec<Vec<Pos<f64>>> = (0..3).map(|w| positions(n, l, 31 + w as u64)).collect();
-        let soas: Vec<VectorSoaContainer<f64, 3>> = configs.iter().map(|r| soa_of(r)).collect();
-        let proposals = [
-            TinyVector([0.3, 6.1, 2.2]),
-            TinyVector([5.5, 0.9, 7.1]),
-            TinyVector([3.3, 3.3, 0.1]),
-        ];
-        let mut stage = MwRowStage::new(n, 3);
-        let refs: Vec<&VectorSoaContainer<f64, 3>> = soas.iter().collect();
-        mw_candidate_rows(
-            &lat,
-            &refs,
-            &proposals,
-            Some(iat),
-            Kernel::DistTableAA,
-            &mut stage,
-        );
-        for w in 0..3 {
-            let mut t = DistTableAASoA::new(n, lat.clone());
-            t.evaluate(&soas[w]);
-            t.move_candidate(&soas[w], iat, proposals[w]);
-            for j in 0..n {
-                assert_eq!(
-                    stage.dist_row(w)[j],
-                    t.temp_dist()[j],
-                    "walker {w} partner {j} dist"
-                );
-                for d in 0..3 {
-                    assert_eq!(
-                        stage.disp_row(d, w)[j],
-                        t.temp_disp(d)[j],
-                        "walker {w} partner {j} disp {d}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn mw_stage_without_poison_keeps_self_row() {
-        let lat = CrystalLattice::<f64>::cubic(5.0);
-        let ions = positions(4, 5.0, 3);
-        let isoa = soa_of(&ions);
-        let newpos = [TinyVector([1.0, 2.0, 3.0])];
-        let mut stage = MwRowStage::new(4, 1);
-        mw_candidate_rows(
-            &lat,
-            &[&isoa],
-            &newpos,
-            None,
-            Kernel::DistTableAB,
-            &mut stage,
-        );
-        let mut t = DistTableABSoA::new(1, &ions, lat);
-        t.move_candidate(0, newpos[0]);
-        for a in 0..4 {
-            assert_eq!(stage.dist_row(0)[a], t.temp_dist()[a]);
-        }
     }
 
     #[test]

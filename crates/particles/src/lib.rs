@@ -19,8 +19,7 @@ pub mod particle_set;
 pub mod random;
 
 pub use dtable::{
-    mw_candidate_rows, DistTableAARef, DistTableAASoA, DistTableABRef, DistTableABSoA, Layout,
-    MwRowStage,
+    DistTableAARef, DistTableAASoA, DistTableABRef, DistTableABSoA, Layout, MwRowStage,
 };
 pub use lattice::CrystalLattice;
 pub use particle_set::{DistTable, ParticleSet, Species};

@@ -125,54 +125,24 @@ pub fn is_cold_fn_name(name: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Effect-system configuration
+// RNG-discipline configuration
 // ---------------------------------------------------------------------------
 
 /// RNG draw methods on the vendored `shims/rand` `StdRng` (and the `Rng`
-/// trait it implements). The shim itself is exempt from linting, so the
-/// effect model recognizes draw *sites* lexically: a method call spelled
-/// with one of these names advances the caller's RNG stream. The list is
-/// the reviewed annotation surface for the shim — extending the shim's
-/// draw API without extending this list is caught by the shim-side
-/// `DRAW_METHODS` mirror test.
+/// trait it implements). The shim itself is exempt from linting, so draw
+/// *sites* are recognized lexically: a method call spelled with one of
+/// these names advances the caller's RNG stream. The list is the reviewed
+/// annotation surface for the shim — extending the shim's draw API
+/// without extending this list is caught by the shim-side `DRAW_METHODS`
+/// mirror test.
 pub const RNG_DRAW_METHODS: [&str; 4] = ["random", "random_range", "random_bool", "next_u64"];
 
-/// Methods of `WalkerBuffer` that mutate buffer contents or cursors. A
-/// call to one of these through a receiver named `buffer` is a
-/// buffer-mutation effect; the read-only accessors (`reals`, `doubles`,
-/// `cursors`, `bytes`, `fully_consumed*`) are deliberately absent.
-pub const BUFFER_MUT_METHODS: [&str; 9] = [
-    "clear",
-    "rewind",
-    "put_slice",
-    "put_matrix",
-    "put_f64",
-    "get_slice",
-    "get_matrix",
-    "get_f64",
-    "set_cursors",
-];
-
-/// Walker-state fields whose assignment (`.field = ...`, `.field op= ...`)
-/// is a tracked mutation effect for the serialization-purity rule.
-pub const TRACKED_STATE_FIELDS: [&str; 8] = [
-    "r",
-    "buffer",
-    "weight",
-    "multiplicity",
-    "age",
-    "e_local",
-    "log_psi",
-    "rng",
-];
-
-/// Sanctioned RNG territory: files (path prefixes) whose functions may
-/// draw from an RNG stream, and from which a draw site may be reached.
-/// These are the driver/branch/move roots of the ISSUE — the DMC/VMC
-/// drivers and serializer, the crowd drive, the particle move machinery
-/// and workload/population construction. A draw site in any other
-/// non-test function, or one reachable only from outside this set, is an
-/// `rng-discipline` diagnostic.
+/// Sanctioned RNG territory: files (path prefixes) whose non-test
+/// functions may draw from an RNG stream — the DMC/VMC drivers, the crowd
+/// drive, the particle move machinery and workload/population
+/// construction. A draw site in any other non-test function is an
+/// `rng-discipline` diagnostic, whoever calls it: code elsewhere receives
+/// drawn values, or calls into this territory to draw.
 pub const SANCTIONED_RNG_PATHS: [&str; 4] = [
     "crates/drivers/src/",
     "crates/crowd/src/",
@@ -180,97 +150,11 @@ pub const SANCTIONED_RNG_PATHS: [&str; 4] = [
     "crates/workloads/src/",
 ];
 
-/// The only functions allowed to re-key an RNG stream (`.rng = ...`):
-/// the explicit migration re-seed marker and the checkpoint decoder that
-/// installs the restored stream. A re-key anywhere else is exactly the
-/// PR-7 `serialize_walker` bug and fires `rng-discipline`.
-pub const SANCTIONED_REKEY_FNS: [&str; 2] = ["reseed_for_migration", "decode_walker"];
-
-/// Is `name`, defined in `path`, a pure root for the serialization-purity
-/// rule? Pure roots are the observational read paths of checkpointing:
-/// the walker/driver serializers, the fingerprint digests, the estimator
-/// readers and `Clone` impls. Everything transitively reachable from one
-/// must have an empty walker/RNG/buffer mutation-effect set.
-pub fn is_pure_root(path: &str, name: &str) -> bool {
-    if name == "clone" {
-        // `impl Clone` methods anywhere: cloning must never perturb state.
-        return true;
-    }
-    if !path.contains("crates/drivers/src/") {
-        return false;
-    }
-    name.starts_with("serialize_")
-        || (name.starts_with("write_") && name.ends_with("_checkpoint"))
-        || name.contains("digest")
-        || (path.ends_with("estimator.rs")
-            && matches!(
-                name,
-                "samples" | "weights" | "mean" | "variance" | "blocking" | "len" | "is_empty"
-            ))
-}
-
-/// One registered checkpointed struct: its name plus the carrier
-/// functions that must each mention every named field. `digest` and
-/// `clone` are optional: `None` for `digest` means no fingerprint covers
-/// the struct (it is digested only through its serialized bytes), `None`
-/// for `clone` means a `#[derive(Clone)]` on the struct definition is
-/// required instead of a hand-written carrier.
-pub struct CheckpointedStruct {
-    /// Struct name as written at its definition.
-    pub name: &'static str,
-    /// Serializer carrier function name.
-    pub serialize: &'static str,
-    /// Deserializer carrier function name.
-    pub deserialize: &'static str,
-    /// Fingerprint carrier, if the struct has one.
-    pub digest: Option<&'static str>,
-    /// Hand-written clone carrier; `None` requires `#[derive(Clone)]`.
-    pub clone: Option<&'static str>,
-}
-
-/// The `qmc-checkpoint/1` struct registry for the state-coverage rule:
-/// every named field of each of these structs must appear in its
-/// serialize, deserialize, digest and clone carriers. `Walker` clones
-/// through `branch_copy` (deliberately not a `Clone` impl — it re-keys
-/// the child RNG); the driver states derive `Clone` and are digested via
-/// their serialized bytes.
-pub const CHECKPOINTED_STRUCTS: [CheckpointedStruct; 5] = [
-    CheckpointedStruct {
-        name: "Walker",
-        serialize: "serialize_walker",
-        deserialize: "decode_walker",
-        digest: Some("walker_digest_full"),
-        clone: Some("branch_copy"),
-    },
-    CheckpointedStruct {
-        name: "BranchController",
-        serialize: "write_dmc_checkpoint",
-        deserialize: "read_dmc_checkpoint",
-        digest: None,
-        clone: None,
-    },
-    CheckpointedStruct {
-        name: "ScalarEstimator",
-        serialize: "write_dmc_checkpoint",
-        deserialize: "read_dmc_checkpoint",
-        digest: None,
-        clone: None,
-    },
-    CheckpointedStruct {
-        name: "DmcState",
-        serialize: "write_dmc_checkpoint",
-        deserialize: "read_dmc_checkpoint",
-        digest: None,
-        clone: None,
-    },
-    CheckpointedStruct {
-        name: "VmcState",
-        serialize: "write_vmc_checkpoint",
-        deserialize: "read_vmc_checkpoint",
-        digest: None,
-        clone: None,
-    },
-];
+/// The only functions allowed to re-key an RNG stream (`.rng = ...`): the
+/// explicit migration re-seed marker. The checkpoint decoder installs the
+/// restored stream in a struct literal, so a re-key anywhere else — a
+/// serializer "refreshing" the stream, say — fires `rng-discipline`.
+pub const SANCTIONED_REKEY_FNS: [&str; 1] = ["reseed_for_migration"];
 
 // ---------------------------------------------------------------------------
 // Thread-spawn configuration
@@ -317,36 +201,6 @@ mod tests {
         let kernels = classify("crates/kernels/src/bspline.rs");
         assert!(kernels.kernel && kernels.physics && !kernels.mixed_precision);
         assert!(classify("crates/kernels/src/bin/kernel_verify.rs").exempt);
-    }
-
-    #[test]
-    fn pure_root_examples() {
-        assert!(is_pure_root(
-            "crates/drivers/src/serialize.rs",
-            "serialize_walker"
-        ));
-        assert!(is_pure_root(
-            "crates/drivers/src/checkpoint.rs",
-            "write_dmc_checkpoint"
-        ));
-        assert!(is_pure_root(
-            "crates/drivers/src/fingerprint.rs",
-            "walker_digest_full"
-        ));
-        assert!(is_pure_root(
-            "crates/drivers/src/fingerprint.rs",
-            "population_digest"
-        ));
-        assert!(is_pure_root("crates/drivers/src/estimator.rs", "mean"));
-        assert!(is_pure_root("crates/wavefunction/src/spo.rs", "clone"));
-        // Readers outside the estimator module and the checkpoint *readers*
-        // are not roots: restore legitimately installs state.
-        assert!(!is_pure_root("crates/drivers/src/branch.rs", "mean"));
-        assert!(!is_pure_root(
-            "crates/drivers/src/checkpoint.rs",
-            "read_dmc_checkpoint"
-        ));
-        assert!(!is_pure_root("crates/drivers/src/walker.rs", "branch_copy"));
     }
 
     #[test]

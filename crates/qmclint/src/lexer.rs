@@ -2,7 +2,7 @@
 //!
 //! The registry is unreachable, so `syn`/`proc-macro2` are off the table;
 //! the rules in [`crate::rules`] only need a token stream with line numbers
-//! plus the comment text (for `SAFETY:` audits and `qmclint:` markers), and
+//! plus the comment text (for `qmclint:` markers), and
 //! that is exactly what this module produces. String/char/raw-string
 //! contents and comment bodies never become tokens, so rules cannot
 //! false-positive on them.
@@ -61,20 +61,6 @@ pub struct Lexed {
     pub tokens: Vec<Tok>,
     /// Comments in source order.
     pub comments: Vec<Comment>,
-}
-
-impl Lexed {
-    /// All comment bodies that start on `line`.
-    pub fn comments_on(&self, line: u32) -> impl Iterator<Item = &Comment> {
-        self.comments.iter().filter(move |c| c.line == line)
-    }
-
-    /// True when any comment in `[lo, hi]` contains `needle`.
-    pub fn comment_in_range_contains(&self, lo: u32, hi: u32, needle: &str) -> bool {
-        self.comments
-            .iter()
-            .any(|c| c.line >= lo && c.line <= hi && c.text.contains(needle))
-    }
 }
 
 /// Tokenizes `src`. Never fails: unterminated constructs are consumed to

@@ -12,12 +12,14 @@
 //!    literals in physics crates are only legal in designated
 //!    mixed-precision modules.
 //! 2. **hot-path** — kernel functions must not allocate or panic.
-//! 3. **unsafe-comment** — every `unsafe` carries a `// SAFETY:` comment.
-//! 4. **timer-coverage** — `mw_*` entry points are timed, and every
+//! 3. **timer-coverage** — `mw_*` entry points are timed, and every
 //!    `Kernel` variant is referenced by some instrumentation site.
-//! 5. **determinism** — no wall clocks, OS entropy, hash-map iteration,
-//!    locks or barriers in physics crates, and no thread spawn anywhere
-//!    but the crew fan-out (`config::SPAWN_SITE`).
+//! 4. **determinism** — no wall clocks, OS entropy, hash-map iteration,
+//!    locks, barriers or cells in physics crates, and no thread spawn
+//!    anywhere but the crew fan-out (`config::SPAWN_SITE`).
+//! 5. **rng-discipline** — RNG draws only in the sanctioned
+//!    driver/branch/move files, stream re-keys only in the migration
+//!    marker (`config::SANCTIONED_REKEY_FNS`).
 //!
 //! A workspace [`model`] (function table + call graph over the token-tree
 //! parse) carries two inter-procedural rules ([`graph_rules`]):
@@ -27,28 +29,16 @@
 //! 7. **precision-flow** — `f32` locals/returns folded into `f64`
 //!    accumulators without a designated promotion site.
 //!
-//! The model is also an effect system: every function gets a
-//! mutation-effect set over walker/RNG/buffer state (draw sites, stream
-//! re-keys, buffer-cursor mutations, tracked-field writes), closed
-//! transitively over the call graph, plus struct models with named
-//! fields. Three rules ride on it ([`effect_rules`]):
-//!
-//! 8. **serialization-purity** — paths reachable from pure roots
-//!    (serializers, digests, estimator readers, `Clone` impls) must have
-//!    an empty mutation-effect set; the PR-7 checkpoint bugs are the
-//!    archetypes and live on as fixtures.
-//! 9. **rng-discipline** — draw sites confined to sanctioned
-//!    driver/branch/move territory; re-keys confined to explicit
-//!    migration markers.
-//! 10. **state-coverage** — every field of a registered checkpointed
-//!     struct must be carried by serialize, deserialize, digest and
-//!     clone, so the `qmc-checkpoint/1` codec can never silently drop
-//!     state.
-//!
-//! (The eleventh rule id, `bad-marker`, polices the markers themselves.)
-//! Concurrency is policed by structure instead of by a model: the program
-//! has one spawn site and no lock (rule 5 keeps it that way) and
-//! `qmcsched` sweeps that site across schedules.
+//! (The eighth rule id, `bad-marker`, polices the markers themselves.)
+//! Other invariants are carried by the language instead of by a model.
+//! Concurrency: the program has one spawn site and no lock (rule 4 keeps
+//! it that way) and `qmcsched` sweeps that site across schedules.
+//! Checkpoint coverage: every carrier of a checkpointed struct names all
+//! its fields without `..`, so a new field does not compile until the
+//! codec, the digest and the decoder carry it. Serialization purity: the
+//! serializers and digests take `&` receivers pinned by `const` function
+//! pointers, and rule 4 bans the cells that could mutate through them.
+//! `unsafe` documentation: `clippy::undocumented_unsafe_blocks`.
 //!
 //! Dependency-free by necessity (the registry is unreachable): the lexer
 //! is hand-rolled, and the configuration lives in [`config`] rather than a
@@ -60,7 +50,6 @@
 
 pub mod config;
 pub mod diag;
-pub mod effect_rules;
 pub mod graph_rules;
 pub mod lexer;
 pub mod model;
@@ -70,9 +59,7 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 pub use config::{classify, FileClass};
-pub use diag::{
-    render_json, Diagnostic, EffectsSummary, Rule, ALL_RULES, EFFECT_RULES, GRAPH_RULES,
-};
+pub use diag::{render_json, Diagnostic, Rule, ALL_RULES, GRAPH_RULES};
 pub use model::WorkspaceModel;
 pub use rules::{check_kernel_coverage, lint_source, KernelUsage};
 
@@ -83,8 +70,6 @@ pub struct LintReport {
     pub diagnostics: Vec<Diagnostic>,
     /// Number of `.rs` files actually scanned (exempt files excluded).
     pub files_scanned: usize,
-    /// Effect-inference inventory for the `effects` block.
-    pub effects: EffectsSummary,
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>, visited: &mut BTreeSet<PathBuf>) {
@@ -165,7 +150,6 @@ pub fn lint_files(files: &[(String, String)]) -> LintReport {
 
     let model = WorkspaceModel::build(&model_input);
     graph_rules::check_graph(&model, &mut report.diagnostics);
-    report.effects = effect_rules::check_effects(&model, &mut report.diagnostics);
 
     report
         .diagnostics
@@ -174,8 +158,8 @@ pub fn lint_files(files: &[(String, String)]) -> LintReport {
 }
 
 /// Lints every non-exempt `.rs` file under `root` (the repo checkout),
-/// runs the workspace-level kernel-coverage cross-check and the graph and
-/// effect rules.
+/// runs the workspace-level kernel-coverage cross-check and the graph
+/// rules.
 pub fn lint_workspace(root: &Path) -> LintReport {
     lint_files(&collect_sources(root))
 }

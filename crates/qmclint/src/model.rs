@@ -14,9 +14,9 @@
 //! an unresolved call simply ends the walk on that edge. The model stays
 //! lexical like the rest of qmclint: no types, no macro expansion.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use crate::config::{FileClass, BUFFER_MUT_METHODS, RNG_DRAW_METHODS, TRACKED_STATE_FIELDS};
+use crate::config::FileClass;
 use crate::lexer::{lex, Tok, TokKind};
 use crate::rules::{fn_spans, hot_site, parse_markers, test_mask, Allows};
 
@@ -59,50 +59,6 @@ pub struct Accumulate {
     pub promoted: bool,
 }
 
-/// What kind of tracked state a mutation effect touches (qmclint v3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EffectKind {
-    /// An RNG draw site (`.random()`, `.random_range(..)`, `.next_u64()`):
-    /// advances the stream, so the draw count changes downstream numbers.
-    RngDraw,
-    /// A stream re-key (`.rng = ...`): replaces the RNG wholesale — the
-    /// PR-7 `serialize_walker` bug shape.
-    RngRekey,
-    /// A mutating `WalkerBuffer` method call (`.buffer.rewind()`,
-    /// `buffer.get_f64(..)` — cursor or contents).
-    BufferMut,
-    /// An assignment to a tracked walker-state field (`.weight *= ..`,
-    /// `.age = ..`).
-    FieldWrite,
-}
-
-/// One direct mutation effect inside a function body. Transitive closure
-/// over the call graph happens in [`crate::effect_rules`].
-#[derive(Clone, Debug)]
-pub struct Effect {
-    /// What kind of state the site mutates.
-    pub kind: EffectKind,
-    /// 1-based line of the site.
-    pub line: u32,
-    /// The method or field name at the site (`random`, `rewind`, `weight`).
-    pub what: String,
-}
-
-/// One `struct` definition with named fields, for the state-coverage rule.
-#[derive(Debug)]
-pub struct StructModel {
-    /// Struct name as written.
-    pub name: String,
-    /// 1-based line of the `struct` keyword.
-    pub line: u32,
-    /// Named fields in declaration order (empty for tuple/unit structs).
-    pub fields: Vec<String>,
-    /// True when a `#[derive(...)]` immediately above lists `Clone`.
-    pub derives_clone: bool,
-    /// Inside a `#[cfg(test)]` item: excluded from the coverage rule.
-    pub in_test: bool,
-}
-
 /// A `let` binding initialised from a call (`let x = helper();`).
 #[derive(Debug)]
 pub struct LetCall {
@@ -142,12 +98,6 @@ pub struct FnModel {
     pub accumulates: Vec<Accumulate>,
     /// Call-initialised `let` bindings.
     pub let_calls: Vec<LetCall>,
-    /// Direct mutation effects on walker/RNG/buffer state.
-    pub effects: Vec<Effect>,
-    /// Every identifier token in the signature and body — the
-    /// field-mention surface the state-coverage rule diffs against
-    /// checkpointed-struct fields.
-    pub idents: BTreeSet<String>,
 }
 
 /// One file in the model.
@@ -162,8 +112,6 @@ pub struct FileModel {
     pub crate_key: String,
     /// Functions defined in the file.
     pub fns: Vec<FnModel>,
-    /// Struct definitions with named fields.
-    pub structs: Vec<StructModel>,
     /// True when the file contains an `unsafe` token outside strings and
     /// comments (drives the `forbid(unsafe_code)` audit).
     pub has_unsafe: bool,
@@ -222,14 +170,12 @@ impl WorkspaceModel {
                 class: *class,
                 crate_key: crate_key(path),
                 fns: Vec::new(),
-                structs: Vec::new(),
                 has_unsafe,
                 forbids_unsafe,
                 allows,
             };
             if !class.exempt {
                 let mask = test_mask(tokens);
-                file.structs = scan_structs(tokens, &mask);
                 for span in fn_spans(tokens) {
                     let Some((b0, b1)) = span.body else { continue };
                     let mut f = FnModel {
@@ -246,17 +192,8 @@ impl WorkspaceModel {
                         f64_lets: Vec::new(),
                         accumulates: Vec::new(),
                         let_calls: Vec::new(),
-                        effects: Vec::new(),
-                        idents: BTreeSet::new(),
                     };
                     scan_body(tokens, b0, b1, &mut f);
-                    // Signature identifiers join the mention surface:
-                    // deserialize carriers often name fields as params.
-                    for t in &tokens[span.sig..b0] {
-                        if t.kind == TokKind::Ident {
-                            f.idents.insert(t.text.clone());
-                        }
-                    }
                     model
                         .by_name
                         .entry(f.name.clone())
@@ -335,116 +272,6 @@ fn ret_is_f32(tokens: &[Tok], sig: usize, body: usize) -> bool {
     false
 }
 
-/// Collects every `struct` definition with its named fields and whether a
-/// `#[derive(...)]` above it lists `Clone`. Lexical like everything else:
-/// generics are skipped by angle-bracket depth, tuple and unit structs
-/// yield an empty field list.
-fn scan_structs(tokens: &[Tok], mask: &[bool]) -> Vec<StructModel> {
-    let mut out = Vec::new();
-    let mut pending_clone = false;
-    let mut i = 0;
-    while i < tokens.len() {
-        let t = &tokens[i];
-        if t.kind != TokKind::Ident {
-            i += 1;
-            continue;
-        }
-        // `#[derive(..., Clone, ...)]`: remembered until the next item.
-        if t.text == "derive" && i >= 1 && tokens[i - 1].is_punct('[') {
-            let mut j = i + 1;
-            let mut depth = 0i32;
-            while j < tokens.len() {
-                match tokens[j].kind {
-                    TokKind::Punct('(') => depth += 1,
-                    TokKind::Punct(')') => {
-                        depth -= 1;
-                        if depth <= 0 {
-                            break;
-                        }
-                    }
-                    TokKind::Ident if tokens[j].text == "Clone" => pending_clone = true,
-                    _ => {}
-                }
-                j += 1;
-            }
-            i = j + 1;
-            continue;
-        }
-        match t.text.as_str() {
-            "struct" => {
-                if let Some(s) = parse_struct(tokens, i, mask, pending_clone) {
-                    out.push(s);
-                }
-                pending_clone = false;
-            }
-            "enum" | "fn" | "impl" | "trait" | "mod" | "union" | "type" => pending_clone = false,
-            _ => {}
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Parses the `struct` definition whose keyword is at token `i`.
-fn parse_struct(
-    tokens: &[Tok],
-    i: usize,
-    mask: &[bool],
-    derives_clone: bool,
-) -> Option<StructModel> {
-    let name_tok = tokens.get(i + 1).filter(|t| t.kind == TokKind::Ident)?;
-    let mut s = StructModel {
-        name: name_tok.text.clone(),
-        line: tokens[i].line,
-        fields: Vec::new(),
-        derives_clone,
-        in_test: mask[i],
-    };
-    // Find the body `{` past any generics; `;` or `(` first means a
-    // unit/tuple struct with no named fields.
-    let mut j = i + 2;
-    let mut angle = 0i32;
-    loop {
-        let t = tokens.get(j)?;
-        match t.kind {
-            TokKind::Punct('<') => angle += 1,
-            TokKind::Punct('>') => angle -= 1,
-            TokKind::Punct(';' | '(') if angle <= 0 => return Some(s),
-            TokKind::Punct('{') if angle <= 0 => break,
-            _ => {}
-        }
-        j += 1;
-    }
-    // Named fields at brace depth 1: `name :` directly after `{`, `,`,
-    // `pub` or the `)` of a `pub(crate)` qualifier.
-    let mut depth = 0i32;
-    while let Some(t) = tokens.get(j) {
-        match t.kind {
-            TokKind::Punct('{') => depth += 1,
-            TokKind::Punct('}') => {
-                depth -= 1;
-                if depth <= 0 {
-                    break;
-                }
-            }
-            TokKind::Ident
-                if depth == 1
-                    && tokens.get(j + 1).is_some_and(|n| n.is_punct(':'))
-                    && !tokens.get(j + 2).is_some_and(|n| n.is_punct(':'))
-                    && (tokens[j - 1].is_punct('{')
-                        || tokens[j - 1].is_punct(',')
-                        || tokens[j - 1].is_punct(')')
-                        || tokens[j - 1].is_ident("pub")) =>
-            {
-                s.fields.push(t.text.clone());
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    Some(s)
-}
-
 /// Single pass over a function body collecting calls, hot sites and
 /// precision-relevant locals.
 fn scan_body(tokens: &[Tok], b0: usize, b1: usize, f: &mut FnModel) {
@@ -453,8 +280,6 @@ fn scan_body(tokens: &[Tok], b0: usize, b1: usize, f: &mut FnModel) {
         if t.kind != TokKind::Ident {
             continue;
         }
-        f.idents.insert(t.text.clone());
-        scan_effect(tokens, i, f);
         // Hot (allocation / panic) site.
         if let Some((what, panic)) = hot_site(tokens, i) {
             f.hots.push(HotSite {
@@ -482,67 +307,6 @@ fn scan_body(tokens: &[Tok], b0: usize, b1: usize, f: &mut FnModel) {
                 callee,
                 line: t.line,
                 method: tokens[i - 1].is_punct('.'),
-            });
-        }
-    }
-}
-
-/// Records a mutation effect when token `i` is a draw site, a stream
-/// re-key, a mutating buffer-method call or a tracked-field assignment.
-///
-/// Draw sites are matched on the method name alone (with the `::<T>`
-/// turbofish tolerated): `shims/rand` is exempt from the model, so its
-/// draw API is mirrored in [`RNG_DRAW_METHODS`] rather than discovered.
-/// Buffer mutations additionally require the receiver segment to be
-/// spelled `buffer` (`w.buffer.rewind()`, `buffer.put_f64(..)`) — method
-/// names like `clear` are too common to match bare.
-fn scan_effect(tokens: &[Tok], i: usize, f: &mut FnModel) {
-    let t = &tokens[i];
-    if i == 0 || !tokens[i - 1].is_punct('.') {
-        return;
-    }
-    let next = tokens.get(i + 1);
-    if RNG_DRAW_METHODS.contains(&t.text.as_str())
-        && next.is_some_and(|n| n.is_punct('(') || n.is_punct(':'))
-    {
-        f.effects.push(Effect {
-            kind: EffectKind::RngDraw,
-            line: t.line,
-            what: t.text.clone(),
-        });
-        return;
-    }
-    if BUFFER_MUT_METHODS.contains(&t.text.as_str())
-        && next.is_some_and(|n| n.is_punct('('))
-        && i >= 2
-        && tokens[i - 2].is_ident("buffer")
-    {
-        f.effects.push(Effect {
-            kind: EffectKind::BufferMut,
-            line: t.line,
-            what: t.text.clone(),
-        });
-        return;
-    }
-    if TRACKED_STATE_FIELDS.contains(&t.text.as_str()) {
-        let assigned = match next.map(|n| &n.kind) {
-            // `=` but not `==`.
-            Some(TokKind::Punct('=')) => !tokens.get(i + 2).is_some_and(|n| n.is_punct('=')),
-            // Compound assignment `+=` / `-=` / `*=` / `/=`.
-            Some(TokKind::Punct('+' | '-' | '*' | '/')) => {
-                tokens.get(i + 2).is_some_and(|n| n.is_punct('='))
-            }
-            _ => false,
-        };
-        if assigned {
-            f.effects.push(Effect {
-                kind: if t.text == "rng" {
-                    EffectKind::RngRekey
-                } else {
-                    EffectKind::FieldWrite
-                },
-                line: t.line,
-                what: t.text.clone(),
             });
         }
     }
@@ -758,67 +522,6 @@ mod tests {
         assert_eq!(m.resolve(0, "evaluate", true), None);
         // A free call *does* resolve via the unique-global fallback.
         assert_eq!(m.resolve(0, "evaluate", false), Some((1, 0)));
-    }
-
-    #[test]
-    fn effects_record_draws_rekeys_buffer_muts_and_field_writes() {
-        let m = build_one(
-            "fn mutate(w: &mut Walker) {\n\
-                 let u: f64 = w.rng.random();\n\
-                 let v = w.rng.random::<f64>();\n\
-                 w.rng = StdRng::seed_from_u64(1);\n\
-                 w.buffer.rewind();\n\
-                 w.weight *= u + v;\n\
-                 w.age = 0;\n\
-             }\n\
-             fn read_only(w: &Walker) -> bool {\n\
-                 let c = w.buffer.cursors();\n\
-                 w.age == 0 && w.rng.state()[0] != 0\n\
-             }\n",
-        );
-        let kinds: Vec<EffectKind> = m.files[0].fns[0].effects.iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                EffectKind::RngDraw,
-                EffectKind::RngDraw,
-                EffectKind::RngRekey,
-                EffectKind::BufferMut,
-                EffectKind::FieldWrite,
-                EffectKind::FieldWrite,
-            ]
-        );
-        assert_eq!(m.files[0].fns[0].effects[2].line, 4);
-        assert!(
-            m.files[0].fns[1].effects.is_empty(),
-            "reads are not effects"
-        );
-        assert!(m.files[0].fns[1].idents.contains("cursors"));
-    }
-
-    #[test]
-    fn structs_record_named_fields_and_clone_derive() {
-        let m = build_one(
-            "#[derive(Clone, Debug)]\n\
-             pub struct DmcState {\n    pub branch: BranchController,\n    pub step: usize,\n}\n\
-             #[derive(Debug)]\n\
-             pub struct Walker<T: Real> {\n    pub r: Vec<[T; 3]>,\n    pub(crate) rng: StdRng,\n}\n\
-             pub struct Marker;\n\
-             #[cfg(test)]\nstruct Scratch { x: u32 }\n",
-        );
-        let structs = &m.files[0].structs;
-        assert_eq!(structs.len(), 4);
-        assert_eq!(structs[0].name, "DmcState");
-        assert!(structs[0].derives_clone);
-        assert_eq!(
-            structs[0].fields,
-            vec!["branch".to_string(), "step".to_string()]
-        );
-        assert_eq!(structs[1].name, "Walker");
-        assert!(!structs[1].derives_clone);
-        assert_eq!(structs[1].fields, vec!["r".to_string(), "rng".to_string()]);
-        assert!(structs[2].fields.is_empty());
-        assert!(structs[3].in_test);
     }
 
     #[test]

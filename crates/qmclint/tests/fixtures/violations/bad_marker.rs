@@ -17,3 +17,7 @@ pub fn wrong_verb() {}
 //~v bad-marker (cold without justification)
 // qmclint: cold
 pub fn lazy_cold() {}
+
+//~v bad-marker (deleted rule id: destructuring carries checkpoint coverage now)
+// qmclint: allow(state-coverage) — the field is carried by hand
+pub struct Checkpointed;

@@ -10,9 +10,9 @@
 //! floating-point op sequence is unchanged and walkers are independent.
 //!
 //! The blanket impl makes every component batchable immediately; leaf
-//! batching (shared-coefficient SPO tables, distance-row staging) lives
+//! batching (shared-coefficient SPO tables, distance-row refreshes) lives
 //! below the component layer in [`crate::spo::SpoSet::mw_evaluate_vgl`]
-//! and `qmc_particles::mw_candidate_rows`.
+//! and the distance tables' `mw_prepare` / `mw_move_candidates`.
 
 use crate::traits::WaveFunctionComponent;
 use qmc_containers::{Pos, Real};
