@@ -37,9 +37,6 @@ CARGO_TARGET_DIR=target cargo test -q --offline --manifest-path benchmark/Cargo.
 echo "== sanitizer tests (checked feature) =="
 cargo test -q -p qmc-drivers --features checked
 
-echo "== qmcsched (deterministic schedule parity, VMC + DMC) =="
-cargo run --release -q -p qmcsched > /dev/null
-
 echo "== kernel backend verification (all backends, no silent skips) =="
 # kernel_verify prints one `status=ok` line per backend it actually ran,
 # carrying the full family list; a backend that is silently skipped
@@ -77,7 +74,7 @@ echo "== determinant speedup gate (blocked vs serial-chain oracle, release) =="
 # accumulators run side by side: the blocked Sherman-Morrison update must
 # stay >= 1.5x and the row-wise LU inverse >= 2x ahead of the scalar code
 # kept in crates/linalg/tests/oracle.rs, or a refactor re-serialised them;
-# the engine's row-axpy update on A^-1 must stay >= 1.5x ahead of the
+# the determinant's row-axpy update on A^-1 must stay >= 1.5x ahead of the
 # row-blocked one, whose n^2 FMAs are scalar.
 cargo test -q --release -p qmc-linalg --test oracle -- --ignored
 
@@ -147,7 +144,7 @@ cargo bench -p qmc-bench --bench bench_crowd -- --test
 echo "== bench smoke (backend kernel benches) =="
 cargo bench -p qmc-bench --bench bench_kernels -- --test
 
-echo "== bench smoke (determinant updates and LU inverse) =="
+echo "== bench smoke (Sherman-Morrison in both storage orders, column read, save transpose, LU inverse) =="
 cargo bench -p qmc-bench --bench bench_determinant -- --test
 
 echo "== bench smoke (sweep + measurement, NLPP shell, J2 functor rows) =="

@@ -7,20 +7,15 @@
 //!    scalar `evaluate_vgl` calls on the NiO-32-scaled orbital table,
 //!    swept over every kernel backend (the crowd×backend matrix). The
 //!    batched path should win ≥1.2x at crowd ≥ 32.
-//!  - J2 ratio+gradient: `BatchedWaveFunctionComponent::mw_ratio_grad`
-//!    against the hand-written scalar loop — this measures the batching
-//!    protocol overhead (the default impl is the scalar loop, so the two
-//!    should be indistinguishable).
+//!  - J2 ratio+gradient: the per-walker `ratio_grad` loop a crowd runs for
+//!    one electron (J2 has no fused multi-walker kernel).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qmc_bspline::CubicBspline1D;
 use qmc_containers::{Pos, TinyVector};
 use qmc_kernels::Backend;
 use qmc_particles::{random_positions_in_cell, CrystalLattice, Layout, ParticleSet, Species};
-use qmc_wavefunction::{
-    traits::WaveFunctionComponent, BatchedWaveFunctionComponent, BsplineSpo, J2Soa, PairFunctors,
-    SpoSet,
-};
+use qmc_wavefunction::{traits::WaveFunctionComponent, BsplineSpo, J2Soa, PairFunctors, SpoSet};
 use qmc_workloads::{Benchmark, Size, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -154,22 +149,6 @@ fn bench_j2_mw_ratio(c: &mut Criterion) {
                     *g = TinyVector::zero();
                     *r = j2.ratio_grad(p, iat, g);
                 }
-                black_box(&ratios);
-            });
-        });
-        group.bench_function(BenchmarkId::new("batched", nw), |b| {
-            b.iter(|| {
-                ratios.fill(1.0);
-                grads.fill(TinyVector::zero());
-                let mut batch: Vec<&mut J2Soa<f64>> = j2s.iter_mut().collect();
-                let views: Vec<&ParticleSet<f64>> = psets.iter().collect();
-                BatchedWaveFunctionComponent::mw_ratio_grad(
-                    &mut batch,
-                    &views,
-                    iat,
-                    &mut ratios,
-                    &mut grads,
-                );
                 black_box(&ratios);
             });
         });

@@ -1,21 +1,18 @@
 //! Criterion bench: determinant-inverse updates — Sherman–Morrison rank-1
-//! (the baseline `DetUpdate` of §8.4) on the inverse as the engine stores
-//! it (`sherman_morrison_inverse`, row axpys on `A⁻¹`) and on the
-//! transposed inverse (`sherman_morrison_update`, the bit oracle), versus
-//! the delayed Woodbury engine at several delay depths, measured over full
-//! N-move sweeps so the delayed engine's blocked flush cost is amortized
-//! realistically — in f32 (the precision the engines run) and f64 — plus
-//! what the storage order costs elsewhere (the strided column read behind
-//! every ratio, the blocked transpose behind every walker save) and the
-//! from-scratch `LuFactor::inverse` of the periodic recompute. Sizes are
+//! (the `DetUpdate` kernel) on the inverse as the determinant stores it
+//! (`sherman_morrison_inverse`, row axpys on `A⁻¹`) and on the transposed
+//! inverse (`sherman_morrison_update`, the bit oracle), measured over full
+//! N-move sweeps in f32 (the precision the determinant runs) and f64 —
+//! plus what the storage order costs elsewhere (the strided column read
+//! behind every ratio, the blocked transpose behind every walker save) and
+//! the from-scratch `LuFactor::inverse` of the periodic recompute. Sizes are
 //! one spin's determinant of the benchmark ladder: 32 (Graphite / Be-64
 //! scaled), 128 (Graphite), 192 (NiO-32), 384 (NiO-64).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qmc_containers::{transpose_into, Matrix, Real};
 use qmc_linalg::{
-    det_ratio_row, invert_with_log_det, sherman_morrison_inverse, sherman_morrison_update,
-    DelayedInverse, LuFactor,
+    det_ratio_row, invert_with_log_det, sherman_morrison_inverse, sherman_morrison_update, LuFactor,
 };
 use std::hint::black_box;
 
@@ -39,9 +36,9 @@ fn new_row<T: Real>(n: usize, k: usize) -> Vec<T> {
 }
 
 /// One precision's rows for dimension `n`: a full Sherman–Morrison sweep in
-/// both storage orders, the delayed engine at `delays`, the column read and
-/// save transpose the engine's order costs, and the from-scratch LU inverse.
-fn bench_precision<T: Real>(c: &mut Criterion, n: usize, delays: &[usize]) {
+/// both storage orders, the column read and save transpose the stored
+/// order costs, and the from-scratch LU inverse.
+fn bench_precision<T: Real>(c: &mut Criterion, n: usize) {
     let a = well_conditioned::<T>(n, 9);
     let (inv, _, _) = invert_with_log_det(&a).unwrap();
     let minv_t = inv.transposed();
@@ -87,33 +84,17 @@ fn bench_precision<T: Real>(c: &mut Criterion, n: usize, delays: &[usize]) {
             black_box(&m);
         });
     });
-    for &delay in delays {
-        group.bench_function(BenchmarkId::new("sweep", format!("delayed{delay}")), |b| {
-            b.iter(|| {
-                let mut d = DelayedInverse::new(minv_t.clone(), delay);
-                let mut inv_row = vec![T::ZERO; n];
-                for (k, v) in rows.iter().enumerate() {
-                    black_box(d.ratio_with_inv_row(k, v, &mut inv_row));
-                    d.accept(k, v);
-                }
-                d.flush();
-                black_box(d.minv_t());
-            });
-        });
-    }
     let lu = LuFactor::new(&a).unwrap();
     group.bench_function("lu_inverse", |b| b.iter(|| black_box(lu.inverse())));
     group.finish();
 }
 
 fn bench_determinant(c: &mut Criterion) {
-    for &n in &[32usize, 128, 192] {
-        // f32 is what the engines update, f64 what the recompute inverts.
-        bench_precision::<f32>(c, n, &[4, 16]);
-        bench_precision::<f64>(c, n, &[4, 16]);
+    for &n in &[32usize, 128, 192, 384] {
+        // f32 is what the determinant updates, f64 what the recompute inverts.
+        bench_precision::<f32>(c, n);
+        bench_precision::<f64>(c, n);
     }
-    bench_precision::<f32>(c, 384, &[]);
-    bench_precision::<f64>(c, 384, &[]);
 }
 
 criterion_group!(benches, bench_determinant);

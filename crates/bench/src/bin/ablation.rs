@@ -1,10 +1,10 @@
 //! Ablation of the paper's optimization ladder (§7 steps) on NiO-32:
 //!
-//!   Ref  ->  Ref+MP  ->  SoA(double)  ->  Current  ->  Current+delayed
+//!   Ref  ->  Ref+MP  ->  SoA(double)  ->  Current  ->  Current+crowd
 //!
 //! isolating the contribution of (i) expanded single precision, (ii) the
 //! SoA/forward-update/compute-on-the-fly transformation, (iii) their
-//! combination, and (iv) the §8.4 delayed determinant updates. The paper
+//! combination, and (iv) lock-step crowd scheduling of Current. The paper
 //! only reports Ref / Ref+MP / Current ("other intermediate steps ... can
 //! be measured using different build options and miniapps" — this binary
 //! is that measurement).
@@ -26,8 +26,6 @@ fn main() {
         CodeVersion::RefMp,
         CodeVersion::SoaDouble,
         CodeVersion::Current,
-        CodeVersion::CurrentDelayed(8),
-        CodeVersion::CurrentDelayed(32),
     ];
     println!(
         "{:<18} {:>12} {:>9} {:>9} {:>12} {:>10}",
@@ -71,8 +69,6 @@ fn main() {
     );
     println!(
         "\n(each rung should be >= the previous, with the biggest jumps from\n\
-         the SoA transformation and its combination with single precision;\n\
-         delayed updates only pay off once DetUpdate dominates, i.e. at\n\
-         larger N than the scaled default.)"
+         the SoA transformation and its combination with single precision.)"
     );
 }

@@ -13,10 +13,8 @@ fn main() {
         "fig7_roofline",
         "fig8_speedup_memory",
         "fig9_memory",
-        "fig10_energy",
         "table2_speedups",
         "fig1_strong_scaling",
-        "hyperthreading_study",
         "ablation",
     ];
     let exe_dir = std::env::current_exe()

@@ -1,5 +1,6 @@
-//! The figure/table binaries share `HarnessConfig::from_env`; `fig9_memory`
-//! stands in for all nine. An argument that cannot be used is a usage
+//! Seven of the crate's ten binaries take run arguments, all through
+//! `HarnessConfig::from_env`; `fig9_memory` stands in for the seven (the
+//! other three take none). An argument that cannot be used is a usage
 //! error — exit 2 and one line naming the option — raised before any
 //! workload is built, so every case here returns at once.
 

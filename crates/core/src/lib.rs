@@ -37,8 +37,8 @@ pub mod prelude {
     pub use qmc_kernels::Backend;
     pub use qmc_particles::{CrystalLattice, Layout, ParticleSet, Species};
     pub use qmc_wavefunction::{
-        BsplineSpo, CosineSpo, DetUpdateMode, DiracDeterminant, J1Ref, J1Soa, J2Ref, J2Soa,
-        PairFunctors, TrialWaveFunction,
+        BsplineSpo, CosineSpo, DiracDeterminant, J1Ref, J1Soa, J2Ref, J2Soa, PairFunctors,
+        TrialWaveFunction,
     };
     pub use qmc_workloads::{
         run_dmc_benchmark, Benchmark, CodeVersion, RunConfig, RunOutcome, Size, Workload,

@@ -10,7 +10,7 @@ use qmc_drivers::{
     VmcParams, VmcResult, Walker,
 };
 use qmc_particles::{CrystalLattice, Layout, ParticleSet, Species};
-use qmc_wavefunction::{CosineSpo, DetUpdateMode, DiracDeterminant, TrialWaveFunction};
+use qmc_wavefunction::{CosineSpo, DiracDeterminant, TrialWaveFunction};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -65,7 +65,6 @@ fn engine(n: usize, seed: u64) -> (QmcEngine<f64>, Vec<Pos<f64>>) {
         Box::new(CosineSpo::<f64>::new(n, [L, L, L])),
         0,
         n,
-        DetUpdateMode::ShermanMorrison,
     )));
     (
         QmcEngine::new(pset, psi, HamiltonianSet::kinetic_only()),

@@ -7,7 +7,7 @@ use qmc_drivers::{
     VmcResult, Walker,
 };
 use qmc_particles::{CrystalLattice, Layout, ParticleSet, Species};
-use qmc_wavefunction::{CosineSpo, DetUpdateMode, DiracDeterminant, TrialWaveFunction};
+use qmc_wavefunction::{CosineSpo, DiracDeterminant, TrialWaveFunction};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -64,7 +64,6 @@ fn engine(n: usize, seed: u64) -> (QmcEngine<f64>, Vec<Pos<f64>>) {
         Box::new(CosineSpo::<f64>::new(n, [L, L, L])),
         0,
         n,
-        DetUpdateMode::ShermanMorrison,
     )));
     (
         QmcEngine::new(pset, psi, HamiltonianSet::kinetic_only()),

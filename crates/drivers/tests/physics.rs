@@ -12,7 +12,7 @@ use qmc_drivers::{
     VmcResult, Walker,
 };
 use qmc_particles::{CrystalLattice, Layout, ParticleSet, Species};
-use qmc_wavefunction::{CosineSpo, DetUpdateMode, DiracDeterminant, TrialWaveFunction};
+use qmc_wavefunction::{CosineSpo, DiracDeterminant, TrialWaveFunction};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -40,7 +40,7 @@ fn run_dmc(
     run.expect("no checkpoint to write").0
 }
 
-fn free_engine(n: usize, layout: Layout, mode: DetUpdateMode) -> (QmcEngine<f64>, f64) {
+fn free_engine(n: usize, layout: Layout) -> (QmcEngine<f64>, f64) {
     let lat = CrystalLattice::cubic(L);
     let mut rng = StdRng::seed_from_u64(7);
     let pos: Vec<Pos<f64>> = (0..n)
@@ -72,7 +72,7 @@ fn free_engine(n: usize, layout: Layout, mode: DetUpdateMode) -> (QmcEngine<f64>
     let exact = exact_energy(n);
 
     let mut psi = TrialWaveFunction::new();
-    psi.add(Box::new(DiracDeterminant::new(Box::new(spo), 0, n, mode)));
+    psi.add(Box::new(DiracDeterminant::new(Box::new(spo), 0, n)));
     let engine = QmcEngine::new(pset, psi, HamiltonianSet::kinetic_only());
     (engine, exact)
 }
@@ -124,7 +124,7 @@ fn exact_energy(n: usize) -> f64 {
 #[test]
 fn vmc_eigenstate_energy_is_exact() {
     let n = 5;
-    let (mut engine, exact) = free_engine(n, Layout::Soa, DetUpdateMode::ShermanMorrison);
+    let (mut engine, exact) = free_engine(n, Layout::Soa);
     let mut walkers = initial_population::<f64>(&spread_positions(n, 101), 4, 11);
     let params = VmcParams {
         blocks: 3,
@@ -151,7 +151,7 @@ fn vmc_eigenstate_energy_is_exact() {
 #[test]
 fn dmc_eigenstate_energy_and_population_stable() {
     let n = 4;
-    let (mut engine, exact) = free_engine(n, Layout::Soa, DetUpdateMode::ShermanMorrison);
+    let (mut engine, exact) = free_engine(n, Layout::Soa);
     let mut walkers = initial_population::<f64>(&spread_positions(n, 102), 12, 13);
     let params = DmcParams {
         steps: 40,
@@ -176,30 +176,11 @@ fn dmc_eigenstate_energy_and_population_stable() {
 }
 
 #[test]
-fn dmc_delayed_updates_match_exact_energy() {
-    let n = 6;
-    let (mut engine, exact) = free_engine(n, Layout::Soa, DetUpdateMode::Delayed(4));
-    let mut walkers = initial_population::<f64>(&spread_positions(n, 103), 6, 17);
-    let params = DmcParams {
-        steps: 20,
-        warmup: 2,
-        tau: 0.02,
-        target_population: 6,
-        recompute_every: 8,
-        seed: 23,
-        ..Default::default()
-    };
-    let res = run_dmc(&mut engine, &mut walkers, &params);
-    let (mean, _, _) = res.energy.blocking();
-    assert!((mean - exact).abs() < 1e-7, "delayed DMC {mean} vs {exact}");
-}
-
-#[test]
 fn parallel_dmc_matches_exact_energy_and_merges_profile() {
     let n = 4;
     let nthreads = 3;
     let mut engines: Vec<QmcEngine<f64>> = (0..nthreads)
-        .map(|_| free_engine(n, Layout::Soa, DetUpdateMode::ShermanMorrison).0)
+        .map(|_| free_engine(n, Layout::Soa).0)
         .collect();
     let exact = exact_energy(n);
     let mut walkers = initial_population::<f64>(&spread_positions(n, 104), 9, 31);
@@ -235,7 +216,7 @@ fn walker_buffer_roundtrip_is_stable() {
     // store -> load -> store must be idempotent (same buffer bytes, same
     // log psi), proving the anonymous buffer captures the full state.
     let n = 4;
-    let (mut engine, _) = free_engine(n, Layout::Soa, DetUpdateMode::ShermanMorrison);
+    let (mut engine, _) = free_engine(n, Layout::Soa);
     let mut walkers = initial_population::<f64>(&spread_positions(n, 105), 1, 53);
     let w = &mut walkers[0];
     engine.init_walker(w);

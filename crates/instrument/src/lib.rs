@@ -10,7 +10,6 @@
 //!   bandwidth ceilings.
 //! * [`memory`] — an allocation ledger plus process RSS for the footprint
 //!   studies of Fig. 8 / Fig. 9.
-//! * [`energy`] — the constant-power energy model for Fig. 10.
 //! * [`span`] — scoped per-thread/per-crowd/per-block spans exportable as
 //!   Chrome `trace_event` JSON.
 //! * [`report`] — the [`report::RunReport`] aggregate every front-end
@@ -24,7 +23,6 @@
 // job obvious); iterator zips would obscure them.
 #![allow(clippy::needless_range_loop)]
 
-pub mod energy;
 pub mod ftz;
 pub mod json;
 pub mod memory;
@@ -35,7 +33,6 @@ pub mod span;
 pub mod stream;
 pub mod timer;
 
-pub use energy::{EnergyModel, Phase, DEFAULT_DMC_WATTS, DEFAULT_INIT_WATTS};
 pub use ftz::enable_ftz;
 pub use memory::{current_rss_bytes, MemoryLedger};
 pub use report::{

@@ -66,7 +66,7 @@ pub enum Kernel {
     BsplineMwVGL,
     /// Determinant ratio evaluation (dot against the inverse row).
     DetRatio,
-    /// Sherman-Morrison / delayed inverse update.
+    /// Sherman-Morrison inverse update and the from-scratch reinversion.
     DetUpdate,
     /// Non-local pseudopotential quadrature.
     Nlpp,

@@ -1,5 +1,11 @@
 //! Delayed determinant-inverse updates (Woodbury identity).
 //!
+//! No determinant uses this engine: `DiracDeterminant` runs Sherman–Morrison
+//! on `A⁻¹` (`crate::updates::sherman_morrison_inverse`), which measured
+//! about 6 µs per accepted move at n = 192 against 48.4 µs here. The type
+//! exists only because the benchmark's `linalg.delayed_accept_us` meter
+//! times it; the benchmark change that retires that meter deletes it.
+//!
 //! §8.4 of the paper identifies `DetUpdate` as the emerging bottleneck and
 //! points to delayed-update schemes (McDaniel et al., the paper's ref. 30) based on the
 //! Woodbury matrix identity: accumulate up to `delay` accepted row
@@ -305,14 +311,6 @@ impl<T: Real> DelayedInverse<T> {
     pub fn minv_t(&self) -> &Matrix<T> {
         assert!(self.ks.is_empty(), "pending delayed updates; flush first");
         &self.minv_t
-    }
-
-    /// Replaces the base inverse (e.g. after a from-scratch recompute) and
-    /// discards any pending window.
-    pub fn reset(&mut self, minv_t: Matrix<T>) {
-        assert_eq!(minv_t.rows(), self.n());
-        self.minv_t = minv_t;
-        self.ks.clear();
     }
 }
 

@@ -2,9 +2,10 @@
 //!
 //! Dense linear-algebra substrate for the determinant part of the
 //! Slater–Jastrow wavefunction: BLAS-like kernels, LU factorization for
-//! from-scratch (re)inversion, the Sherman–Morrison rank-1 inverse update
-//! driven by the matrix determinant lemma (Eq. 6 of the paper), and the
-//! delayed Woodbury update engine the paper proposes as future work (§8.4).
+//! from-scratch (re)inversion and the Sherman–Morrison rank-1 inverse
+//! update driven by the matrix determinant lemma (Eq. 6 of the paper).
+//! [`delayed`] keeps a delayed Woodbury engine (the paper's §8.4 future
+//! work) that no determinant runs; only a benchmark meter times it.
 
 #![forbid(unsafe_code)]
 // Indexed loops over multiple parallel slices are the deliberate idiom in

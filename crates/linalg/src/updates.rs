@@ -5,10 +5,10 @@
 //! appear here, with the same numbers in them:
 //!
 //! * `B = A^{-1}` as LU returns it, `B[i][k] = A^{-1}[i][k]` — what the
-//!   determinant engine holds and [`sherman_morrison_inverse`] updates;
+//!   determinant holds and [`sherman_morrison_inverse`] updates;
 //! * the *transposed inverse* `M = B^T`, `M[k][j] = B[j][k]` — what
-//!   [`det_ratio_row`] and [`sherman_morrison_update`] work on, the delayed
-//!   engine keeps, and the walker buffer serializes (row = electron).
+//!   [`det_ratio_row`] and [`sherman_morrison_update`] work on and the
+//!   walker buffer serializes (row = electron).
 //!
 //! Replacing row `k` of `A` by `v` needs `w = M v`, i.e. `w[j] = M.row(j) .
 //! v`. In `M`'s order that is `n` reductions, each a chain of dependent
@@ -23,7 +23,7 @@
 //! M[k][i]` is `B[i][j] += c[j] * B[i][k]`), so both kernels produce the
 //! same bits in every element; `tests/oracle.rs` holds them to that with
 //! `to_bits` over chained moves, and [`sherman_morrison_update`] /
-//! [`det_ratio_row`] stay as that oracle (and the delayed engine's tests').
+//! [`det_ratio_row`] stay as that oracle.
 //!
 //! [`sherman_morrison_update`] is bit-identical to the row-at-a-time loop:
 //! every `w[j]` keeps `dot`'s summation order, a block's rows are all read

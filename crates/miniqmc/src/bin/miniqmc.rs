@@ -25,7 +25,7 @@ use qmc_workloads::{
 const USAGE: &str = "miniqmc: full QMC miniapp (paper §7.1)\n\
      --benchmark graphite|be64|nio32|nio64 (default nio32)\n\
      --size scaled|full (default scaled)\n\
-     --code ref|refmp|soa|current|delayedK (default current)\n\
+     --code ref|refmp|soa|current (default current)\n\
      --backend reference|soa|simd   kernel backend (default: the\n\
          QMC_KERNEL_BACKEND environment variable, else soa)\n\
      --threads N --walkers N --steps N --warmup N --tau X --seed N\n\
@@ -80,12 +80,9 @@ fn parse_code(s: &str) -> Result<CodeVersion, String> {
         "refmp" | "ref+mp" => Ok(CodeVersion::RefMp),
         "soadp" | "soa" => Ok(CodeVersion::SoaDouble),
         "current" => Ok(CodeVersion::Current),
-        other => match other.strip_prefix("delayed").map(str::parse) {
-            Some(Ok(k)) if k >= 1 => Ok(CodeVersion::CurrentDelayed(k)),
-            _ => Err(format!(
-                "unknown code version '{other}' (valid: ref, refmp, soa, current, delayedK with K >= 1)"
-            )),
-        },
+        other => Err(format!(
+            "unknown code version '{other}' (valid: ref, refmp, soa, current)"
+        )),
     }
 }
 

@@ -59,6 +59,8 @@ fn bad_code_version_prints_usage_and_exits_nonzero() {
     for valid in ["ref", "refmp", "soa", "current"] {
         assert!(stderr.contains(valid), "usage missing '{valid}': {stderr}");
     }
+    // Delayed determinant updates are not a code version.
+    assert!(!stderr.contains("delayedK"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
@@ -101,8 +103,8 @@ fn unusable_argument_values_are_usage_errors_not_defaults() {
         (miniqmc, &["--walkers"], &["--walkers needs a usize value"]),
         (
             miniqmc,
-            &["--code", "delayedXYZ"],
-            &["unknown code version 'delayedxyz'", "delayedK"],
+            &["--code", "delayed8"],
+            &["unknown code version 'delayed8' (valid: ref, refmp, soa, current)"],
         ),
         (
             miniqmc,

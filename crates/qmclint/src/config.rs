@@ -60,15 +60,14 @@ const MIXED_PRECISION: [&str; 3] = [
 ];
 
 /// Hot kernel modules (ISSUE rule 2/4): distance tables, B-splines,
-/// Jastrow factors, SPO/determinant kernels, the batched `mw_*` APIs and
-/// the swappable-backend kernel library (every backend's entry points are
-/// kernel roots, so a slow-path regression in any backend fires here).
-const KERNEL_MODULES: [&str; 7] = [
+/// Jastrow factors, SPO/determinant kernels and the swappable-backend
+/// kernel library (every backend's entry points are kernel roots, so a
+/// slow-path regression in any backend fires here).
+const KERNEL_MODULES: [&str; 6] = [
     "crates/particles/src/dtable.rs",
     "crates/bspline/src/",
     "crates/wavefunction/src/jastrow/",
     "crates/wavefunction/src/spo.rs",
-    "crates/wavefunction/src/batched.rs",
     "crates/linalg/src/",
     "crates/kernels/src/",
 ];
@@ -201,6 +200,30 @@ mod tests {
         let kernels = classify("crates/kernels/src/bspline.rs");
         assert!(kernels.kernel && kernels.physics && !kernels.mixed_precision);
         assert!(classify("crates/kernels/src/bin/kernel_verify.rs").exempt);
+    }
+
+    /// Every configured path names a file or directory of the workspace, so
+    /// deleting or moving a module cannot leave an entry that silently
+    /// matches nothing.
+    #[test]
+    fn every_configured_path_exists() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let lists: [(&str, &[&str]); 6] = [
+            ("MIXED_PRECISION", &MIXED_PRECISION),
+            ("KERNEL_MODULES", &KERNEL_MODULES),
+            ("PHYSICS_CRATES", &PHYSICS_CRATES),
+            ("SANCTIONED_RNG_PATHS", &SANCTIONED_RNG_PATHS),
+            ("EXEMPT_PREFIXES", &EXEMPT_PREFIXES),
+            ("SPAWN_SITE", &[SPAWN_SITE]),
+        ];
+        for (name, paths) in lists {
+            for path in paths {
+                assert!(
+                    root.join(path).exists(),
+                    "{name} entry `{path}` matches nothing in the workspace"
+                );
+            }
+        }
     }
 
     #[test]

@@ -143,7 +143,7 @@ fn json_escape(s: &str) -> String {
 /// diagnostics, each with its `chain` array when it has one. `qmclint/5`
 /// is `qmclint/4` without the `effects` block and the three rule ids the
 /// compiler now carries.
-pub fn render_json(diags: &[Diagnostic], files_scanned: usize) -> String {
+pub fn report_json(diags: &[Diagnostic], files_scanned: usize) -> String {
     let mut out = String::from("{\"schema\":\"qmclint/5\",");
     let _ = write!(out, "\"files_scanned\":{files_scanned},");
     let _ = write!(out, "\"diagnostics_total\":{},", diags.len());
@@ -216,7 +216,7 @@ mod tests {
             suggestion: "don't".into(),
             chain: Vec::new(),
         };
-        let j = render_json(&[d], 1);
+        let j = report_json(&[d], 1);
         assert!(j.starts_with("{\"schema\":\"qmclint/5\","));
         assert!(j.contains("\\`unwrap()\\`") || j.contains("`unwrap()`"));
         assert!(j.contains("\"files_scanned\":1"));
@@ -245,7 +245,7 @@ mod tests {
         assert!(d
             .render_human()
             .contains("via: evaluate (a.rs:3) -> helper (b.rs:9)"));
-        let j = render_json(&[d], 2);
+        let j = report_json(&[d], 2);
         assert!(j.contains("\"chain\":[\"evaluate (a.rs:3)\",\"helper (b.rs:9)\"]"));
         assert!(j.contains("\"hot-path-call\":1"));
     }

@@ -59,7 +59,7 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 pub use config::{classify, FileClass};
-pub use diag::{render_json, Diagnostic, Rule, ALL_RULES, GRAPH_RULES};
+pub use diag::{report_json, Diagnostic, Rule, ALL_RULES, GRAPH_RULES};
 pub use model::WorkspaceModel;
 pub use rules::{check_kernel_coverage, lint_source, KernelUsage};
 

@@ -41,7 +41,7 @@ fn main() {
     if json {
         println!(
             "{}",
-            qmclint::render_json(&report.diagnostics, report.files_scanned)
+            qmclint::report_json(&report.diagnostics, report.files_scanned)
         );
     } else {
         for d in &report.diagnostics {

@@ -12,11 +12,11 @@
 //! repeated under each, and every per-walker result must come out
 //! identical to the bit.
 //!
-//! Two layers consume it:
-//!
-//! * `cargo test -p qmcsched` — the parity tests CI gates on.
-//! * the `qmcsched` binary — emits a `qmcsched/1` JSON report (same
-//!   hand-rolled writer as the run report) for the observability pipeline.
+//! `cargo test -p qmcsched` runs every case: each method on each crew kind
+//! under every schedule (`tests/parity.rs`), checkpoint-resume across
+//! crews and backends (`tests/checkpoint_parity.rs`), and the backend,
+//! simd-tolerance, 1/2/4-thread and multi-rank sweeps (this file's unit
+//! tests).
 
 #![forbid(unsafe_code)]
 
@@ -26,7 +26,6 @@ use qmc_drivers::{
     Batching, CheckpointSpec, Crew, DmcParams, DriverKind, MultiRankParams, QmcEngine, RunControl,
     VmcParams, Walker,
 };
-use qmc_instrument::json::JsonWriter;
 use qmc_workloads::{Benchmark, CodeVersion, Size, Workload};
 use rayon::schedule::{with_schedule, Order, Schedule};
 
@@ -539,57 +538,6 @@ pub fn explore_multi_rank(cfg: &HarnessConfig) -> Vec<DriverParity> {
         }
     };
     [2, 3, 4].map(explore).into()
-}
-
-/// Runs every exploration: the schedule sweep of each method on each crew
-/// kind, the backend and shape sweeps, and multi-rank.
-pub fn explore_all(cfg: &HarnessConfig) -> Vec<DriverParity> {
-    let mut out = Vec::new();
-    for driver in [DriverKind::Vmc, DriverKind::Dmc] {
-        for crew in CrewKind::ALL {
-            out.push(explore_schedules(driver, crew, cfg));
-        }
-    }
-    out.push(explore_backends(cfg));
-    out.extend(explore_thread_sweep(cfg));
-    out.extend(explore_multi_rank(cfg));
-    out
-}
-
-/// Renders the exploration outcome as a `qmcsched/1` JSON report (the same
-/// hand-rolled writer the run report uses).
-pub fn render_json(results: &[DriverParity]) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_obj();
-    w.key("schema").str_val("qmcsched/1");
-    w.key("parity")
-        .bool_val(results.iter().all(DriverParity::parity));
-    w.key("drivers").begin_arr();
-    for r in results {
-        w.begin_obj();
-        w.key("driver").str_val(&r.driver);
-        w.key("schedules_explored").u64_val(r.runs.len() as u64);
-        w.key("parity").bool_val(r.parity());
-        w.key("runs").begin_arr();
-        for run in &r.runs {
-            w.begin_obj();
-            w.key("schedule").str_val(&run.schedule);
-            w.key("walkers").u64_val(run.walkers.len() as u64);
-            let mut digest = Fnv::new();
-            for &d in &run.walkers {
-                digest.u64(d);
-            }
-            digest.u64(run.scalars);
-            w.key("fingerprint")
-                .str_val(&format!("{:016x}", digest.value()));
-            w.end_obj();
-        }
-        w.end_arr();
-        w.end_obj();
-    }
-    w.end_arr();
-    w.end_obj();
-    w.finish()
 }
 
 #[cfg(test)]

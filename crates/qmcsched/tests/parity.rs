@@ -131,25 +131,3 @@ fn serialized_schedules_impose_their_order() {
     orders.dedup();
     assert_eq!(orders.len(), total, "serial schedules must be distinct");
 }
-
-#[test]
-fn json_report_round_trips_through_the_strict_parser() {
-    let cfg = HarnessConfig {
-        threads: 2,
-        walkers: 3,
-        steps: 2,
-        seed: 5,
-    };
-    let results = vec![explore_schedules(DriverKind::Vmc, CrewKind::Engines, &cfg)];
-    let json = qmcsched::render_json(&results);
-    let parsed = qmc_instrument::json::parse(&json).expect("qmcsched JSON parses");
-    assert_eq!(
-        parsed.get("schema").and_then(|v| v.as_str()),
-        Some("qmcsched/1")
-    );
-    let drivers = parsed
-        .get("drivers")
-        .and_then(|v| v.as_arr())
-        .expect("drivers array");
-    assert_eq!(drivers.len(), 1);
-}

@@ -3,17 +3,16 @@
 //! Implements the determinant part of Eq. 2: `D = det|A|` with
 //! `A[i][j] = phi_j(r_i)` over one spin's electrons. Ratios use the matrix
 //! determinant lemma (Eq. 6) as a dot against column `k` of `A⁻¹`; accepted
-//! moves update the inverse with Sherman–Morrison (the baseline `DetUpdate`
-//! kernel) or with the delayed Woodbury engine of §8.4. The inverse is
-//! recomputed from scratch in double precision every `recompute_period`
-//! accepted sweeps to bound mixed-precision drift (§7.2 of the paper,
-//! ref. 13).
+//! moves update the inverse with Sherman–Morrison (Eq. 6, the `DetUpdate`
+//! kernel). The inverse is recomputed from scratch in double precision
+//! every `recompute_period` accepted sweeps to bound mixed-precision drift
+//! (§7.2 of the paper, ref. 13).
 //!
 //! ## Storage order of the inverse
 //!
-//! The Sherman–Morrison engine holds `B = A⁻¹` row-major, as LU returns it,
-//! not the transposed inverse `M = Bᵀ` whose row `k` the ratio wants,
-//! because the update dominates and is an issue-rate problem in `M`'s order
+//! The determinant holds `B = A⁻¹` row-major, as LU returns it, not the
+//! transposed inverse `M = Bᵀ` whose row `k` the ratio wants, because the
+//! update dominates and is an issue-rate problem in `M`'s order
 //! (`n²` scalar FMAs) but `2n²/W` vector FMAs in `B`'s — see
 //! `qmc_linalg::updates`. Both sides of that trade keep every bit:
 //!
@@ -36,28 +35,8 @@ use crate::spo::SpoSet;
 use crate::traits::WaveFunctionComponent;
 use qmc_containers::{AlignedVec, Matrix, Pos, Real, TinyVector};
 use qmc_instrument::{add_flops_bytes, time_kernel, Kernel};
-use qmc_linalg::{dot, dots, invert_with_log_det, sherman_morrison_inverse, DelayedInverse};
+use qmc_linalg::{dot, dots, invert_with_log_det, sherman_morrison_inverse};
 use qmc_particles::ParticleSet;
-
-/// Inverse-update algorithm selector.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DetUpdateMode {
-    /// Rank-1 Sherman–Morrison after every accepted move (baseline).
-    ShermanMorrison,
-    /// Delayed Woodbury updates with the given delay depth (§8.4).
-    Delayed(usize),
-}
-
-// The delayed variant carries its U/V panels inline; boxing it would put a
-// pointer chase on the per-move accept path for one allocation per
-// determinant (two per engine), which is not worth it.
-#[allow(clippy::large_enum_variant)]
-enum InverseEngine<T: Real> {
-    /// `B = A⁻¹`, row-major (module docs).
-    Direct(Matrix<T>),
-    /// Owns the transposed inverse `Bᵀ` plus its pending panels.
-    Delayed(DelayedInverse<T>),
-}
 
 /// Quadrature points whose value-only ratios share one pass over the inverse
 /// row (one [`dots`] call) in [`DiracDeterminant::ratios_value_only`].
@@ -76,7 +55,8 @@ pub struct DiracDeterminant<T: Real> {
     spo: Box<dyn SpoSet<T>>,
     first: usize,
     nel: usize,
-    engine: InverseEngine<T>,
+    /// `B = A⁻¹`, row-major (module docs).
+    inv: Matrix<T>,
     /// Slater matrix rows (`psiM`), kept current on accepts.
     psi_m: Matrix<T>,
     /// Orbital gradients per electron row (3 component matrices).
@@ -89,10 +69,9 @@ pub struct DiracDeterminant<T: Real> {
     psi_l: AlignedVec<T>,
     /// Column `k` of `A⁻¹` for the electron in [`Self::inv_col`].
     inv_row: AlignedVec<T>,
-    /// Which electron's column `inv_row` holds, if the Sherman–Morrison
-    /// engine's matrix has not changed since it was read: lets
-    /// `eval_grad(k)` and the `ratio_grad(k)` after it share one strided
-    /// read. Cleared wherever that matrix is written.
+    /// Which electron's column `inv_row` holds, if `inv` has not changed
+    /// since it was read: lets `eval_grad(k)` and the `ratio_grad(k)` after
+    /// it share one strided read. Cleared wherever `inv` is written.
     inv_col: Option<usize>,
     /// `w` scratch of [`sherman_morrison_inverse`].
     sm_w: AlignedVec<T>,
@@ -110,21 +89,15 @@ pub struct DiracDeterminant<T: Real> {
 impl<T: Real> DiracDeterminant<T> {
     /// Builds a determinant for electrons `[first, first+nel)`. The SPO set
     /// must provide at least `nel` orbitals; the first `nel` are used.
-    pub fn new(spo: Box<dyn SpoSet<T>>, first: usize, nel: usize, mode: DetUpdateMode) -> Self {
+    pub fn new(spo: Box<dyn SpoSet<T>>, first: usize, nel: usize) -> Self {
         assert!(spo.size() >= nel, "need at least nel orbitals");
         // Scratch slabs follow the SpoSet convention: stride == spo.size().
         let ns = spo.size();
-        let engine = match mode {
-            DetUpdateMode::ShermanMorrison => InverseEngine::Direct(Matrix::zeros(nel, nel)),
-            DetUpdateMode::Delayed(k) => {
-                InverseEngine::Delayed(DelayedInverse::new(Matrix::zeros(nel, nel), k.max(1)))
-            }
-        };
         Self {
             spo,
             first,
             nel,
-            engine,
+            inv: Matrix::zeros(nel, nel),
             psi_m: Matrix::zeros(nel, nel),
             g_m: [
                 Matrix::zeros(nel, nel),
@@ -168,17 +141,13 @@ impl<T: Real> DiracDeterminant<T> {
     }
 
     /// Rebuilds the inverse from the stored Slater matrix in double
-    /// precision and resets the engine (mixed-precision hygiene), under the
-    /// `DetUpdate` timer. Returns the double-precision `A⁻¹` as LU produced
-    /// it.
+    /// precision (mixed-precision hygiene), under the `DetUpdate` timer.
+    /// Returns the double-precision `A⁻¹` as LU produced it.
     fn reinvert(&mut self) -> Matrix<f64> {
         let (inv64, log, sign) = time_kernel(Kernel::DetUpdate, || {
             let a64: Matrix<f64> = self.psi_m.cast();
             let (inv64, log, sign) = invert_with_log_det(&a64).expect("singular Slater matrix");
-            match &mut self.engine {
-                InverseEngine::Direct(b) => *b = inv64.cast(),
-                InverseEngine::Delayed(d) => d.reset(inv64.transposed().cast()),
-            }
+            self.inv = inv64.cast();
             (inv64, log, sign)
         });
         self.inv_col = None;
@@ -190,26 +159,11 @@ impl<T: Real> DiracDeterminant<T> {
 
     /// Fills `inv_row` with column `local` of `A⁻¹`.
     fn engine_inv_row(&mut self, local: usize) {
-        match &mut self.engine {
-            InverseEngine::Direct(b) => {
-                if self.inv_col != Some(local) {
-                    for (i, out) in self.inv_row.iter_mut().enumerate() {
-                        *out = b[(i, local)];
-                    }
-                    self.inv_col = Some(local);
-                }
+        if self.inv_col != Some(local) {
+            for (i, out) in self.inv_row.iter_mut().enumerate() {
+                *out = self.inv[(i, local)];
             }
-            InverseEngine::Delayed(d) => {
-                d.inv_row(local, self.inv_row.as_mut_slice());
-            }
-        }
-    }
-
-    /// Flushes any pending delayed updates (needed before measurements that
-    /// read many inverse rows).
-    pub fn complete_updates(&mut self) {
-        if let InverseEngine::Delayed(d) = &mut self.engine {
-            d.flush();
+            self.inv_col = Some(local);
         }
     }
 
@@ -532,14 +486,7 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
         }
         time_kernel(Kernel::DetUpdate, || {
             let v = &self.psi_v.as_slice()[..nel];
-            match &mut self.engine {
-                InverseEngine::Direct(b) => {
-                    sherman_morrison_inverse(b, local, v, self.sm_w.as_mut_slice());
-                }
-                InverseEngine::Delayed(d) => {
-                    d.accept(local, v);
-                }
-            }
+            sherman_morrison_inverse(&mut self.inv, local, v, self.sm_w.as_mut_slice());
         });
         self.inv_col = None;
         // Sherman–Morrison is a gemv (w = Bᵀ v) and a ger (B += B.col(k) cᵀ).
@@ -567,7 +514,6 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
         }
         self.accepted_since_recompute += 1;
         if self.accepted_since_recompute >= self.recompute_period {
-            self.complete_updates();
             self.reinvert();
         }
     }
@@ -575,7 +521,6 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
     fn restore(&mut self, _iat: usize) {}
 
     fn accumulate_gl(&mut self, p: &mut ParticleSet<T>) {
-        self.complete_updates();
         let nel = self.nel;
         time_kernel(Kernel::SpoVGL, || {
             for i in 0..nel {
@@ -598,18 +543,14 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
     }
 
     fn save_state(&mut self, buf: &mut WalkerBuffer<T>) {
-        self.complete_updates();
         buf.put_matrix(&self.psi_m);
         for d in 0..3 {
             buf.put_matrix(&self.g_m[d]);
         }
         buf.put_matrix(&self.l_m);
-        // Serialized row = electron (the transposed inverse) on both
-        // engines: the buffer layout predates the engine's storage order.
-        match &self.engine {
-            InverseEngine::Direct(b) => buf.put_matrix_transposed(b),
-            InverseEngine::Delayed(d) => buf.put_matrix(d.minv_t()),
-        }
+        // Serialized row = electron (the transposed inverse): the buffer
+        // layout predates the inverse's storage order.
+        buf.put_matrix_transposed(&self.inv);
         buf.put_f64(self.log_value);
         buf.put_f64(self.sign);
         // qmclint: allow(precision-cast) — the checkpoint buffer carries
@@ -623,16 +564,9 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
             buf.get_matrix(&mut self.g_m[d]);
         }
         buf.get_matrix(&mut self.l_m);
-        match &mut self.engine {
-            // Straight into the engine's matrix: its row padding is already
-            // zero and the read writes the logical columns only.
-            InverseEngine::Direct(b) => buf.get_matrix_transposed(b),
-            InverseEngine::Delayed(d) => {
-                let mut minv = Matrix::zeros(self.nel, self.nel);
-                buf.get_matrix(&mut minv);
-                d.reset(minv);
-            }
-        }
+        // Straight into the inverse: its row padding is already zero and
+        // the read writes the logical columns only.
+        buf.get_matrix_transposed(&mut self.inv);
         self.inv_col = None;
         self.log_value = buf.get_f64();
         self.sign = buf.get_f64();
@@ -685,12 +619,7 @@ mod tests {
     }
 
     fn determinant() -> DiracDeterminant<f64> {
-        DiracDeterminant::new(
-            Box::new(CosineSpo::<f64>::new(NEL, [SIDE; 3])),
-            0,
-            NEL,
-            DetUpdateMode::ShermanMorrison,
-        )
+        DiracDeterminant::new(Box::new(CosineSpo::<f64>::new(NEL, [SIDE; 3])), 0, NEL)
     }
 
     /// The model counts the roofline columns divide by: one `ratio_grad` is
@@ -751,7 +680,7 @@ mod tests {
 
     /// `inv_row` remembers which column of `A⁻¹` it holds so `eval_grad(k)`
     /// and the `ratio_grad(k)` after it share one strided read. Every write
-    /// to the engine's matrix — an accepted move, a from-scratch recompute,
+    /// to the inverse — an accepted move, a from-scratch recompute,
     /// a `load_state` — must forget it: after each, `eval_grad(k)` has to
     /// agree bit for bit with a determinant that never cached anything.
     #[test]

@@ -8,8 +8,8 @@
 //!   scalars per walker) versus compute-on-the-fly SoA (`5 N`).
 //! * Single-particle orbitals ([`spo`]) — B-spline tables with reference or
 //!   SIMD-friendly loop orders, in `f32` or `f64`.
-//! * Dirac determinants ([`determinant`]) — Sherman–Morrison or delayed
-//!   Woodbury inverse updates, with periodic double-precision recomputes.
+//! * Dirac determinants ([`determinant`]) — Sherman–Morrison inverse
+//!   updates, with periodic double-precision recomputes.
 //!
 //! [`TrialWaveFunction`] composes components behind the protocol defined in
 //! [`traits`].
@@ -20,7 +20,6 @@
 // job obvious); iterator zips would obscure them.
 #![allow(clippy::needless_range_loop)]
 
-pub mod batched;
 pub mod buffer;
 pub mod determinant;
 pub mod jastrow;
@@ -28,11 +27,8 @@ pub mod spo;
 pub mod traits;
 pub mod twf;
 
-pub use batched::BatchedWaveFunctionComponent;
 pub use buffer::WalkerBuffer;
-pub use determinant::{
-    DetUpdateMode, DiracDeterminant, DEFAULT_RECOMPUTE_SWEEPS_DP, DEFAULT_RECOMPUTE_SWEEPS_SP,
-};
+pub use determinant::{DiracDeterminant, DEFAULT_RECOMPUTE_SWEEPS_DP, DEFAULT_RECOMPUTE_SWEEPS_SP};
 pub use jastrow::{J1Ref, J1Soa, J2Ref, J2Soa, PairFunctors};
 pub use spo::{BsplineSpo, CosineSpo, SpoSet};
 pub use traits::WaveFunctionComponent;

@@ -4,7 +4,6 @@
 //! log values and gradients add. This is the object the QMC drivers talk
 //! to, mirroring `TrialWaveFunction` in Fig. 4.
 
-use crate::batched::BatchedWaveFunctionComponent;
 use crate::traits::WaveFunctionComponent;
 use qmc_containers::{Pos, Real, TinyVector};
 use qmc_particles::ParticleSet;
@@ -244,6 +243,9 @@ impl<T: Real> TrialWaveFunction<T> {
 
     /// Batched [`Self::calc_ratio_grad`] for the active move of particle
     /// `iat` on every walker. `ratios`/`grads` are overwritten.
+    // qmclint: allow(timer-coverage) — loops the per-walker scalar
+    // methods, each timed under its own Kernel::* category; a wrapper timer
+    // here would double-count.
     pub fn mw_ratio_grad(
         batch: &mut [&mut Self],
         psets: &[&ParticleSet<T>],
@@ -257,16 +259,22 @@ impl<T: Real> TrialWaveFunction<T> {
         }
         let nc = batch.first().map_or(0, |t| t.components.len());
         for ci in 0..nc {
-            let mut comps: Vec<&mut dyn WaveFunctionComponent<T>> = batch
+            for (((t, p), r), g) in batch
                 .iter_mut()
-                .map(|t| t.components[ci].as_mut())
-                .collect();
-            BatchedWaveFunctionComponent::mw_ratio_grad(&mut comps, psets, iat, ratios, grads);
+                .zip(psets)
+                .zip(ratios.iter_mut())
+                .zip(grads.iter_mut())
+            {
+                *r *= t.components[ci].ratio_grad(p, iat, g);
+            }
         }
     }
 
     /// Batched [`Self::eval_grad`]: `grads[w]` is overwritten with the
     /// gradient of `log Psi_T` for walker `w`'s particle `iat`.
+    // qmclint: allow(timer-coverage) — loops the per-walker scalar
+    // methods, each timed under its own Kernel::* category; a wrapper timer
+    // here would double-count.
     pub fn mw_eval_grad(
         batch: &mut [&mut Self],
         psets: &[&ParticleSet<T>],
@@ -278,17 +286,18 @@ impl<T: Real> TrialWaveFunction<T> {
         }
         let nc = batch.first().map_or(0, |t| t.components.len());
         for ci in 0..nc {
-            let mut comps: Vec<&mut dyn WaveFunctionComponent<T>> = batch
-                .iter_mut()
-                .map(|t| t.components[ci].as_mut())
-                .collect();
-            BatchedWaveFunctionComponent::mw_eval_grad(&mut comps, psets, iat, grads);
+            for ((t, p), g) in batch.iter_mut().zip(psets).zip(grads.iter_mut()) {
+                *g += t.components[ci].eval_grad(p, iat);
+            }
         }
     }
 
     /// Batched accept/reject resolution: commits walker `w`'s move when
     /// `accept[w]`, otherwise discards it (call before resolving the
     /// particle sets themselves).
+    // qmclint: allow(timer-coverage) — loops the per-walker scalar
+    // methods, each timed under its own Kernel::* category; a wrapper timer
+    // here would double-count.
     pub fn mw_accept_restore(
         batch: &mut [&mut Self],
         psets: &[&ParticleSet<T>],
@@ -297,11 +306,14 @@ impl<T: Real> TrialWaveFunction<T> {
     ) {
         let nc = batch.first().map_or(0, |t| t.components.len());
         for ci in 0..nc {
-            let mut comps: Vec<&mut dyn WaveFunctionComponent<T>> = batch
-                .iter_mut()
-                .map(|t| t.components[ci].as_mut())
-                .collect();
-            BatchedWaveFunctionComponent::mw_accept_restore(&mut comps, psets, iat, accept);
+            for ((t, p), &acc) in batch.iter_mut().zip(psets).zip(accept) {
+                let c = &mut t.components[ci];
+                if acc {
+                    c.accept_move(p, iat);
+                } else {
+                    c.restore(iat);
+                }
+            }
         }
     }
 
@@ -318,5 +330,116 @@ impl<T: Real> TrialWaveFunction<T> {
 impl<T: Real> Default for TrialWaveFunction<T> {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::determinant::DiracDeterminant;
+    use crate::jastrow::{J2Soa, PairFunctors};
+    use crate::spo::CosineSpo;
+    use qmc_bspline::CubicBspline1D;
+    use qmc_particles::{CrystalLattice, Layout, Species};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    const N: usize = 6;
+    const L: f64 = 7.0;
+
+    /// A J2 · determinant walker whose electrons are drawn from `seed`.
+    fn walker(seed: u64) -> (ParticleSet<f64>, TrialWaveFunction<f64>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pos: Vec<Pos<f64>> = (0..N)
+            .map(|_| TinyVector([0; 3].map(|_| rng.random::<f64>() * L)))
+            .collect();
+        let sp = Species {
+            name: "u".into(),
+            charge: -1.0,
+        };
+        let mut p = ParticleSet::new("e", CrystalLattice::cubic(L), vec![(sp, pos)]);
+        let table = p.add_table_aa(Layout::Soa);
+        let functors = PairFunctors::new(1, |_, _| {
+            CubicBspline1D::fit(
+                |r| -0.4 * (1.0 - r / 3.0).powi(2) * (-r).exp(),
+                -0.25,
+                3.0,
+                8,
+            )
+        });
+        let mut twf = TrialWaveFunction::new();
+        twf.add(Box::new(J2Soa::new(&p, table, functors)));
+        twf.add(Box::new(DiracDeterminant::new(
+            Box::new(CosineSpo::<f64>::new(N, [L; 3])),
+            0,
+            N,
+        )));
+        (p, twf)
+    }
+
+    /// The `mw_*` entry points must be bitwise identical to driving each
+    /// walker through the scalar protocol independently.
+    #[test]
+    fn default_mw_protocol_is_bitwise_scalar() {
+        // Batched walkers and an identically-seeded scalar twin set.
+        let (mut pa, mut ta) = walker(11);
+        let (mut pb, mut tb) = walker(22);
+        let (mut pa2, mut ta2) = walker(11);
+        let (mut pb2, mut tb2) = walker(22);
+
+        let mut logs = [0.0; 2];
+        TrialWaveFunction::mw_evaluate_log(
+            &mut [&mut ta, &mut tb],
+            &mut [&mut pa, &mut pb],
+            &mut logs,
+        );
+        assert_eq!(logs[0], ta2.evaluate_log(&mut pa2));
+        assert_eq!(logs[1], tb2.evaluate_log(&mut pb2));
+
+        // Propose the same displacement on every walker; compare ratio/grad
+        // and the post-accept gradient bitwise.
+        let iat = 2;
+        let step = TinyVector([0.31, -0.17, 0.08]);
+        let (na, nb) = (pa.pos(iat) + step, pb.pos(iat) + step);
+        for p in [&mut pa, &mut pb, &mut pa2, &mut pb2] {
+            p.prepare_move(iat);
+        }
+        pa.make_move(iat, na);
+        pb.make_move(iat, nb);
+        pa2.make_move(iat, na);
+        pb2.make_move(iat, nb);
+
+        let mut ratios = [0.0; 2];
+        let mut grads = [TinyVector::zero(); 2];
+        TrialWaveFunction::mw_ratio_grad(
+            &mut [&mut ta, &mut tb],
+            &[&pa, &pb],
+            iat,
+            &mut ratios,
+            &mut grads,
+        );
+        let (ra2, ga2) = ta2.calc_ratio_grad(&pa2, iat);
+        let (rb2, gb2) = tb2.calc_ratio_grad(&pb2, iat);
+        assert_eq!((ratios[0], grads[0].0), (ra2, ga2.0));
+        assert_eq!((ratios[1], grads[1].0), (rb2, gb2.0));
+
+        // Mixed accept/reject in one batched call.
+        TrialWaveFunction::mw_accept_restore(
+            &mut [&mut ta, &mut tb],
+            &[&pa, &pb],
+            iat,
+            &[true, false],
+        );
+        ta2.accept_move(&pa2, iat);
+        tb2.reject_move(iat);
+        pa.accept_move(iat);
+        pb.reject_move(iat);
+        pa2.accept_move(iat);
+        pb2.reject_move(iat);
+
+        let mut g = [TinyVector::zero(); 2];
+        TrialWaveFunction::mw_eval_grad(&mut [&mut ta, &mut tb], &[&pa, &pb], iat, &mut g);
+        assert_eq!(g[0].0, ta2.eval_grad(&pa2, iat).0);
+        assert_eq!(g[1].0, tb2.eval_grad(&pb2, iat).0);
     }
 }

@@ -7,8 +7,8 @@ use qmc_bspline::CubicBspline1D;
 use qmc_containers::{Pos, TinyVector};
 use qmc_particles::{CrystalLattice, Layout, ParticleSet, Species};
 use qmc_wavefunction::{
-    traits::WaveFunctionComponent, CosineSpo, DetUpdateMode, DiracDeterminant, J1Ref, J1Soa, J2Ref,
-    J2Soa, PairFunctors, WalkerBuffer,
+    traits::WaveFunctionComponent, CosineSpo, DiracDeterminant, J1Ref, J1Soa, J2Ref, J2Soa,
+    PairFunctors, WalkerBuffer,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -118,8 +118,7 @@ fn roundtrip_under_scramble(
     assert!(buf.fully_consumed(), "buffer layout mismatch");
     // Save → perturb → load → save: nothing of the scrambled state may
     // survive the load, so the second buffer is the first bit for bit
-    // (the determinant reads its inverse straight into the engine's own
-    // matrix, or resets the delayed engine with it).
+    // (the determinant reads its inverse straight into its own matrix).
     let mut resaved = WalkerBuffer::new();
     c.save_state(&mut resaved);
     let bits = |b: &WalkerBuffer<f64>| -> Vec<u64> {
@@ -201,26 +200,8 @@ fn j1_ref_state_roundtrip() {
 fn determinant_state_roundtrip_sm() {
     let mut p = electrons(6, 5);
     p.add_table_aa(Layout::Soa);
-    let mut c = DiracDeterminant::new(
-        Box::new(CosineSpo::<f64>::new(6, [L, L, L])),
-        0,
-        6,
-        DetUpdateMode::ShermanMorrison,
-    );
+    let mut c = DiracDeterminant::new(Box::new(CosineSpo::<f64>::new(6, [L, L, L])), 0, 6);
     roundtrip_under_scramble(&mut p, &mut c, 500);
-}
-
-#[test]
-fn determinant_state_roundtrip_delayed() {
-    let mut p = electrons(6, 6);
-    p.add_table_aa(Layout::Soa);
-    let mut c = DiracDeterminant::new(
-        Box::new(CosineSpo::<f64>::new(6, [L, L, L])),
-        0,
-        6,
-        DetUpdateMode::Delayed(3),
-    );
-    roundtrip_under_scramble(&mut p, &mut c, 600);
 }
 
 /// FNV-1a over the bit patterns of a save buffer, working-precision stream
@@ -256,12 +237,7 @@ fn driven_determinant_digest<T: qmc_containers::Real>(nel: usize, recompute: usi
     let mut p = ParticleSet::<T>::new("e", CrystalLattice::cubic(L), vec![(species, pos)]);
     p.add_table_aa(Layout::Soa);
     p.update_tables();
-    let mut det = DiracDeterminant::new(
-        Box::new(CosineSpo::<T>::new(nel, [L, L, L])),
-        0,
-        nel,
-        DetUpdateMode::ShermanMorrison,
-    );
+    let mut det = DiracDeterminant::new(Box::new(CosineSpo::<T>::new(nel, [L, L, L])), 0, nel);
     det.set_recompute_period(recompute);
     det.evaluate_log(&mut p);
     for m in 0..3 * nel {

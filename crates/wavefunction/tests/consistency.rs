@@ -1,5 +1,5 @@
 //! Cross-implementation consistency tests: every optimized (SoA,
-//! compute-on-the-fly, mixed-precision, delayed-update) component must
+//! compute-on-the-fly, mixed-precision) component must
 //! reproduce its reference twin, and analytic derivatives must match finite
 //! differences of the log wavefunction.
 
@@ -7,8 +7,8 @@ use qmc_bspline::CubicBspline1D;
 use qmc_containers::{Pos, TinyVector};
 use qmc_particles::{CrystalLattice, Layout, ParticleSet, Species};
 use qmc_wavefunction::{
-    traits::WaveFunctionComponent, CosineSpo, DetUpdateMode, DiracDeterminant, J1Ref, J1Soa, J2Ref,
-    J2Soa, PairFunctors, TrialWaveFunction,
+    traits::WaveFunctionComponent, CosineSpo, DiracDeterminant, J1Ref, J1Soa, J2Ref, J2Soa,
+    PairFunctors, TrialWaveFunction,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -283,7 +283,6 @@ fn determinant_gradient_laplacian_finite_difference() {
                 Box::new(CosineSpo::<f64>::new(4, [L, L, L])),
                 0,
                 4,
-                DetUpdateMode::ShermanMorrison,
             ))
         },
         &|_p| {},
@@ -294,21 +293,11 @@ fn determinant_gradient_laplacian_finite_difference() {
 }
 
 #[test]
-fn determinant_sm_and_delayed_agree() {
-    let mut p = make_electrons(12, 7);
-    p.add_table_aa(Layout::Soa); // keeps prepare_move exercised
-    let spo = || Box::new(CosineSpo::<f64>::new(6, [L, L, L]));
-    let mut d_sm = DiracDeterminant::new(spo(), 0, 6, DetUpdateMode::ShermanMorrison);
-    let mut d_dl = DiracDeterminant::new(spo(), 0, 6, DetUpdateMode::Delayed(3));
-    parity_sweep(&mut p, &mut d_sm, &mut d_dl, 1e-8, 43);
-}
-
-#[test]
 fn determinant_ratio_matches_log_difference() {
     let n = 8;
     let mut p = make_electrons(n, 13);
     let spo = Box::new(CosineSpo::<f64>::new(4, [L, L, L]));
-    let mut det = DiracDeterminant::new(spo, 0, 4, DetUpdateMode::ShermanMorrison);
+    let mut det = DiracDeterminant::new(spo, 0, 4);
     let log0 = det.evaluate_log(&mut p);
     let iat = 2;
     let newpos = p.pos(iat) + TinyVector([0.4, -0.3, 0.2]);
@@ -331,7 +320,7 @@ fn determinant_moves_outside_range_are_identity() {
     let mut p = make_electrons(n, 19);
     // Determinant covers only the "up" electrons 0..4.
     let spo = Box::new(CosineSpo::<f64>::new(4, [L, L, L]));
-    let mut det = DiracDeterminant::new(spo, 0, 4, DetUpdateMode::ShermanMorrison);
+    let mut det = DiracDeterminant::new(spo, 0, 4);
     det.evaluate_log(&mut p);
     let log0 = det.log_value();
     let iat = 6; // a "down" electron
@@ -427,13 +416,11 @@ fn trial_wavefunction_composes_ratios_and_logs() {
         Box::new(CosineSpo::<f64>::new(n / 2, [L, L, L])),
         0,
         n / 2,
-        DetUpdateMode::ShermanMorrison,
     )));
     psi.add(Box::new(DiracDeterminant::new(
         Box::new(CosineSpo::<f64>::new(n / 2, [L, L, L])),
         n / 2,
         n / 2,
-        DetUpdateMode::ShermanMorrison,
     )));
 
     let log0 = psi.evaluate_log(&mut p);

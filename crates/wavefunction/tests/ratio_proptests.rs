@@ -8,8 +8,7 @@ use qmc_bspline::CubicBspline1D;
 use qmc_containers::{Pos, Real, TinyVector};
 use qmc_particles::{CrystalLattice, Layout, ParticleSet, Species};
 use qmc_wavefunction::{
-    traits::WaveFunctionComponent, CosineSpo, DetUpdateMode, DiracDeterminant, J1Soa, J2Ref, J2Soa,
-    PairFunctors,
+    traits::WaveFunctionComponent, CosineSpo, DiracDeterminant, J1Soa, J2Ref, J2Soa, PairFunctors,
 };
 
 const L: f64 = 7.0;
@@ -129,8 +128,7 @@ proptest! {
         let mut c = DiracDeterminant::new(
             Box::new(CosineSpo::<f64>::new(n, [L, L, L])),
             0,
-            n,
-            DetUpdateMode::ShermanMorrison,
+            n
         );
         let iat = ((n - 1) as f64 * iat_frac) as usize;
         // Skip pathological nearly-singular random configurations.
@@ -246,7 +244,7 @@ fn value_only_components_match_per_point<T: Real>() {
     value_only_matches_per_point(&mut p, &mut j1);
 
     let spo = CosineSpo::<T>::new(n, [L, L, L]);
-    let mut det = DiracDeterminant::new(Box::new(spo), 0, n, DetUpdateMode::ShermanMorrison);
+    let mut det = DiracDeterminant::new(Box::new(spo), 0, n);
     value_only_matches_per_point(&mut p, &mut det);
 }
 

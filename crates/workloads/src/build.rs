@@ -12,8 +12,7 @@ use qmc_hamiltonian::{CoulombEE, CoulombEI, NonLocalPP, PpChannel, PseudoSpecies
 use qmc_kernels::Backend;
 use qmc_particles::{CrystalLattice, Layout, ParticleSet, Species};
 use qmc_wavefunction::{
-    BsplineSpo, DetUpdateMode, DiracDeterminant, J1Ref, J1Soa, J2Ref, J2Soa, PairFunctors,
-    TrialWaveFunction,
+    BsplineSpo, DiracDeterminant, J1Ref, J1Soa, J2Ref, J2Soa, PairFunctors, TrialWaveFunction,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,8 +31,6 @@ pub enum CodeVersion {
     SoaDouble,
     /// The paper's final version: SoA + on-the-fly + mixed precision.
     Current,
-    /// `Current` plus delayed (Woodbury) determinant updates (§8.4).
-    CurrentDelayed(usize),
 }
 
 impl CodeVersion {
@@ -44,16 +41,12 @@ impl CodeVersion {
             CodeVersion::RefMp => "Ref+MP".into(),
             CodeVersion::SoaDouble => "SoA(dp)".into(),
             CodeVersion::Current => "Current".into(),
-            CodeVersion::CurrentDelayed(k) => format!("Current+delay{k}"),
         }
     }
 
     /// True for single-precision kernel variants.
     pub fn single_precision(&self) -> bool {
-        matches!(
-            self,
-            CodeVersion::RefMp | CodeVersion::Current | CodeVersion::CurrentDelayed(_)
-        )
+        matches!(self, CodeVersion::RefMp | CodeVersion::Current)
     }
 
     /// Data layout used by this version.
@@ -68,17 +61,10 @@ impl CodeVersion {
     /// loops; the SoA versions take the process-wide selection
     /// (`QMC_KERNEL_BACKEND` / `--backend`), captured when an engine is
     /// built.
-    fn spo_backend(&self) -> Backend {
+    fn spo_backend(self) -> Backend {
         match self.layout() {
             Layout::Aos => Backend::Reference,
             Layout::Soa => Backend::current(),
-        }
-    }
-
-    fn det_mode(&self) -> DetUpdateMode {
-        match self {
-            CodeVersion::CurrentDelayed(k) => DetUpdateMode::Delayed(*k),
-            _ => DetUpdateMode::ShermanMorrison,
         }
     }
 
@@ -379,12 +365,7 @@ impl Workload {
         let lat: CrystalLattice<T> = self.lattice();
         for (first, nel) in [(0, n / 2), (n / 2, n - n / 2)] {
             let spo = BsplineSpo::new(Arc::clone(table), lat.clone(), code.spo_backend());
-            psi.add(Box::new(DiracDeterminant::new(
-                Box::new(spo),
-                first,
-                nel,
-                code.det_mode(),
-            )));
+            psi.add(Box::new(DiracDeterminant::new(Box::new(spo), first, nel)));
         }
 
         let nlpp = self
@@ -430,7 +411,7 @@ mod tests {
         assert_eq!(CodeVersion::RefMp.layout(), Layout::Aos);
         assert_eq!(CodeVersion::Current.layout(), Layout::Soa);
         assert!(CodeVersion::Current.single_precision());
-        assert_eq!(CodeVersion::CurrentDelayed(8).label(), "Current+delay8");
+        assert_eq!(CodeVersion::Current.label(), "Current");
     }
 
     #[test]
@@ -462,8 +443,6 @@ mod tests {
         assert_eq!(e32.pset.len(), 96);
         let e32b = w.build_engine_f32(CodeVersion::Current);
         assert_eq!(e32b.pset.len(), 96);
-        let e32c = w.build_engine_f32(CodeVersion::CurrentDelayed(8));
-        assert_eq!(e32c.pset.len(), 96);
     }
 
     #[test]

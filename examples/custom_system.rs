@@ -104,7 +104,6 @@ fn main() {
             )),
             first,
             nel,
-            DetUpdateMode::ShermanMorrison,
         )));
     }
 

@@ -45,12 +45,7 @@ fn main() {
 
     let spo = CosineSpo::<f64>::new(n, [l, l, l]);
     let mut psi = TrialWaveFunction::new();
-    psi.add(Box::new(DiracDeterminant::new(
-        Box::new(spo),
-        0,
-        n,
-        DetUpdateMode::ShermanMorrison,
-    )));
+    psi.add(Box::new(DiracDeterminant::new(Box::new(spo), 0, n)));
 
     let mut engine = QmcEngine::new(pset, psi, HamiltonianSet::kinetic_only());
     let mut walkers = initial_population::<f64>(&pos, 8, 3);

@@ -26,7 +26,6 @@ fn every_benchmark_runs_under_every_code_version() {
             CodeVersion::RefMp,
             CodeVersion::SoaDouble,
             CodeVersion::Current,
-            CodeVersion::CurrentDelayed(8),
         ] {
             let out = run_dmc_benchmark(&w, code, &cfg);
             assert!(
