@@ -9,7 +9,9 @@
 //! same kernels on a table far out of cache, with the byte rate they reach.
 
 use qmc_containers::{padded_len, AlignedVec, Real};
-use qmc_kernels::bspline::{evaluate_v, evaluate_vgh, mw_evaluate_v, mw_evaluate_vgl};
+use qmc_kernels::bspline::{
+    evaluate_v, evaluate_vgh, evaluate_vgh_diag, mw_evaluate_v, mw_evaluate_vgl,
+};
 use qmc_kernels::distance::distance_row;
 use qmc_kernels::jastrow::{j2_accept_value_rows, j2_row_vgl};
 use qmc_kernels::{Backend, MinImageCell, SplineView};
@@ -102,12 +104,39 @@ impl MinImageCell<f32> for OrthoCell32 {
     }
 }
 
+/// `evaluate_vgh_diag` on `backend` against the full vgh outputs `full` of
+/// the reference backend: bitwise psi, grad and `xx`, `yy`, `zz` slabs.
+/// Returns the number of scalar comparisons.
+fn vgh_diag_matches<T: Real>(
+    backend: Backend,
+    t: &SplineView<'_, T>,
+    u: [T; 3],
+    full: (&[T], &[T], &[T]),
+) -> usize {
+    let ns = t.num_splines;
+    let (mut p, mut g, mut h) = (
+        vec![T::ZERO; ns],
+        vec![T::ZERO; 3 * ns],
+        vec![T::ZERO; 3 * ns],
+    );
+    evaluate_vgh_diag(backend, t, u, &mut p, &mut g, &mut h);
+    let slabs = [0, 3, 5].into_iter().enumerate().all(|(slab, packed)| {
+        h[slab * ns..(slab + 1) * ns] == full.2[packed * ns..(packed + 1) * ns]
+    });
+    assert!(
+        p == full.0 && g == full.1 && slabs,
+        "{backend}: bspline vgh-diag ({}) mismatch",
+        std::any::type_name::<T>()
+    );
+    7 * ns
+}
+
 /// Verifies one backend against precomputed reference outputs; returns the
 /// number of scalar comparisons performed.
 fn verify_backend(backend: Backend) -> usize {
     let mut checked = 0usize;
 
-    // B-spline v / vgh / mw-vgl: bitwise against reference.
+    // B-spline v / vgh / vgh-diag / mw-vgl: bitwise against reference.
     let ns = 21; // two lane blocks + tail of 5
     let table = Table::<f64>::random([6, 5, 7], ns, 101);
     let t = table.view();
@@ -133,6 +162,7 @@ fn verify_backend(backend: Backend) -> usize {
             "{backend}: bspline vgh mismatch"
         );
         checked += 2 * ns + 10 * ns;
+        checked += vgh_diag_matches(backend, &t, u, (&p0, &g0, &h0));
     }
     let nw = us.len();
     let (mut p0, mut g0, mut l0) = (
@@ -225,6 +255,7 @@ fn verify_backend(backend: Backend) -> usize {
             "{backend}: bspline f32 vgh mismatch"
         );
         checked += 2 * ns + 10 * ns;
+        checked += vgh_diag_matches(backend, &t32, u32, (&pa, &ga, &ha));
     }
 
     // Distance rows: bitwise against reference on an orthorhombic cell.
@@ -375,6 +406,11 @@ fn bench() {
                 evaluate_vgh(b, &t, u, &mut p, &mut g, &mut h);
             }
         }) / 4.0;
+        let t_diag = best_time(5, 1000, || {
+            for &u in &us[..4] {
+                evaluate_vgh_diag(b, &t, u, &mut p, &mut g, &mut h);
+            }
+        }) / 4.0;
         let nw = us.len();
         let (mut pw, mut gw, mut lw) = (
             vec![0.0; nw * ns],
@@ -385,7 +421,7 @@ fn bench() {
             mw_evaluate_vgl(b, &t, &us, &gmat, &lapmet, &mut pw, &mut gw, &mut lw);
         }) / nw as f64;
         println!(
-            "kernel-bench: backend={b} ns={ns} v_ns={t_v:.0} vgh_ns={t_vgh:.0} mw_vgl_ns_per_walker={t_mw:.0}"
+            "kernel-bench: backend={b} ns={ns} v_ns={t_v:.0} vgh_ns={t_vgh:.0} vgh_diag_ns={t_diag:.0} mw_vgl_ns_per_walker={t_mw:.0}"
         );
         times.push((t_v, t_vgh, t_mw));
     }

@@ -29,7 +29,8 @@
 //!   and `vgh` single blocks.
 //!
 //! Lane width follows the mixed-precision ladder ([`wide_f32`]): `f64`
-//! runs 8-wide, `f32` runs 16-wide (one 512-bit register either way).
+//! runs 8-wide, `f32` runs 16-wide (512 bits either way, which LLVM's
+//! Sapphire Rapids tuning lowers to a ymm pair — see `lanes.rs`).
 //! Widening never reorders a per-orbital accumulation, so the bitwise
 //! contract holds on both rungs.
 //!
@@ -40,7 +41,8 @@
 //! than a third of it. `v` keeps four accumulators per tile, so each row
 //! visit takes four consecutive lines and the whole 64-node body is short
 //! enough that the misses of the next tile start under the current one.
-//! `vgh` keeps ten accumulators per block, so each of its `ns / W` passes
+//! `vgh` keeps ten accumulators per block (seven in its diagonal-Hessian
+//! form, [`evaluate_vgh_diag`]), so each of its `ns / W` passes
 //! touches exactly *one* line in each of 64 rows that lie a row, a plane
 //! or a slab apart — no stream for a hardware prefetcher to see — and its
 //! 64-node FMA body is longer than the reorder window, so the misses of
@@ -347,8 +349,10 @@ fn vgh_setup<T: Real>(t: &SplineView<'_, T>, u: [T; 3]) -> ([usize; 3], [[T; 4];
     ([ix, iy, iz], [wx, wy, wz, dwx, dwy, dwz, d2wx, d2wy, d2wz])
 }
 
-/// The ten per-node stencil weights `[v, gx, gy, gz, hxx, hxy, hxz, hyy,
-/// hyz, hzz]` — the one definition every vgh backend shares.
+/// The ten per-node stencil weights `[v, gx, gy, gz, hxx, hyy, hzz, hxy,
+/// hxz, hyz]` — the one definition every vgh backend shares. The diagonal
+/// of the Hessian comes first, so a `DIAG` kernel keeps the first
+/// [`vgh_sums`] of them.
 #[inline(always)]
 fn vgh_node_weights<T: Real>(w9: &[[T; 4]; 9], a: usize, b: usize, c: usize) -> [T; 10] {
     let [wx, wy, wz, dwx, dwy, dwz, d2wx, d2wy, d2wz] = w9;
@@ -358,17 +362,44 @@ fn vgh_node_weights<T: Real>(w9: &[[T; 4]; 9], a: usize, b: usize, c: usize) -> 
         wx[a] * dwy[b] * wz[c],  // gy
         wx[a] * wy[b] * dwz[c],  // gz
         d2wx[a] * wy[b] * wz[c], // hxx
+        wx[a] * d2wy[b] * wz[c], // hyy
+        wx[a] * wy[b] * d2wz[c], // hzz
         dwx[a] * dwy[b] * wz[c], // hxy
         dwx[a] * wy[b] * dwz[c], // hxz
-        wx[a] * d2wy[b] * wz[c], // hyy
         wx[a] * dwy[b] * dwz[c], // hyz
-        wx[a] * wy[b] * d2wz[c], // hzz
     ]
+}
+
+/// Stencil sums a vgh kernel accumulates: all ten, or under `DIAG` the
+/// seven `[v, gx, gy, gz, hxx, hyy, hzz]`.
+#[inline(always)]
+const fn vgh_sums<const DIAG: bool>() -> usize {
+    if DIAG {
+        7
+    } else {
+        10
+    }
+}
+
+/// The Hessian output slab of [`vgh_node_weights`] sum `q >= 4`: the
+/// packed `[xx, xy, xz, yy, yz, zz]`, or under `DIAG` `[xx, yy, zz]`.
+#[inline(always)]
+const fn hess_slab<const DIAG: bool>(q: usize) -> usize {
+    if DIAG {
+        q - 4
+    } else {
+        [0, 3, 5, 1, 2, 4][q - 4]
+    }
 }
 
 /// Converts grid-unit derivatives to fractional-coordinate derivatives.
 #[inline]
-fn scale_derivatives<T: Real>(grid: [usize; 3], ns: usize, grad: &mut [T], hess: &mut [T]) {
+fn scale_derivatives<T: Real, const DIAG: bool>(
+    grid: [usize; 3],
+    ns: usize,
+    grad: &mut [T],
+    hess: &mut [T],
+) {
     let n = [
         T::from_usize(grid[0]),
         T::from_usize(grid[1]),
@@ -380,10 +411,13 @@ fn scale_derivatives<T: Real>(grid: [usize; 3], ns: usize, grad: &mut [T], hess:
             *x *= n[d];
         }
     }
-    // hess order: xx,xy,xz,yy,yz,zz
-    let pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)];
-    for (h, (a, b)) in pairs.iter().enumerate() {
-        let scale = n[*a] * n[*b];
+    let pairs: &[(usize, usize)] = if DIAG {
+        &[(0, 0), (1, 1), (2, 2)]
+    } else {
+        &[(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+    };
+    for (h, &(a, b)) in pairs.iter().enumerate() {
+        let scale = n[a] * n[b];
         for x in &mut hess[h * ns..(h + 1) * ns] {
             *x *= scale;
         }
@@ -401,18 +435,60 @@ pub fn evaluate_vgh<T: Real>(
     grad: &mut [T],
     hess: &mut [T],
 ) {
-    let ns = t.num_splines;
-    assert!(psi.len() >= ns && grad.len() >= 3 * ns && hess.len() >= 6 * ns);
-    match backend {
-        Backend::Reference => vgh_reference(t, u, psi, grad, hess),
-        Backend::Soa => vgh_soa(t, u, psi, grad, hess),
-        Backend::Simd => vgh_simd(t, u, psi, grad, hess),
-    }
-    scale_derivatives(t.grid, ns, grad, hess);
+    vgh::<T, false>(backend, t, u, psi, grad, hess);
 }
 
-/// Spline-outermost scalar loops.
-fn vgh_reference<T: Real>(
+/// [`evaluate_vgh`] without the off-diagonal Hessian: `hess` holds the
+/// three slabs `[xx, yy, zz]`, each bitwise equal to the same slab of
+/// [`evaluate_vgh`] on every backend. `soa` and `simd` drop the three
+/// off-diagonal sums, their weights and their stores — 7 of the 10 sums,
+/// 14 of the 20 flops per node and orbital. `reference` runs its
+/// spline-outermost loop and stores the diagonal.
+///
+/// This is what a Laplacian needs when the cell's Laplacian metric is
+/// diagonal, and it keeps every bit of that Laplacian. A metric entry that
+/// is exactly zero times a finite off-diagonal sum is ±0. The full
+/// contraction adds those ±0 terms to a running sum that starts at `+0`.
+/// Under round-to-nearest such a sum is never `−0`: a zero sum of nonzero
+/// terms rounds to `+0`, and `+0 + −0` is `+0`. Adding ±0 to a sum that is
+/// not `−0` returns it unchanged, so the diagonal terms alone give the same
+/// bits. Only flush-to-zero could break this, by flushing a partial sum of
+/// diagonal terms to `−0`, and that needs a subnormal partial sum.
+pub fn evaluate_vgh_diag<T: Real>(
+    backend: Backend,
+    t: &SplineView<'_, T>,
+    u: [T; 3],
+    psi: &mut [T],
+    grad: &mut [T],
+    hess: &mut [T],
+) {
+    vgh::<T, true>(backend, t, u, psi, grad, hess);
+}
+
+/// The body of [`evaluate_vgh`] and [`evaluate_vgh_diag`].
+#[inline(always)]
+fn vgh<T: Real, const DIAG: bool>(
+    backend: Backend,
+    t: &SplineView<'_, T>,
+    u: [T; 3],
+    psi: &mut [T],
+    grad: &mut [T],
+    hess: &mut [T],
+) {
+    let ns = t.num_splines;
+    let nh = vgh_sums::<DIAG>() - 4;
+    assert!(psi.len() >= ns && grad.len() >= 3 * ns && hess.len() >= nh * ns);
+    match backend {
+        Backend::Reference => vgh_reference::<T, DIAG>(t, u, psi, grad, hess),
+        Backend::Soa => vgh_soa::<T, DIAG>(t, u, psi, grad, hess),
+        Backend::Simd => vgh_simd::<T, DIAG>(t, u, psi, grad, hess),
+    }
+    scale_derivatives::<T, DIAG>(t.grid, ns, grad, hess);
+}
+
+/// Spline-outermost scalar loops over all ten sums; `DIAG` only selects
+/// the slabs stored.
+fn vgh_reference<T: Real, const DIAG: bool>(
     t: &SplineView<'_, T>,
     u: [T; 3],
     psi: &mut [T],
@@ -439,14 +515,15 @@ fn vgh_reference<T: Real>(
         for d in 0..3 {
             grad[d * ns + s] = acc[1 + d];
         }
-        for h in 0..6 {
-            hess[h * ns + s] = acc[4 + h];
+        for q in 4..vgh_sums::<DIAG>() {
+            hess[hess_slab::<DIAG>(q) * ns + s] = acc[q];
         }
     }
 }
 
-/// Spline-innermost auto-vectorized slabs.
-fn vgh_soa<T: Real>(
+/// Spline-innermost auto-vectorized slabs: one pass per node over each
+/// output slab, ten passes, or seven under `DIAG`.
+fn vgh_soa<T: Real, const DIAG: bool>(
     t: &SplineView<'_, T>,
     u: [T; 3],
     psi: &mut [T],
@@ -454,10 +531,11 @@ fn vgh_soa<T: Real>(
     hess: &mut [T],
 ) {
     let ns = t.num_splines;
+    let nq = vgh_sums::<DIAG>();
     let ([ix, iy, iz], w9) = vgh_setup(t, u);
     psi[..ns].fill(T::ZERO);
     grad[..3 * ns].fill(T::ZERO);
-    hess[..6 * ns].fill(T::ZERO);
+    hess[..(nq - 4) * ns].fill(T::ZERO);
     for a in 0..4 {
         for b in 0..4 {
             for c in 0..4 {
@@ -477,9 +555,10 @@ fn vgh_soa<T: Real>(
                     }
                 }
                 // hessian slabs
-                for h in 0..6 {
+                for q in 4..nq {
+                    let h = hess_slab::<DIAG>(q);
                     let hsl = &mut hess[h * ns..(h + 1) * ns];
-                    let wh = w[4 + h];
+                    let wh = w[q];
                     for (p, &cf) in hsl.iter_mut().zip(coefs) {
                         *p = wh.mul_add(cf, *p);
                     }
@@ -489,15 +568,16 @@ fn vgh_soa<T: Real>(
     }
 }
 
-/// The 64x10 vgh weight table with the `4x4` `(a, b)` prefactor products
-/// hoisted out of the `c` loop (arXiv:1611.02665): six partial products
-/// per `(a, b)` pair, then four multiplies per node instead of the full
-/// triple products. Every entry is the same left-associated product
+/// The 64-node vgh weight table with the `4x4` `(a, b)` prefactor products
+/// hoisted out of the `c` loop (arXiv:1611.02665): the partial products
+/// per `(a, b)` pair, then one multiply per node and sum instead of the
+/// full triple products. Every entry is the same left-associated product
 /// [`vgh_node_weights`] computes — `(wx*wy)*wz == wx*wy*wz` as written —
 /// so the hoisted table is **bitwise identical** to per-node evaluation
-/// (pinned by the cross-backend tests).
+/// (pinned by the cross-backend tests). Under `DIAG` only the first
+/// [`vgh_sums`] columns are filled.
 #[inline(always)]
-fn vgh_weight_table<T: Real>(w9: &[[T; 4]; 9]) -> [[T; 10]; 64] {
+fn vgh_weight_table<T: Real, const DIAG: bool>(w9: &[[T; 4]; 9]) -> [[T; 10]; 64] {
     let [wx, wy, wz, dwx, dwy, dwz, d2wx, d2wy, d2wz] = w9;
     let mut w = [[T::ZERO; 10]; 64];
     let mut k = 0;
@@ -507,21 +587,25 @@ fn vgh_weight_table<T: Real>(w9: &[[T; 4]; 9]) -> [[T; 10]; 64] {
             let ab_gx = dwx[a] * wy[b];
             let ab_gy = wx[a] * dwy[b];
             let ab_hxx = d2wx[a] * wy[b];
-            let ab_hxy = dwx[a] * dwy[b];
             let ab_hyy = wx[a] * d2wy[b];
             for c in 0..4 {
-                w[k] = [
+                w[k][..7].copy_from_slice(&[
                     ab_v * wz[c],   // v
                     ab_gx * wz[c],  // gx
                     ab_gy * wz[c],  // gy
                     ab_v * dwz[c],  // gz
                     ab_hxx * wz[c], // hxx
-                    ab_hxy * wz[c], // hxy
-                    ab_gx * dwz[c], // hxz
                     ab_hyy * wz[c], // hyy
-                    ab_gy * dwz[c], // hyz
                     ab_v * d2wz[c], // hzz
-                ];
+                ]);
+                if !DIAG {
+                    let ab_hxy = dwx[a] * dwy[b];
+                    w[k][7..].copy_from_slice(&[
+                        ab_hxy * wz[c], // hxy
+                        ab_gx * dwz[c], // hxz
+                        ab_gy * dwz[c], // hyz
+                    ]);
+                }
                 k += 1;
             }
         }
@@ -530,7 +614,7 @@ fn vgh_weight_table<T: Real>(w9: &[[T; 4]; 9]) -> [[T; 10]; 64] {
 }
 
 /// Width dispatch for the explicit-SIMD vgh kernel.
-fn vgh_simd<T: Real>(
+fn vgh_simd<T: Real, const DIAG: bool>(
     t: &SplineView<'_, T>,
     u: [T; 3],
     psi: &mut [T],
@@ -538,23 +622,25 @@ fn vgh_simd<T: Real>(
     hess: &mut [T],
 ) {
     if wide_f32::<T>() {
-        vgh_simd_w::<T, 16>(t, u, psi, grad, hess);
+        vgh_simd_w::<T, 16, DIAG>(t, u, psi, grad, hess);
     } else {
-        vgh_simd_w::<T, 8>(t, u, psi, grad, hess);
+        vgh_simd_w::<T, 8, DIAG>(t, u, psi, grad, hess);
     }
 }
 
-/// Register-blocked lane evaluation: ten accumulators per lane block stay
-/// live across the whole stencil; the ten output slabs are written once.
-/// (A 2-block macro-tile was measured *slower* here — twenty live
-/// accumulators spill — so vgh keeps one block per pass and takes its
-/// tiling win from the hoisted [`vgh_weight_table`] alone.)
+/// Register-blocked lane evaluation: ten accumulators per lane block, or
+/// seven under `DIAG`, stay live across the whole stencil; each output
+/// slab is written once. (A 2-block macro-tile was measured *slower* here
+/// — twenty live accumulators spill — so vgh keeps one block per pass and
+/// takes its tiling win from the hoisted [`vgh_weight_table`] alone. A
+/// 2-block `DIAG` tile, 28 of 32 ymm in accumulators, was faster on the
+/// NiO-32 table but flat on Graphite-256's: DESIGN §5d.)
 ///
 /// One block per pass means each pass reads exactly one cache line (`W`
 /// lanes = 64 bytes on both rungs) in each of the 64 stencil rows, so every
 /// pass asks for the next pass's 64 lines while it computes (see the module
 /// docs). The hints touch no arithmetic, loop order, weight or store.
-fn vgh_simd_w<T: Real, const W: usize>(
+fn vgh_simd_w<T: Real, const W: usize, const DIAG: bool>(
     t: &SplineView<'_, T>,
     u: [T; 3],
     psi: &mut [T],
@@ -562,6 +648,7 @@ fn vgh_simd_w<T: Real, const W: usize>(
     hess: &mut [T],
 ) {
     let ns = t.num_splines;
+    let nq = vgh_sums::<DIAG>();
     let ([ix, iy, iz], w9) = vgh_setup(t, u);
     let bases = stencil_bases(t, ix, iy, iz);
     // The first pass has no earlier one to hide its lines under: ask for
@@ -571,7 +658,7 @@ fn vgh_simd_w<T: Real, const W: usize>(
             prefetch_read(&t.coefs[base]);
         }
     }
-    let w = vgh_weight_table(&w9);
+    let w = vgh_weight_table::<T, DIAG>(&w9);
     let mut s0 = 0;
     while s0 + W <= ns {
         // Lanes `s0 + W..` are read by the next pass or by the scalar tail
@@ -585,16 +672,27 @@ fn vgh_simd_w<T: Real, const W: usize>(
                 prefetch_read(&row[W]);
             }
             let cf = WideLane::load(row);
-            for q in 0..10 {
+            // Short fixed trip counts, so the loops unroll and the lane
+            // stays the vector dimension (LLVM vectorized one 7-trip loop
+            // across the sums instead, through gathers and scatters).
+            for q in 0..4 {
                 acc[q] = acc[q].fma_scalar(w[k][q], cf);
+            }
+            for q in 4..7 {
+                acc[q] = acc[q].fma_scalar(w[k][q], cf);
+            }
+            if !DIAG {
+                for q in 7..10 {
+                    acc[q] = acc[q].fma_scalar(w[k][q], cf);
+                }
             }
         }
         acc[0].store(&mut psi[s0..]);
         for d in 0..3 {
             acc[1 + d].store(&mut grad[d * ns + s0..]);
         }
-        for h in 0..6 {
-            acc[4 + h].store(&mut hess[h * ns + s0..]);
+        for q in 4..nq {
+            acc[q].store(&mut hess[hess_slab::<DIAG>(q) * ns + s0..]);
         }
         s0 += W;
     }
@@ -602,7 +700,7 @@ fn vgh_simd_w<T: Real, const W: usize>(
         let mut acc = [T::ZERO; 10];
         for k in 0..64 {
             let cf = t.coefs[bases[k] + s];
-            for q in 0..10 {
+            for q in 0..nq {
                 acc[q] = w[k][q].mul_add(cf, acc[q]);
             }
         }
@@ -610,8 +708,8 @@ fn vgh_simd_w<T: Real, const W: usize>(
         for d in 0..3 {
             grad[d * ns + s] = acc[1 + d];
         }
-        for h in 0..6 {
-            hess[h * ns + s] = acc[4 + h];
+        for q in 4..nq {
+            hess[hess_slab::<DIAG>(q) * ns + s] = acc[q];
         }
     }
 }
@@ -1137,6 +1235,20 @@ mod tests {
             assert_eq!(p, p0, "backend {b} psi");
             assert_eq!(g, g0, "backend {b} grad");
             assert_eq!(h, h0, "backend {b} hess");
+        }
+        // The diagonal path on every backend: the xx, yy, zz slabs' bits.
+        for b in Backend::ALL {
+            let (mut p, mut g, mut h) = mk();
+            evaluate_vgh_diag(b, &t, u, &mut p, &mut g, &mut h);
+            assert_eq!(p, p0, "backend {b} diag psi");
+            assert_eq!(g, g0, "backend {b} diag grad");
+            for (slab, full) in [0, 3, 5].into_iter().enumerate() {
+                assert_eq!(
+                    h[slab * ns..(slab + 1) * ns],
+                    h0[full * ns..(full + 1) * ns],
+                    "backend {b} diag hess slab {slab}"
+                );
+            }
         }
     }
 

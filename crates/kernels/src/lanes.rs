@@ -18,29 +18,42 @@
 //! [`WideLane`] is generic over the lane count so the same kernel source
 //! serves the whole mixed-precision ladder:
 //!
-//! * [`Lane<T>`] (`W = 8`) — one 512-bit register of `f64`, the default
-//!   rung every `f64` kernel uses.
-//! * [`Lane16<T>`] (`W = 16`) — one 512-bit register of `f32`: the
-//!   *vector f32 rung*. Kernels pick it through [`wide_f32`], so `f32`
-//!   tables run 16 scalars per lane instead of half-filling an 8-wide
-//!   `f64`-shaped lane.
-//! * [`Lane4<T>`] (`W = 4`) — one 256-bit register of `f64`, for short
-//!   rows where an 8-wide tail would dominate.
+//! * [`Lane<T>`] (`W = 8`) — 512 bits of `f64`, the default rung every
+//!   `f64` kernel uses.
+//! * [`Lane16<T>`] (`W = 16`) — 512 bits of `f32`: the *vector f32 rung*.
+//!   Kernels pick it through [`wide_f32`], so `f32` tables run 16 scalars
+//!   per lane instead of half-filling an 8-wide `f64`-shaped lane.
+//! * [`Lane4<T>`] (`W = 4`) — 256 bits of `f64`, for short rows where an
+//!   8-wide tail would dominate.
 //!
 //! Accumulation order within one lane slot is always the scalar order, so
 //! widening a lane never breaks the *bitwise* backend contracts
 //! (elementwise kernels); only cross-lane reductions ([`WideLane::hsum`])
 //! reassociate and fall under the *tolerance* contract.
+//!
+//! ## What the machine code holds
+//!
+//! A lane's width is a data width, not a register count: the compiler
+//! picks the vector width. Under `target-cpu=native` on an AVX-512
+//! Sapphire Rapids Xeon, LLVM's tuning for that core prefers 256-bit
+//! vectors, and `objdump` of the `vgh` kernels shows each 512-bit lane as
+//! a pair of ymm registers (`vfmadd231pd %ymm…`). A kernel's register
+//! budget is therefore counted in ymm, 32 of them with AVX-512VL: the simd
+//! `vgh` block holds 10 lanes = 20 ymm, its diagonal-Hessian form 7 = 14.
+//! A blanket `-C target-feature=-prefer-256-bit` build was measured on that
+//! host and not adopted: in-cache simd `vgh` ran 1.3–1.7× faster, but
+//! `be64-vmc`, whose `soa` loops the flag widens too, ran about 12 %
+//! slower (3 of 3 pairs) and `graphite64-dmc` flat, with every walker
+//! hash equal.
 
 use qmc_containers::Real;
 
-/// Lane count of the default explicit-SIMD value type: 8 scalars — one
-/// 512-bit register of `f64`, letting the backend target AVX2 and
-/// AVX-512 with the same source.
+/// Lane count of the default explicit-SIMD value type: 8 scalars — 512
+/// bits of `f64`, two ymm registers or one zmm as the compiler chooses
+/// (see the module docs), from the same source.
 pub const LANES: usize = 8;
 
-/// Lane count of the wide `f32` rung: 16 scalars — one 512-bit register
-/// of `f32`.
+/// Lane count of the wide `f32` rung: 16 scalars — 512 bits of `f32`.
 pub const LANES_F32: usize = 16;
 
 /// A fixed-width pack of scalars, operated on elementwise.
@@ -53,7 +66,7 @@ pub type Lane<T> = WideLane<T, LANES>;
 /// A half-register 4-wide lane.
 pub type Lane4<T> = WideLane<T, 4>;
 
-/// A 16-wide lane — one full 512-bit register of `f32`.
+/// A 16-wide lane — 512 bits of `f32`.
 pub type Lane16<T> = WideLane<T, 16>;
 
 /// The f32 rung of the mixed-precision ladder: 16 single-precision lanes.

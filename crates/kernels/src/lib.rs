@@ -23,8 +23,10 @@
 //!   multi-walker vgl variant that amortizes that prefactor work across
 //!   the crowd. Lane width follows the mixed-precision ladder
 //!   ([`lanes::wide_f32`]): `f64` kernels run 8 lanes, `f32` kernels run
-//!   the 16-wide rung. Pure safe Rust — the audited unsafe surface of
-//!   the workspace is unchanged.
+//!   the 16-wide rung — 512 bits of data, which the compiler holds as a
+//!   pair of 256-bit registers on an AVX-512 Sapphire Rapids Xeon
+//!   (`lanes.rs`). Pure safe Rust — the audited unsafe surface of the
+//!   workspace is unchanged.
 //!
 //! ## Verification contract
 //!
@@ -32,7 +34,7 @@
 //! which CI runs) pins the following equivalences over seeded random
 //! inputs:
 //!
-//! * **B-spline v / vgh / vgl / mw-vgl**: all three backends are
+//! * **B-spline v / vgh / vgh-diag / vgl / mw-vgl**: all three backends are
 //!   **bitwise identical** — every backend accumulates each orbital over
 //!   the 64 stencil nodes in the same order with the same `mul_add`
 //!   placement; the backends differ only in loop structure and memory

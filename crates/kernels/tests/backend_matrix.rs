@@ -13,7 +13,8 @@
 
 use qmc_containers::{padded_len, AlignedVec, Real};
 use qmc_kernels::bspline::{
-    bspline_weights, evaluate_v, evaluate_vgh, evaluate_vgl, locate, mw_evaluate_v, mw_evaluate_vgl,
+    bspline_weights, evaluate_v, evaluate_vgh, evaluate_vgh_diag, evaluate_vgl, locate,
+    mw_evaluate_v, mw_evaluate_vgl,
 };
 use qmc_kernels::distance::distance_row;
 use qmc_kernels::jastrow::{
@@ -96,6 +97,34 @@ fn positions<T: Real>(n: usize, seed: u64) -> Vec<[T; 3]> {
         .collect()
 }
 
+/// The diagonal-Hessian vgh on `b`: psi, grad and the `[xx, yy, zz]` slabs.
+fn vgh_diag<T: Real>(b: Backend, t: &SplineView<'_, T>, u: [T; 3]) -> [Vec<T>; 3] {
+    let ns = t.num_splines;
+    let mut out = [
+        vec![T::ZERO; ns],
+        vec![T::ZERO; 3 * ns],
+        vec![T::ZERO; 3 * ns],
+    ];
+    let [psi, grad, hess] = &mut out;
+    evaluate_vgh_diag(b, t, u, psi, grad, hess);
+    out
+}
+
+/// Asserts that `diag` (from [`vgh_diag`]) holds the bits of the full
+/// vgh's psi, grad and packed `xx`, `yy`, `zz` slabs.
+fn assert_diag_of<T: Real>(diag: &[Vec<T>; 3], full: (&[T], &[T], &[T]), what: &str) {
+    let ns = full.0.len();
+    assert_eq!(diag[0], full.0, "{what}: vgh-diag psi not bitwise");
+    assert_eq!(diag[1], full.1, "{what}: vgh-diag grad not bitwise");
+    for (slab, packed) in [0, 3, 5].into_iter().enumerate() {
+        assert_eq!(
+            diag[2][slab * ns..(slab + 1) * ns],
+            full.2[packed * ns..(packed + 1) * ns],
+            "{what}: vgh-diag hess slab {slab} not bitwise"
+        );
+    }
+}
+
 // -- B-spline family: bitwise across all backends ---------------------------
 
 fn bspline_matrix<T: Real>(ns: usize, seed: u64) {
@@ -163,6 +192,10 @@ fn bspline_matrix<T: Real>(ns: usize, seed: u64) {
             assert_eq!(vgl.0, vgl_ref.0, "{b}: vgl psi not bitwise");
             assert_eq!(vgl.1, vgl_ref.1, "{b}: vgl grad not bitwise");
             assert_eq!(vgl.2, vgl_ref.2, "{b}: vgl lap not bitwise");
+        }
+        for b in Backend::ALL {
+            let full = (&vgh_ref.0[..], &vgh_ref.1[..], &vgh_ref.2[..]);
+            assert_diag_of(&vgh_diag(b, &t, u), full, &format!("{b}"));
         }
     }
 
@@ -322,6 +355,12 @@ fn bspline_edge_matrix<T: Real>(ns: usize, seed: u64) {
             );
             evaluate_vgh(b, &t, u, &mut vgh.0, &mut vgh.1, &mut vgh.2);
             assert!(vgh == vgh_ref, "{b}: vgh not bitwise at stencil edge {u:?}");
+            let full = (&vgh_ref.0[..], &vgh_ref.1[..], &vgh_ref.2[..]);
+            assert_diag_of(
+                &vgh_diag(b, &t, u),
+                full,
+                &format!("{b} at stencil edge {u:?}"),
+            );
         }
     }
 }
@@ -375,6 +414,8 @@ fn vgh_hint_matrix<T: Real>() {
                 assert_eq!(got.0, want.0, "{b}: vgh psi, ns={ns} at {u:?}");
                 assert_eq!(got.1, want.1, "{b}: vgh grad, ns={ns} at {u:?}");
                 assert_eq!(got.2, want.2, "{b}: vgh hess, ns={ns} at {u:?}");
+                let full = (&want.0[..], &want.1[..], &want.2[..]);
+                assert_diag_of(&vgh_diag(b, &t, u), full, &format!("{b}, ns={ns} at {u:?}"));
             }
         }
     }
@@ -391,9 +432,11 @@ fn vgh_hints_move_no_bit_and_stay_in_the_table_f32() {
 }
 
 /// The simd vgh kernel as it was before it hinted, f32 rung only and for
-/// `ns` a multiple of the block: the baseline of the timing gate below,
-/// kept here because the library holds the loop once.
-fn vgh_simd_unhinted(
+/// `ns` a multiple of the block: the baseline of the timing gates below,
+/// kept here because the library holds the loop once. `DIAG` drops the
+/// off-diagonal Hessian sums as `evaluate_vgh_diag` does: `hess` then holds
+/// `[xx, yy, zz]`.
+fn vgh_simd_unhinted<const DIAG: bool>(
     t: &SplineView<'_, f32>,
     u: [f32; 3],
     psi: &mut [f32],
@@ -401,6 +444,20 @@ fn vgh_simd_unhinted(
     hess: &mut [f32],
 ) {
     const W: usize = 16;
+    // Weight columns `[v, gx, gy, gz, hxx, hxy, hxz, hyy, hyz, hzz]`.
+    let (sums, hess_sums, pairs): (&[usize], &[usize], &[(usize, usize)]) = if DIAG {
+        (
+            &[0, 1, 2, 3, 4, 7, 9],
+            &[4, 7, 9],
+            &[(0, 0), (1, 1), (2, 2)],
+        )
+    } else {
+        (
+            &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9],
+            &[4, 5, 6, 7, 8, 9],
+            &[(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)],
+        )
+    };
     let ns = t.num_splines;
     assert_eq!(ns % W, 0);
     let [nx, ny, nz] = t.grid;
@@ -443,7 +500,7 @@ fn vgh_simd_unhinted(
         let mut acc = [WideLane::<f32, W>::zero(); 10];
         for k in 0..64 {
             let cf = WideLane::load(&t.coefs[bases[k] + s0..]);
-            for q in 0..10 {
+            for &q in sums {
                 acc[q] = acc[q].fma_scalar(w[k][q], cf);
             }
         }
@@ -451,8 +508,8 @@ fn vgh_simd_unhinted(
         for d in 0..3 {
             acc[1 + d].store(&mut grad[d * ns + s0..]);
         }
-        for h in 0..6 {
-            acc[4 + h].store(&mut hess[h * ns + s0..]);
+        for (h, &q) in hess_sums.iter().enumerate() {
+            acc[q].store(&mut hess[h * ns + s0..]);
         }
     }
     let n = [nx as f32, ny as f32, nz as f32];
@@ -461,10 +518,7 @@ fn vgh_simd_unhinted(
             *x *= n[d];
         }
     }
-    for (h, (a, b)) in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-        .into_iter()
-        .enumerate()
-    {
+    for (h, &(a, b)) in pairs.iter().enumerate() {
         let scale = n[a] * n[b];
         for x in &mut hess[h * ns..(h + 1) * ns] {
             *x *= scale;
@@ -472,25 +526,35 @@ fn vgh_simd_unhinted(
     }
 }
 
-/// Timing gate (release mode, `-- --ignored`; `ci.sh` runs it): on a table
-/// far out of cache — the NiO-32 shape, 80³ x 192 f32, 419 MiB — the
-/// hinted kernel must stay >= 1.5x ahead of the un-hinted loop it replaced
-/// (measured 2.4x when the gate was set), with every output bit equal.
-#[test]
-#[ignore = "timing gate on a 419 MiB table: run in release mode (ci.sh does)"]
-fn vgh_hints_pay_on_an_out_of_cache_table() {
+/// The hinted simd kernel's gain over [`vgh_simd_unhinted`] on a table far
+/// out of cache — the NiO-32 shape, 80³ x 192 f32, 419 MiB — after
+/// checking every output bit equal on 64 points. Best of three passes over
+/// 2048 random points per side.
+fn hint_gain<const DIAG: bool>() -> f64 {
     let ns = 192;
     let table = Table::<f32>::random([80, 80, 80], ns, 7);
     let t = table.view();
     let us = positions::<f32>(2048, 99);
-    let mut out = (vec![0.0f32; ns], vec![0.0f32; 3 * ns], vec![0.0f32; 6 * ns]);
+    let nh = if DIAG { 3 } else { 6 };
+    let mut out = (
+        vec![0.0f32; ns],
+        vec![0.0f32; 3 * ns],
+        vec![0.0f32; nh * ns],
+    );
     let mut want = out.clone();
+    let hinted = |u, out: &mut (Vec<f32>, Vec<f32>, Vec<f32>)| {
+        if DIAG {
+            evaluate_vgh_diag(Backend::Simd, &t, u, &mut out.0, &mut out.1, &mut out.2);
+        } else {
+            evaluate_vgh(Backend::Simd, &t, u, &mut out.0, &mut out.1, &mut out.2);
+        }
+    };
     for &u in &us[..64] {
-        evaluate_vgh(Backend::Simd, &t, u, &mut out.0, &mut out.1, &mut out.2);
-        vgh_simd_unhinted(&t, u, &mut want.0, &mut want.1, &mut want.2);
+        hinted(u, &mut out);
+        vgh_simd_unhinted::<DIAG>(&t, u, &mut want.0, &mut want.1, &mut want.2);
         assert!(
             out == want,
-            "hinted vgh differs from the un-hinted loop at {u:?}"
+            "hinted vgh (diag: {DIAG}) differs from the un-hinted loop at {u:?}"
         );
     }
     let mut best = [f64::INFINITY; 2];
@@ -499,9 +563,9 @@ fn vgh_hints_pay_on_an_out_of_cache_table() {
             let t0 = std::time::Instant::now();
             for &u in &us {
                 if side == 0 {
-                    vgh_simd_unhinted(&t, u, &mut out.0, &mut out.1, &mut out.2);
+                    vgh_simd_unhinted::<DIAG>(&t, u, &mut out.0, &mut out.1, &mut out.2);
                 } else {
-                    evaluate_vgh(Backend::Simd, &t, u, &mut out.0, &mut out.1, &mut out.2);
+                    hinted(u, &mut out);
                 }
                 std::hint::black_box(&mut out);
             }
@@ -510,10 +574,34 @@ fn vgh_hints_pay_on_an_out_of_cache_table() {
     }
     let [unhinted, hinted] = best.map(|s| s * 1e6);
     let gain = unhinted / hinted;
-    println!("vgh f32 80^3 x {ns}: {unhinted:.2} -> {hinted:.2} us/point, {gain:.2}x");
+    println!(
+        "vgh (diag: {DIAG}) f32 80^3 x {ns}: {unhinted:.2} -> {hinted:.2} us/point, {gain:.2}x"
+    );
+    gain
+}
+
+/// Timing gate (release mode, `-- --ignored`; `ci.sh` runs it): the hinted
+/// kernel must stay >= 1.5x ahead of the un-hinted loop it replaced
+/// (measured 2.4x when the gate was set), with every output bit equal.
+#[test]
+#[ignore = "timing gate on a 419 MiB table: run in release mode (ci.sh does)"]
+fn vgh_hints_pay_on_an_out_of_cache_table() {
+    let gain = hint_gain::<false>();
     assert!(
         gain >= 1.5,
         "hinted vgh is only {gain:.2}x the un-hinted loop out of cache (>= 1.5x required)"
+    );
+}
+
+/// The same gate on the diagonal-Hessian kernel the sweep runs on
+/// orthorhombic cells.
+#[test]
+#[ignore = "timing gate on a 419 MiB table: run in release mode (ci.sh does)"]
+fn vgh_diag_hints_pay_on_an_out_of_cache_table() {
+    let gain = hint_gain::<true>();
+    assert!(
+        gain >= 1.5,
+        "hinted vgh-diag is only {gain:.2}x the un-hinted loop out of cache (>= 1.5x required)"
     );
 }
 

@@ -84,9 +84,20 @@ pub struct BsplineSpo<T: Real> {
     gmat: [[T; 3]; 3],
     /// Precontracted packed Laplacian metric (off-diagonals doubled).
     lapmet: [T; 6],
+    /// `lapmet`'s off-diagonal entries are exactly zero and `backend` is not
+    /// `Reference`: `evaluate_vgl` runs [`bspline::evaluate_vgh_diag`],
+    /// keeping 7 of the 10 stencil sums, and its Laplacian reads only the
+    /// diagonal Hessian. Every bit is kept (see that kernel's docs). An
+    /// exact `== 0`, not [`CrystalLattice::is_orthorhombic`], whose
+    /// tolerance accepts cells where the off-diagonal terms are not zero.
+    /// `Reference` is the Ref rung's kernel and keeps all ten sums.
+    diag: bool,
     /// Scratch for fractional-space gradients (3 slabs).
     scratch_grad: Vec<T>,
-    /// Scratch for fractional-space Hessians (6 slabs).
+    /// Scratch for fractional-space Hessians (6 slabs; `diag` uses the
+    /// first 3). A 3-slab scratch on `diag` cells measured `graphite64-dmc`
+    /// `setup_s` +35 % in 3 of 3 pairs, and 6 slabs at parity; the cause
+    /// was not found.
     scratch_hess: Vec<T>,
     /// Scratch for per-walker fractional coordinates (batched VGL path);
     /// grown once to the crowd size, then reused allocation-free.
@@ -102,6 +113,7 @@ impl<T: Real> Clone for BsplineSpo<T> {
             backend: self.backend,
             gmat: self.gmat,
             lapmet: self.lapmet,
+            diag: self.diag,
             scratch_grad: self.scratch_grad.clone(),
             scratch_hess: self.scratch_hess.clone(),
             scratch_frac: self.scratch_frac.clone(),
@@ -119,12 +131,15 @@ impl<T: Real> BsplineSpo<T> {
         let ns = table.num_splines();
         let gmat = lattice.grad_transform();
         let lapmet = lattice.laplacian_metric();
+        let [_, mxy, mxz, _, myz, _] = lapmet;
+        let diag = backend != Backend::Reference && [mxy, mxz, myz].iter().all(|&m| m == T::ZERO);
         Self {
             table,
             lattice,
             backend,
             gmat,
             lapmet,
+            diag,
             scratch_grad: vec![T::ZERO; 3 * ns],
             scratch_hess: vec![T::ZERO; 6 * ns],
             scratch_frac: Vec::new(),
@@ -168,17 +183,25 @@ impl<T: Real> SpoSet<T> for BsplineSpo<T> {
             table,
             lattice,
             backend,
+            lapmet,
+            diag,
             scratch_grad: fg,
             scratch_hess: fh,
             ..
         } = self;
+        let sums = if *diag { 7 } else { 10 };
         time_kernel(Kernel::BsplineVGH, || {
-            bspline::evaluate_vgh(*backend, &table.view(), u, psi, fg, fh);
+            if *diag {
+                bspline::evaluate_vgh_diag(*backend, &table.view(), u, psi, fg, fh);
+            } else {
+                bspline::evaluate_vgh(*backend, &table.view(), u, psi, fg, fh);
+            }
         });
+        // One FMA per node, orbital and stencil sum; one slab per sum.
         add_flops_bytes(
             Kernel::BsplineVGH,
-            (64 * 20 * ns) as u64,
-            ((64 + 10) * ns * std::mem::size_of::<T>()) as u64,
+            (64 * 2 * sums * ns) as u64,
+            ((64 + sums) * ns * std::mem::size_of::<T>()) as u64,
         );
         // Transform fractional derivatives to Cartesian (SPO-vgl stage).
         time_kernel(Kernel::SpoVGL, || {
@@ -188,14 +211,25 @@ impl<T: Real> SpoSet<T> for BsplineSpo<T> {
                 grad[s] = gc[0];
                 grad[ns + s] = gc[1];
                 grad[2 * ns + s] = gc[2];
-                lap[s] = lattice.frac_hess_to_cart_laplacian([
-                    fh[s],
-                    fh[ns + s],
-                    fh[2 * ns + s],
-                    fh[3 * ns + s],
-                    fh[4 * ns + s],
-                    fh[5 * ns + s],
-                ]);
+                lap[s] = if *diag {
+                    // `frac_hess_to_cart_laplacian`'s diagonal terms in its
+                    // order, from its `+0` start: `lapmet`'s diagonal is its
+                    // metric's, bit for bit.
+                    let mut l = T::ZERO;
+                    l += lapmet[0] * fh[s];
+                    l += lapmet[3] * fh[ns + s];
+                    l += lapmet[5] * fh[2 * ns + s];
+                    l
+                } else {
+                    lattice.frac_hess_to_cart_laplacian([
+                        fh[s],
+                        fh[ns + s],
+                        fh[2 * ns + s],
+                        fh[3 * ns + s],
+                        fh[4 * ns + s],
+                        fh[5 * ns + s],
+                    ])
+                };
             }
         });
         add_flops_bytes(
@@ -347,6 +381,7 @@ impl<T: Real> SpoSet<T> for CosineSpo<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qmc_instrument::drain_thread_profile;
 
     #[test]
     fn cosine_spo_derivatives_analytic() {
@@ -417,6 +452,152 @@ mod tests {
         }
         for s in 0..ns {
             assert!((l1[s] - l2[s]).abs() < 1e-9);
+        }
+    }
+
+    /// The full chain, `evaluate_vgl` off the diagonal path: ten-sum
+    /// `evaluate_vgh`, then `frac_grad_to_cart` and the nine-term
+    /// `frac_hess_to_cart_laplacian` per orbital.
+    fn full_chain<T: Real>(
+        table: &MultiBspline3D<T>,
+        lattice: &CrystalLattice<T>,
+        backend: Backend,
+        pos: Pos<T>,
+    ) -> (Vec<T>, Vec<T>, Vec<T>) {
+        let ns = table.num_splines();
+        let f = lattice.to_frac(pos);
+        let (mut psi, mut fg, mut fh) = (
+            vec![T::ZERO; ns],
+            vec![T::ZERO; 3 * ns],
+            vec![T::ZERO; 6 * ns],
+        );
+        bspline::evaluate_vgh(
+            backend,
+            &table.view(),
+            [f[0], f[1], f[2]],
+            &mut psi,
+            &mut fg,
+            &mut fh,
+        );
+        let (mut grad, mut lap) = (vec![T::ZERO; 3 * ns], vec![T::ZERO; ns]);
+        for s in 0..ns {
+            let gc = lattice.frac_grad_to_cart(TinyVector([fg[s], fg[ns + s], fg[2 * ns + s]]));
+            for d in 0..3 {
+                grad[d * ns + s] = gc[d];
+            }
+            lap[s] = lattice.frac_hess_to_cart_laplacian(std::array::from_fn(|h| fh[h * ns + s]));
+        }
+        (psi, grad, lap)
+    }
+
+    /// Bitwise contract of the diagonal path. On a cell whose Laplacian
+    /// metric has exactly zero off-diagonals, soa and simd run
+    /// `evaluate_vgh_diag` and a three-term Laplacian, and must give the
+    /// full chain's bits: random tables, with one orbital whose
+    /// coefficients are all zero (signed-zero sums). A triclinic cell and a
+    /// near-orthorhombic one (off-diagonal 1e-13, inside
+    /// `is_orthorhombic`'s tolerance) must take the full path, and so give
+    /// the same bits too.
+    fn diagonal_path_keeps_every_bit<T: Real>() {
+        let (grid, ns, zero_orbital) = ([6, 7, 5], 21, 4);
+        let cells = [
+            CrystalLattice::<f64>::orthorhombic([3.0, 4.0, 5.0]),
+            CrystalLattice::from_rows([[8.0, 0.0, 0.0], [2.0, 7.0, 0.0], [1.0, 1.5, 9.0]]),
+            CrystalLattice::from_rows([[3.0, 1e-13, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 5.0]]),
+        ];
+        let bits = |x: &[T]| x.iter().map(|v| v.to_f64().to_bits()).collect::<Vec<_>>();
+        for seed in [3u64, 11] {
+            let mut table = MultiBspline3D::<T>::zeros(grid, ns);
+            let mut state = seed;
+            table.set_control_points(|_, _, _, s| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                if s == zero_orbital {
+                    0.0
+                } else {
+                    (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+                }
+            });
+            let table = Arc::new(table);
+            for (c, cell) in cells.iter().enumerate() {
+                let lattice: CrystalLattice<T> = cell.cast();
+                for backend in [Backend::Soa, Backend::Simd] {
+                    let mut spo = BsplineSpo::new(Arc::clone(&table), lattice.clone(), backend);
+                    // The bits below, not this flag, are what tell the other two
+                    // cells' paths apart.
+                    assert!(
+                        c != 0 || spo.diag,
+                        "the orthorhombic cell runs the diagonal path"
+                    );
+                    for i in 0..8 {
+                        let t = i as f64;
+                        let frac = TinyVector([
+                            0.13 + 0.117 * t,
+                            0.71 - 0.083 * t,
+                            (0.37 * t + 0.05) % 1.0,
+                        ]);
+                        let pos = lattice.to_cart(frac.cast());
+                        let (mut psi, mut grad, mut lap) =
+                            (vec![T::ZERO; ns], vec![T::ZERO; 3 * ns], vec![T::ZERO; ns]);
+                        spo.evaluate_vgl(pos, &mut psi, &mut grad, &mut lap);
+                        let (psi0, grad0, lap0) = full_chain(&table, &lattice, backend, pos);
+                        let at = format!("seed {seed} cell {c} {backend} point {i}");
+                        assert_eq!(bits(&psi), bits(&psi0), "psi, {at}");
+                        assert_eq!(bits(&grad), bits(&grad0), "grad, {at}");
+                        assert_eq!(bits(&lap), bits(&lap0), "lap, {at}");
+                        assert_eq!(
+                            lap[zero_orbital].to_f64().to_bits(),
+                            0,
+                            "{at}: zero orbital's lap is +0"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn diagonal_path_keeps_every_bit_f64() {
+        diagonal_path_keeps_every_bit::<f64>();
+    }
+
+    #[test]
+    fn diagonal_path_keeps_every_bit_f32() {
+        diagonal_path_keeps_every_bit::<f32>();
+    }
+
+    /// `Bspline-vgh` books the sums its kernel ran: 14 flops and 7 output
+    /// slabs per node and orbital on the diagonal path, 20 and 10 on the
+    /// full one, which `Reference` always runs.
+    #[test]
+    fn vgh_books_the_sums_it_ran() {
+        let ns = 5;
+        let table = Arc::new(MultiBspline3D::<f64>::random([6, 6, 6], ns, 3));
+        let ortho = CrystalLattice::<f64>::orthorhombic([3.0, 4.0, 5.0]);
+        let skew = CrystalLattice::from_rows([[8.0, 0.0, 0.0], [2.0, 7.0, 0.0], [1.0, 1.5, 9.0]]);
+        let cases = [
+            (ortho.clone(), Backend::Soa, 7),
+            (ortho.clone(), Backend::Simd, 7),
+            (ortho, Backend::Reference, 10),
+            (skew, Backend::Simd, 10),
+        ];
+        for (lattice, backend, sums) in cases {
+            let mut spo = BsplineSpo::new(Arc::clone(&table), lattice, backend);
+            let (mut psi, mut grad, mut lap) = (vec![0.0; ns], vec![0.0; 3 * ns], vec![0.0; ns]);
+            drain_thread_profile();
+            spo.evaluate_vgl(TinyVector([1.3, 0.4, 4.1]), &mut psi, &mut grad, &mut lap);
+            let profile = drain_thread_profile();
+            let vgh = profile.get(Kernel::BsplineVGH);
+            assert_eq!(
+                (vgh.calls, vgh.flops, vgh.bytes),
+                (
+                    1,
+                    (64 * 2 * sums * ns) as u64,
+                    ((64 + sums) * ns * 8) as u64
+                ),
+                "{backend}, {sums} sums"
+            );
         }
     }
 
