@@ -10,9 +10,9 @@ cargo fmt --all -- --check
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== qmclint (lexical + call-graph invariants) =="
+echo "== qmclint (lexical invariants) =="
 # qmclint exits nonzero on any finding; json_check then validates the
-# report itself: schema qmclint/5 and every by_rule count at zero.
+# report itself: schema qmclint/6 and every by_rule count at zero.
 cargo run --release -q -p qmclint -- --root . --json > QMCLINT.json
 cargo run --release -q -p miniqmc --bin json_check < QMCLINT.json
 rm -f QMCLINT.json

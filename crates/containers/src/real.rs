@@ -16,6 +16,41 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 /// The trait deliberately exposes only the operations the kernels need, so
 /// the two instantiations stay trivially interchangeable. Accumulations that
 /// must stay in double precision use `to_f64`/`from_f64` at the boundary.
+///
+/// # Widening is always written out
+///
+/// rustc rejects `acc += x` into an `f64` accumulator for a generic
+/// `T: Real` (E0277: no `AddAssign<T>` for `f64`), and for a concrete
+/// `f32` too, so a kernel value cannot be folded into a double
+/// accumulator by accident. A value crosses between the two precisions
+/// only through an `as` cast (policed by qmclint's `precision-cast` rule
+/// outside the designated mixed-precision modules), `f64::from`,
+/// [`Real::to_f64`] or [`Real::from_f64`]:
+///
+/// ```compile_fail,E0277
+/// use qmc_containers::Real;
+///
+/// fn total<T: Real>(xs: &[T]) -> f64 {
+///     let mut acc = 0.0_f64;
+///     for &x in xs {
+///         acc += x;
+///     }
+///     acc
+/// }
+/// ```
+///
+/// ```
+/// use qmc_containers::Real;
+///
+/// fn total<T: Real>(xs: &[T]) -> f64 {
+///     let mut acc = 0.0_f64;
+///     for &x in xs {
+///         acc += x.to_f64();
+///     }
+///     acc
+/// }
+/// assert_eq!(total(&[0.5_f32, 0.25]), 0.75);
+/// ```
 pub trait Real:
     Copy
     + Default

@@ -53,14 +53,14 @@ fn check_run_report(v: &JsonValue) -> Result<(), String> {
     Ok(())
 }
 
-/// Checks a qmclint report. `qmclint/5` is the one version accepted — any
+/// Checks a qmclint report. `qmclint/6` is the one version accepted — any
 /// other is a hard error naming it, so a silent format bump cannot sail
 /// through CI — and the report must be clean: `diagnostics_total` and
 /// every `by_rule` count zero.
 fn check_qmclint(schema: &str, v: &JsonValue) -> Result<(), String> {
-    if schema != "qmclint/5" {
+    if schema != "qmclint/6" {
         return Err(format!(
-            "unsupported qmclint schema `{schema}` (only qmclint/5 is accepted)"
+            "unsupported qmclint schema `{schema}` (only qmclint/6 is accepted)"
         ));
     }
     member(v, "files_scanned")?;

@@ -350,25 +350,25 @@ fn json_check_rejects_kernel_time_beyond_wall_time() {
     assert!(stderr.contains("`J2` seconds"), "{stderr}");
 }
 
-/// `json_check` accepts a clean `qmclint/5` report only: any other
+/// `json_check` accepts a clean `qmclint/6` report only: any other
 /// version is refused by name, and so is a nonzero rule count.
 #[test]
-fn json_check_accepts_qmclint_5_only() {
+fn json_check_accepts_qmclint_6_only() {
     let report = |schema: &str, hot: u32| {
         format!(
             r#"{{"schema":"{schema}","files_scanned":9,"diagnostics_total":{hot},"by_rule":{{"hot-path":{hot},"bad-marker":0}},"diagnostics":[]}}"#
         )
     };
-    let (ok, stderr) = check(&report("qmclint/5", 0));
-    assert!(ok, "a clean qmclint/5 report was refused: {stderr}");
+    let (ok, stderr) = check(&report("qmclint/6", 0));
+    assert!(ok, "a clean qmclint/6 report was refused: {stderr}");
 
-    for old in ["qmclint/4", "qmclint/6"] {
-        let (ok, stderr) = check(&report(old, 0));
-        assert!(!ok, "{old} was accepted");
-        assert!(stderr.contains(&format!("`{old}`")), "{stderr}");
+    for other in ["qmclint/5", "qmclint/7"] {
+        let (ok, stderr) = check(&report(other, 0));
+        assert!(!ok, "{other} was accepted");
+        assert!(stderr.contains(&format!("`{other}`")), "{stderr}");
     }
 
-    let (ok, stderr) = check(&report("qmclint/5", 1));
+    let (ok, stderr) = check(&report("qmclint/6", 1));
     assert!(!ok, "a report with diagnostics was accepted");
     assert!(stderr.contains("diagnostics"), "{stderr}");
 }

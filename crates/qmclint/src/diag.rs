@@ -3,7 +3,7 @@
 use std::fmt;
 use std::fmt::Write as _;
 
-/// The seven QMC invariant rules (plus marker hygiene).
+/// The five QMC invariant rules (plus marker hygiene).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// Raw `as f32`/`as f64` casts and suffixed float literals outside the
@@ -21,19 +21,11 @@ pub enum Rule {
     /// An RNG draw site outside the sanctioned driver/branch/move modules,
     /// or a stream re-key outside the explicit migration marker functions.
     RngDiscipline,
-    /// Allocation / panic machinery reachable from a hot kernel entry
-    /// point through its transitive callee set (the inter-procedural half
-    /// of [`Rule::HotPath`]; the diagnostic carries the call chain).
-    HotPathCall,
-    /// `f32`-typed locals or `f32`-returning calls flowing into an `f64`
-    /// accumulator without a designated promotion site.
-    PrecisionFlow,
     /// Malformed `qmclint:` marker (unknown rule, missing justification).
     BadMarker,
 }
 
-/// Every per-file lexical rule, in display order ([`Rule::BadMarker`] is
-/// meta; the graph rules live in [`GRAPH_RULES`]).
+/// Every invariant rule, in display order ([`Rule::BadMarker`] is meta).
 pub const ALL_RULES: [Rule; 5] = [
     Rule::PrecisionCast,
     Rule::HotPath,
@@ -41,10 +33,6 @@ pub const ALL_RULES: [Rule; 5] = [
     Rule::Determinism,
     Rule::RngDiscipline,
 ];
-
-/// The workspace-level rules that need the call-graph model.
-/// Exercised by the multi-file fixtures under `tests/fixtures/graph/`.
-pub const GRAPH_RULES: [Rule; 2] = [Rule::HotPathCall, Rule::PrecisionFlow];
 
 impl Rule {
     /// Stable rule id used in diagnostics and allow markers.
@@ -55,8 +43,6 @@ impl Rule {
             Rule::TimerCoverage => "timer-coverage",
             Rule::Determinism => "determinism",
             Rule::RngDiscipline => "rng-discipline",
-            Rule::HotPathCall => "hot-path-call",
-            Rule::PrecisionFlow => "precision-flow",
             Rule::BadMarker => "bad-marker",
         }
     }
@@ -69,8 +55,6 @@ impl Rule {
             "timer-coverage" => Some(Rule::TimerCoverage),
             "determinism" => Some(Rule::Determinism),
             "rng-discipline" => Some(Rule::RngDiscipline),
-            "hot-path-call" => Some(Rule::HotPathCall),
-            "precision-flow" => Some(Rule::PrecisionFlow),
             "bad-marker" => Some(Rule::BadMarker),
             _ => None,
         }
@@ -96,24 +80,15 @@ pub struct Diagnostic {
     pub message: String,
     /// How to fix or justify it.
     pub suggestion: String,
-    /// Call chain from the anchor site to the offending site (graph rules
-    /// only; empty for the per-file lexical rules). Each entry is
-    /// `fn_name (file:line)`.
-    pub chain: Vec<String>,
 }
 
 impl Diagnostic {
-    /// `file:line: [rule] message` followed by an indented help line (and,
-    /// for graph rules, the call chain).
+    /// `file:line: [rule] message` followed by an indented help line.
     pub fn render_human(&self) -> String {
-        let mut out = format!(
+        format!(
             "{}:{}: [{}] {}\n    help: {}",
             self.file, self.line, self.rule, self.message, self.suggestion
-        );
-        if !self.chain.is_empty() {
-            let _ = write!(out, "\n    via: {}", self.chain.join(" -> "));
-        }
-        out
+        )
     }
 }
 
@@ -137,22 +112,17 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Renders a full report (`qmclint/5` schema) as machine-readable JSON:
-/// the `by_rule` count object (all eight rule ids at their counts —
+/// Renders a full report (`qmclint/6` schema) as machine-readable JSON:
+/// the `by_rule` count object (all six rule ids at their counts —
 /// `json_check` fails CI on any diagnostic class going nonzero) and the
-/// diagnostics, each with its `chain` array when it has one. `qmclint/5`
-/// is `qmclint/4` without the `effects` block and the three rule ids the
-/// compiler now carries.
+/// diagnostics. `qmclint/6` is `qmclint/5` without the two call-graph
+/// rule ids and the per-diagnostic `chain` array.
 pub fn report_json(diags: &[Diagnostic], files_scanned: usize) -> String {
-    let mut out = String::from("{\"schema\":\"qmclint/5\",");
+    let mut out = String::from("{\"schema\":\"qmclint/6\",");
     let _ = write!(out, "\"files_scanned\":{files_scanned},");
     let _ = write!(out, "\"diagnostics_total\":{},", diags.len());
     out.push_str("\"by_rule\":{");
-    let all = ALL_RULES
-        .iter()
-        .chain(&GRAPH_RULES)
-        .chain(&[Rule::BadMarker]);
-    for (i, rule) in all.enumerate() {
+    for (i, rule) in ALL_RULES.iter().chain(&[Rule::BadMarker]).enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -166,24 +136,13 @@ pub fn report_json(diags: &[Diagnostic], files_scanned: usize) -> String {
         }
         let _ = write!(
             out,
-            "{{\"file\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\",\"suggestion\":\"{}\"",
+            "{{\"file\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\",\"suggestion\":\"{}\"}}",
             json_escape(&d.file),
             d.line,
             d.rule,
             json_escape(&d.message),
             json_escape(&d.suggestion)
         );
-        if !d.chain.is_empty() {
-            out.push_str(",\"chain\":[");
-            for (j, hop) in d.chain.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\"", json_escape(hop));
-            }
-            out.push(']');
-        }
-        out.push('}');
     }
     out.push_str("]}");
     out
@@ -195,13 +154,19 @@ mod tests {
 
     #[test]
     fn rule_ids_roundtrip() {
-        for r in ALL_RULES.iter().chain(&GRAPH_RULES) {
-            assert_eq!(Rule::from_id(r.id()), Some(*r));
+        for r in ALL_RULES {
+            assert_eq!(Rule::from_id(r.id()), Some(r));
         }
         assert_eq!(Rule::from_id("nope"), None);
-        // The ids the compiler now carries are gone, so a marker naming
-        // one is a bad marker rather than a silent no-op.
-        for gone in ["state-coverage", "serialization-purity", "unsafe-comment"] {
+        // Retired ids (carried by the compiler or a test now) are gone, so
+        // a marker naming one is a bad marker rather than a silent no-op.
+        for gone in [
+            "state-coverage",
+            "serialization-purity",
+            "unsafe-comment",
+            "hot-path-call",
+            "precision-flow",
+        ] {
             assert_eq!(Rule::from_id(gone), None);
         }
     }
@@ -214,39 +179,20 @@ mod tests {
             rule: Rule::HotPath,
             message: "call to `unwrap()`".into(),
             suggestion: "don't".into(),
-            chain: Vec::new(),
         };
         let j = report_json(&[d], 1);
-        assert!(j.starts_with("{\"schema\":\"qmclint/5\","));
+        assert!(j.starts_with("{\"schema\":\"qmclint/6\","));
         assert!(j.contains("\\`unwrap()\\`") || j.contains("`unwrap()`"));
         assert!(j.contains("\"files_scanned\":1"));
         assert!(j.contains("\"rule\":\"hot-path\""));
         assert!(j.contains(
             "\"by_rule\":{\"precision-cast\":0,\"hot-path\":1,\"timer-coverage\":0,\
-             \"determinism\":0,\"rng-discipline\":0,\"hot-path-call\":0,\
-             \"precision-flow\":0,\"bad-marker\":0}"
+             \"determinism\":0,\"rng-discipline\":0,\"bad-marker\":0}"
         ));
+        assert!(j.ends_with("\"suggestion\":\"don't\"}]}"), "{j}");
         assert!(
-            !j.contains("\"effects\""),
-            "the effects block is gone in qmclint/5"
+            !j.contains("\"chain\""),
+            "the chain array is gone in qmclint/6"
         );
-    }
-
-    #[test]
-    fn chain_renders_in_both_formats() {
-        let d = Diagnostic {
-            file: "a.rs".into(),
-            line: 3,
-            rule: Rule::HotPathCall,
-            message: "reached alloc".into(),
-            suggestion: "hoist".into(),
-            chain: vec!["evaluate (a.rs:3)".into(), "helper (b.rs:9)".into()],
-        };
-        assert!(d
-            .render_human()
-            .contains("via: evaluate (a.rs:3) -> helper (b.rs:9)"));
-        let j = report_json(&[d], 2);
-        assert!(j.contains("\"chain\":[\"evaluate (a.rs:3)\",\"helper (b.rs:9)\"]"));
-        assert!(j.contains("\"hot-path-call\":1"));
     }
 }

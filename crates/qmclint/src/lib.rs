@@ -6,7 +6,7 @@
 //! correctness rests on invariants the type system cannot see: where
 //! `f32↔f64` casts are allowed, which paths must stay allocation- and
 //! panic-free, and which kernels must feed the timer taxonomy the run
-//! report is built from. `qmclint` enforces those invariants mechanically:
+//! report is built from. `qmclint` enforces the lexical ones mechanically:
 //!
 //! 1. **precision-cast** — raw `as f32`/`as f64` casts and suffixed float
 //!    literals in physics crates are only legal in designated
@@ -21,16 +21,8 @@
 //!    driver/branch/move files, stream re-keys only in the migration
 //!    marker (`config::SANCTIONED_REKEY_FNS`).
 //!
-//! A workspace [`model`] (function table + call graph over the token-tree
-//! parse) carries two inter-procedural rules ([`graph_rules`]):
-//!
-//! 6. **hot-path-call** — allocation/panic anywhere in the transitive
-//!    callee set of a kernel entry point, reported with the call chain.
-//! 7. **precision-flow** — `f32` locals/returns folded into `f64`
-//!    accumulators without a designated promotion site.
-//!
-//! (The eighth rule id, `bad-marker`, polices the markers themselves.)
-//! Other invariants are carried by the language instead of by a model.
+//! (The sixth rule id, `bad-marker`, polices the markers themselves.)
+//! Other invariants are carried by the language or by a test instead.
 //! Concurrency: the program has one spawn site and no lock (rule 4 keeps
 //! it that way) and `qmcsched` sweeps that site across schedules.
 //! Checkpoint coverage: every carrier of a checkpointed struct names all
@@ -39,6 +31,12 @@
 //! serializers and digests take `&` receivers pinned by `const` function
 //! pointers, and rule 4 bans the cells that could mutate through them.
 //! `unsafe` documentation: `clippy::undocumented_unsafe_blocks`.
+//! Allocation-free sweeps, measurements, NLPP shells and walker
+//! load/store: a counting global allocator in the workspace test
+//! `tests/hot_path_alloc.rs`, which sees through trait objects and
+//! generics. Precision flow: rustc rejects `f64 += f32` and `f64 += T`
+//! for `T: Real`, so every widening is an `as` cast (rule 1),
+//! `f64::from`, `.to_f64()` or `T::from_f64` (see `qmc_containers::Real`).
 //!
 //! Dependency-free by necessity (the registry is unreachable): the lexer
 //! is hand-rolled, and the configuration lives in [`config`] rather than a
@@ -50,17 +48,14 @@
 
 pub mod config;
 pub mod diag;
-pub mod graph_rules;
 pub mod lexer;
-pub mod model;
 pub mod rules;
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 pub use config::{classify, FileClass};
-pub use diag::{report_json, Diagnostic, Rule, ALL_RULES, GRAPH_RULES};
-pub use model::WorkspaceModel;
+pub use diag::{report_json, Diagnostic, Rule, ALL_RULES};
 pub use rules::{check_kernel_coverage, lint_source, KernelUsage};
 
 /// Result of linting a whole workspace tree.
@@ -101,8 +96,8 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>, visited: &mut BTreeSet<P
 
 /// Reads every `.rs` file under `root` (skipping [`config::SKIP_DIRS`] and
 /// symlink cycles) as `(repo-relative path, source)` pairs, exempt files
-/// included — callers classify. Public so audits (e.g. the
-/// `forbid(unsafe_code)` sweep test) can reuse the walker.
+/// included — callers classify. Public so audits (the `forbid(unsafe_code)`
+/// and spawn-site tests) can reuse the walker.
 pub fn collect_sources(root: &Path) -> Vec<(String, String)> {
     let mut files = Vec::new();
     let mut visited = BTreeSet::new();
@@ -122,14 +117,13 @@ pub fn collect_sources(root: &Path) -> Vec<(String, String)> {
 }
 
 /// Lints a set of `(repo-relative path, source)` files: the per-file
-/// lexical rules on each, then the workspace model and the graph rules
-/// over all of them together. [`lint_workspace`] feeds it the real tree;
-/// the multi-file graph fixtures feed it synthetic ones.
+/// lexical rules on each, then the kernel-coverage cross-check over all of
+/// them together. [`lint_workspace`] feeds it the real tree; the
+/// multi-file fixtures feed it synthetic ones.
 pub fn lint_files(files: &[(String, String)]) -> LintReport {
     let mut report = LintReport::default();
     let mut usage = KernelUsage::default();
-    let mut timer: Option<(String, String)> = None;
-    let mut model_input: Vec<(String, String, FileClass)> = Vec::new();
+    let mut timer: Option<(&str, &str)> = None;
 
     for (rel, src) in files {
         let class = classify(rel);
@@ -137,19 +131,15 @@ pub fn lint_files(files: &[(String, String)]) -> LintReport {
             continue;
         }
         if rel == "crates/instrument/src/timer.rs" {
-            timer = Some((rel.clone(), src.clone()));
+            timer = Some((rel, src));
         }
         report.files_scanned += 1;
         lint_source(rel, src, class, &mut report.diagnostics, &mut usage);
-        model_input.push((rel.clone(), src.clone(), class));
     }
 
-    if let Some((rel, src)) = &timer {
+    if let Some((rel, src)) = timer {
         check_kernel_coverage(rel, src, &usage, &mut report.diagnostics);
     }
-
-    let model = WorkspaceModel::build(&model_input);
-    graph_rules::check_graph(&model, &mut report.diagnostics);
 
     report
         .diagnostics
@@ -157,9 +147,8 @@ pub fn lint_files(files: &[(String, String)]) -> LintReport {
     report
 }
 
-/// Lints every non-exempt `.rs` file under `root` (the repo checkout),
-/// runs the workspace-level kernel-coverage cross-check and the graph
-/// rules.
+/// Lints every non-exempt `.rs` file under `root` (the repo checkout) and
+/// runs the workspace-level kernel-coverage cross-check.
 pub fn lint_workspace(root: &Path) -> LintReport {
     lint_files(&collect_sources(root))
 }

@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Human output is one `file:line: [rule] message` block per finding;
-//! `--json` emits the `qmclint/5` machine-readable report on stdout
+//! `--json` emits the `qmclint/6` machine-readable report on stdout
 //! (diagnostics still summarized on stderr). Exit codes: 0 clean,
 //! 1 findings, 2 bad usage.
 

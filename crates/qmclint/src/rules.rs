@@ -23,7 +23,7 @@ use crate::lexer::{float_suffix, lex, Lexed, Tok, TokKind};
 /// The em-dash may also be spelled `--` or `-`. A missing or empty reason
 /// is itself a diagnostic: every suppression must carry a justification.
 #[derive(Debug, Default)]
-pub(crate) struct Allows {
+struct Allows {
     file_rules: Vec<Rule>,
     /// (rule, marker line, first code line at/after the marker).
     line_rules: Vec<(Rule, u32, u32)>,
@@ -31,7 +31,7 @@ pub(crate) struct Allows {
 }
 
 impl Allows {
-    pub(crate) fn allowed(&self, rule: Rule, line: u32) -> bool {
+    fn allowed(&self, rule: Rule, line: u32) -> bool {
         self.file_rules.contains(&rule)
             || self
                 .line_rules
@@ -39,7 +39,7 @@ impl Allows {
                 .any(|&(r, l, tgt)| r == rule && (l == line || tgt == line))
     }
 
-    pub(crate) fn cold_near(&self, fn_line: u32) -> bool {
+    fn cold_near(&self, fn_line: u32) -> bool {
         self.cold_lines
             .iter()
             .any(|&l| l <= fn_line && l + 3 >= fn_line)
@@ -68,7 +68,7 @@ fn first_code_line(tokens: &[Tok], marker: u32) -> u32 {
         .unwrap_or(marker)
 }
 
-pub(crate) fn parse_markers(path: &str, lexed: &Lexed, diags: &mut Vec<Diagnostic>) -> Allows {
+fn parse_markers(path: &str, lexed: &Lexed, diags: &mut Vec<Diagnostic>) -> Allows {
     let mut allows = Allows::default();
     for c in &lexed.comments {
         let Some(pos) = c.text.find("qmclint:") else {
@@ -84,7 +84,6 @@ pub(crate) fn parse_markers(path: &str, lexed: &Lexed, diags: &mut Vec<Diagnosti
                 suggestion: "write `qmclint: allow(<rule>) — <justification>` or \
                              `qmclint: cold — <justification>`"
                     .into(),
-                chain: Vec::new(),
             });
         };
         if let Some(rest) = directive.strip_prefix("cold") {
@@ -141,7 +140,7 @@ pub(crate) fn parse_markers(path: &str, lexed: &Lexed, diags: &mut Vec<Diagnosti
 
 /// Per-token mask: true when the token sits inside a `#[cfg(test)] mod`
 /// (or other `test`-attributed item) and should be ignored by every rule.
-pub(crate) fn test_mask(tokens: &[Tok]) -> Vec<bool> {
+fn test_mask(tokens: &[Tok]) -> Vec<bool> {
     let mut mask = vec![false; tokens.len()];
     let mut i = 0usize;
     while i < tokens.len() {
@@ -230,16 +229,14 @@ pub(crate) fn test_mask(tokens: &[Tok]) -> Vec<bool> {
 
 /// A function span in the token stream.
 #[derive(Debug)]
-pub(crate) struct FnSpan {
-    pub(crate) name: String,
-    pub(crate) line: u32,
-    /// Token index of the `fn` keyword (signature start).
-    pub(crate) sig: usize,
-    /// Token index of the opening `{` (body), if the fn has one.
-    pub(crate) body: Option<(usize, usize)>,
+struct FnSpan {
+    name: String,
+    line: u32,
+    /// Token indices of the body's `{` and `}`, if the fn has one.
+    body: Option<(usize, usize)>,
 }
 
-pub(crate) fn fn_spans(tokens: &[Tok]) -> Vec<FnSpan> {
+fn fn_spans(tokens: &[Tok]) -> Vec<FnSpan> {
     let mut spans = Vec::new();
     let mut i = 0usize;
     while i < tokens.len() {
@@ -280,12 +277,7 @@ pub(crate) fn fn_spans(tokens: &[Tok]) -> Vec<FnSpan> {
                 }
                 j += 1;
             }
-            spans.push(FnSpan {
-                name,
-                line,
-                sig: i,
-                body,
-            });
+            spans.push(FnSpan { name, line, body });
         }
         i += 1;
     }
@@ -294,10 +286,10 @@ pub(crate) fn fn_spans(tokens: &[Tok]) -> Vec<FnSpan> {
 
 /// Classifies token `i` as a hot-path violation site. Returns the
 /// offending name and `true` when it is panic machinery (vs allocation).
-/// Shared between the per-file hot-path rule and the call-graph model
-/// (which records these sites in *every* function so the inter-procedural
-/// rule can find them in transitive callees).
-pub(crate) fn hot_site(tokens: &[Tok], i: usize) -> Option<(&str, bool)> {
+/// Lexical and per-function: an allocation one call away from a kernel is
+/// out of its sight, which the workspace's counting-allocator test
+/// (`tests/hot_path_alloc.rs`) covers on the code that actually runs.
+fn hot_site(tokens: &[Tok], i: usize) -> Option<(&str, bool)> {
     let t = &tokens[i];
     if t.kind != TokKind::Ident {
         return None;
@@ -360,7 +352,6 @@ pub fn lint_source(
                 rule,
                 message,
                 suggestion,
-                chain: Vec::new(),
             });
         }
     };
@@ -626,7 +617,6 @@ pub fn check_kernel_coverage(
             rule: Rule::TimerCoverage,
             message: "could not locate `enum Kernel` for the coverage cross-check".into(),
             suggestion: "keep the kernel taxonomy in crates/instrument/src/timer.rs".into(),
-            chain: Vec::new(),
         });
         return;
     };
@@ -658,7 +648,6 @@ pub fn check_kernel_coverage(
                         suggestion: "time the kernel somewhere (`time_kernel(Kernel::...)`) \
                                      or remove the dead profile category"
                             .into(),
-                        chain: Vec::new(),
                     });
                 }
             }

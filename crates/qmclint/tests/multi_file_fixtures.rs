@@ -1,10 +1,11 @@
-//! Multi-file graph-rule fixtures.
+//! Multi-file fixtures: rules whose verdict depends on the file's path.
 //!
-//! Each directory under `tests/fixtures/graph/` is one workspace-in-
+//! Each directory under `tests/fixtures/multi_file/` is one workspace-in-
 //! miniature: every `.rs` file in it declares its synthetic repo path on
 //! the first line (`// fixture-path: crates/...`), the whole set is fed
-//! to [`qmclint::lint_files`] together (per-file lexical rules AND the
-//! call-graph rules), and `//~ <rule-id>` / `//~v <rule-id>` expectations
+//! to [`qmclint::lint_files`] together (so `classify`, the sanctioned RNG
+//! territory and the spawn site all see real paths), and
+//! `//~ <rule-id>` / `//~v <rule-id>` expectations
 //! must match the produced diagnostics exactly — rule, file and line, in
 //! both directions. Cases with no expectations assert cleanliness.
 
@@ -12,15 +13,15 @@ use qmclint::{lint_files, Rule};
 use std::path::{Path, PathBuf};
 
 fn case_dirs() -> Vec<PathBuf> {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/graph");
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/multi_file");
     let mut dirs: Vec<PathBuf> = std::fs::read_dir(root)
-        .expect("graph fixture directory exists")
+        .expect("multi-file fixture directory exists")
         .flatten()
         .map(|e| e.path())
         .filter(|p| p.is_dir())
         .collect();
     dirs.sort();
-    assert!(!dirs.is_empty(), "no cases under tests/fixtures/graph");
+    assert!(!dirs.is_empty(), "no cases under tests/fixtures/multi_file");
     dirs
 }
 
@@ -37,7 +38,11 @@ fn load_case(dir: &Path) -> (Vec<(String, String)>, Vec<(String, u32, Rule)>) {
         .filter(|p| p.extension().is_some_and(|e| e == "rs"))
         .collect();
     paths.sort();
-    assert!(!paths.is_empty(), "{}: empty graph case", dir.display());
+    assert!(
+        !paths.is_empty(),
+        "{}: empty multi-file case",
+        dir.display()
+    );
     for path in paths {
         let src = std::fs::read_to_string(&path).expect("fixture readable");
         let fixture_path = src
@@ -69,7 +74,7 @@ fn load_case(dir: &Path) -> (Vec<(String, String)>, Vec<(String, u32, Rule)>) {
 }
 
 #[test]
-fn graph_cases_report_exact_files_and_lines() {
+fn multi_file_cases_report_exact_files_and_lines() {
     for dir in case_dirs() {
         let (files, mut expected) = load_case(&dir);
         let report = lint_files(&files);
@@ -88,37 +93,4 @@ fn graph_cases_report_exact_files_and_lines() {
             report.diagnostics
         );
     }
-}
-
-#[test]
-fn every_graph_rule_has_a_violation_case() {
-    let mut seen = Vec::new();
-    for dir in case_dirs() {
-        let (_, expected) = load_case(&dir);
-        seen.extend(expected.into_iter().map(|(_, _, r)| r));
-    }
-    for rule in qmclint::GRAPH_RULES {
-        assert!(
-            seen.contains(&rule),
-            "no graph fixture exercises rule `{}`",
-            rule.id()
-        );
-    }
-}
-
-#[test]
-fn hot_path_call_diagnostics_carry_the_chain() {
-    for dir in case_dirs() {
-        let (files, _) = load_case(&dir);
-        for d in lint_files(&files).diagnostics {
-            if d.rule == Rule::HotPathCall {
-                assert!(
-                    d.chain.len() >= 2,
-                    "hot-path-call without a printed chain: {d:#?}"
-                );
-                return;
-            }
-        }
-    }
-    panic!("no hot-path-call diagnostic produced by any graph case");
 }

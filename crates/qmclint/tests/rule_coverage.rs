@@ -1,6 +1,6 @@
-//! Meta-test over the fixture corpus: every rule — lexical and graph —
-//! must be witnessed in both directions. A *firing* fixture
-//! carries a `//~ <rule-id>` (or `//~v`) expectation for the rule; a
+//! Meta-test over the fixture corpus: every rule must be witnessed in
+//! both directions. A *firing* fixture carries a `//~ <rule-id>` (or
+//! `//~v`) expectation for the rule; a
 //! *silence* fixture exercises the rule's shape the legal way and
 //! declares it with a `// fixture-silences: <rule-id>[, ...]` header.
 //! Without the silence half, a rule that degenerates into "flag
@@ -10,14 +10,13 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use qmclint::{Rule, ALL_RULES, GRAPH_RULES};
+use qmclint::{Rule, ALL_RULES};
 
-/// The full rule inventory the corpus must cover: all eight rule ids.
+/// The full rule inventory the corpus must cover: all six rule ids.
 fn every_rule() -> Vec<Rule> {
     let mut rules: Vec<Rule> = ALL_RULES.to_vec();
-    rules.extend(GRAPH_RULES);
     rules.push(Rule::BadMarker);
-    assert_eq!(rules.len(), 8);
+    assert_eq!(rules.len(), 6);
     rules
 }
 
@@ -112,7 +111,7 @@ fn every_rule_has_a_firing_and_a_silence_fixture() {
 
 /// A case directory must not both declare a rule silent and expect it to
 /// fire: that would make the silence declaration meaningless. Cases are
-/// grouped by parent directory because graph cases span multiple files.
+/// grouped by parent directory because multi-file cases span several files.
 #[test]
 fn silence_declarations_never_coexist_with_matching_expectations() {
     let mut files = Vec::new();

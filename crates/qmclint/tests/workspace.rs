@@ -2,6 +2,8 @@
 //! second enforcement point for the CI gate, so a regression fails the
 //! test suite even when nobody runs the `qmclint` binary directly.
 
+use qmclint::lexer::{lex, Tok};
+use std::collections::BTreeMap;
 use std::path::Path;
 
 #[test]
@@ -26,41 +28,67 @@ fn repository_lints_clean() {
     );
 }
 
-/// The function/call-graph model of the real tree, as the graph rules see it.
-fn workspace_model() -> qmclint::WorkspaceModel {
+/// Every `.rs` file of the real tree with its lexed tokens, as
+/// `(repo-relative path, tokens, forbids unsafe)`.
+fn workspace_tokens() -> Vec<(String, Vec<Tok>, bool)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let classified: Vec<(String, String, qmclint::FileClass)> = qmclint::collect_sources(&root)
+    qmclint::collect_sources(&root)
         .into_iter()
         .map(|(path, src)| {
-            let class = qmclint::classify(&path);
-            (path, src, class)
+            let forbids = src.contains("#![forbid(unsafe_code)]");
+            (path, lex(&src).tokens, forbids)
         })
-        .collect();
-    qmclint::WorkspaceModel::build(&classified)
+        .collect()
+}
+
+/// Crate key of a repo-relative path: its first two segments
+/// (`crates/drivers/`).
+fn crate_key(path: &str) -> String {
+    let mut it = path.split('/');
+    match (it.next(), it.next()) {
+        (Some(a), Some(b)) => format!("{a}/{b}/"),
+        _ => String::new(),
+    }
 }
 
 /// Every crate without real `unsafe` must carry `#![forbid(unsafe_code)]`,
 /// and the set of crates that do use `unsafe` must not silently grow.
 /// (`shims/` is outside the scan — `config::SKIP_DIRS` excludes it, so the
-/// vendored stand-ins are audited by eye, not by this test.)
+/// vendored stand-ins are audited by eye, not by this test.) Test code is
+/// skipped, so the counting allocator in `tests/hot_path_alloc.rs` is not
+/// part of the audited surface.
 #[test]
 fn unsafe_audit_forbids_everywhere_it_can() {
-    let model = workspace_model();
+    // crate key -> (any `unsafe` token, `src/lib.rs` forbids unsafe).
+    let mut by_crate: BTreeMap<String, (bool, Option<bool>)> = BTreeMap::new();
+    for (path, tokens, forbids) in workspace_tokens() {
+        let key = crate_key(&path);
+        if key.is_empty() || format!("/{path}").contains("/tests/") {
+            continue;
+        }
+        let is_lib = path == format!("{key}src/lib.rs");
+        let entry = by_crate.entry(key).or_insert((false, None));
+        entry.0 |= tokens.iter().any(|t| t.is_ident("unsafe"));
+        if is_lib {
+            entry.1 = Some(forbids);
+        }
+    }
 
-    let missing = model.missing_forbid_unsafe();
+    let missing: Vec<&str> = by_crate
+        .iter()
+        .filter(|&(_, &(has_unsafe, forbids))| !has_unsafe && forbids == Some(false))
+        .map(|(key, _)| key.as_str())
+        .collect();
     assert!(
         missing.is_empty(),
         "crates with no `unsafe` but no `#![forbid(unsafe_code)]`: {missing:?}"
     );
 
-    let mut unsafe_crates: Vec<&str> = model
-        .files
+    let unsafe_crates: Vec<&str> = by_crate
         .iter()
-        .filter(|f| f.has_unsafe && !f.path.contains("/tests/"))
-        .map(|f| f.crate_key.as_str())
+        .filter(|&(_, &(has_unsafe, _))| has_unsafe)
+        .map(|(key, _)| key.as_str())
         .collect();
-    unsafe_crates.sort_unstable();
-    unsafe_crates.dedup();
     assert_eq!(
         unsafe_crates,
         ["crates/containers/", "crates/instrument/"],
@@ -70,24 +98,24 @@ fn unsafe_audit_forbids_everywhere_it_can() {
 }
 
 /// Threads start in one place: exactly one linted file calls a
-/// `SPAWN_METHODS` method, and it is the crew fan-out the `determinism`
-/// rule exempts. If the fan-out moves, `config::SPAWN_SITE` moves with it
-/// or this fails — the exemption can never point at a file that no longer
-/// spawns while a new site goes unnoticed.
+/// `SPAWN_METHODS` method (`.spawn(`), and it is the crew fan-out the
+/// `determinism` rule exempts. If the fan-out moves, `config::SPAWN_SITE`
+/// moves with it or this fails — the exemption can never point at a file
+/// that no longer spawns while a new site goes unnoticed.
 #[test]
 fn the_crew_fan_out_is_the_only_spawn_site() {
     use qmclint::config::{SPAWN_METHODS, SPAWN_SITE};
-    let model = workspace_model();
-    let spawning: Vec<&str> = model
-        .files
-        .iter()
-        .filter(|file| {
-            file.fns
-                .iter()
-                .flat_map(|f| &f.calls)
-                .any(|call| call.method && SPAWN_METHODS.contains(&call.callee.as_str()))
+    let spawning: Vec<String> = workspace_tokens()
+        .into_iter()
+        .filter(|(path, tokens, _)| {
+            !qmclint::classify(path).exempt
+                && tokens.windows(3).any(|w| {
+                    w[0].is_punct('.')
+                        && SPAWN_METHODS.iter().any(|m| w[1].is_ident(m))
+                        && w[2].is_punct('(')
+                })
         })
-        .map(|file| file.path.as_str())
+        .map(|(path, _, _)| path)
         .collect();
     assert_eq!(spawning, [SPAWN_SITE]);
 }

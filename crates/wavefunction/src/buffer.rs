@@ -76,9 +76,9 @@ impl<T: Real> WalkerBuffer<T> {
 
     /// Appends a double-precision scalar.
     pub fn put_f64(&mut self, x: f64) {
-        // qmclint: allow(hot-path-call) — save_state clears and refills
-        // the same buffer each sweep, so the push lands in retained
-        // capacity; only the first save per walker allocates.
+        // save_state clears and refills the same buffer each sweep, so the
+        // push lands in retained capacity: only a walker's first save
+        // allocates (asserted by the workspace's `hot_path_alloc` test).
         self.doubles.push(x);
     }
 
