@@ -44,7 +44,7 @@ echo "== kernel backend verification (all backends, no silent skips) =="
 # sweep (the f32 ladder, the mw-v fast path) fails the gate.
 FAMILIES="bspline,bspline-mw-v,bspline-f32,distance,distance-f32,jastrow"
 cargo run --release -q -p qmc-kernels --bin kernel_verify | tee KERNEL_VERIFY.log
-for backend in reference soa simd; do
+for backend in reference simd; do
     grep -q "kernel-verify: backend=${backend} families=${FAMILIES} .*status=ok" KERNEL_VERIFY.log || {
         echo "ci: backend '${backend}' missing from kernel_verify output (silent skip?)" >&2
         exit 1

@@ -1,7 +1,7 @@
-//! Criterion bench: per-backend coverage of the `qmc-kernels` dispatch
-//! points — every [`Backend`] times every extracted kernel family
-//! (B-spline v/vgh/mw-vgl in both precisions, the NLPP-sized value-only
-//! batch, distance rows, J2 accumulation), so a backend regression shows
+//! Criterion bench: coverage of the `qmc-kernels` families — every
+//! [`Backend`] times every backend family (B-spline v/vgh/mw-vgl in both
+//! precisions, the NLPP-sized value-only batch, distance rows), and the
+//! one J2 accumulation is timed beside them, so a backend regression shows
 //! up in the same Criterion series the cross-backend verifier gates for
 //! correctness. Those tables (7 MiB, 16 repeated points) are cache-hot;
 //! the `dram` group times the NiO-32 shape far out of cache, where what
@@ -174,7 +174,7 @@ fn bench_distance_backends(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_jastrow_backends(c: &mut Criterion) {
+fn bench_jastrow(c: &mut Criterion) {
     let n = 256;
     let mut rng = StdRng::seed_from_u64(9);
     let row =
@@ -183,13 +183,11 @@ fn bench_jastrow_backends(c: &mut Criterion) {
     let (dx, dy, dz) = (row(&mut rng), row(&mut rng), row(&mut rng));
 
     let mut group = c.benchmark_group(format!("kernels_j2_n{n}"));
-    for b in Backend::ALL {
-        group.bench_function(BenchmarkId::new("row_vgl", b.label()), |bench| {
-            bench.iter(|| {
-                black_box(j2_row_vgl(b, &u, &dud, &lap, &dx, &dy, &dz, n));
-            });
+    group.bench_function("row_vgl", |bench| {
+        bench.iter(|| {
+            black_box(j2_row_vgl(&u, &dud, &lap, &dx, &dy, &dz, n));
         });
-    }
+    });
     group.finish();
 }
 
@@ -199,6 +197,6 @@ criterion_group!(
     bench_bspline_dram,
     bench_nlpp_v_backends,
     bench_distance_backends,
-    bench_jastrow_backends
+    bench_jastrow
 );
 criterion_main!(benches);

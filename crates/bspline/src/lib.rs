@@ -8,7 +8,7 @@
 //! * [`MultiBspline3D`] — periodic tricubic multi-spline coefficient tables
 //!   in `f32` or `f64` (§7.2-7.3): allocation, the in-place fill, periodic
 //!   ghost layers and the `SplineView` handed to `qmc_kernels::bspline`,
-//!   which owns every evaluation (reference, soa and simd loop orders).
+//!   which owns every evaluation (reference and simd loop orders).
 
 #![forbid(unsafe_code)]
 // Indexed loops over multiple parallel slices are the deliberate idiom in

@@ -296,7 +296,7 @@ mod tests {
                 iy as f64 / n as f64,
                 iz as f64 / n as f64,
             ];
-            evaluate_v(Backend::Soa, &t.view(), u, &mut psi);
+            evaluate_v(Backend::Simd, &t.view(), u, &mut psi);
             for s in 0..3 {
                 let expect = trig(ix, iy, iz, s, n);
                 assert!(
@@ -309,19 +309,19 @@ mod tests {
     }
 
     #[test]
-    fn ref_and_soa_evaluators_agree() {
+    fn ref_and_simd_evaluators_agree() {
         let t = MultiBspline3D::<f64>::random([6, 5, 7], 9, 42);
         let ns = 9;
         let u = [0.37, 0.81, 0.12];
         let (mut p1, mut p2) = (vec![0.0; ns], vec![0.0; ns]);
-        evaluate_v(Backend::Soa, &t.view(), u, &mut p1);
+        evaluate_v(Backend::Simd, &t.view(), u, &mut p1);
         evaluate_v(Backend::Reference, &t.view(), u, &mut p2);
         for s in 0..ns {
             assert!((p1[s] - p2[s]).abs() < 1e-13);
         }
         let (mut g1, mut g2) = (vec![0.0; 3 * ns], vec![0.0; 3 * ns]);
         let (mut h1, mut h2) = (vec![0.0; 6 * ns], vec![0.0; 6 * ns]);
-        evaluate_vgh(Backend::Soa, &t.view(), u, &mut p1, &mut g1, &mut h1);
+        evaluate_vgh(Backend::Simd, &t.view(), u, &mut p1, &mut g1, &mut h1);
         evaluate_vgh(Backend::Reference, &t.view(), u, &mut p2, &mut g2, &mut h2);
         for i in 0..3 * ns {
             assert!((g1[i] - g2[i]).abs() < 1e-11);
@@ -337,11 +337,11 @@ mod tests {
         let ns = 4;
         let u = [0.9, 0.45, 0.63];
         let mut pv = vec![0.0; ns];
-        evaluate_v(Backend::Soa, &t.view(), u, &mut pv);
+        evaluate_v(Backend::Simd, &t.view(), u, &mut pv);
         let mut p = vec![0.0; ns];
         let mut g = vec![0.0; 3 * ns];
         let mut h = vec![0.0; 6 * ns];
-        evaluate_vgh(Backend::Soa, &t.view(), u, &mut p, &mut g, &mut h);
+        evaluate_vgh(Backend::Simd, &t.view(), u, &mut p, &mut g, &mut h);
         for s in 0..ns {
             assert!((p[s] - pv[s]).abs() < 1e-13);
         }
@@ -355,7 +355,7 @@ mod tests {
         let mut p = vec![0.0; ns];
         let mut g = vec![0.0; 3 * ns];
         let mut h = vec![0.0; 6 * ns];
-        evaluate_vgh(Backend::Soa, &t.view(), u, &mut p, &mut g, &mut h);
+        evaluate_vgh(Backend::Simd, &t.view(), u, &mut p, &mut g, &mut h);
         let eps = 1e-6;
         for d in 0..3 {
             let mut up = u;
@@ -363,8 +363,8 @@ mod tests {
             let mut um = u;
             um[d] -= eps;
             let (mut pp, mut pm) = (vec![0.0; ns], vec![0.0; ns]);
-            evaluate_v(Backend::Soa, &t.view(), up, &mut pp);
-            evaluate_v(Backend::Soa, &t.view(), um, &mut pm);
+            evaluate_v(Backend::Simd, &t.view(), up, &mut pp);
+            evaluate_v(Backend::Simd, &t.view(), um, &mut pm);
             for s in 0..ns {
                 let fd = (pp[s] - pm[s]) / (2.0 * eps);
                 assert!(
@@ -381,8 +381,8 @@ mod tests {
             let mut um = u;
             um[d] -= eps;
             let (mut pp, mut pm) = (vec![0.0; ns], vec![0.0; ns]);
-            evaluate_v(Backend::Soa, &t.view(), up, &mut pp);
-            evaluate_v(Backend::Soa, &t.view(), um, &mut pm);
+            evaluate_v(Backend::Simd, &t.view(), up, &mut pp);
+            evaluate_v(Backend::Simd, &t.view(), um, &mut pm);
             for s in 0..ns {
                 let fd = (pp[s] - 2.0 * p[s] + pm[s]) / (eps * eps);
                 assert!(
@@ -426,7 +426,7 @@ mod tests {
         let mut g_frac = vec![0.0; 3 * ns];
         let mut h_frac = vec![0.0; 6 * ns];
         evaluate_vgh(
-            Backend::Soa,
+            Backend::Simd,
             &t.view(),
             u,
             &mut p_ref,
@@ -446,7 +446,7 @@ mod tests {
         let mut g = vec![0.0; 3 * ns];
         let mut lap = vec![0.0; ns];
         evaluate_vgl(
-            Backend::Soa,
+            Backend::Simd,
             &t.view(),
             u,
             &gmat,
@@ -474,7 +474,7 @@ mod tests {
         let mut psi = vec![0.0; nw * ns];
         let mut grad = vec![0.0; nw * 3 * ns];
         let mut lap = vec![0.0; nw * ns];
-        let (b, v) = (Backend::Soa, t.view());
+        let (b, v) = (Backend::Simd, t.view());
         mw_evaluate_vgl(b, &v, &us, &gmat, &lapmet, &mut psi, &mut grad, &mut lap);
         for (w, &u) in us.iter().enumerate() {
             let mut p1 = vec![0.0; ns];
@@ -496,8 +496,8 @@ mod tests {
         let t = MultiBspline3D::<f64>::random([6, 6, 6], 2, 5);
         let mut a = vec![0.0; 2];
         let mut b = vec![0.0; 2];
-        evaluate_v(Backend::Soa, &t.view(), [0.25, 0.5, 0.75], &mut a);
-        evaluate_v(Backend::Soa, &t.view(), [1.25, -0.5, 0.75 - 2.0], &mut b);
+        evaluate_v(Backend::Simd, &t.view(), [0.25, 0.5, 0.75], &mut a);
+        evaluate_v(Backend::Simd, &t.view(), [1.25, -0.5, 0.75 - 2.0], &mut b);
         for s in 0..2 {
             assert!(
                 (a[s] - b[s]).abs() < 1e-12,
@@ -518,9 +518,9 @@ mod tests {
         let mut p32 = vec![0.0f32; 2];
         for i in 0..20 {
             let u = [0.05 * i as f64, 0.03 * i as f64, 0.07 * i as f64];
-            evaluate_v(Backend::Soa, &t64.view(), u, &mut p64);
+            evaluate_v(Backend::Simd, &t64.view(), u, &mut p64);
             let u32 = [u[0] as f32, u[1] as f32, u[2] as f32];
-            evaluate_v(Backend::Soa, &t32.view(), u32, &mut p32);
+            evaluate_v(Backend::Simd, &t32.view(), u32, &mut p32);
             for s in 0..2 {
                 assert!(
                     (p64[s] - p32[s] as f64).abs() < 1e-4,

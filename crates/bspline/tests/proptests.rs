@@ -57,9 +57,9 @@ proptest! {
         let t = MultiBspline3D::<f64>::random([5, 6, 7], 3, 99);
         let mut a = vec![0.0; 3];
         let mut b = vec![0.0; 3];
-        evaluate_v(Backend::Soa, &t.view(), [ux, uy, uz], &mut a);
+        evaluate_v(Backend::Simd, &t.view(), [ux, uy, uz], &mut a);
         evaluate_v(
-            Backend::Soa,
+            Backend::Simd,
             &t.view(),
             [ux + sx as f64, uy + sy as f64, uz + sz as f64],
             &mut b,
@@ -69,7 +69,7 @@ proptest! {
         }
     }
 
-    /// Ref and SoA loop orders agree at arbitrary points.
+    /// The reference and simd loop orders agree at arbitrary points.
     #[test]
     fn spline3d_layouts_agree(
         ux in 0.0f64..1.0, uy in 0.0f64..1.0, uz in 0.0f64..1.0,
@@ -77,7 +77,7 @@ proptest! {
         let ns = 5;
         let t = MultiBspline3D::<f64>::random([6, 6, 6], ns, 3);
         let (mut a, mut b) = (vec![0.0; ns], vec![0.0; ns]);
-        evaluate_v(Backend::Soa, &t.view(), [ux, uy, uz], &mut a);
+        evaluate_v(Backend::Simd, &t.view(), [ux, uy, uz], &mut a);
         evaluate_v(Backend::Reference, &t.view(), [ux, uy, uz], &mut b);
         for s in 0..ns {
             prop_assert!((a[s] - b[s]).abs() < 1e-12);

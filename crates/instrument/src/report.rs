@@ -94,8 +94,8 @@ pub struct RunReport {
     pub benchmark: String,
     /// Code-version label (optimization-ladder rung).
     pub code: String,
-    /// Kernel backend label the run executed with (`reference` / `soa` /
-    /// `simd`; empty when the front-end predates the backend seam).
+    /// Kernel backend label the run executed with (`reference` / `simd`;
+    /// empty when the front-end predates the backend seam).
     pub kernel_backend: String,
     /// Electron count.
     pub electrons: usize,
@@ -341,7 +341,7 @@ mod tests {
         RunReport {
             benchmark: "graphite-1x1x1".into(),
             code: "current".into(),
-            kernel_backend: "soa".into(),
+            kernel_backend: "simd".into(),
             electrons: 16,
             ions: 4,
             threads: 2,

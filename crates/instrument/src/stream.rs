@@ -199,7 +199,7 @@ mod tests {
         let path = dir.join("qmc_stream_test.ndjson");
         let path = path.to_str().expect("utf-8 temp path").to_string();
         let mut s = StreamWriter::create(&path).expect("create stream");
-        s.start("dmc", "graphite", "current", "soa", 2, 4, 6, None)
+        s.start("dmc", "graphite", "current", "simd", 2, 4, 6, None)
             .expect("start");
         s.block(&BlockEvent {
             driver: "dmc",

@@ -317,46 +317,33 @@ fn verify_backend(backend: Backend) -> usize {
     );
     checked += 4 * n;
 
-    // J2 reductions: bitwise for soa, tolerance for simd; slabs bitwise.
+    // J2 has one implementation: its lane-split sums within the documented
+    // tolerance of the scalar left-to-right order, its slab updates bitwise
+    // equal to the scalar elementwise formula.
     let row = |rng: &mut Rng| -> Vec<f64> { (0..n).map(|_| rng.next() - 0.5).collect() };
     let (u, dud, lap) = (row(&mut rng), row(&mut rng), row(&mut rng));
     let (dx, dy, dz) = (row(&mut rng), row(&mut rng), row(&mut rng));
-    let r0 = j2_row_vgl(Backend::Reference, &u, &dud, &lap, &dx, &dy, &dz, n);
-    let r1 = j2_row_vgl(backend, &u, &dud, &lap, &dx, &dy, &dz, n);
-    let tol = 1e-12 * n as f64;
-    match backend {
-        Backend::Reference | Backend::Soa => {
-            assert!(
-                r0.v == r1.v && r0.g == r1.g && r0.l == r1.l,
-                "{backend}: j2 row mismatch"
-            );
-        }
-        Backend::Simd => {
-            assert!(
-                (r0.v - r1.v).abs() < tol
-                    && (r0.l - r1.l).abs() < tol
-                    && (0..3).all(|d| (r0.g[d] - r1.g[d]).abs() < tol),
-                "{backend}: j2 row outside tolerance"
-            );
-        }
-    }
+    let r = j2_row_vgl(&u, &dud, &lap, &dx, &dy, &dz, n);
+    let near = |lane: f64, terms: &[f64]| {
+        let oracle: f64 = terms.iter().sum();
+        let scale: f64 = terms.iter().map(|x| x.abs()).sum();
+        (lane - oracle).abs() <= (n + 1) as f64 * f64::EPSILON * scale
+    };
+    let prods = |d: &[f64]| -> Vec<f64> { dud.iter().zip(d).map(|(a, b)| a * b).collect() };
+    assert!(
+        near(r.v, &u)
+            && near(r.l, &lap)
+            && near(r.g[0], &prods(&dx))
+            && near(r.g[1], &prods(&dy))
+            && near(r.g[2], &prods(&dz)),
+        "{backend}: j2 row outside tolerance of the scalar sum"
+    );
     let (cu, ou, cl, ol) = (row(&mut rng), row(&mut rng), row(&mut rng), row(&mut rng));
     let base = row(&mut rng);
-    let (mut vat0, mut lat0) = (base.clone(), base.clone());
-    j2_accept_value_rows(
-        Backend::Reference,
-        &cu,
-        &ou,
-        &cl,
-        &ol,
-        &mut vat0,
-        &mut lat0,
-        n,
-    );
-    let (mut vat1, mut lat1) = (base.clone(), base);
-    j2_accept_value_rows(backend, &cu, &ou, &cl, &ol, &mut vat1, &mut lat1, n);
+    let (mut vat, mut lat) = (base.clone(), base.clone());
+    j2_accept_value_rows(&cu, &ou, &cl, &ol, &mut vat, &mut lat, n);
     assert!(
-        vat0 == vat1 && lat0 == lat1,
+        (0..n).all(|j| vat[j] == base[j] + (cu[j] - ou[j]) && lat[j] == base[j] + (ol[j] - cl[j])),
         "{backend}: j2 slab update mismatch"
     );
     checked += 7 * n;
@@ -425,7 +412,7 @@ fn bench() {
         );
         times.push((t_v, t_vgh, t_mw));
     }
-    let speedup = |k: fn(&(f64, f64, f64)) -> f64| k(&times[0]) / k(&times[2]);
+    let speedup = |k: fn(&(f64, f64, f64)) -> f64| k(&times[0]) / k(&times[1]);
     println!(
         "kernel-bench: simd-vs-reference speedup v={:.2}x vgh={:.2}x mw_vgl={:.2}x",
         speedup(|t| t.0),

@@ -5,16 +5,14 @@
 //! layers) stays in `qmc-bspline`; this module operates on a borrowed
 //! [`SplineView`] so the kernel library depends only on `qmc-containers`.
 //!
-//! All three backends accumulate each orbital over the 64 stencil nodes in
-//! the same `(a, b, c)` order with the same `mul_add` placement, and every
-//! per-node weight is produced by one shared `#[inline(always)]` helper —
-//! so the backends are **bitwise identical** by construction and differ
-//! only in loop structure:
+//! Both backends accumulate each orbital over the 64 stencil nodes in the
+//! same `(a, b, c)` order with the same `mul_add` placement, and every
+//! per-node weight is the same left-associated product — so the backends
+//! are **bitwise identical** by construction and differ only in loop
+//! structure:
 //!
 //! * `reference` — spline index outermost: per-orbital strided walks over
 //!   the table (the baseline the paper's Fig. 8 speedups are against).
-//! * `soa` — spline index innermost: contiguous auto-vectorized slabs
-//!   streamed through memory once per stencil node (arXiv:1611.02665).
 //! * `simd` — explicit lane-struct vectorization with the register
 //!   blocking/tiling scheme of the B-spline companion paper (Mathuriya et
 //!   al., arXiv:1611.02665): the 64 per-node weights are precomputed once
@@ -164,7 +162,6 @@ fn stencil_bases<T: Real>(t: &SplineView<'_, T>, ix: usize, iy: usize, iz: usize
 pub fn evaluate_v<T: Real>(backend: Backend, t: &SplineView<'_, T>, u: [T; 3], psi: &mut [T]) {
     match backend {
         Backend::Reference => v_reference(t, u, psi),
-        Backend::Soa => v_soa(t, u, psi),
         Backend::Simd => v_simd(t, u, psi),
     }
 }
@@ -196,27 +193,6 @@ fn v_reference<T: Real>(t: &SplineView<'_, T>, u: [T; 3], psi: &mut [T]) {
             }
         }
         *out = acc;
-    }
-}
-
-/// Spline-innermost auto-vectorized slabs.
-fn v_soa<T: Real>(t: &SplineView<'_, T>, u: [T; 3], psi: &mut [T]) {
-    let ns = t.num_splines;
-    assert!(psi.len() >= ns);
-    let ([ix, iy, iz], [wx, wy, wz]) = v_setup(t, u);
-    psi[..ns].fill(T::ZERO);
-    for a in 0..4 {
-        for b in 0..4 {
-            let wab = wx[a] * wy[b];
-            for c in 0..4 {
-                let w = wab * wz[c];
-                let base = t.idx(ix + a, iy + b, iz + c);
-                let coefs = &t.coefs[base..base + ns];
-                for (p, &cf) in psi[..ns].iter_mut().zip(coefs) {
-                    *p = w.mul_add(cf, *p);
-                }
-            }
-        }
     }
 }
 
@@ -440,10 +416,10 @@ pub fn evaluate_vgh<T: Real>(
 
 /// [`evaluate_vgh`] without the off-diagonal Hessian: `hess` holds the
 /// three slabs `[xx, yy, zz]`, each bitwise equal to the same slab of
-/// [`evaluate_vgh`] on every backend. `soa` and `simd` drop the three
-/// off-diagonal sums, their weights and their stores — 7 of the 10 sums,
-/// 14 of the 20 flops per node and orbital. `reference` runs its
-/// spline-outermost loop and stores the diagonal.
+/// [`evaluate_vgh`] on every backend. `simd` drops the three off-diagonal
+/// sums, their weights and their stores — 7 of the 10 sums, 14 of the 20
+/// flops per node and orbital. `reference` runs its spline-outermost loop
+/// and stores the diagonal.
 ///
 /// This is what a Laplacian needs when the cell's Laplacian metric is
 /// diagonal, and it keeps every bit of that Laplacian. A metric entry that
@@ -480,7 +456,6 @@ fn vgh<T: Real, const DIAG: bool>(
     assert!(psi.len() >= ns && grad.len() >= 3 * ns && hess.len() >= nh * ns);
     match backend {
         Backend::Reference => vgh_reference::<T, DIAG>(t, u, psi, grad, hess),
-        Backend::Soa => vgh_soa::<T, DIAG>(t, u, psi, grad, hess),
         Backend::Simd => vgh_simd::<T, DIAG>(t, u, psi, grad, hess),
     }
     scale_derivatives::<T, DIAG>(t.grid, ns, grad, hess);
@@ -517,53 +492,6 @@ fn vgh_reference<T: Real, const DIAG: bool>(
         }
         for q in 4..vgh_sums::<DIAG>() {
             hess[hess_slab::<DIAG>(q) * ns + s] = acc[q];
-        }
-    }
-}
-
-/// Spline-innermost auto-vectorized slabs: one pass per node over each
-/// output slab, ten passes, or seven under `DIAG`.
-fn vgh_soa<T: Real, const DIAG: bool>(
-    t: &SplineView<'_, T>,
-    u: [T; 3],
-    psi: &mut [T],
-    grad: &mut [T],
-    hess: &mut [T],
-) {
-    let ns = t.num_splines;
-    let nq = vgh_sums::<DIAG>();
-    let ([ix, iy, iz], w9) = vgh_setup(t, u);
-    psi[..ns].fill(T::ZERO);
-    grad[..3 * ns].fill(T::ZERO);
-    hess[..(nq - 4) * ns].fill(T::ZERO);
-    for a in 0..4 {
-        for b in 0..4 {
-            for c in 0..4 {
-                let w = vgh_node_weights(&w9, a, b, c);
-                let base = t.idx(ix + a, iy + b, iz + c);
-                let coefs = &t.coefs[base..base + ns];
-                // value
-                for (p, &cf) in psi[..ns].iter_mut().zip(coefs) {
-                    *p = w[0].mul_add(cf, *p);
-                }
-                // gradient slabs
-                for d in 0..3 {
-                    let g = &mut grad[d * ns..(d + 1) * ns];
-                    let wd = w[1 + d];
-                    for (p, &cf) in g.iter_mut().zip(coefs) {
-                        *p = wd.mul_add(cf, *p);
-                    }
-                }
-                // hessian slabs
-                for q in 4..nq {
-                    let h = hess_slab::<DIAG>(q);
-                    let hsl = &mut hess[h * ns..(h + 1) * ns];
-                    let wh = w[q];
-                    for (p, &cf) in hsl.iter_mut().zip(coefs) {
-                        *p = wh.mul_add(cf, *p);
-                    }
-                }
-            }
         }
     }
 }
@@ -801,7 +729,6 @@ pub fn evaluate_vgl<T: Real>(
     assert!(psi.len() >= ns && grad.len() >= 3 * ns && lap.len() >= ns);
     match backend {
         Backend::Reference => vgl_reference(t, u, gmat, lapmet, psi, grad, lap),
-        Backend::Soa => vgl_soa(t, u, gmat, lapmet, psi, grad, lap),
         Backend::Simd => vgl_simd(t, u, gmat, lapmet, psi, grad, lap),
     }
 }
@@ -841,45 +768,6 @@ fn vgl_reference<T: Real>(
             grad[d * ns + s] = ag[d];
         }
         lap[s] = al;
-    }
-}
-
-/// Spline-innermost auto-vectorized slabs.
-fn vgl_soa<T: Real>(
-    t: &SplineView<'_, T>,
-    u: [T; 3],
-    gmat: &[[T; 3]; 3],
-    lapmet: &[T; 6],
-    psi: &mut [T],
-    grad: &mut [T],
-    lap: &mut [T],
-) {
-    let ns = t.num_splines;
-    let ([ix, iy, iz], w9) = vgl_setup(t, u);
-    psi[..ns].fill(T::ZERO);
-    grad[..3 * ns].fill(T::ZERO);
-    lap[..ns].fill(T::ZERO);
-    for a in 0..4 {
-        for b in 0..4 {
-            for c in 0..4 {
-                let (wv, cg, wl) = vgl_node_weights(&w9, gmat, lapmet, a, b, c);
-                let base = t.idx(ix + a, iy + b, iz + c);
-                let coefs = &t.coefs[base..base + ns];
-                for (p, &cf) in psi[..ns].iter_mut().zip(coefs) {
-                    *p = wv.mul_add(cf, *p);
-                }
-                for d in 0..3 {
-                    let g = &mut grad[d * ns..(d + 1) * ns];
-                    let wd = cg[d];
-                    for (p, &cf) in g.iter_mut().zip(coefs) {
-                        *p = wd.mul_add(cf, *p);
-                    }
-                }
-                for (p, &cf) in lap[..ns].iter_mut().zip(coefs) {
-                    *p = wl.mul_add(cf, *p);
-                }
-            }
-        }
     }
 }
 
@@ -1214,11 +1102,9 @@ mod tests {
         let u = [0.37, 0.81, 0.12];
         let mut base = vec![0.0; ns];
         evaluate_v(Backend::Reference, &t, u, &mut base);
-        for b in [Backend::Soa, Backend::Simd] {
-            let mut psi = vec![0.0; ns];
-            evaluate_v(b, &t, u, &mut psi);
-            assert_eq!(psi, base, "backend {b}");
-        }
+        let mut psi = vec![0.0; ns];
+        evaluate_v(Backend::Simd, &t, u, &mut psi);
+        assert_eq!(psi, base);
     }
 
     #[test]
@@ -1229,13 +1115,9 @@ mod tests {
         let mk = || (vec![0.0; ns], vec![0.0; 3 * ns], vec![0.0; 6 * ns]);
         let (mut p0, mut g0, mut h0) = mk();
         evaluate_vgh(Backend::Reference, &t, u, &mut p0, &mut g0, &mut h0);
-        for b in [Backend::Soa, Backend::Simd] {
-            let (mut p, mut g, mut h) = mk();
-            evaluate_vgh(b, &t, u, &mut p, &mut g, &mut h);
-            assert_eq!(p, p0, "backend {b} psi");
-            assert_eq!(g, g0, "backend {b} grad");
-            assert_eq!(h, h0, "backend {b} hess");
-        }
+        let (mut p, mut g, mut h) = mk();
+        evaluate_vgh(Backend::Simd, &t, u, &mut p, &mut g, &mut h);
+        assert_eq!((p, g, h), (p0.clone(), g0.clone(), h0.clone()));
         // The diagonal path on every backend: the xx, yy, zz slabs' bits.
         for b in Backend::ALL {
             let (mut p, mut g, mut h) = mk();
@@ -1271,12 +1153,8 @@ mod tests {
             &mut g0,
             &mut l0,
         );
-        for b in [Backend::Soa, Backend::Simd] {
-            let (mut p, mut g, mut l) = mk();
-            evaluate_vgl(b, &t, u, &gmat, &lapmet, &mut p, &mut g, &mut l);
-            assert_eq!(p, p0, "backend {b} psi");
-            assert_eq!(g, g0, "backend {b} grad");
-            assert_eq!(l, l0, "backend {b} lap");
-        }
+        let (mut p, mut g, mut l) = mk();
+        evaluate_vgl(Backend::Simd, &t, u, &gmat, &lapmet, &mut p, &mut g, &mut l);
+        assert_eq!((p, g, l), (p0, g0, l0));
     }
 }

@@ -6,18 +6,14 @@
 //! crowd rows). The lattice stays in `qmc-particles`; the kernels see it
 //! through the tiny [`MinImageCell`] trait.
 //!
-//! All three backends apply the identical branch-free arithmetic per
-//! partner — multiply-by-inverse min-image
-//! `d -= l * (d * (1/l) + 1/2).floor()` and the
+//! Both backends apply the identical branch-free arithmetic per partner —
+//! multiply-by-inverse min-image `d -= l * (d * (1/l) + 1/2).floor()` and the
 //! `dx.mul_add(dx, dy.mul_add(dy, dz*dz)).sqrt()` norm — so they are
 //! **bitwise identical**; there is no cross-partner reduction to reorder.
 //! They differ in loop structure only:
 //!
 //! * `reference` — one interleaved pass per partner (the loop moved from
 //!   `qmc-particles::dtable::compute_row`).
-//! * `soa` — component-slab passes: each displacement component is
-//!   streamed through its output slab in a separate auto-vectorizable
-//!   loop, then the distance pass reads the three finished slabs.
 //! * `simd` — explicit [`WideLane`] blocks with a scalar tail, width
 //!   following the mixed-precision ladder (8-wide `f64`, 16-wide `f32`).
 //!
@@ -66,7 +62,6 @@ pub fn distance_row<T: Real, C: MinImageCell<T>>(
     };
     match backend {
         Backend::Reference => ortho_reference(edges, xs, ys, zs, pos, n, out_dist, [ox, oy, oz]),
-        Backend::Soa => ortho_soa(edges, xs, ys, zs, pos, n, out_dist, [ox, oy, oz]),
         Backend::Simd => ortho_simd(edges, xs, ys, zs, pos, n, out_dist, [ox, oy, oz]),
     }
 }
@@ -118,39 +113,6 @@ fn ortho_reference<T: Real>(
         ox[j] = dx;
         oy[j] = dy;
         oz[j] = dz;
-        out_dist[j] = dx.mul_add(dx, dy.mul_add(dy, dz * dz)).sqrt();
-    }
-}
-
-/// One component-slab pass: `out[j] = (src[j] - p) min-imaged on edge l`.
-#[inline(always)]
-fn ortho_component_pass<T: Real>(l: T, src: &[T], p: T, n: usize, out: &mut [T]) {
-    let il = T::ONE / l;
-    for j in 0..n {
-        let mut d = src[j] - p;
-        d -= l * (d * il + T::HALF).floor();
-        out[j] = d;
-    }
-}
-
-/// Component-slab passes: three min-image passes then one norm pass, each
-/// a contiguous auto-vectorizable loop over its slab.
-fn ortho_soa<T: Real>(
-    [lx, ly, lz]: [T; 3],
-    xs: &[T],
-    ys: &[T],
-    zs: &[T],
-    pos: [T; 3],
-    n: usize,
-    out_dist: &mut [T],
-    out_disp: [&mut [T]; 3],
-) {
-    let [ox, oy, oz] = out_disp;
-    ortho_component_pass(lx, xs, pos[0], n, ox);
-    ortho_component_pass(ly, ys, pos[1], n, oy);
-    ortho_component_pass(lz, zs, pos[2], n, oz);
-    for j in 0..n {
-        let (dx, dy, dz) = (ox[j], oy[j], oz[j]);
         out_dist[j] = dx.mul_add(dx, dy.mul_add(dy, dz * dz)).sqrt();
     }
 }
@@ -287,28 +249,20 @@ mod tests {
         // n = 13 exercises the simd scalar tail.
         let cell = Ortho([7.0, 6.0, 5.5]);
         let (d0, x0) = run(Backend::Reference, &cell, 13);
-        for b in [Backend::Soa, Backend::Simd] {
-            let (d, x) = run(b, &cell, 13);
-            assert_eq!(d, d0, "backend {b} dist");
-            assert_eq!(x, x0, "backend {b} disp");
-        }
+        assert_eq!(run(Backend::Simd, &cell, 13), (d0, x0));
     }
 
     #[test]
     fn general_cells_fall_back_identically() {
         let cell = General([7.0, 6.0, 5.5]);
         let (d0, x0) = run(Backend::Reference, &cell, 11);
-        for b in [Backend::Soa, Backend::Simd] {
-            let (d, x) = run(b, &cell, 11);
-            assert_eq!(d, d0, "backend {b} dist");
-            assert_eq!(x, x0, "backend {b} disp");
-        }
+        assert_eq!(run(Backend::Simd, &cell, 11), (d0, x0));
     }
 
     #[test]
     fn distances_are_min_imaged() {
         let cell = Ortho([7.0, 6.0, 5.5]);
-        let (d, _) = run(Backend::Soa, &cell, 16);
+        let (d, _) = run(Backend::Simd, &cell, 16);
         let rmax = 0.5 * (7.0f64 * 7.0 + 6.0 * 6.0 + 5.5 * 5.5).sqrt();
         for (j, &x) in d.iter().enumerate() {
             assert!(x >= 0.0 && x <= rmax, "partner {j}: {x}");

@@ -1,4 +1,5 @@
-//! Portable-SIMD-style lane structs for the explicit `simd` backend.
+//! Portable-SIMD-style lane structs for the explicit `simd` backend and
+//! the J2 kernels.
 //!
 //! Stable Rust has no `std::simd`, and this workspace vendors no external
 //! crates, so explicit vectorization is expressed as fixed-width value
@@ -29,7 +30,9 @@
 //! Accumulation order within one lane slot is always the scalar order, so
 //! widening a lane never breaks the *bitwise* backend contracts
 //! (elementwise kernels); only cross-lane reductions ([`WideLane::hsum`])
-//! reassociate and fall under the *tolerance* contract.
+//! reassociate. The J2 reductions are the one user, and that lane order is
+//! their only order: the tests hold it within a tolerance of a scalar
+//! oracle (`jastrow.rs`).
 //!
 //! ## What the machine code holds
 //!
@@ -42,8 +45,9 @@
 //! `vgh` block holds 10 lanes = 20 ymm, its diagonal-Hessian form 7 = 14.
 //! A blanket `-C target-feature=-prefer-256-bit` build was measured on that
 //! host and not adopted: in-cache simd `vgh` ran 1.3–1.7× faster, but
-//! `be64-vmc`, whose `soa` loops the flag widens too, ran about 12 %
-//! slower (3 of 3 pairs) and `graphite64-dmc` flat, with every walker
+//! `be64-vmc`, then on the since-removed auto-vectorised `soa` loops that
+//! the flag widens too, ran about 12 % slower (3 of 3 pairs) and
+//! `graphite64-dmc` flat, with every walker
 //! hash equal.
 
 use qmc_containers::Real;
@@ -229,8 +233,8 @@ impl<T: Real, const W: usize> WideLane<T, W> {
 
     /// Horizontal sum in lane order (0, 1, ..). Splitting a reduction
     /// across lanes and summing here changes the summation order relative
-    /// to a scalar loop — callers relying on this are the *tolerance*
-    /// (not bitwise) part of the verification contract.
+    /// to a scalar loop: the J2 kernels' one order, which the tests hold
+    /// within a tolerance of the scalar sum.
     #[inline(always)]
     pub fn hsum(self) -> T {
         let mut acc = T::ZERO;

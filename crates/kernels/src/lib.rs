@@ -2,17 +2,13 @@
 //!
 //! Every hot kernel of the miniapp — tricubic B-spline SPO evaluation
 //! (v / vgh / fused vgl, single- and multi-walker), SoA distance-row
-//! updates and the two-body Jastrow accumulations — lives behind the
-//! single dispatch seam in this crate. Each kernel family is implemented
-//! by three [`Backend`]s:
+//! updates and the two-body Jastrow accumulations — lives in this crate.
+//! The B-spline and distance families each have two [`Backend`]s:
 //!
 //! * [`Backend::Reference`] — the scalar loops moved verbatim from the
 //!   physics crates (spline-outermost B-spline accumulation, per-element
-//!   distance rows, scalar Jastrow reductions). The baseline every other
-//!   backend is verified against.
-//! * [`Backend::Soa`] — the auto-vectorized structure-of-arrays loops
-//!   (spline-innermost slabs per arXiv:1611.02665): what the paper's
-//!   "Current" code version ran before this crate existed.
+//!   distance rows). The Ref code version runs them, and they are the
+//!   oracle the other backend is verified against.
 //! * [`Backend::Simd`] — explicit vectorization with portable-SIMD-style
 //!   lane structs ([`lanes::WideLane`]): fixed-width register blocks that
 //!   keep all accumulators of a spline block in registers across the
@@ -28,39 +24,43 @@
 //!   (`lanes.rs`). Pure safe Rust — the audited unsafe surface of the
 //!   workspace is unchanged.
 //!
+//! `simd` is this repo's stand-in for the paper's compiler-vectorised SoA
+//! loops: rustc has no `#pragma omp simd`, so a spline-innermost loop is
+//! vectorised only when LLVM chooses to, and the lane structs make the
+//! vector width part of the code.
+//!
+//! The two-body Jastrow family ([`jastrow`]) has one implementation and
+//! no backend: its row reductions split across lanes on every code
+//! version that runs them.
+//!
 //! ## Verification contract
 //!
 //! The cross-backend harness in `tests/` (and `src/bin/kernel_verify.rs`,
-//! which CI runs) pins the following equivalences over seeded random
-//! inputs:
+//! which CI runs) pins the following over seeded random inputs:
 //!
-//! * **B-spline v / vgh / vgh-diag / vgl / mw-vgl**: all three backends are
-//!   **bitwise identical** — every backend accumulates each orbital over
-//!   the 64 stencil nodes in the same order with the same `mul_add`
-//!   placement; the backends differ only in loop structure and memory
-//!   traffic.
-//! * **Distance rows**: all three backends are **bitwise identical** on
-//!   orthorhombic cells (identical branch-free min-image arithmetic) and
-//!   on general cells (all fall back to the same minimum-image wrap).
-//! * **J2 accumulation**: `reference` and `soa` are **bitwise identical**
-//!   (same reduction order); `simd` splits reductions across lanes and is
-//!   therefore only guaranteed **within tolerance** (a few ULP times the
-//!   row length).
+//! * **B-spline v / vgh / vgh-diag / vgl / mw-vgl / mw-v**, in `f64` and
+//!   `f32`: `reference` and `simd` are **bitwise identical** — both
+//!   accumulate each orbital over the 64 stencil nodes in the same order
+//!   with the same `mul_add` placement, and differ only in loop structure
+//!   and memory traffic.
+//! * **Distance rows**: **bitwise identical** on orthorhombic cells
+//!   (identical branch-free min-image arithmetic) and on general cells
+//!   (both fall back to the same minimum-image wrap).
+//! * **J2 accumulation** has one reduction order, so there is nothing to
+//!   compare across backends. The tests hold its lane-split sums within
+//!   `(n + 1) · ε · Σ|term|` of a scalar left-to-right oracle (`ε` the
+//!   machine epsilon of the precision, `n` the row length), and its slab
+//!   updates bitwise equal to the scalar elementwise formula.
 //!
 //! Trajectory-level consequence (checked by `qmcsched`): a full VMC/DMC
-//! run is bitwise independent of the backend choice between `reference`
-//! and `soa`; `simd` runs are statistically identical but may diverge
-//! walker-by-walker once a Metropolis decision lands on the reduction
-//! tolerance.
+//! run is bitwise independent of the backend choice.
 //!
 //! ## Backend selection
 //!
-//! The process-wide backend is selected once at startup: the
-//! `QMC_KERNEL_BACKEND` environment variable (`reference` / `soa` /
-//! `simd`) sets the initial value, and the `--backend` flag of `miniqmc`
-//! overrides it via [`set_backend`]. Engines capture
-//! [`Backend::current`] when they are built, so a run never mixes
-//! backends mid-flight.
+//! The process-wide backend defaults to [`Backend::Simd`];
+//! `miniqmc --backend reference|simd` changes it through [`set_backend`].
+//! Engines capture [`Backend::current`] when they are built, so a run
+//! never mixes backends mid-flight.
 
 #![forbid(unsafe_code)]
 // Register-blocked micro-kernels live or die by guaranteed inlining: a
@@ -81,91 +81,59 @@ pub mod lanes;
 pub use bspline::{bspline_weights, SplineView};
 pub use distance::MinImageCell;
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// A kernel implementation strategy. See the crate docs for the
-/// verification contract between backends.
+/// A kernel implementation strategy for the B-spline and distance
+/// families. See the crate docs for the verification contract.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
     /// Scalar loops moved from the physics crates (spline-outermost).
     Reference,
-    /// Auto-vectorized spline-innermost SoA slabs (the former "Current"
-    /// code path).
-    Soa,
     /// Explicit lane-struct vectorization with register blocking.
     Simd,
 }
 
 impl Backend {
     /// Every backend, in verification order (`Reference` is the baseline).
-    pub const ALL: [Backend; 3] = [Backend::Reference, Backend::Soa, Backend::Simd];
+    pub const ALL: [Backend; 2] = [Backend::Reference, Backend::Simd];
+
+    /// `Backend::Soa` names the former auto-vectorised backend, whose
+    /// loops gave `simd`'s bits more slowly. It selects `simd`, and stays
+    /// only because the benchmark harness (`benchmark/src/layers.rs`)
+    /// names it.
+    #[allow(
+        non_upper_case_globals,
+        reason = "spelled like the variant it replaces, because the benchmark names it"
+    )]
+    pub const Soa: Backend = Backend::Simd;
 
     /// Stable lower-case label (CLI flag value, report field, log lines).
     pub fn label(self) -> &'static str {
         match self {
             Backend::Reference => "reference",
-            Backend::Soa => "soa",
             Backend::Simd => "simd",
         }
     }
 
-    /// Parses a CLI/env backend name.
-    // qmclint: cold — CLI/env parsing, never on the Monte Carlo path.
+    /// Parses a CLI backend name.
+    // qmclint: cold — CLI parsing, never on the Monte Carlo path.
     pub fn parse(s: &str) -> Result<Backend, String> {
         match s.to_ascii_lowercase().as_str() {
             "reference" | "ref" => Ok(Backend::Reference),
-            "soa" => Ok(Backend::Soa),
             "simd" => Ok(Backend::Simd),
             other => Err(format!(
-                "unknown kernel backend '{other}' (valid: reference, soa, simd)"
+                "unknown kernel backend '{other}' (valid: reference, simd)"
             )),
         }
     }
 
-    /// The process-wide backend: the last [`set_backend`] value, else the
-    /// `QMC_KERNEL_BACKEND` environment variable, else [`Backend::Soa`]
-    /// (the pre-seam behavior of the optimized code path).
+    /// The process-wide backend: the last [`set_backend`] value, else
+    /// [`Backend::Simd`].
     pub fn current() -> Backend {
-        match CURRENT.load(Ordering::Relaxed) {
-            UNSET => {
-                let b = Self::from_env().unwrap_or(Backend::Soa);
-                // Another thread may race the first read; both resolve the
-                // same env value, so last-write-wins is benign.
-                CURRENT.store(b.tag(), Ordering::Relaxed);
-                b
-            }
-            tag => Self::from_tag(tag),
-        }
-    }
-
-    /// Reads `QMC_KERNEL_BACKEND`; `None` when unset. Panics loudly on an
-    /// invalid value — a typoed backend must not silently benchmark the
-    /// default.
-    // qmclint: cold — env parsing at startup, never on the Monte Carlo path.
-    pub fn from_env() -> Option<Backend> {
-        let v = std::env::var("QMC_KERNEL_BACKEND").ok()?;
-        if v.is_empty() {
-            return None;
-        }
-        match Self::parse(&v) {
-            Ok(b) => Some(b),
-            Err(e) => panic!("QMC_KERNEL_BACKEND: {e}"),
-        }
-    }
-
-    fn tag(self) -> u8 {
-        match self {
-            Backend::Reference => 0,
-            Backend::Soa => 1,
-            Backend::Simd => 2,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Backend {
-        match tag {
-            0 => Backend::Reference,
-            1 => Backend::Soa,
-            _ => Backend::Simd,
+        if REFERENCE.load(Ordering::Relaxed) {
+            Backend::Reference
+        } else {
+            Backend::Simd
         }
     }
 }
@@ -176,13 +144,13 @@ impl std::fmt::Display for Backend {
     }
 }
 
-const UNSET: u8 = u8::MAX;
-static CURRENT: AtomicU8 = AtomicU8::new(UNSET);
+/// Whether the process-wide backend is [`Backend::Reference`].
+static REFERENCE: AtomicBool = AtomicBool::new(false);
 
 /// Sets the process-wide backend (the `miniqmc --backend` flag). Engines
 /// capture the value at construction, so call this before building them.
 pub fn set_backend(b: Backend) {
-    CURRENT.store(b.tag(), Ordering::Relaxed);
+    REFERENCE.store(b == Backend::Reference, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -196,13 +164,15 @@ mod tests {
         }
         assert_eq!(Backend::parse("REF"), Ok(Backend::Reference));
         assert!(Backend::parse("avx512").is_err());
+        let soa = Backend::parse("soa").unwrap_err();
+        assert!(soa.contains("valid: reference, simd"), "{soa}");
     }
 
     #[test]
     fn set_backend_wins_over_default() {
+        set_backend(Backend::Reference);
+        assert_eq!(Backend::current(), Backend::Reference);
         set_backend(Backend::Simd);
         assert_eq!(Backend::current(), Backend::Simd);
-        set_backend(Backend::Soa);
-        assert_eq!(Backend::current(), Backend::Soa);
     }
 }

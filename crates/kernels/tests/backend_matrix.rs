@@ -1,10 +1,12 @@
 //! Cross-backend verification matrix over seeded random inputs.
 //!
 //! Pins the contract documented in the crate root: B-spline and distance
-//! kernels are **bitwise identical** across every backend (at both lane
-//! widths of the precision ladder — 8-wide f64 and 16-wide f32); J2
-//! reductions are bitwise between `reference` and `soa` and within
-//! tolerance for `simd`, while J2 slab updates are bitwise everywhere.
+//! kernels are **bitwise identical** between `reference` and `simd` (at
+//! both lane widths of the precision ladder — 8-wide f64 and 16-wide
+//! f32). J2 has one implementation: its lane-split reductions are pinned
+//! bit for bit to a scalar model of that order and held within the
+//! documented tolerance of the scalar left-to-right oracle, and its slab
+//! updates are bitwise equal to the scalar elementwise formula.
 //! Each family is exercised at sizes that cover both full lane blocks and
 //! scalar tails, plus randomized inputs hugging the stencil edges
 //! (fractional coordinates at grid nodes) and the min-image wrap
@@ -125,7 +127,7 @@ fn assert_diag_of<T: Real>(diag: &[Vec<T>; 3], full: (&[T], &[T], &[T]), what: &
     }
 }
 
-// -- B-spline family: bitwise across all backends ---------------------------
+// -- B-spline family: reference == simd bitwise ------------------------------
 
 fn bspline_matrix<T: Real>(ns: usize, seed: u64) {
     let table = Table::<T>::random([5, 6, 7], ns, seed);
@@ -172,27 +174,26 @@ fn bspline_matrix<T: Real>(ns: usize, seed: u64) {
             &mut vgl_ref.1,
             &mut vgl_ref.2,
         );
-        for b in [Backend::Soa, Backend::Simd] {
-            let mut psi = vec![T::ZERO; ns];
-            evaluate_v(b, &t, u, &mut psi);
-            assert_eq!(psi, psi_ref, "{b}: v not bitwise");
+        let b = Backend::Simd;
+        let mut psi = vec![T::ZERO; ns];
+        evaluate_v(b, &t, u, &mut psi);
+        assert_eq!(psi, psi_ref, "{b}: v not bitwise");
 
-            let mut vgh = (
-                vec![T::ZERO; ns],
-                vec![T::ZERO; 3 * ns],
-                vec![T::ZERO; 6 * ns],
-            );
-            evaluate_vgh(b, &t, u, &mut vgh.0, &mut vgh.1, &mut vgh.2);
-            assert_eq!(vgh.0, vgh_ref.0, "{b}: vgh psi not bitwise");
-            assert_eq!(vgh.1, vgh_ref.1, "{b}: vgh grad not bitwise");
-            assert_eq!(vgh.2, vgh_ref.2, "{b}: vgh hess not bitwise");
+        let mut vgh = (
+            vec![T::ZERO; ns],
+            vec![T::ZERO; 3 * ns],
+            vec![T::ZERO; 6 * ns],
+        );
+        evaluate_vgh(b, &t, u, &mut vgh.0, &mut vgh.1, &mut vgh.2);
+        assert_eq!(vgh.0, vgh_ref.0, "{b}: vgh psi not bitwise");
+        assert_eq!(vgh.1, vgh_ref.1, "{b}: vgh grad not bitwise");
+        assert_eq!(vgh.2, vgh_ref.2, "{b}: vgh hess not bitwise");
 
-            let mut vgl = (vec![T::ZERO; ns], vec![T::ZERO; 3 * ns], vec![T::ZERO; ns]);
-            evaluate_vgl(b, &t, u, &gmat, &lapmet, &mut vgl.0, &mut vgl.1, &mut vgl.2);
-            assert_eq!(vgl.0, vgl_ref.0, "{b}: vgl psi not bitwise");
-            assert_eq!(vgl.1, vgl_ref.1, "{b}: vgl grad not bitwise");
-            assert_eq!(vgl.2, vgl_ref.2, "{b}: vgl lap not bitwise");
-        }
+        let mut vgl = (vec![T::ZERO; ns], vec![T::ZERO; 3 * ns], vec![T::ZERO; ns]);
+        evaluate_vgl(b, &t, u, &gmat, &lapmet, &mut vgl.0, &mut vgl.1, &mut vgl.2);
+        assert_eq!(vgl.0, vgl_ref.0, "{b}: vgl psi not bitwise");
+        assert_eq!(vgl.1, vgl_ref.1, "{b}: vgl grad not bitwise");
+        assert_eq!(vgl.2, vgl_ref.2, "{b}: vgl lap not bitwise");
         for b in Backend::ALL {
             let full = (&vgh_ref.0[..], &vgh_ref.1[..], &vgh_ref.2[..]);
             assert_diag_of(&vgh_diag(b, &t, u), full, &format!("{b}"));
@@ -217,17 +218,16 @@ fn bspline_matrix<T: Real>(ns: usize, seed: u64) {
         &mut mw_ref.1,
         &mut mw_ref.2,
     );
-    for b in [Backend::Soa, Backend::Simd] {
-        let mut mw = (
-            vec![T::ZERO; nw * ns],
-            vec![T::ZERO; 3 * nw * ns],
-            vec![T::ZERO; nw * ns],
-        );
-        mw_evaluate_vgl(b, &t, &us, &gmat, &lapmet, &mut mw.0, &mut mw.1, &mut mw.2);
-        assert_eq!(mw.0, mw_ref.0, "{b}: mw psi not bitwise");
-        assert_eq!(mw.1, mw_ref.1, "{b}: mw grad not bitwise");
-        assert_eq!(mw.2, mw_ref.2, "{b}: mw lap not bitwise");
-    }
+    let b = Backend::Simd;
+    let mut mw = (
+        vec![T::ZERO; nw * ns],
+        vec![T::ZERO; 3 * nw * ns],
+        vec![T::ZERO; nw * ns],
+    );
+    mw_evaluate_vgl(b, &t, &us, &gmat, &lapmet, &mut mw.0, &mut mw.1, &mut mw.2);
+    assert_eq!(mw.0, mw_ref.0, "{b}: mw psi not bitwise");
+    assert_eq!(mw.1, mw_ref.1, "{b}: mw grad not bitwise");
+    assert_eq!(mw.2, mw_ref.2, "{b}: mw lap not bitwise");
 }
 
 #[test]
@@ -267,11 +267,10 @@ fn mw_v_matrix<T: Real>(ns: usize, nq: usize, seed: u64) {
             );
         }
     }
-    for b in [Backend::Soa, Backend::Simd] {
-        let mut mw = vec![T::ZERO; nq * ns];
-        mw_evaluate_v(b, &t, &us, &mut mw);
-        assert_eq!(mw, mw_ref, "{b}: mw-v not bitwise");
-    }
+    let b = Backend::Simd;
+    let mut mw = vec![T::ZERO; nq * ns];
+    mw_evaluate_v(b, &t, &us, &mut mw);
+    assert_eq!(mw, mw_ref, "{b}: mw-v not bitwise");
 }
 
 #[test]
@@ -344,24 +343,23 @@ fn bspline_edge_matrix<T: Real>(ns: usize, seed: u64) {
             &mut vgh_ref.1,
             &mut vgh_ref.2,
         );
-        for b in [Backend::Soa, Backend::Simd] {
-            let mut psi = vec![T::ZERO; ns];
-            evaluate_v(b, &t, u, &mut psi);
-            assert_eq!(psi, psi_ref, "{b}: v not bitwise at stencil edge {u:?}");
-            let mut vgh = (
-                vec![T::ZERO; ns],
-                vec![T::ZERO; 3 * ns],
-                vec![T::ZERO; 6 * ns],
-            );
-            evaluate_vgh(b, &t, u, &mut vgh.0, &mut vgh.1, &mut vgh.2);
-            assert!(vgh == vgh_ref, "{b}: vgh not bitwise at stencil edge {u:?}");
-            let full = (&vgh_ref.0[..], &vgh_ref.1[..], &vgh_ref.2[..]);
-            assert_diag_of(
-                &vgh_diag(b, &t, u),
-                full,
-                &format!("{b} at stencil edge {u:?}"),
-            );
-        }
+        let b = Backend::Simd;
+        let mut psi = vec![T::ZERO; ns];
+        evaluate_v(b, &t, u, &mut psi);
+        assert_eq!(psi, psi_ref, "{b}: v not bitwise at stencil edge {u:?}");
+        let mut vgh = (
+            vec![T::ZERO; ns],
+            vec![T::ZERO; 3 * ns],
+            vec![T::ZERO; 6 * ns],
+        );
+        evaluate_vgh(b, &t, u, &mut vgh.0, &mut vgh.1, &mut vgh.2);
+        assert!(vgh == vgh_ref, "{b}: vgh not bitwise at stencil edge {u:?}");
+        let full = (&vgh_ref.0[..], &vgh_ref.1[..], &vgh_ref.2[..]);
+        assert_diag_of(
+            &vgh_diag(b, &t, u),
+            full,
+            &format!("{b} at stencil edge {u:?}"),
+        );
     }
 }
 
@@ -409,14 +407,13 @@ fn vgh_hint_matrix<T: Real>() {
                 out
             };
             let want = eval(Backend::Reference);
-            for b in [Backend::Soa, Backend::Simd] {
-                let got = eval(b);
-                assert_eq!(got.0, want.0, "{b}: vgh psi, ns={ns} at {u:?}");
-                assert_eq!(got.1, want.1, "{b}: vgh grad, ns={ns} at {u:?}");
-                assert_eq!(got.2, want.2, "{b}: vgh hess, ns={ns} at {u:?}");
-                let full = (&want.0[..], &want.1[..], &want.2[..]);
-                assert_diag_of(&vgh_diag(b, &t, u), full, &format!("{b}, ns={ns} at {u:?}"));
-            }
+            let b = Backend::Simd;
+            let got = eval(b);
+            assert_eq!(got.0, want.0, "{b}: vgh psi, ns={ns} at {u:?}");
+            assert_eq!(got.1, want.1, "{b}: vgh grad, ns={ns} at {u:?}");
+            assert_eq!(got.2, want.2, "{b}: vgh hess, ns={ns} at {u:?}");
+            let full = (&want.0[..], &want.1[..], &want.2[..]);
+            assert_diag_of(&vgh_diag(b, &t, u), full, &format!("{b}, ns={ns} at {u:?}"));
         }
     }
 }
@@ -605,7 +602,7 @@ fn vgh_diag_hints_pay_on_an_out_of_cache_table() {
     );
 }
 
-// -- distance family: bitwise across all backends ---------------------------
+// -- distance family: reference == simd bitwise ------------------------------
 
 struct OrthoCell<T: Real> {
     edges: [T; 3],
@@ -675,15 +672,14 @@ fn distance_matrix<T: Real>(n: usize, seed: u64) {
 
     for cell_kind in [0u8, 1] {
         let (dist_ref, disp_ref) = run(cell_kind, Backend::Reference);
-        for b in [Backend::Soa, Backend::Simd] {
-            let (dist, disp) = run(cell_kind, b);
-            assert_eq!(dist, dist_ref, "{b}: dist not bitwise (cell {cell_kind})");
-            for d in 0..3 {
-                assert_eq!(
-                    disp[d], disp_ref[d],
-                    "{b}: disp[{d}] not bitwise (cell {cell_kind})"
-                );
-            }
+        let b = Backend::Simd;
+        let (dist, disp) = run(cell_kind, b);
+        assert_eq!(dist, dist_ref, "{b}: dist not bitwise (cell {cell_kind})");
+        for d in 0..3 {
+            assert_eq!(
+                disp[d], disp_ref[d],
+                "{b}: disp[{d}] not bitwise (cell {cell_kind})"
+            );
         }
         // Sanity: distances really are minimum-imaged (inside half-cell box).
         for j in 0..n {
@@ -743,15 +739,14 @@ fn distance_wrap_matrix<T: Real>(n: usize, seed: u64) {
         (dist, disp)
     };
     let (dist_ref, disp_ref) = run(Backend::Reference);
-    for b in [Backend::Soa, Backend::Simd] {
-        let (dist, disp) = run(b);
-        assert_eq!(dist, dist_ref, "{b}: dist not bitwise at wrap boundary");
-        for d in 0..3 {
-            assert_eq!(
-                disp[d], disp_ref[d],
-                "{b}: disp[{d}] not bitwise at wrap boundary"
-            );
-        }
+    let b = Backend::Simd;
+    let (dist, disp) = run(b);
+    assert_eq!(dist, dist_ref, "{b}: dist not bitwise at wrap boundary");
+    for d in 0..3 {
+        assert_eq!(
+            disp[d], disp_ref[d],
+            "{b}: disp[{d}] not bitwise at wrap boundary"
+        );
     }
     // Every displacement component must land inside the half-open
     // minimum-image box [-L/2, L/2].
@@ -773,124 +768,137 @@ fn distance_wrap_boundaries_f32() {
     distance_wrap_matrix::<f32>(33, 61);
 }
 
-// -- J2 family: reference == soa bitwise, simd within tolerance -------------
+// -- J2 family: one lane order, within tolerance of the scalar oracle -------
 
-#[test]
-fn jastrow_reduction_contract() {
-    let n = 27; // 3 lane blocks + tail of 3
-    let mut rng = Rng::new(31);
-    let u: Vec<f64> = rng.row(n);
-    let dud: Vec<f64> = rng.row(n);
-    let lap: Vec<f64> = rng.row(n);
-    let dx: Vec<f64> = rng.row(n);
-    let dy: Vec<f64> = rng.row(n);
-    let dz: Vec<f64> = rng.row(n);
-
-    let r = j2_row_vgl(Backend::Reference, &u, &dud, &lap, &dx, &dy, &dz, n);
-    let s = j2_row_vgl(Backend::Soa, &u, &dud, &lap, &dx, &dy, &dz, n);
-    assert_eq!((r.v, r.g, r.l), (s.v, s.g, s.l), "soa not bitwise");
-
-    let c = j2_row_vgl(Backend::Simd, &u, &dud, &lap, &dx, &dy, &dz, n);
-    let tol = 1e-12 * n as f64;
-    assert!((r.v - c.v).abs() < tol && (r.l - c.l).abs() < tol);
-    for d in 0..3 {
-        assert!((r.g[d] - c.g[d]).abs() < tol);
+/// The scalar left-to-right sum `x[0] + x[1] + ..`: the tolerance oracle
+/// of the lane-split J2 reductions.
+fn sum_scalar<T: Real>(x: &[T]) -> T {
+    let mut acc = T::ZERO;
+    for &v in x {
+        acc += v;
     }
+    acc
+}
 
-    let (rv, rg) = j2_row_vg(Backend::Reference, &u, &dud, &dx, &dy, &dz, n);
-    let (sv, sg) = j2_row_vg(Backend::Soa, &u, &dud, &dx, &dy, &dz, n);
-    assert_eq!((rv, rg), (sv, sg));
-    assert_eq!(
-        j2_row_sum(Backend::Reference, &u, n),
-        j2_row_sum(Backend::Soa, &u, n)
+/// The scalar left-to-right dot product with one `mul_add` per partner.
+fn dot_scalar<T: Real>(a: &[T], b: &[T]) -> T {
+    let mut acc = T::ZERO;
+    for (&x, &y) in a.iter().zip(b) {
+        acc = x.mul_add(y, acc);
+    }
+    acc
+}
+
+/// The lane order written out in scalars: `w` lane accumulators fed by
+/// `term(j)` (added in order for a sum, fused in for a dot), folded in lane
+/// order, then the scalar tail. `w` is 8 in f64 and 16 in f32.
+fn lane_model<T: Real>(n: usize, fused: bool, a: &[T], b: &[T]) -> T {
+    let w = if std::mem::size_of::<T>() == 4 { 16 } else { 8 };
+    let step = |acc: T, j: usize| {
+        if fused {
+            a[j].mul_add(b[j], acc)
+        } else {
+            acc + a[j]
+        }
+    };
+    let mut lanes = vec![T::ZERO; w];
+    let whole = n / w * w;
+    for j in 0..whole {
+        lanes[j % w] = step(lanes[j % w], j);
+    }
+    (whole..n).fold(sum_scalar(&lanes), step)
+}
+
+/// `|lane - oracle| <= (n + 1) * eps * sum |term|`, the documented bound.
+fn assert_near<T: Real>(lane: T, oracle: T, terms: impl Iterator<Item = T>, n: usize, what: &str) {
+    let scale = terms.fold(T::ZERO, |acc, t| acc + t.abs());
+    let tol = T::from_usize(n + 1) * T::EPSILON * scale;
+    assert!(
+        (lane - oracle).abs() <= tol,
+        "{what}, n={n}: lane sum {lane:?} vs scalar {oracle:?}, tolerance {tol:?}"
     );
-    assert!((j2_row_sum(Backend::Simd, &u, n) - rv).abs() < tol);
+}
+
+fn j2_matrix<T: Real>(n: usize, seed: u64) {
+    let mut rng = Rng::new(seed);
+    let [u, dud, lap, dx, dy, dz]: [Vec<T>; 6] = std::array::from_fn(|_| rng.row(n));
+
+    let r = j2_row_vgl(&u, &dud, &lap, &dx, &dy, &dz, n);
+    let (v, g) = j2_row_vg(&u, &dud, &dx, &dy, &dz, n);
+    assert_eq!((v, g), (r.v, r.g), "vg and vgl rows share one order");
+    assert_eq!(
+        j2_row_sum(&u, n),
+        r.v,
+        "row sum and vgl row share one order"
+    );
+    assert_eq!(r.v, lane_model(n, false, &u, &u), "v: lane order, n={n}");
+    assert_eq!(
+        r.l,
+        lane_model(n, false, &lap, &lap),
+        "l: lane order, n={n}"
+    );
+    assert_near(r.v, sum_scalar(&u), u.iter().copied(), n, "v");
+    assert_near(r.l, sum_scalar(&lap), lap.iter().copied(), n, "l");
+    for (k, d) in [&dx, &dy, &dz].into_iter().enumerate() {
+        assert_eq!(
+            r.g[k],
+            lane_model(n, true, &dud, d),
+            "g[{k}]: lane order, n={n}"
+        );
+        let what = format!("g[{k}]");
+        assert_near(r.g[k], dot_scalar(&dud, d), products(&dud, d), n, &what);
+    }
+
+    let [cu, ou, cl, ol, vat0, lat0]: [Vec<T>; 6] = std::array::from_fn(|_| rng.row(n));
+    let (mut vat, mut lat) = (vat0.clone(), lat0.clone());
+    let (kv, kl) = j2_accept_value_rows(&cu, &ou, &cl, &ol, &mut vat, &mut lat, n);
+    assert_eq!(
+        (kv, kl),
+        (
+            lane_model(n, false, &cu, &cu),
+            lane_model(n, false, &cl, &cl)
+        )
+    );
+    assert_near(kv, sum_scalar(&cu), cu.iter().copied(), n, "kv");
+    assert_near(kl, sum_scalar(&cl), cl.iter().copied(), n, "kl");
+    for j in 0..n {
+        assert_eq!(vat[j], vat0[j] + (cu[j] - ou[j]), "vat slab at {j}, n={n}");
+        assert_eq!(lat[j], lat0[j] + (ol[j] - cl[j]), "lat slab at {j}, n={n}");
+    }
+
+    let [od, oldd, cd, newd, g0]: [Vec<T>; 5] = std::array::from_fn(|_| rng.row(n));
+    let mut g = g0.clone();
+    let k = j2_accept_grad_row(&od, &oldd, &cd, &newd, &mut g, n);
+    assert_eq!(k, lane_model(n, true, &cd, &newd), "k: lane order, n={n}");
+    assert_near(k, dot_scalar(&cd, &newd), products(&cd, &newd), n, "k");
+    for j in 0..n {
+        assert_eq!(
+            g[j],
+            g0[j] + (od[j] * oldd[j] - cd[j] * newd[j]),
+            "g slab at {j}, n={n}"
+        );
+    }
+}
+
+/// The terms `a[j] * b[j]` of a dot product, for its tolerance scale.
+fn products<'a, T: Real>(a: &'a [T], b: &'a [T]) -> impl Iterator<Item = T> + 'a {
+    a.iter().zip(b).map(|(&x, &y)| x * y)
+}
+
+/// Row lengths: a lone tail, one 16-wide f32 block (two f64 blocks) and
+/// either side of it, 64, and the NiO-32 electron count.
+const J2_SIZES: [usize; 6] = [1, 15, 16, 17, 64, 384];
+
+#[test]
+fn j2_lane_sums_within_tolerance_of_the_scalar_oracle_f64() {
+    for n in J2_SIZES {
+        j2_matrix::<f64>(n, 31 + n as u64);
+    }
 }
 
 #[test]
-fn jastrow_slab_updates_bitwise_everywhere() {
-    let n = 22;
-    let mut rng = Rng::new(37);
-    let cu: Vec<f64> = rng.row(n);
-    let ou: Vec<f64> = rng.row(n);
-    let cl: Vec<f64> = rng.row(n);
-    let ol: Vec<f64> = rng.row(n);
-    let vat0: Vec<f64> = rng.row(n);
-    let lat0: Vec<f64> = rng.row(n);
-    let od: Vec<f64> = rng.row(n);
-    let oldd: Vec<f64> = rng.row(n);
-    let cd: Vec<f64> = rng.row(n);
-    let newd: Vec<f64> = rng.row(n);
-    let g0: Vec<f64> = rng.row(n);
-
-    let mut slabs = Vec::new();
-    let mut ks = Vec::new();
-    for b in Backend::ALL {
-        let (mut vat, mut lat, mut g) = (vat0.clone(), lat0.clone(), g0.clone());
-        let (kv, kl) = j2_accept_value_rows(b, &cu, &ou, &cl, &ol, &mut vat, &mut lat, n);
-        let k = j2_accept_grad_row(b, &od, &oldd, &cd, &newd, &mut g, n);
-        slabs.push((vat, lat, g));
-        ks.push((kv, kl, k));
+fn j2_lane_sums_within_tolerance_of_the_scalar_oracle_f32() {
+    for n in J2_SIZES {
+        j2_matrix::<f32>(n, 67 + n as u64);
     }
-    // Slab updates: bitwise on every backend.
-    assert_eq!(slabs[0], slabs[1]);
-    assert_eq!(slabs[0], slabs[2]);
-    // Reductions: reference == soa bitwise; simd within tolerance.
-    assert_eq!(ks[0].0, ks[1].0);
-    assert_eq!(ks[0].1, ks[1].1);
-    assert_eq!(ks[0].2, ks[1].2);
-    let tol = 1e-12 * n as f64;
-    assert!((ks[0].0 - ks[2].0).abs() < tol);
-    assert!((ks[0].1 - ks[2].1).abs() < tol);
-    assert!((ks[0].2 - ks[2].2).abs() < tol);
-}
-
-/// The f32 rung of the J2 family: same contract as f64 (slabs bitwise on
-/// every backend, reductions bitwise reference==soa and tolerance for
-/// simd), with the tolerance widened to single precision.
-#[test]
-fn jastrow_contract_f32_rung() {
-    let n = 37; // two 16-wide blocks + tail of 5
-    let mut rng = Rng::new(67);
-    let u: Vec<f32> = rng.row(n);
-    let dud: Vec<f32> = rng.row(n);
-    let lap: Vec<f32> = rng.row(n);
-    let dx: Vec<f32> = rng.row(n);
-    let dy: Vec<f32> = rng.row(n);
-    let dz: Vec<f32> = rng.row(n);
-
-    let r = j2_row_vgl(Backend::Reference, &u, &dud, &lap, &dx, &dy, &dz, n);
-    let s = j2_row_vgl(Backend::Soa, &u, &dud, &lap, &dx, &dy, &dz, n);
-    assert_eq!((r.v, r.g, r.l), (s.v, s.g, s.l), "soa f32 not bitwise");
-    let c = j2_row_vgl(Backend::Simd, &u, &dud, &lap, &dx, &dy, &dz, n);
-    let tol = 1e-5 * n as f32;
-    assert!((r.v - c.v).abs() < tol && (r.l - c.l).abs() < tol);
-    for d in 0..3 {
-        assert!((r.g[d] - c.g[d]).abs() < tol);
-    }
-
-    // Accept-path slab updates: elementwise, bitwise on every backend.
-    let od: Vec<f32> = rng.row(n);
-    let oldd: Vec<f32> = rng.row(n);
-    let cd: Vec<f32> = rng.row(n);
-    let newd: Vec<f32> = rng.row(n);
-    let g0: Vec<f32> = rng.row(n);
-    let (cu, ou, cl, ol): (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) =
-        (rng.row(n), rng.row(n), rng.row(n), rng.row(n));
-    let (vat0, lat0): (Vec<f32>, Vec<f32>) = (rng.row(n), rng.row(n));
-    let mut slabs = Vec::new();
-    let mut ks = Vec::new();
-    for b in Backend::ALL {
-        let (mut vat, mut lat, mut g) = (vat0.clone(), lat0.clone(), g0.clone());
-        let (kv, kl) = j2_accept_value_rows(b, &cu, &ou, &cl, &ol, &mut vat, &mut lat, n);
-        let k = j2_accept_grad_row(b, &od, &oldd, &cd, &newd, &mut g, n);
-        slabs.push((vat, lat, g));
-        ks.push((kv, kl, k));
-    }
-    assert_eq!(slabs[0], slabs[1]);
-    assert_eq!(slabs[0], slabs[2]);
-    assert_eq!((ks[0].0, ks[0].1, ks[0].2), (ks[1].0, ks[1].1, ks[1].2));
-    assert!((ks[0].0 - ks[2].0).abs() < tol);
-    assert!((ks[0].1 - ks[2].1).abs() < tol);
-    assert!((ks[0].2 - ks[2].2).abs() < tol);
 }

@@ -1,7 +1,7 @@
 //! SPO evaluator correctness checker (miniQMC's `check_spo` analogue):
-//! verifies that the optimized (spline-innermost `soa` and `simd`)
-//! evaluators agree with the reference loop order and that single
-//! precision tracks double to the expected accuracy, at random positions.
+//! verifies that the optimized (spline-innermost `simd`) evaluators agree
+//! with the reference loop order and that single precision tracks double
+//! to the expected accuracy, at random positions.
 
 use miniqmc::{at_least, Options};
 use qmc_bspline::MultiBspline3D;
@@ -50,26 +50,24 @@ fn run(opts: &Options) -> Result<(), String> {
             &mut g_ref,
             &mut h_ref,
         );
-        for backend in [Backend::Soa, Backend::Simd] {
-            evaluate_vgh(backend, &v64, u, &mut p_opt, &mut g_opt, &mut h_opt);
-            for s in 0..ns {
-                layout_v = layout_v.max((p_opt[s] - p_ref[s]).abs());
-            }
-            for i in 0..3 * ns {
-                layout_g = layout_g.max((g_opt[i] - g_ref[i]).abs());
-            }
-            for i in 0..6 * ns {
-                layout_h = layout_h.max((h_opt[i] - h_ref[i]).abs());
-            }
-            evaluate_v(backend, &v32, u32, &mut p32);
-            for s in 0..ns {
-                prec_v = prec_v.max((p_ref[s] - p32[s] as f64).abs());
-            }
+        evaluate_vgh(Backend::Simd, &v64, u, &mut p_opt, &mut g_opt, &mut h_opt);
+        for s in 0..ns {
+            layout_v = layout_v.max((p_opt[s] - p_ref[s]).abs());
+        }
+        for i in 0..3 * ns {
+            layout_g = layout_g.max((g_opt[i] - g_ref[i]).abs());
+        }
+        for i in 0..6 * ns {
+            layout_h = layout_h.max((h_opt[i] - h_ref[i]).abs());
+        }
+        evaluate_v(Backend::Simd, &v32, u32, &mut p32);
+        for s in 0..ns {
+            prec_v = prec_v.max((p_ref[s] - p32[s] as f64).abs());
         }
     }
 
     println!(
-        "layout max |soa, simd - reference|:  v {layout_v:.2e}  grad {layout_g:.2e}  hess {layout_h:.2e}"
+        "layout max |simd - reference|:  v {layout_v:.2e}  grad {layout_g:.2e}  hess {layout_h:.2e}"
     );
     println!("precision max |f64 - f32| (values): {prec_v:.2e}");
 

@@ -26,8 +26,8 @@ const USAGE: &str = "miniqmc: full QMC miniapp (paper §7.1)\n\
      --benchmark graphite|be64|nio32|nio64 (default nio32)\n\
      --size scaled|full (default scaled)\n\
      --code ref|refmp|soa|current (default current)\n\
-     --backend reference|soa|simd   kernel backend (default: the\n\
-         QMC_KERNEL_BACKEND environment variable, else soa)\n\
+     --backend reference|simd   B-spline and distance kernels of the\n\
+         SoA code versions (default simd)\n\
      --threads N --walkers N --steps N --warmup N --tau X --seed N\n\
      --crowd W   lock-step crowds of W walkers (0/absent: per-walker)\n\
      --fused-refresh   with --crowd: route block refreshes through the\n\

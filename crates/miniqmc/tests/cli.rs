@@ -76,6 +76,45 @@ fn bad_profile_mode_prints_usage_and_exits_nonzero() {
     assert!(stderr.contains("unknown profile mode"), "{stderr}");
 }
 
+/// The kernel backends are `reference` and `simd`, chosen only by
+/// `--backend`: the removed `soa` is a usage error naming the valid values,
+/// and no environment variable selects a backend, not even a bad one.
+#[test]
+fn backend_is_reference_or_simd_and_only_the_flag_selects_it() {
+    let out = miniqmc()
+        .args(["--backend", "soa"])
+        .output()
+        .expect("spawn miniqmc");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    let first = stderr.lines().next().unwrap_or_default();
+    assert!(
+        first.contains("unknown kernel backend 'soa' (valid: reference, simd)"),
+        "{first}"
+    );
+    assert!(stderr.contains("--backend reference|simd"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+
+    for (flag, want) in [(None, "simd"), (Some("reference"), "reference")] {
+        let mut cmd = miniqmc();
+        cmd.args(tiny_args()).env("QMC_KERNEL_BACKEND", "bogus");
+        if let Some(b) = flag {
+            cmd.args(["--backend", b]);
+        }
+        let out = cmd.output().expect("spawn miniqmc");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "{flag:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            stdout.contains(&format!("backend = {want},")),
+            "{flag:?}: {stdout}"
+        );
+    }
+}
+
 /// Arguments that used to be silently replaced by a default, or to panic
 /// inside a constructor, are usage errors in every miniapp: exit 2 and one
 /// line naming the option and what it accepts.

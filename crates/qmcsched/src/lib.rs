@@ -15,8 +15,7 @@
 //! `cargo test -p qmcsched` runs every case: each method on each crew kind
 //! under every schedule (`tests/parity.rs`), checkpoint-resume across
 //! crews and backends (`tests/checkpoint_parity.rs`), and the backend,
-//! simd-tolerance, 1/2/4-thread and multi-rank sweeps (this file's unit
-//! tests).
+//! 1/2/4-thread and multi-rank sweeps (this file's unit tests).
 
 #![forbid(unsafe_code)]
 
@@ -340,11 +339,10 @@ pub fn explore_schedules(driver: DriverKind, crew: CrewKind, cfg: &HarnessConfig
 
 /// Runs VMC on an engine crew once per kernel backend and compares the
 /// trajectories per walker. The kernel library's verification contract
-/// (`qmc-kernels`) documents `reference` and `soa` as bitwise-identical
-/// on every kernel family, so the whole VMC trajectory must digest
-/// equal to the bit — this case turns that documented contract into a
-/// gated artifact. `simd` is deliberately excluded: its J2 kernel only
-/// promises a tolerance, so trajectories may legitimately diverge.
+/// (`qmc-kernels`) documents `reference` and `simd` as bitwise-identical
+/// on the B-spline and distance families, and J2 has one implementation,
+/// so the whole VMC trajectory must digest equal to the bit — this case
+/// turns that documented contract into a gated artifact.
 pub fn explore_backends(cfg: &HarnessConfig) -> DriverParity {
     let w = workload(cfg.seed);
     let shape = Shape {
@@ -353,7 +351,7 @@ pub fn explore_backends(cfg: &HarnessConfig) -> DriverParity {
         threads: cfg.threads,
     };
     let prev = qmc_kernels::Backend::current();
-    let runs = [qmc_kernels::Backend::Reference, qmc_kernels::Backend::Soa]
+    let runs = qmc_kernels::Backend::ALL
         .into_iter()
         .map(|backend| {
             // Engines capture the backend at construction, so it must be
@@ -369,67 +367,6 @@ pub fn explore_backends(cfg: &HarnessConfig) -> DriverParity {
     DriverParity {
         driver: "vmc-backends".into(),
         runs,
-    }
-}
-
-/// Outcome of the f32-rung tolerance case: the `simd` backend's VMC
-/// energy versus the `reference` backend's, with the window the gate
-/// allows. `simd` is the one backend with a documented *tolerance* (not
-/// bitwise) contract — its lane-split J2 reductions may round differently
-/// — so a whole trajectory may legitimately diverge once an accept
-/// decision flips. The runs stay statistically equivalent, so the gate
-/// compares energies against the combined statistical error rather than
-/// bits.
-#[derive(Clone, Debug)]
-pub struct SimdToleranceCase {
-    /// Energy mean of the `reference`-backend run.
-    pub reference_energy: f64,
-    /// Energy mean of the `simd`-backend run.
-    pub simd_energy: f64,
-    /// Allowed |difference|: six combined standard errors plus a relative
-    /// floor of 1e-6 (the bitwise-identical-trajectory fast path).
-    pub tolerance: f64,
-}
-
-impl SimdToleranceCase {
-    /// True when the simd energy sits inside the documented window.
-    pub fn within_tolerance(&self) -> bool {
-        (self.reference_energy - self.simd_energy).abs() <= self.tolerance
-    }
-}
-
-/// The f32 rung of the backend parity ladder: runs VMC on an engine crew
-/// (f32 engines) under the `reference` and `simd` kernel backends and
-/// compares energies within [`SimdToleranceCase::tolerance`] — the
-/// tolerance-contract companion to [`explore_backends`]' bitwise gate.
-pub fn explore_simd_tolerance(cfg: &HarnessConfig) -> SimdToleranceCase {
-    let w = workload(cfg.seed);
-    let params = vmc_params(cfg, Batching::PerWalker);
-    let prev = qmc_kernels::Backend::current();
-    let run = |backend: qmc_kernels::Backend| {
-        qmc_kernels::set_backend(backend);
-        let mut engines: Vec<QmcEngine<f32>> = (0..cfg.threads)
-            .map(|_| w.build_engine_f32(CodeVersion::Current))
-            .collect();
-        let mut walkers = initial_population(w.initial_positions(), cfg.walkers, cfg.seed);
-        let (res, _profile) = run_vmc(
-            &mut engines,
-            &mut walkers,
-            &params,
-            None,
-            &mut RunControl::none(),
-        )
-        .expect("an uncontrolled run writes no checkpoint");
-        (res.energy.mean(), res.energy.variance(), res.samples)
-    };
-    let (e_ref, var_ref, n_ref) = run(qmc_kernels::Backend::Reference);
-    let (e_simd, var_simd, n_simd) = run(qmc_kernels::Backend::Simd);
-    qmc_kernels::set_backend(prev);
-    let sem2 = var_ref / n_ref.max(1) as f64 + var_simd / n_simd.max(1) as f64;
-    SimdToleranceCase {
-        reference_energy: e_ref,
-        simd_energy: e_simd,
-        tolerance: 6.0 * sem2.sqrt() + 1e-6 * e_ref.abs(),
     }
 }
 
@@ -573,40 +510,20 @@ mod tests {
     }
 
     #[test]
-    fn reference_and_soa_backends_agree_bitwise() {
+    fn reference_and_simd_backends_agree_bitwise() {
         let _backend = BACKEND.write().unwrap_or_else(PoisonError::into_inner);
-        // The kernel library documents reference <-> soa as bitwise on
+        // The kernel library documents reference <-> simd as bitwise on
         // every kernel family; a whole VMC trajectory must therefore
         // digest equal per walker.
         let p = explore_backends(&HarnessConfig::default());
         assert_eq!(p.runs.len(), 2);
         assert!(
             p.parity(),
-            "reference vs soa backend trajectories diverged: {:?}",
+            "reference vs simd backend trajectories diverged: {:?}",
             p.runs
                 .iter()
                 .map(|r| (&r.schedule, r.scalars))
                 .collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn simd_backend_energy_within_documented_tolerance() {
-        let _backend = BACKEND.write().unwrap_or_else(PoisonError::into_inner);
-        // The simd backend's J2 reductions carry a tolerance contract, not
-        // a bitwise one, so the f32-rung gate is statistical: the VMC
-        // energy must land within six combined standard errors of the
-        // reference-backend run (and in the common case where no accept
-        // decision flips, the trajectories are nearly identical and the
-        // difference is ~0).
-        let case = explore_simd_tolerance(&HarnessConfig::default());
-        assert!(
-            case.reference_energy.is_finite() && case.simd_energy.is_finite(),
-            "non-finite energies: {case:?}"
-        );
-        assert!(
-            case.within_tolerance(),
-            "simd backend energy outside the documented f32-rung window: {case:?}"
         );
     }
 

@@ -1,6 +1,5 @@
 //! Checkpoint/restart bitwise-parity matrix: for VMC and DMC, on every
-//! crew kind (engines, crowds, fused crowds) and all three kernel
-//! backends, a run checkpointed at an interior step and resumed from the
+//! crew kind (engines, crowds, fused crowds) and both kernel backends, a run checkpointed at an interior step and resumed from the
 //! file must finish with per-walker full-state digests (walker buffers,
 //! positions, weight, age AND raw RNG words) identical to the straight
 //! run's — plus equal scalar outputs. Every run goes through the one
@@ -46,7 +45,7 @@ fn assert_resume_matches(w: &Workload, shape: Shape, resumed_on: Shape, tag: &st
 fn checkpoint_resume_is_bitwise_across_drivers_crews_and_backends() {
     let w = Workload::new(Benchmark::Graphite, Size::Scaled, SEED);
     let saved = Backend::current();
-    for backend in [Backend::Reference, Backend::Soa, Backend::Simd] {
+    for backend in Backend::ALL {
         qmc_kernels::set_backend(backend);
         for driver in [DriverKind::Dmc, DriverKind::Vmc] {
             for crew in CrewKind::ALL {

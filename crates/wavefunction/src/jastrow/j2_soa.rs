@@ -8,8 +8,7 @@
 //!
 //! The functor rows stay here (one cutoff mask per row, group dispatch,
 //! see [`super::evaluate_vgl_row`]); the row reductions and forward-update
-//! slabs run in `qmc_kernels::jastrow` behind the backend seam captured at
-//! construction.
+//! slabs run in `qmc_kernels::jastrow`, which has one implementation.
 
 use super::{evaluate_v_row, evaluate_vgl_row, PairFunctors};
 use crate::buffer::WalkerBuffer;
@@ -19,7 +18,6 @@ use qmc_instrument::{add_flops_bytes, time_kernel, Kernel};
 use qmc_kernels::jastrow::{
     j2_accept_grad_row, j2_accept_value_rows, j2_row_sum, j2_row_vg, j2_row_vgl,
 };
-use qmc_kernels::Backend;
 use qmc_particles::{MwRowStage, ParticleSet};
 use std::ops::Range;
 
@@ -49,8 +47,6 @@ pub struct J2Soa<T: Real> {
     cur_vat: f64,
     cur_has_grad: bool,
     log_value: f64,
-    /// Kernel backend captured at construction (see `qmc_kernels::Backend`).
-    backend: Backend,
 }
 
 impl<T: Real> J2Soa<T> {
@@ -77,7 +73,6 @@ impl<T: Real> J2Soa<T> {
             cur_vat: 0.0,
             cur_has_grad: false,
             log_value: 0.0,
-            backend: Backend::current(),
         }
     }
 
@@ -116,7 +111,6 @@ impl<T: Real> WaveFunctionComponent<T> for J2Soa<T> {
                 );
                 let (dx, dy, dz) = (t.disp_row(0, i), t.disp_row(1, i), t.disp_row(2, i));
                 let row = j2_row_vgl(
-                    self.backend,
                     self.cur_u.as_slice(),
                     self.cur_dud.as_slice(),
                     self.cur_lap.as_slice(),
@@ -154,7 +148,7 @@ impl<T: Real> WaveFunctionComponent<T> for J2Soa<T> {
                 &t.temp_dist()[..self.n],
                 &mut self.cur_u.as_mut_slice()[..self.n],
             );
-            let v = j2_row_sum(self.backend, self.cur_u.as_slice(), self.n);
+            let v = j2_row_sum(self.cur_u.as_slice(), self.n);
             self.cur_vat = v.to_f64();
             self.cur_has_grad = false;
             add_flops_bytes(
@@ -193,7 +187,7 @@ impl<T: Real> WaveFunctionComponent<T> for J2Soa<T> {
                     &self.shell.dist_row(q)[..n],
                     &mut self.cur_u.as_mut_slice()[..n],
                 );
-                let v = j2_row_sum(self.backend, self.cur_u.as_slice(), n).to_f64();
+                let v = j2_row_sum(self.cur_u.as_slice(), n).to_f64();
                 *r *= (-(v - vat)).exp();
             }
             add_flops_bytes(
@@ -219,7 +213,6 @@ impl<T: Real> WaveFunctionComponent<T> for J2Soa<T> {
             );
             let (tx, ty, tz) = (t.temp_disp(0), t.temp_disp(1), t.temp_disp(2));
             let (v, g) = j2_row_vg(
-                self.backend,
                 self.cur_u.as_slice(),
                 self.cur_dud.as_slice(),
                 tx,
@@ -279,10 +272,8 @@ impl<T: Real> WaveFunctionComponent<T> for J2Soa<T> {
             let ol = &self.old_lap.as_slice()[..n];
 
             // Forward update of neighbour accumulators (vectorized slabs in
-            // the kernel library; slab updates bitwise on every backend).
-            let backend = self.backend;
+            // the kernel library).
             let (kv, kl) = j2_accept_value_rows(
-                backend,
                 cu,
                 ou,
                 cl,
@@ -291,9 +282,9 @@ impl<T: Real> WaveFunctionComponent<T> for J2Soa<T> {
                 self.lat.as_mut_slice(),
                 n,
             );
-            let kx = j2_accept_grad_row(backend, od, ox, cd, tx, self.gat.dim_mut(0), n);
-            let ky = j2_accept_grad_row(backend, od, oy, cd, ty, self.gat.dim_mut(1), n);
-            let kz = j2_accept_grad_row(backend, od, oz, cd, tz, self.gat.dim_mut(2), n);
+            let kx = j2_accept_grad_row(od, ox, cd, tx, self.gat.dim_mut(0), n);
+            let ky = j2_accept_grad_row(od, oy, cd, ty, self.gat.dim_mut(1), n);
+            let kz = j2_accept_grad_row(od, oz, cd, tz, self.gat.dim_mut(2), n);
             // The moved electron's accumulators from the new row.
             self.vat[iat] = kv;
             self.gat.set(iat, TinyVector([kx, ky, kz]));

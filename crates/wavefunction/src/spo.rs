@@ -434,19 +434,19 @@ mod tests {
         let lat = CrystalLattice::<f64>::orthorhombic([3.0, 4.0, 5.0]);
         let table = Arc::new(MultiBspline3D::<f64>::random([6, 6, 6], 7, 13));
         let mut spo_ref = BsplineSpo::new(Arc::clone(&table), lat.clone(), Backend::Reference);
-        let mut spo_soa = BsplineSpo::new(table, lat, Backend::Soa);
+        let mut spo_simd = BsplineSpo::new(table, lat, Backend::Simd);
         let pos = TinyVector([1.3, 0.4, 4.1]);
         let ns = 7;
         let (mut p1, mut p2) = (vec![0.0; ns], vec![0.0; ns]);
         spo_ref.evaluate_v(pos, &mut p1);
-        spo_soa.evaluate_v(pos, &mut p2);
+        spo_simd.evaluate_v(pos, &mut p2);
         for s in 0..ns {
             assert!((p1[s] - p2[s]).abs() < 1e-12);
         }
         let (mut g1, mut g2) = (vec![0.0; 3 * ns], vec![0.0; 3 * ns]);
         let (mut l1, mut l2) = (vec![0.0; ns], vec![0.0; ns]);
         spo_ref.evaluate_vgl(pos, &mut p1, &mut g1, &mut l1);
-        spo_soa.evaluate_vgl(pos, &mut p2, &mut g2, &mut l2);
+        spo_simd.evaluate_vgl(pos, &mut p2, &mut g2, &mut l2);
         for i in 0..3 * ns {
             assert!((g1[i] - g2[i]).abs() < 1e-10);
         }
@@ -491,7 +491,7 @@ mod tests {
     }
 
     /// Bitwise contract of the diagonal path. On a cell whose Laplacian
-    /// metric has exactly zero off-diagonals, soa and simd run
+    /// metric has exactly zero off-diagonals, simd runs
     /// `evaluate_vgh_diag` and a three-term Laplacian, and must give the
     /// full chain's bits: random tables, with one orbital whose
     /// coefficients are all zero (signed-zero sums). A triclinic cell and a
@@ -522,36 +522,32 @@ mod tests {
             let table = Arc::new(table);
             for (c, cell) in cells.iter().enumerate() {
                 let lattice: CrystalLattice<T> = cell.cast();
-                for backend in [Backend::Soa, Backend::Simd] {
-                    let mut spo = BsplineSpo::new(Arc::clone(&table), lattice.clone(), backend);
-                    // The bits below, not this flag, are what tell the other two
-                    // cells' paths apart.
-                    assert!(
-                        c != 0 || spo.diag,
-                        "the orthorhombic cell runs the diagonal path"
+                let backend = Backend::Simd;
+                let mut spo = BsplineSpo::new(Arc::clone(&table), lattice.clone(), backend);
+                // The bits below, not this flag, are what tell the other two
+                // cells' paths apart.
+                assert!(
+                    c != 0 || spo.diag,
+                    "the orthorhombic cell runs the diagonal path"
+                );
+                for i in 0..8 {
+                    let t = i as f64;
+                    let frac =
+                        TinyVector([0.13 + 0.117 * t, 0.71 - 0.083 * t, (0.37 * t + 0.05) % 1.0]);
+                    let pos = lattice.to_cart(frac.cast());
+                    let (mut psi, mut grad, mut lap) =
+                        (vec![T::ZERO; ns], vec![T::ZERO; 3 * ns], vec![T::ZERO; ns]);
+                    spo.evaluate_vgl(pos, &mut psi, &mut grad, &mut lap);
+                    let (psi0, grad0, lap0) = full_chain(&table, &lattice, backend, pos);
+                    let at = format!("seed {seed} cell {c} {backend} point {i}");
+                    assert_eq!(bits(&psi), bits(&psi0), "psi, {at}");
+                    assert_eq!(bits(&grad), bits(&grad0), "grad, {at}");
+                    assert_eq!(bits(&lap), bits(&lap0), "lap, {at}");
+                    assert_eq!(
+                        lap[zero_orbital].to_f64().to_bits(),
+                        0,
+                        "{at}: zero orbital's lap is +0"
                     );
-                    for i in 0..8 {
-                        let t = i as f64;
-                        let frac = TinyVector([
-                            0.13 + 0.117 * t,
-                            0.71 - 0.083 * t,
-                            (0.37 * t + 0.05) % 1.0,
-                        ]);
-                        let pos = lattice.to_cart(frac.cast());
-                        let (mut psi, mut grad, mut lap) =
-                            (vec![T::ZERO; ns], vec![T::ZERO; 3 * ns], vec![T::ZERO; ns]);
-                        spo.evaluate_vgl(pos, &mut psi, &mut grad, &mut lap);
-                        let (psi0, grad0, lap0) = full_chain(&table, &lattice, backend, pos);
-                        let at = format!("seed {seed} cell {c} {backend} point {i}");
-                        assert_eq!(bits(&psi), bits(&psi0), "psi, {at}");
-                        assert_eq!(bits(&grad), bits(&grad0), "grad, {at}");
-                        assert_eq!(bits(&lap), bits(&lap0), "lap, {at}");
-                        assert_eq!(
-                            lap[zero_orbital].to_f64().to_bits(),
-                            0,
-                            "{at}: zero orbital's lap is +0"
-                        );
-                    }
                 }
             }
         }
@@ -577,7 +573,6 @@ mod tests {
         let ortho = CrystalLattice::<f64>::orthorhombic([3.0, 4.0, 5.0]);
         let skew = CrystalLattice::from_rows([[8.0, 0.0, 0.0], [2.0, 7.0, 0.0], [1.0, 1.5, 9.0]]);
         let cases = [
-            (ortho.clone(), Backend::Soa, 7),
             (ortho.clone(), Backend::Simd, 7),
             (ortho, Backend::Reference, 10),
             (skew, Backend::Simd, 10),

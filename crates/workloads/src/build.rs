@@ -59,8 +59,7 @@ impl CodeVersion {
 
     /// B-spline kernel backend: the AoS versions pin the scalar reference
     /// loops; the SoA versions take the process-wide selection
-    /// (`QMC_KERNEL_BACKEND` / `--backend`), captured when an engine is
-    /// built.
+    /// (`--backend`, default `simd`), captured when an engine is built.
     fn spo_backend(self) -> Backend {
         match self.layout() {
             Layout::Aos => Backend::Reference,

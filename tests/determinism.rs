@@ -105,10 +105,13 @@ fn different_seeds_decorrelate() {
     assert_ne!(a.energy.0, b.energy.0);
 }
 
-/// Population digests and energies recorded on the parent commit of the
-/// PR that blocked the determinant-path reductions (`dots`, row-blocked
-/// Sherman–Morrison, row-wise LU inverse), before any edit: "bit-identical
-/// to the parent" as a test. A change that is *meant* to move bits
+/// Population digests and energies: "bit-identical to the parent" as a
+/// test. The DMC values were recorded on the parent commit of the PR that
+/// blocked the determinant-path reductions (`dots`, row-blocked
+/// Sherman–Morrison, row-wise LU inverse), before any edit. The VMC values
+/// were re-recorded when the two-body Jastrow took its lane-split sums as
+/// its only reduction order, which moved every bit of that run (it ran
+/// the scalar order before). A change that is *meant* to move bits
 /// re-records these and says so; any other failure here is a regression.
 #[test]
 fn recorded_population_digests_hold() {
@@ -122,7 +125,6 @@ fn recorded_population_digests_hold() {
     let w = Workload::new(Benchmark::Graphite, Size::Scaled, 99);
     let dmc = run_dmc_benchmark(&w, CodeVersion::Current, &c);
 
-    qmc::kernels::set_backend(Backend::Soa);
     let w = Workload::new(Benchmark::Be64, Size::Scaled, 99);
     let vmc = run_benchmark_controlled(
         &w,
@@ -141,7 +143,7 @@ fn recorded_population_digests_hold() {
     );
     assert_eq!(
         (vmc.walker_hash, vmc.energy.0.to_bits(), vmc.samples),
-        (0xe8d6_300e_7012_21d7, 0x4090_6405_1207_81bb, 48),
-        "VMC, scaled Be-64, f32 Current, soa backend"
+        (0x3c66_1936_e51a_c9f1, 0x4090_6405_1203_bcf4, 48),
+        "VMC, scaled Be-64, f32 Current, simd backend"
     );
 }
