@@ -1,16 +1,18 @@
-//! Criterion bench: coverage of the `qmc-kernels` families — every
-//! [`Backend`] times every backend family (B-spline v/vgh/mw-vgl in both
+//! Criterion bench: the kernel layer's one meter — every [`Backend`] times
+//! every backend family (B-spline v/vgh/vgh-diag/mw-vgl in both
 //! precisions, the NLPP-sized value-only batch, distance rows), and the
-//! one J2 accumulation is timed beside them, so a backend regression shows
-//! up in the same Criterion series the cross-backend verifier gates for
-//! correctness. Those tables (7 MiB, 16 repeated points) are cache-hot;
-//! the `dram` group times the NiO-32 shape far out of cache, where what
-//! binds is the memory system, and prints the byte rate beside the time.
+//! one J2 accumulation is timed beside them; `backend_matrix` in
+//! `qmc-kernels` holds the same kernels to their bits. Those tables
+//! (7 MiB, 16 repeated points) are cache-hot; the `dram` group times the
+//! NiO-32 shape far out of cache, where what binds is the memory system,
+//! and prints the byte rate beside the time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qmc_bspline::MultiBspline3D;
 use qmc_containers::Real;
-use qmc_kernels::bspline::{evaluate_v, evaluate_vgh, mw_evaluate_v, mw_evaluate_vgl};
+use qmc_kernels::bspline::{
+    evaluate_v, evaluate_vgh, evaluate_vgh_diag, mw_evaluate_v, mw_evaluate_vgl,
+};
 use qmc_kernels::distance::distance_row;
 use qmc_kernels::jastrow::j2_row_vgl;
 use qmc_kernels::Backend;
@@ -19,8 +21,9 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
 
-/// `Bspline-v`, `Bspline-vgh` (Figs. 2 and 7) and the fused multi-walker
-/// vgl at precision `T`; the f32 instance is the 16-lane rung of the
+/// `Bspline-v`, `Bspline-vgh` (Figs. 2 and 7), the diagonal-Hessian vgh
+/// the sweep runs on orthorhombic cells and the fused multi-walker vgl at
+/// precision `T`; the f32 instance is the 16-lane rung of the
 /// lane-width ladder.
 fn bench_bspline_precision<T: Real>(c: &mut Criterion, group: &str) {
     let ns = 128;
@@ -59,6 +62,13 @@ fn bench_bspline_precision<T: Real>(c: &mut Criterion, group: &str) {
             bench.iter(|| {
                 idx = (idx + 1) % nw;
                 evaluate_vgh(b, &view, points[idx], &mut p, &mut g, &mut h);
+                black_box(&p);
+            });
+        });
+        group.bench_function(BenchmarkId::new("vgh_diag", b.label()), |bench| {
+            bench.iter(|| {
+                idx = (idx + 1) % nw;
+                evaluate_vgh_diag(b, &view, points[idx], &mut p, &mut g, &mut h);
                 black_box(&p);
             });
         });

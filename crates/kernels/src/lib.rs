@@ -35,14 +35,17 @@
 //!
 //! ## Verification contract
 //!
-//! The cross-backend harness in `tests/` (and `src/bin/kernel_verify.rs`,
-//! which CI runs) pins the following over seeded random inputs:
+//! The cross-backend matrix in `tests/backend_matrix.rs` pins the
+//! following over seeded random inputs (its `--ignored` cases are the
+//! release-mode timing gates; `qmc-bench`'s `bench_kernels` is the meter):
 //!
 //! * **B-spline v / vgh / vgh-diag / vgl / mw-vgl / mw-v**, in `f64` and
 //!   `f32`: `reference` and `simd` are **bitwise identical** — both
 //!   accumulate each orbital over the 64 stencil nodes in the same order
 //!   with the same `mul_add` placement, and differ only in loop structure
-//!   and memory traffic.
+//!   and memory traffic. The `f32` `v` of either backend also stays
+//!   within `1e-4` of the same table rebuilt in `f64` (the drift
+//!   contract).
 //! * **Distance rows**: **bitwise identical** on orthorhombic cells
 //!   (identical branch-free min-image arithmetic) and on general cells
 //!   (both fall back to the same minimum-image wrap).

@@ -129,22 +129,25 @@ fn assert_diag_of<T: Real>(diag: &[Vec<T>; 3], full: (&[T], &[T], &[T]), what: &
 
 // -- B-spline family: reference == simd bitwise ------------------------------
 
-fn bspline_matrix<T: Real>(ns: usize, seed: u64) {
-    let table = Table::<T>::random([5, 6, 7], ns, seed);
-    let t = table.view();
+/// A triclinic cell's gradient transform and Laplacian metric, as
+/// `evaluate_vgl` and `mw_evaluate_vgl` take them.
+fn metric<T: Real>() -> ([[T; 3]; 3], [T; 6]) {
+    let t = T::from_f64;
     let gmat = [
-        [T::from_f64(0.31), T::ZERO, T::ZERO],
-        [T::from_f64(0.02), T::from_f64(0.27), T::ZERO],
-        [T::ZERO, T::from_f64(0.01), T::from_f64(0.22)],
+        [t(0.31), T::ZERO, T::ZERO],
+        [t(0.02), t(0.27), T::ZERO],
+        [T::ZERO, t(0.01), t(0.22)],
     ];
-    let lapmet = [
-        T::from_f64(0.10),
-        T::from_f64(0.09),
-        T::from_f64(0.05),
-        T::from_f64(0.01),
-        T::from_f64(0.02),
-        T::from_f64(0.005),
-    ];
+    (
+        gmat,
+        [t(0.10), t(0.09), t(0.05), t(0.01), t(0.02), t(0.005)],
+    )
+}
+
+fn bspline_matrix<T: Real>(grid: [usize; 3], ns: usize, seed: u64) {
+    let table = Table::<T>::random(grid, ns, seed);
+    let t = table.view();
+    let (gmat, lapmet) = metric::<T>();
     let us = positions::<T>(4, seed ^ 0xABCD);
 
     for &u in &us {
@@ -232,17 +235,135 @@ fn bspline_matrix<T: Real>(ns: usize, seed: u64) {
 
 #[test]
 fn bspline_bitwise_f64_lane_multiple() {
-    bspline_matrix::<f64>(16, 11);
+    bspline_matrix::<f64>([5, 6, 7], 16, 11);
 }
 
 #[test]
 fn bspline_bitwise_f64_with_tail() {
-    bspline_matrix::<f64>(13, 13);
+    bspline_matrix::<f64>([5, 6, 7], 13, 13);
+}
+
+/// Two f64 lane blocks and a tail of 5, on a grid whose x extent is not
+/// the smallest.
+#[test]
+fn bspline_bitwise_f64_two_blocks_and_a_tail() {
+    bspline_matrix::<f64>([6, 5, 7], 21, 101);
 }
 
 #[test]
 fn bspline_bitwise_f32() {
-    bspline_matrix::<f32>(19, 17);
+    bspline_matrix::<f32>([5, 6, 7], 19, 17);
+}
+
+/// The mixed-precision drift contract: an f32 table rebuilt in f64 (every
+/// coefficient widened exactly) evaluates within `1e-4` of the f32 `v` of
+/// either backend at the same f32 positions.
+#[test]
+fn f32_v_stays_within_1e_4_of_its_f64_rebuild() {
+    let (grid, ns) = ([6, 5, 7], 21);
+    let table32 = Table::<f32>::random(grid, ns, 101);
+    let ns_pad = padded_len::<f64>(ns);
+    let nodes = table32.coefs.len() / table32.ns_pad;
+    let mut coefs = AlignedVec::<f64>::zeros(nodes * ns_pad);
+    for node in 0..nodes {
+        for s in 0..ns {
+            coefs.as_mut_slice()[node * ns_pad + s] =
+                f64::from(table32.coefs.as_slice()[node * table32.ns_pad + s]);
+        }
+    }
+    let table64 = Table {
+        grid,
+        ns,
+        ns_pad,
+        coefs,
+    };
+    for u in positions::<f32>(6, 202) {
+        let mut psi64 = vec![0.0f64; ns];
+        evaluate_v(
+            Backend::Reference,
+            &table64.view(),
+            u.map(f64::from),
+            &mut psi64,
+        );
+        for b in Backend::ALL {
+            let mut psi32 = vec![0.0f32; ns];
+            evaluate_v(b, &table32.view(), u, &mut psi32);
+            for (s, (&lo, &hi)) in psi32.iter().zip(&psi64).enumerate() {
+                assert!(
+                    (f64::from(lo) - hi).abs() < 1e-4,
+                    "{b}: f32 v drifts at spline {s}, {u:?}: {lo} vs {hi}"
+                );
+            }
+        }
+    }
+}
+
+/// Best of five passes of `calls` calls of `f`, in ns per call.
+fn best_of_5_ns(calls: usize, mut f: impl FnMut()) -> f64 {
+    (0..5)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            for _ in 0..calls {
+                f();
+            }
+            t0.elapsed().as_secs_f64() * 1e9 / calls as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Timing gate (release mode, `-- --ignored`; `ci.sh` runs it): the simd
+/// backend must stay >= 1.25x ahead of reference on `v`, `vgh` and
+/// `mw_vgl` (f64, ns = 128, 16³ table, cache-hot; measured 7.8x, 6.5x and
+/// 16.2x on a 2-vCPU AVX-512 Xeon), or its tiling stopped paying.
+/// `bench_kernels` times the same shapes.
+#[test]
+#[ignore = "timing gate: run in release mode (ci.sh does)"]
+fn simd_is_at_least_1_25x_reference_on_the_bspline_kernels() {
+    let ns = 128;
+    let table = Table::<f64>::random([16, 16, 16], ns, 303);
+    let t = table.view();
+    let (gmat, lapmet) = metric::<f64>();
+    let us = positions::<f64>(16, 404);
+    let nw = us.len();
+    let time = |b: Backend| -> [f64; 3] {
+        let mut psi = vec![0.0; ns];
+        let t_v = best_of_5_ns(2000, || {
+            for &u in &us[..4] {
+                evaluate_v(b, &t, u, &mut psi);
+                std::hint::black_box(&mut psi);
+            }
+        }) / 4.0;
+        let (mut p, mut g, mut h) = (vec![0.0; ns], vec![0.0; 3 * ns], vec![0.0; 6 * ns]);
+        let t_vgh = best_of_5_ns(1000, || {
+            for &u in &us[..4] {
+                evaluate_vgh(b, &t, u, &mut p, &mut g, &mut h);
+                std::hint::black_box(&mut p);
+            }
+        }) / 4.0;
+        let (mut pw, mut gw, mut lw) = (
+            vec![0.0; nw * ns],
+            vec![0.0; 3 * nw * ns],
+            vec![0.0; nw * ns],
+        );
+        let t_mw = best_of_5_ns(200, || {
+            mw_evaluate_vgl(b, &t, &us, &gmat, &lapmet, &mut pw, &mut gw, &mut lw);
+            std::hint::black_box(&mut pw);
+        }) / nw as f64;
+        [t_v, t_vgh, t_mw]
+    };
+    let reference = time(Backend::Reference);
+    let simd = time(Backend::Simd);
+    for (k, name) in ["v", "vgh", "mw_vgl"].into_iter().enumerate() {
+        let speedup = reference[k] / simd[k];
+        println!(
+            "{name} f64 ns={ns}: reference {:.0} ns, simd {:.0} ns, {speedup:.2}x",
+            reference[k], simd[k]
+        );
+        assert!(
+            speedup >= 1.25,
+            "simd {name} is only {speedup:.2}x reference (>= 1.25x required)"
+        );
+    }
 }
 
 // -- value-only multi-point batch (the NLPP quadrature shape) ---------------

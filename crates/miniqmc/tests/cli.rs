@@ -525,14 +525,20 @@ fn walker_hash_line(stdout: &[u8]) -> String {
         .to_string()
 }
 
-/// The PR's headline property, end to end through the binary: a job
-/// checkpointed at an interior generation and restarted from the file
-/// finishes with the same per-walker FNV-1a population hash as the job
-/// that was never killed.
+/// End to end through the binary: a job checkpointed at an interior
+/// generation and restarted from the file finishes with the same
+/// per-walker FNV-1a population hash as the job that was never killed —
+/// per walker and in crowds, DMC and VMC (whose steps are blocks of four
+/// sweeps, so it cuts at 12 of 24). Crowds are bitwise equal to per-walker
+/// runs, so the hash cannot see a resume that drops `--crowd`: the resumed
+/// run must also echo the straight run's configuration line. The stream
+/// continues across the restart: the killed segment records its
+/// checkpoint and the resumed one announces the step it picked up at.
 #[test]
 fn checkpoint_then_resume_matches_straight_run_hash() {
     let dir = std::env::temp_dir();
     let ck = dir.join(format!("miniqmc_ck_{}.qmc", std::process::id()));
+    let nd = dir.join(format!("miniqmc_ck_{}.ndjson", std::process::id()));
     let ck_arg = format!("{}:3", ck.display());
     let common = [
         "--benchmark",
@@ -546,46 +552,89 @@ fn checkpoint_then_resume_matches_straight_run_hash() {
         "--seed",
         "11",
     ];
+    let shapes: [&[&str]; 4] = [
+        &[],
+        &["--crowd", "2"],
+        &["--driver", "vmc"],
+        &["--driver", "vmc", "--crowd", "2"],
+    ];
 
-    let straight = miniqmc()
-        .args(common)
-        .args(["--steps", "6"])
-        .output()
-        .expect("spawn miniqmc");
-    assert!(straight.status.success());
+    for shape in shapes {
+        let (cut, total) = if shape.contains(&"vmc") {
+            ("12", "24")
+        } else {
+            ("3", "6")
+        };
+        let run = |extra: &[&str]| {
+            let out = miniqmc()
+                .args(common)
+                .args(shape)
+                .args(extra)
+                .output()
+                .expect("spawn miniqmc");
+            assert!(
+                out.status.success(),
+                "{shape:?} {extra:?}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            out.stdout
+        };
+        let stream = nd.display().to_string();
+        let straight = run(&["--steps", total]);
+        // "Killed" job: stops at the cut, leaving its checkpoint behind.
+        let killed = run(&["--steps", cut, "--checkpoint", &ck_arg, "--stream", &stream]);
+        // Restart from the file and run to the same total step count.
+        let resumed = run(&[
+            "--steps",
+            total,
+            "--resume",
+            &ck.display().to_string(),
+            "--stream",
+            &stream,
+        ]);
+        let text = std::fs::read_to_string(&nd).expect("stream written");
+        let _ = std::fs::remove_file(&ck);
+        let _ = std::fs::remove_file(&nd);
 
-    // "Killed" job: runs only to step 3, leaving its checkpoint behind.
-    let killed = miniqmc()
-        .args(common)
-        .args(["--steps", "3", "--checkpoint", &ck_arg])
-        .output()
-        .expect("spawn miniqmc");
-    assert!(killed.status.success());
-
-    // Restart from the file and run to the same total step count.
-    let resumed = miniqmc()
-        .args(common)
-        .args(["--steps", "6", "--resume", &ck.display().to_string()])
-        .output()
-        .expect("spawn miniqmc");
-    let _ = std::fs::remove_file(&ck);
-    assert!(
-        resumed.status.success(),
-        "{}",
-        String::from_utf8_lossy(&resumed.stderr)
-    );
-
-    let h_straight = walker_hash_line(&straight.stdout);
-    let h_killed = walker_hash_line(&killed.stdout);
-    let h_resumed = walker_hash_line(&resumed.stdout);
-    assert_eq!(
-        h_straight, h_resumed,
-        "resumed run diverged from the straight run"
-    );
-    assert_ne!(
-        h_straight, h_killed,
-        "interior checkpoint must not equal the finished population (no-op trap)"
-    );
+        let config = |stdout: &[u8]| {
+            String::from_utf8_lossy(stdout)
+                .lines()
+                .find(|l| l.starts_with("code = "))
+                .expect("configuration line")
+                .to_string()
+        };
+        assert_eq!(
+            config(&straight),
+            config(&resumed),
+            "{shape:?}: resumed run is configured differently"
+        );
+        let [straight, killed, resumed] = [straight, killed, resumed].map(|o| walker_hash_line(&o));
+        assert_eq!(
+            straight, resumed,
+            "{shape:?}: resumed run diverged from the straight run"
+        );
+        assert_ne!(
+            straight, killed,
+            "{shape:?}: interior checkpoint must not equal the finished population (no-op trap)"
+        );
+        let records: Vec<_> = text
+            .lines()
+            .map(|l| json::parse(l).unwrap_or_else(|e| panic!("bad NDJSON line: {e}: {l}")))
+            .collect();
+        let field = |key| {
+            records
+                .iter()
+                .filter_map(move |r: &json::JsonValue| r.get(key))
+        };
+        assert!(
+            field("event").any(|e| e.as_str() == Some("checkpoint")),
+            "{shape:?}: no checkpoint record"
+        );
+        assert!(
+            field("resumed_from_step").any(|s| s.as_f64() == Some(3.0)),
+            "{shape:?}: no start record with resumed_from_step = 3"
+        );
+    }
 }
 
 /// `--stream` appends one NDJSON record per event: a start record with

@@ -199,7 +199,6 @@ mod tests {
         // physics, but not a designated mixed-precision module.
         let kernels = classify("crates/kernels/src/bspline.rs");
         assert!(kernels.kernel && kernels.physics && !kernels.mixed_precision);
-        assert!(classify("crates/kernels/src/bin/kernel_verify.rs").exempt);
     }
 
     /// Every configured path names a file or directory of the workspace, so
