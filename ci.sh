@@ -47,6 +47,13 @@ echo "== determinant speedup gate (blocked vs serial-chain oracle, release) =="
 # row-blocked one, whose n^2 FMAs are scalar.
 cargo test -q --release -p qmc-linalg --test oracle -- --ignored
 
+echo "== spline table fill gate (jump-ahead lanes vs serial-chain oracle, release) =="
+# MultiBspline3D::random draws one xorshift64* stream as eight jump-ahead
+# lanes: on an already-faulted 73 MiB table the fill must stay >= 1.8x
+# ahead of the single chain kept in crates/bspline/tests/table.rs, or a
+# refactor re-serialised the stream.
+cargo test -q --release -p qmc-bspline --test table -- --ignored
+
 echo "== kernel timing gates (simd vs reference, vgh prefetch on a 419 MiB table, release) =="
 # The wide-SIMD tiling has to pay for itself: simd must stay >= 1.25x
 # ahead of reference on B-spline v, vgh and mw-vgl. Out of cache the simd

@@ -5,12 +5,13 @@
 //! control coefficients of `num_splines` orbitals on a periodic 3D grid.
 //!
 //! This type owns the table and nothing else: allocation, the one fill
-//! routine ([`MultiBspline3D::set_control_points`]) behind every
-//! constructor, the periodic ghost layers, and the borrowed
-//! [`SplineView`] that `qmc_kernels::bspline` evaluates against. Every
-//! evaluation (`evaluate_v`, `mw_evaluate_v`, `evaluate_vgh`,
-//! `evaluate_vgl`, `mw_evaluate_vgl`) lives there and takes the
-//! `Backend` by name.
+//! routine behind every constructor (fed per point by
+//! [`MultiBspline3D::set_control_points`] and per z line by
+//! [`MultiBspline3D::fill_random`]), the periodic ghost layers, and the
+//! borrowed [`SplineView`] that `qmc_kernels::bspline` evaluates
+//! against. Every evaluation (`evaluate_v`, `mw_evaluate_v`,
+//! `evaluate_vgh`, `evaluate_vgl`, `mw_evaluate_vgl`) lives there and
+//! takes the `Backend` by name.
 //!
 //! Coordinates are *fractional* (`[0,1)` per dimension); derivative outputs
 //! are with respect to the fractional coordinates. The SPO wrapper in
@@ -61,6 +62,76 @@ pub fn solve_cyclic_tridiagonal(a: f64, b: f64, rhs: &[f64]) -> Vec<f64> {
     (0..n).map(|i| y[i] - fact * z[i]).collect()
 }
 
+/// Number of xorshift64* chains [`MultiBspline3D::random`] runs side by
+/// side: enough independent shift/xor chains to keep the vector units busy.
+const LANES: usize = 8;
+
+/// xorshift64's state step. Each shift-and-xor is linear in the state's
+/// bits, so the step is `s ← A s` for a fixed 64×64 matrix `A` over GF(2).
+#[inline]
+fn xorshift64(mut s: u64) -> u64 {
+    s ^= s >> 12;
+    s ^= s << 25;
+    s ^= s >> 27;
+    s
+}
+
+/// Steps every lane through its next z line: draw `j` of lane `k` becomes
+/// `group[j][k]`, xorshift64*'s output at that state (the top 53 bits `m`
+/// as a uniform `m / 2^53 - 1/2` in `[-1/2, 1/2)`) times `scale`. With the
+/// lanes innermost, the eight steps run as vector instructions.
+///
+/// The value is computed as `(m - 2^52) · (scale / 2^53)`, one integer
+/// subtract and one multiply, and is bitwise `(m / 2^53 - 1/2) · scale`:
+/// `m - 2^52`, `m / 2^53 - 1/2` and `scale / 2^53` are all exact in `f64`
+/// (integers below 2^53 and power-of-two scalings), so both forms round the
+/// same real product once.
+fn draw_lines<T: Real>(lanes: &mut [u64; LANES], group: &mut [[T; LANES]], scale: f64) {
+    let ulp = scale / (1u64 << 53) as f64;
+    let mut s = *lanes;
+    for draws in group {
+        for k in 0..LANES {
+            s[k] = xorshift64(s[k]);
+            let bits = s[k].wrapping_mul(0x2545F4914F6CDD1D);
+            draws[k] = T::from_f64(((bits >> 11).cast_signed() - (1 << 52)) as f64 * ulp);
+        }
+    }
+    *lanes = s;
+}
+
+/// `A^d` for xorshift64's step matrix `A`, by columns: entry `i` is the
+/// image of state bit `i`, so applying it xors the columns of the set bits.
+struct Jump([u64; 64]);
+
+impl Jump {
+    /// The jump `d` steps ahead, by square-and-multiply.
+    fn by(mut d: u64) -> Self {
+        let mut jump = Jump(std::array::from_fn(|i| 1 << i));
+        let mut power = Jump(std::array::from_fn(|i| xorshift64(1 << i)));
+        while d > 0 {
+            if d & 1 == 1 {
+                jump = jump.then(&power);
+            }
+            power = power.then(&power);
+            d >>= 1;
+        }
+        jump
+    }
+
+    /// `self` followed by `next` (powers of one matrix commute).
+    fn then(&self, next: &Jump) -> Jump {
+        Jump(self.0.map(|c| next.apply(c)))
+    }
+
+    fn apply(&self, s: u64) -> u64 {
+        let mut out = 0;
+        for (i, c) in self.0.iter().enumerate() {
+            out ^= c & 0u64.wrapping_sub((s >> i) & 1);
+        }
+        out
+    }
+}
+
 /// A periodic tricubic B-spline table for `num_splines` orbitals.
 #[derive(Clone)]
 pub struct MultiBspline3D<T: Real> {
@@ -93,50 +164,103 @@ impl<T: Real> MultiBspline3D<T> {
     /// Fills the table with seeded pseudo-random coefficients (miniQMC's
     /// strategy for synthetic workloads: identical memory footprint and
     /// access pattern as real orbitals, no DFT input required).
+    ///
+    /// # The stream, and the lanes that draw it
+    ///
+    /// One xorshift64* stream seeded from `seed` gives every control point
+    /// one draw, in storage order (`ix`, `iy`, `iz`, spline innermost): the
+    /// stream is what pins every coefficient to its seed. Drawn as one
+    /// chain it would wait on six dependent shift/xor operations per
+    /// coefficient, so it runs as eight (`LANES`) chains side by side
+    /// instead.
+    ///
+    /// xorshift64's step is linear over GF(2), `s ← A s` for a fixed 64×64
+    /// bit matrix `A`, so `A^d` moves a state `d` draws ahead in one
+    /// matrix-vector product. Storage order visits the `nx·ny` z lines of
+    /// `nz·ns` draws each in turn. Lane `k` starts at line `k` (the seed
+    /// state times `A^(k·nz·ns)`), draws line `L + k` of each group of
+    /// `LANES` lines starting at line `L`, and then jumps
+    /// `A^((LANES-1)·nz·ns)` past the other lanes' lines to line
+    /// `L + LANES + k`. So the states lane `k` steps through on a line are
+    /// exactly the states the single chain passes through on that line, and
+    /// each coefficient gets the draw the single chain gives it. When
+    /// `LANES` does not divide `nx·ny`, the last group is drawn whole too
+    /// and only its first `nx·ny mod LANES` lines are stored: no line is
+    /// drawn by a second, serial path.
     pub fn random(grid: [usize; 3], num_splines: usize, seed: u64) -> Self {
         let mut table = Self::zeros(grid, num_splines);
-        let scale = 1.0 / (num_splines as f64).sqrt();
-        let mut state = seed.wrapping_mul(2685821657736338717).max(1);
-        // One xorshift64* draw per control point: the stream follows the
-        // fill order, which is what pins every coefficient to its seed.
-        table.set_control_points(|_, _, _, _| {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            let bits = state.wrapping_mul(0x2545F4914F6CDD1D);
-            (((bits >> 11) as f64 / (1u64 << 53) as f64) - 0.5) * scale
-        });
+        table.fill_random(seed);
         table
     }
 
-    /// The one table fill: sets every logical control point from `f`,
-    /// called exactly once per point in storage order (`ix`, `iy`, `iz`,
-    /// spline innermost), converting straight into the padded storage,
-    /// and replicates the +3 periodic ghost layers by copying finished
-    /// rows, lines and slabs. Pad lanes stay zero.
+    /// Sets every control point to the draw [`Self::random`] gives it
+    /// (which is `zeros` followed by this). On a table whose pages are
+    /// already faulted in this times the draws alone.
+    // qmclint: cold — table construction; runs once before the drivers
+    // start.
+    pub fn fill_random(&mut self, seed: u64) {
+        let [_, ny, nz] = self.grid;
+        let (ns, row) = (self.num_splines, self.ns_pad);
+        let scale = 1.0 / (ns as f64).sqrt();
+        let to_next_line = Jump::by((nz * ns) as u64);
+        let past_other_lanes = Jump::by(((LANES - 1) * nz * ns) as u64);
+        let mut lanes = [seed.wrapping_mul(2685821657736338717).max(1); LANES];
+        for k in 1..LANES {
+            lanes[k] = to_next_line.apply(lanes[k - 1]);
+        }
+        let mut group = vec![[T::ZERO; LANES]; nz * ns];
+        self.fill_lines(|ix, iy, rows| {
+            let k = (ix * ny + iy) % LANES;
+            if k == 0 {
+                draw_lines(&mut lanes, &mut group, scale);
+                for s in &mut lanes {
+                    *s = past_other_lanes.apply(*s);
+                }
+            }
+            for (point, draws) in rows.chunks_exact_mut(row).zip(group.chunks_exact(ns)) {
+                for (c, d) in point[..ns].iter_mut().zip(draws) {
+                    *c = d[k];
+                }
+            }
+        });
+    }
+
+    /// Sets every logical control point from `f`, called exactly once per
+    /// point in storage order (`ix`, `iy`, `iz`, spline innermost),
+    /// converting straight into the padded storage. Pad lanes stay zero.
     pub fn set_control_points(&mut self, mut f: impl FnMut(usize, usize, usize, usize) -> f64) {
+        let (ns, row) = (self.num_splines, self.ns_pad);
+        self.fill_lines(|ix, iy, rows| {
+            for (iz, point) in rows.chunks_exact_mut(row).enumerate() {
+                for (s, c) in point[..ns].iter_mut().enumerate() {
+                    *c = T::from_f64(f(ix, iy, iz, s));
+                }
+            }
+        });
+    }
+
+    /// The one table fill behind every constructor: hands `line(ix, iy,
+    /// rows)` the `nz` rows of z line `(ix, iy)` in storage order — point
+    /// `(ix, iy, iz)` is `rows[iz * ns_pad..][..num_splines]`, and `line`
+    /// leaves the pad lanes after it alone — and replicates the +3 periodic
+    /// ghost layers by copying finished rows, lines and slabs.
+    fn fill_lines(&mut self, mut line: impl FnMut(usize, usize, &mut [T])) {
         let [nx, ny, nz] = self.grid;
-        let ns = self.num_splines;
         // Strides: one grid point, one z line, one yz slab.
         let row = self.ns_pad;
-        let line = (nz + 3) * row;
-        let slab = (ny + 3) * line;
+        let zline = (nz + 3) * row;
+        let slab = (ny + 3) * zline;
         let coefs = self.coefs.as_mut_slice();
         for ix in 0..nx {
             for iy in 0..ny {
-                let at = ix * slab + iy * line;
-                for iz in 0..nz {
-                    let point = &mut coefs[at + iz * row..][..ns];
-                    for (s, c) in point.iter_mut().enumerate() {
-                        *c = T::from_f64(f(ix, iy, iz, s));
-                    }
-                }
+                let at = ix * slab + iy * zline;
+                line(ix, iy, &mut coefs[at..at + nz * row]);
                 // z ghosts: rows nz..nz+3 of this line image rows 0..3.
                 coefs.copy_within(at..at + 3 * row, at + nz * row);
             }
             // y ghosts: lines ny..ny+3 of this slab image lines 0..3.
             let at = ix * slab;
-            coefs.copy_within(at..at + 3 * line, at + ny * line);
+            coefs.copy_within(at..at + 3 * zline, at + ny * zline);
         }
         // x ghosts: slabs nx..nx+3 image slabs 0..3.
         coefs.copy_within(0..3 * slab, nx * slab);
@@ -259,6 +383,21 @@ mod tests {
     use super::*;
     use qmc_kernels::bspline::{evaluate_v, evaluate_vgh, evaluate_vgl, mw_evaluate_vgl};
     use qmc_kernels::Backend;
+
+    #[test]
+    fn jump_by_d_is_d_serial_steps() {
+        let (nz, ns) = (7, 19);
+        let s0 = 0x9e37_79b9_7f4a_7c15_u64;
+        // One serial walk, checked at each distance on the way.
+        let (mut serial, mut steps) = (s0, 0);
+        for d in [0u64, 1, 63, 64, 65, 7 * nz * ns, (1 << 30) + 3] {
+            while steps < d {
+                serial = xorshift64(serial);
+                steps += 1;
+            }
+            assert_eq!(Jump::by(d).apply(s0), serial, "d = {d}");
+        }
+    }
 
     #[test]
     fn cyclic_tridiagonal_solver() {

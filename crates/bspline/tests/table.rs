@@ -1,10 +1,18 @@
 //! The coefficient table itself: `random` pinned bit for bit, and the
 //! storage layout every constructor must leave behind (periodic ghost
 //! layers, zero pad lanes).
+//!
+//! `random` draws its xorshift64* stream as several jump-ahead lanes and
+//! claims every coefficient bit of the single chain it replaced. That chain
+//! lives on here as the oracle; the `#[ignore]`d test at the bottom is the
+//! speed gate `ci.sh` runs in release mode, so a refactor that re-serialises
+//! the stream fails CI.
 
 use proptest::prelude::*;
 use qmc_bspline::MultiBspline3D;
 use qmc_containers::Real;
+use std::hint::black_box;
+use std::time::Instant;
 
 fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
     bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -55,6 +63,42 @@ fn random_tables_keep_their_recorded_bits() {
     }
 }
 
+/// The single-chain fill `random` had before its lanes: one xorshift64*
+/// draw per control point, in `set_control_points`' order.
+fn serial_fill<T: Real>(table: &mut MultiBspline3D<T>, seed: u64) {
+    let scale = 1.0 / (table.num_splines() as f64).sqrt();
+    let mut state = seed.wrapping_mul(2685821657736338717).max(1);
+    table.set_control_points(|_, _, _, _| {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        let bits = state.wrapping_mul(0x2545F4914F6CDD1D);
+        (((bits >> 11) as f64 / (1u64 << 53) as f64) - 0.5) * scale
+    });
+}
+
+/// The whole padded storage, ghosts and pad lanes included, is bitwise the
+/// single chain's. Widening is exact and injective, so equal `f64` bits
+/// mean equal `T` bits.
+fn check_random_is_serial<T: Real>(
+    grid: [usize; 3],
+    ns: usize,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let lanes = MultiBspline3D::<T>::random(grid, ns, seed);
+    let mut serial = MultiBspline3D::<T>::zeros(grid, ns);
+    serial_fill(&mut serial, seed);
+    let (got, want) = (lanes.view().coefs, serial.view().coefs);
+    prop_assert_eq!(got.len(), want.len());
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        prop_assert!(
+            g.to_f64().to_bits() == w.to_f64().to_bits(),
+            "{grid:?} x {ns}, seed {seed}: coefficient {i} is {g}, the chain's {w}"
+        );
+    }
+    Ok(())
+}
+
 /// Offset of row `(ix, iy, iz)` in the padded storage.
 fn row_of<T: Real>(t: &MultiBspline3D<T>, ix: usize, iy: usize, iz: usize) -> usize {
     let v = t.view();
@@ -99,10 +143,11 @@ fn check_constructors<T: Real>(
     seed: u64,
 ) -> Result<(), TestCaseError> {
     check_layout(&MultiBspline3D::<T>::random(grid, ns, seed))?;
+    check_random_is_serial::<T>(grid, ns, seed)?;
     check_layout(&MultiBspline3D::<T>::interpolating(grid, ns, field))?;
 
     // `set_control_points` visits each logical point exactly once, in
-    // storage order (what ties `random`'s stream to the layout), and
+    // storage order (the order the single chain above draws in), and
     // stores the converted value there.
     let mut t = MultiBspline3D::<T>::zeros(grid, ns);
     let mut visited = Vec::new();
@@ -137,4 +182,65 @@ proptest! {
         check_constructors::<f32>([nx, ny, nz], ns, seed)?;
         check_constructors::<f64>([nx, ny, nz], ns, seed)?;
     }
+}
+
+/// Every `nx·ny` the proptest's 4..8 ranges can draw, so both whole groups
+/// of lanes (16, 24, 32, 40, 48) and leftover serial lines (1 to 7 of them)
+/// are covered whatever the proptest's cases happen to be.
+#[test]
+fn random_matches_the_serial_chain_on_and_off_whole_lane_groups() {
+    let mut leftovers = std::collections::BTreeSet::new();
+    for nx in 4..8 {
+        for ny in 4..8 {
+            leftovers.insert(nx * ny % 8);
+            check_random_is_serial::<f32>([nx, ny, 5], 3, 11).unwrap();
+            check_random_is_serial::<f64>([nx, ny, 4], 9, 12).unwrap();
+        }
+    }
+    assert!(
+        leftovers.contains(&0) && leftovers.len() > 1,
+        "{leftovers:?}"
+    );
+}
+
+fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
+    (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Speed gate (release mode, `-- --ignored`): on a 73 MiB f32 table whose
+/// pages are already faulted in, best of 3, the lane fill must stay well
+/// ahead of the single chain it replaced (measured 2.0-2.5x on a 2-vCPU
+/// x86-64 host when this gate was set).
+#[test]
+#[ignore = "timing gate: run in release mode (ci.sh does)"]
+fn lane_fill_outruns_the_serial_chain() {
+    let (grid, ns, seed) = ([64, 64, 64], 64, 3);
+    let mut table = MultiBspline3D::<f32>::zeros(grid, ns);
+    assert!(table.bytes() >= 64 << 20, "{} bytes", table.bytes());
+    serial_fill(&mut table, seed); // faults every page in
+    let serial = best_of(3, || {
+        serial_fill(&mut table, seed);
+        black_box(&table);
+    });
+    let lanes = best_of(3, || {
+        table.fill_random(seed);
+        black_box(&table);
+    });
+    let gain = serial / lanes;
+    println!(
+        "fill_random {:.1} MiB: {:.1} ms vs the serial chain's {:.1} ms, {gain:.2}x",
+        table.bytes() as f64 / (1 << 20) as f64,
+        lanes * 1e3,
+        serial * 1e3
+    );
+    assert!(
+        gain >= 1.8,
+        "the lane fill is only {gain:.2}x the serial chain (>= 1.8x required)"
+    );
 }

@@ -3,19 +3,15 @@
 //! The paper's `VectorSoaContainer` relies on cache-aligned allocation (it
 //! uses the TBB cache-aligned allocator) so that each SoA slab starts on a
 //! SIMD-friendly boundary and rows of padded matrices are aligned. We obtain
-//! the same guarantee by backing storage with 64-byte-aligned blocks.
+//! the same guarantee by starting the elements at the first 64-byte
+//! boundary inside a zero-allocated byte buffer.
 
+use crate::Real;
 use std::ops::{Deref, DerefMut};
 
 /// Alignment in bytes of every slab handed out by [`AlignedVec`]. 64 bytes
 /// covers an AVX-512 vector and an x86 cache line.
 pub const QMC_SIMD_ALIGN: usize = 64;
-
-/// A 64-byte-aligned, 64-byte-sized block. Allocating a `Vec<Block64>` gives
-/// us aligned backing storage without hand-rolled `alloc`/`dealloc`.
-#[repr(C, align(64))]
-#[derive(Clone, Copy)]
-struct Block64([u8; QMC_SIMD_ALIGN]);
 
 /// Number of `T` lanes that fit one SIMD alignment unit.
 #[inline]
@@ -51,38 +47,64 @@ pub fn prefetch_read<T>(x: &T) {
     let _ = x;
 }
 
-/// A fixed-capacity, 64-byte-aligned vector of plain-old-data scalars.
+/// A fixed-capacity, 64-byte-aligned vector of [`Real`] scalars.
 ///
 /// Unlike `Vec<T>`, the first element is guaranteed to sit on a
 /// [`QMC_SIMD_ALIGN`] boundary, which lets compilers emit aligned loads for
-/// the innermost kernel loops. Only `Copy` element types are supported; the
-/// container zero-initializes its storage.
-pub struct AlignedVec<T: Copy + Default> {
-    blocks: Vec<Block64>,
+/// the innermost kernel loops.
+///
+/// # Where the zeros come from
+///
+/// [`AlignedVec::zeros`] writes nothing. It takes `QMC_SIMD_ALIGN - 1`
+/// bytes more than the elements need as `vec![0u8; n]` — the allocator's
+/// zeroed path at alignment 1, which the system allocator serves from
+/// `calloc` — and starts the elements at the first 64-byte boundary inside
+/// it. A buffer above the C allocator's mmap threshold (the 419 MiB spline
+/// table, say) therefore arrives as untouched zero pages that the kernel
+/// maps on first write; a small one is zeroed once by `calloc`. (Asking for
+/// a 64-byte-aligned zeroed block instead would not be lazy: std's unix
+/// allocator reaches `calloc` only for alignments up to 16 and otherwise
+/// allocates and then `memset`s.) All-zero bits are `T::default()` because
+/// [`Real`] is sealed to `f32` and `f64`, where they are `+0.0`.
+pub struct AlignedVec<T: Real> {
+    /// `len * size_of::<T>() + QMC_SIMD_ALIGN - 1` initialised bytes.
+    bytes: Vec<u8>,
+    /// Index in `bytes` of the first element: a 64-byte boundary.
+    offset: usize,
     len: usize,
     _marker: std::marker::PhantomData<T>,
 }
 
-impl<T: Copy + Default> AlignedVec<T> {
-    /// Creates a vector of `len` default-initialized (zero for floats)
-    /// elements.
+/// Bytes from `ptr` to the next [`QMC_SIMD_ALIGN`] boundary (0 if on one).
+fn align_gap(ptr: *const u8) -> usize {
+    ptr.addr().wrapping_neg() % QMC_SIMD_ALIGN
+}
+
+impl<T: Real> AlignedVec<T> {
+    /// Creates a vector of `len` zeros without writing them (see the type
+    /// docs).
     pub fn zeros(len: usize) -> Self {
         assert!(
             QMC_SIMD_ALIGN.is_multiple_of(std::mem::size_of::<T>()),
             "element size must divide the alignment"
         );
-        let bytes = len * std::mem::size_of::<T>();
-        let nblocks = bytes.div_ceil(QMC_SIMD_ALIGN);
-        let mut v = Self {
-            blocks: vec![Block64([0u8; QMC_SIMD_ALIGN]); nblocks],
+        let padded = len
+            .checked_mul(std::mem::size_of::<T>())
+            .and_then(|size| size.checked_add(QMC_SIMD_ALIGN - 1))
+            .expect("AlignedVec size overflows usize");
+        let bytes = vec![0u8; padded];
+        let offset = align_gap(bytes.as_ptr());
+        Self {
+            bytes,
+            offset,
             len,
             _marker: std::marker::PhantomData,
-        };
-        // Default may not be all-zero bits for exotic T; fill explicitly.
-        for x in v.iter_mut() {
-            *x = T::default();
         }
-        v
+    }
+
+    /// The element bytes: `len * size_of::<T>()` from the aligned start.
+    fn element_bytes(&self) -> &[u8] {
+        &self.bytes[self.offset..][..self.len * std::mem::size_of::<T>()]
     }
 
     /// Number of elements.
@@ -100,16 +122,21 @@ impl<T: Copy + Default> AlignedVec<T> {
     /// Immutable view of all elements.
     #[inline]
     pub fn as_slice(&self) -> &[T] {
-        // SAFETY: blocks provide at least len*size_of::<T>() bytes with
-        // alignment >= align_of::<T>() and T is plain old data.
-        unsafe { std::slice::from_raw_parts(self.blocks.as_ptr().cast::<T>(), self.len) }
+        let start = self.bytes.as_ptr().wrapping_add(self.offset);
+        // SAFETY: `bytes` holds `offset + len * size_of::<T>()` initialised
+        // bytes, `start` is on a 64-byte boundary and `size_of::<T>()`
+        // divides 64 (asserted in `zeros`), so it is aligned for `T`; `T` is
+        // `f32` or `f64` (`Real` is sealed), for which every bit pattern is
+        // a valid value.
+        unsafe { std::slice::from_raw_parts(start.cast::<T>(), self.len) }
     }
 
     /// Mutable view of all elements.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
+        let start = self.bytes.as_mut_ptr().wrapping_add(self.offset);
         // SAFETY: as in `as_slice`; &mut self guarantees uniqueness.
-        unsafe { std::slice::from_raw_parts_mut(self.blocks.as_mut_ptr().cast::<T>(), self.len) }
+        unsafe { std::slice::from_raw_parts_mut(start.cast::<T>(), self.len) }
     }
 
     /// Fills every element with `value`.
@@ -118,17 +145,27 @@ impl<T: Copy + Default> AlignedVec<T> {
     }
 }
 
-impl<T: Copy + Default> Clone for AlignedVec<T> {
+impl<T: Real> Clone for AlignedVec<T> {
+    /// Copies into a fresh buffer with its own 64-byte boundary; only the
+    /// up to 63 bytes around the elements are zeroed, never the elements.
     fn clone(&self) -> Self {
+        let n = self.bytes.len();
+        // The capacity is never exceeded below, so the buffer never moves.
+        let mut bytes = Vec::with_capacity(n);
+        let offset = align_gap(bytes.as_ptr());
+        bytes.resize(offset, 0);
+        bytes.extend_from_slice(self.element_bytes());
+        bytes.resize(n, 0);
         Self {
-            blocks: self.blocks.clone(),
+            bytes,
+            offset,
             len: self.len,
             _marker: std::marker::PhantomData,
         }
     }
 }
 
-impl<T: Copy + Default> Deref for AlignedVec<T> {
+impl<T: Real> Deref for AlignedVec<T> {
     type Target = [T];
     #[inline]
     fn deref(&self) -> &[T] {
@@ -136,7 +173,7 @@ impl<T: Copy + Default> Deref for AlignedVec<T> {
     }
 }
 
-impl<T: Copy + Default> DerefMut for AlignedVec<T> {
+impl<T: Real> DerefMut for AlignedVec<T> {
     #[inline]
     fn deref_mut(&mut self) -> &mut [T] {
         self.as_mut_slice()
@@ -146,7 +183,7 @@ impl<T: Copy + Default> DerefMut for AlignedVec<T> {
 // Indexing (by usize and by ranges) comes through `Deref`/`DerefMut` to
 // slices; no explicit `Index` impls so range indexing resolves naturally.
 
-impl<T: Copy + Default + std::fmt::Debug> std::fmt::Debug for AlignedVec<T> {
+impl<T: Real> std::fmt::Debug for AlignedVec<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_list().entries(self.iter()).finish()
     }
@@ -156,13 +193,29 @@ impl<T: Copy + Default + std::fmt::Debug> std::fmt::Debug for AlignedVec<T> {
 mod tests {
     use super::*;
 
+    /// `zeros` is 64-byte aligned and all-zero bits at small lengths and
+    /// at one above glibc's default mmap threshold (128 KiB), where the
+    /// zeros are fresh pages; a clone keeps both the alignment and the
+    /// bits.
+    fn check_zeros_and_clone<T: Real>(len: usize) {
+        let bits = |v: &AlignedVec<T>| v.element_bytes().to_vec();
+        let mut v = AlignedVec::<T>::zeros(len);
+        assert_eq!(v.len(), len);
+        assert_eq!(v.as_ptr() as usize % QMC_SIMD_ALIGN, 0, "len {len}");
+        assert!(bits(&v).iter().all(|&b| b == 0), "len {len} not zero");
+        for (i, x) in v.iter_mut().enumerate() {
+            *x = T::from_f64(i as f64 - 0.5);
+        }
+        let c = v.clone();
+        assert_eq!(c.as_ptr() as usize % QMC_SIMD_ALIGN, 0, "clone of {len}");
+        assert_eq!(bits(&c), bits(&v), "clone of {len} changed bits");
+    }
+
     #[test]
-    fn alignment_of_first_element() {
-        for n in [1usize, 3, 17, 64, 1000] {
-            let v = AlignedVec::<f32>::zeros(n);
-            assert_eq!(v.as_slice().as_ptr() as usize % QMC_SIMD_ALIGN, 0);
-            let v = AlignedVec::<f64>::zeros(n);
-            assert_eq!(v.as_slice().as_ptr() as usize % QMC_SIMD_ALIGN, 0);
+    fn zeros_and_clones_are_aligned_and_exact() {
+        for len in [0usize, 1, 3, 15, 16, 17, 64, 1000, 1 << 22] {
+            check_zeros_and_clone::<f32>(len);
+            check_zeros_and_clone::<f64>(len);
         }
     }
 

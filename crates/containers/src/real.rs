@@ -11,7 +11,8 @@ use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-/// Floating-point scalar used by QMC kernels (`f32` or `f64`).
+/// Floating-point scalar used by QMC kernels (`f32` or `f64`; the trait is
+/// sealed, so these two are all there are).
 ///
 /// The trait deliberately exposes only the operations the kernels need, so
 /// the two instantiations stay trivially interchangeable. Accumulations that
@@ -52,7 +53,8 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 /// assert_eq!(total(&[0.5_f32, 0.25]), 0.75);
 /// ```
 pub trait Real:
-    Copy
+    sealed::Sealed
+    + Copy
     + Default
     + Debug
     + Display
@@ -114,6 +116,15 @@ pub trait Real:
     fn powi(self, i: i32) -> Self;
     /// True when the value is finite (not NaN/inf).
     fn is_finite(self) -> bool;
+}
+
+/// `Real` is implemented for `f32` and `f64` and nothing else:
+/// [`AlignedVec`](crate::AlignedVec) relies on every bit pattern, all-zero
+/// bits included, being a valid value.
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for f32 {}
+    impl Sealed for f64 {}
 }
 
 macro_rules! impl_real {

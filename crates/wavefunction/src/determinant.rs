@@ -41,6 +41,18 @@ use qmc_particles::ParticleSet;
 /// Quadrature points whose value-only ratios share one pass over the inverse
 /// row (one [`dots`] call) in [`DiracDeterminant::ratios_value_only`].
 const NQ_BLOCK: usize = 8;
+/// The block the points left over after the [`NQ_BLOCK`]s share, when at
+/// least this many are.
+const NQ_TAIL: usize = 4;
+
+/// Multiplies `ratios[b]` by `inv · psi[b * ns..][..inv.len()]` for the
+/// first `R` points, in one [`dots`] pass over `inv`.
+fn ratio_block<T: Real, const R: usize>(psi: &[T], ns: usize, inv: &[T], ratios: &mut [f64]) {
+    let d = dots::<T, R>(std::array::from_fn(|b| &psi[b * ns..][..inv.len()]), inv);
+    for (r, d) in ratios[..R].iter_mut().zip(d) {
+        *r *= d.to_f64();
+    }
+}
 
 /// Default accepted-move recompute cadence, in units of sweeps (times
 /// `nel`): single-precision inverses drift fast enough that QMCPACK-style
@@ -383,16 +395,20 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
         time_kernel(Kernel::DetRatio, || {
             self.engine_inv_row(local);
             let inv = self.inv_row.as_slice();
-            let psi = |q: usize| &self.mw_psi_v[q * ns..q * ns + self.nel];
-            let blocked = nq - nq % NQ_BLOCK;
-            for q0 in (0..blocked).step_by(NQ_BLOCK) {
-                let d = dots::<T, NQ_BLOCK>(std::array::from_fn(|b| psi(q0 + b)), inv);
-                for (r, d) in ratios[q0..q0 + NQ_BLOCK].iter_mut().zip(d) {
-                    *r *= d.to_f64();
-                }
+            let psi = &self.mw_psi_v;
+            // Blocks of 8 points, then one of 4 (a 12-point shell's tail),
+            // then single points; every point keeps its own `dot` chain.
+            let mut q = 0;
+            while nq - q >= NQ_BLOCK {
+                ratio_block::<T, NQ_BLOCK>(&psi[q * ns..], ns, inv, &mut ratios[q..]);
+                q += NQ_BLOCK;
             }
-            for q in blocked..nq {
-                ratios[q] *= dot(inv, psi(q)).to_f64();
+            if nq - q >= NQ_TAIL {
+                ratio_block::<T, NQ_TAIL>(&psi[q * ns..], ns, inv, &mut ratios[q..]);
+                q += NQ_TAIL;
+            }
+            for q in q..nq {
+                ratios[q] *= dot(inv, &psi[q * ns..][..inv.len()]).to_f64();
             }
         });
         add_flops_bytes(

@@ -158,7 +158,7 @@ fn value_only_matches_per_point<T: Real>(
     let lat = p.lattice.cast::<f64>();
     let mut past_cutoff = 0;
     for iat in [n / 2 - 2, n - 1] {
-        for nq in [1usize, 7, 8, 9, 12, 18] {
+        for nq in [1usize, 7, 8, 9, 12, 13, 18] {
             let positions: Vec<Pos<T>> = (0..nq)
                 .map(|q| {
                     let t = q as f64;
