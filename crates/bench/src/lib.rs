@@ -5,8 +5,6 @@
 //! data series the corresponding paper figure plots; `--full` switches
 //! from the scaled default to paper-sized problems.
 
-#![forbid(unsafe_code)]
-
 use miniqmc::{at_least, Options};
 use qmc_workloads::{Benchmark, CodeVersion, RunConfig, Size, Workload};
 

@@ -51,8 +51,10 @@ impl<T: Real> CubicBspline1D<T> {
     ///
     /// The fit solves the `(n+2) x (n+2)` collocation system with dense LU;
     /// functors are tiny (10-20 knots) so this costs nothing.
-    // qmclint: cold — coefficient fitting is functor construction at setup,
-    // not a per-step kernel (10-20 knot systems, solved once).
+    #[expect(
+        clippy::expect_used,
+        reason = "setup: the collocation matrix is nonsingular"
+    )]
     pub fn fit(f: impl Fn(f64) -> f64, cusp: f64, r_cut: f64, n_knots: usize) -> Self {
         assert!(n_knots >= 4);
         let n = n_knots;
@@ -134,8 +136,6 @@ impl<T: Real> CubicBspline1D<T> {
     }
 
     /// Casts the functor to another precision.
-    // qmclint: cold — one-time precision conversion of the functor table at
-    // setup (the paper's f64-fit, f32-evaluate pipeline).
     pub fn cast<U: Real>(&self) -> CubicBspline1D<U> {
         CubicBspline1D {
             coefs: self.coefs.iter().map(|c| U::from_f64(c.to_f64())).collect(),

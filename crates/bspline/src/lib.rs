@@ -10,11 +10,14 @@
 //!   ghost layers and the `SplineView` handed to `qmc_kernels::bspline`,
 //!   which owns every evaluation (reference and simd loop orders).
 
-#![forbid(unsafe_code)]
-// Indexed loops over multiple parallel slices are the deliberate idiom in
-// the SIMD kernels (mirrors the paper's C++ and keeps the auto-vectorizer's
-// job obvious); iterator zips would obscure them.
-#![allow(clippy::needless_range_loop)]
+// Physics and kernel crate (DESIGN §5c): its non-test code names none of
+// the types and calls none of the methods `clippy.toml` disallows, and
+// nothing panics in a kernel. It is also a designated mixed-precision
+// crate (tables are fitted in f64 and stored in `T`), so the cast lints
+// stay off here.
+#![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::disallowed_methods))]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::todo, clippy::unimplemented))]
 
 pub mod cubic1d;
 pub mod spline3d;

@@ -24,8 +24,6 @@ use qmc_kernels::SplineView;
 /// `(a, b, a)` (sub/diag/super plus periodic corners) for the right-hand
 /// side `rhs`, returning the solution. Used to build interpolating periodic
 /// B-splines.
-// qmclint: cold — periodic-interpolation solve used only while building
-// coefficient tables, never inside a Monte Carlo step.
 pub fn solve_cyclic_tridiagonal(a: f64, b: f64, rhs: &[f64]) -> Vec<f64> {
     let n = rhs.len();
     assert!(n >= 3);
@@ -196,8 +194,6 @@ impl<T: Real> MultiBspline3D<T> {
     /// Sets every control point to the draw [`Self::random`] gives it
     /// (which is `zeros` followed by this). On a table whose pages are
     /// already faulted in this times the draws alone.
-    // qmclint: cold — table construction; runs once before the drivers
-    // start.
     pub fn fill_random(&mut self, seed: u64) {
         let [_, ny, nz] = self.grid;
         let (ns, row) = (self.num_splines, self.ns_pad);
@@ -269,8 +265,6 @@ impl<T: Real> MultiBspline3D<T> {
     /// Builds an *interpolating* table: the resulting splines take the
     /// values `f(ix, iy, iz, s)` exactly at the periodic grid points.
     /// Solves the cyclic collocation system along each axis in turn.
-    // qmclint: cold — table construction (interpolating fit over the full
-    // grid); runs once before the drivers start.
     pub fn interpolating(
         grid: [usize; 3],
         num_splines: usize,

@@ -34,6 +34,7 @@ pub const fn padded_len<T>(n: usize) -> usize {
 /// from the hardware prefetchers (one line in each of 64 far-apart table
 /// rows per pass of the B-spline `vgh` stencil). A no-op off x86-64.
 #[inline(always)]
+#[allow(unsafe_code, reason = "the prefetch intrinsic is an `unsafe fn`")]
 pub fn prefetch_read<T>(x: &T) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: SSE is part of the x86-64 baseline, so the intrinsic's target
@@ -121,6 +122,7 @@ impl<T: Real> AlignedVec<T> {
 
     /// Immutable view of all elements.
     #[inline]
+    #[allow(unsafe_code, reason = "views the aligned bytes as `T`")]
     pub fn as_slice(&self) -> &[T] {
         let start = self.bytes.as_ptr().wrapping_add(self.offset);
         // SAFETY: `bytes` holds `offset + len * size_of::<T>()` initialised
@@ -133,6 +135,7 @@ impl<T: Real> AlignedVec<T> {
 
     /// Mutable view of all elements.
     #[inline]
+    #[allow(unsafe_code, reason = "views the aligned bytes as `T`")]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         let start = self.bytes.as_mut_ptr().wrapping_add(self.offset);
         // SAFETY: as in `as_slice`; &mut self guarantees uniqueness.

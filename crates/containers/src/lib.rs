@@ -12,10 +12,12 @@
 //! physics abstraction, while SoA mirrors expose contiguous per-dimension
 //! slabs that compilers auto-vectorize.
 
-// Indexed loops over multiple parallel slices are the deliberate idiom in
-// the SIMD kernels (mirrors the paper's C++ and keeps the auto-vectorizer's
-// job obvious); iterator zips would obscure them.
-#![allow(clippy::needless_range_loop)]
+// Physics crate (DESIGN §5c): its non-test code names none of the types
+// and calls none of the methods `clippy.toml` disallows, and each cast it
+// makes carries an `#[expect(.., reason)]`.
+#![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::disallowed_methods))]
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+#![cfg_attr(not(test), warn(clippy::cast_precision_loss, clippy::cast_lossless))]
 
 pub mod aligned;
 pub mod matrix;

@@ -6,6 +6,12 @@
 //! `f64`. Every compute kernel in this workspace is generic over `T: Real`,
 //! and the driver instantiates `f64` for the *Ref* code path and `f32` for
 //! the *Ref+MP* / *Current* paths.
+#![expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_precision_loss,
+    clippy::cast_lossless,
+    reason = "the precision boundary: `from_f64` / `to_f64` are the casts every kernel goes through"
+)]
 
 use std::fmt::{Debug, Display};
 use std::iter::Sum;
@@ -24,8 +30,8 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 /// `T: Real` (E0277: no `AddAssign<T>` for `f64`), and for a concrete
 /// `f32` too, so a kernel value cannot be folded into a double
 /// accumulator by accident. A value crosses between the two precisions
-/// only through an `as` cast (policed by qmclint's `precision-cast` rule
-/// outside the designated mixed-precision modules), `f64::from`,
+/// only through an `as` cast (which clippy's cast lints flag in every
+/// physics crate unless an `#[expect(.., reason)]` says why), `f64::from`,
 /// [`Real::to_f64`] or [`Real::from_f64`]:
 ///
 /// ```compile_fail,E0277

@@ -10,7 +10,12 @@
 //! precision, store-everything) and optimized (SoA, mixed-precision,
 //! forward-update, compute-on-the-fly) implementations side by side.
 
-#![forbid(unsafe_code)]
+// Physics crate (DESIGN §5c): its non-test code names none of the types
+// and calls none of the methods `clippy.toml` disallows, and each cast it
+// makes carries an `#[expect(.., reason)]`.
+#![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::disallowed_methods))]
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+#![cfg_attr(not(test), warn(clippy::cast_precision_loss, clippy::cast_lossless))]
 
 pub use qmc_bspline as bspline;
 pub use qmc_containers as containers;

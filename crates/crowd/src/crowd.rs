@@ -119,6 +119,10 @@ impl<T: Real> Crowd<T> {
     /// per-slot Metropolis decision (fixed-node rejections draw no
     /// randoms, as in the scalar sweep), then batched component
     /// accept/restore followed by the particle-set resolutions.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "each walker's accept draw, as in the scalar sweep"
+    )]
     pub fn sweep(&mut self, walkers: &mut [Walker<T>], tau: f64) -> Vec<SweepStats> {
         let nw = walkers.len();
         assert!(nw <= self.slots.len(), "more walkers than crowd slots");

@@ -18,7 +18,12 @@
 //! purely an execution-shape choice (`qmc_drivers::Batching`). The
 //! [`CrowdScheduler`] sizes and builds the crew.
 
-#![forbid(unsafe_code)]
+// Physics crate (DESIGN §5c): its non-test code names none of the types
+// and calls none of the methods `clippy.toml` disallows, and each cast it
+// makes carries an `#[expect(.., reason)]`.
+#![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::disallowed_methods))]
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+#![cfg_attr(not(test), warn(clippy::cast_precision_loss, clippy::cast_lossless))]
 
 pub mod crowd;
 pub mod scheduler;

@@ -102,6 +102,11 @@ impl BranchController {
     /// `max_age` generations old are forcibly kept (`m >= 1`) but barred
     /// from replicating (`m <= 1`) and carry their weight forward
     /// unchanged — the stuck configuration survives without multiplying.
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::cast_possible_truncation,
+        reason = "one uniform per walker; the copy count is floor(weight + u), capped at 4"
+    )]
     pub fn branch<T: Real>(&mut self, walkers: &mut Vec<Walker<T>>) {
         // An empty population stays empty (drivers guard against it, but
         // branching must not manufacture walkers or panic).
@@ -149,7 +154,10 @@ impl BranchController {
     /// Updates the trial energy from the population-weighted energy
     /// estimate and the population feedback term.
     pub fn update_trial_energy(&mut self, e_est: f64, population: usize) {
-        // qmclint: allow(precision-cast) — the population-feedback ratio is a count ratio, exact in f64.
+        #[expect(
+            clippy::cast_precision_loss,
+            reason = "a ratio of counts, exact in f64"
+        )]
         let ratio = population as f64 / self.target_population as f64;
         self.e_trial = e_est - self.feedback / self.tau * ratio.ln().clamp(-1.0, 1.0);
         qmc_instrument::check_finite(qmc_instrument::CheckKind::TrialEnergy, self.e_trial);

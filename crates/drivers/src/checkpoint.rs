@@ -307,10 +307,10 @@ impl RunControl<'_> {
         })?;
         if let Some(cb) = self.on_block.as_mut() {
             let fresh = &state.energy.samples()[samples_before..];
+            #[expect(clippy::cast_precision_loss, reason = "sample counts are exact in f64")]
             let e_block = if fresh.is_empty() {
                 f64::NAN
             } else {
-                // qmclint: allow(precision-cast) — sample counts convert exactly to f64 for statistics.
                 fresh.iter().sum::<f64>() / fresh.len() as f64
             };
             cb(&BlockEvent {
@@ -565,23 +565,23 @@ pub fn read_dmc_checkpoint<T: Real>(
     let payload = load_payload(path)?;
     let mut r = WireReader::new(&payload);
     check_header::<T>(&mut r, DriverKind::Dmc)?;
-    let step = r.u64("step")? as usize;
+    let step = r.usize("step")?;
     let samples = r.u64("samples")?;
-    let accepted = r.u64("accepted")? as usize;
-    let attempted = r.u64("attempted")? as usize;
+    let accepted = r.usize("accepted")?;
+    let attempted = r.usize("attempted")?;
     let e0 = r.f64("e0")?;
     let energy = read_estimator(&mut r)?;
     let npop = r.count("population trace", 8)?;
     let mut population = Vec::with_capacity(npop);
     for _ in 0..npop {
-        population.push(r.u64("population value")? as usize);
+        population.push(r.usize("population value")?);
     }
     let e_trial_trace = read_series(&mut r, "e_trial trace")?;
-    let target_population = r.u64("target population")? as usize;
+    let target_population = r.usize("target population")?;
     let e_trial = r.f64("e_trial")?;
     let feedback = r.f64("feedback")?;
     let tau = r.f64("branch tau")?;
-    let max_age = r.u64("max_age")? as usize;
+    let max_age = r.usize("max_age")?;
     let mut rng_state = [0u64; 4];
     for s in &mut rng_state {
         *s = r.u64("branch rng state")?;
@@ -620,10 +620,10 @@ pub fn read_vmc_checkpoint<T: Real>(
     let payload = load_payload(path)?;
     let mut r = WireReader::new(&payload);
     check_header::<T>(&mut r, DriverKind::Vmc)?;
-    let block = r.u64("block")? as usize;
+    let block = r.usize("block")?;
     let samples = r.u64("samples")?;
-    let accepted = r.u64("accepted")? as usize;
-    let attempted = r.u64("attempted")? as usize;
+    let accepted = r.usize("accepted")?;
+    let attempted = r.usize("attempted")?;
     let energy = read_estimator(&mut r)?;
     let walkers = read_walkers::<T>(&mut r)?;
     r.finish("vmc checkpoint")

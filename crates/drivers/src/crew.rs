@@ -117,6 +117,7 @@ pub(crate) fn fan_out_tasks<K: Send, R: Send>(
         rayon::scope(|scope| {
             for (t, (task, slot)) in tasks.into_iter().zip(done.iter_mut()).enumerate() {
                 let run = &run;
+                #[expect(clippy::disallowed_methods, reason = "the program's one spawn site")]
                 scope.spawn(move || *slot = Some(run(t, task)));
             }
         });

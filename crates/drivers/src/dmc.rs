@@ -148,12 +148,15 @@ impl DmcState {
     }
 
     /// Final result of the run this state accumulated.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "walker and step counts are exact in f64"
+    )]
     pub fn into_result(self) -> DmcResult {
         DmcResult {
             energy: self.energy,
             population: self.population,
             acceptance: if self.attempted > 0 {
-                // qmclint: allow(precision-cast) — walker/step counts convert exactly to f64 for statistics.
                 self.accepted as f64 / self.attempted as f64
             } else {
                 0.0
@@ -238,10 +241,10 @@ pub fn run_dmc<T: Real, C: Crew<T>>(
         state
     } else {
         init_walkers(crew, walkers, "init", &mut profile);
+        #[expect(clippy::cast_precision_loss, reason = "walker counts are exact in f64")]
         let e0 = if walkers.is_empty() {
             0.0
         } else {
-            // qmclint: allow(precision-cast) — walker/step counts convert exactly to f64 for statistics.
             walkers.iter().map(|w| w.e_local).sum::<f64>() / walkers.len() as f64
         };
         DmcState::fresh(e0, params)

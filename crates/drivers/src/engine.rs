@@ -65,11 +65,14 @@ pub struct SweepStats {
 
 impl SweepStats {
     /// Acceptance ratio.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "walker and step counts are exact in f64"
+    )]
     pub fn acceptance(&self) -> f64 {
         if self.attempted == 0 {
             0.0
         } else {
-            // qmclint: allow(precision-cast) — walker/step counts convert exactly to f64 for statistics.
             self.accepted as f64 / self.attempted as f64
         }
     }
@@ -145,6 +148,7 @@ impl<T: Real> QmcEngine<T> {
 
     /// One importance-sampled drift-diffusion PbyP sweep over all
     /// electrons (Algorithm 1, L4-L10).
+    #[expect(clippy::disallowed_methods, reason = "the Metropolis accept draw")]
     pub fn sweep(&mut self, tau: f64, rng: &mut StdRng) -> SweepStats {
         let n = self.pset.len();
         let sqrt_tau = tau.sqrt();

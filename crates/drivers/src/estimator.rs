@@ -1,10 +1,12 @@
 //! Scalar estimators: running averages, blocking error analysis and an
 //! autocorrelation-time estimate (the `tau_corr` entering the paper's DMC
 //! efficiency `kappa = 1/(sigma^2 tau_corr T_MC)`).
+#![expect(
+    clippy::cast_precision_loss,
+    reason = "blocking statistics run on f64 samples; block and sample counts convert exactly"
+)]
 
 /// Accumulates a weighted scalar time series in double precision.
-// qmclint: allow-file(precision-cast) — blocking/autocorrelation statistics run on f64
-// samples; block and sample counts convert exactly.
 #[derive(Clone, Debug, Default)]
 pub struct ScalarEstimator {
     samples: Vec<f64>,

@@ -78,12 +78,19 @@ impl<'a> WireReader<'a> {
         Ok(f64::from_bits(self.u64(what)?))
     }
 
+    /// A `u64` field read as a `usize`: a value the target cannot index is
+    /// malformed input, not a silent truncation.
+    pub(crate) fn usize(&mut self, what: &str) -> Result<usize, WireError> {
+        let v = self.u64(what)?;
+        usize::try_from(v).map_err(|_| self.err(&format!("{what} ({v}) does not fit in usize")))
+    }
+
     /// A `u64` count that must also be plausible: the remaining bytes must
     /// be able to hold `count * elem_bytes`. Guards against corrupt length
     /// prefixes requesting absurd allocations.
     pub(crate) fn count(&mut self, what: &str, elem_bytes: usize) -> Result<usize, WireError> {
         let n = self.u64(what)?;
-        let need = (n as u128) * (elem_bytes as u128);
+        let need = u128::from(n) * (elem_bytes as u128);
         if need > (self.buf.len() - self.pos) as u128 {
             return Err(self.err(&format!(
                 "length prefix for {what} ({n} elements) exceeds remaining {} bytes",
@@ -192,6 +199,10 @@ const _: fn(&Walker<f64>) -> Vec<u8> = serialize_walker::<f64>;
 /// codes re-key because raw generator state is implementation-defined) —
 /// call it before [`serialize_walker`] when the walker is leaving for
 /// another rank. Checkpointing deliberately does *not* re-key.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the migration re-key draws the new seed"
+)]
 pub fn reseed_for_migration<T: Real>(w: &mut Walker<T>) {
     let reseed: u64 = w.rng.random();
     w.rng = StdRng::seed_from_u64(reseed);
@@ -221,7 +232,7 @@ pub(crate) fn decode_walker<T: Real>(r: &mut WireReader<'_>) -> Result<Walker<T>
     }
     let weight = r.f64("weight")?;
     let multiplicity = r.f64("multiplicity")?;
-    let age = r.u64("age")? as usize;
+    let age = r.usize("age")?;
     let e_local = r.f64("e_local")?;
     let log_psi = r.f64("log_psi")?;
     let mut state = [0u64; 4];
@@ -236,20 +247,19 @@ pub(crate) fn decode_walker<T: Real>(r: &mut WireReader<'_>) -> Result<Walker<T>
         reals.push(T::from_f64(r.f64("buffer real")?));
     }
     buffer.put_slice(&reals);
-    let r_cursor = r.u64("real cursor")?;
+    let r_cursor = r.usize("real cursor")?;
     let nd = r.count("buffer doubles", 8)?;
     for _ in 0..nd {
         buffer.put_f64(r.f64("buffer double")?);
     }
-    let d_cursor = r.u64("double cursor")?;
-    if r_cursor > nr as u64 || d_cursor > nd as u64 {
+    let d_cursor = r.usize("double cursor")?;
+    if r_cursor > nr || d_cursor > nd {
         return Err(WireError {
             at: r.offset(),
             what: format!("buffer cursors ({r_cursor}, {d_cursor}) past stream ends ({nr}, {nd})"),
         });
     }
-    // Bounded by the stream lengths just checked, so the casts are exact.
-    buffer.set_cursors(r_cursor as usize, d_cursor as usize);
+    buffer.set_cursors(r_cursor, d_cursor);
 
     Ok(Walker {
         r: pos,

@@ -78,11 +78,14 @@ impl VmcState {
     }
 
     /// Final result of the run this state accumulated.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "walker and step counts are exact in f64"
+    )]
     pub fn into_result(self) -> VmcResult {
         VmcResult {
             energy: self.energy,
             acceptance: if self.attempted > 0 {
-                // qmclint: allow(precision-cast) — walker/step counts convert exactly to f64 for statistics.
                 self.accepted as f64 / self.attempted as f64
             } else {
                 0.0

@@ -59,6 +59,10 @@ impl<T: Real> Walker<T> {
 
     /// Spawns a branching copy: identical configuration and state, fresh
     /// decorrelated RNG stream drawn from the parent's stream.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a child's seed comes from its parent's stream"
+    )]
     pub fn branch_copy(&mut self) -> Self {
         let child_seed: u64 = self.rng.random();
         Self {
@@ -82,6 +86,10 @@ impl<T: Real> Walker<T> {
 
 /// Creates an initial population at the given configuration with
 /// decorrelated per-walker streams.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "walker seeds come from the master stream"
+)]
 pub fn initial_population<T: Real>(r: &[Pos<f64>], count: usize, seed: u64) -> Vec<Walker<T>> {
     let mut master = StdRng::seed_from_u64(seed);
     (0..count)

@@ -19,9 +19,13 @@
 //!
 //! with `rho(k) = sum_i q_i exp(i k . r_i)` and the prime excluding the
 //! i = j, R = 0 self term.
+#![expect(
+    clippy::cast_lossless,
+    clippy::cast_possible_truncation,
+    reason = "Ewald/Madelung lattice sums run in f64 whatever the walker precision T; \
+              image counts are small integers"
+)]
 
-// qmclint: allow-file(precision-cast) — Ewald/Madelung lattice sums are conditionally
-// convergent and deliberately evaluated in f64 regardless of the walker precision T.
 use qmc_containers::{Pos, Real};
 use qmc_particles::{CrystalLattice, ParticleSet};
 

@@ -15,9 +15,11 @@
 //! through the value-only wavefunction path (the `Bspline-v` kernel of
 //! Fig. 2). The quadrature grid is randomly rotated per evaluation to avoid
 //! angular bias, as in QMCPACK.
+#![expect(
+    clippy::cast_precision_loss,
+    reason = "quadrature-grid sizes and channel weights are small counts, exact in f64"
+)]
 
-// qmclint: allow-file(precision-cast) — quadrature-grid construction (Gauss weights,
-// spherical angles) is tabulated in f64 once at setup.
 use qmc_containers::{Pos, Real, TinyVector};
 use qmc_instrument::{time_kernel, Kernel};
 use qmc_particles::{DistTable, ParticleSet};

@@ -11,6 +11,7 @@
 
 /// Enables flush-to-zero (FTZ) and denormals-are-zero (DAZ) in the
 /// calling thread's MXCSR. No-op on non-x86_64 targets.
+#[allow(unsafe_code, reason = "MXCSR is reachable only through `asm!`")]
 pub fn enable_ftz() {
     #[cfg(target_arch = "x86_64")]
     unsafe {

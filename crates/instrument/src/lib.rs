@@ -18,10 +18,8 @@
 //!   (`qmc-run-report-stream/1`): per-block deltas, trace spans and
 //!   checkpoint markers appended live as a run progresses.
 
-// Indexed loops over multiple parallel slices are the deliberate idiom in
-// the SIMD kernels (mirrors the paper's C++ and keeps the auto-vectorizer's
-// job obvious); iterator zips would obscure them.
-#![allow(clippy::needless_range_loop)]
+// Threads start only in the crew fan-out: no `spawn` here (`clippy.toml`).
+#![cfg_attr(not(test), warn(clippy::disallowed_methods))]
 
 pub mod ftz;
 pub mod json;

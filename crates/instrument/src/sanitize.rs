@@ -1,8 +1,9 @@
 //! Runtime invariant sanitizer (the `checked` cargo feature).
 //!
-//! The static analyzer (`qmclint`) pins down *where* precision may be
-//! narrowed and which paths must stay allocation-free; this module guards
-//! the complementary *runtime* invariants: the numbers crossing the
+//! Clippy's cast lints pin down *where* precision may be narrowed, and the
+//! counting-allocator test which paths must stay allocation-free (DESIGN
+//! §5c); this module guards the complementary *runtime* invariants: the
+//! numbers crossing the
 //! physics accumulator boundaries — local energies, `log ψ`, branch
 //! weights, the trial energy — must be finite, and the mixed-precision
 //! `|Δ log ψ|` measured at from-scratch recomputes must stay under a

@@ -85,7 +85,7 @@ impl StreamWriter {
     }
 
     /// Writes the `start` record identifying the run.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one argument per record field")]
     pub fn start(
         &mut self,
         driver: &str,
@@ -164,7 +164,6 @@ impl StreamWriter {
 
     /// Writes the `end` record with the run's headline scalars and the
     /// final population hash.
-    #[allow(clippy::too_many_arguments)]
     pub fn end(
         &mut self,
         seconds: f64,

@@ -52,7 +52,8 @@
 //! hint in [`mw_evaluate_v`] and a single-pass twelve-block `v` tile were
 //! measured flat: `v` has no latency left to hide, only bytes. The hint is
 //! a safe function whose one `unsafe` block lives in `qmc-containers`; this
-//! crate keeps `#![forbid(unsafe_code)]`, and the hint cannot move a bit.
+//! crate has none (`unsafe_code` is denied workspace-wide), and the hint
+//! cannot move a bit.
 
 use crate::lanes::{wide_f32, WideLane};
 use crate::Backend;
@@ -120,6 +121,7 @@ impl<T: Real> SplineView<'_, T> {
 
 /// Maps a fractional coordinate to (stencil origin, intra-cell offset).
 #[inline]
+#[expect(clippy::cast_possible_truncation, reason = "the floor lies in [0, n]")]
 pub fn locate<T: Real>(u: T, n: usize) -> (usize, T) {
     // Wrap fractional coordinate into [0,1) then scale to grid units.
     let mut uf = u - u.floor();
@@ -294,9 +296,8 @@ fn v_tile<T: Real, const W: usize, const B: usize>(
 /// identical to [`evaluate_v`] on every backend (each point is an
 /// independent accumulation), so the fast path never perturbs the NLPP
 /// energies.
-// qmclint: allow(timer-coverage) — timed by the caller (BsplineSpo wraps
-// the dispatch in Kernel::BsplineV); the kernel library itself stays
-// free of instrumentation dependencies.
+// Timed by the caller (BsplineSpo wraps the dispatch in Kernel::BsplineV); the
+// kernel library itself stays free of instrumentation dependencies.
 pub fn mw_evaluate_v<T: Real>(
     backend: Backend,
     t: &SplineView<'_, T>,
@@ -924,9 +925,8 @@ fn vgl_simd_w<T: Real, const W: usize>(
 /// walker `w` owns `psi[w*ns..]`, `grad[w*3*ns..]`, `lap[w*ns..]`.
 /// Per-walker results are bitwise identical to [`evaluate_vgl`] on the
 /// same backend (each walker is an independent accumulation).
-// qmclint: allow(timer-coverage) — timed by the caller: BsplineSpo wraps
-// this dispatch in Kernel::BsplineMwVGL; the kernel library itself stays
-// free of instrumentation dependencies.
+// Timed by the caller: BsplineSpo wraps this dispatch in Kernel::BsplineMwVGL;
+// the kernel library itself stays free of instrumentation dependencies.
 pub fn mw_evaluate_vgl<T: Real>(
     backend: Backend,
     t: &SplineView<'_, T>,
@@ -975,10 +975,9 @@ const MW_CHUNK: usize = 4;
 /// hoisted weights in the same order — only the iteration *interleaving*
 /// across walkers and tiles differs, which lane-elementwise math cannot
 /// observe.
-// qmclint: allow(timer-coverage) — internal width-monomorphized body of
-// `mw_evaluate_vgl`; the public entry is wrapped in
-// `time_kernel(Kernel::BsplineMwVgl, ...)` by its callers (BsplineSpo),
-// so timing here would double-count the same scope.
+// Internal width-monomorphized body of `mw_evaluate_vgl`; the public entry is
+// wrapped in `time_kernel(Kernel::BsplineMwVgl, ...)` by its callers
+// (BsplineSpo), so timing here would double-count the same scope.
 fn mw_vgl_simd_w<T: Real, const W: usize>(
     t: &SplineView<'_, T>,
     us: &[[T; 3]],

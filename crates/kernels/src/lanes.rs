@@ -85,12 +85,13 @@ pub const fn wide_f32<T: Real>() -> bool {
     std::mem::size_of::<T>() == 4
 }
 
-// `add`/`sub`/`mul` are deliberate inherent methods rather than operator
-// overloads: the kernels read as explicit dataflow (`acc.fma(a, b)`,
-// `d.mul(d)`), and keeping the whole vocabulary as uniform by-value
-// method calls makes the `#[inline(always)]` contract auditable in one
-// place instead of hiding half of it behind `std::ops` impls.
-#[allow(clippy::should_implement_trait)]
+// Keeping the whole vocabulary as uniform by-value method calls makes the
+// `#[inline(always)]` contract auditable in one place instead of hiding
+// half of it behind `std::ops` impls.
+#[expect(
+    clippy::should_implement_trait,
+    reason = "`add`/`sub`/`mul` read as explicit dataflow (`acc.fma(a, b)`, `d.mul(d)`)"
+)]
 impl<T: Real, const W: usize> WideLane<T, W> {
     /// All lanes zero.
     #[inline(always)]

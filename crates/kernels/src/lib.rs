@@ -65,16 +65,24 @@
 //! Engines capture [`Backend::current`] when they are built, so a run
 //! never mixes backends mid-flight.
 
-#![forbid(unsafe_code)]
-// Register-blocked micro-kernels live or die by guaranteed inlining: a
-// missed inline on a `Lane` op or a stencil helper spills the whole
-// accumulator block to the stack, which is the exact traffic the simd
-// backend exists to remove.
-#![allow(clippy::inline_always)]
-// Kernel entry points take flat output slabs (psi/grad/lap/...) as
-// separate slices on purpose — bundling them into structs would force the
-// callers to allocate views per call on the hot path.
-#![allow(clippy::too_many_arguments)]
+// Physics and kernel crate (DESIGN §5c): its non-test code names none of
+// the types and calls none of the methods `clippy.toml` disallows, each
+// cast carries an `#[expect(.., reason)]`, and nothing panics in a kernel.
+#![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::disallowed_methods))]
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+#![cfg_attr(not(test), warn(clippy::cast_precision_loss, clippy::cast_lossless))]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![expect(
+    clippy::inline_always,
+    reason = "a missed inline on a `Lane` op or a stencil helper spills the \
+              accumulator block to the stack, the traffic the simd backend removes"
+)]
+#![expect(
+    clippy::too_many_arguments,
+    reason = "entry points take flat output slabs (psi/grad/lap/...) as separate \
+              slices; bundling them would build views per call on the hot path"
+)]
 
 pub mod bspline;
 pub mod distance;
@@ -119,7 +127,6 @@ impl Backend {
     }
 
     /// Parses a CLI backend name.
-    // qmclint: cold — CLI parsing, never on the Monte Carlo path.
     pub fn parse(s: &str) -> Result<Backend, String> {
         match s.to_ascii_lowercase().as_str() {
             "reference" | "ref" => Ok(Backend::Reference),

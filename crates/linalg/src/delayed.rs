@@ -246,9 +246,8 @@ impl<T: Real> DelayedInverse<T> {
         }
         self.s[(m, m)] = dot(self.minv_t.row(r), v).to_f64();
         self.vs.row_mut(m).copy_from_slice(v);
-        // qmclint: allow(hot-path) — push into a with_capacity(delay)
-        // buffer; the flush above guarantees the window has room, so this
-        // never reallocates.
+        // Push into a with_capacity(delay) buffer; the flush above guarantees
+        // the window has room, so this never reallocates.
         self.ks.push(r);
         if self.ks.len() == self.delay {
             self.flush();

@@ -7,11 +7,14 @@
 //! [`delayed`] keeps a delayed Woodbury engine (the paper's §8.4 future
 //! work) that no determinant runs; only a benchmark meter times it.
 
-#![forbid(unsafe_code)]
-// Indexed loops over multiple parallel slices are the deliberate idiom in
-// the SIMD kernels (mirrors the paper's C++ and keeps the auto-vectorizer's
-// job obvious); iterator zips would obscure them.
-#![allow(clippy::needless_range_loop)]
+// Physics and kernel crate (DESIGN §5c): its non-test code names none of
+// the types and calls none of the methods `clippy.toml` disallows, each
+// cast carries an `#[expect(.., reason)]`, and nothing panics in a kernel.
+#![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::disallowed_methods))]
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+#![cfg_attr(not(test), warn(clippy::cast_precision_loss, clippy::cast_lossless))]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::todo, clippy::unimplemented))]
 
 pub mod blas;
 pub mod delayed;

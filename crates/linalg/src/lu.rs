@@ -102,8 +102,6 @@ impl<T: Real> LuFactor<T> {
 
     /// Solves `A x = b` in place; `b` enters as the right-hand side and
     /// leaves as the solution.
-    // qmclint: cold — LU solves run on the from-scratch recompute path
-    // (O(N^3) factorization dominates), never per accepted move.
     pub fn solve_in_place(&self, b: &mut [T]) {
         let n = self.n();
         assert_eq!(b.len(), n);
@@ -130,8 +128,6 @@ impl<T: Real> LuFactor<T> {
 
     /// Dense inverse of the factorized matrix: all `n` right-hand sides of
     /// `A X = I` are solved at once, row-wise (see the module docs).
-    // qmclint: cold — dense inversion is the periodic from-scratch
-    // recompute, amortized over the recompute interval.
     pub fn inverse(&self) -> Matrix<T> {
         let n = self.n();
         // The permuted identity: column c is `solve_in_place`'s permuted e_c.

@@ -1,13 +1,11 @@
 //! CI helper: reads JSON from stdin, validates it with the in-tree
 //! parser, and exits nonzero (with a message) when it is empty or
-//! malformed. Used by `ci.sh` to smoke-test `miniqmc --profile json`
-//! (a `qmc-run-report/1` document must also attribute no more time to
-//! kernels than the run had, and carry no sanitizer violations) and the
-//! qmclint report.
+//! malformed. Used by `ci.sh` to smoke-test `miniqmc --profile json`:
+//! a `qmc-run-report/1` document must also attribute no more time to
+//! kernels than the run had, and carry no sanitizer violations.
 //!
 //! ```text
 //! miniqmc --benchmark graphite --profile json | json_check
-//! json_check < QMCLINT.json
 //! ```
 
 use qmc_instrument::json::JsonValue;
@@ -53,31 +51,6 @@ fn check_run_report(v: &JsonValue) -> Result<(), String> {
     Ok(())
 }
 
-/// Checks a qmclint report. `qmclint/6` is the one version accepted — any
-/// other is a hard error naming it, so a silent format bump cannot sail
-/// through CI — and the report must be clean: `diagnostics_total` and
-/// every `by_rule` count zero.
-fn check_qmclint(schema: &str, v: &JsonValue) -> Result<(), String> {
-    if schema != "qmclint/6" {
-        return Err(format!(
-            "unsupported qmclint schema `{schema}` (only qmclint/6 is accepted)"
-        ));
-    }
-    member(v, "files_scanned")?;
-    if member(v, "diagnostics_total")?.as_f64() != Some(0.0) {
-        return Err("qmclint report has diagnostics".into());
-    }
-    let by_rule = member(v, "by_rule")?
-        .as_obj()
-        .ok_or("qmclint `by_rule` is not an object")?;
-    for (rule, count) in by_rule {
-        if count.as_f64() != Some(0.0) {
-            return Err(format!("qmclint rule `{rule}` is not at zero"));
-        }
-    }
-    Ok(())
-}
-
 fn main() {
     let mut input = String::new();
     if let Err(e) = std::io::stdin().read_to_string(&mut input) {
@@ -93,9 +66,7 @@ fn main() {
             // A run report must at least carry its schema tag; plain JSON
             // from other producers (e.g. Chrome traces) just passes.
             if let Some(schema) = v.get("schema").and_then(|s| s.as_str()) {
-                let checked = if schema.starts_with("qmclint/") {
-                    check_qmclint(schema, &v)
-                } else if schema == RUN_REPORT_SCHEMA {
+                let checked = if schema == RUN_REPORT_SCHEMA {
                     check_run_report(&v)
                 } else {
                     Ok(())

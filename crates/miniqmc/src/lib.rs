@@ -14,8 +14,6 @@
 //! * `check_wfc` — full-wavefunction correctness checker (Ref vs Current).
 //! * `check_spo` — SPO evaluator correctness checker.
 
-#![forbid(unsafe_code)]
-
 pub mod args;
 
 pub use args::{at_least, Options};

@@ -15,6 +15,10 @@
 //!
 //! Row convention: `dr[i][j] = min_image(r_j - r_i)`, `dist[i][j] = |dr|`.
 
+// Kernel module (DESIGN §5c): its non-test code does not panic.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::todo, clippy::unimplemented))]
+
 use crate::lattice::CrystalLattice;
 use qmc_containers::{AlignedVec, Matrix, Pos, Real, TinyVector, VectorSoaContainer};
 use qmc_instrument::{add_flops_bytes, time_kernel, Kernel};
@@ -686,8 +690,6 @@ impl<T: Real> DistTableABRef<T> {
     }
 
     /// The fixed ion (source) positions this table was built against.
-    // qmclint: cold — setup-time accessor used when wiring the Hamiltonian
-    // to its ion set, not called inside the Monte Carlo loop.
     pub fn source_positions(&self) -> Vec<Pos<T>> {
         self.ions.clone()
     }
@@ -830,8 +832,6 @@ impl<T: Real> DistTableABSoA<T> {
 
     /// The fixed ion (source) positions this table was built against
     /// (reconstructed from the SoA copy).
-    // qmclint: cold — setup-time accessor used when wiring the Hamiltonian
-    // to its ion set, not called inside the Monte Carlo loop.
     pub fn source_positions(&self) -> Vec<Pos<T>> {
         (0..self.nion).map(|a| self.ions_soa.get(a)).collect()
     }

@@ -6,6 +6,7 @@ use rand::{Rng, RngExt};
 
 /// A standard-normal variate via Box–Muller (avoids an extra distribution
 /// dependency; QMC only needs isotropic Gaussian diffusion kicks).
+#[expect(clippy::disallowed_methods, reason = "the diffusion kick's draws")]
 pub fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
         let u1: f64 = rng.random::<f64>();
@@ -23,6 +24,10 @@ pub fn gaussian_pos<R: Rng + ?Sized>(rng: &mut R) -> Pos<f64> {
 }
 
 /// Uniformly random positions inside the cell.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "initial positions are drawn here"
+)]
 pub fn random_positions_in_cell<T: Real, R: Rng + ?Sized>(
     lattice: &CrystalLattice<T>,
     n: usize,

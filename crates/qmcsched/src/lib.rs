@@ -17,8 +17,6 @@
 //! crews and backends (`tests/checkpoint_parity.rs`), and the backend,
 //! 1/2/4-thread and multi-rank sweeps (this file's unit tests).
 
-#![forbid(unsafe_code)]
-
 use qmc_crowd::CrowdScheduler;
 use qmc_drivers::{
     initial_population, read_dmc_checkpoint, read_vmc_checkpoint, run_dmc, run_multi_rank, run_vmc,

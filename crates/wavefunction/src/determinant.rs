@@ -569,11 +569,14 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
         buf.put_matrix_transposed(&self.inv);
         buf.put_f64(self.log_value);
         buf.put_f64(self.sign);
-        // qmclint: allow(precision-cast) — the checkpoint buffer carries
-        // f64 scalars; the recompute counter is a small integer, exact.
+        #[expect(clippy::cast_precision_loss, reason = "a small count, exact in f64")]
         buf.put_f64(self.accepted_since_recompute as f64);
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "stored from a usize by save_state"
+    )]
     fn load_state(&mut self, buf: &mut WalkerBuffer<T>) {
         buf.get_matrix(&mut self.psi_m);
         for d in 0..3 {

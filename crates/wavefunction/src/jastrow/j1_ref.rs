@@ -1,7 +1,5 @@
 //! Baseline one-body Jastrow: store-everything policy over the AB table.
 
-// qmclint: allow-file(precision-cast) — the reference (AoS) Jastrow accumulates G/L in
-// f64 by the paper's mixed-precision design: double accumulators over T-valued terms.
 use crate::buffer::WalkerBuffer;
 use crate::traits::WaveFunctionComponent;
 use qmc_bspline::CubicBspline1D;
@@ -110,9 +108,8 @@ impl<T: Real> WaveFunctionComponent<T> for J1Ref<T> {
 
     fn evaluate_log(&mut self, p: &mut ParticleSet<T>) -> f64 {
         time_kernel(Kernel::J1, || {
-            // qmclint: allow(hot-path) — reference-layout baseline allocates its G/L
-            // staging per refresh; the SoA implementation is the allocation-free
-            // production path.
+            // Reference-layout baseline allocates its G/L staging per refresh;
+            // the SoA implementation is the allocation-free production path.
             let mut gl = vec![(TinyVector::<f64, 3>::zero(), 0.0f64); self.n];
             let t = p.table(self.table).as_ab_ref();
             let mut logpsi = 0.0f64;

@@ -7,8 +7,6 @@
 //! All loops are scalar over AoS data, reproducing the baseline's poor SIMD
 //! efficiency.
 
-// qmclint: allow-file(precision-cast) — the reference (AoS) Jastrow accumulates G/L in
-// f64 by the paper's mixed-precision design: double accumulators over T-valued terms.
 use super::PairFunctors;
 use crate::buffer::WalkerBuffer;
 use crate::traits::WaveFunctionComponent;

@@ -8,6 +8,10 @@
 //! plane-wave-like set used for correctness tests where every derivative is
 //! known in closed form.
 
+// Kernel module (DESIGN §5c): its non-test code does not panic.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::todo, clippy::unimplemented))]
+
 use qmc_bspline::MultiBspline3D;
 use qmc_containers::{Pos, Real, TinyVector};
 use qmc_instrument::{add_flops_bytes, time_kernel, Kernel};
@@ -39,9 +43,8 @@ pub trait SpoSet<T: Real>: Send + Sync {
     /// to per-walker evaluation by construction); table-backed sets
     /// override it with a fused one-pass kernel over the shared
     /// coefficients.
-    // qmclint: allow(timer-coverage) — delegates to evaluate_vgl, which is
-    // already timed under Kernel::BsplineVGH/SpoVGL; a wrapper timer here
-    // would double-count.
+    // Delegates to evaluate_vgl, which is already timed under
+    // Kernel::BsplineVGH/SpoVGL; a wrapper timer here would double-count.
     fn mw_evaluate_vgl(&mut self, pos: &[Pos<T>], psi: &mut [T], grad: &mut [T], lap: &mut [T]) {
         let ns = self.size();
         for (w, &p) in pos.iter().enumerate() {
@@ -60,9 +63,8 @@ pub trait SpoSet<T: Real>: Send + Sync {
     /// quadrature fast path, where one electron's rotated quadrature
     /// positions share a single dispatch instead of one call (and one
     /// timer scope) per point.
-    // qmclint: allow(timer-coverage) — delegates to evaluate_v, which is
-    // already timed under Kernel::BsplineV; a wrapper timer here would
-    // double-count.
+    // Delegates to evaluate_v, which is already timed under Kernel::BsplineV;
+    // a wrapper timer here would double-count.
     fn mw_evaluate_v(&mut self, pos: &[Pos<T>], psi: &mut [T]) {
         let ns = self.size();
         for (q, &p) in pos.iter().enumerate() {
@@ -315,6 +317,10 @@ pub struct CosineSpo<T: Real> {
 impl<T: Real> CosineSpo<T> {
     /// Builds `n` orbitals commensurate with an orthorhombic cell of edges
     /// `l` (so the orbitals are periodic on the cell).
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "the analytic k-table and phases are f64"
+    )]
     pub fn new(n: usize, l: [f64; 3]) -> Self {
         use std::f64::consts::TAU;
         let mut ks = Vec::with_capacity(n);
@@ -328,12 +334,8 @@ impl<T: Real> CosineSpo<T> {
                         if ix.abs().max(iy.abs()).max(iz.abs()) != shell {
                             continue;
                         }
-                        // qmclint: allow(precision-cast) — analytic test
-                        // SPO builds its k-table in f64 by design.
                         let k = |i: i64, edge: f64| TAU * i as f64 / edge;
                         ks.push(TinyVector([k(ix, l[0]), k(iy, l[1]), k(iz, l[2])]));
-                        // qmclint: allow(precision-cast) — phase offsets are
-                        // part of the same deliberate f64 reference table.
                         phases.push(0.4 + 0.3 * m as f64);
                         m += 1;
                         if ks.len() == n {

@@ -119,9 +119,9 @@ pub trait WaveFunctionComponent<T: Real>: Send {
     /// The default loops the scalar path and is bit-identical to it;
     /// overrides (the fused multi-walker determinant) may regroup floating
     /// point and are only reachable through opt-in batched drivers.
-    // qmclint: allow(timer-coverage) — the default body is a pure loop over
-    // `evaluate_log`, whose leaf kernels carry the timers; wrapping the loop
-    // would double-count every scalar kernel under a second category.
+    // The default body is a pure loop over `evaluate_log`, whose leaf kernels
+    // carry the timers; wrapping the loop would double-count every scalar
+    // kernel under a second category.
     fn mw_evaluate_log_batched(
         &mut self,
         rest: &mut [&mut (dyn WaveFunctionComponent<T> + 'static)],

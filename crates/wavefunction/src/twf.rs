@@ -243,9 +243,8 @@ impl<T: Real> TrialWaveFunction<T> {
 
     /// Batched [`Self::calc_ratio_grad`] for the active move of particle
     /// `iat` on every walker. `ratios`/`grads` are overwritten.
-    // qmclint: allow(timer-coverage) — loops the per-walker scalar
-    // methods, each timed under its own Kernel::* category; a wrapper timer
-    // here would double-count.
+    // Loops the per-walker scalar methods, each timed under its own Kernel::*
+    // category; a wrapper timer here would double-count.
     pub fn mw_ratio_grad(
         batch: &mut [&mut Self],
         psets: &[&ParticleSet<T>],
@@ -272,9 +271,8 @@ impl<T: Real> TrialWaveFunction<T> {
 
     /// Batched [`Self::eval_grad`]: `grads[w]` is overwritten with the
     /// gradient of `log Psi_T` for walker `w`'s particle `iat`.
-    // qmclint: allow(timer-coverage) — loops the per-walker scalar
-    // methods, each timed under its own Kernel::* category; a wrapper timer
-    // here would double-count.
+    // Loops the per-walker scalar methods, each timed under its own Kernel::*
+    // category; a wrapper timer here would double-count.
     pub fn mw_eval_grad(
         batch: &mut [&mut Self],
         psets: &[&ParticleSet<T>],
@@ -295,9 +293,8 @@ impl<T: Real> TrialWaveFunction<T> {
     /// Batched accept/reject resolution: commits walker `w`'s move when
     /// `accept[w]`, otherwise discards it (call before resolving the
     /// particle sets themselves).
-    // qmclint: allow(timer-coverage) — loops the per-walker scalar
-    // methods, each timed under its own Kernel::* category; a wrapper timer
-    // here would double-count.
+    // Loops the per-walker scalar methods, each timed under its own Kernel::*
+    // category; a wrapper timer here would double-count.
     pub fn mw_accept_restore(
         batch: &mut [&mut Self],
         psets: &[&ParticleSet<T>],

@@ -1,9 +1,12 @@
 //! Workload construction: turns a [`WorkloadSpec`] into particle sets,
 //! spline tables, Jastrow functors and fully assembled [`QmcEngine`]s for
 //! any code version of the paper's optimization ladder.
+#![expect(
+    clippy::cast_precision_loss,
+    clippy::cast_possible_truncation,
+    reason = "workload construction lays out ion/tile geometry in f64 from small counts"
+)]
 
-// qmclint: allow-file(precision-cast) — workload construction lays out ion/tile
-// geometry directly in f64 before any T-typed state exists.
 use crate::spec::{Benchmark, Size, WorkloadSpec};
 use qmc_bspline::{CubicBspline1D, MultiBspline3D};
 use qmc_containers::{Pos, Real, TinyVector};

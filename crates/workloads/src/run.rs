@@ -116,9 +116,8 @@ pub struct RunOutcome {
 
 impl RunOutcome {
     /// Throughput `P = samples / seconds` (§6.2 figure of merit).
+    #[expect(clippy::cast_precision_loss, reason = "sample counts are exact in f64")]
     pub fn throughput(&self) -> f64 {
-        // qmclint: allow(precision-cast) — sample counts convert exactly to f64
-        // for the throughput figure of merit.
         self.samples as f64 / self.seconds
     }
 

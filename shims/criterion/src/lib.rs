@@ -9,10 +9,10 @@
 //!   `<substring>` only run benchmarks whose id contains the substring
 //! Unknown `--flags` are ignored so harness flags cargo forwards are safe.
 
-#![forbid(unsafe_code)]
-// Vendored stand-in: the API shape (names, signatures, by-value arguments)
-// mirrors the external crate verbatim, so pedantic style lints don't apply.
-#![allow(clippy::pedantic)]
+#![allow(
+    clippy::pedantic,
+    reason = "vendored stand-in: names, signatures and by-value arguments mirror the external crate"
+)]
 
 use std::time::{Duration, Instant};
 

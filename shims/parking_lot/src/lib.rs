@@ -4,10 +4,10 @@
 //! returns the guard directly and a poisoned mutex just hands back the inner
 //! data (QMC worker panics already abort the run at a higher level).
 
-#![forbid(unsafe_code)]
-// Vendored stand-in: the API shape (names, signatures, by-value arguments)
-// mirrors the external crate verbatim, so pedantic style lints don't apply.
-#![allow(clippy::pedantic)]
+#![allow(
+    clippy::pedantic,
+    reason = "vendored stand-in: names, signatures and by-value arguments mirror the external crate"
+)]
 
 pub struct Mutex<T: ?Sized> {
     inner: std::sync::Mutex<T>,

@@ -7,10 +7,10 @@
 //! failures reproduce exactly on re-run; there is no shrinking, the failing
 //! case's seed is printed instead.
 
-#![forbid(unsafe_code)]
-// Vendored stand-in: the API shape (names, signatures, by-value arguments)
-// mirrors the external crate verbatim, so pedantic style lints don't apply.
-#![allow(clippy::pedantic)]
+#![allow(
+    clippy::pedantic,
+    reason = "vendored stand-in: names, signatures and by-value arguments mirror the external crate"
+)]
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -266,10 +266,10 @@ macro_rules! __proptest_impl {
                 let config = $cfg;
                 $crate::run_proptest(config, stringify!($name), file!(), |__rng| {
                     $( let $arg = $crate::Strategy::generate(&($strat), __rng); )+
-                    #[allow(unused_mut)]
+                    #[allow(unused_mut, reason = "a test body need not mutate its bindings")]
                     let mut __body = move || -> ::std::result::Result<(), $crate::TestCaseError> {
                         $body
-                        #[allow(unreachable_code)]
+                        #[allow(unreachable_code, reason = "a test body may return early")]
                         ::std::result::Result::Ok(())
                     };
                     __body()

@@ -11,10 +11,10 @@
 //! are part of the reproducibility contract), which an in-tree generator
 //! guarantees better than a registry dependency ever could.
 
-#![forbid(unsafe_code)]
-// Vendored stand-in: the API shape (names, signatures, by-value arguments)
-// mirrors the external crate verbatim, so pedantic style lints don't apply.
-#![allow(clippy::pedantic)]
+#![allow(
+    clippy::pedantic,
+    reason = "vendored stand-in: names, signatures and by-value arguments mirror the external crate"
+)]
 
 /// Core entropy source: everything derives from `next_u64`.
 pub trait Rng {

@@ -1,5 +1,4 @@
-//! Property tests for the checkpoint surface of the vendored RNG, plus
-//! the linter-side mirror of its draw-method inventory.
+//! Property tests for the checkpoint surface of the vendored RNG.
 //!
 //! The checkpoint/restart contract (PR 7) leans on `StdRng::state()` /
 //! `StdRng::from_state()` being a bitwise resume — not a re-seed. The
@@ -41,26 +40,4 @@ proptest! {
             prop_assert_eq!(original.random_range(0usize..1024), restored.random_range(0usize..1024));
         }
     }
-}
-
-/// Mirror of `qmclint::config::RNG_DRAW_METHODS`: the linter recognizes
-/// draw sites lexically by method name (the shim itself is exempt from
-/// linting), so extending the shim's draw API means extending that list.
-/// Each entry is exercised against the shim here so a stale name in
-/// either inventory fails loudly.
-#[test]
-fn draw_method_inventory_mirrors_the_linter() {
-    let shim_draw_surface = ["random", "random_range", "random_bool", "next_u64"];
-
-    let mut rng = StdRng::seed_from_u64(1);
-    let _: f64 = rng.random();
-    let _ = rng.random_range(0usize..4);
-    let _ = rng.random_bool(0.5);
-    let _ = rng.next_u64();
-
-    assert_eq!(
-        shim_draw_surface,
-        qmclint::config::RNG_DRAW_METHODS,
-        "shim draw surface and linter RNG_DRAW_METHODS diverged"
-    );
 }

@@ -11,20 +11,12 @@
 //! OS interleaving with explicitly enumerated deterministic schedules (see
 //! [`schedule`]).
 
-// Vendored stand-in: the API shape (names, signatures, by-value arguments)
-// mirrors the external crate verbatim, so pedantic style lints don't apply.
-#![allow(clippy::pedantic)]
-#![forbid(unsafe_code)]
+#![allow(
+    clippy::pedantic,
+    reason = "vendored stand-in: names, signatures and by-value arguments mirror the external crate"
+)]
 
 pub mod schedule;
-
-/// The scoped-spawn entry points this shim exposes, re-stated as data.
-/// `qmclint`'s `determinism` rule recognizes thread spawns lexically (this
-/// crate is lint-exempt), so its `config::SPAWN_METHODS` list must mirror
-/// the real API surface — the mirror test below pins the two together.
-/// Extending the spawn API without extending both lists is a test
-/// failure, not a silent analysis gap.
-pub const SPAWN_METHODS: [&str; 1] = ["spawn"];
 
 /// A scoped task set, after `rayon::Scope`: tasks spawned here are
 /// guaranteed to complete before [`scope`] returns.
@@ -60,15 +52,4 @@ where
     let r = f(&s);
     schedule::run_tasks(s.tasks.into_inner());
     r
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn spawn_api_mirrors_qmclint_config() {
-        // The linter recognizes spawn calls lexically; this is the pin that
-        // keeps its method list equal to the API this shim actually
-        // exposes.
-        assert_eq!(crate::SPAWN_METHODS, qmclint::config::SPAWN_METHODS);
-    }
 }

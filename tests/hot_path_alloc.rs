@@ -40,6 +40,7 @@ fn count() {
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; counting touches only a
 // thread-local `Cell` and never re-enters the allocator.
+#[allow(unsafe_code, reason = "a global allocator is an `unsafe impl`")]
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
