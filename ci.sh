@@ -30,8 +30,10 @@ echo "== benchmark adapter gate (benchmark/ builds and passes against this drive
 # the driver crates by name; a driver-API change that breaks it must fail
 # here, not in the benchmark run. Same target directory as
 # benchmark/run.sh uses, so the crates are not built a second time.
-CARGO_TARGET_DIR=target cargo build --release --offline --manifest-path benchmark/Cargo.toml
-CARGO_TARGET_DIR=target cargo test -q --offline --manifest-path benchmark/Cargo.toml
+# --locked: a manifest edit that would rewrite benchmark/Cargo.lock fails
+# here instead of leaving the tree dirty.
+CARGO_TARGET_DIR=target cargo build --release --locked --offline --manifest-path benchmark/Cargo.toml
+CARGO_TARGET_DIR=target cargo test -q --locked --offline --manifest-path benchmark/Cargo.toml
 
 echo "== sanitizer tests (checked feature) =="
 cargo test -q -p qmc-drivers --features checked

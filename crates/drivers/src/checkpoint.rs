@@ -645,6 +645,7 @@ mod tests {
     use super::*;
     use crate::fingerprint::population_digest;
     use crate::walker::{initial_population, zero_positions};
+    use proptest::prelude::*;
 
     fn temp_path(name: &str) -> String {
         let p = std::env::temp_dir().join(name);
@@ -751,6 +752,45 @@ mod tests {
             other => panic!("expected ChecksumMismatch, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The payload of a valid DMC checkpoint written to `path`: everything
+    /// before the checksum.
+    fn dmc_payload(path: &str) -> Vec<u8> {
+        let (state, walkers) = sample_dmc_state();
+        write_dmc_checkpoint(path, &state, &walkers).expect("write");
+        let mut bytes = std::fs::read(path).expect("read bytes");
+        bytes.truncate(bytes.len() - 8);
+        bytes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A valid DMC payload, XORed at random bytes or cut short and
+        /// re-sealed with a matching checksum, gets past the checksum to
+        /// `check_header`, the state fields and `read_walkers`. A mutated
+        /// file reads as a checkpoint or a `CheckpointError`, a cut one
+        /// always as the error; a panic fails the case.
+        #[test]
+        fn resealed_mutations_fail_cleanly(
+            flips in prop::collection::vec((any::<u64>(), 1u32..256), 1..8),
+            cut in any::<u64>(),
+        ) {
+            let path = temp_path("qmc_ck_fuzz.qmc");
+            let valid = dmc_payload(&path);
+            let mut mutated = valid.clone();
+            for (at, x) in flips {
+                let i = (at % mutated.len() as u64) as usize;
+                mutated[i] ^= x as u8;
+            }
+            seal_and_write(&path, mutated).expect("write");
+            let _decoded = read_dmc_checkpoint::<f32>(&path);
+            let cut = (cut % valid.len() as u64) as usize;
+            seal_and_write(&path, valid[..cut].to_vec()).expect("write");
+            prop_assert!(read_dmc_checkpoint::<f32>(&path).is_err(), "cut at {cut}");
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

@@ -11,12 +11,12 @@
 //! simulated ranks of [`crate::ranks`] run on as well; a single task runs
 //! on the calling thread.
 //!
-//! [`fan_out_tasks`] is the only function in the workspace that names
-//! `rayon::scope` (the in-tree shim), so every thread the program starts is
-//! subject to the deterministic schedules the `qmcsched` harness installs
-//! via `rayon::schedule` — the lever behind the schedule-independence
-//! (bitwise parity) checks — and the scope join is the only
-//! synchronisation: no locks, no barriers.
+//! [`fan_out_tasks`] is the only function in the workspace that starts a
+//! thread, with `std::thread::scope`. Each task owns a disjoint `&mut`
+//! chunk, results come back in task order, and the scope join is the only
+//! synchronisation: no locks, no barriers. So no thread schedule can
+//! change a bit; what a chunk-shaped reduction could still change, a
+//! thread-count sweep catches (`crates/workloads/tests/parity.rs`).
 
 use crate::engine::{QmcEngine, SweepStats};
 use crate::walker::Walker;
@@ -114,7 +114,7 @@ pub(crate) fn fan_out_tasks<K: Send, R: Send>(
         profile.merge_total(&drain_thread_profile());
         done[0] = tasks.into_iter().next().map(|task| run(0, task));
     } else {
-        rayon::scope(|scope| {
+        std::thread::scope(|scope| {
             for (t, (task, slot)) in tasks.into_iter().zip(done.iter_mut()).enumerate() {
                 let run = &run;
                 #[expect(clippy::disallowed_methods, reason = "the program's one spawn site")]
@@ -206,13 +206,12 @@ mod tests {
     }
 
     #[test]
-    fn task_results_come_back_in_task_order_under_any_schedule() {
-        use rayon::schedule::{with_schedule, Order, Schedule};
+    fn task_results_come_back_in_task_order_whatever_order_they_finish_in() {
+        // Task k of 5 sleeps (5 - k) ms, so the tasks finish last to first.
         let mut profile = ProfileSet::with_groups(5);
-        let out = with_schedule(Schedule::Serial(Order::Reverse), || {
-            fan_out_tasks((0..5u64).collect(), "test", &mut profile, |lane, k| {
-                (lane, 10 * k)
-            })
+        let out = fan_out_tasks((0..5u64).collect(), "test", &mut profile, |lane, k| {
+            std::thread::sleep(std::time::Duration::from_millis(5 - k));
+            (lane, 10 * k)
         });
         assert_eq!(out, [(0, 0), (1, 10), (2, 20), (3, 30), (4, 40)]);
     }

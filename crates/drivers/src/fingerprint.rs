@@ -1,12 +1,11 @@
 //! Bitwise fingerprints of walker state.
 //!
 //! FNV-1a 64-bit digests over raw little-endian bit patterns: equal
-//! digests mean bitwise-equal state. The schedule checker (`qmcsched`)
-//! uses these to assert schedule/backend parity, and the checkpoint layer
-//! uses them to assert that a restored run is indistinguishable from an
-//! uninterrupted one. The digest lives here (rather than in `qmcsched`)
-//! so every layer that can see a [`Walker`] can fingerprint it; `qmcsched`
-//! re-exports it unchanged.
+//! digests mean bitwise-equal state. The parity tests
+//! (`crates/workloads/tests/parity.rs`) use these to assert thread, crew
+//! and backend parity, and that a restored run is indistinguishable from
+//! an uninterrupted one. The digest lives here so every layer that can
+//! see a [`Walker`] can fingerprint it.
 
 use crate::walker::Walker;
 use qmc_containers::Real;
@@ -55,9 +54,8 @@ impl Default for Fnv {
 }
 
 /// Bitwise digest of one walker: positions, statistical weights, age and
-/// the cached per-walker scalars. The RNG stream is left out for
-/// compatibility with the pre-checkpoint digest (schedule-parity artifacts
-/// compare against it); [`walker_digest_full`] includes it.
+/// the cached per-walker scalars. The RNG stream and the scratch buffer
+/// are left out; [`walker_digest_full`] includes them.
 pub fn walker_digest<T: Real>(w: &Walker<T>) -> u64 {
     let mut h = Fnv::new();
     fold_walker(&mut h, w);

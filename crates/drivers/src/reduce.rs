@@ -12,8 +12,9 @@
 //! drivers gather per-walker terms into walker-indexed storage inside the
 //! parallel section (each worker writes disjoint slots) and reduce once,
 //! after the join, with this primitive — so the result is bitwise
-//! identical for 1, 2 or 4 threads and for any `qmcsched` schedule, which
-//! the `explore_thread_sweep` case asserts end to end.
+//! identical for any thread count and task completion order, which the
+//! thread-and-crew-shape sweep of `crates/workloads/tests/parity.rs`
+//! asserts end to end.
 //!
 //! Pairwise summation also grows rounding error as `O(log n)` instead of
 //! the sequential fold's `O(n)`, so the determinism contract comes with a

@@ -285,6 +285,7 @@ pub fn deserialize_walker<T: Real>(msg: &[u8]) -> Walker<T> {
 mod tests {
     use super::*;
     use crate::walker::zero_positions;
+    use proptest::prelude::*;
     use rand::Rng;
 
     fn rich_walker() -> Walker<f32> {
@@ -385,7 +386,7 @@ mod tests {
     fn truncated_message_is_an_error_not_a_panic() {
         let w = rich_walker();
         let msg = serialize_walker(&w);
-        for cut in [0, 1, 7, 8, 60, msg.len() - 1] {
+        for cut in 0..msg.len() {
             let err = try_deserialize_walker::<f32>(&msg[..cut]);
             assert!(err.is_err(), "cut at {cut} must fail");
         }
@@ -393,6 +394,24 @@ mod tests {
         let mut long = msg.clone();
         long.extend_from_slice(&[0u8; 4]);
         assert!(try_deserialize_walker::<f32>(&long).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random byte XORs of a valid message decode to a walker or to a
+        /// `WireError`; a panic fails the case.
+        #[test]
+        fn xored_message_decodes_or_fails_cleanly(
+            flips in prop::collection::vec((any::<u64>(), 1u32..256), 1..8),
+        ) {
+            let mut msg = serialize_walker(&rich_walker());
+            for (at, x) in flips {
+                let i = (at % msg.len() as u64) as usize;
+                msg[i] ^= x as u8;
+            }
+            let _decoded = try_deserialize_walker::<f32>(&msg);
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! function of the term count, so however the terms were *gathered*
 //! (chunk sizes, write order — everything a thread schedule can vary),
 //! the reduced bits are identical. The properties mirror the
-//! `qmcsched` thread-sweep gate at the primitive level.
+//! thread-sweep test of `crates/workloads/tests/parity.rs` at the
+//! primitive level.
 
 use proptest::prelude::*;
 use qmc_drivers::{det_sum, det_sum_by, det_weighted_mean};

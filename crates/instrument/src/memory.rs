@@ -8,9 +8,8 @@
 //! * [`current_rss_bytes`], the process resident-set size from the kernel,
 //!   as an end-to-end cross-check.
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Thread-safe ledger of named allocation sizes.
 #[derive(Clone, Default)]
@@ -24,20 +23,25 @@ impl MemoryLedger {
         Self::default()
     }
 
+    /// The entries. Every update is one map insert, so a poisoned lock
+    /// still guards a whole map.
+    fn entries(&self) -> MutexGuard<'_, BTreeMap<String, u64>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Adds `bytes` under `category` (accumulates across calls).
     pub fn add(&self, category: &str, bytes: usize) {
-        *self.inner.lock().entry(category.to_string()).or_insert(0) += bytes as u64;
+        *self.entries().entry(category.to_string()).or_insert(0) += bytes as u64;
     }
 
     /// Total registered bytes.
     pub fn total(&self) -> u64 {
-        self.inner.lock().values().sum()
+        self.entries().values().sum()
     }
 
     /// Snapshot of per-category byte counts.
     pub fn snapshot(&self) -> Vec<(String, u64)> {
-        self.inner
-            .lock()
+        self.entries()
             .iter()
             .map(|(k, v)| (k.clone(), *v))
             .collect()
@@ -45,7 +49,7 @@ impl MemoryLedger {
 
     /// Clears all entries.
     pub fn clear(&self) {
-        self.inner.lock().clear();
+        self.entries().clear();
     }
 
     /// Renders the ledger as an aligned table sorted by size.

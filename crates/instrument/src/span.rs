@@ -15,10 +15,9 @@
 //! thread-local buffers drained at exit; the lock is touched only a few
 //! times per generation per thread.
 
-use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use crate::json::JsonWriter;
@@ -39,6 +38,12 @@ pub struct TraceEvent {
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static EVENTS: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
+
+/// The event buffer. A span pushes one event and cannot leave it half
+/// written, so a poisoned lock still guards whole events.
+fn events() -> MutexGuard<'static, Vec<TraceEvent>> {
+    EVENTS.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -62,7 +67,7 @@ pub fn tracing_enabled() -> bool {
 
 /// Takes and clears all collected events.
 pub fn take_trace_events() -> Vec<TraceEvent> {
-    std::mem::take(&mut *EVENTS.lock())
+    std::mem::take(&mut *events())
 }
 
 /// An open span; records itself on drop. Cheap no-op when tracing is off.
@@ -79,7 +84,7 @@ impl Drop for Span {
         if let Some((name, lane, start)) = self.0.take() {
             let dur_ns = start.elapsed().as_nanos() as u64;
             let start_ns = start.duration_since(epoch()).as_nanos() as u64;
-            EVENTS.lock().push(TraceEvent {
+            events().push(TraceEvent {
                 name,
                 lane,
                 start_ns,

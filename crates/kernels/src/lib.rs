@@ -55,8 +55,8 @@
 //!   machine epsilon of the precision, `n` the row length), and its slab
 //!   updates bitwise equal to the scalar elementwise formula.
 //!
-//! Trajectory-level consequence (checked by `qmcsched`): a full VMC/DMC
-//! run is bitwise independent of the backend choice.
+//! Trajectory-level consequence (checked by `crates/workloads/tests/parity.rs`):
+//! a full VMC/DMC run is bitwise independent of the backend choice.
 //!
 //! ## Backend selection
 //!
