@@ -47,11 +47,14 @@ echo "== determinant speedup gate (blocked vs serial-chain oracle, release) =="
 # row-blocked one, whose n^2 FMAs are scalar.
 cargo test -q --release -p qmc-linalg --test oracle -- --ignored
 
-echo "== spline table fill gate (jump-ahead lanes vs serial-chain oracle, release) =="
+echo "== spline table gates (lane fill vs serial-chain oracle, huge-page backing, release) =="
 # MultiBspline3D::random draws one xorshift64* stream as eight jump-ahead
 # lanes: on an already-faulted 73 MiB table the fill must stay >= 1.8x
 # ahead of the single chain kept in crates/bspline/tests/table.rs, or a
-# refactor re-serialised the stream.
+# refactor re-serialised the stream. AlignedVec::zeros advises huge pages
+# on a fresh buffer: where the host's THP mode is always or madvise, a
+# fresh 73 MiB table must sit >= 90 % on huge pages (per /proc/self/smaps),
+# and where it is never, on none.
 cargo test -q --release -p qmc-bspline --test table -- --ignored
 
 echo "== kernel timing gates (simd vs reference, vgh prefetch on a 419 MiB table, release) =="

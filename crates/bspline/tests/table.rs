@@ -4,9 +4,10 @@
 //!
 //! `random` draws its xorshift64* stream as several jump-ahead lanes and
 //! claims every coefficient bit of the single chain it replaced. That chain
-//! lives on here as the oracle; the `#[ignore]`d test at the bottom is the
-//! speed gate `ci.sh` runs in release mode, so a refactor that re-serialises
-//! the stream fails CI.
+//! lives on here as the oracle; the first `#[ignore]`d test at the bottom is
+//! the speed gate `ci.sh` runs in release mode, so a refactor that
+//! re-serialises the stream fails CI. The second gates that a fresh table
+//! is backed by transparent huge pages wherever the host allows them.
 
 use proptest::prelude::*;
 use qmc_bspline::MultiBspline3D;
@@ -243,4 +244,67 @@ fn lane_fill_outruns_the_serial_chain() {
         gain >= 1.8,
         "the lane fill is only {gain:.2}x the serial chain (>= 1.8x required)"
     );
+}
+
+/// The host's transparent-huge-page mode: the bracketed word of
+/// `/sys/kernel/mm/transparent_hugepage/enabled`, or `absent`.
+fn thp_mode() -> String {
+    std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled")
+        .ok()
+        .and_then(|s| {
+            let (_, rest) = s.split_once('[')?;
+            Some(rest.split_once(']')?.0.to_string())
+        })
+        .unwrap_or_else(|| "absent".into())
+}
+
+/// `AnonHugePages` in bytes of the mapping in `/proc/self/smaps` that holds
+/// address `addr`.
+fn anon_huge_bytes_at(addr: usize) -> u64 {
+    let smaps = std::fs::read_to_string("/proc/self/smaps").expect("/proc/self/smaps");
+    let mut inside = false;
+    for line in smaps.lines() {
+        let range = line.split_whitespace().next().and_then(|r| {
+            let (lo, hi) = r.split_once('-')?;
+            Some(usize::from_str_radix(lo, 16).ok()?..usize::from_str_radix(hi, 16).ok()?)
+        });
+        if let Some(range) = range {
+            inside = range.contains(&addr);
+        } else if let Some(field) = line.strip_prefix("AnonHugePages:").filter(|_| inside) {
+            let kib: u64 = field.trim().trim_end_matches("kB").trim().parse().unwrap();
+            return kib * 1024;
+        }
+    }
+    panic!("no mapping in /proc/self/smaps holds {addr:#x}");
+}
+
+/// Huge-page gate (`-- --ignored`; Linux only): the coefficients of a
+/// fresh 73 MiB table sit in one mapping that `AlignedVec::zeros` advised
+/// `MADV_HUGEPAGE` before the fill touched it. Where the THP mode is
+/// `always` or `madvise`, huge pages must back >= 90 % of the table's
+/// bytes (all but the partial 2 MiB pages at its two ends); where it is
+/// `never` (or THP is absent), none.
+#[test]
+#[ignore = "reads /proc and /sys: run with --ignored (ci.sh does)"]
+fn fresh_tables_are_backed_by_huge_pages() {
+    let table = MultiBspline3D::<f32>::random([64, 64, 64], 64, 5);
+    let coefs = table.view().coefs;
+    let middle = coefs[coefs.len() / 2..].as_ptr().addr();
+    let huge = anon_huge_bytes_at(middle);
+    let bytes = table.bytes() as u64;
+    let mode = thp_mode();
+    println!(
+        "THP mode {mode}: {:.1} of {:.1} MiB on huge pages",
+        huge as f64 / (1 << 20) as f64,
+        bytes as f64 / (1 << 20) as f64
+    );
+    if mode == "always" || mode == "madvise" {
+        assert!(
+            huge * 10 >= bytes * 9,
+            "THP mode {mode}: only {huge} of {bytes} table bytes on huge pages (>= 90 % required)"
+        );
+    } else {
+        assert_eq!(huge, 0, "THP mode {mode}: the table has huge pages");
+    }
+    black_box(&table);
 }

@@ -137,9 +137,18 @@ impl<T: Real> QmcEngine<T> {
     /// the incrementally-updated `log psi` had drifted from the fresh
     /// value into the global drift counters (the `mp_drift` block of the
     /// run report).
+    ///
+    /// Runs [`TrialWaveFunction::refresh_log`]: the determinants reinvert
+    /// the Slater rows they hold instead of re-evaluating every orbital,
+    /// which is bitwise a full `evaluate_log` because each row was computed
+    /// at the position its electron still has. The one exception is a
+    /// walker whose last refresh ran under fused crowds
+    /// (`Crowd::set_fused_refresh`) and is then resumed on engines: it
+    /// keeps the fused kernel's rows until its electrons move, and that
+    /// path was never bitwise equal to engines.
     pub fn refresh_from_scratch(&mut self) {
         let before = self.psi.log_value();
-        let after = self.psi.evaluate_log(&mut self.pset);
+        let after = self.psi.refresh_log(&mut self.pset);
         qmc_instrument::check_finite(qmc_instrument::CheckKind::LogPsi, after);
         if before.is_finite() && after.is_finite() {
             qmc_instrument::record_refresh_drift((after - before).abs());

@@ -53,20 +53,9 @@ impl Default for Fnv {
     }
 }
 
-/// Bitwise digest of one walker: positions, statistical weights, age and
-/// the cached per-walker scalars. The RNG stream and the scratch buffer
-/// are left out; [`walker_digest_full`] includes them.
-pub fn walker_digest<T: Real>(w: &Walker<T>) -> u64 {
-    let mut h = Fnv::new();
-    fold_walker(&mut h, w);
-    h.value()
-}
-// Digests are pure: a `&mut` receiver would not compile against these pins.
-const _: fn(&Walker<f64>) -> u64 = walker_digest::<f64>;
-
-/// Bitwise digest of one walker *including* its raw RNG state words and
-/// its scratch-buffer payload and cursors — the strongest per-walker
-/// equality: two walkers with equal full digests will produce
+/// Bitwise digest of one walker: positions, statistical weights, age, the
+/// cached per-walker scalars, its raw RNG state words and its
+/// scratch-buffer payload and cursors — the strongest per-walker equality: two walkers with equal full digests will produce
 /// bitwise-identical trajectories forever after. Every field of the
 /// walker is folded: a stale cached value or a dirty read cursor breaks
 /// restart parity even when the positions and scalars agree.
@@ -91,11 +80,13 @@ pub fn walker_digest_full<T: Real>(w: &Walker<T>) -> u64 {
     h.u64(d_cursor as u64);
     h.value()
 }
+// Digests are pure: a `&mut` receiver would not compile against these pins.
 const _: fn(&Walker<f64>) -> u64 = walker_digest_full::<f64>;
 
-/// Folds the positions and scalars, and returns the two fields only
-/// [`walker_digest_full`] folds. The destructuring names every field, so
-/// a field added to [`Walker`] does not compile until the digest folds it.
+/// Folds the positions and scalars, and returns the two fields
+/// [`walker_digest_full`] folds after them. The destructuring names every
+/// field, so a field added to [`Walker`] does not compile until the digest
+/// folds it.
 fn fold_walker<'w, T: Real>(h: &mut Fnv, w: &'w Walker<T>) -> (&'w StdRng, &'w WalkerBuffer<T>) {
     let Walker {
         r,
@@ -140,15 +131,17 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// Walkers that differ in their RNG words alone digest apart, and
+    /// digest equal again once the words are put back.
     #[test]
     fn full_digest_separates_rng_states() {
         let a = Walker::<f64>::new(zero_positions(2), 7);
         let mut b = Walker::<f64>::new(zero_positions(2), 7);
-        assert_eq!(walker_digest(&a), walker_digest(&b));
         assert_eq!(walker_digest_full(&a), walker_digest_full(&b));
         b.rng.next_u64();
-        assert_eq!(walker_digest(&a), walker_digest(&b));
         assert_ne!(walker_digest_full(&a), walker_digest_full(&b));
+        b.rng = StdRng::from_state(a.rng.state());
+        assert_eq!(walker_digest_full(&a), walker_digest_full(&b));
     }
 
     #[test]
@@ -180,7 +173,6 @@ mod tests {
         h.u64(2);
         h.f64(0.0);
         h.f64(0.0);
-        assert_eq!(walker_digest(&w), h.value());
         for s in StdRng::seed_from_u64(3).state() {
             h.u64(s);
         }
@@ -193,13 +185,16 @@ mod tests {
         assert_eq!(walker_digest_full(&w), h.value());
     }
 
+    /// Walkers that differ in their buffer alone digest apart, whether in
+    /// its payload or only in a read cursor, and so do their populations.
     #[test]
     fn full_digest_separates_buffer_cursors() {
         let a = Walker::<f64>::new(zero_positions(1), 5);
         let mut b = Walker::<f64>::new(zero_positions(1), 5);
+        assert_eq!(walker_digest_full(&a), walker_digest_full(&b));
         b.buffer.put_f64(2.5);
-        assert_eq!(walker_digest(&a), walker_digest(&b));
         assert_ne!(walker_digest_full(&a), walker_digest_full(&b));
+        assert_ne!(population_digest(&[a]), population_digest(&[b]));
         // A read path that leaves the cursor dirty is also visible.
         let mut c = Walker::<f64>::new(zero_positions(1), 5);
         c.buffer.put_f64(2.5);

@@ -74,7 +74,7 @@ pub use crew::Crew;
 pub use dmc::{run_dmc, DmcParams, DmcResult, DmcState};
 pub use engine::{limited_drift, HamiltonianSet, QmcEngine, SweepStats};
 pub use estimator::ScalarEstimator;
-pub use fingerprint::{population_digest, walker_digest, walker_digest_full, Fnv};
+pub use fingerprint::{population_digest, walker_digest_full, Fnv};
 pub use ranks::{run_multi_rank, MultiRankParams, MultiRankResult};
 pub use reduce::{det_sum, det_sum_by, det_weighted_mean};
 pub use serialize::{

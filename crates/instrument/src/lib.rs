@@ -32,7 +32,7 @@ pub mod stream;
 pub mod timer;
 
 pub use ftz::enable_ftz;
-pub use memory::{current_rss_bytes, MemoryLedger};
+pub use memory::{anon_huge_bytes, current_rss_bytes, MemoryLedger};
 pub use report::{
     record_refresh_drift, take_drift_stats, DriftStats, RunReport, RUN_REPORT_SCHEMA,
 };

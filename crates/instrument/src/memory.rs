@@ -6,7 +6,8 @@
 //!   buffers) register their exact allocation sizes — this reproduces the
 //!   paper's `gamma (N_th + N_w) N^2` analysis precisely; and
 //! * [`current_rss_bytes`], the process resident-set size from the kernel,
-//!   as an end-to-end cross-check.
+//!   as an end-to-end cross-check, and [`anon_huge_bytes`], how much of it
+//!   transparent huge pages back.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -84,17 +85,28 @@ impl MemoryLedger {
     }
 }
 
+/// The `key:  N kB` field of a `/proc` file, in bytes.
+fn proc_kib_field(path: &str, key: &str) -> Option<u64> {
+    let text = std::fs::read_to_string(path).ok()?;
+    let rest = text
+        .lines()
+        .find_map(|line| line.strip_prefix(key)?.strip_prefix(':'))?;
+    let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb * 1024)
+}
+
 /// Resident-set size of the current process in bytes (Linux), or `None`
 /// when `/proc` is unavailable.
 pub fn current_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmRSS:") {
-            let kb: u64 = rest.trim().trim_end_matches(" kB").trim().parse().ok()?;
-            return Some(kb * 1024);
-        }
-    }
-    None
+    proc_kib_field("/proc/self/status", "VmRSS")
+}
+
+/// Bytes of the current process's anonymous memory backed by transparent
+/// huge pages (`AnonHugePages` of `/proc/self/smaps_rollup`, Linux), or
+/// `None` when that file is unavailable. Says whether the spline table got
+/// the huge pages `AlignedVec::zeros` advises.
+pub fn anon_huge_bytes() -> Option<u64> {
+    proc_kib_field("/proc/self/smaps_rollup", "AnonHugePages")
 }
 
 #[cfg(test)]
@@ -137,5 +149,13 @@ mod tests {
         if let Some(rss) = current_rss_bytes() {
             assert!(rss > 1 << 20, "rss = {rss}");
         }
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn anon_huge_bytes_is_read_on_linux_and_within_rss() {
+        let huge = anon_huge_bytes().expect("/proc/self/smaps_rollup has AnonHugePages");
+        let rss = current_rss_bytes().expect("/proc/self/status has VmRSS");
+        assert!(huge <= rss, "{huge} huge-page bytes > RSS {rss}");
     }
 }

@@ -142,6 +142,9 @@ pub struct RunReport {
     pub engine_bytes: u64,
     /// Bytes for the read-only B-spline table.
     pub table_bytes: u64,
+    /// Bytes of the process's anonymous memory on transparent huge pages at
+    /// the end of the run (0 where the kernel does not say).
+    pub anon_huge_bytes: u64,
 }
 
 fn write_kernel_stats(w: &mut JsonWriter, s: &KernelStats) {
@@ -254,6 +257,7 @@ impl RunReport {
         w.key("walker_bytes").u64_val(self.walker_bytes);
         w.key("engine_bytes").u64_val(self.engine_bytes);
         w.key("table_bytes").u64_val(self.table_bytes);
+        w.key("anon_huge_bytes").u64_val(self.anon_huge_bytes);
         w.end_obj();
         w.end_obj();
         w.finish()
@@ -368,6 +372,7 @@ mod tests {
             walker_bytes: 1024,
             engine_bytes: 4096,
             table_bytes: 65536,
+            anon_huge_bytes: 4 << 20,
         }
     }
 
@@ -392,6 +397,11 @@ mod tests {
         assert_eq!(v.get("crowd_kernels").unwrap().as_arr().unwrap().len(), 2);
         let drift = v.get("mp_drift").unwrap();
         assert_eq!(drift.get("refreshes").unwrap().as_f64(), Some(2.0));
+        let memory = v.get("memory").unwrap();
+        assert_eq!(
+            memory.get("anon_huge_bytes").unwrap().as_f64(),
+            Some(f64::from(4 << 20))
+        );
         let san = v.get("sanitizer").unwrap();
         assert_eq!(san.get("total_violations").unwrap().as_f64(), Some(0.0));
         for k in crate::sanitize::ALL_CHECKS {

@@ -340,10 +340,12 @@ fn main() {
                 out.kappa()
             );
             println!(
-                "memory           walker {:.2} MiB, engine {:.2} MiB, spline table {:.2} MiB",
+                "memory           walker {:.2} MiB, engine {:.2} MiB, spline table {:.2} MiB, \
+                 huge pages {:.2} MiB",
                 out.walker_bytes as f64 / (1 << 20) as f64,
                 out.engine_bytes as f64 / (1 << 20) as f64,
-                out.table_bytes as f64 / (1 << 20) as f64
+                out.table_bytes as f64 / (1 << 20) as f64,
+                out.anon_huge_bytes as f64 / (1 << 20) as f64
             );
             if out.drift.refreshes > 0 {
                 println!(

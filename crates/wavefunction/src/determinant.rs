@@ -264,6 +264,19 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
         self.finish_log(p)
     }
 
+    /// Reinverts the stored Slater matrix and accumulates G/L from the
+    /// stored gradient and Laplacian rows, without evaluating an orbital.
+    /// Every row was written by `evaluate_vgl` at the position its electron
+    /// still has (by [`Self::evaluate_log`] or an accepted move) or
+    /// restored bit for bit by `load_state`, so this is bitwise
+    /// [`Self::evaluate_log`] — except after a fused crowd refresh
+    /// ([`Self::mw_evaluate_log_batched`]), whose rows come from the
+    /// multi-walker kernel: a walker resumed from there on per-walker
+    /// engines keeps those rows until its electrons move.
+    fn refresh_log(&mut self, p: &mut ParticleSet<T>) -> f64 {
+        self.finish_log(p)
+    }
+
     /// Fused crowd refresh: one [`SpoSet::mw_evaluate_vgl`] call per
     /// electron row covering every walker in the crowd, scattered into each
     /// walker's Slater/G/L matrices, then the per-walker reinvert + G/L

@@ -30,6 +30,21 @@ pub trait WaveFunctionComponent<T: Real>: Send {
     /// per the paper's mixed-precision rules).
     fn evaluate_log(&mut self, p: &mut ParticleSet<T>) -> f64;
 
+    /// The periodic from-scratch refresh (§7.2) of a component whose state
+    /// was built by [`Self::evaluate_log`], kept up by accepted moves or
+    /// restored by [`Self::load_state`] at the particle set's current
+    /// positions. Returns and accumulates exactly what
+    /// [`Self::evaluate_log`] would.
+    ///
+    /// The default is [`Self::evaluate_log`]. A component may reuse any
+    /// state that is bitwise what `evaluate_log` would recompute at these
+    /// positions: the determinant keeps its Slater, gradient and Laplacian
+    /// rows (each written by `evaluate_vgl` at the position its electron
+    /// still has) and only reinverts.
+    fn refresh_log(&mut self, p: &mut ParticleSet<T>) -> f64 {
+        self.evaluate_log(p)
+    }
+
     /// `psi_c(R') / psi_c(R)` for the active move of particle `iat`
     /// (`ParticleSet::make_move` must have been called).
     fn ratio(&mut self, p: &ParticleSet<T>, iat: usize) -> f64;

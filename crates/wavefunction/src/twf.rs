@@ -43,6 +43,24 @@ impl<T: Real> TrialWaveFunction<T> {
     /// `log |psi_c|` over components, and fills `p.g`/`p.l` with the
     /// gradient and Laplacian of `log Psi_T`.
     pub fn evaluate_log(&mut self, p: &mut ParticleSet<T>) -> f64 {
+        self.sum_log(p, |c, p| c.evaluate_log(p))
+    }
+
+    /// [`Self::evaluate_log`] through each component's
+    /// [`WaveFunctionComponent::refresh_log`]: the block-boundary refresh of
+    /// a wavefunction whose state is current at the particle set's
+    /// positions. Bitwise [`Self::evaluate_log`]'s result, G and L.
+    pub fn refresh_log(&mut self, p: &mut ParticleSet<T>) -> f64 {
+        self.sum_log(p, |c, p| c.refresh_log(p))
+    }
+
+    /// Rebuilds the tables, zeroes G/L and sums `log_c(component, p)` over
+    /// the components in order.
+    fn sum_log(
+        &mut self,
+        p: &mut ParticleSet<T>,
+        log_c: fn(&mut dyn WaveFunctionComponent<T>, &mut ParticleSet<T>) -> f64,
+    ) -> f64 {
         // Forward updates deliberately leave SoA distance-table rows stale
         // (compute-on-the-fly, §7.5); a full evaluation must rebuild them,
         // as QMCPACK's drivers do with `P.update()` before `evaluateLog`.
@@ -50,7 +68,7 @@ impl<T: Real> TrialWaveFunction<T> {
         p.reset_gl();
         let mut log = 0.0;
         for c in &mut self.components {
-            log += c.evaluate_log(p);
+            log += log_c(c.as_mut(), p);
         }
         self.log_value = log;
         log

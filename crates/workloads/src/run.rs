@@ -106,6 +106,10 @@ pub struct RunOutcome {
     pub engine_bytes: usize,
     /// Bytes of the shared read-only spline table.
     pub table_bytes: usize,
+    /// Bytes of the process's anonymous memory on transparent huge pages at
+    /// the end of the run, the table alive (0 where the kernel does not
+    /// say).
+    pub anon_huge_bytes: u64,
     /// Final walker population.
     pub final_population: usize,
     /// FNV-1a digest of the final walker population (full per-walker
@@ -174,6 +178,7 @@ impl RunOutcome {
             walker_bytes: self.walker_bytes as u64,
             engine_bytes: self.engine_bytes as u64,
             table_bytes: self.table_bytes as u64,
+            anon_huge_bytes: self.anon_huge_bytes,
         }
     }
 }
@@ -306,6 +311,7 @@ fn run_on_crew<T: Real, C: Crew<T>>(
         walker_bytes: walkers.first().map_or(0, qmc_drivers::Walker::bytes),
         engine_bytes: crew[0].slot_mut(0).bytes(),
         table_bytes: workload.table_bytes(code.single_precision()),
+        anon_huge_bytes: qmc_instrument::anon_huge_bytes().unwrap_or(0),
         final_population: walkers.len(),
         walker_hash: population_digest(&walkers),
     })
