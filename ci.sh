@@ -49,15 +49,16 @@ cargo test -q --release -p qmc-linalg --test oracle -- --ignored
 
 echo "== spline table gates (lane fill vs serial-chain oracle, huge-page backing, release) =="
 # MultiBspline3D::random draws one xorshift64* stream as eight jump-ahead
-# lanes: on an already-faulted 73 MiB table the fill must stay >= 1.8x
+# lanes: on an already-faulted 64 MiB table the fill must stay >= 1.8x
 # ahead of the single chain kept in crates/bspline/tests/table.rs, or a
 # refactor re-serialised the stream. AlignedVec::zeros advises huge pages
 # on a fresh buffer: where the host's THP mode is always or madvise, a
-# fresh 73 MiB table must sit >= 90 % on huge pages (per /proc/self/smaps),
-# and where it is never, on none.
+# fresh 64 MiB table (32 pages of 2 MiB, less the partial ones at its two
+# ends) must sit >= 90 % on huge pages (per /proc/self/smaps), and where it
+# is never, on none.
 cargo test -q --release -p qmc-bspline --test table -- --ignored
 
-echo "== kernel timing gates (simd vs reference, vgh prefetch on a 419 MiB table, release) =="
+echo "== kernel timing gates (simd vs reference, vgh prefetch on a 375 MiB table, release) =="
 # The wide-SIMD tiling has to pay for itself: simd must stay >= 1.25x
 # ahead of reference on B-spline v, vgh and mw-vgl. Out of cache the simd
 # vgh kernel is latency-bound unless it asks for the next lane block's 64

@@ -94,7 +94,7 @@ fn bench_bspline_backends(c: &mut Criterion) {
 
 /// The cache-hot rows above cannot tell a kernel that streams from one that
 /// waits on every miss: this one runs `simd` v and vgh on the `nio32-dmc`
-/// table shape (80³ x 192 f32, 419 MiB) over distinct random points, and
+/// table shape (80³ x 192 f32, 375 MiB) over distinct random points, and
 /// prints GB/s over the 64 stencil rows x `ns` x 4 B each point reads.
 /// Both kernels read the same rows, so a gap between their rates is
 /// access-pattern latency, not bandwidth.

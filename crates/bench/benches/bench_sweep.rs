@@ -129,7 +129,7 @@ fn bench_jastrow_row(c: &mut Criterion) {
         ("graphite64", Benchmark::Graphite, Size::Scaled),
         ("nio32", Benchmark::NiO32, Size::Full),
     ] {
-        // The engine (and NiO-32's 419 MiB table) is dropped once the rows
+        // The engine (and NiO-32's 375 MiB table) is dropped once the rows
         // are copied out.
         let j2 =
             J2Rows::from_engine(Workload::new(b, size, 17).build_engine_f32(CodeVersion::Current));

@@ -6,9 +6,10 @@
 //! * [`CubicBspline1D`] — 1D cubic B-spline functors with finite cutoff and
 //!   cusp conditions, the basis of the Jastrow factors (§3, Fig. 3).
 //! * [`MultiBspline3D`] — periodic tricubic multi-spline coefficient tables
-//!   in `f32` or `f64` (§7.2-7.3): allocation, the in-place fill, periodic
-//!   ghost layers and the `SplineView` handed to `qmc_kernels::bspline`,
-//!   which owns every evaluation (reference and simd loop orders).
+//!   in `f32` or `f64` (§7.2-7.3) over the logical grid only (no ghost
+//!   layers: the kernels wrap the stencil): allocation, the in-place fill
+//!   and the `SplineView` handed to `qmc_kernels::bspline`, which owns
+//!   every evaluation (reference and simd loop orders).
 
 // Physics and kernel crate (DESIGN §5c): its non-test code names none of
 // the types and calls none of the methods `clippy.toml` disallows, and

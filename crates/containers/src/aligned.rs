@@ -60,7 +60,7 @@ pub fn prefetch_read<T>(x: &T) {
 /// bytes more than the elements need as `vec![0u8; n]` — the allocator's
 /// zeroed path at alignment 1, which the system allocator serves from
 /// `calloc` — and starts the elements at the first 64-byte boundary inside
-/// it. A buffer above the C allocator's mmap threshold (the 419 MiB spline
+/// it. A buffer above the C allocator's mmap threshold (the 375 MiB spline
 /// table, say) therefore arrives as untouched zero pages that the kernel
 /// maps on first write; a small one is zeroed once by `calloc`. (Asking for
 /// a 64-byte-aligned zeroed block instead would not be lazy: std's unix
@@ -72,7 +72,7 @@ pub fn prefetch_read<T>(x: &T) {
 ///
 /// Before anything writes them, `zeros` advises the kernel
 /// (`madvise(MADV_HUGEPAGE)`) to back the whole 2 MiB-aligned 2 MiB pages
-/// inside the fresh buffer with transparent huge pages. A 419 MiB table
+/// inside the fresh buffer with transparent huge pages. A 375 MiB table
 /// then takes one fault per 2 MiB instead of one per 4 KiB; a buffer with
 /// no whole aligned 2 MiB page inside it is left alone. Advice changes no
 /// byte.

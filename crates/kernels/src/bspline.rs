@@ -1,9 +1,12 @@
 //! Tricubic multi-B-spline SPO kernels: v / vgh / fused vgl, single- and
 //! multi-walker, behind the [`Backend`] dispatch seam.
 //!
-//! The coefficient table itself (allocation, interpolation fits, ghost
-//! layers) stays in `qmc-bspline`; this module operates on a borrowed
-//! [`SplineView`] so the kernel library depends only on `qmc-containers`.
+//! The coefficient table itself (allocation, interpolation fits) stays in
+//! `qmc-bspline`; this module operates on a borrowed [`SplineView`] so the
+//! kernel library depends only on `qmc-containers`. The table stores the
+//! logical periodic grid only: every kernel wraps the `4x4x4` stencil onto
+//! it through the same per-axis offsets ([`SplineView`]), so no row is
+//! stored twice.
 //!
 //! Both backends accumulate each orbital over the 64 stencil nodes in the
 //! same `(a, b, c)` order with the same `mul_add` placement, and every
@@ -96,9 +99,16 @@ pub fn bspline_weights<T: Real>(u: T) -> ([T; 4], [T; 4], [T; 4]) {
 
 /// A borrowed view of a periodic tricubic coefficient table
 /// (`qmc_bspline::MultiBspline3D::view`). Layout: `[ix][iy][iz][spline]`
-/// with each spatial index padded by +3 periodic ghost layers and the
-/// spline index padded to `ns_pad` (a cacheline multiple, so every
-/// [`LANES`]-wide block load of a live orbital stays in bounds).
+/// over the logical grid only, with the spline index padded to `ns_pad`
+/// (a cacheline multiple, so every lane-block load of a live orbital stays
+/// in bounds). A stencil that runs past the last node of an axis wraps to
+/// the first: node `(i + a) mod n`, which is what einspline's `+3` ghost
+/// layers stored as copies.
+///
+/// Every public kernel checks the view once per call: at least 4 nodes
+/// per axis, `ns_pad >= num_splines` and `coefs.len() == nx·ny·nz·ns_pad`.
+/// A view of a table laid out for another length would otherwise read
+/// wrong rows without leaving the slice.
 #[derive(Clone, Copy)]
 pub struct SplineView<'a, T: Real> {
     /// Logical periodic grid `(nx, ny, nz)`.
@@ -107,15 +117,54 @@ pub struct SplineView<'a, T: Real> {
     pub num_splines: usize,
     /// Padded orbital count (innermost stride).
     pub ns_pad: usize,
-    /// Coefficient storage, `(nx+3)(ny+3)(nz+3) * ns_pad` scalars.
+    /// Coefficient storage, `nx·ny·nz·ns_pad` scalars.
     pub coefs: &'a [T],
 }
 
 impl<T: Real> SplineView<'_, T> {
+    /// Panics unless the view is laid out as documented on the type.
     #[inline]
-    fn idx(&self, ix: usize, iy: usize, iz: usize) -> usize {
+    fn check(&self) {
+        let [nx, ny, nz] = self.grid;
+        assert!(
+            nx >= 4 && ny >= 4 && nz >= 4,
+            "spline grid {:?} has an axis below 4 nodes",
+            self.grid
+        );
+        assert!(
+            self.ns_pad >= self.num_splines,
+            "ns_pad {} < num_splines {}",
+            self.ns_pad,
+            self.num_splines
+        );
+        assert!(
+            self.coefs.len() == nx * ny * nz * self.ns_pad,
+            "{} coefficients for a {:?} x {} table",
+            self.coefs.len(),
+            self.grid,
+            self.ns_pad
+        );
+    }
+
+    /// The wrapped row offsets of the stencil at origin `(ix, iy, iz)`,
+    /// per axis: entry `a` of axis `d` is node `(i_d + a) mod n_d` times
+    /// that axis's stride, so node `(a, b, c)` is the row at `x[a] + y[b] +
+    /// z[c]`. `locate` puts each origin at most `n - 1`, so a node is at
+    /// most `n + 2 < 2n` and one conditional subtract wraps it.
+    #[inline(always)]
+    fn stencil_axes(&self, origin: [usize; 3]) -> [[usize; 4]; 3] {
         let [_, ny, nz] = self.grid;
-        ((ix * (ny + 3) + iy) * (nz + 3) + iz) * self.ns_pad
+        let strides = [ny * nz * self.ns_pad, nz * self.ns_pad, self.ns_pad];
+        std::array::from_fn(|d| {
+            let n = self.grid[d];
+            std::array::from_fn(|a| {
+                let mut node = origin[d] + a;
+                if node >= n {
+                    node -= n;
+                }
+                node * strides[d]
+            })
+        })
     }
 }
 
@@ -138,16 +187,17 @@ pub fn locate<T: Real>(u: T, n: usize) -> (usize, T) {
     (i, frac)
 }
 
-/// The 64 coefficient-row offsets of the `4^3` stencil at `(ix, iy, iz)`,
-/// in the canonical `(a, b, c)` node order every backend shares.
+/// The 64 coefficient-row offsets of the `4^3` stencil at `origin`, in the
+/// canonical `(a, b, c)` node order every backend shares.
 #[inline(always)]
-fn stencil_bases<T: Real>(t: &SplineView<'_, T>, ix: usize, iy: usize, iz: usize) -> [usize; 64] {
+fn stencil_bases<T: Real>(t: &SplineView<'_, T>, origin: [usize; 3]) -> [usize; 64] {
+    let [x, y, z] = t.stencil_axes(origin);
     let mut bases = [0usize; 64];
     let mut k = 0;
-    for a in 0..4 {
-        for b in 0..4 {
-            for c in 0..4 {
-                bases[k] = t.idx(ix + a, iy + b, iz + c);
+    for xa in x {
+        for yb in y {
+            for zc in z {
+                bases[k] = xa + yb + zc;
                 k += 1;
             }
         }
@@ -162,6 +212,13 @@ fn stencil_bases<T: Real>(t: &SplineView<'_, T>, ix: usize, iy: usize, iz: usize
 /// Value-only evaluation at fractional coordinates `u`, writing
 /// `num_splines` values into `psi`. Bitwise identical across backends.
 pub fn evaluate_v<T: Real>(backend: Backend, t: &SplineView<'_, T>, u: [T; 3], psi: &mut [T]) {
+    t.check();
+    v_dispatch(backend, t, u, psi);
+}
+
+/// [`evaluate_v`] on a view already checked.
+#[inline(always)]
+fn v_dispatch<T: Real>(backend: Backend, t: &SplineView<'_, T>, u: [T; 3], psi: &mut [T]) {
     match backend {
         Backend::Reference => v_reference(t, u, psi),
         Backend::Simd => v_simd(t, u, psi),
@@ -182,14 +239,15 @@ fn v_setup<T: Real>(t: &SplineView<'_, T>, u: [T; 3]) -> ([usize; 3], [[T; 4]; 3
 /// Spline-outermost scalar loops.
 fn v_reference<T: Real>(t: &SplineView<'_, T>, u: [T; 3], psi: &mut [T]) {
     assert!(psi.len() >= t.num_splines);
-    let ([ix, iy, iz], [wx, wy, wz]) = v_setup(t, u);
+    let (origin, [wx, wy, wz]) = v_setup(t, u);
+    let [x, y, z] = t.stencil_axes(origin);
     for (s, out) in psi[..t.num_splines].iter_mut().enumerate() {
         let mut acc = T::ZERO;
         for a in 0..4 {
             for b in 0..4 {
                 let wab = wx[a] * wy[b];
                 for c in 0..4 {
-                    let base = t.idx(ix + a, iy + b, iz + c);
+                    let base = x[a] + y[b] + z[c];
                     acc = (wab * wz[c]).mul_add(t.coefs[base + s], acc);
                 }
             }
@@ -240,8 +298,8 @@ fn v_simd<T: Real>(t: &SplineView<'_, T>, u: [T; 3], psi: &mut [T]) {
 fn v_simd_w<T: Real, const W: usize>(t: &SplineView<'_, T>, u: [T; 3], psi: &mut [T]) {
     let ns = t.num_splines;
     assert!(psi.len() >= ns);
-    let ([ix, iy, iz], w3) = v_setup(t, u);
-    let bases = stencil_bases(t, ix, iy, iz);
+    let (origin, w3) = v_setup(t, u);
+    let bases = stencil_bases(t, origin);
     let w = v_weight_table(&w3);
     let mut s0 = 0;
     while s0 + 4 * W <= ns {
@@ -304,10 +362,11 @@ pub fn mw_evaluate_v<T: Real>(
     us: &[[T; 3]],
     psi: &mut [T],
 ) {
+    t.check();
     let ns = t.num_splines;
     assert!(psi.len() >= us.len() * ns);
     for (q, &u) in us.iter().enumerate() {
-        evaluate_v(backend, t, u, &mut psi[q * ns..(q + 1) * ns]);
+        v_dispatch(backend, t, u, &mut psi[q * ns..(q + 1) * ns]);
     }
 }
 
@@ -452,6 +511,7 @@ fn vgh<T: Real, const DIAG: bool>(
     grad: &mut [T],
     hess: &mut [T],
 ) {
+    t.check();
     let ns = t.num_splines;
     let nh = vgh_sums::<DIAG>() - 4;
     assert!(psi.len() >= ns && grad.len() >= 3 * ns && hess.len() >= nh * ns);
@@ -472,13 +532,14 @@ fn vgh_reference<T: Real, const DIAG: bool>(
     hess: &mut [T],
 ) {
     let ns = t.num_splines;
-    let ([ix, iy, iz], w9) = vgh_setup(t, u);
+    let (origin, w9) = vgh_setup(t, u);
+    let [x, y, z] = t.stencil_axes(origin);
     for s in 0..ns {
         let mut acc = [T::ZERO; 10];
         for a in 0..4 {
             for b in 0..4 {
                 for c in 0..4 {
-                    let base = t.idx(ix + a, iy + b, iz + c);
+                    let base = x[a] + y[b] + z[c];
                     let cf = t.coefs[base + s];
                     let w = vgh_node_weights(&w9, a, b, c);
                     for q in 0..10 {
@@ -578,8 +639,8 @@ fn vgh_simd_w<T: Real, const W: usize, const DIAG: bool>(
 ) {
     let ns = t.num_splines;
     let nq = vgh_sums::<DIAG>();
-    let ([ix, iy, iz], w9) = vgh_setup(t, u);
-    let bases = stencil_bases(t, ix, iy, iz);
+    let (origin, w9) = vgh_setup(t, u);
+    let bases = stencil_bases(t, origin);
     // The first pass has no earlier one to hide its lines under: ask for
     // them before the weight table is built.
     if ns > 0 {
@@ -726,6 +787,22 @@ pub fn evaluate_vgl<T: Real>(
     grad: &mut [T],
     lap: &mut [T],
 ) {
+    t.check();
+    vgl_dispatch(backend, t, u, gmat, lapmet, psi, grad, lap);
+}
+
+/// [`evaluate_vgl`] on a view already checked.
+#[inline(always)]
+fn vgl_dispatch<T: Real>(
+    backend: Backend,
+    t: &SplineView<'_, T>,
+    u: [T; 3],
+    gmat: &[[T; 3]; 3],
+    lapmet: &[T; 6],
+    psi: &mut [T],
+    grad: &mut [T],
+    lap: &mut [T],
+) {
     let ns = t.num_splines;
     assert!(psi.len() >= ns && grad.len() >= 3 * ns && lap.len() >= ns);
     match backend {
@@ -745,7 +822,8 @@ fn vgl_reference<T: Real>(
     lap: &mut [T],
 ) {
     let ns = t.num_splines;
-    let ([ix, iy, iz], w9) = vgl_setup(t, u);
+    let (origin, w9) = vgl_setup(t, u);
+    let [x, y, z] = t.stencil_axes(origin);
     for s in 0..ns {
         let mut av = T::ZERO;
         let mut ag = [T::ZERO; 3];
@@ -754,7 +832,7 @@ fn vgl_reference<T: Real>(
             for b in 0..4 {
                 for c in 0..4 {
                     let (wv, cg, wl) = vgl_node_weights(&w9, gmat, lapmet, a, b, c);
-                    let base = t.idx(ix + a, iy + b, iz + c);
+                    let base = x[a] + y[b] + z[c];
                     let cf = t.coefs[base + s];
                     av = wv.mul_add(cf, av);
                     for d in 0..3 {
@@ -847,8 +925,8 @@ fn vgl_simd_w<T: Real, const W: usize>(
     lap: &mut [T],
 ) {
     let ns = t.num_splines;
-    let ([ix, iy, iz], w9) = vgl_setup(t, u);
-    let bases = stencil_bases(t, ix, iy, iz);
+    let (origin, w9) = vgl_setup(t, u);
+    let bases = stencil_bases(t, origin);
     let (wv, wg, wl) = vgl_weight_table(&w9, gmat, lapmet);
     let mut s0 = 0;
     while s0 + 2 * W <= ns {
@@ -937,6 +1015,7 @@ pub fn mw_evaluate_vgl<T: Real>(
     grad: &mut [T],
     lap: &mut [T],
 ) {
+    t.check();
     let ns = t.num_splines;
     let nw = us.len();
     assert!(psi.len() >= nw * ns && grad.len() >= nw * 3 * ns && lap.len() >= nw * ns);
@@ -949,7 +1028,7 @@ pub fn mw_evaluate_vgl<T: Real>(
         return;
     }
     for (w, &u) in us.iter().enumerate() {
-        evaluate_vgl(
+        vgl_dispatch(
             backend,
             t,
             u,
@@ -997,8 +1076,8 @@ fn mw_vgl_simd_w<T: Real, const W: usize>(
         let mut wg = [[[T::ZERO; 3]; 64]; MW_CHUNK];
         let mut wl = [[T::ZERO; 64]; MW_CHUNK];
         for (j, &u) in chunk.iter().enumerate() {
-            let ([ix, iy, iz], w9) = vgl_setup(t, u);
-            bases[j] = stencil_bases(t, ix, iy, iz);
+            let (origin, w9) = vgl_setup(t, u);
+            bases[j] = stencil_bases(t, origin);
             (wv[j], wg[j], wl[j]) = vgl_weight_table(&w9, gmat, lapmet);
         }
         // Spline tile outer, walker inner: each tile's coefficient rows
@@ -1056,11 +1135,10 @@ mod tests {
     use qmc_containers::padded_len;
 
     /// Builds a padded coefficient buffer with deterministic values and
-    /// returns (storage, grid, ns). Ghost layers are filled too — the
-    /// kernels never see the periodic replication logic, only the layout.
+    /// returns (storage, grid, ns).
     fn table(grid: [usize; 3], ns: usize, seed: u64) -> (Vec<f64>, [usize; 3], usize) {
         let ns_pad = padded_len::<f64>(ns);
-        let total = (grid[0] + 3) * (grid[1] + 3) * (grid[2] + 3) * ns_pad;
+        let total = grid[0] * grid[1] * grid[2] * ns_pad;
         let mut state = seed.wrapping_mul(2685821657736338717).max(1);
         let mut coefs = vec![0.0f64; total];
         for v in &mut coefs {

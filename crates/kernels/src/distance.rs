@@ -53,22 +53,15 @@ pub fn distance_row<T: Real, C: MinImageCell<T>>(
     out_dist: &mut [T],
     out_disp: [&mut [T]; 3],
 ) {
-    assert!(xs.len() >= n && ys.len() >= n && zs.len() >= n && out_dist.len() >= n);
-    let [ox, oy, oz] = out_disp;
-    assert!(ox.len() >= n && oy.len() >= n && oz.len() >= n);
-    let Some(edges) = cell.ortho_edges() else {
-        general_row(cell, xs, ys, zs, pos, n, out_dist, [ox, oy, oz]);
-        return;
-    };
-    match backend {
-        Backend::Reference => ortho_reference(edges, xs, ys, zs, pos, n, out_dist, [ox, oy, oz]),
-        Backend::Simd => ortho_simd(edges, xs, ys, zs, pos, n, out_dist, [ox, oy, oz]),
-    }
+    assert!(out_disp.iter().all(|o| o.len() >= n));
+    row::<T, C, true>(backend, cell, [xs, ys, zs], pos, n, out_dist, out_disp);
 }
 
-/// General (triclinic) cells: every backend runs this same per-partner
-/// wrap, keeping the cross-backend bitwise guarantee trivially true.
-fn general_row<T: Real, C: MinImageCell<T>>(
+/// [`distance_row`] without the displacements: the same distances, bit for
+/// bit (one body, the displacement stores compiled out), for callers that
+/// read only `out_dist`.
+pub fn distance_only_row<T: Real, C: MinImageCell<T>>(
+    backend: Backend,
     cell: &C,
     xs: &[T],
     ys: &[T],
@@ -76,44 +69,105 @@ fn general_row<T: Real, C: MinImageCell<T>>(
     pos: [T; 3],
     n: usize,
     out_dist: &mut [T],
-    out_disp: [&mut [T]; 3],
 ) {
-    let [ox, oy, oz] = out_disp;
-    for j in 0..n {
-        let dr = cell.min_image3([xs[j] - pos[0], ys[j] - pos[1], zs[j] - pos[2]]);
-        ox[j] = dr[0];
-        oy[j] = dr[1];
-        oz[j] = dr[2];
-        out_dist[j] = dr[0]
-            .mul_add(dr[0], dr[1].mul_add(dr[1], dr[2] * dr[2]))
-            .sqrt();
-    }
+    row::<T, C, false>(
+        backend,
+        cell,
+        [xs, ys, zs],
+        pos,
+        n,
+        out_dist,
+        [&mut [], &mut [], &mut []],
+    );
 }
 
-/// Interleaved per-partner loop (moved from `compute_row`).
-fn ortho_reference<T: Real>(
-    [lx, ly, lz]: [T; 3],
-    xs: &[T],
-    ys: &[T],
-    zs: &[T],
+/// The body of both rows; `DISP` selects whether `out_disp` is written.
+#[inline(always)]
+fn row<T: Real, C: MinImageCell<T>, const DISP: bool>(
+    backend: Backend,
+    cell: &C,
+    src: [&[T]; 3],
     pos: [T; 3],
     n: usize,
     out_dist: &mut [T],
     out_disp: [&mut [T]; 3],
 ) {
-    let (ilx, ily, ilz) = (T::ONE / lx, T::ONE / ly, T::ONE / lz);
-    let [ox, oy, oz] = out_disp;
+    assert!(src.iter().all(|c| c.len() >= n) && out_dist.len() >= n);
+    let Some(edges) = cell.ortho_edges() else {
+        general_row::<T, C, DISP>(cell, src, pos, n, out_dist, out_disp);
+        return;
+    };
+    match backend {
+        Backend::Reference => ortho_reference::<T, DISP>(edges, src, pos, n, out_dist, out_disp),
+        Backend::Simd => {
+            if wide_f32::<T>() {
+                ortho_simd_w::<T, 16, DISP>(edges, src, pos, n, out_dist, out_disp);
+            } else {
+                ortho_simd_w::<T, 8, DISP>(edges, src, pos, n, out_dist, out_disp);
+            }
+        }
+    }
+}
+
+/// `|dr|` as every row computes it: `dx.mul_add(dx, dy.mul_add(dy, dz*dz))`
+/// under the square root.
+#[inline(always)]
+fn norm<T: Real>([dx, dy, dz]: [T; 3]) -> T {
+    dx.mul_add(dx, dy.mul_add(dy, dz * dz)).sqrt()
+}
+
+/// Stores partner `j`'s distance, and under `DISP` its displacement.
+#[inline(always)]
+fn store_partner<T: Real, const DISP: bool>(
+    j: usize,
+    dr: [T; 3],
+    out_dist: &mut [T],
+    out_disp: &mut [&mut [T]; 3],
+) {
+    if DISP {
+        for (o, d) in out_disp.iter_mut().zip(dr) {
+            o[j] = d;
+        }
+    }
+    out_dist[j] = norm(dr);
+}
+
+/// General (triclinic) cells: every backend runs this same per-partner
+/// wrap, keeping the cross-backend bitwise guarantee trivially true.
+fn general_row<T: Real, C: MinImageCell<T>, const DISP: bool>(
+    cell: &C,
+    [xs, ys, zs]: [&[T]; 3],
+    pos: [T; 3],
+    n: usize,
+    out_dist: &mut [T],
+    mut out_disp: [&mut [T]; 3],
+) {
     for j in 0..n {
-        let mut dx = xs[j] - pos[0];
-        let mut dy = ys[j] - pos[1];
-        let mut dz = zs[j] - pos[2];
-        dx -= lx * (dx * ilx + T::HALF).floor();
-        dy -= ly * (dy * ily + T::HALF).floor();
-        dz -= lz * (dz * ilz + T::HALF).floor();
-        ox[j] = dx;
-        oy[j] = dy;
-        oz[j] = dz;
-        out_dist[j] = dx.mul_add(dx, dy.mul_add(dy, dz * dz)).sqrt();
+        let dr = cell.min_image3([xs[j] - pos[0], ys[j] - pos[1], zs[j] - pos[2]]);
+        store_partner::<T, DISP>(j, dr, out_dist, &mut out_disp);
+    }
+}
+
+/// One orthorhombic partner in scalars, elementwise the arithmetic of
+/// [`min_image_lane`]: `d -= l * (d * il + 1/2).floor()` per axis.
+#[inline(always)]
+fn ortho_partner<T: Real>(edges: [T; 3], inv: [T; 3], d: [T; 3]) -> [T; 3] {
+    std::array::from_fn(|k| d[k] - edges[k] * (d[k] * inv[k] + T::HALF).floor())
+}
+
+/// Interleaved per-partner loop (moved from `compute_row`).
+fn ortho_reference<T: Real, const DISP: bool>(
+    edges: [T; 3],
+    [xs, ys, zs]: [&[T]; 3],
+    pos: [T; 3],
+    n: usize,
+    out_dist: &mut [T],
+    mut out_disp: [&mut [T]; 3],
+) {
+    let inv = edges.map(|l| T::ONE / l);
+    for j in 0..n {
+        let dr = ortho_partner(edges, inv, [xs[j] - pos[0], ys[j] - pos[1], zs[j] - pos[2]]);
+        store_partner::<T, DISP>(j, dr, out_dist, &mut out_disp);
     }
 }
 
@@ -125,39 +179,20 @@ fn min_image_lane<T: Real, const W: usize>(d: WideLane<T, W>, l: T, il: T) -> Wi
     d.sub(wrap.mul_scalar(l))
 }
 
-/// Width dispatch for the explicit-SIMD row kernel: `f64` runs 8-wide,
-/// `f32` takes the 16-wide rung of the precision ladder. Widening is
-/// elementwise, so both rungs stay bitwise identical to the scalar form.
-fn ortho_simd<T: Real>(
+/// Explicit lane blocks with a scalar tail. `f64` runs 8-wide, `f32` takes
+/// the 16-wide rung of the precision ladder; widening is elementwise, so
+/// both rungs stay bitwise identical to the scalar form.
+fn ortho_simd_w<T: Real, const W: usize, const DISP: bool>(
     edges: [T; 3],
-    xs: &[T],
-    ys: &[T],
-    zs: &[T],
+    [xs, ys, zs]: [&[T]; 3],
     pos: [T; 3],
     n: usize,
     out_dist: &mut [T],
-    out_disp: [&mut [T]; 3],
+    mut out_disp: [&mut [T]; 3],
 ) {
-    if wide_f32::<T>() {
-        ortho_simd_w::<T, 16>(edges, xs, ys, zs, pos, n, out_dist, out_disp);
-    } else {
-        ortho_simd_w::<T, 8>(edges, xs, ys, zs, pos, n, out_dist, out_disp);
-    }
-}
-
-/// Explicit lane blocks with a scalar tail.
-fn ortho_simd_w<T: Real, const W: usize>(
-    [lx, ly, lz]: [T; 3],
-    xs: &[T],
-    ys: &[T],
-    zs: &[T],
-    pos: [T; 3],
-    n: usize,
-    out_dist: &mut [T],
-    out_disp: [&mut [T]; 3],
-) {
-    let (ilx, ily, ilz) = (T::ONE / lx, T::ONE / ly, T::ONE / lz);
-    let [ox, oy, oz] = out_disp;
+    let [lx, ly, lz] = edges;
+    let inv = edges.map(|l| T::ONE / l);
+    let [ilx, ily, ilz] = inv;
     let mut j0 = 0;
     while j0 + W <= n {
         let px = WideLane::<T, W>::splat(pos[0]);
@@ -166,25 +201,20 @@ fn ortho_simd_w<T: Real, const W: usize>(
         let dx = min_image_lane(WideLane::load(&xs[j0..]).sub(px), lx, ilx);
         let dy = min_image_lane(WideLane::load(&ys[j0..]).sub(py), ly, ily);
         let dz = min_image_lane(WideLane::load(&zs[j0..]).sub(pz), lz, ilz);
-        dx.store(&mut ox[j0..]);
-        dy.store(&mut oy[j0..]);
-        dz.store(&mut oz[j0..]);
-        // dx.mul_add(dx, dy.mul_add(dy, dz*dz)).sqrt(), lane-wise.
+        if DISP {
+            let [ox, oy, oz] = &mut out_disp;
+            dx.store(&mut ox[j0..]);
+            dy.store(&mut oy[j0..]);
+            dz.store(&mut oz[j0..]);
+        }
+        // norm(), lane-wise.
         let n2 = dz.mul(dz).fma(dy, dy).fma(dx, dx);
         n2.sqrt().store(&mut out_dist[j0..]);
         j0 += W;
     }
     for j in j0..n {
-        let mut dx = xs[j] - pos[0];
-        let mut dy = ys[j] - pos[1];
-        let mut dz = zs[j] - pos[2];
-        dx -= lx * (dx * ilx + T::HALF).floor();
-        dy -= ly * (dy * ily + T::HALF).floor();
-        dz -= lz * (dz * ilz + T::HALF).floor();
-        ox[j] = dx;
-        oy[j] = dy;
-        oz[j] = dz;
-        out_dist[j] = dx.mul_add(dx, dy.mul_add(dy, dz * dz)).sqrt();
+        let dr = ortho_partner(edges, inv, [xs[j] - pos[0], ys[j] - pos[1], zs[j] - pos[2]]);
+        store_partner::<T, DISP>(j, dr, out_dist, &mut out_disp);
     }
 }
 

@@ -43,12 +43,15 @@
 //!   `f32`: `reference` and `simd` are **bitwise identical** — both
 //!   accumulate each orbital over the 64 stencil nodes in the same order
 //!   with the same `mul_add` placement, and differ only in loop structure
-//!   and memory traffic. The `f32` `v` of either backend also stays
-//!   within `1e-4` of the same table rebuilt in `f64` (the drift
-//!   contract).
+//!   and memory traffic. Both are also bitwise equal to a test-local
+//!   oracle that reads node `(i + a) % n` at a point in every cell of the
+//!   grid, so every stencil that wraps is covered. The `f32` `v` of
+//!   either backend also stays within `1e-4` of the same table rebuilt
+//!   in `f64` (the drift contract).
 //! * **Distance rows**: **bitwise identical** on orthorhombic cells
 //!   (identical branch-free min-image arithmetic) and on general cells
-//!   (both fall back to the same minimum-image wrap).
+//!   (both fall back to the same minimum-image wrap). The distance-only
+//!   row writes `distance_row`'s distances bit for bit.
 //! * **J2 accumulation** has one reduction order, so there is nothing to
 //!   compare across backends. The tests hold its lane-split sums within
 //!   `(n + 1) · ε · Σ|term|` of a scalar left-to-right oracle (`ε` the

@@ -18,7 +18,7 @@ use qmc_kernels::bspline::{
     bspline_weights, evaluate_v, evaluate_vgh, evaluate_vgh_diag, evaluate_vgl, locate,
     mw_evaluate_v, mw_evaluate_vgl,
 };
-use qmc_kernels::distance::distance_row;
+use qmc_kernels::distance::{distance_only_row, distance_row};
 use qmc_kernels::jastrow::{
     j2_accept_grad_row, j2_accept_value_rows, j2_row_sum, j2_row_vg, j2_row_vgl,
 };
@@ -62,7 +62,7 @@ struct Table<T: Real> {
 impl<T: Real> Table<T> {
     fn random(grid: [usize; 3], ns: usize, seed: u64) -> Self {
         let ns_pad = padded_len::<T>(ns);
-        let total = (grid[0] + 3) * (grid[1] + 3) * (grid[2] + 3) * ns_pad;
+        let total = grid[0] * grid[1] * grid[2] * ns_pad;
         let mut coefs = AlignedVec::<T>::zeros(total);
         let mut rng = Rng::new(seed);
         for x in coefs.as_mut_slice() {
@@ -494,15 +494,306 @@ fn bspline_stencil_edges_f32() {
     bspline_edge_matrix::<f32>(17, 53);
 }
 
+// -- the periodic wrap: every kernel against a modular-index oracle ----------
+
+/// The table's coefficient `s` at grid node `(i, j, k)` taken mod the grid:
+/// the test's own index, written with `%` and the layout's strides.
+fn coef_mod<T: Real>(t: &SplineView<'_, T>, [i, j, k]: [usize; 3], s: usize) -> T {
+    let [nx, ny, nz] = t.grid;
+    t.coefs[((i % nx * ny + j % ny) * nz + k % nz) * t.ns_pad + s]
+}
+
+/// What the oracle returns at one point: psi, the fractional gradient and
+/// packed Hessian of vgh, and the Cartesian gradient and Laplacian of vgl.
+struct OracleOut<T> {
+    psi: Vec<T>,
+    grad: Vec<T>,
+    hess: Vec<T>,
+    cgrad: Vec<T>,
+    lap: Vec<T>,
+}
+
+/// Spline-outermost loops over the 64 nodes in `(a, b, c)` order, each node
+/// read at `(i + a) % n`, with the per-node weight products the kernels
+/// document (left-associated triple products, one `mul_add` per node) and
+/// their grid scaling: vgh scales the finished sums by `n` and `n_a·n_b`,
+/// vgl folds `n` and `n²` into the 1D weights first.
+fn oracle<T: Real>(
+    t: &SplineView<'_, T>,
+    u: [T; 3],
+    gmat: &[[T; 3]; 3],
+    lapmet: &[T; 6],
+) -> OracleOut<T> {
+    let ns = t.num_splines;
+    let n = t.grid.map(T::from_usize);
+    let located: [(usize, T); 3] = std::array::from_fn(|d| locate(u[d], t.grid[d]));
+    let origin = located.map(|(i, _)| i);
+    let [(wx, dwx, d2wx), (wy, dwy, d2wy), (wz, dwz, d2wz)] =
+        located.map(|(_, f)| bspline_weights(f));
+    // vgl's weights with the grid scaling folded in.
+    let scaled = |dw: [T; 4], d2w: [T; 4], n: T| (dw.map(|x| x * n), d2w.map(|x| x * (n * n)));
+    let (sdwx, sd2wx) = scaled(dwx, d2wx, n[0]);
+    let (sdwy, sd2wy) = scaled(dwy, d2wy, n[1]);
+    let (sdwz, sd2wz) = scaled(dwz, d2wz, n[2]);
+    let mut out = OracleOut {
+        psi: vec![T::ZERO; ns],
+        grad: vec![T::ZERO; 3 * ns],
+        hess: vec![T::ZERO; 6 * ns],
+        cgrad: vec![T::ZERO; 3 * ns],
+        lap: vec![T::ZERO; ns],
+    };
+    for s in 0..ns {
+        let mut h = [T::ZERO; 10];
+        let (mut v, mut cg, mut l) = (T::ZERO, [T::ZERO; 3], T::ZERO);
+        for a in 0..4 {
+            for b in 0..4 {
+                for c in 0..4 {
+                    let cf = coef_mod(t, [origin[0] + a, origin[1] + b, origin[2] + c], s);
+                    let node = [
+                        wx[a] * wy[b] * wz[c],
+                        dwx[a] * wy[b] * wz[c],
+                        wx[a] * dwy[b] * wz[c],
+                        wx[a] * wy[b] * dwz[c],
+                        d2wx[a] * wy[b] * wz[c],
+                        wx[a] * d2wy[b] * wz[c],
+                        wx[a] * wy[b] * d2wz[c],
+                        dwx[a] * dwy[b] * wz[c],
+                        dwx[a] * wy[b] * dwz[c],
+                        wx[a] * dwy[b] * dwz[c],
+                    ];
+                    for q in 0..10 {
+                        h[q] = node[q].mul_add(cf, h[q]);
+                    }
+                    let gf = [
+                        sdwx[a] * wy[b] * wz[c],
+                        wx[a] * sdwy[b] * wz[c],
+                        wx[a] * wy[b] * sdwz[c],
+                    ];
+                    let wl = lapmet[0] * (sd2wx[a] * wy[b] * wz[c])
+                        + lapmet[1] * (sdwx[a] * sdwy[b] * wz[c])
+                        + lapmet[2] * (sdwx[a] * wy[b] * sdwz[c])
+                        + lapmet[3] * (wx[a] * sd2wy[b] * wz[c])
+                        + lapmet[4] * (wx[a] * sdwy[b] * sdwz[c])
+                        + lapmet[5] * (wx[a] * wy[b] * sd2wz[c]);
+                    v = node[0].mul_add(cf, v);
+                    for d in 0..3 {
+                        let wg = gmat[d][0] * gf[0] + gmat[d][1] * gf[1] + gmat[d][2] * gf[2];
+                        cg[d] = wg.mul_add(cf, cg[d]);
+                    }
+                    l = wl.mul_add(cf, l);
+                }
+            }
+        }
+        assert!(h[0] == v, "the vgh and vgl value chains are one chain");
+        out.psi[s] = h[0];
+        for d in 0..3 {
+            out.grad[d * ns + s] = h[1 + d] * n[d];
+            out.cgrad[d * ns + s] = cg[d];
+        }
+        // Sums 4..10 are [xx, yy, zz, xy, xz, yz]; the packed slabs are
+        // [xx, xy, xz, yy, yz, zz].
+        for (q, (slab, (da, db))) in [
+            (0, (0, 0)),
+            (3, (1, 1)),
+            (5, (2, 2)),
+            (1, (0, 1)),
+            (2, (0, 2)),
+            (4, (1, 2)),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            out.hess[slab * ns + s] = h[4 + q] * (n[da] * n[db]);
+        }
+        out.lap[s] = l;
+    }
+    out
+}
+
+/// One point inside cell `(i, j, k)` of `grid`: a fixed fraction of the
+/// way across each cell, so every axis sits off its nodes.
+fn in_cell<T: Real>(grid: [usize; 3], cell: [usize; 3]) -> [T; 3] {
+    let frac = [0.3, 0.55, 0.8];
+    std::array::from_fn(|d| T::from_f64((cell[d] as f64 + frac[d]) / grid[d] as f64))
+}
+
+/// Every kernel, on both backends, bitwise equal to [`oracle`] at one point
+/// in every cell of the grid. A cell's stencil wraps on axis `d` when its
+/// origin is in the last three cells of that axis (by 1, 2 or 3 nodes), so
+/// the cells hold stencils that wrap on one axis (the 6 faces of the grid),
+/// on two (the 12 edges) and on all three (the 8 corners), and on grids
+/// above 4 nodes per axis stencils that do not wrap.
+fn wrap_oracle_matrix<T: Real>(grid: [usize; 3], ns: usize, seed: u64) {
+    let table = Table::<T>::random(grid, ns, seed);
+    let t = table.view();
+    let (gmat, lapmet) = metric::<T>();
+    let mut cells = Vec::new();
+    let mut wrapped_axes = std::collections::BTreeSet::new();
+    for i in 0..grid[0] {
+        for j in 0..grid[1] {
+            for k in 0..grid[2] {
+                let cell = [i, j, k];
+                cells.push(cell);
+                let wraps: Vec<bool> = (0..3).map(|d| cell[d] + 3 >= grid[d]).collect();
+                wrapped_axes.insert(wraps);
+            }
+        }
+    }
+    assert_eq!(
+        wrapped_axes.len(),
+        8,
+        "{grid:?}: every set of wrapped axes occurs"
+    );
+    let us: Vec<[T; 3]> = cells.iter().map(|&c| in_cell(grid, c)).collect();
+    let want: Vec<OracleOut<T>> = us.iter().map(|&u| oracle(&t, u, &gmat, &lapmet)).collect();
+    let nw = us.len();
+    for b in Backend::ALL {
+        let at = |q: usize| format!("{b}, {grid:?} x {ns}, cell {:?}", cells[q]);
+        for (q, (&u, want)) in us.iter().zip(&want).enumerate() {
+            let mut psi = vec![T::ZERO; ns];
+            evaluate_v(b, &t, u, &mut psi);
+            assert_eq!(psi, want.psi, "{}: v", at(q));
+            let mut vgh = (
+                vec![T::ZERO; ns],
+                vec![T::ZERO; 3 * ns],
+                vec![T::ZERO; 6 * ns],
+            );
+            evaluate_vgh(b, &t, u, &mut vgh.0, &mut vgh.1, &mut vgh.2);
+            assert_eq!(vgh.0, want.psi, "{}: vgh psi", at(q));
+            assert_eq!(vgh.1, want.grad, "{}: vgh grad", at(q));
+            assert_eq!(vgh.2, want.hess, "{}: vgh hess", at(q));
+            let full = (&want.psi[..], &want.grad[..], &want.hess[..]);
+            assert_diag_of(&vgh_diag(b, &t, u), full, &at(q));
+            let mut vgl = (vec![T::ZERO; ns], vec![T::ZERO; 3 * ns], vec![T::ZERO; ns]);
+            evaluate_vgl(b, &t, u, &gmat, &lapmet, &mut vgl.0, &mut vgl.1, &mut vgl.2);
+            assert_eq!(vgl.0, want.psi, "{}: vgl psi", at(q));
+            assert_eq!(vgl.1, want.cgrad, "{}: vgl grad", at(q));
+            assert_eq!(vgl.2, want.lap, "{}: vgl lap", at(q));
+        }
+        let mut mw_v = vec![T::ZERO; nw * ns];
+        mw_evaluate_v(b, &t, &us, &mut mw_v);
+        let mut mw = (
+            vec![T::ZERO; nw * ns],
+            vec![T::ZERO; 3 * nw * ns],
+            vec![T::ZERO; nw * ns],
+        );
+        mw_evaluate_vgl(b, &t, &us, &gmat, &lapmet, &mut mw.0, &mut mw.1, &mut mw.2);
+        for (q, want) in want.iter().enumerate() {
+            assert_eq!(mw_v[q * ns..(q + 1) * ns], want.psi, "{}: mw-v", at(q));
+            assert_eq!(
+                mw.0[q * ns..(q + 1) * ns],
+                want.psi,
+                "{}: mw-vgl psi",
+                at(q)
+            );
+            assert_eq!(
+                mw.1[3 * q * ns..3 * (q + 1) * ns],
+                want.cgrad,
+                "{}: mw-vgl grad",
+                at(q)
+            );
+            assert_eq!(
+                mw.2[q * ns..(q + 1) * ns],
+                want.lap,
+                "{}: mw-vgl lap",
+                at(q)
+            );
+        }
+    }
+}
+
+/// Orbital counts: a lone scalar tail, one 16-wide f32 block and either
+/// side of it (two f64 blocks at 16), and two blocks plus a tail.
+const WRAP_SPLINES: [usize; 5] = [1, 15, 16, 17, 33];
+
+#[test]
+fn stencils_wrap_bitwise_as_the_modular_oracle_f64() {
+    for ns in WRAP_SPLINES {
+        wrap_oracle_matrix::<f64>([4, 4, 4], ns, 900 + ns as u64);
+        wrap_oracle_matrix::<f64>([5, 6, 7], ns, 950 + ns as u64);
+    }
+}
+
+#[test]
+fn stencils_wrap_bitwise_as_the_modular_oracle_f32() {
+    for ns in WRAP_SPLINES {
+        wrap_oracle_matrix::<f32>([4, 4, 4], ns, 1900 + ns as u64);
+        wrap_oracle_matrix::<f32>([5, 6, 7], ns, 1950 + ns as u64);
+    }
+}
+
+/// One kernel call writing into its `(psi, grad, hess or lap)` slabs.
+type Kernel<'a> = dyn Fn(&mut [f64], &mut [f64], &mut [f64]) + 'a;
+
+/// A view whose storage is not `nx·ny·nz·ns_pad` long — a table laid out
+/// with `+3` ghost layers per axis, say — would read wrong rows without
+/// leaving the slice, so every public kernel refuses it, as it refuses a
+/// grid axis below 4 nodes and `ns_pad < num_splines`.
+#[test]
+fn every_kernel_refuses_a_view_of_another_layout() {
+    let (grid, ns) = ([5usize, 6, 7], 9);
+    let ghosted = Table::<f64>::random([8, 9, 10], ns, 5);
+    let logical = Table::<f64>::random(grid, ns, 5);
+    let mut views = vec![(
+        "the +3 ghost length",
+        SplineView {
+            grid,
+            ..ghosted.view()
+        },
+    )];
+    views.push((
+        "an axis of 3 nodes",
+        SplineView {
+            grid: [3, 6, 7],
+            coefs: &logical.coefs.as_slice()[..3 * 6 * 7 * logical.ns_pad],
+            ..logical.view()
+        },
+    ));
+    views.push((
+        "ns_pad below num_splines",
+        SplineView {
+            num_splines: logical.ns_pad + 1,
+            ..logical.view()
+        },
+    ));
+    let (gmat, lapmet) = metric::<f64>();
+    let u = [0.3, 0.6, 0.9];
+    let refused = |f: &Kernel| {
+        let mut out = [vec![0.0; 6 * 32], vec![0.0; 6 * 32], vec![0.0; 6 * 32]];
+        let [p, g, h] = &mut out;
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(p, g, h))).is_err()
+    };
+    for (what, t) in views {
+        for b in Backend::ALL {
+            let t = &t;
+            let kernels: [(&str, &Kernel); 6] = [
+                ("v", &|p, _, _| evaluate_v(b, t, u, p)),
+                ("mw_v", &|p, _, _| mw_evaluate_v(b, t, &[u], p)),
+                ("vgh", &|p, g, h| evaluate_vgh(b, t, u, p, g, h)),
+                ("vgh_diag", &|p, g, h| evaluate_vgh_diag(b, t, u, p, g, h)),
+                ("vgl", &|p, g, l| {
+                    evaluate_vgl(b, t, u, &gmat, &lapmet, p, g, l);
+                }),
+                ("mw_vgl", &|p, g, l| {
+                    mw_evaluate_vgl(b, t, &[u], &gmat, &lapmet, p, g, l);
+                }),
+            ];
+            for (name, call) in kernels {
+                assert!(refused(call), "{b} {name} accepted a view with {what}");
+            }
+        }
+    }
+}
+
 // -- vgh prefetch hints: no bit moved, no index outside the table ------------
 
 /// The simd vgh kernel hints the cache line one lane block ahead of the
 /// one it reads. Sizes: no whole block (1, 15), exact multiples of both
 /// rungs' block, where the last pass must hint nothing (16, 32, 192), a
 /// block plus a tail inside `ns_pad > ns` (17, 33). Positions: every
-/// corner combination of u = 0 and the last cell of each axis, whose
-/// stencils end on the `+3` ghost layers — the table's slice ends with the
-/// last of them, so a hint past it is an index panic here.
+/// corner combination of u = 0 and the last cell of each axis; the
+/// stencils of the last cells wrap, and the one at the far corner reads
+/// the table's last row, so a hint past it is an index panic here.
 fn vgh_hint_matrix<T: Real>() {
     let grid = [5usize, 6, 7];
     let corners: Vec<[T; 3]> = (0..8u32)
@@ -597,7 +888,7 @@ fn vgh_simd_unhinted<const DIAG: bool>(
             let ab_hxy = dwx[a] * dwy[b];
             let ab_hyy = wx[a] * d2wy[b];
             for c in 0..4 {
-                bases[k] = (((ix + a) * (ny + 3) + iy + b) * (nz + 3) + iz + c) * t.ns_pad;
+                bases[k] = (((ix + a) % nx * ny + (iy + b) % ny) * nz + (iz + c) % nz) * t.ns_pad;
                 w[k] = [
                     ab_v * wz[c],
                     ab_gx * wz[c],
@@ -645,7 +936,7 @@ fn vgh_simd_unhinted<const DIAG: bool>(
 }
 
 /// The hinted simd kernel's gain over [`vgh_simd_unhinted`] on a table far
-/// out of cache — the NiO-32 shape, 80³ x 192 f32, 419 MiB — after
+/// out of cache — the NiO-32 shape, 80³ x 192 f32, 375 MiB — after
 /// checking every output bit equal on 64 points. Best of three passes over
 /// 2048 random points per side.
 fn hint_gain<const DIAG: bool>() -> f64 {
@@ -702,7 +993,7 @@ fn hint_gain<const DIAG: bool>() -> f64 {
 /// kernel must stay >= 1.5x ahead of the un-hinted loop it replaced
 /// (measured 2.4x when the gate was set), with every output bit equal.
 #[test]
-#[ignore = "timing gate on a 419 MiB table: run in release mode (ci.sh does)"]
+#[ignore = "timing gate on a 375 MiB table: run in release mode (ci.sh does)"]
 fn vgh_hints_pay_on_an_out_of_cache_table() {
     let gain = hint_gain::<false>();
     assert!(
@@ -714,7 +1005,7 @@ fn vgh_hints_pay_on_an_out_of_cache_table() {
 /// The same gate on the diagonal-Hessian kernel the sweep runs on
 /// orthorhombic cells.
 #[test]
-#[ignore = "timing gate on a 419 MiB table: run in release mode (ci.sh does)"]
+#[ignore = "timing gate on a 375 MiB table: run in release mode (ci.sh does)"]
 fn vgh_diag_hints_pay_on_an_out_of_cache_table() {
     let gain = hint_gain::<true>();
     assert!(
@@ -877,6 +1168,51 @@ fn distance_wrap_matrix<T: Real>(n: usize, seed: u64) {
             assert!(disp_ref[d][j].to_f64().abs() <= half);
         }
     }
+}
+
+/// The distance-only row writes the distances [`distance_row`] writes,
+/// bit for bit, on both backends and both cell kinds, at lengths with no
+/// whole lane block, exact blocks and blocks plus a tail.
+fn distance_only_matrix<T: Real>(seed: u64) {
+    let edges = [T::from_f64(6.0), T::from_f64(7.0), T::from_f64(8.0)];
+    let mut rng = Rng::new(seed);
+    let n_max = 40;
+    let [xs, ys, zs]: [Vec<T>; 3] = std::array::from_fn(|d| {
+        (0..n_max)
+            .map(|_| T::from_f64(rng.next()) * edges[d])
+            .collect()
+    });
+    let pos = [T::from_f64(1.1), T::from_f64(5.3), T::from_f64(2.9)];
+    for n in [0, 1, 7, 8, 9, 15, 16, 17, 33, 40] {
+        for b in Backend::ALL {
+            for ortho in [true, false] {
+                let mut want = vec![T::ZERO; n];
+                let mut disp = [vec![T::ZERO; n], vec![T::ZERO; n], vec![T::ZERO; n]];
+                let [dx, dy, dz] = &mut disp;
+                let mut got = vec![T::ZERO; n];
+                if ortho {
+                    let cell = OrthoCell { edges };
+                    distance_row(b, &cell, &xs, &ys, &zs, pos, n, &mut want, [dx, dy, dz]);
+                    distance_only_row(b, &cell, &xs, &ys, &zs, pos, n, &mut got);
+                } else {
+                    let cell = SkewCell { edges };
+                    distance_row(b, &cell, &xs, &ys, &zs, pos, n, &mut want, [dx, dy, dz]);
+                    distance_only_row(b, &cell, &xs, &ys, &zs, pos, n, &mut got);
+                }
+                assert_eq!(got, want, "{b}, n = {n}, orthorhombic: {ortho}");
+            }
+        }
+    }
+}
+
+#[test]
+fn distance_only_rows_equal_distance_rows_f64() {
+    distance_only_matrix::<f64>(71);
+}
+
+#[test]
+fn distance_only_rows_equal_distance_rows_f32() {
+    distance_only_matrix::<f32>(73);
 }
 
 #[test]

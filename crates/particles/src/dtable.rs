@@ -370,9 +370,10 @@ impl<T: Real> DistTableAASoA<T> {
 
     /// Candidate rows for particle `iat` moved to each of `positions` (one
     /// NLPP quadrature shell): row `q` of `stage` is exactly the `temp`
-    /// row [`Self::move_candidate`] would leave for `positions[q]` — the
-    /// same `compute_row` on the captured backend, self-distance poisoned —
-    /// all under **one** timer scope. The table itself is not touched.
+    /// distances [`Self::move_candidate`] would leave for `positions[q]` —
+    /// the same distance arithmetic on the captured backend, self-distance
+    /// poisoned — all under **one** timer scope. The table itself is not
+    /// touched.
     pub fn candidate_rows(
         &self,
         rsoa: &VectorSoaContainer<T, 3>,
@@ -527,35 +528,30 @@ impl<T: Real> DistTableAASoA<T> {
 // Staged candidate rows: crowd batches and NLPP quadrature shells.
 // ---------------------------------------------------------------------------
 
-/// SoA staging buffer for batched candidate distance rows, one padded
-/// aligned row per candidate position.
+/// Staging buffer for batched candidate distance rows, one padded aligned
+/// row per candidate position.
 ///
 /// Rows are point-major: one NLPP quadrature shell of a single electron,
 /// row `q` = point `q`, filled by the tables' `candidate_rows`. Each row is
-/// exactly the slab a scalar `move_candidate` would have produced.
+/// exactly the distance slab a scalar `move_candidate` would have
+/// produced. The shell's readers (the Jastrow value-only ratios) need no
+/// displacements, so none are staged.
 pub struct MwRowStage<T: Real> {
     n: usize,
     stride: usize,
     rows: usize,
     dist: AlignedVec<T>,
-    disp: [AlignedVec<T>; 3],
 }
 
 impl<T: Real> MwRowStage<T> {
     /// Allocates `rows` staging rows of `n` partners each.
     pub fn new(n: usize, rows: usize) -> Self {
         let stride = qmc_containers::padded_len::<T>(n);
-        let total = stride * rows.max(1);
         Self {
             n,
             stride,
             rows,
-            dist: AlignedVec::zeros(total),
-            disp: [
-                AlignedVec::zeros(total),
-                AlignedVec::zeros(total),
-                AlignedVec::zeros(total),
-            ],
+            dist: AlignedVec::zeros(stride * rows.max(1)),
         }
     }
 
@@ -580,28 +576,17 @@ impl<T: Real> MwRowStage<T> {
         &self.dist.as_slice()[r * self.stride..r * self.stride + self.n]
     }
 
-    /// Candidate displacement component `d` of row `r` (`r_j - r_cand`).
-    #[inline]
-    pub fn disp_row(&self, d: usize, r: usize) -> &[T] {
-        &self.disp[d].as_slice()[r * self.stride..r * self.stride + self.n]
-    }
-
     /// Bytes of staging storage (memory ledger).
     pub fn bytes(&self) -> usize {
-        (self.dist.len()
-            + self
-                .disp
-                .iter()
-                .map(qmc_containers::AlignedVec::len)
-                .sum::<usize>())
-            * std::mem::size_of::<T>()
+        self.dist.len() * std::mem::size_of::<T>()
     }
 }
 
-/// Fills row `r` of `stage` with the candidate row from `positions[r]` to
-/// every position in `src` — `compute_row` on `backend`, the
-/// self-distance sentinel written into column `iat` when `poison_self =
-/// Some(iat)` — for every `r`, under one `kernel` timer scope.
+/// Fills row `r` of `stage` with the candidate distances from
+/// `positions[r]` to every position in `src` — the distances `compute_row`
+/// writes on `backend`, the self-distance sentinel written into column
+/// `iat` when `poison_self = Some(iat)` — for every `r`, under one `kernel`
+/// timer scope.
 fn stage_rows<T: Real>(
     backend: Backend,
     lattice: &CrystalLattice<T>,
@@ -619,29 +604,26 @@ fn stage_rows<T: Real>(
         for (r, &pos) in positions.iter().enumerate() {
             let base = r * stride;
             let d = &mut stage.dist.as_mut_slice()[base..base + n];
-            let [a, b, c] = &mut stage.disp;
-            compute_row(
+            qmc_kernels::distance::distance_only_row(
                 backend,
                 lattice,
-                src,
-                pos,
+                src.dim(0),
+                src.dim(1),
+                src.dim(2),
+                [pos[0], pos[1], pos[2]],
                 n,
                 d,
-                [
-                    &mut a.as_mut_slice()[base..base + n],
-                    &mut b.as_mut_slice()[base..base + n],
-                    &mut c.as_mut_slice()[base..base + n],
-                ],
             );
             if let Some(iat) = poison_self {
                 d[iat] = T::from_f64(f64::MAX);
             }
         }
     });
+    // Three coordinates read and one distance written per partner.
     add_flops_bytes(
         kernel,
         18 * (rows * n) as u64,
-        7 * std::mem::size_of::<T>() as u64 * (rows * n) as u64,
+        4 * std::mem::size_of::<T>() as u64 * (rows * n) as u64,
     );
 }
 
@@ -902,7 +884,7 @@ impl<T: Real> DistTableABSoA<T> {
 
     /// Candidate electron-ion rows for one electron moved to each of
     /// `positions` (one NLPP quadrature shell): row `q` of `stage` is
-    /// exactly the `temp` row [`Self::move_candidate`] would leave for
+    /// exactly the `temp` distances [`Self::move_candidate`] would leave for
     /// `positions[q]`, all under **one** timer scope. The table itself is
     /// not touched.
     pub fn candidate_rows(&self, positions: &[Pos<T>], stage: &mut MwRowStage<T>) {
@@ -1175,10 +1157,6 @@ mod tests {
             ab.move_candidate(iat, pos);
             assert_eq!(saa.dist_row(q), aa.temp_dist(), "AA point {q}");
             assert_eq!(sab.dist_row(q), ab.temp_dist(), "AB point {q}");
-            for d in 0..3 {
-                assert_eq!(saa.disp_row(d, q), aa.temp_disp(d), "AA point {q} disp {d}");
-                assert_eq!(sab.disp_row(d, q), ab.temp_disp(d), "AB point {q} disp {d}");
-            }
         }
     }
 
