@@ -35,9 +35,6 @@ echo "== benchmark adapter gate (benchmark/ builds and passes against this drive
 CARGO_TARGET_DIR=target cargo build --release --locked --offline --manifest-path benchmark/Cargo.toml
 CARGO_TARGET_DIR=target cargo test -q --locked --offline --manifest-path benchmark/Cargo.toml
 
-echo "== sanitizer tests (checked feature) =="
-cargo test -q -p qmc-drivers --features checked
-
 echo "== determinant speedup gate (blocked vs serial-chain oracle, release) =="
 # The determinant path is FMA-latency-bound unless several independent
 # accumulators run side by side: the blocked Sherman-Morrison update must
@@ -71,22 +68,14 @@ echo "== bench smoke (every Criterion bench, one pass per case) =="
 cargo bench -p qmc-bench --bench '*' -- --test
 
 echo "== run-report smoke (miniqmc --profile json) =="
-# json_check also gates attribution: kernel seconds finite, >= 0, and
-# summing to <= seconds x threads. Kernel times are sampled (1 call in
-# 16), so the run is sized to ~0.94M kernel calls (~0.75 s). There the
-# sum's sampling error, sqrt(sum over kernels of 15 s_k^2 / calls_k), is
+# json_check also gates the runtime sanitizer (some checks made, no
+# violation) and attribution: kernel seconds finite, >= 0, and summing to
+# <= seconds x threads. Kernel times are sampled (1 call in 16), so the
+# run is sized to ~0.94M kernel calls (~0.75 s). There the sum's
+# sampling error, sqrt(sum over kernels of 15 s_k^2 / calls_k), is
 # 0.6 % of wall time, and the busy share measured 0.955-0.959 over six
 # runs on a 2-vCPU x86-64 host: 7 sigma of headroom. At the old
 # 2-walker, 4-step size the error was ~8 % and the gate failed.
-./target/release/miniqmc --benchmark graphite --threads 1 --walkers 8 \
-    --steps 96 --warmup 1 --profile json | ./target/release/json_check
-
-echo "== run-report smoke (checked build: sanitizer live) =="
-# Rebuild with the runtime invariant sanitizer compiled in; json_check
-# exits nonzero if the report carries any sanitizer violations. Same
-# size and the same attribution gate: this build's busy share measured
-# 0.946-0.954 over six runs (sampling error 0.6 %, 8 sigma of headroom).
-cargo build --release -q -p miniqmc --features checked
 ./target/release/miniqmc --benchmark graphite --threads 1 --walkers 8 \
     --steps 96 --warmup 1 --profile json | ./target/release/json_check
 

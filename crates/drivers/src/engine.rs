@@ -135,7 +135,7 @@ impl<T: Real> QmcEngine<T> {
     /// Recomputes the wavefunction from scratch at the current positions —
     /// the periodic mixed-precision hygiene step (§7.2). Records how far
     /// the incrementally-updated `log psi` had drifted from the fresh
-    /// value into the global drift counters (the `mp_drift` block of the
+    /// value in the calling thread's profile (the `mp_drift` block of the
     /// run report).
     ///
     /// Runs [`TrialWaveFunction::refresh_log`]: the determinants reinvert

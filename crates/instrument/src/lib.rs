@@ -4,6 +4,9 @@
 //!
 //! * [`timer`] — per-kernel scoped timers for the hot-spot profiles of
 //!   Fig. 2 / Fig. 7 (QMCPACK timer framework / Intel VTune).
+//! * [`sanitize`] — finite checks at the accumulator boundaries and the
+//!   mixed-precision drift counters, counted in the same per-thread
+//!   profile as the timers.
 //! * FLOP/byte counters on the same profile for the roofline's arithmetic
 //!   intensity axis (Intel Advisor).
 //! * [`roofline`] — a microbenchmark probe of the host's compute and
@@ -33,13 +36,11 @@ pub mod timer;
 
 pub use ftz::enable_ftz;
 pub use memory::{anon_huge_bytes, current_rss_bytes, MemoryLedger};
-pub use report::{
-    record_refresh_drift, take_drift_stats, DriftStats, RunReport, RUN_REPORT_SCHEMA,
-};
+pub use report::{RunReport, RUN_REPORT_SCHEMA};
 pub use roofline::{probe_machine, RooflineMachine};
 pub use sanitize::{
-    check_drift, check_finite, sanitizer_enabled, sanitizer_stats, set_drift_tolerance,
-    take_sanitizer_stats, CheckKind, SanitizerStats, ALL_CHECKS, NUM_CHECKS,
+    check_drift, check_finite, record_refresh_drift, set_drift_tolerance, CheckKind, DriftStats,
+    SanitizerStats, ALL_CHECKS, NUM_CHECKS,
 };
 pub use span::{
     chrome_trace_json, enable_tracing, span, span_lazy, take_trace_events, tracing_enabled, Span,

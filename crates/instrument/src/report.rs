@@ -7,85 +7,13 @@
 //! JSON (hand-rolled, see [`crate::json`]) for `miniqmc --profile json`
 //! and the bench binaries, or renders as the Fig. 2-style summary table.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::json::JsonWriter;
+use crate::sanitize::ALL_CHECKS;
 use crate::timer::{KernelStats, Profile, ALL_KERNELS};
 
 /// Schema tag embedded in every report so downstream tooling can detect
 /// format changes.
 pub const RUN_REPORT_SCHEMA: &str = "qmc-run-report/1";
-
-// ---------------------------------------------------------------------------
-// Mixed-precision drift counters
-// ---------------------------------------------------------------------------
-
-/// Accumulated |Δ log ψ| statistics from from-scratch recomputes: how far
-/// the incrementally-updated (mixed-precision) wavefunction log had
-/// drifted from the freshly evaluated value. Large values mean the
-/// `recompute_every` hygiene interval is too long for the precision mix.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct DriftStats {
-    /// Number of refreshes that measured a drift.
-    pub refreshes: u64,
-    /// Sum of |Δ log ψ| over those refreshes.
-    pub sum_abs: f64,
-    /// Largest single |Δ log ψ| observed.
-    pub max_abs: f64,
-}
-
-impl DriftStats {
-    /// Mean |Δ log ψ| per refresh (0 when none recorded).
-    pub fn mean_abs(&self) -> f64 {
-        if self.refreshes > 0 {
-            self.sum_abs / self.refreshes as f64
-        } else {
-            0.0
-        }
-    }
-}
-
-static DRIFT_REFRESHES: AtomicU64 = AtomicU64::new(0);
-static DRIFT_SUM_BITS: AtomicU64 = AtomicU64::new(0); // f64 bits
-static DRIFT_MAX_BITS: AtomicU64 = AtomicU64::new(0); // f64 bits
-
-/// Records one from-scratch refresh's |Δ log ψ|. Called from the engines'
-/// recompute path on any thread; lock-free.
-pub fn record_refresh_drift(abs_delta: f64) {
-    // Sanitizer boundary: a from-scratch recompute is exactly where
-    // mixed-precision corruption becomes observable, so the drift-bound
-    // check lives here (no-op without the `checked` feature).
-    crate::sanitize::check_drift(abs_delta);
-    if !abs_delta.is_finite() {
-        return;
-    }
-    DRIFT_REFRESHES.fetch_add(1, Ordering::Relaxed);
-    // f64 accumulation via CAS on the bit pattern.
-    let mut cur = DRIFT_SUM_BITS.load(Ordering::Relaxed);
-    loop {
-        let new = (f64::from_bits(cur) + abs_delta).to_bits();
-        match DRIFT_SUM_BITS.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => break,
-            Err(c) => cur = c,
-        }
-    }
-    // Non-negative f64 bit patterns order like the floats themselves.
-    DRIFT_MAX_BITS.fetch_max(abs_delta.to_bits(), Ordering::Relaxed);
-}
-
-/// Takes and resets the global drift counters. Drivers call this before a
-/// run (reset) and after it (capture).
-pub fn take_drift_stats() -> DriftStats {
-    DriftStats {
-        refreshes: DRIFT_REFRESHES.swap(0, Ordering::Relaxed),
-        sum_abs: f64::from_bits(DRIFT_SUM_BITS.swap(0, Ordering::Relaxed)),
-        max_abs: f64::from_bits(DRIFT_MAX_BITS.swap(0, Ordering::Relaxed)),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// RunReport
-// ---------------------------------------------------------------------------
 
 /// Everything one run produced, in one serializable value.
 #[derive(Clone, Debug, Default)]
@@ -127,15 +55,11 @@ pub struct RunReport {
     pub population: Vec<usize>,
     /// Trial energy after each step's feedback update.
     pub e_trial_trace: Vec<f64>,
-    /// Aggregate per-kernel profile.
+    /// Aggregate per-kernel profile, with the run's sanitizer and drift
+    /// counters.
     pub profile: Profile,
     /// Per-crowd / per-worker profiles, in chunk order (may be empty).
     pub crowd_profiles: Vec<Profile>,
-    /// Mixed-precision log ψ drift observed at from-scratch refreshes.
-    pub drift: DriftStats,
-    /// Runtime invariant sanitizer counters (all zero unless the build
-    /// carries the `checked` feature).
-    pub sanitizer: crate::sanitize::SanitizerStats,
     /// Bytes per walker (positions + buffers), model-counted.
     pub walker_bytes: u64,
     /// Bytes for the shared engine state (spline table excluded).
@@ -227,27 +151,26 @@ impl RunReport {
             write_profile(&mut w, p);
         }
         w.end_arr();
+        let (drift, sanitizer) = (&self.profile.drift, &self.profile.sanitizer);
         w.key("mp_drift");
         w.begin_obj();
-        w.key("refreshes").u64_val(self.drift.refreshes);
-        w.key("mean_abs_dlogpsi").f64_val(self.drift.mean_abs());
-        w.key("max_abs_dlogpsi").f64_val(self.drift.max_abs);
+        w.key("refreshes").u64_val(drift.refreshes);
+        w.key("mean_abs_dlogpsi").f64_val(drift.mean_abs());
+        w.key("max_abs_dlogpsi").f64_val(drift.max_abs);
         w.end_obj();
         w.key("sanitizer");
         w.begin_obj();
-        w.key("enabled")
-            .bool_val(crate::sanitize::sanitizer_enabled());
-        w.key("total_checks").u64_val(self.sanitizer.total_checks());
+        w.key("total_checks").u64_val(sanitizer.total_checks());
         w.key("total_violations")
-            .u64_val(self.sanitizer.total_violations());
+            .u64_val(sanitizer.total_violations());
         w.key("checks");
         w.begin_obj();
-        for &k in &crate::sanitize::ALL_CHECKS {
+        for &k in &ALL_CHECKS {
             w.key(k.label());
             w.begin_obj();
-            w.key("run").u64_val(self.sanitizer.checks_run[k as usize]);
+            w.key("run").u64_val(sanitizer.checks_run[k as usize]);
             w.key("violations")
-                .u64_val(self.sanitizer.violations[k as usize]);
+                .u64_val(sanitizer.violations[k as usize]);
             w.end_obj();
         }
         w.end_obj();
@@ -308,21 +231,22 @@ impl RunReport {
         if let (Some(&first), Some(&last)) = (self.population.first(), self.population.last()) {
             let _ = writeln!(out, "population: {first} -> {last}");
         }
-        if self.drift.refreshes > 0 {
+        let (drift, sanitizer) = (&self.profile.drift, &self.profile.sanitizer);
+        if drift.refreshes > 0 {
             let _ = writeln!(
                 out,
                 "mp drift: mean |dlogpsi| = {:.3e}, max = {:.3e} over {} refreshes",
-                self.drift.mean_abs(),
-                self.drift.max_abs,
-                self.drift.refreshes
+                drift.mean_abs(),
+                drift.max_abs,
+                drift.refreshes
             );
         }
-        if self.sanitizer.total_checks() > 0 {
+        if sanitizer.total_checks() > 0 {
             let _ = writeln!(
                 out,
                 "sanitizer: {} checks, {} violations",
-                self.sanitizer.total_checks(),
-                self.sanitizer.total_violations()
+                sanitizer.total_checks(),
+                sanitizer.total_violations()
             );
         }
         out.push_str(&self.profile.to_table());
@@ -334,6 +258,7 @@ impl RunReport {
 mod tests {
     use super::*;
     use crate::json;
+    use crate::sanitize::{CheckKind, DriftStats};
     use crate::timer::Kernel;
 
     fn sample_report() -> RunReport {
@@ -342,6 +267,12 @@ mod tests {
         profile.get_mut(Kernel::BsplineVGH).calls = 20;
         profile.get_mut(Kernel::J2).nanos = 1_000_000;
         profile.get_mut(Kernel::J2).calls = 10;
+        profile.drift = DriftStats {
+            refreshes: 2,
+            sum_abs: 2e-6,
+            max_abs: 1.5e-6,
+        };
+        profile.sanitizer.checks_run[CheckKind::LogPsi as usize] = 5;
         RunReport {
             benchmark: "graphite-1x1x1".into(),
             code: "current".into(),
@@ -363,12 +294,6 @@ mod tests {
             e_trial_trace: vec![-1.26, -1.28, -1.29, -1.3],
             profile,
             crowd_profiles: vec![Profile::default(), Profile::default()],
-            drift: DriftStats {
-                refreshes: 2,
-                sum_abs: 2e-6,
-                max_abs: 1.5e-6,
-            },
-            sanitizer: crate::sanitize::SanitizerStats::default(),
             walker_bytes: 1024,
             engine_bytes: 4096,
             table_bytes: 65536,
@@ -403,8 +328,10 @@ mod tests {
             Some(f64::from(4 << 20))
         );
         let san = v.get("sanitizer").unwrap();
+        assert_eq!(san.get("total_checks").unwrap().as_f64(), Some(5.0));
+        assert!(san.get("enabled").is_none(), "the sanitizer always counts");
         assert_eq!(san.get("total_violations").unwrap().as_f64(), Some(0.0));
-        for k in crate::sanitize::ALL_CHECKS {
+        for k in ALL_CHECKS {
             assert!(
                 san.get("checks").unwrap().get(k.label()).is_some(),
                 "sanitizer category {} missing from JSON",
@@ -421,19 +348,5 @@ mod tests {
         assert!(s.contains("Bspline-vgh"));
         assert!(s.contains("-1.25"));
         assert!(s.contains("mp drift"));
-    }
-
-    #[test]
-    fn drift_counters_accumulate_and_reset() {
-        take_drift_stats();
-        record_refresh_drift(1e-7);
-        record_refresh_drift(3e-7);
-        record_refresh_drift(f64::NAN); // ignored
-        let d = take_drift_stats();
-        assert_eq!(d.refreshes, 2);
-        assert!((d.sum_abs - 4e-7).abs() < 1e-20);
-        assert!((d.max_abs - 3e-7).abs() < 1e-20);
-        assert!((d.mean_abs() - 2e-7).abs() < 1e-20);
-        assert_eq!(take_drift_stats(), DriftStats::default());
     }
 }

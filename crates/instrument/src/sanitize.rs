@@ -1,4 +1,4 @@
-//! Runtime invariant sanitizer (the `checked` cargo feature).
+//! Runtime invariant sanitizer and mixed-precision drift counters.
 //!
 //! Clippy's cast lints pin down *where* precision may be narrowed, and the
 //! counting-allocator test which paths must stay allocation-free (DESIGN
@@ -6,17 +6,20 @@
 //! numbers crossing the
 //! physics accumulator boundaries — local energies, `log ψ`, branch
 //! weights, the trial energy — must be finite, and the mixed-precision
-//! `|Δ log ψ|` measured at from-scratch recomputes must stay under a
-//! tolerance.
+//! `|Δ log ψ|` measured at from-scratch recomputes must be finite (and
+//! under a bound, where a test sets one).
 //!
-//! The check functions are always compiled so call sites need no `cfg`
-//! gates; without the `checked` feature they collapse to constant-true
-//! no-ops the optimizer deletes. With the feature on, every check bumps a
-//! lock-free counter pair (checks run / violations) that the drivers
-//! capture into [`crate::RunReport`] — `json_check` fails CI when a run
-//! reports violations.
+//! Every check always counts. The counters live in the calling thread's
+//! [`crate::Profile`] beside the kernel stats, so they are drained with it
+//! ([`crate::drain_thread_profile`]) and a run reports exactly the checks
+//! its own threads made. The checks run once per init, refresh,
+//! measurement or branch — never inside a move — so each is one
+//! thread-local increment against a millisecond-scale step. `json_check`
+//! fails CI when a run reports violations, or no checks at all.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+
+use crate::timer::with_thread_profile;
 
 /// The accumulator boundaries the sanitizer watches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,7 +32,8 @@ pub enum CheckKind {
     BranchWeight = 2,
     /// Trial energy after population feedback.
     TrialEnergy = 3,
-    /// `|Δ log ψ|` at a from-scratch recompute exceeding the drift bound.
+    /// `|Δ log ψ|` at a from-scratch recompute: non-finite, or over the
+    /// drift bound.
     Drift = 4,
 }
 
@@ -58,61 +62,7 @@ impl CheckKind {
     }
 }
 
-static CHECKS_RUN: [AtomicU64; NUM_CHECKS] = [const { AtomicU64::new(0) }; NUM_CHECKS];
-static VIOLATIONS: [AtomicU64; NUM_CHECKS] = [const { AtomicU64::new(0) }; NUM_CHECKS];
-// +inf bits: drift checking is off until a tolerance is set.
-static DRIFT_TOL_BITS: AtomicU64 = AtomicU64::new(0x7FF0_0000_0000_0000);
-
-/// True when this build carries the `checked` feature (the sanitizer
-/// actually counts); false when every check is a no-op.
-#[inline]
-pub fn sanitizer_enabled() -> bool {
-    cfg!(feature = "checked")
-}
-
-/// Asserts `value` is finite at an accumulator boundary. Returns whether
-/// the value passed; always `true` (and does nothing) without the
-/// `checked` feature.
-#[inline]
-pub fn check_finite(kind: CheckKind, value: f64) -> bool {
-    if !cfg!(feature = "checked") {
-        return true;
-    }
-    CHECKS_RUN[kind as usize].fetch_add(1, Ordering::Relaxed);
-    if value.is_finite() {
-        true
-    } else {
-        VIOLATIONS[kind as usize].fetch_add(1, Ordering::Relaxed);
-        false
-    }
-}
-
-/// Sets the `|Δ log ψ|` bound for [`check_drift`]. Pass
-/// `f64::INFINITY` to disable (the default). Active even without the
-/// `checked` feature so tests can configure before enabling a run.
-pub fn set_drift_tolerance(tol: f64) {
-    DRIFT_TOL_BITS.store(tol.to_bits(), Ordering::Relaxed);
-}
-
-/// Checks one from-scratch recompute's `|Δ log ψ|` against the configured
-/// tolerance. A non-finite drift always violates. Returns whether the
-/// value passed; always `true` without the `checked` feature.
-#[inline]
-pub fn check_drift(abs_delta: f64) -> bool {
-    if !cfg!(feature = "checked") {
-        return true;
-    }
-    CHECKS_RUN[CheckKind::Drift as usize].fetch_add(1, Ordering::Relaxed);
-    let tol = f64::from_bits(DRIFT_TOL_BITS.load(Ordering::Relaxed));
-    if abs_delta.is_finite() && abs_delta <= tol {
-        true
-    } else {
-        VIOLATIONS[CheckKind::Drift as usize].fetch_add(1, Ordering::Relaxed);
-        false
-    }
-}
-
-/// Per-category sanitizer counters captured into the run report.
+/// Per-category sanitizer counters, carried by [`crate::Profile`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SanitizerStats {
     /// Checks executed, indexed by `CheckKind as usize`.
@@ -131,87 +81,183 @@ impl SanitizerStats {
     pub fn total_violations(&self) -> u64 {
         self.violations.iter().sum()
     }
+
+    /// Adds `other`'s counts to these.
+    pub fn merge(&mut self, other: &SanitizerStats) {
+        for k in 0..NUM_CHECKS {
+            self.checks_run[k] += other.checks_run[k];
+            self.violations[k] += other.violations[k];
+        }
+    }
 }
 
-/// Reads the counters without resetting them.
-pub fn sanitizer_stats() -> SanitizerStats {
-    let mut s = SanitizerStats::default();
-    for k in 0..NUM_CHECKS {
-        s.checks_run[k] = CHECKS_RUN[k].load(Ordering::Relaxed);
-        s.violations[k] = VIOLATIONS[k].load(Ordering::Relaxed);
-    }
-    s
+/// Accumulated |Δ log ψ| statistics from from-scratch recomputes: how far
+/// the incrementally-updated (mixed-precision) wavefunction log had
+/// drifted from the freshly evaluated value. Large values mean the
+/// `recompute_every` hygiene interval is too long for the precision mix.
+/// Carried by [`crate::Profile`].
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct DriftStats {
+    /// Number of refreshes that measured a finite drift.
+    pub refreshes: u64,
+    /// Sum of |Δ log ψ| over those refreshes.
+    pub sum_abs: f64,
+    /// Largest single |Δ log ψ| observed.
+    pub max_abs: f64,
 }
 
-/// Takes and resets the counters. Drivers call this before a run (reset)
-/// and after it (capture), mirroring [`crate::take_drift_stats`].
-pub fn take_sanitizer_stats() -> SanitizerStats {
-    let mut s = SanitizerStats::default();
-    for k in 0..NUM_CHECKS {
-        s.checks_run[k] = CHECKS_RUN[k].swap(0, Ordering::Relaxed);
-        s.violations[k] = VIOLATIONS[k].swap(0, Ordering::Relaxed);
+impl DriftStats {
+    /// Mean |Δ log ψ| per refresh (0 when none recorded).
+    pub fn mean_abs(&self) -> f64 {
+        if self.refreshes > 0 {
+            self.sum_abs / self.refreshes as f64
+        } else {
+            0.0
+        }
     }
-    s
+
+    /// Adds `other`'s refreshes and sum, and keeps the larger maximum.
+    pub fn merge(&mut self, other: &DriftStats) {
+        self.refreshes += other.refreshes;
+        self.sum_abs += other.sum_abs;
+        self.max_abs = self.max_abs.max(other.max_abs);
+    }
+}
+
+thread_local! {
+    // +∞: only a non-finite drift violates until a bound is set.
+    static DRIFT_TOLERANCE: Cell<f64> = const { Cell::new(f64::INFINITY) };
+}
+
+/// Counts one check of `kind` on the calling thread, and a violation
+/// unless it `passed`. Returns `passed`.
+#[inline]
+fn count(kind: CheckKind, passed: bool) -> bool {
+    with_thread_profile(|p| {
+        p.sanitizer.checks_run[kind as usize] += 1;
+        p.sanitizer.violations[kind as usize] += u64::from(!passed);
+    });
+    passed
+}
+
+/// Checks that `value` is finite at an accumulator boundary. Returns
+/// whether it passed.
+#[inline]
+pub fn check_finite(kind: CheckKind, value: f64) -> bool {
+    count(kind, value.is_finite())
+}
+
+/// Sets the `|Δ log ψ|` bound that [`check_drift`] applies on the calling
+/// thread. `f64::INFINITY` (the default) leaves only non-finite drift as a
+/// violation.
+pub fn set_drift_tolerance(tol: f64) {
+    DRIFT_TOLERANCE.with(|t| t.set(tol));
+}
+
+/// Checks one from-scratch recompute's `|Δ log ψ|` against the calling
+/// thread's bound. A non-finite drift always violates. Returns whether the
+/// value passed.
+#[inline]
+pub fn check_drift(abs_delta: f64) -> bool {
+    let tol = DRIFT_TOLERANCE.with(Cell::get);
+    count(CheckKind::Drift, abs_delta.is_finite() && abs_delta <= tol)
+}
+
+/// Records one from-scratch refresh's |Δ log ψ| in the calling thread's
+/// profile: a drift check, and (when finite) one refresh in the drift
+/// stats. Called from the engines' recompute paths.
+pub fn record_refresh_drift(abs_delta: f64) {
+    check_drift(abs_delta);
+    if abs_delta.is_finite() {
+        with_thread_profile(|p| {
+            p.drift.merge(&DriftStats {
+                refreshes: 1,
+                sum_abs: abs_delta,
+                max_abs: abs_delta,
+            });
+        });
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drain_thread_profile;
 
-    // The counters are process-global, so each test takes a snapshot
-    // delta rather than assuming a clean slate.
+    // Each test runs on its own thread, so a drained profile holds that
+    // test's checks and nothing else.
 
     #[test]
     fn finite_values_never_violate() {
-        let before = sanitizer_stats();
+        drain_thread_profile();
         assert!(check_finite(CheckKind::LocalEnergy, -14.5));
         assert!(check_finite(CheckKind::LogPsi, 3.0));
-        let after = sanitizer_stats();
-        assert_eq!(after.total_violations(), before.total_violations());
+        let s = drain_thread_profile().sanitizer;
+        assert_eq!(s.total_checks(), 2);
+        assert_eq!(s.total_violations(), 0);
     }
 
     #[test]
-    #[cfg(feature = "checked")]
     fn non_finite_values_are_counted() {
-        let before = sanitizer_stats();
+        drain_thread_profile();
         assert!(!check_finite(CheckKind::BranchWeight, f64::NAN));
         assert!(!check_finite(CheckKind::TrialEnergy, f64::INFINITY));
-        let after = sanitizer_stats();
-        assert_eq!(
-            after.violations[CheckKind::BranchWeight as usize]
-                - before.violations[CheckKind::BranchWeight as usize],
-            1
-        );
-        assert_eq!(
-            after.violations[CheckKind::TrialEnergy as usize]
-                - before.violations[CheckKind::TrialEnergy as usize],
-            1
-        );
+        let s = drain_thread_profile().sanitizer;
+        assert_eq!(s.violations[CheckKind::BranchWeight as usize], 1);
+        assert_eq!(s.violations[CheckKind::TrialEnergy as usize], 1);
+        assert_eq!(s.total_checks(), 2);
     }
 
     #[test]
-    #[cfg(feature = "checked")]
     fn drift_tolerance_gates_violations() {
+        drain_thread_profile();
         set_drift_tolerance(1e-6);
-        let before = sanitizer_stats();
         assert!(check_drift(1e-9));
         assert!(!check_drift(1e-3));
         assert!(!check_drift(f64::NAN));
         set_drift_tolerance(f64::INFINITY);
-        let after = sanitizer_stats();
-        assert_eq!(
-            after.violations[CheckKind::Drift as usize]
-                - before.violations[CheckKind::Drift as usize],
-            2
-        );
+        assert!(check_drift(1e-3));
+        let s = drain_thread_profile().sanitizer;
+        assert_eq!(s.checks_run[CheckKind::Drift as usize], 4);
+        assert_eq!(s.violations[CheckKind::Drift as usize], 2);
     }
 
     #[test]
-    #[cfg(not(feature = "checked"))]
-    fn disabled_sanitizer_is_inert() {
-        assert!(!sanitizer_enabled());
-        assert!(check_finite(CheckKind::LocalEnergy, f64::NAN));
-        assert!(check_drift(f64::INFINITY));
-        assert_eq!(sanitizer_stats().total_checks(), 0);
+    fn drift_counters_accumulate_and_drain() {
+        drain_thread_profile();
+        record_refresh_drift(1e-7);
+        record_refresh_drift(3e-7);
+        record_refresh_drift(f64::NAN); // a violation, not a refresh
+        let p = drain_thread_profile();
+        let d = p.drift;
+        assert_eq!(d.refreshes, 2);
+        assert!((d.sum_abs - 4e-7).abs() < 1e-20);
+        assert_eq!(d.max_abs, 3e-7);
+        assert!((d.mean_abs() - 2e-7).abs() < 1e-20);
+        assert_eq!(p.sanitizer.checks_run[CheckKind::Drift as usize], 3);
+        assert_eq!(p.sanitizer.violations[CheckKind::Drift as usize], 1);
+        assert_eq!(drain_thread_profile().drift, DriftStats::default());
+    }
+
+    #[test]
+    fn merge_sums_counts_and_keeps_the_largest_drift() {
+        let mut a = DriftStats {
+            refreshes: 2,
+            sum_abs: 3e-7,
+            max_abs: 2e-7,
+        };
+        a.merge(&DriftStats {
+            refreshes: 1,
+            sum_abs: 1e-7,
+            max_abs: 1e-7,
+        });
+        assert_eq!(a.refreshes, 3);
+        assert_eq!(a.max_abs, 2e-7);
+        let mut s = SanitizerStats::default();
+        s.checks_run[1] = 4;
+        s.violations[2] = 1;
+        let mut t = s;
+        t.merge(&s);
+        assert_eq!((t.checks_run[1], t.violations[2]), (8, 2));
     }
 }

@@ -4,7 +4,9 @@
 //! paper: every hot kernel (Fig. 2 / Fig. 7 categories) accumulates wall
 //! time and call counts into thread-local slots; worker threads drain their
 //! local profile into a shared one at block boundaries, so the timing path
-//! itself is lock-free.
+//! itself is lock-free. The same per-thread [`Profile`] carries the
+//! sanitizer and drift counters ([`crate::sanitize`]), so one drain moves
+//! every per-run counter.
 //!
 //! ## Sampled timing
 //!
@@ -42,6 +44,8 @@ use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
+
+use crate::sanitize::{DriftStats, SanitizerStats, NUM_CHECKS};
 
 /// Hot-spot categories used in the paper's profiles (Fig. 2 and Fig. 7).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -169,10 +173,15 @@ impl KernelStats {
     }
 }
 
-/// A full per-kernel profile.
+/// A full per-kernel profile, plus the sanitizer and drift counters of the
+/// same thread or run (see [`crate::sanitize`]).
 #[derive(Clone, Debug, Default)]
 pub struct Profile {
     stats: [KernelStats; NUM_KERNELS],
+    /// Finite and drift checks run, and violations.
+    pub sanitizer: SanitizerStats,
+    /// Mixed-precision |Δ log ψ| at from-scratch refreshes.
+    pub drift: DriftStats,
 }
 
 impl Profile {
@@ -186,11 +195,14 @@ impl Profile {
         &mut self.stats[k as usize]
     }
 
-    /// Merges `other` into `self`.
+    /// Merges `other` into `self`: counts and times add, and the drift
+    /// maximum is the larger of the two.
     pub fn merge(&mut self, other: &Profile) {
         for i in 0..NUM_KERNELS {
             self.stats[i].merge(&other.stats[i]);
         }
+        self.sanitizer.merge(&other.sanitizer);
+        self.drift.merge(&other.drift);
     }
 
     /// Total timed seconds across all kernels.
@@ -255,9 +267,9 @@ impl Profile {
 
 /// A shared profile plus per-group (worker-thread or crowd) sub-profiles.
 ///
-/// Drivers hold one of these behind a mutex; each worker drains its
-/// thread-local profile into its own group at block boundaries, and the
-/// group merge also feeds the aggregate, so `total` is always the sum of
+/// Drivers own one of these; each worker's drained thread-local profile
+/// merges into its own group after the fan-out's join, and the group
+/// merge also feeds the aggregate, so `total` is always the sum of
 /// the groups plus any ungrouped (coordinator) time.
 #[derive(Clone, Debug, Default)]
 pub struct ProfileSet {
@@ -331,6 +343,15 @@ thread_local! {
                     flops: 0,
                     bytes: 0,
                 }; NUM_KERNELS],
+                sanitizer: SanitizerStats {
+                    checks_run: [0; NUM_CHECKS],
+                    violations: [0; NUM_CHECKS],
+                },
+                drift: DriftStats {
+                    refreshes: 0,
+                    sum_abs: 0.0,
+                    max_abs: 0.0,
+                },
             }),
             sampler: Cell::new(0),
         }
@@ -381,7 +402,7 @@ fn weighted_nanos(interval: u64, self_cost: u64) -> u64 {
 fn record_timed(k: Kernel, start: Instant) {
     let interval = interval_ns(start);
     let nanos = weighted_nanos(interval, self_cost_ns());
-    LOCAL.with(|l| l.profile.borrow_mut().get_mut(k).nanos += nanos);
+    with_thread_profile(|p| p.get_mut(k).nanos += nanos);
 }
 
 /// Runs the closure under kernel `k`: counts the call in the thread-local
@@ -400,11 +421,16 @@ pub fn time_kernel<R>(k: Kernel, f: impl FnOnce() -> R) -> R {
     r
 }
 
+/// Runs `f` on the calling thread's profile.
+#[inline]
+pub(crate) fn with_thread_profile<R>(f: impl FnOnce(&mut Profile) -> R) -> R {
+    LOCAL.with(|l| f(&mut l.profile.borrow_mut()))
+}
+
 /// Records model-counted FLOPs and bytes for kernel `k` (no timing).
 #[inline]
 pub fn add_flops_bytes(k: Kernel, flops: u64, bytes: u64) {
-    LOCAL.with(|l| {
-        let mut p = l.profile.borrow_mut();
+    with_thread_profile(|p| {
         let s = p.get_mut(k);
         s.flops += flops;
         s.bytes += bytes;
@@ -415,14 +441,14 @@ pub fn add_flops_bytes(k: Kernel, flops: u64, bytes: u64) {
 /// thread calls this at the end of its walker block and merges the result
 /// into a shared profile. The sampler stream carries on undisturbed.
 pub fn drain_thread_profile() -> Profile {
-    LOCAL.with(|l| std::mem::take(&mut *l.profile.borrow_mut()))
+    with_thread_profile(std::mem::take)
 }
 
 /// Merges `profile` back into the calling thread's profile — the inverse
 /// of [`drain_thread_profile`], for a caller that drained on behalf of
 /// code which reads the thread-local itself.
 pub fn merge_thread_profile(profile: &Profile) {
-    LOCAL.with(|l| l.profile.borrow_mut().merge(profile));
+    with_thread_profile(|p| p.merge(profile));
 }
 
 #[cfg(test)]

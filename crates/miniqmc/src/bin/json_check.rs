@@ -2,7 +2,8 @@
 //! parser, and exits nonzero (with a message) when it is empty or
 //! malformed. Used by `ci.sh` to smoke-test `miniqmc --profile json`:
 //! a `qmc-run-report/1` document must also attribute no more time to
-//! kernels than the run had, and carry no sanitizer violations.
+//! kernels than the run had, and show that the sanitizer ran (some
+//! checks) and saw nothing (no violations).
 //!
 //! ```text
 //! miniqmc --benchmark graphite --profile json | json_check
@@ -28,6 +29,8 @@ fn number(obj: &JsonValue, key: &str) -> Result<f64, String> {
 /// Σ `kernels.*.seconds` ≤ `seconds` × `threads` (busy shares sum to at
 /// most 1). Kernel seconds are sampled estimates, so the sum gate is only
 /// as tight as the run is long; `ci.sh` sizes its smoke runs for that.
+/// Then checks the sanitizer block: `total_checks` > 0 and
+/// `total_violations` == 0.
 fn check_run_report(v: &JsonValue) -> Result<(), String> {
     let kernels = member(v, "kernels")?
         .as_obj()
@@ -46,6 +49,20 @@ fn check_run_report(v: &JsonValue) -> Result<(), String> {
         return Err(format!(
             "kernel seconds sum to {sum:.6} s, more than the run's {wall:.6} s x {threads} \
              thread(s): busy shares add up to more than 1"
+        ));
+    }
+    // The runtime sanitizer: a run that saw non-finite accumulator values
+    // or out-of-bound drift fails, and so does one that made no checks —
+    // a sanitizer that stopped counting.
+    let sanitizer = member(v, "sanitizer")?;
+    let checks = number(sanitizer, "total_checks")?;
+    if checks <= 0.0 {
+        return Err("sanitizer made no checks".into());
+    }
+    let violations = number(sanitizer, "total_violations")?;
+    if violations > 0.0 {
+        return Err(format!(
+            "sanitizer reported {violations} invariant violation(s)"
         ));
     }
     Ok(())
@@ -73,18 +90,6 @@ fn main() {
                 };
                 if let Err(msg) = checked {
                     eprintln!("json_check: {msg}");
-                    std::process::exit(1);
-                }
-                // Gate on the runtime sanitizer: a `checked` build that
-                // observed non-finite accumulator values or out-of-bound
-                // drift must fail CI, not just note it in the report.
-                let violations = v
-                    .get("sanitizer")
-                    .and_then(|s| s.get("total_violations"))
-                    .and_then(JsonValue::as_f64)
-                    .unwrap_or(0.0);
-                if violations > 0.0 {
-                    eprintln!("json_check: sanitizer reported {violations} invariant violation(s)");
                     std::process::exit(1);
                 }
                 println!("json_check: ok (schema {schema})");

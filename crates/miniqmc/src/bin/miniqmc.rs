@@ -347,12 +347,13 @@ fn main() {
                 out.table_bytes as f64 / (1 << 20) as f64,
                 out.anon_huge_bytes as f64 / (1 << 20) as f64
             );
-            if out.drift.refreshes > 0 {
+            let drift = &out.profile.drift;
+            if drift.refreshes > 0 {
                 println!(
                     "mp drift         mean |dlogpsi| {:.3e}, max {:.3e} over {} refreshes",
-                    out.drift.mean_abs(),
-                    out.drift.max_abs,
-                    out.drift.refreshes
+                    drift.mean_abs(),
+                    drift.max_abs,
+                    drift.refreshes
                 );
             }
             println!();

@@ -338,6 +338,10 @@ fn golden_json_report_covers_all_kernels_within_wall_time() {
     assert!(v.get("e_trial_trace").unwrap().as_arr().unwrap().len() == STEPS);
     // Per-worker profiles: one group for the single thread.
     assert_eq!(v.get("crowd_kernels").unwrap().as_arr().unwrap().len(), 1);
+    // The sanitizer always counts, and a clean run violates nothing.
+    let san = v.get("sanitizer").expect("sanitizer object");
+    assert!(san.get("total_checks").unwrap().as_f64().unwrap() > 0.0);
+    assert_eq!(san.get("total_violations").unwrap().as_f64(), Some(0.0));
 }
 
 /// Pipes `doc` through `json_check`: (exit success, stderr).
@@ -363,13 +367,16 @@ fn check(doc: &str) -> (bool, String) {
     )
 }
 
+/// A clean sanitizer block: checks ran, none failed.
+const CLEAN_SANITIZER: &str = r#""sanitizer":{"total_checks":40,"total_violations":0}"#;
+
 /// `json_check` gates a run report's attribution: kernel seconds must be
 /// finite and ≥ 0 and sum to no more than `seconds` × `threads`.
 #[test]
 fn json_check_rejects_kernel_time_beyond_wall_time() {
     let report = |j2: &str, det: &str| {
         format!(
-            r#"{{"schema":"{}","seconds":0.5,"threads":2,"kernels":{{"J2":{{"seconds":{j2},"calls":9}},"DetRatio":{{"seconds":{det},"calls":3}}}}}}"#,
+            r#"{{"schema":"{}","seconds":0.5,"threads":2,"kernels":{{"J2":{{"seconds":{j2},"calls":9}},"DetRatio":{{"seconds":{det},"calls":3}}}},{CLEAN_SANITIZER}}}"#,
             qmc_instrument::RUN_REPORT_SCHEMA
         )
     };
@@ -387,6 +394,38 @@ fn json_check_rejects_kernel_time_beyond_wall_time() {
     let (ok, stderr) = check(&report("null", "0.1"));
     assert!(!ok, "a non-finite kernel time was accepted");
     assert!(stderr.contains("`J2` seconds"), "{stderr}");
+}
+
+/// `json_check` gates a run report's sanitizer block: a run must have made
+/// checks (a sanitizer that stopped counting reads 0) and seen no
+/// violation.
+#[test]
+fn json_check_requires_sanitizer_checks_and_no_violations() {
+    let report = |sanitizer: &str| {
+        format!(
+            r#"{{"schema":"{}","seconds":0.5,"threads":1,"kernels":{{"J2":{{"seconds":0.1,"calls":9}}}}{sanitizer}}}"#,
+            qmc_instrument::RUN_REPORT_SCHEMA
+        )
+    };
+
+    let (ok, stderr) = check(&report(&format!(",{CLEAN_SANITIZER}")));
+    assert!(ok, "40 checks, no violations: {stderr}");
+
+    let (ok, stderr) = check(&report(
+        r#","sanitizer":{"total_checks":0,"total_violations":0}"#,
+    ));
+    assert!(!ok, "a report with zero sanitizer checks was accepted");
+    assert!(stderr.contains("no checks"), "{stderr}");
+
+    let (ok, stderr) = check(&report(
+        r#","sanitizer":{"total_checks":40,"total_violations":1}"#,
+    ));
+    assert!(!ok, "a sanitizer violation was accepted");
+    assert!(stderr.contains("1 invariant violation"), "{stderr}");
+
+    let (ok, stderr) = check(&report(""));
+    assert!(!ok, "a report without a sanitizer block was accepted");
+    assert!(stderr.contains("`sanitizer`"), "{stderr}");
 }
 
 #[test]

@@ -575,11 +575,6 @@ impl<T: Real> MwRowStage<T> {
     pub fn dist_row(&self, r: usize) -> &[T] {
         &self.dist.as_slice()[r * self.stride..r * self.stride + self.n]
     }
-
-    /// Bytes of staging storage (memory ledger).
-    pub fn bytes(&self) -> usize {
-        self.dist.len() * std::mem::size_of::<T>()
-    }
 }
 
 /// Fills row `r` of `stage` with the candidate distances from

@@ -12,10 +12,7 @@ use qmc_drivers::{
     run_vmc, Batching, CheckpointError, CheckpointSpec, Crew, DmcParams, DmcResult, DriverKind,
     QmcEngine, RunControl, VmcParams,
 };
-use qmc_instrument::{
-    take_drift_stats, take_sanitizer_stats, BlockEvent, DriftStats, Profile, RunReport,
-    SanitizerStats,
-};
+use qmc_instrument::{BlockEvent, Profile, RunReport};
 
 /// Execution configuration for one benchmark run.
 #[derive(Clone, Copy, Debug)]
@@ -81,7 +78,9 @@ pub struct RunOutcome {
     pub seconds: f64,
     /// Monte Carlo samples generated after warmup.
     pub samples: u64,
-    /// Per-kernel profile merged over all threads.
+    /// Per-kernel profile merged over all threads, with the run's
+    /// sanitizer checks and mixed-precision `log ψ` drift at from-scratch
+    /// refreshes.
     pub profile: Profile,
     /// Per-thread / per-crowd kernel profiles, in chunk order.
     pub crowd_profiles: Vec<Profile>,
@@ -95,11 +94,6 @@ pub struct RunOutcome {
     pub e_trial_trace: Vec<f64>,
     /// Final trial energy.
     pub e_trial: f64,
-    /// Mixed-precision log psi drift observed at from-scratch refreshes.
-    pub drift: DriftStats,
-    /// Runtime invariant sanitizer counters (all zero unless built with
-    /// the `checked` feature).
-    pub sanitizer: SanitizerStats,
     /// Bytes of one walker (positions + anonymous buffer).
     pub walker_bytes: usize,
     /// Bytes of one engine (wavefunction internals + distance tables).
@@ -173,8 +167,6 @@ impl RunOutcome {
             e_trial_trace: self.e_trial_trace.clone(),
             profile: self.profile.clone(),
             crowd_profiles: self.crowd_profiles.clone(),
-            drift: self.drift,
-            sanitizer: self.sanitizer,
             walker_bytes: self.walker_bytes as u64,
             engine_bytes: self.engine_bytes as u64,
             table_bytes: self.table_bytes as u64,
@@ -251,10 +243,6 @@ fn run_on_crew<T: Real, C: Crew<T>>(
         checkpoint: ctl.checkpoint,
         on_block: ctl.on_block,
     };
-    // Reset the global drift and sanitizer counters so the run owns what
-    // it reports.
-    take_drift_stats();
-    take_sanitizer_stats();
     let (walkers, res, profile, seconds) = match driver {
         DriverKind::Dmc => {
             let (state, mut walkers) = match ctl.resume.map(read_dmc_checkpoint).transpose()? {
@@ -306,8 +294,6 @@ fn run_on_crew<T: Real, C: Crew<T>>(
         population: res.population,
         e_trial_trace: res.e_trial_trace,
         e_trial: res.e_trial,
-        drift: take_drift_stats(),
-        sanitizer: take_sanitizer_stats(),
         walker_bytes: walkers.first().map_or(0, qmc_drivers::Walker::bytes),
         engine_bytes: crew[0].slot_mut(0).bytes(),
         table_bytes: workload.table_bytes(code.single_precision()),

@@ -14,10 +14,51 @@
 //! | `Ref+MP`  | AoS    | f32/f64   | `5 N^2` stored  | packed triangle |
 //! | `Current` | SoA    | f32/f64   | `5 N` on-the-fly| padded rows + forward update |
 //!
-//! See the [`qmc_core::prelude`] (re-exported here as [`prelude`]) for the
-//! main types, the `examples/` directory for runnable walkthroughs, and
-//! the `qmc-bench` crate for the harnesses that regenerate every figure
-//! and table of the paper's evaluation.
+//! This crate re-exports every workspace crate under a short name
+//! ([`drivers`], [`workloads`], ...), gathers the main types in
+//! [`prelude`], and provides the [`simulation`] builder that assembles a
+//! benchmark run in a few lines. See the `examples/` directory for
+//! runnable walkthroughs, and the `qmc-bench` crate for the harnesses that
+//! regenerate every figure and table of the paper's evaluation.
 
-pub use qmc_core::prelude;
-pub use qmc_core::*;
+// Physics crate (DESIGN §5c): its non-test code names none of the types
+// and calls none of the methods `clippy.toml` disallows, and each cast it
+// makes carries an `#[expect(.., reason)]`.
+#![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::disallowed_methods))]
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+#![cfg_attr(not(test), warn(clippy::cast_precision_loss, clippy::cast_lossless))]
+
+pub use qmc_bspline as bspline;
+pub use qmc_containers as containers;
+pub use qmc_crowd as crowd;
+pub use qmc_drivers as drivers;
+pub use qmc_hamiltonian as hamiltonian;
+pub use qmc_instrument as instrument;
+pub use qmc_kernels as kernels;
+pub use qmc_linalg as linalg;
+pub use qmc_particles as particles;
+pub use qmc_wavefunction as wavefunction;
+pub use qmc_workloads as workloads;
+
+/// Frequently used items in one import.
+pub mod prelude {
+    pub use qmc_containers::{Matrix, Pos, Real, TinyVector, VectorSoaContainer};
+    pub use qmc_crowd::{Crowd, CrowdScheduler};
+    pub use qmc_drivers::{
+        initial_population, run_dmc, run_vmc, Batching, Crew, DmcParams, DmcResult, HamiltonianSet,
+        QmcEngine, RunControl, VmcParams, VmcResult, Walker,
+    };
+    pub use qmc_hamiltonian::{kinetic_energy, CoulombEE, CoulombEI, LocalEnergy, NonLocalPP};
+    pub use qmc_instrument::{Kernel, Profile};
+    pub use qmc_kernels::Backend;
+    pub use qmc_particles::{CrystalLattice, Layout, ParticleSet, Species};
+    pub use qmc_wavefunction::{
+        BsplineSpo, CosineSpo, DiracDeterminant, J1Ref, J1Soa, J2Ref, J2Soa, PairFunctors,
+        TrialWaveFunction,
+    };
+    pub use qmc_workloads::{
+        run_dmc_benchmark, Benchmark, CodeVersion, RunConfig, RunOutcome, Size, Workload,
+    };
+}
+
+pub mod simulation;

@@ -1,8 +1,8 @@
 //! High-level simulation builder: benchmark runs in a few lines.
 //!
 //! ```
-//! use qmc_core::simulation::Simulation;
-//! use qmc_core::prelude::*;
+//! use qmc::prelude::*;
+//! use qmc::simulation::Simulation;
 //!
 //! let result = Simulation::new(Benchmark::NiO32)
 //!     .code(CodeVersion::Current)
