@@ -9,7 +9,7 @@
 //! be measured using different build options and miniapps" — this binary
 //! is that measurement).
 
-use qmc_bench::{mib, run_best, run_best_batched, HarnessConfig};
+use qmc_bench::{mib, run_report, HarnessConfig};
 use qmc_workloads::{Batching, Benchmark, CodeVersion};
 
 fn main() {
@@ -34,7 +34,7 @@ fn main() {
 
     let (mut base, mut prev) = (0.0f64, 0.0f64);
     for code in ladder {
-        let out = run_best(&w, code, &cfg);
+        let out = run_report(&w, code, &cfg, Batching::PerWalker);
         let thr = out.throughput();
         if base == 0.0 {
             base = thr;
@@ -42,12 +42,12 @@ fn main() {
         }
         println!(
             "{:<18} {:>12.1} {:>8.2}x {:>8.2}x {:>12.2} {:>10.2}",
-            out.label,
+            out.code,
             thr,
             thr / base,
             thr / prev,
             mib(out.walker_bytes),
-            out.energy.0
+            out.energy_mean
         );
         prev = thr;
     }
@@ -56,16 +56,16 @@ fn main() {
     // batched mw_* kernel path) instead of walker-at-a-time. Statistics
     // are bitwise identical to the Current row; only scheduling changes.
     let crowd = cfg.walkers.max(1);
-    let out = run_best_batched(&w, CodeVersion::Current, &cfg, Batching::Crowd(crowd));
+    let out = run_report(&w, CodeVersion::Current, &cfg, Batching::Crowd(crowd));
     let thr = out.throughput();
     println!(
         "{:<18} {:>12.1} {:>8.2}x {:>8.2}x {:>12.2} {:>10.2}",
-        format!("{}+crowd({crowd})", out.label),
+        format!("{}+crowd({crowd})", out.code),
         thr,
         thr / base,
         thr / prev,
         mib(out.walker_bytes),
-        out.energy.0
+        out.energy_mean
     );
     println!(
         "\n(each rung should be >= the previous, with the biggest jumps from\n\

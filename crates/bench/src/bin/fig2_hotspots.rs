@@ -6,7 +6,7 @@
 //! Current kernel share is scaled by `T_current / T_ref`, so shrinking
 //! bars show where the time went.
 
-use qmc_bench::{run_report, run_report_batched, HarnessConfig};
+use qmc_bench::{run_report, HarnessConfig};
 use qmc_instrument::ALL_KERNELS;
 use qmc_workloads::{Batching, Benchmark, CodeVersion};
 
@@ -20,8 +20,8 @@ fn main() {
             w.num_electrons()
         );
 
-        let ref_out = run_report(&w, CodeVersion::Ref, &cfg);
-        let cur_out = run_report(&w, CodeVersion::Current, &cfg);
+        let ref_out = run_report(&w, CodeVersion::Ref, &cfg, Batching::PerWalker);
+        let cur_out = run_report(&w, CodeVersion::Current, &cfg, Batching::PerWalker);
         let speed = ref_out.seconds / cur_out.seconds;
 
         let t_ref = ref_out.profile.total_seconds();
@@ -57,7 +57,7 @@ fn main() {
         // the fused multi-walker kernel, so `Bspline-mw-vgl` is live here
         // (it is structurally zero in the per-walker profiles above).
         let crowd = cfg.walkers.clamp(1, 4);
-        let crowd_out = run_report_batched(&w, CodeVersion::Current, &cfg, Batching::Crowd(crowd));
+        let crowd_out = run_report(&w, CodeVersion::Current, &cfg, Batching::Crowd(crowd));
         let t_crowd = crowd_out.profile.total_seconds();
         println!("\nCurrent, crowd({crowd}) batching — batched-kernel shares:");
         for &k in &ALL_KERNELS {

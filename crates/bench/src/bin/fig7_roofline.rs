@@ -8,9 +8,9 @@
 //! mixed-precision transformation moves DistTable, J2, Bspline-vgh and
 //! SPO-vgl up and to the right.
 
-use qmc_bench::{run_best, HarnessConfig};
+use qmc_bench::{run_report, HarnessConfig};
 use qmc_instrument::{probe_machine, Kernel};
-use qmc_workloads::{Benchmark, CodeVersion};
+use qmc_workloads::{Batching, Benchmark, CodeVersion};
 
 const ROOFLINE_KERNELS: [Kernel; 6] = [
     Kernel::DistTableAA,
@@ -42,8 +42,8 @@ fn main() {
         machine.ridge(false)
     );
 
-    let ref_out = run_best(&w, CodeVersion::Ref, &cfg);
-    let cur_out = run_best(&w, CodeVersion::Current, &cfg);
+    let ref_out = run_report(&w, CodeVersion::Ref, &cfg, Batching::PerWalker);
+    let cur_out = run_report(&w, CodeVersion::Current, &cfg, Batching::PerWalker);
 
     println!(
         "{:<14} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",

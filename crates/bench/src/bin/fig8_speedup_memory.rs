@@ -6,8 +6,8 @@
 //! per-thread engine state + per-walker buffers
 //! (`gamma (N_th + N_w) N^2` + table).
 
-use qmc_bench::{mib, run_best, HarnessConfig};
-use qmc_workloads::{Benchmark, CodeVersion};
+use qmc_bench::{mib, run_report, HarnessConfig};
+use qmc_workloads::{Batching, Benchmark, CodeVersion};
 
 fn main() {
     let cfg = HarnessConfig::from_env();
@@ -27,21 +27,20 @@ fn main() {
 
         let mut base = 0.0f64;
         for code in CodeVersion::paper_ladder() {
-            let out = run_best(&w, code, &cfg);
+            let out = run_report(&w, code, &cfg, Batching::PerWalker);
             let thr = out.throughput();
             if base == 0.0 {
                 base = thr;
             }
-            let total = out.total_bytes(cfg.threads, cfg.walkers);
             println!(
                 "{:<10} {:>14.1} {:>9.2}x {:>12.1} {:>12.2} {:>12.2} {:>12.1}",
-                out.label,
+                out.code,
                 thr,
                 thr / base,
                 mib(out.table_bytes),
                 mib(out.engine_bytes),
                 mib(out.walker_bytes),
-                mib(total)
+                mib(out.total_bytes())
             );
         }
     }

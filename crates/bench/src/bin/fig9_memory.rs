@@ -5,9 +5,9 @@
 //! node-memory model (table + N_th engines + N_w walker buffers) for both
 //! versions, plus the measured process RSS as a cross-check.
 
-use qmc_bench::{mib, run_best, HarnessConfig};
+use qmc_bench::{mib, run_report, HarnessConfig};
 use qmc_instrument::current_rss_bytes;
-use qmc_workloads::{Benchmark, CodeVersion};
+use qmc_workloads::{Batching, Benchmark, CodeVersion};
 
 fn main() {
     let cfg = HarnessConfig::from_env();
@@ -22,10 +22,8 @@ fn main() {
 
     for b in Benchmark::all() {
         let w = cfg.workload(b);
-        let r = run_best(&w, CodeVersion::Ref, &cfg);
-        let c = run_best(&w, CodeVersion::Current, &cfg);
-        let mr = r.total_bytes(cfg.threads, cfg.walkers);
-        let mc = c.total_bytes(cfg.threads, cfg.walkers);
+        let mr = run_report(&w, CodeVersion::Ref, &cfg, Batching::PerWalker).total_bytes();
+        let mc = run_report(&w, CodeVersion::Current, &cfg, Batching::PerWalker).total_bytes();
         println!(
             "{:<10} {:>6} {:>14.1} {:>14.1} {:>9.2}x",
             w.spec.name,
@@ -36,7 +34,7 @@ fn main() {
         );
     }
     if let Some(rss) = current_rss_bytes() {
-        println!("\nprocess RSS after all runs: {:.1} MiB", mib(rss as usize));
+        println!("\nprocess RSS after all runs: {:.1} MiB", mib(rss));
     }
     println!(
         "\n(expected shape per the paper: up to ~3.8x reduction, growing with\n\

@@ -5,7 +5,7 @@
 //! the 1.3-5x band, largest for the biggest problem (NiO-64), smallest for
 //! the all-electron Be-64 / small problems.
 
-use qmc_bench::{run_report, run_report_batched, HarnessConfig};
+use qmc_bench::{run_report, HarnessConfig};
 use qmc_workloads::{Batching, Benchmark, CodeVersion};
 
 fn main() {
@@ -27,11 +27,11 @@ fn main() {
     let mut crowd_speedups = Vec::new();
     for b in Benchmark::all() {
         let w = cfg.workload(b);
-        let r = run_report(&w, CodeVersion::Ref, &cfg);
-        let c = run_report(&w, CodeVersion::Current, &cfg);
+        let r = run_report(&w, CodeVersion::Ref, &cfg, Batching::PerWalker);
+        let c = run_report(&w, CodeVersion::Current, &cfg, Batching::PerWalker);
         // Crowd batching drives the fused multi-walker SPO kernel
         // (`Bspline-mw-vgl`), so the table also reports the batched path.
-        let cc = run_report_batched(&w, CodeVersion::Current, &cfg, Batching::Crowd(crowd));
+        let cc = run_report(&w, CodeVersion::Current, &cfg, Batching::Crowd(crowd));
         let s = c.throughput() / r.throughput();
         speedups.push((w.spec.name, s));
         crowd_speedups.push((w.spec.name, cc.throughput() / r.throughput()));

@@ -6,7 +6,8 @@
 //! from the scaled default to paper-sized problems.
 
 use miniqmc::{at_least, Options};
-use qmc_workloads::{Benchmark, CodeVersion, RunConfig, Size, Workload};
+use qmc_instrument::RunReport;
+use qmc_workloads::{Batching, Benchmark, CodeVersion, RunConfig, Size, Workload};
 
 /// Common harness configuration parsed from `std::env::args`.
 #[derive(Clone, Copy, Debug)]
@@ -80,72 +81,28 @@ impl HarnessConfig {
     }
 }
 
-/// Runs a benchmark `cfg.reps` times and returns the best-throughput
-/// outcome (timing noise suppression; statistics/memory are identical
-/// across reps because the Monte Carlo streams are seeded).
-pub fn run_best(
-    workload: &Workload,
-    code: CodeVersion,
-    cfg: &HarnessConfig,
-) -> qmc_workloads::RunOutcome {
-    run_best_batched(workload, code, cfg, qmc_workloads::Batching::PerWalker)
-}
-
-/// [`run_best`] with an explicit walker-batching mode, for comparing the
-/// per-walker drive against lock-step crowds of the same population.
-pub fn run_best_batched(
-    workload: &Workload,
-    code: CodeVersion,
-    cfg: &HarnessConfig,
-    batching: qmc_workloads::Batching,
-) -> qmc_workloads::RunOutcome {
-    let rc = RunConfig {
-        batching,
-        // The bench harness measures the batched code path, so crowd runs
-        // opt into the fused block refresh — this is what keeps the
-        // `Bspline-mw-vgl` column live in the reports.
-        fused_refresh: matches!(batching, qmc_workloads::Batching::Crowd(_)),
-        ..cfg.run_config()
-    };
-    let mut best: Option<qmc_workloads::RunOutcome> = None;
-    for _ in 0..cfg.reps.max(1) {
-        let out = qmc_workloads::run_dmc_benchmark(workload, code, &rc);
-        let better = match &best {
-            Some(b) => out.throughput() > b.throughput(),
-            None => true,
-        };
-        if better {
-            best = Some(out);
-        }
-    }
-    best.unwrap()
-}
-
-/// Runs a benchmark like [`run_best`] and returns the structured
-/// [`qmc_instrument::RunReport`] — the same aggregate `miniqmc --profile
-/// json` emits, so every figure/table binary reports from one source of
-/// truth instead of private counters.
+/// Runs a DMC benchmark `cfg.reps` times and returns the
+/// best-throughput run's [`RunReport`] — the same aggregate `miniqmc`
+/// renders, so every figure/table binary reports from one source. The
+/// best rep suppresses timing noise; statistics and memory are identical
+/// across reps because the Monte Carlo streams are seeded. Crowd runs
+/// opt into the fused block refresh, which keeps the `Bspline-mw-vgl`
+/// column live.
 pub fn run_report(
     workload: &Workload,
     code: CodeVersion,
     cfg: &HarnessConfig,
-) -> qmc_instrument::RunReport {
-    run_report_batched(workload, code, cfg, qmc_workloads::Batching::PerWalker)
-}
-
-/// [`run_report`] with an explicit walker-batching mode.
-pub fn run_report_batched(
-    workload: &Workload,
-    code: CodeVersion,
-    cfg: &HarnessConfig,
-    batching: qmc_workloads::Batching,
-) -> qmc_instrument::RunReport {
+    batching: Batching,
+) -> RunReport {
     let rc = RunConfig {
         batching,
-        fused_refresh: matches!(batching, qmc_workloads::Batching::Crowd(_)),
+        fused_refresh: matches!(batching, Batching::Crowd(_)),
         ..cfg.run_config()
     };
-    run_best_batched(workload, code, cfg, batching).report(workload, &rc)
+    (0..cfg.reps.max(1))
+        .map(|_| qmc_workloads::run_dmc_benchmark(workload, code, &rc).report(workload, &rc))
+        .max_by(|a, b| a.throughput().total_cmp(&b.throughput()))
+        .expect("at least one rep")
 }
 
 /// GiB formatting helper.
@@ -154,7 +111,7 @@ pub fn gib(bytes: usize) -> f64 {
 }
 
 /// MiB formatting helper.
-pub fn mib(bytes: usize) -> f64 {
+pub fn mib(bytes: u64) -> f64 {
     bytes as f64 / (1u64 << 20) as f64
 }
 

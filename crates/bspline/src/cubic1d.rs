@@ -92,11 +92,6 @@ impl<T: Real> CubicBspline1D<T> {
         self.r_cut
     }
 
-    /// Number of control coefficients.
-    pub fn num_coefficients(&self) -> usize {
-        self.coefs.len()
-    }
-
     /// Value `U(r)`; zero at and beyond the cutoff.
     #[inline]
     pub fn evaluate(&self, r: T) -> T {

@@ -45,11 +45,6 @@ impl CrowdScheduler {
         self.crowd_size
     }
 
-    /// Total engines the crew will own.
-    pub fn num_engines(&self) -> usize {
-        self.threads * self.crowd_size
-    }
-
     /// Instantiates one crowd per thread from an engine factory.
     pub fn build_crowds<T: Real>(
         &self,

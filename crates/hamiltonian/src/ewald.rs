@@ -27,7 +27,7 @@
 )]
 
 use qmc_containers::{Pos, Real};
-use qmc_particles::{CrystalLattice, ParticleSet};
+use qmc_particles::CrystalLattice;
 
 /// Complementary error function (Abramowitz & Stegun 7.1.26, |eps| < 1.5e-7).
 pub fn erfc(x: f64) -> f64 {
@@ -180,15 +180,6 @@ impl Ewald {
         let e_bg = -PI / (2.0 * a * a * self.volume) * qtot * qtot;
 
         e_real + e_recip + e_self + e_bg
-    }
-
-    /// Ewald energy of all charged particles in a [`ParticleSet`].
-    pub fn energy_of_set<T: Real>(&self, p: &ParticleSet<T>) -> f64 {
-        let n = p.len();
-        let mut r = vec![qmc_containers::TinyVector::zero(); n];
-        p.store_positions(&mut r);
-        let q: Vec<f64> = (0..n).map(|i| p.charge_of(i)).collect();
-        self.energy(&r, &q)
     }
 }
 

@@ -11,7 +11,7 @@
 //!   intensity axis (Intel Advisor).
 //! * [`roofline`] — a microbenchmark probe of the host's compute and
 //!   bandwidth ceilings.
-//! * [`memory`] — an allocation ledger plus process RSS for the footprint
+//! * [`memory`] — process RSS and huge-page backing for the footprint
 //!   studies of Fig. 8 / Fig. 9.
 //! * [`span`] — scoped per-thread/per-crowd/per-block spans exportable as
 //!   Chrome `trace_event` JSON.
@@ -35,7 +35,7 @@ pub mod stream;
 pub mod timer;
 
 pub use ftz::enable_ftz;
-pub use memory::{anon_huge_bytes, current_rss_bytes, MemoryLedger};
+pub use memory::{anon_huge_bytes, current_rss_bytes};
 pub use report::{RunReport, RUN_REPORT_SCHEMA};
 pub use roofline::{probe_machine, RooflineMachine};
 pub use sanitize::{

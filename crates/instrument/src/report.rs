@@ -1,11 +1,13 @@
 //! Structured run reports.
 //!
-//! One [`RunReport`] aggregates everything a run produces — per-kernel
-//! wall time / call counts / modeled FLOPs+bytes, accept ratio, the
-//! population and trial-energy trajectories, memory footprint, and
-//! mixed-precision drift counters — into a single value that serializes to
-//! JSON (hand-rolled, see [`crate::json`]) for `miniqmc --profile json`
-//! and the bench binaries, or renders as the Fig. 2-style summary table.
+//! One [`RunReport`] aggregates everything a VMC or DMC run produces —
+//! per-kernel wall time / call counts / modeled FLOPs+bytes, accept ratio,
+//! the population and trial-energy trajectories, the figures of merit,
+//! the final population hash, memory footprint, and the sanitizer and
+//! mixed-precision drift counters — into a single value that serializes
+//! to JSON (hand-rolled, see [`crate::json`]) for `miniqmc --profile json`,
+//! or renders as the one human run summary with the Fig. 2-style hot-spot
+//! table (`miniqmc --profile summary`).
 
 use crate::json::JsonWriter;
 use crate::sanitize::ALL_CHECKS;
@@ -22,8 +24,7 @@ pub struct RunReport {
     pub benchmark: String,
     /// Code-version label (optimization-ladder rung).
     pub code: String,
-    /// Kernel backend label the run executed with (`reference` / `simd`;
-    /// empty when the front-end predates the backend seam).
+    /// Kernel backend label the run executed with (`reference` / `simd`).
     pub kernel_backend: String,
     /// Electron count.
     pub electrons: usize,
@@ -33,7 +34,8 @@ pub struct RunReport {
     pub threads: usize,
     /// Walker count at start.
     pub walkers: usize,
-    /// Measured DMC/VMC steps (after warmup).
+    /// Requested run length, warmup included: DMC generations, or VMC
+    /// sweeps.
     pub steps: usize,
     /// Crowd size (0 for the per-walker drive).
     pub crowd_size: usize,
@@ -49,17 +51,21 @@ pub struct RunReport {
     pub energy_err: f64,
     /// Estimated autocorrelation time (steps).
     pub energy_tau: f64,
-    /// Final trial energy after population feedback.
+    /// Final trial energy after population feedback (NaN for VMC, which
+    /// has none).
     pub e_trial: f64,
-    /// Walker population after each step.
+    /// Walker population after each step (empty for VMC).
     pub population: Vec<usize>,
-    /// Trial energy after each step's feedback update.
+    /// Trial energy after each step's feedback update (empty for VMC).
     pub e_trial_trace: Vec<f64>,
     /// Aggregate per-kernel profile, with the run's sanitizer and drift
     /// counters.
     pub profile: Profile,
     /// Per-crowd / per-worker profiles, in chunk order (may be empty).
     pub crowd_profiles: Vec<Profile>,
+    /// FNV-1a digest of the final walker population (full per-walker
+    /// state, RNG streams included) — what the resume-parity gates compare.
+    pub walker_hash: u64,
     /// Bytes per walker (positions + buffers), model-counted.
     pub walker_bytes: u64,
     /// Bytes for the shared engine state (spline table excluded).
@@ -99,9 +105,33 @@ impl RunReport {
         }
     }
 
+    /// DMC efficiency `kappa = 1 / (sigma^2 tau_corr T)` (§3), the figure
+    /// the paper's throughput gains translate into: `sigma` is the
+    /// blocking error of the mean, `tau_corr` its autocorrelation time
+    /// (floored at one step) and `T` the run's wall time. NaN when the run
+    /// has no error estimate (too few blocks) or no time.
+    pub fn kappa(&self) -> f64 {
+        let sigma2 = self.energy_err * self.energy_err;
+        if sigma2 > 0.0 && self.seconds > 0.0 {
+            1.0 / (sigma2 * self.energy_tau.max(1.0) * self.seconds)
+        } else {
+            f64::NAN
+        }
+    }
+
+    /// Node memory model: the shared table, one engine per thread and one
+    /// buffer per walker (the paper's `gamma (N_th + N_w) N^2` plus the
+    /// read-only table).
+    pub fn total_bytes(&self) -> u64 {
+        self.table_bytes
+            + self.threads as u64 * self.engine_bytes
+            + self.walkers as u64 * self.walker_bytes
+    }
+
     /// Serializes the full report as a JSON object. Every kernel category
     /// appears under `"kernels"`, including ones with zero time, so
-    /// consumers can rely on the key set.
+    /// consumers can rely on the key set; undefined numbers (a VMC run's
+    /// `e_trial`, a `kappa` without an error estimate) are `null`.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_obj();
@@ -117,19 +147,17 @@ impl RunReport {
         w.key("crowd_size").u64_val(self.crowd_size as u64);
         w.key("seconds").f64_val(self.seconds);
         w.key("samples").u64_val(self.samples);
-        w.key("throughput_samples_per_s")
-            .f64_val(if self.seconds > 0.0 {
-                self.samples as f64 / self.seconds
-            } else {
-                0.0
-            });
+        w.key("throughput_samples_per_s").f64_val(self.throughput());
         w.key("acceptance").f64_val(self.acceptance);
+        w.key("walker_hash")
+            .str_val(&format!("{:016x}", self.walker_hash));
         w.key("energy");
         w.begin_obj();
         w.key("mean").f64_val(self.energy_mean);
         w.key("err").f64_val(self.energy_err);
         w.key("tau").f64_val(self.energy_tau);
         w.end_obj();
+        w.key("kappa").f64_val(self.kappa());
         w.key("e_trial").f64_val(self.e_trial);
         w.key("population");
         w.begin_arr();
@@ -186,21 +214,20 @@ impl RunReport {
         w.finish()
     }
 
-    /// Renders the human-readable summary: run header, energy line, and
-    /// the Fig. 2-style hot-spot table.
+    /// Renders the human run summary, the same for either driver: run
+    /// header, energy, trial energy and population (DMC only), the final
+    /// population hash, throughput and `kappa`, memory, the numerics
+    /// counters and the Fig. 2-style hot-spot table.
     pub fn to_summary(&self) -> String {
         use std::fmt::Write;
+        let mib = |bytes: u64| bytes as f64 / f64::from(1 << 20);
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "run: {} [{}{}]  e={} i={}  threads={} walkers={} steps={}{}",
+            "run: {} [{}, backend={}]  e={} i={}  threads={} walkers={} steps={}{}",
             self.benchmark,
             self.code,
-            if self.kernel_backend.is_empty() {
-                String::new()
-            } else {
-                format!(", backend={}", self.kernel_backend)
-            },
+            self.kernel_backend,
             self.electrons,
             self.ions,
             self.threads,
@@ -214,23 +241,38 @@ impl RunReport {
         );
         let _ = writeln!(
             out,
-            "energy: {:.6} +/- {:.6} Ha (tau={:.2})  e_trial={:.6}  acceptance={:.4}",
-            self.energy_mean, self.energy_err, self.energy_tau, self.e_trial, self.acceptance
+            "energy: {:.6} +/- {:.6} Ha (tau_corr={:.2})  acceptance={:.4}",
+            self.energy_mean, self.energy_err, self.energy_tau, self.acceptance
         );
+        if self.e_trial.is_finite() {
+            let _ = writeln!(out, "e_trial: {:.6} Ha", self.e_trial);
+        }
+        if let (Some(&first), Some(&last)) = (self.population.first(), self.population.last()) {
+            let _ = writeln!(out, "population: {first} -> {last}");
+        }
+        let _ = writeln!(out, "walker-hash: {:016x}", self.walker_hash);
         let _ = writeln!(
             out,
             "time: {:.3} s  samples: {}  throughput: {:.1}/s",
             self.seconds,
             self.samples,
-            if self.seconds > 0.0 {
-                self.samples as f64 / self.seconds
-            } else {
-                0.0
-            }
+            self.throughput()
         );
-        if let (Some(&first), Some(&last)) = (self.population.first(), self.population.last()) {
-            let _ = writeln!(out, "population: {first} -> {last}");
-        }
+        let _ = writeln!(
+            out,
+            "efficiency: kappa = {:.3e}  (1/(sigma^2 tau_corr T), §3)",
+            self.kappa()
+        );
+        let _ = writeln!(
+            out,
+            "memory: walker {:.2} MiB, engine {:.2} MiB, spline table {:.2} MiB, \
+             huge pages {:.2} MiB, model total {:.2} MiB",
+            mib(self.walker_bytes),
+            mib(self.engine_bytes),
+            mib(self.table_bytes),
+            mib(self.anon_huge_bytes),
+            mib(self.total_bytes())
+        );
         let (drift, sanitizer) = (&self.profile.drift, &self.profile.sanitizer);
         if drift.refreshes > 0 {
             let _ = writeln!(
@@ -241,14 +283,13 @@ impl RunReport {
                 drift.refreshes
             );
         }
-        if sanitizer.total_checks() > 0 {
-            let _ = writeln!(
-                out,
-                "sanitizer: {} checks, {} violations",
-                sanitizer.total_checks(),
-                sanitizer.total_violations()
-            );
-        }
+        let _ = writeln!(
+            out,
+            "sanitizer: {} checks, {} violations",
+            sanitizer.total_checks(),
+            sanitizer.total_violations()
+        );
+        let _ = writeln!(out, "\nhot-spot profile (merged over threads):");
         out.push_str(&self.profile.to_table());
         out
     }
@@ -294,6 +335,7 @@ mod tests {
             e_trial_trace: vec![-1.26, -1.28, -1.29, -1.3],
             profile,
             crowd_profiles: vec![Profile::default(), Profile::default()],
+            walker_hash: 0xDEAD_BEEF,
             walker_bytes: 1024,
             engine_bytes: 4096,
             table_bytes: 65536,
@@ -327,6 +369,13 @@ mod tests {
             memory.get("anon_huge_bytes").unwrap().as_f64(),
             Some(f64::from(4 << 20))
         );
+        assert_eq!(
+            v.get("walker_hash").unwrap().as_str(),
+            Some("00000000deadbeef"),
+            "the hash is 16 hex digits, as in the stream's end record"
+        );
+        let kappa = v.get("kappa").unwrap().as_f64().unwrap();
+        assert!((kappa - r.kappa()).abs() <= 1e-9 * kappa, "{kappa}");
         let san = v.get("sanitizer").unwrap();
         assert_eq!(san.get("total_checks").unwrap().as_f64(), Some(5.0));
         assert!(san.get("enabled").is_none(), "the sanitizer always counts");
@@ -341,12 +390,75 @@ mod tests {
     }
 
     #[test]
+    fn kappa_is_the_section_3_efficiency() {
+        // kappa = 1 / (sigma^2 tau_corr T): 1 / (0.01^2 x 1.5 x 0.5 s).
+        let r = sample_report();
+        let want = 1.0 / (0.01 * 0.01 * 1.5 * 0.5);
+        assert!((r.kappa() - want).abs() <= 1e-9 * want, "{}", r.kappa());
+        // An autocorrelation time below one step counts as one.
+        let short = RunReport {
+            energy_tau: 0.25,
+            ..sample_report()
+        };
+        let want = 1.0 / (0.01 * 0.01 * 0.5);
+        assert!((short.kappa() - want).abs() <= 1e-9 * want);
+    }
+
+    #[test]
+    fn kappa_without_an_error_estimate_is_null() {
+        for err in [0.0, f64::NAN] {
+            let r = RunReport {
+                energy_err: err,
+                ..sample_report()
+            };
+            assert!(r.kappa().is_nan(), "err {err}: kappa {}", r.kappa());
+            let v = json::parse(&r.to_json()).expect("valid JSON");
+            assert!(
+                matches!(v.get("kappa"), Some(json::JsonValue::Null)),
+                "err {err}: kappa must serialize as null"
+            );
+        }
+    }
+
+    #[test]
+    fn total_bytes_is_table_plus_engines_plus_walkers() {
+        // 65536 + 2 threads x 4096 + 8 walkers x 1024.
+        assert_eq!(sample_report().total_bytes(), 65_536 + 8_192 + 8_192);
+    }
+
+    #[test]
     fn summary_contains_hotspots_and_energy() {
         let r = sample_report();
         let s = r.to_summary();
         assert!(s.contains("graphite-1x1x1"));
         assert!(s.contains("Bspline-vgh"));
-        assert!(s.contains("-1.25"));
+        assert!(s.contains("energy: -1.250000 +/- 0.010000"), "{s}");
+        assert!(s.contains("e_trial: -1.300000"), "{s}");
+        assert!(s.contains("population: 8 -> 8"), "{s}");
         assert!(s.contains("mp drift"));
+    }
+
+    #[test]
+    fn vmc_summary_has_no_trial_energy_or_population() {
+        let r = RunReport {
+            e_trial: f64::NAN,
+            population: Vec::new(),
+            e_trial_trace: Vec::new(),
+            ..sample_report()
+        };
+        let s = r.to_summary();
+        assert!(!s.contains("e_trial"), "{s}");
+        assert!(!s.contains("population"), "{s}");
+        let line = |prefix: &str| {
+            s.lines()
+                .find(|l| l.starts_with(prefix))
+                .unwrap_or_else(|| panic!("no `{prefix}` line in {s}"))
+        };
+        assert_eq!(line("walker-hash"), "walker-hash: 00000000deadbeef");
+        assert!(line("efficiency").contains(&format!("{:.3e}", r.kappa())));
+        let memory = line("memory");
+        assert!(memory.contains("huge pages 4.00 MiB"), "{memory}");
+        assert!(memory.contains("spline table 0.06 MiB"), "{memory}");
+        assert!(line("sanitizer").contains("5 checks, 0 violations"));
     }
 }

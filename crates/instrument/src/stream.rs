@@ -1,6 +1,6 @@
 //! Streaming run telemetry: `qmc-run-report-stream/1`.
 //!
-//! The end-of-run [`crate::RunReport`] is useless to a supervisor watching
+//! The end-of-run [`RunReport`] is useless to a supervisor watching
 //! a long production job — by the time it exists, the job is over. This
 //! module streams the same observability data incrementally: one JSON
 //! record per line (NDJSON), appended and flushed as each driver
@@ -14,7 +14,7 @@
 //! * `block` — one completed block/generation: the [`BlockEvent`] delta.
 //! * `trace` — one Chrome-style span ([`TraceEvent`]), when tracing is on.
 //! * `checkpoint` — a checkpoint file was written at this step.
-//! * `end` — final scalars (the run-report headline numbers) plus the
+//! * `end` — final scalars (the [`RunReport`] headline numbers) plus the
 //!   FNV-1a population hash the resume-parity gates compare.
 //!
 //! Every line is a complete JSON object; a reader can join a stream at
@@ -22,6 +22,7 @@
 
 use crate::json::JsonWriter;
 use crate::span::TraceEvent;
+use crate::RunReport;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 
@@ -162,26 +163,19 @@ impl StreamWriter {
         self.emit(&j.finish())
     }
 
-    /// Writes the `end` record with the run's headline scalars and the
+    /// Writes the `end` record: the report's headline scalars and the
     /// final population hash.
-    pub fn end(
-        &mut self,
-        seconds: f64,
-        samples: u64,
-        energy_mean: f64,
-        energy_err: f64,
-        acceptance: f64,
-        walker_hash: u64,
-    ) -> std::io::Result<()> {
+    pub fn end(&mut self, report: &RunReport) -> std::io::Result<()> {
         let mut j = JsonWriter::new();
         j.begin_obj();
         j.key("event").str_val("end");
-        j.key("seconds").f64_val(seconds);
-        j.key("samples").u64_val(samples);
-        j.key("energy_mean").f64_val(energy_mean);
-        j.key("energy_err").f64_val(energy_err);
-        j.key("acceptance").f64_val(acceptance);
-        j.key("walker_hash").str_val(&format!("{walker_hash:016x}"));
+        j.key("seconds").f64_val(report.seconds);
+        j.key("samples").u64_val(report.samples);
+        j.key("energy_mean").f64_val(report.energy_mean);
+        j.key("energy_err").f64_val(report.energy_err);
+        j.key("acceptance").f64_val(report.acceptance);
+        j.key("walker_hash")
+            .str_val(&format!("{:016x}", report.walker_hash));
         j.end_obj();
         self.emit(&j.finish())
     }
@@ -214,7 +208,16 @@ mod tests {
         })
         .expect("block");
         s.checkpoint(1, "ck.qmc").expect("checkpoint");
-        s.end(0.25, 16, -1.5, 0.01, 0.9, 0xDEAD_BEEF).expect("end");
+        s.end(&RunReport {
+            seconds: 0.25,
+            samples: 16,
+            energy_mean: -1.5,
+            energy_err: 0.01,
+            acceptance: 0.9,
+            walker_hash: 0xDEAD_BEEF,
+            ..RunReport::default()
+        })
+        .expect("end");
         drop(s);
 
         let text = std::fs::read_to_string(&path).expect("read back");
@@ -237,6 +240,30 @@ mod tests {
             Some(RUN_STREAM_SCHEMA)
         );
         let last = parse(lines[3]).expect("end parses");
+        let keys: Vec<&str> = last
+            .as_obj()
+            .expect("end is an object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "event",
+                "seconds",
+                "samples",
+                "energy_mean",
+                "energy_err",
+                "acceptance",
+                "walker_hash"
+            ],
+            "the end record's key set is part of the stream schema"
+        );
+        assert_eq!(
+            last.get("energy_mean")
+                .and_then(crate::json::JsonValue::as_f64),
+            Some(-1.5)
+        );
         assert_eq!(
             last.get("walker_hash").and_then(|s| s.as_str()),
             Some("00000000deadbeef")

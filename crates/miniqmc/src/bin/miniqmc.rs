@@ -2,9 +2,10 @@
 //! calculation with particle-by-particle updates and non-local
 //! pseudopotentials on a benchmark workload, for any code version of the
 //! paper's ladder, over a crew of `--threads` engines or crowds. Prints
-//! throughput and the hot-spot profile, or emits the structured run
-//! report / Chrome trace. Long runs can checkpoint (`--checkpoint`),
-//! resume bitwise (`--resume`) and stream telemetry (`--stream`).
+//! the run report, for either driver, as a summary with the hot-spot
+//! profile or as JSON, and can write a Chrome trace. Long runs can
+//! checkpoint (`--checkpoint`), resume bitwise (`--resume`) and stream
+//! telemetry (`--stream`).
 //!
 //! ```text
 //! miniqmc --benchmark nio32 --size scaled --code current \
@@ -191,9 +192,6 @@ fn main() {
     // In JSON mode stdout carries only the report; everything human goes
     // to stderr.
     let json_mode = matches!(mode, ProfileMode::Json);
-    if json_mode && driver == DriverKind::Vmc {
-        fail_usage("--profile json is only available for the DMC driver");
-    }
     macro_rules! say {
         ($($arg:tt)*) => {
             if json_mode { eprintln!($($arg)*) } else { println!($($arg)*) }
@@ -228,9 +226,10 @@ fn main() {
         DriverKind::Dmc => cfg.steps,
         DriverKind::Vmc => {
             let params = cfg.vmc_params();
-            println!(
+            say!(
                 "driver = VMC: {} blocks x {} sweeps",
-                params.blocks, params.steps_per_block
+                params.blocks,
+                params.steps_per_block
             );
             params.blocks
         }
@@ -286,81 +285,22 @@ fn main() {
             None
         },
     };
-    let out =
-        run_benchmark_controlled(&workload, code, &cfg, driver, ctl).unwrap_or_else(|e| match e {
+    let report = run_benchmark_controlled(&workload, code, &cfg, driver, ctl)
+        .unwrap_or_else(|e| match e {
             CheckpointError::Write { .. } => fail_run(&e.to_string()),
             e => fail_run(&format!("cannot resume: {e}")),
-        });
+        })
+        .report(&workload, &cfg);
     if let Some(s) = stream.as_mut() {
-        s.end(
-            out.seconds,
-            out.samples,
-            out.energy.0,
-            out.energy.1,
-            out.acceptance,
-            out.walker_hash,
-        )
-        .ok();
+        s.end(&report).ok();
     }
 
     if json_mode {
-        println!("{}", out.report(&workload, &cfg).to_json());
+        println!("{}", report.to_json());
         return;
     }
-    match driver {
-        DriverKind::Vmc => {
-            println!(
-                "VMC energy {:.4} +- {:.4} (tau_corr {:.1}), acceptance {:.3}",
-                out.energy.0, out.energy.1, out.energy.2, out.acceptance
-            );
-            println!("walker-hash      {:016x}", out.walker_hash);
-            println!(
-                "throughput {:.2} sweeps/s ({} sweeps in {:.3} s)",
-                out.throughput(),
-                out.samples,
-                out.seconds
-            );
-        }
-        DriverKind::Dmc => {
-            println!();
-            println!(
-                "throughput       {:>12.2} samples/s   ({} samples in {:.3} s)",
-                out.throughput(),
-                out.samples,
-                out.seconds
-            );
-            println!(
-                "energy           {:>12.4} +- {:.4}  (tau_corr {:.1})",
-                out.energy.0, out.energy.1, out.energy.2
-            );
-            println!("acceptance       {:>12.3}", out.acceptance);
-            println!("walker-hash      {:016x}", out.walker_hash);
-            println!(
-                "DMC efficiency   {:>12.3e}  (kappa = 1/(sigma^2 tau_corr T_MC), §3)",
-                out.kappa()
-            );
-            println!(
-                "memory           walker {:.2} MiB, engine {:.2} MiB, spline table {:.2} MiB, \
-                 huge pages {:.2} MiB",
-                out.walker_bytes as f64 / (1 << 20) as f64,
-                out.engine_bytes as f64 / (1 << 20) as f64,
-                out.table_bytes as f64 / (1 << 20) as f64,
-                out.anon_huge_bytes as f64 / (1 << 20) as f64
-            );
-            let drift = &out.profile.drift;
-            if drift.refreshes > 0 {
-                println!(
-                    "mp drift         mean |dlogpsi| {:.3e}, max {:.3e} over {} refreshes",
-                    drift.mean_abs(),
-                    drift.max_abs,
-                    drift.refreshes
-                );
-            }
-            println!();
-            println!("hot-spot profile (merged over threads):");
-            print!("{}", out.profile.to_table());
-        }
-    }
+    println!();
+    print!("{}", report.to_summary());
     if let ProfileMode::Trace(path) = mode {
         write_trace(&path);
     }

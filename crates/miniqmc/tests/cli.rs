@@ -796,7 +796,85 @@ fn profiling_modes_do_not_change_results() {
         .as_f64()
         .unwrap();
     assert!(
-        e_summary.contains(&format!("{mean:.4}")),
+        e_summary.contains(&format!("{mean:.6}")),
         "json mean {mean} not consistent with summary: {e_summary}"
     );
+}
+
+/// Runs `miniqmc` with `args` and returns its stdout, failing on a
+/// nonzero exit.
+fn stdout_of(args: &[&str]) -> String {
+    let out = miniqmc().args(args).output().expect("spawn miniqmc");
+    assert!(
+        out.status.success(),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf8 stdout")
+}
+
+/// Both drivers render one `RunReport`: the JSON document and the summary
+/// of the same seeded run agree on the population hash and the energy.
+#[test]
+fn json_report_and_summary_agree_for_both_drivers() {
+    for driver in ["dmc", "vmc"] {
+        let mut args = tiny_args().to_vec();
+        args.extend(["--driver", driver]);
+        let summary = stdout_of(&args);
+        args.extend(["--profile", "json"]);
+        let v = json::parse(&stdout_of(&args)).expect("stdout is one JSON document");
+
+        let hash = v.get("walker_hash").and_then(|h| h.as_str()).expect("hash");
+        assert_eq!(hash.len(), 16, "{driver}: {hash}");
+        assert_eq!(
+            walker_hash_line(summary.as_bytes()),
+            format!("walker-hash: {hash}"),
+            "{driver}"
+        );
+        let mean = v.get("energy").and_then(|e| e.get("mean"));
+        let mean = mean.and_then(json::JsonValue::as_f64).expect("energy.mean");
+        let energy = summary
+            .lines()
+            .find(|l| l.starts_with("energy"))
+            .expect("energy line");
+        assert!(
+            energy.contains(&format!("{mean:.6}")),
+            "{driver}: json mean {mean} not in {energy}"
+        );
+        assert!(v.get("kappa").is_some(), "{driver}: no kappa key");
+    }
+}
+
+/// `--driver vmc --profile json` writes exactly one `qmc-run-report/1`
+/// document on stdout — the run banner, the VMC block line included, goes
+/// to stderr — with no trial energy and no population, and `json_check`
+/// accepts it. One walker on a two-engine crew leaves the second engine
+/// idle, so the attribution gate has a factor of two over this debug run's
+/// kernel-sampling error (~6 %); `ci.sh` gates attribution on a release
+/// run sized for it.
+#[test]
+fn vmc_json_report_is_one_document_that_json_check_accepts() {
+    let stdout = stdout_of(&[
+        "--benchmark",
+        "graphite",
+        "--driver",
+        "vmc",
+        "--threads",
+        "2",
+        "--walkers",
+        "1",
+        "--steps",
+        "8",
+        "--profile",
+        "json",
+    ]);
+    let v = json::parse(&stdout).expect("stdout is exactly one JSON document");
+    assert_eq!(
+        v.get("schema").and_then(|s| s.as_str()),
+        Some(qmc_instrument::RUN_REPORT_SCHEMA)
+    );
+    assert_eq!(v.get("e_trial"), Some(&json::JsonValue::Null));
+    assert_eq!(v.get("population").and_then(|p| p.as_arr()), Some(&[][..]));
+    let (ok, stderr) = check(&stdout);
+    assert!(ok, "json_check rejected the VMC report: {stderr}");
 }

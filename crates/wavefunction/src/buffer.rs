@@ -165,11 +165,6 @@ impl<T: Real> WalkerBuffer<T> {
     pub fn fully_consumed(&self) -> bool {
         self.r_cursor == self.reals.len() && self.d_cursor == self.doubles.len()
     }
-
-    /// True when the working-precision stream has been fully consumed.
-    pub fn fully_consumed_reals(&self) -> bool {
-        self.r_cursor == self.reals.len()
-    }
 }
 
 #[cfg(test)]

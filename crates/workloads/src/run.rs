@@ -119,28 +119,9 @@ impl RunOutcome {
         self.samples as f64 / self.seconds
     }
 
-    /// DMC efficiency `kappa = 1 / (sigma^2 tau_corr T_MC)` (§3): the
-    /// figure the paper's throughput gains translate into. Uses the
-    /// blocking error's variance and autocorrelation estimates.
-    pub fn kappa(&self) -> f64 {
-        let (_, err, tau_corr) = self.energy;
-        let sigma2 = err * err; // variance of the mean estimate
-        if sigma2 > 0.0 && self.seconds > 0.0 {
-            1.0 / (sigma2 * tau_corr.max(1.0) * self.seconds)
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Total node memory model: shared table + per-thread engines +
-    /// per-walker buffers (the paper's `gamma (N_th + N_w) N^2` plus the
-    /// read-only table).
-    pub fn total_bytes(&self, threads: usize, walkers: usize) -> usize {
-        self.table_bytes + threads * self.engine_bytes + walkers * self.walker_bytes
-    }
-
-    /// Assembles the structured [`RunReport`] every front-end serializes
-    /// (`miniqmc --profile json` and the bench binaries).
+    /// Assembles the [`RunReport`], the one run result every front-end
+    /// renders (`miniqmc`'s summary, JSON and stream `end` record, and the
+    /// bench binaries).
     pub fn report(&self, workload: &Workload, cfg: &RunConfig) -> RunReport {
         let (mean, err, tau_corr) = self.energy;
         RunReport {
@@ -167,6 +148,7 @@ impl RunOutcome {
             e_trial_trace: self.e_trial_trace.clone(),
             profile: self.profile.clone(),
             crowd_profiles: self.crowd_profiles.clone(),
+            walker_hash: self.walker_hash,
             walker_bytes: self.walker_bytes as u64,
             engine_bytes: self.engine_bytes as u64,
             table_bytes: self.table_bytes as u64,
