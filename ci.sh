@@ -89,5 +89,14 @@ echo "== run-report smoke (miniqmc --profile json) =="
 # the gate there (the DMC leg's 0.955-0.959 was read on a quieter host).
 ./target/release/miniqmc --benchmark graphite --driver vmc --threads 1 \
     --walkers 8 --steps 128 --profile json | ./target/release/json_check
+# The trace leg: a 2-thread crowd run with both span sinks. The Chrome
+# trace must be valid JSON and the stream must carry the spans too.
+trace_dir=$(mktemp -d)
+./target/release/miniqmc --benchmark graphite --threads 2 --crowd 2 \
+    --walkers 8 --steps 24 --stream "$trace_dir/run.ndjson" \
+    --profile "trace:$trace_dir/trace.json" > /dev/null
+./target/release/json_check < "$trace_dir/trace.json"
+grep -q '"event":"trace"' "$trace_dir/run.ndjson"
+rm -r "$trace_dir"
 
 echo "CI OK"

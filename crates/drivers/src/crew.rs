@@ -13,15 +13,18 @@
 //!
 //! [`fan_out_tasks`] is the only function in the workspace that starts a
 //! thread, with `std::thread::scope`. Each task owns a disjoint `&mut`
-//! chunk, results come back in task order, and the scope join is the only
-//! synchronisation: no locks, no barriers. So no thread schedule can
-//! change a bit; what a chunk-shaped reduction could still change, a
-//! thread-count sweep catches (`crates/workloads/tests/parity.rs`).
+//! chunk, results, kernel profiles and trace spans come back in task
+//! order, and the scope join is the only synchronisation: no locks, no
+//! barriers. So no thread schedule can change a bit; what a chunk-shaped
+//! reduction could still change, a thread-count sweep catches
+//! (`crates/workloads/tests/parity.rs`).
 
 use crate::engine::{QmcEngine, SweepStats};
 use crate::walker::Walker;
 use qmc_containers::Real;
-use qmc_instrument::{drain_thread_profile, span, Profile, ProfileSet};
+use qmc_instrument::{
+    append_trace_events, drain_thread_profile, span, trace_epoch, trace_worker, Profile, ProfileSet,
+};
 
 /// One member of a walker crew: engines for [`Crew::width`] walkers that
 /// advance through the PbyP sweep together. Per-walker RNG streams and
@@ -93,9 +96,11 @@ fn chunks_mut<I>(items: &mut [I], parts: usize) -> Vec<&mut [I]> {
 /// Runs `work(lane, task)` for every task (lane = task index) and returns
 /// the results in task order. Tasks run on scoped worker threads; a single
 /// task runs on the calling thread. Each task's kernel profile drains into
-/// its own group of `profile` (group index = task index), so anything a
-/// caller reduces from the returned values is independent of thread count
-/// and task schedule. The only spawn site in the workspace.
+/// its own group of `profile` (group index = task index) and its trace
+/// spans into the calling thread's buffer in task order, so anything a
+/// caller reduces from the returned values or reads from the trace is
+/// independent of thread count and task schedule. The only spawn site in
+/// the workspace.
 pub(crate) fn fan_out_tasks<K: Send, R: Send>(
     tasks: Vec<K>,
     span_name: &'static str,
@@ -108,23 +113,26 @@ pub(crate) fn fan_out_tasks<K: Send, R: Send>(
         let r = work(t as u64, task);
         (r, drain_thread_profile())
     };
-    let mut done: Vec<Option<(R, Profile)>> = tasks.iter().map(|_| None).collect();
+    let mut done: Vec<Option<_>> = tasks.iter().map(|_| None).collect();
     if tasks.len() == 1 {
-        // What the calling thread timed so far is the coordinator's.
+        // What the calling thread timed so far is the coordinator's; its
+        // spans land in the coordinator's buffer directly.
         profile.merge_total(&drain_thread_profile());
-        done[0] = tasks.into_iter().next().map(|task| run(0, task));
+        done[0] = tasks.into_iter().next().map(|t| (run(0, t), vec![]));
     } else {
+        let epoch = trace_epoch();
         std::thread::scope(|scope| {
             for (t, (task, slot)) in tasks.into_iter().zip(done.iter_mut()).enumerate() {
                 let run = &run;
                 #[expect(clippy::disallowed_methods, reason = "the program's one spawn site")]
-                scope.spawn(move || *slot = Some(run(t, task)));
+                scope.spawn(move || *slot = Some(trace_worker(epoch, || run(t, task))));
             }
         });
     }
     let mut results = Vec::with_capacity(done.len());
-    for (t, (r, p)) in done.into_iter().flatten().enumerate() {
+    for (t, ((r, p), spans)) in done.into_iter().flatten().enumerate() {
         profile.merge_group(t, &p);
+        append_trace_events(spans);
         results.push(r);
     }
     results

@@ -201,14 +201,19 @@ impl JsonValue {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. What this
+/// crate writes nests about four levels; the bound keeps a hostile
+/// document from overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected).
+/// garbage rejected). Arrays and objects nested deeper than [`MAX_DEPTH`]
+/// are an error.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
-    let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let v = parse_value(text, &mut pos, 0)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(format!("trailing garbage at byte {pos}"));
     }
     Ok(v)
@@ -229,17 +234,22 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses the value at `pos`, which sits inside `depth` arrays/objects.
+fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
+    let b = s.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
-        Some(b'"') => Ok(JsonValue::Str(parse_string(b, pos)?)),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+        }
+        Some(b'{') => parse_obj(s, pos, depth + 1),
+        Some(b'[') => parse_arr(s, pos, depth + 1),
+        Some(b'"') => Ok(JsonValue::Str(parse_string(s, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", JsonValue::Bool(false)),
         Some(b'n') => parse_lit(b, pos, "null", JsonValue::Null),
-        Some(_) => parse_num(b, pos),
+        Some(_) => parse_num(s, pos),
     }
 }
 
@@ -252,18 +262,23 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: JsonValue) -> Result<JsonV
     }
 }
 
-fn parse_num(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_num(s: &str, pos: &mut usize) -> Result<JsonValue, String> {
+    let b = s.as_bytes();
     let start = *pos;
     while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
         *pos += 1;
     }
-    let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-    s.parse::<f64>()
+    let num = &s[start..*pos];
+    num.parse::<f64>()
         .map(JsonValue::Num)
-        .map_err(|_| format!("invalid number '{s}' at byte {start}"))
+        .map_err(|_| format!("invalid number '{num}' at byte {start}"))
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+/// Parses the string literal at `pos`. Runs of plain characters are
+/// copied straight from `s`: a run ends at an ASCII `"` or `\\`, so it
+/// is whole characters and every byte is looked at once.
+fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
+    let b = s.as_bytes();
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
@@ -285,13 +300,10 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        if *pos + 4 >= b.len() {
-                            return Err("truncated \\u escape".into());
-                        }
-                        let hex = std::str::from_utf8(&b[*pos + 1..*pos + 5])
-                            .map_err(|e| e.to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
+                        let code = s
+                            .get(*pos + 1..*pos + 5)
+                            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                            .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
                     }
@@ -300,17 +312,18 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar worth of bytes.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                let start = *pos;
+                while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                out.push_str(&s[start..*pos]);
             }
         }
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_arr(s: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
+    let b = s.as_bytes();
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -319,7 +332,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(s, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -332,7 +345,8 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_obj(s: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
+    let b = s.as_bytes();
     expect(b, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(b, pos);
@@ -342,10 +356,10 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
     loop {
         skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
+        let key = parse_string(s, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(s, pos, depth)?;
         members.push((key, val));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -400,6 +414,41 @@ mod tests {
         let a = v.get("a").unwrap().as_arr().unwrap();
         assert_eq!(a[1].get("b"), Some(&JsonValue::Null));
         assert!((v.get("c").unwrap().as_f64().unwrap() - 1e-3).abs() < 1e-18);
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
+        let nested = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        assert!(parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nested("{\"a\":", "}", MAX_DEPTH).replace(":}", ":1}")).is_ok());
+        for deep in [
+            nested("[", "]", MAX_DEPTH + 1),
+            nested("{\"a\":", "}", MAX_DEPTH + 1),
+            "[".repeat(200_000),
+        ] {
+            let err = parse(&deep).unwrap_err();
+            assert!(err.starts_with("nesting deeper than 128"), "{err}");
+        }
+    }
+
+    #[test]
+    fn raw_multibyte_characters_and_escapes_round_trip() {
+        let text = "é 😀 \"q\" back\\slash\n\t\u{1} ünïcödé";
+        let mut doc = String::new();
+        write_str(&mut doc, text);
+        assert!(doc.contains('😀'), "written raw, not escaped");
+        assert_eq!(parse(&doc).unwrap().as_str(), Some(text));
+        assert_eq!(
+            parse("\"\\u00e9\\ud83d x\"").unwrap().as_str(),
+            Some("é\u{fffd} x"),
+            "a lone surrogate escape decodes to U+FFFD"
+        );
+        // A 1 MiB string parses in one pass over its bytes.
+        let big = "é😀xy".repeat((1 << 20) / 8);
+        assert_eq!(big.len(), 1 << 20);
+        let mut doc = String::new();
+        write_str(&mut doc, &big);
+        assert_eq!(parse(&doc).unwrap().as_str(), Some(big.as_str()));
     }
 
     #[test]

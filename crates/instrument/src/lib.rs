@@ -13,8 +13,8 @@
 //!   bandwidth ceilings.
 //! * [`memory`] — process RSS and huge-page backing for the footprint
 //!   studies of Fig. 8 / Fig. 9.
-//! * [`span`] — scoped per-thread/per-crowd/per-block spans exportable as
-//!   Chrome `trace_event` JSON.
+//! * [`span`] — scoped per-crowd/per-block/per-step spans, collected per
+//!   thread like the profile and exportable as Chrome `trace_event` JSON.
 //! * [`report`] — the [`report::RunReport`] aggregate every front-end
 //!   serializes (hand-rolled JSON via [`json`]).
 //! * [`stream`] — newline-delimited streaming telemetry
@@ -43,8 +43,8 @@ pub use sanitize::{
     SanitizerStats, ALL_CHECKS, NUM_CHECKS,
 };
 pub use span::{
-    chrome_trace_json, enable_tracing, span, span_lazy, take_trace_events, tracing_enabled, Span,
-    TraceEvent,
+    append_trace_events, chrome_trace_json, enable_tracing, span, span_lazy, take_trace_events,
+    trace_epoch, trace_worker, Span, TraceEvent,
 };
 pub use stream::{BlockEvent, StreamWriter, RUN_STREAM_SCHEMA};
 pub use timer::{

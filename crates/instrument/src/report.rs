@@ -389,6 +389,27 @@ mod tests {
         }
     }
 
+    /// The parser on damaged run reports: every truncation of a
+    /// `--profile json` document fails, and each of 512 seeded single-byte
+    /// XOR mutations of it returns `Ok` or `Err`; a panic fails the test.
+    #[test]
+    fn damaged_reports_parse_or_fail_cleanly() {
+        let doc = sample_report().to_json();
+        for cut in (0..doc.len()).filter(|&c| doc.is_char_boundary(c)) {
+            assert!(json::parse(&doc[..cut]).is_err(), "cut at {cut} parsed");
+        }
+        let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+        for _ in 0..512 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let mut bytes = doc.clone().into_bytes();
+            let at = usize::try_from(x % bytes.len() as u64).unwrap();
+            bytes[at] ^= u8::try_from(x >> 56).unwrap().max(1);
+            let _ = json::parse(&String::from_utf8_lossy(&bytes));
+        }
+    }
+
     #[test]
     fn kappa_is_the_section_3_efficiency() {
         // kappa = 1 / (sigma^2 tau_corr T): 1 / (0.01^2 x 1.5 x 0.5 s).

@@ -4,20 +4,21 @@
 //! timeline view: drivers open a span per generation/step, crowds and
 //! worker threads open spans per walker block, and the whole run can be
 //! dumped as a Chrome `trace_event` JSON loadable in `chrome://tracing` or
-//! Perfetto. Collection is off by default behind a single relaxed atomic
-//! load, so the disabled path costs one branch per span site and the
-//! lock-step determinism of the crowd drivers is untouched (spans never
-//! consume randomness or reorder work).
+//! Perfetto. Spans never consume randomness or reorder work, so tracing
+//! leaves every result bit unchanged.
 //!
-//! Spans are coarse (per block / per generation, not per kernel call), so
-//! they push into one global mutex-protected buffer. Worker threads in the
-//! drivers are scoped and die each generation, which rules out
-//! thread-local buffers drained at exit; the lock is touched only a few
-//! times per generation per thread.
+//! Tracing is per-thread state, collected like the kernel
+//! [`crate::Profile`]: [`enable_tracing`] sets the calling thread's trace
+//! epoch, and a span pushes into the buffer of the thread that closes it.
+//! The crew fan-out hands each worker the coordinator's epoch
+//! ([`trace_epoch`], [`trace_worker`]) and, after the join, appends each
+//! worker's spans to the coordinator's buffer in task order
+//! ([`append_trace_events`]). So a run's trace comes out in crew order,
+//! a run on a thread that never enabled tracing records nothing, and the
+//! disabled path is one thread-local read per span site.
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::cell::{Cell, RefCell};
 use std::time::Instant;
 
 use crate::json::JsonWriter;
@@ -36,59 +37,68 @@ pub struct TraceEvent {
     pub dur_ns: u64,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static EVENTS: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
-
-/// The event buffer. A span pushes one event and cannot leave it half
-/// written, so a poisoned lock still guards whole events.
-fn events() -> MutexGuard<'static, Vec<TraceEvent>> {
-    EVENTS.lock().unwrap_or_else(PoisonError::into_inner)
+thread_local! {
+    /// The calling thread's trace epoch; `None` while tracing is off.
+    static EPOCH: Cell<Option<Instant>> = const { Cell::new(None) };
+    /// The spans closed on this thread, oldest first.
+    static EVENTS: RefCell<Vec<TraceEvent>> = const { RefCell::new(Vec::new()) };
 }
 
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-/// Turns span collection on or off. Off (the default) reduces every span
-/// site to one relaxed atomic load.
+/// Turns span collection on or off for the runs the calling thread
+/// coordinates. Turning it on again keeps the epoch, so one trace file
+/// stays on one timeline.
 pub fn enable_tracing(on: bool) {
-    if on {
-        epoch(); // pin the epoch before the first span
-    }
-    ENABLED.store(on, Ordering::Relaxed);
+    EPOCH.set(on.then(|| EPOCH.get().unwrap_or_else(Instant::now)));
 }
 
-/// Whether span collection is currently on.
-#[inline]
-pub fn tracing_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+/// The calling thread's trace epoch (`None`: tracing off), for a fan-out
+/// to hand to its workers.
+pub fn trace_epoch() -> Option<Instant> {
+    EPOCH.get()
 }
 
-/// Takes and clears all collected events.
+/// Runs `f` on a fresh worker thread under the coordinator's `epoch` and
+/// returns its result together with the spans it closed, for the
+/// coordinator to [`append_trace_events`] after the join.
+pub fn trace_worker<R>(epoch: Option<Instant>, f: impl FnOnce() -> R) -> (R, Vec<TraceEvent>) {
+    EPOCH.set(epoch);
+    let r = f();
+    (r, take_trace_events())
+}
+
+/// Appends a worker's spans to the calling thread's buffer.
+pub fn append_trace_events(events: Vec<TraceEvent>) {
+    EVENTS.with_borrow_mut(|e| e.extend(events));
+}
+
+/// Takes and clears the calling thread's spans.
 pub fn take_trace_events() -> Vec<TraceEvent> {
-    std::mem::take(&mut *events())
+    EVENTS.take()
 }
 
-/// An open span; records itself on drop. Cheap no-op when tracing is off.
+/// An open span; records itself on drop if tracing is still on. Cheap
+/// no-op when tracing is off.
 pub struct Span(Option<(Cow<'static, str>, u64, Instant)>);
 
 impl Span {
-    fn open(name: Cow<'static, str>, lane: u64) -> Self {
-        Span(Some((name, lane, Instant::now())))
+    #[inline]
+    fn open(name: impl FnOnce() -> Cow<'static, str>, lane: u64) -> Self {
+        Span(EPOCH.get().map(|_| (name(), lane, Instant::now())))
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some((name, lane, start)) = self.0.take() {
+        if let (Some((name, lane, start)), Some(epoch)) = (self.0.take(), EPOCH.get()) {
             let dur_ns = start.elapsed().as_nanos() as u64;
-            let start_ns = start.duration_since(epoch()).as_nanos() as u64;
-            events().push(TraceEvent {
-                name,
-                lane,
-                start_ns,
-                dur_ns,
+            let start_ns = start.duration_since(epoch).as_nanos() as u64;
+            EVENTS.with_borrow_mut(|e| {
+                e.push(TraceEvent {
+                    name,
+                    lane,
+                    start_ns,
+                    dur_ns,
+                });
             });
         }
     }
@@ -97,22 +107,14 @@ impl Drop for Span {
 /// Opens a span with a static name on `lane`. Returns a drop guard.
 #[inline]
 pub fn span(name: &'static str, lane: u64) -> Span {
-    if tracing_enabled() {
-        Span::open(Cow::Borrowed(name), lane)
-    } else {
-        Span(None)
-    }
+    Span::open(|| Cow::Borrowed(name), lane)
 }
 
 /// Opens a span whose name is built only when tracing is on (avoids
 /// `format!` allocations on the disabled path).
 #[inline]
 pub fn span_lazy(lane: u64, name: impl FnOnce() -> String) -> Span {
-    if tracing_enabled() {
-        Span::open(Cow::Owned(name()), lane)
-    } else {
-        Span(None)
-    }
+    Span::open(|| Cow::Owned(name()), lane)
 }
 
 /// Renders events as Chrome `trace_event` JSON (the "JSON Array Format"
@@ -193,5 +195,29 @@ mod tests {
         assert_eq!(gen.get("ph").unwrap().as_str(), Some("X"));
         assert_eq!(gen.get("tid").unwrap().as_f64(), Some(2.0));
         assert!(gen.get("dur").unwrap().as_f64().unwrap() >= 500.0);
+    }
+
+    #[test]
+    fn workers_trace_under_the_handed_epoch_and_come_back_in_task_order() {
+        enable_tracing(true);
+        take_trace_events();
+        let epoch = trace_epoch();
+        let workers: Vec<_> = std::thread::scope(|s| {
+            let a = s.spawn(|| trace_worker(epoch, || drop(span("a", 0))));
+            let b = s.spawn(|| trace_worker(epoch, || drop(span("b", 1))));
+            let off = s.spawn(|| trace_worker(None, || drop(span("off", 2))));
+            [b, a, off].map(|h| h.join().unwrap().1).into()
+        });
+        assert!(
+            take_trace_events().is_empty(),
+            "workers record on their own threads"
+        );
+        assert!(workers[2].is_empty(), "no epoch, no spans");
+        for spans in workers {
+            append_trace_events(spans);
+        }
+        enable_tracing(false);
+        let names: Vec<_> = take_trace_events().into_iter().map(|e| e.name).collect();
+        assert_eq!(names, ["b", "a"]);
     }
 }

@@ -12,7 +12,9 @@
 //! * `start` — run identity: driver, benchmark, code, backend, shape, and
 //!   the step a resumed run continues from. Carries the schema tag.
 //! * `block` — one completed block/generation: the [`BlockEvent`] delta.
-//! * `trace` — one Chrome-style span ([`TraceEvent`]), when tracing is on.
+//! * `trace` — one Chrome-style span ([`TraceEvent`]) of the run, when
+//!   tracing is on; each block's spans follow its `block` record, and the
+//!   spans still open at the last block precede the `end` record.
 //! * `checkpoint` — a checkpoint file was written at this step.
 //! * `end` — final scalars (the [`RunReport`] headline numbers) plus the
 //!   FNV-1a population hash the resume-parity gates compare.

@@ -16,7 +16,7 @@
 use miniqmc::Options;
 use qmc_drivers::{Batching, CheckpointError, CheckpointSpec, DriverKind};
 use qmc_instrument::{
-    chrome_trace_json, enable_tracing, take_trace_events, BlockEvent, StreamWriter,
+    chrome_trace_json, enable_tracing, take_trace_events, BlockEvent, StreamWriter, TraceEvent,
 };
 use qmc_workloads::{
     checkpoint_step, run_benchmark_controlled, BenchControl, Benchmark, CodeVersion, RunConfig,
@@ -121,19 +121,13 @@ fn parse_profile(s: &str) -> Result<ProfileMode, String> {
     match s {
         "summary" => Ok(ProfileMode::Summary),
         "json" => Ok(ProfileMode::Json),
-        other => {
-            if let Some(path) = other.strip_prefix("trace:") {
-                if path.is_empty() {
-                    Err("trace mode needs a path: --profile trace:out.json".into())
-                } else {
-                    Ok(ProfileMode::Trace(path.to_string()))
-                }
-            } else {
-                Err(format!(
-                    "unknown profile mode '{other}' (valid: summary, json, trace:PATH)"
-                ))
-            }
-        }
+        "trace:" => Err("trace mode needs a path: --profile trace:out.json".into()),
+        other => match other.strip_prefix("trace:") {
+            Some(path) => Ok(ProfileMode::Trace(path.to_string())),
+            None => Err(format!(
+                "unknown profile mode '{other}' (valid: summary, json, trace:PATH)"
+            )),
+        },
     }
 }
 
@@ -235,13 +229,11 @@ fn main() {
         }
     };
 
+    // Spans go to both sinks: each block's to the stream as it completes,
+    // and all of them to the trace file at the end.
     let trace_file = matches!(mode, ProfileMode::Trace(_));
-    // With a stream but no trace file, spans drain into the stream per
-    // block; a requested trace file keeps them all for itself.
-    let stream_trace = stream_path.is_some() && !trace_file;
-    if trace_file || stream_trace {
-        enable_tracing(true);
-    }
+    enable_tracing(trace_file || stream_path.is_some());
+    let mut spans = Vec::new();
 
     let mut stream = open_stream(stream_path, resume.is_some());
     if let Some(s) = stream.as_mut() {
@@ -266,9 +258,7 @@ fn main() {
     let mut on_block = |ev: &BlockEvent| {
         if let Some(s) = stream.as_mut() {
             s.block(ev).ok();
-            if stream_trace {
-                s.trace_events(&take_trace_events()).ok();
-            }
+            drain_spans(Some(s), trace_file.then_some(&mut spans));
             if let Some(spec) = spec_for_stream.as_ref() {
                 if spec.due(ev.step as usize) {
                     s.checkpoint(ev.step, &spec.path).ok();
@@ -291,6 +281,7 @@ fn main() {
             e => fail_run(&format!("cannot resume: {e}")),
         })
         .report(&workload, &cfg);
+    drain_spans(stream.as_mut(), trace_file.then_some(&mut spans));
     if let Some(s) = stream.as_mut() {
         s.end(&report).ok();
     }
@@ -302,7 +293,19 @@ fn main() {
     println!();
     print!("{}", report.to_summary());
     if let ProfileMode::Trace(path) = mode {
-        write_trace(&path);
+        write_trace(&path, &spans);
+    }
+}
+
+/// Moves the spans closed since the last call to the stream and, when a
+/// trace file was requested, to `kept`.
+fn drain_spans(stream: Option<&mut StreamWriter>, kept: Option<&mut Vec<TraceEvent>>) {
+    let new = take_trace_events();
+    if let Some(s) = stream {
+        s.trace_events(&new).ok();
+    }
+    if let Some(kept) = kept {
+        kept.extend(new);
     }
 }
 
@@ -319,11 +322,9 @@ fn open_stream(path: Option<&str>, resuming: bool) -> Option<StreamWriter> {
     })
 }
 
-/// Drains collected spans and writes the Chrome trace file.
-fn write_trace(path: &str) {
-    enable_tracing(false);
-    let events = take_trace_events();
-    let json = chrome_trace_json(&events);
+/// Writes the run's spans as a Chrome trace file.
+fn write_trace(path: &str, events: &[TraceEvent]) {
+    let json = chrome_trace_json(events);
     match std::fs::write(path, &json) {
         Ok(()) => println!(
             "\ntrace: {} spans -> {path} (open in chrome://tracing or ui.perfetto.dev)",

@@ -344,8 +344,8 @@ fn golden_json_report_covers_all_kernels_within_wall_time() {
     assert_eq!(san.get("total_violations").unwrap().as_f64(), Some(0.0));
 }
 
-/// Pipes `doc` through `json_check`: (exit success, stderr).
-fn check(doc: &str) -> (bool, String) {
+/// Pipes `doc` through `json_check`: (exit code, stderr).
+fn json_check(doc: &str) -> (Option<i32>, String) {
     use std::io::Write;
     use std::process::Stdio;
     let mut child = Command::new(env!("CARGO_BIN_EXE_json_check"))
@@ -362,9 +362,25 @@ fn check(doc: &str) -> (bool, String) {
         .expect("write report");
     let out = child.wait_with_output().expect("json_check exits");
     (
-        out.status.success(),
+        out.status.code(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
+}
+
+/// Pipes `doc` through `json_check`: (exit success, stderr).
+fn check(doc: &str) -> (bool, String) {
+    let (code, stderr) = json_check(doc);
+    (code == Some(0), stderr)
+}
+
+/// A document nested past the parser's depth bound is a one-line error
+/// and exit 1, not a stack overflow.
+#[test]
+fn json_check_rejects_deep_nesting_in_one_line() {
+    let (code, stderr) = json_check(&"[".repeat(200_000));
+    assert_eq!(code, Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("nesting deeper than 128"), "{stderr}");
 }
 
 /// A clean sanitizer block: checks ran, none failed.
@@ -471,11 +487,15 @@ fn json_report_with_crowds_has_per_crowd_profiles() {
     }
 }
 
+/// `--profile trace:T` with `--stream S` sends every span to both sinks:
+/// the stream's `trace` records and the Chrome file's `X` events agree in
+/// number.
 #[test]
 fn trace_mode_writes_chrome_trace_with_spans() {
     let dir = std::env::temp_dir();
     let path = dir.join(format!("miniqmc_trace_{}.json", std::process::id()));
     let path_arg = format!("trace:{}", path.display());
+    let nd = dir.join(format!("miniqmc_trace_{}.ndjson", std::process::id()));
     let out = miniqmc()
         .args([
             "--benchmark",
@@ -490,6 +510,8 @@ fn trace_mode_writes_chrome_trace_with_spans() {
             "1",
             "--crowd",
             "2",
+            "--stream",
+            &nd.display().to_string(),
             "--profile",
             &path_arg,
         ])
@@ -501,7 +523,14 @@ fn trace_mode_writes_chrome_trace_with_spans() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = std::fs::read_to_string(&path).expect("trace file written");
+    let stream = std::fs::read_to_string(&nd).expect("stream written");
     let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&nd);
+    let streamed = stream
+        .lines()
+        .map(|l| json::parse(l).expect("NDJSON line"))
+        .filter(|r| r.get("event").and_then(|e| e.as_str()) == Some("trace"))
+        .count();
     let v = json::parse(&text).expect("trace is valid JSON");
     let events = v.get("traceEvents").unwrap().as_arr().unwrap();
     let names: Vec<&str> = events
@@ -510,6 +539,11 @@ fn trace_mode_writes_chrome_trace_with_spans() {
         .map(|e| e.get("name").unwrap().as_str().unwrap())
         .collect();
     assert!(!names.is_empty(), "trace has no spans");
+    assert_eq!(
+        streamed,
+        names.len(),
+        "stream and trace file got different spans"
+    );
     assert!(
         names.iter().any(|n| n.starts_with("crowd generation")),
         "per-crowd spans missing: {names:?}"

@@ -10,25 +10,22 @@
 //! ```
 
 use qmc::prelude::*;
-use qmc::simulation::Simulation;
 
 fn main() {
     println!("QMC quickstart: NiO-32 (scaled), Ref vs Current\n");
 
-    let run = |code: CodeVersion| {
-        Simulation::new(Benchmark::NiO32)
-            .code(code)
-            .threads(1)
-            .walkers(4)
-            .steps(6)
-            .warmup(1)
-            .tau(0.005)
-            .seed(7)
-            .run()
+    let cfg = RunConfig {
+        threads: 1,
+        walkers: 4,
+        steps: 6,
+        warmup: 1,
+        tau: 0.005,
+        seed: 7,
+        ..RunConfig::default()
     };
-
-    let base = run(CodeVersion::Ref);
-    let best = run(CodeVersion::Current);
+    let workload = Workload::new(Benchmark::NiO32, Size::Scaled, cfg.seed);
+    let base = run_dmc_benchmark(&workload, CodeVersion::Ref, &cfg);
+    let best = run_dmc_benchmark(&workload, CodeVersion::Current, &cfg);
 
     println!(
         "{:<10} {:>12} {:>14} {:>12}",

@@ -15,11 +15,22 @@
 //! | `Current` | SoA    | f32/f64   | `5 N` on-the-fly| padded rows + forward update |
 //!
 //! This crate re-exports every workspace crate under a short name
-//! ([`drivers`], [`workloads`], ...), gathers the main types in
-//! [`prelude`], and provides the [`simulation`] builder that assembles a
-//! benchmark run in a few lines. See the `examples/` directory for
-//! runnable walkthroughs, and the `qmc-bench` crate for the harnesses that
-//! regenerate every figure and table of the paper's evaluation.
+//! ([`drivers`], [`workloads`], ...) and gathers the main types in
+//! [`prelude`]. A benchmark run is a workload, a code version and a
+//! [`RunConfig`](prelude::RunConfig):
+//!
+//! ```
+//! use qmc::prelude::*;
+//!
+//! let cfg = RunConfig { threads: 2, walkers: 4, steps: 4, ..RunConfig::default() };
+//! let workload = Workload::new(Benchmark::NiO32, Size::Scaled, cfg.seed);
+//! let result = run_dmc_benchmark(&workload, CodeVersion::Current, &cfg);
+//! assert!(result.throughput() > 0.0);
+//! ```
+//!
+//! See the `examples/` directory for runnable walkthroughs, and the
+//! `qmc-bench` crate for the harnesses that regenerate every figure and
+//! table of the paper's evaluation.
 
 // Physics crate (DESIGN §5c): its non-test code names none of the types
 // and calls none of the methods `clippy.toml` disallows, and each cast it
@@ -60,5 +71,3 @@ pub mod prelude {
         run_dmc_benchmark, Benchmark, CodeVersion, RunConfig, RunOutcome, Size, Workload,
     };
 }
-
-pub mod simulation;
