@@ -67,6 +67,12 @@ cargo test -q --release -p qmc-kernels --test backend_matrix -- --ignored
 echo "== bench smoke (every Criterion bench, one pass per case) =="
 cargo bench -p qmc-bench --bench '*' -- --test
 
+echo "== evaluation smoke (ladder: 15 DMC rungs, six figure/table sections) =="
+# The smallest run of every rung the figure/table sections read; a rung a
+# section asks for but the ladder did not run, or a section that cannot
+# render its rungs, exits non-zero.
+./target/release/ladder --steps 2 --walkers 2 --reps 1 --threads 1 > /dev/null
+
 echo "== run-report smoke (miniqmc --profile json) =="
 # json_check also gates the runtime sanitizer (some checks made, no
 # violation) and attribution: kernel seconds finite, >= 0, and summing to

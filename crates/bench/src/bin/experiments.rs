@@ -1,6 +1,8 @@
 //! Runs the entire evaluation suite (every figure and table harness) in
-//! sequence, the one-command reproduction of §8. Pass `--full` for
-//! paper-sized problems (slow); default is the scaled suite.
+//! sequence, the one-command reproduction of §8: Table 1, Fig. 3, the
+//! `ladder` (Fig. 2, 7, 8, 9, Table 2 and the ablation from one set of
+//! runs) and Fig. 1. Pass `--full` for paper-sized problems (slow);
+//! default is the scaled suite.
 
 use std::process::Command;
 
@@ -9,13 +11,8 @@ fn main() {
     let bins = [
         "table1_workloads",
         "fig3_jastrow_functors",
-        "fig2_hotspots",
-        "fig7_roofline",
-        "fig8_speedup_memory",
-        "fig9_memory",
-        "table2_speedups",
+        "ladder",
         "fig1_strong_scaling",
-        "ablation",
     ];
     let exe_dir = std::env::current_exe()
         .ok()

@@ -1,9 +1,12 @@
 //! # qmc-bench
 //!
-//! Benchmark harness: one binary per figure/table of the paper's
-//! evaluation (§8) plus Criterion kernel benches. Each binary prints the
-//! data series the corresponding paper figure plots; `--full` switches
-//! from the scaled default to paper-sized problems.
+//! Benchmark harness for the paper's evaluation (§8) plus Criterion
+//! kernel benches. `ladder` runs each (workload, code version, batching)
+//! rung of the code ladder once and prints Fig. 2, 7, 8, 9, Table 2 and
+//! the ablation from those runs; `table1_workloads`,
+//! `fig3_jastrow_functors` and `fig1_strong_scaling` print the other
+//! three, and `experiments` runs all four. `--full` switches from the
+//! scaled default to paper-sized problems.
 
 use miniqmc::{at_least, Options};
 use qmc_instrument::RunReport;
@@ -83,11 +86,11 @@ impl HarnessConfig {
 
 /// Runs a DMC benchmark `cfg.reps` times and returns the
 /// best-throughput run's [`RunReport`] — the same aggregate `miniqmc`
-/// renders, so every figure/table binary reports from one source. The
-/// best rep suppresses timing noise; statistics and memory are identical
-/// across reps because the Monte Carlo streams are seeded. Crowd runs
-/// opt into the fused block refresh, which keeps the `Bspline-mw-vgl`
-/// column live.
+/// renders. `ladder` calls it once per rung, and every section that reads
+/// the rung renders that one report. The best rep suppresses timing
+/// noise; statistics and memory are identical across reps because the
+/// Monte Carlo streams are seeded. Crowd runs opt into the fused block
+/// refresh, which keeps the `Bspline-mw-vgl` column live.
 pub fn run_report(
     workload: &Workload,
     code: CodeVersion,

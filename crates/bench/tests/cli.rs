@@ -1,8 +1,10 @@
-//! Seven of the crate's ten binaries take run arguments, all through
-//! `HarnessConfig::from_env`; `fig9_memory` stands in for the seven (the
-//! other three take none). An argument that cannot be used is a usage
-//! error — exit 2 and one line naming the option — raised before any
-//! workload is built, so every case here returns at once.
+//! Two of the crate's five binaries parse run arguments, both through
+//! `HarnessConfig::from_env`: `ladder` stands in for itself and
+//! `fig1_strong_scaling` (`experiments` passes its arguments on to the
+//! binaries it runs; `table1_workloads` and `fig3_jastrow_functors` take
+//! none). An argument that cannot be used is a usage error — exit 2 and
+//! one line naming the option — raised before any workload is built, so
+//! every case here returns at once.
 
 use std::process::Command;
 
@@ -22,10 +24,10 @@ fn unusable_arguments_are_usage_errors_not_defaults() {
         (&["--seed", "-3"], &["--seed needs a u64 value"]),
     ];
     for (args, expected) in cases {
-        let out = Command::new(env!("CARGO_BIN_EXE_fig9_memory"))
+        let out = Command::new(env!("CARGO_BIN_EXE_ladder"))
             .args(args)
             .output()
-            .expect("spawn fig9_memory");
+            .expect("spawn ladder");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?}: printed before refusing");

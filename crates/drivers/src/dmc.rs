@@ -253,7 +253,7 @@ pub fn run_dmc<T: Real, C: Crew<T>>(
     while state.step < params.steps {
         let step = state.step;
         // Driver-level step span on its own lane, above the crew lanes.
-        let _step_span = span_lazy(crew.len() as u64, || format!("step {step}"));
+        let step_span = span_lazy(crew.len() as u64, || format!("step {step}"));
         let refresh = params.recompute_every > 0 && step % params.recompute_every == 0;
         let branch = &state.branch;
         let counts = fan_out(
@@ -268,6 +268,8 @@ pub fn run_dmc<T: Real, C: Crew<T>>(
         let esum = reduce::det_sum_by(walkers.len(), |i| walkers[i].weight * walkers[i].e_local);
         let wsum = reduce::det_sum_by(walkers.len(), |i| walkers[i].weight);
         let e_avg = state.finish_generation(walkers, params.warmup, esum, wsum, acc, att);
+        // Close the step span first, so the hook's drain lists it.
+        drop(step_span);
         control.after_dmc_generation(&state, walkers, params, e_avg, wsum)?;
     }
 

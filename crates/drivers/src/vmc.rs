@@ -175,7 +175,7 @@ pub fn run_vmc<T: Real, C: Crew<T>>(
 
     while state.block < params.blocks {
         let block = state.block;
-        let _block_span = span_lazy(crew.len() as u64, || format!("vmc block {block}"));
+        let block_span = span_lazy(crew.len() as u64, || format!("vmc block {block}"));
         let samples_before = state.energy.len();
         let parts = fan_out(
             crew,
@@ -193,6 +193,8 @@ pub fn run_vmc<T: Real, C: Crew<T>>(
         }
         state.samples += (walkers.len() * params.steps_per_block) as u64;
         state.block += 1;
+        // Close the block span first, so the hook's drain lists it.
+        drop(block_span);
         control.after_vmc_block(&state, walkers, params, samples_before)?;
     }
 

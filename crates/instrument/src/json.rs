@@ -300,12 +300,19 @@ fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let code = s
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        let mut code = hex4(b, *pos + 1)?;
                         *pos += 4;
+                        // A high surrogate escape followed by a low one is
+                        // one character; a lone surrogate stays U+FFFD.
+                        if (0xD800..0xDC00).contains(&code)
+                            && b.get(*pos + 1..*pos + 3) == Some(&b"\\u"[..])
+                        {
+                            if let Ok(low @ 0xDC00..=0xDFFF) = hex4(b, *pos + 3) {
+                                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                *pos += 6;
+                            }
+                        }
+                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                     }
                     _ => return Err(format!("bad escape at byte {pos}")),
                 }
@@ -320,6 +327,18 @@ fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
             }
         }
     }
+}
+
+/// The code unit of the four hex digits of a `\\u` escape, which start
+/// at byte `at`; anything but four ASCII hex digits is an error naming the
+/// first byte that is not one.
+fn hex4(b: &[u8], at: usize) -> Result<u32, String> {
+    (at..at + 4).try_fold(0, |code, i| {
+        b.get(i)
+            .and_then(|&d| char::from(d).to_digit(16))
+            .map(|digit| code * 16 + digit)
+            .ok_or_else(|| format!("bad \\u escape: no hex digit at byte {i}"))
+    })
 }
 
 fn parse_arr(s: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
@@ -455,5 +474,47 @@ mod tests {
     fn unicode_escapes() {
         let v = parse("\"\\u00e9\\t\"").unwrap();
         assert_eq!(v.as_str(), Some("é\t"));
+    }
+
+    #[test]
+    fn a_surrogate_pair_escape_is_one_character() {
+        assert_eq!(parse("\"\\ud83d\\ude00\"").unwrap().as_str(), Some("😀"));
+        assert_eq!(
+            parse("\"a\\uD83D\\uDE00b\"").unwrap().as_str(),
+            Some("a😀b"),
+            "upper-case hex"
+        );
+    }
+
+    #[test]
+    fn a_lone_surrogate_escape_is_the_replacement_character() {
+        for (doc, want) in [
+            ("\"\\ud83d\"", "\u{fffd}"),
+            ("\"\\ude00\\ud83d\"", "\u{fffd}\u{fffd}"),
+            ("\"\\ud83d\\u0041\"", "\u{fffd}A"),
+            ("\"\\ud83d\\ud83d\\ude00\"", "\u{fffd}😀"),
+            ("\"\\ud83dx\"", "\u{fffd}x"),
+        ] {
+            assert_eq!(parse(doc).unwrap().as_str(), Some(want), "{doc}");
+        }
+    }
+
+    #[test]
+    fn a_u_escape_needs_four_ascii_hex_digits() {
+        for (doc, byte) in [
+            ("\"\\u+041\"", 3),
+            ("\"\\u-041\"", 3),
+            ("\"\\u04 1\"", 5),
+            ("\"\\u00é9\"", 5),
+            ("\"\\u12\"", 5),
+            ("\"\\ud83d\\u+e00\"", 9),
+        ] {
+            let err = parse(doc).unwrap_err();
+            assert_eq!(
+                err,
+                format!("bad \\u escape: no hex digit at byte {byte}"),
+                "{doc}"
+            );
+        }
     }
 }

@@ -204,7 +204,7 @@ fn main() {
     say!(
         "code = {}, backend = {}, threads = {}, walkers = {}, steps = {} (+{} warmup), tau = {}, batching = {}",
         code.label(),
-        qmc_kernels::Backend::current(),
+        code.kernel_backend(),
         cfg.threads,
         cfg.walkers,
         cfg.steps,
@@ -245,7 +245,7 @@ fn main() {
             driver.label(),
             workload.spec.name,
             &code.label(),
-            qmc_kernels::Backend::current().label(),
+            code.kernel_backend().label(),
             cfg.threads,
             cfg.walkers,
             steps_total,

@@ -115,6 +115,42 @@ fn backend_is_reference_or_simd_and_only_the_flag_selects_it() {
     }
 }
 
+/// The report and the stream `start` record name the backend the engines
+/// ran: the AoS versions pin the reference loops whatever `--backend` says,
+/// the SoA versions follow it.
+#[test]
+fn reports_name_the_backend_the_code_version_ran() {
+    for (extra, want) in [
+        (&["--code", "ref"][..], "reference"),
+        (&["--code", "current"][..], "simd"),
+        (
+            &["--code", "current", "--backend", "reference"][..],
+            "reference",
+        ),
+    ] {
+        let nd = std::env::temp_dir().join(format!(
+            "miniqmc_backend_{}_{want}_{}.ndjson",
+            std::process::id(),
+            extra.len()
+        ));
+        let mut args = tiny_args().to_vec();
+        let nd_arg = nd.display().to_string();
+        args.extend(extra);
+        args.extend(["--profile", "json", "--stream", &nd_arg]);
+        let v = json::parse(&stdout_of(&args)).expect("stdout is one JSON document");
+        let text = std::fs::read_to_string(&nd).expect("stream written");
+        let _ = std::fs::remove_file(&nd);
+        let start = json::parse(text.lines().next().unwrap_or_default()).expect("start record");
+        for (what, doc) in [("report", &v), ("stream start", &start)] {
+            assert_eq!(
+                doc.get("kernel_backend").and_then(|b| b.as_str()),
+                Some(want),
+                "{extra:?}: {what}"
+            );
+        }
+    }
+}
+
 /// Arguments that used to be silently replaced by a default, or to panic
 /// inside a constructor, are usage errors in every miniapp: exit 2 and one
 /// line naming the option and what it accepts.

@@ -60,10 +60,11 @@ impl CodeVersion {
         }
     }
 
-    /// B-spline kernel backend: the AoS versions pin the scalar reference
-    /// loops; the SoA versions take the process-wide selection
-    /// (`--backend`, default `simd`), captured when an engine is built.
-    fn spo_backend(self) -> Backend {
+    /// Kernel backend this version's engines run: the AoS versions pin the
+    /// scalar reference loops; the SoA versions take the process-wide
+    /// selection (`--backend`, default `simd`), captured when an engine is
+    /// built. Run reports name this backend, not the process-wide one.
+    pub fn kernel_backend(self) -> Backend {
         match self.layout() {
             Layout::Aos => Backend::Reference,
             Layout::Soa => Backend::current(),
@@ -366,7 +367,7 @@ impl Workload {
         let n = e.len();
         let lat: CrystalLattice<T> = self.lattice();
         for (first, nel) in [(0, n / 2), (n / 2, n - n / 2)] {
-            let spo = BsplineSpo::new(Arc::clone(table), lat.clone(), code.spo_backend());
+            let spo = BsplineSpo::new(Arc::clone(table), lat.clone(), code.kernel_backend());
             psi.add(Box::new(DiracDeterminant::new(Box::new(spo), first, nel)));
         }
 

@@ -1,8 +1,8 @@
-//! The benchmark runner shared by every figure/table harness: builds a
-//! thread crew of engines or crowds for a (workload, code version) pair,
-//! runs DMC (or VMC), and reports the paper's figures of merit —
-//! throughput `P = M <N_w> / T_CPU` (§6.2), the merged per-kernel profile,
-//! and memory accounting.
+//! The benchmark runner shared by `miniqmc` and the evaluation binaries:
+//! builds a thread crew of engines or crowds for a (workload, code
+//! version) pair, runs DMC (or VMC), and reports the paper's figures of
+//! merit — throughput `P = M <N_w> / T_CPU` (§6.2), the merged per-kernel
+//! profile, and memory accounting.
 
 use crate::build::{CodeVersion, Workload};
 use qmc_containers::Real;
@@ -13,6 +13,7 @@ use qmc_drivers::{
     QmcEngine, RunControl, VmcParams,
 };
 use qmc_instrument::{BlockEvent, Profile, RunReport};
+use qmc_kernels::Backend;
 
 /// Execution configuration for one benchmark run.
 #[derive(Clone, Copy, Debug)]
@@ -74,6 +75,8 @@ impl Default for RunConfig {
 pub struct RunOutcome {
     /// Code version label.
     pub label: String,
+    /// Kernel backend the run's engines used.
+    pub kernel_backend: Backend,
     /// Wall-clock seconds of the DMC loop (excluding engine construction).
     pub seconds: f64,
     /// Monte Carlo samples generated after warmup.
@@ -127,7 +130,7 @@ impl RunOutcome {
         RunReport {
             benchmark: workload.spec.name.to_string(),
             code: self.label.clone(),
-            kernel_backend: qmc_kernels::Backend::current().label().to_string(),
+            kernel_backend: self.kernel_backend.label().to_string(),
             electrons: workload.num_electrons(),
             ions: workload.num_ions(),
             threads: cfg.threads,
@@ -267,6 +270,7 @@ fn run_on_crew<T: Real, C: Crew<T>>(
 
     Ok(RunOutcome {
         label: code.label(),
+        kernel_backend: code.kernel_backend(),
         seconds,
         samples: res.samples,
         profile: profile.total,

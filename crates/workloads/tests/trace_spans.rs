@@ -7,9 +7,12 @@
 use std::collections::BTreeMap;
 use std::sync::Barrier;
 
-use qmc_drivers::Batching;
-use qmc_instrument::{enable_tracing, take_trace_events};
-use qmc_workloads::{run_dmc_benchmark, Benchmark, CodeVersion, RunConfig, Size, Workload};
+use qmc_drivers::{Batching, DriverKind};
+use qmc_instrument::{enable_tracing, take_trace_events, BlockEvent};
+use qmc_workloads::{
+    run_benchmark_controlled, run_dmc_benchmark, BenchControl, Benchmark, CodeVersion, RunConfig,
+    Size, Workload,
+};
 
 /// A short 2-thread DMC in crowds of 2: two crowds of two blocks each.
 fn cfg() -> RunConfig {
@@ -126,4 +129,41 @@ fn concurrent_traced_runs_each_get_exactly_their_own_spans() {
     });
     assert_eq!(counts(&a), counts(&alone), "run a");
     assert_eq!(counts(&b), counts(&alone), "run b");
+}
+
+/// Each driver closes its step (DMC) or block (VMC) span before the
+/// per-step hook runs, so the spans an `on_block` observer drains at the
+/// event for step `s` include that of step `s - 1`, not only the next
+/// event's.
+#[test]
+fn the_hook_for_a_step_drains_that_steps_span() {
+    let w = workload();
+    for (driver, prefix) in [(DriverKind::Dmc, "step"), (DriverKind::Vmc, "vmc block")] {
+        let mut drained = Vec::new();
+        let mut on_block = |ev: &BlockEvent| {
+            let names: Vec<String> = take_trace_events()
+                .into_iter()
+                .map(|e| e.name.into_owned())
+                .collect();
+            drained.push((ev.step, names));
+        };
+        take_trace_events();
+        enable_tracing(true);
+        let ctl = BenchControl {
+            on_block: Some(&mut on_block),
+            ..BenchControl::default()
+        };
+        run_benchmark_controlled(&w, CodeVersion::Current, &cfg(), driver, ctl)
+            .expect("an uncheckpointed run");
+        enable_tracing(false);
+        take_trace_events();
+        assert!(!drained.is_empty(), "{driver:?}: no block events");
+        for (step, names) in &drained {
+            let own = format!("{prefix} {}", step - 1);
+            assert!(
+                names.contains(&own),
+                "{driver:?}: the event for step {step} drained {names:?}, not '{own}'"
+            );
+        }
+    }
 }
