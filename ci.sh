@@ -70,8 +70,16 @@ cargo bench -p qmc-bench --bench '*' -- --test
 echo "== evaluation smoke (ladder: 15 DMC rungs, six figure/table sections) =="
 # The smallest run of every rung the figure/table sections read; a rung a
 # section asks for but the ladder did not run, or a section that cannot
-# render its rungs, exits non-zero.
-./target/release/ladder --steps 2 --walkers 2 --reps 1 --threads 1 > /dev/null
+# render its rungs, exits non-zero. At this size a rare kernel can read
+# zero sampled seconds on one side of a ratio: the cell must say `not
+# measured`, so an `infx` or `NaNx` in the output fails here.
+ladder_out=$(mktemp)
+./target/release/ladder --steps 2 --walkers 2 --reps 1 --threads 1 > "$ladder_out"
+if grep -nE '(inf|NaN)x' "$ladder_out"; then
+    echo "ladder printed a ratio over a side that measured nothing" >&2
+    exit 1
+fi
+rm "$ladder_out"
 
 echo "== run-report smoke (miniqmc --profile json) =="
 # json_check also gates the runtime sanitizer (some checks made, no

@@ -106,9 +106,8 @@ fn fig2(ladder: &Ladder) {
             let share_ref = sr / t_ref * 100.0;
             // Scale Current shares onto the Ref axis.
             let share_cur = sc / t_cur * (t_cur / t_ref) * 100.0;
-            let kspeed = if sc > 0.0 { sr / sc } else { f64::INFINITY };
-            let label = k.label();
-            println!("{label:<14} {share_ref:>11.1}% {share_cur:>17.1}% {kspeed:>11.2}x");
+            let (label, kspeed) = (k.label(), ratio(sr, sc, 12));
+            println!("{label:<14} {share_ref:>11.1}% {share_cur:>17.1}% {kspeed}");
         }
 
         // Crowd-batched Current: the lock-step path routes SPO work through
@@ -131,6 +130,18 @@ fn fig2(ladder: &Ladder) {
         "\n(expected shape per the paper: DistTable+J2 dominate Ref and shrink\n\
          the most; DetUpdate's share grows in Current, motivating §8.4.)"
     );
+}
+
+/// `num / den` as a right-aligned `1.23x` cell of `width` characters, or
+/// `not measured` when either side read nothing. Kernel times are sampled
+/// (1 call in 16), so a rare kernel on a short run can read zero seconds on
+/// one side, and its ratio would print as `infx` or `0.00x`.
+fn ratio(num: f64, den: f64, width: usize) -> String {
+    if num > 0.0 && den > 0.0 {
+        format!("{:>w$.2}x", num / den, w = width - 1)
+    } else {
+        format!("{:>width$}", "not measured")
+    }
 }
 
 const ROOFLINE_KERNELS: [Kernel; 6] = [
@@ -178,12 +189,11 @@ fn fig7(ladder: &Ladder) {
             s.gflops().unwrap_or(0.0),
         )
     };
-    let gain = |cur: f64, base: f64| if base > 0.0 { cur / base } else { 0.0 };
     for &k in &ROOFLINE_KERNELS {
         let ((rai, rgf), (cai, cgf)) = (point(r, k), point(c, k));
-        let (ai_gain, gf_gain) = (gain(cai, rai), gain(cgf, rgf));
+        let (ai_gain, gf_gain) = (ratio(cai, rai, 10), ratio(cgf, rgf, 10));
         println!(
-            "{:<14} {rai:>10.2} {rgf:>10.2} {cai:>10.2} {cgf:>10.2} {ai_gain:>9.2}x {gf_gain:>9.2}x",
+            "{:<14} {rai:>10.2} {rgf:>10.2} {cai:>10.2} {cgf:>10.2} {ai_gain} {gf_gain}",
             k.label()
         );
     }

@@ -1,6 +1,6 @@
-//! Minimal command-line option parsing shared by the miniapps
-//! ("Command-line options are used to change the problems for fast
-//! prototyping, debugging and analysis" — §7.1).
+//! Minimal command-line option parsing shared by `miniqmc` and the
+//! evaluation binaries ("Command-line options are used to change the
+//! problems for fast prototyping, debugging and analysis" — §7.1).
 
 use std::collections::BTreeMap;
 

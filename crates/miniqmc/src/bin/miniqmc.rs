@@ -13,7 +13,7 @@
 //!         --checkpoint ck.qmc:5 --stream run.ndjson --profile json
 //! ```
 
-use miniqmc::Options;
+use miniqmc::{at_least, Options};
 use qmc_drivers::{Batching, CheckpointError, CheckpointSpec, DriverKind};
 use qmc_instrument::{
     chrome_trace_json, enable_tracing, take_trace_events, BlockEvent, StreamWriter, TraceEvent,
@@ -29,7 +29,8 @@ const USAGE: &str = "miniqmc: full QMC miniapp (paper §7.1)\n\
      --code ref|refmp|soa|current (default current)\n\
      --backend reference|simd   B-spline and distance kernels of the\n\
          SoA code versions (default simd)\n\
-     --threads N --walkers N --steps N --warmup N --tau X --seed N\n\
+     --threads N --walkers N --steps N (each at least 1)\n\
+     --warmup N --tau X (positive) --seed N\n\
      --crowd W   lock-step crowds of W walkers (0/absent: per-walker)\n\
      --fused-refresh   with --crowd: route block refreshes through the\n\
          fused multi-walker SPO kernel (Bspline-mw-vgl); trades bitwise\n\
@@ -94,6 +95,27 @@ fn arg<T: std::str::FromStr>(opts: &Options, key: &str, default: T) -> T {
         .unwrap_or_else(|e| fail_usage(&e))
 }
 
+/// [`arg`] for a count a run needs at least one of (threads, walkers,
+/// steps): 0 is a usage error too, not a run that does nothing.
+fn count(opts: &Options, key: &str, default: usize) -> usize {
+    opts.try_get(key, default)
+        .and_then(at_least(key, 1))
+        .unwrap_or_else(|e| fail_usage(&e))
+}
+
+/// `--tau`: a zero, negative or non-finite time step moves no walker
+/// sensibly, so it is a usage error, not a run of NaN energies.
+fn time_step(opts: &Options) -> f64 {
+    let tau: f64 = arg(opts, "tau", 0.005);
+    if tau > 0.0 && tau.is_finite() {
+        tau
+    } else {
+        fail_usage(&format!(
+            "--tau: cannot use '{tau}' (valid: a positive finite time step)"
+        ))
+    }
+}
+
 fn parse_size(s: &str) -> Result<Size, String> {
     match s {
         "scaled" => Ok(Size::Scaled),
@@ -155,11 +177,11 @@ fn main() {
     }
     let crowd = arg(&opts, "crowd", 0usize);
     let cfg = RunConfig {
-        threads: arg(&opts, "threads", 2),
-        walkers: arg(&opts, "walkers", 8),
-        steps: arg(&opts, "steps", 10),
+        threads: count(&opts, "threads", 2),
+        walkers: count(&opts, "walkers", 8),
+        steps: count(&opts, "steps", 10),
         warmup: arg(&opts, "warmup", 2),
-        tau: arg(&opts, "tau", 0.005),
+        tau: time_step(&opts),
         seed: arg(&opts, "seed", 42),
         batching: if crowd > 0 {
             Batching::Crowd(crowd)

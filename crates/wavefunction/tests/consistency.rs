@@ -192,6 +192,43 @@ fn j1_ref_and_soa_agree_through_sweeps() {
     parity_sweep(&mut p, &mut jref, &mut jsoa, 1e-9, 29);
 }
 
+/// The paper's per-walker J2 store, `5 N^2` -> `5 N`: the reference factor
+/// keeps every pair (`u`, the three gradient components and the Laplacian
+/// term) plus `5 N` candidate-row scalars, the SoA factor only the
+/// per-electron sums. In f64 that is `40 (N^2 + N)` against `40 N` bytes,
+/// so from N = 96 to N = 384 the reference store grows 384·385 / (96·97) =
+/// 15.88x (bounds 15.8-16, the pure `N^2` limit) and the SoA store exactly
+/// 4x (both N are multiples of the 8-double padding; bounds 3.95-4.05),
+/// and at N = 384 the SoA store is N + 1 = 385x smaller (bounds 384-386).
+#[test]
+fn j2_store_grows_as_n_squared_for_ref_and_as_n_for_soa() {
+    let bytes = |n: usize| {
+        let mut p = make_electrons(n, 7);
+        let h_aos = p.add_table_aa(Layout::Aos);
+        let h_soa = p.add_table_aa(Layout::Soa);
+        let jref = J2Ref::new(&p, h_aos, pair_functors());
+        let jsoa = J2Soa::new(&p, h_soa, pair_functors());
+        (jref.bytes() as f64, jsoa.bytes() as f64)
+    };
+    let (ref96, soa96) = bytes(96);
+    let (ref384, soa384) = bytes(384);
+    let ref_growth = ref384 / ref96;
+    assert!(
+        (15.8..=16.0).contains(&ref_growth),
+        "J2Ref store grew {ref_growth:.3}x from N = 96 to 384"
+    );
+    let soa_growth = soa384 / soa96;
+    assert!(
+        (3.95..=4.05).contains(&soa_growth),
+        "J2Soa store grew {soa_growth:.3}x from N = 96 to 384"
+    );
+    let saving = ref384 / soa384;
+    assert!(
+        (384.0..=386.0).contains(&saving),
+        "J2Soa store is {saving:.1}x smaller than J2Ref's at N = 384"
+    );
+}
+
 /// Finite-difference check of gradient and Laplacian accumulated by
 /// `evaluate_log` for an arbitrary component constructor.
 type ComponentBuilder = dyn Fn(&ParticleSet<f64>) -> Box<dyn WaveFunctionComponent<f64>>;
