@@ -81,6 +81,18 @@ if grep -nE '(inf|NaN)x' "$ladder_out"; then
 fi
 rm "$ladder_out"
 
+echo "== Fig. 1 smoke (fig1_strong_scaling: simulated ranks 1/2/4/8, Ref and Current) =="
+# The smallest run of every rank count Fig. 1 prints; each renders its
+# RunReport. A rank count whose run measured no sample would print an
+# `inf` or `NaN` time, overhead or efficiency, which fails here.
+fig1_out=$(mktemp)
+./target/release/fig1_strong_scaling --steps 2 --walkers 2 --reps 1 --threads 1 > "$fig1_out"
+if grep -nE '(inf|NaN)' "$fig1_out"; then
+    echo "fig1_strong_scaling printed a time or ratio over no samples" >&2
+    exit 1
+fi
+rm "$fig1_out"
+
 echo "== run-report smoke (miniqmc --profile json) =="
 # json_check also gates the runtime sanitizer (some checks made, no
 # violation) and attribution: kernel seconds finite, >= 0, and summing to

@@ -5,92 +5,86 @@
 //! and a uniform 2-4.5x Current/Ref gap at every scale — because the
 //! optimizations are on-node and leave communication untouched.
 //!
-//! This host exposes limited hardware parallelism, so ranks are *time-
-//! shared* (oversubscribed threads running the full rank protocol: one
-//! fork-join per generation, then the allreduce and the exchange of
-//! serialized walkers on the coordinator). With the total population fixed,
-//! the serialized compute is constant across rank counts, so any wall-time
-//! growth is synchronization/communication overhead — precisely the
-//! quantity whose smallness the paper's near-ideal slopes demonstrate.
-//! Engine construction and walker initialisation are outside the timed
-//! generation loop. We
-//! report that overhead, the implied parallel efficiency
-//! `T_1 / T_R` on an R-core machine, and the Ref/Current speedup per rank
-//! count.
+//! Each rank count runs the program's DMC over simulated ranks
+//! (`qmc_workloads::run_multi_rank_benchmark`: one engine and thread per
+//! rank, rank-local branching, one fork-join per generation, then the
+//! allreduce and the exchange of serialized walkers on the coordinator)
+//! and renders its `RunReport`. Engine construction is outside the timed
+//! run; walker initialisation is inside it, as for every other run. With
+//! the total population fixed, the work per Monte Carlo sample is constant
+//! across rank counts, so on a host with `P` hardware threads the ideal
+//! time per sample at `R` ranks is `t_1 / min(R, P)`: the overhead and the
+//! parallel efficiency are read against that ideal, and what is left is
+//! synchronization and communication — the quantity whose smallness the
+//! paper's near-ideal slopes demonstrate. The Ref/Current speedup is
+//! printed per rank count. Of the shared harness options, `--steps`,
+//! `--seed`, `--reps` and `--full` apply; the population (16) and the
+//! rank counts (1, 2, 4, 8) are fixed, so `--walkers` and `--threads` are
+//! not read.
 
-use qmc_bench::{multi_rank_throughput, HarnessConfig};
-use qmc_workloads::{Benchmark, CodeVersion};
+use qmc_bench::HarnessConfig;
+use qmc_drivers::Exchange;
+use qmc_instrument::RunReport;
+use qmc_workloads::{run_multi_rank_benchmark, Benchmark, CodeVersion, RunConfig, Workload};
+
+/// Fixed total walker population across all rank counts.
+const TOTAL_POPULATION: usize = 16;
 
 fn main() {
     let cfg = HarnessConfig::from_env();
     let workload = cfg.workload(Benchmark::NiO64);
-    let ranks_list = [1usize, 2, 4, 8];
-    let total_pop = 16; // fixed total population across all rank counts
-    let steps = cfg.steps;
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
 
     println!(
-        "== Fig 1: strong scaling (simulated ranks), NiO-64 ({} electrons), fixed population {} ==",
+        "== Fig 1: strong scaling (simulated ranks), NiO-64 ({} electrons), fixed population {}, \
+         {} hardware threads ==",
         workload.num_electrons(),
-        total_pop
+        TOTAL_POPULATION,
+        cores
     );
     println!(
         "{:>6} {:>13} {:>13} {:>11} {:>11} {:>9} {:>10}",
-        "ranks", "Ref ms/samp", "Cur ms/samp", "Ref ovh%", "Cur ovh%", "speedup", "impl.eff%"
+        "ranks", "Ref ms/samp", "Cur ms/samp", "Ref ovh%", "Cur ovh%", "speedup", "Cur eff%"
     );
 
     // Populations drift per rank count, so the scale-invariant quantity is
-    // the serialized time per Monte Carlo sample.
+    // the time per Monte Carlo sample.
     let (mut t1_ref, mut t1_cur) = (0.0f64, 0.0f64);
-    let mut msg_sizes = (0u64, 0u64, 0u64, 0u64); // (ref bytes, ref count, cur bytes, cur count)
-    for &ranks in &ranks_list {
-        let rr = multi_rank_throughput(
-            &workload,
-            CodeVersion::Ref,
-            ranks,
-            total_pop,
-            steps,
-            cfg.seed,
-        );
-        let rc2 = multi_rank_throughput(
-            &workload,
-            CodeVersion::Current,
-            ranks,
-            total_pop,
-            steps,
-            cfg.seed,
-        );
-        let (sec_ref, samp_ref) = (rr.seconds, rr.samples);
-        let (sec_cur, samp_cur) = (rc2.seconds, rc2.samples);
-        msg_sizes.0 += rr.bytes_exchanged;
-        msg_sizes.1 += rr.exchanged;
-        msg_sizes.2 += rc2.bytes_exchanged;
-        msg_sizes.3 += rc2.exchanged;
-        let per_ref = sec_ref / samp_ref.max(1) as f64 * 1e3;
-        let per_cur = sec_cur / samp_cur.max(1) as f64 * 1e3;
+    let (mut traffic_ref, mut traffic_cur) = (Exchange::default(), Exchange::default());
+    for ranks in [1usize, 2, 4, 8] {
+        let rc = RunConfig {
+            threads: ranks,
+            walkers: TOTAL_POPULATION,
+            ..cfg.run_config()
+        };
+        let (rep_ref, ex_ref) = best_run(&workload, CodeVersion::Ref, &rc, cfg.reps);
+        let (rep_cur, ex_cur) = best_run(&workload, CodeVersion::Current, &rc, cfg.reps);
+        for (total, ex) in [(&mut traffic_ref, ex_ref), (&mut traffic_cur, ex_cur)] {
+            total.walkers += ex.walkers;
+            total.bytes += ex.bytes;
+        }
+        let (per_ref, per_cur) = (ms_per_sample(&rep_ref), ms_per_sample(&rep_cur));
         if ranks == 1 {
             t1_ref = per_ref;
             t1_cur = per_cur;
         }
-        let ovh_ref = (per_ref / t1_ref - 1.0) * 100.0;
-        let ovh_cur = (per_cur / t1_cur - 1.0) * 100.0;
-        // With constant serialized per-sample work, an R-core machine would
-        // take per_R / R per sample; efficiency vs ideal per_1 / R is
-        // per_1 / per_R.
-        let eff = t1_cur / per_cur * 100.0;
+        // Ranks beyond the hardware threads time-share them.
+        let parallel = ranks.min(cores) as f64;
+        let (ideal_ref, ideal_cur) = (t1_ref / parallel, t1_cur / parallel);
         println!(
             "{:>6} {:>13.2} {:>13.2} {:>10.1}% {:>10.1}% {:>8.2}x {:>9.1}%",
             ranks,
             per_ref,
             per_cur,
-            ovh_ref,
-            ovh_cur,
+            (per_ref / ideal_ref - 1.0) * 100.0,
+            (per_cur / ideal_cur - 1.0) * 100.0,
             per_ref / per_cur,
-            eff
+            ideal_cur / per_cur * 100.0
         );
     }
-    if msg_sizes.1 > 0 && msg_sizes.3 > 0 {
-        let ref_mb = msg_sizes.0 as f64 / msg_sizes.1 as f64 / 1e6;
-        let cur_mb = msg_sizes.2 as f64 / msg_sizes.3 as f64 / 1e6;
+    if traffic_ref.walkers > 0 && traffic_cur.walkers > 0 {
+        let ref_mb = traffic_ref.bytes as f64 / traffic_ref.walkers as f64 / 1e6;
+        let cur_mb = traffic_cur.bytes as f64 / traffic_cur.walkers as f64 / 1e6;
         println!(
             "\nserialized walker message: Ref {ref_mb:.2} MB, Current {cur_mb:.2} MB \
              ({:.2} MB smaller; paper: 22.5 MB smaller for full NiO-64)",
@@ -98,9 +92,33 @@ fn main() {
         );
     }
     println!(
-        "\n(shape per the paper: overheads stay within a few percent of the\n\
-         single-rank time -> near-ideal implied efficiency at every scale;\n\
+        "\n(shape per the paper: overheads against the ideal t_1 / min(ranks, {cores})\n\
+         stay within a few percent -> near-ideal efficiency at every scale;\n\
          the Current/Ref speedup is uniform across rank counts because the\n\
          optimizations never touch the communication pattern.)"
     );
+}
+
+/// The best-throughput report of `reps` multi-rank runs and the walker
+/// traffic of that run (the traffic is seeded, so every rep moves the same
+/// walkers).
+fn best_run(
+    workload: &Workload,
+    code: CodeVersion,
+    rc: &RunConfig,
+    reps: usize,
+) -> (RunReport, Exchange) {
+    (0..reps.max(1))
+        .map(|_| {
+            let (out, exchange) = run_multi_rank_benchmark(workload, code, rc);
+            (out.report(workload, rc), exchange)
+        })
+        .max_by(|a, b| a.0.throughput().total_cmp(&b.0.throughput()))
+        .expect("at least one rep")
+}
+
+/// Wall milliseconds per Monte Carlo sample of a run (`inf` for a run
+/// that measured none).
+fn ms_per_sample(report: &RunReport) -> f64 {
+    report.seconds / report.samples as f64 * 1e3
 }

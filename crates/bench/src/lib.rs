@@ -117,30 +117,3 @@ pub fn gib(bytes: usize) -> f64 {
 pub fn mib(bytes: u64) -> f64 {
     bytes as f64 / (1u64 << 20) as f64
 }
-
-/// Runs a simulated multi-rank DMC for any code version (precision
-/// dispatch), returning `(seconds, samples, throughput)`.
-pub fn multi_rank_throughput(
-    workload: &Workload,
-    code: CodeVersion,
-    ranks: usize,
-    total_population: usize,
-    steps: usize,
-    seed: u64,
-) -> qmc_drivers::MultiRankResult {
-    use qmc_drivers::{run_multi_rank, MultiRankParams};
-    let params = MultiRankParams {
-        ranks,
-        total_population,
-        steps,
-        warmup: (steps / 4).max(1),
-        tau: 0.005,
-        seed,
-    };
-    let init = workload.initial_positions();
-    if code.single_precision() {
-        run_multi_rank(|_rank| workload.build_engine_f32(code), init, &params)
-    } else {
-        run_multi_rank(|_rank| workload.build_engine_f64(code), init, &params)
-    }
-}

@@ -72,6 +72,12 @@ impl<T: Real> Crew<T> for QmcEngine<T> {
     }
 }
 
+/// Length of chunk `t` when `n` items split into `parts` contiguous
+/// chunks of near-equal size, the longer ones first.
+pub(crate) fn chunk_len(n: usize, parts: usize, t: usize) -> usize {
+    n / parts + usize::from(t < n % parts)
+}
+
 /// Splits `items` into `parts` contiguous chunks of near-equal size.
 /// An empty slice yields no chunks at all (no idle worker threads).
 fn chunks_mut<I>(items: &mut [I], parts: usize) -> Vec<&mut [I]> {
@@ -80,13 +86,10 @@ fn chunks_mut<I>(items: &mut [I], parts: usize) -> Vec<&mut [I]> {
         return Vec::new();
     }
     let parts = parts.max(1).min(n);
-    let base = n / parts;
-    let extra = n % parts;
     let mut out = Vec::with_capacity(parts);
     let mut rest = items;
     for t in 0..parts {
-        let take = base + usize::from(t < extra);
-        let (head, tail) = rest.split_at_mut(take);
+        let (head, tail) = rest.split_at_mut(chunk_len(n, parts, t));
         out.push(head);
         rest = tail;
     }

@@ -45,6 +45,13 @@ pub struct DmcParams {
     pub batching: Batching,
 }
 
+impl DmcParams {
+    /// Whether generation `step` starts with a from-scratch refresh.
+    pub(crate) fn refreshes_at(&self, step: usize) -> bool {
+        self.recompute_every > 0 && step.is_multiple_of(self.recompute_every)
+    }
+}
+
 impl Default for DmcParams {
     fn default() -> Self {
         Self {
@@ -119,7 +126,7 @@ impl DmcState {
         }
     }
 
-    /// Completes one generation: accumulates statistics, branches the
+    /// Completes one generation: records its statistics, branches the
     /// population and applies the trial-energy feedback — the tail of
     /// every generation, whatever crew advanced the walkers. Returns this
     /// generation's energy estimate.
@@ -132,19 +139,42 @@ impl DmcState {
         acc: usize,
         att: usize,
     ) -> f64 {
+        let e_avg = self.record(walkers.len(), warmup, esum, wsum, acc, att);
+        self.branch.branch(walkers);
+        self.feedback(e_avg, walkers.len());
+        e_avg
+    }
+
+    /// The generation's statistics over its pre-branch `population`:
+    /// move counts, the energy estimate `esum / wsum` (`e0` when the
+    /// weight vanished), samples after warmup and the population trace.
+    /// Returns the energy estimate.
+    pub(crate) fn record(
+        &mut self,
+        population: usize,
+        warmup: usize,
+        esum: f64,
+        wsum: f64,
+        acc: usize,
+        att: usize,
+    ) -> f64 {
         self.accepted += acc;
         self.attempted += att;
         let e_avg = if wsum > 0.0 { esum / wsum } else { self.e0 };
         if self.step >= warmup {
             self.energy.push(e_avg, wsum);
-            self.samples += walkers.len() as u64;
+            self.samples += population as u64;
         }
-        self.population.push(walkers.len());
-        self.branch.branch(walkers);
-        self.branch.update_trial_energy(e_avg, walkers.len());
+        self.population.push(population);
+        e_avg
+    }
+
+    /// The trial-energy feedback from the energy estimate and the
+    /// post-branch `population`, which closes the generation.
+    pub(crate) fn feedback(&mut self, e_avg: f64, population: usize) {
+        self.branch.update_trial_energy(e_avg, population);
         self.e_trial_trace.push(self.branch.e_trial);
         self.step += 1;
-        e_avg
     }
 
     /// Final result of the run this state accumulated.
@@ -165,6 +195,17 @@ impl DmcState {
             e_trial: self.branch.e_trial,
             e_trial_trace: self.e_trial_trace,
         }
+    }
+}
+
+/// Mean local energy of a freshly initialized population (0 for none):
+/// the `e0` a fresh [`DmcState`] starts from.
+#[expect(clippy::cast_precision_loss, reason = "walker counts are exact in f64")]
+pub(crate) fn mean_local_energy<T: Real>(walkers: &[Walker<T>]) -> f64 {
+    if walkers.is_empty() {
+        0.0
+    } else {
+        walkers.iter().map(|w| w.e_local).sum::<f64>() / walkers.len() as f64
     }
 }
 
@@ -241,20 +282,14 @@ pub fn run_dmc<T: Real, C: Crew<T>>(
         state
     } else {
         init_walkers(crew, walkers, "init", &mut profile);
-        #[expect(clippy::cast_precision_loss, reason = "walker counts are exact in f64")]
-        let e0 = if walkers.is_empty() {
-            0.0
-        } else {
-            walkers.iter().map(|w| w.e_local).sum::<f64>() / walkers.len() as f64
-        };
-        DmcState::fresh(e0, params)
+        DmcState::fresh(mean_local_energy(walkers), params)
     };
 
     while state.step < params.steps {
         let step = state.step;
         // Driver-level step span on its own lane, above the crew lanes.
         let step_span = span_lazy(crew.len() as u64, || format!("step {step}"));
-        let refresh = params.recompute_every > 0 && step % params.recompute_every == 0;
+        let refresh = params.refreshes_at(step);
         let branch = &state.branch;
         let counts = fan_out(
             crew,

@@ -10,10 +10,10 @@
 //! * [`vmc`] / [`dmc`] — the two drivers, one loop each.
 //! * [`crew`] — the walker crew the drivers run over (the OpenMP level)
 //!   and `fan_out_tasks`, the one place the program starts threads.
-//! * [`ranks`] — simulated multi-rank execution for the strong-scaling
-//!   study (Fig. 1): a coordinator loop that forks each generation over the
-//!   ranks and does allreduce and walker exchange between the forks, in
-//!   rank order.
+//! * [`ranks`] — simulated multi-rank DMC for the strong-scaling study
+//!   (Fig. 1): `run_dmc`'s generation and [`DmcState`] books on one engine
+//!   per rank, with rank-local branching inside each fork and the
+//!   allreduce and walker exchange between the forks, in rank order.
 //! * [`estimator`] / [`branch`] — statistics and population control.
 //! * [`reduce`] — the fixed-shape deterministic reduction ([`det_sum`])
 //!   the drivers merge per-walker quantities through.
@@ -75,8 +75,8 @@ pub use dmc::{run_dmc, DmcParams, DmcResult, DmcState};
 pub use engine::{limited_drift, HamiltonianSet, QmcEngine, SweepStats};
 pub use estimator::ScalarEstimator;
 pub use fingerprint::{population_digest, walker_digest_full, Fnv};
-pub use ranks::{run_multi_rank, MultiRankParams, MultiRankResult};
-pub use reduce::{det_sum, det_sum_by, det_weighted_mean};
+pub use ranks::{run_multi_rank, Exchange};
+pub use reduce::{det_sum, det_sum_by};
 pub use serialize::{
     deserialize_walker, reseed_for_migration, serialize_walker, try_deserialize_walker, WireError,
 };

@@ -1,187 +1,164 @@
 //! Simulated multi-rank (MPI-like) DMC execution for the strong-scaling
 //! study of Fig. 1.
 //!
-//! Each "rank" is an engine, a walker sub-population and a rank-local
-//! branch controller. A coordinator loop on the calling thread runs one
-//! generation as one fork-join over the ranks ([`fan_out_tasks`]: the
-//! shared [`crate::dmc::advance`], the rank's walker-order partials, the
-//! rank-local branch) and does the population-level steps serially between
-//! fan-outs, in rank order: the allreduce of the weighted energy and
-//! population (mirroring the paper's `allreduce` for `E_L`) through
-//! [`det_sum_by`] over the rank-indexed partials, the trial-energy update,
-//! and the rebalancing of walkers through an exchange pool (the `send/recv
-//! of serialized Walker objects` in §8). Nothing a rank computes depends
-//! on when another rank ran, so the result is bitwise the same for any
-//! rank count, thread schedule and repeat. The paper's observation — that
-//! the optimizations leave communication untouched and near-ideal scaling
-//! intact — is what this module lets the harness demonstrate.
-#![expect(
-    clippy::cast_precision_loss,
-    reason = "rank-aggregation statistics (means, weights, counts) are f64 in the run report"
-)]
+//! Each "rank" is one of the caller's engines, a walker sub-population and
+//! a rank-local branching stream. [`run_multi_rank`] runs the program's
+//! DMC generation — the shared [`crate::dmc::advance`] with its refresh
+//! cadence, and the [`DmcState`] books — with two things kept apart,
+//! because they are what Fig. 1 measures: each rank branches its own
+//! walkers inside the fork-join ([`fan_out_tasks`]) under the one global
+//! trial energy, and between fork-joins the coordinator rebalances the
+//! ranks by moving serialized walkers (the `send/recv of serialized Walker
+//! objects` in §8). The allreduce of the weighted energy and population
+//! (the paper's `allreduce` for `E_L`) runs [`det_sum_by`] over the
+//! rank-indexed partials, and the exchange moves walkers by ascending
+//! rank, so nothing a rank computes depends on when another rank ran: the
+//! result is bitwise the same for any thread schedule and repeat, and on
+//! one rank it is bitwise [`crate::run_dmc`] on one engine.
 
 use crate::branch::BranchController;
-use crate::crew::fan_out_tasks;
+use crate::crew::{chunk_len, fan_out_tasks, init_walkers};
+use crate::dmc::{advance, mean_local_energy, DmcParams, DmcResult, DmcState};
 use crate::engine::QmcEngine;
-use crate::reduce::{det_sum_by, det_weighted_mean};
+use crate::reduce::det_sum_by;
 use crate::serialize::{deserialize_walker, reseed_for_migration, serialize_walker};
-use crate::walker::{initial_population, Walker};
+use crate::walker::Walker;
 use qmc_containers::Real;
-use qmc_instrument::ProfileSet;
+use qmc_instrument::{drain_thread_profile, ProfileSet};
 
-/// Parameters for a simulated multi-rank DMC run.
-#[derive(Clone, Copy, Debug)]
-pub struct MultiRankParams {
-    /// Number of simulated ranks (one worker thread each).
-    pub ranks: usize,
-    /// Total target population across ranks.
-    pub total_population: usize,
-    /// Generations to run.
-    pub steps: usize,
-    /// Generations discarded from statistics.
-    pub warmup: usize,
-    /// Imaginary time step.
-    pub tau: f64,
-    /// Master seed.
-    pub seed: u64,
+/// Load-balance traffic of a multi-rank run: the serialized walker
+/// messages the ranks sent each other.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Exchange {
+    /// Walkers moved between ranks.
+    pub walkers: u64,
+    /// Bytes of serialized walker messages moved — the quantity the
+    /// paper's Jastrow memory reduction shrinks by 22.5 MB per walker on
+    /// NiO-64.
+    pub bytes: u64,
 }
 
-/// Outcome of a multi-rank run.
-#[derive(Clone, Debug)]
-pub struct MultiRankResult {
-    /// Wall-clock seconds of the generation loop.
-    pub seconds: f64,
-    /// Monte Carlo samples generated after warmup (sum of populations).
-    pub samples: u64,
-    /// Mean energy over measured generations.
-    pub energy: f64,
-    /// Walkers exchanged between ranks (load-balance traffic).
-    pub exchanged: u64,
-    /// Bytes of serialized walker messages moved between ranks — the
-    /// quantity the paper's Jastrow memory reduction shrinks by 22.5 MB
-    /// per walker on NiO-64.
-    pub bytes_exchanged: u64,
-}
-
-impl MultiRankResult {
-    /// Throughput `P = samples / seconds`, the paper's figure of merit.
-    pub fn throughput(&self) -> f64 {
-        self.samples as f64 / self.seconds
-    }
-}
-
-/// One simulated rank: what an MPI process would own.
+/// What one simulated rank owns besides its engine.
 struct Rank<T: Real> {
-    engine: QmcEngine<T>,
     walkers: Vec<Walker<T>>,
+    /// Rank-local branching stream; its trial energy is the global one.
     branch: BranchController,
 }
 
-/// Runs DMC over `params.ranks` simulated ranks. `build_engine(rank)`
-/// constructs each rank's engine; `initial_positions` seeds the walkers.
-pub fn run_multi_rank<T, F>(
-    build_engine: F,
-    initial_positions: &[qmc_containers::Pos<f64>],
-    params: &MultiRankParams,
-) -> MultiRankResult
-where
-    T: Real,
-    F: Fn(usize) -> QmcEngine<T> + Sync,
-{
-    let n = params.ranks.max(1);
-    let per_rank = (params.total_population / n).max(1);
-    // Kernel profiles of the ranks are drained per task and not reported.
-    let mut profile = ProfileSet::with_groups(n);
-    let mut ranks = fan_out_tasks((0..n).collect(), "rank init", &mut profile, |_, rank| {
-        let mut engine = build_engine(rank);
-        let mut walkers = initial_population::<T>(
-            initial_positions,
-            per_rank,
-            params.seed ^ (rank as u64).wrapping_mul(0x9E3779B97F4A7C15),
-        );
-        for w in &mut walkers {
-            engine.init_walker(w);
-        }
-        let e0 = walkers.iter().map(|w| w.e_local).sum::<f64>() / walkers.len() as f64;
-        let seed = params.seed ^ 0xABCD ^ rank as u64;
-        Rank {
-            engine,
-            walkers,
-            branch: BranchController::new(per_rank, e0, params.tau, seed),
-        }
-    });
-    let e0 = ranks[0].branch.e_trial;
-    // The exchange pool holds *serialized* walker messages, exactly what
-    // an MPI implementation would send/recv (§8); what a generation leaves
-    // in it stays for the next.
-    let mut pool: Vec<Vec<u8>> = Vec::new();
-    let mut energies = Vec::<(f64, f64)>::new();
-    let (mut samples, mut exchanged, mut bytes_exchanged) = (0u64, 0u64, 0u64);
+/// One rank's share of a generation, for the allreduce.
+struct Partial {
+    esum: f64,
+    wsum: f64,
+    accepted: usize,
+    attempted: usize,
+    /// Walkers before the rank branched.
+    population: usize,
+}
 
-    let t0 = std::time::Instant::now();
-    for step in 0..params.steps {
-        // The shared DMC walker advance for the local block (no refresh
-        // cadence on ranks), the rank's `(sum w*E, sum w)` contribution to
-        // the allreduce in walker order, then the rank-local branch.
-        let tasks = ranks.iter_mut().collect();
-        let partials = fan_out_tasks(tasks, "rank", &mut profile, |lane, r: &mut Rank<T>| {
-            crate::dmc::advance(
+/// Runs DMC over one simulated rank per engine in `ranks` (one worker
+/// thread each). Rank `r` starts with contiguous chunk `r` of `walkers`;
+/// on return `walkers` holds the ranks' populations in rank order. The
+/// branching stream of rank 0 is seeded from `params.seed`, those of
+/// ranks `r > 0` from `params.seed` and `r`. Returns the result, the
+/// kernel profile (one group per rank) and the exchange traffic.
+pub fn run_multi_rank<T: Real>(
+    ranks: &mut [QmcEngine<T>],
+    walkers: &mut Vec<Walker<T>>,
+    params: &DmcParams,
+) -> (DmcResult, ProfileSet, Exchange) {
+    assert!(!ranks.is_empty(), "a run needs at least one rank");
+    qmc_instrument::enable_ftz();
+    let n = ranks.len();
+    let mut profile = ProfileSet::with_groups(n);
+    init_walkers(ranks, walkers, "rank init", &mut profile);
+    let e0 = mean_local_energy(walkers);
+    let mut state = DmcState::fresh(e0, params);
+    let total = walkers.len();
+    let mut rest = std::mem::take(walkers).into_iter();
+    let mut books: Vec<Rank<T>> = (0..n)
+        .map(|r| {
+            let seed = params.seed ^ (r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            Rank {
+                walkers: rest.by_ref().take(chunk_len(total, n, r)).collect(),
+                branch: BranchController::new(params.target_population, e0, params.tau, seed),
+            }
+        })
+        .collect();
+    let mut traffic = Exchange::default();
+
+    while state.step < params.steps {
+        let refresh = params.refreshes_at(state.step);
+        let tasks = ranks.iter_mut().zip(books.iter_mut()).collect();
+        let partials = fan_out_tasks(tasks, "rank", &mut profile, |lane, (engine, rank)| {
+            let (accepted, attempted) = advance(
                 lane,
-                &mut r.engine,
-                &mut r.walkers,
+                engine,
+                &mut rank.walkers,
                 params.tau,
-                false,
-                &r.branch,
+                refresh,
+                &rank.branch,
             );
-            let w = &r.walkers;
-            let esum = det_sum_by(w.len(), |i| w[i].weight * w[i].e_local);
-            let wsum = det_sum_by(w.len(), |i| w[i].weight);
-            r.branch.branch(&mut r.walkers);
-            (esum, wsum)
+            let w = &rank.walkers;
+            let partial = Partial {
+                esum: det_sum_by(w.len(), |i| w[i].weight * w[i].e_local),
+                wsum: det_sum_by(w.len(), |i| w[i].weight),
+                accepted,
+                attempted,
+                population: w.len(),
+            };
+            rank.branch.branch(&mut rank.walkers);
+            partial
         });
 
-        // --- allreduce of E_L and population, then the trial energy ---
-        let g_esum = det_sum_by(n, |r| partials[r].0);
-        let g_wsum = det_sum_by(n, |r| partials[r].1);
-        let pops: usize = ranks.iter().map(|r| r.walkers.len()).sum();
-        let e_avg = if g_wsum > 0.0 { g_esum / g_wsum } else { e0 };
-        let ratio = pops as f64 / params.total_population as f64;
-        let e_trial = e_avg - (1.0 / params.tau) * ratio.ln().clamp(-1.0, 1.0);
-        if step >= params.warmup {
-            energies.push((e_avg, g_wsum));
-            samples += pops as u64;
+        // The allreduce of E_L, weight and population, then the feedback
+        // on the global trial energy, which every rank's reweighting and
+        // branching then reads.
+        let e_avg = state.record(
+            partials.iter().map(|p| p.population).sum(),
+            params.warmup,
+            det_sum_by(n, |r| partials[r].esum),
+            det_sum_by(n, |r| partials[r].wsum),
+            partials.iter().map(|p| p.accepted).sum(),
+            partials.iter().map(|p| p.attempted).sum(),
+        );
+        state.feedback(e_avg, books.iter().map(|r| r.walkers.len()).sum());
+        for rank in &mut books {
+            rank.branch.e_trial = state.branch.e_trial;
         }
+        rebalance(&mut books, &mut traffic);
+    }
 
-        // --- load balance: surplus ranks push, then deficit ranks pull,
-        // each by ascending rank ---
-        let avg = (pops / n).max(1);
-        for r in &mut ranks {
-            r.branch.e_trial = e_trial;
-            let surplus = r.walkers.len().saturating_sub(avg);
-            for mut w in r.walkers.drain(r.walkers.len() - surplus..) {
+    profile.merge_total(&drain_thread_profile());
+    walkers.extend(books.into_iter().flat_map(|r| r.walkers));
+    (state.into_result(), profile, traffic)
+}
+
+/// Moves walkers until the ranks hold the contiguous chunk shape of the
+/// whole population: surplus ranks send their tail walkers, then deficit
+/// ranks receive, each by ascending rank. A walker leaves its rank as a
+/// serialized message with a re-keyed stream.
+fn rebalance<T: Real>(ranks: &mut [Rank<T>], traffic: &mut Exchange) {
+    let n = ranks.len();
+    let total = ranks.iter().map(|r| r.walkers.len()).sum();
+    let mut pool: Vec<Vec<u8>> = Vec::new();
+    for (r, rank) in ranks.iter_mut().enumerate() {
+        let keep = chunk_len(total, n, r);
+        if rank.walkers.len() > keep {
+            for mut w in rank.walkers.drain(keep..) {
                 // Migration policy: decorrelate the stream before the
                 // walker leaves this rank.
                 reseed_for_migration(&mut w);
                 let msg = serialize_walker(&w);
-                bytes_exchanged += msg.len() as u64;
+                traffic.walkers += 1;
+                traffic.bytes += msg.len() as u64;
                 pool.push(msg);
-            }
-            exchanged += surplus as u64;
-        }
-        for r in &mut ranks {
-            while r.walkers.len() < avg {
-                let Some(msg) = pool.pop() else { break };
-                r.walkers.push(deserialize_walker(&msg));
             }
         }
     }
-    let seconds = t0.elapsed().as_secs_f64();
-
-    MultiRankResult {
-        seconds,
-        samples,
-        energy: det_weighted_mean(&energies, 0.0),
-        exchanged,
-        bytes_exchanged,
+    for (r, rank) in ranks.iter_mut().enumerate() {
+        while rank.walkers.len() < chunk_len(total, n, r) {
+            let Some(msg) = pool.pop() else { break };
+            rank.walkers.push(deserialize_walker(&msg));
+        }
     }
 }

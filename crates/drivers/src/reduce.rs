@@ -41,19 +41,6 @@ pub fn det_sum(xs: &[f64]) -> f64 {
     det_sum_by(xs.len(), |i| xs[i])
 }
 
-/// Weighted mean `sum(w*e) / sum(w)` over `(e, w)` pairs with both sums
-/// taken through the deterministic tree; `fallback` when the weight sum is
-/// not positive. The shared tail of the multi-rank energy aggregation.
-pub fn det_weighted_mean(pairs: &[(f64, f64)], fallback: f64) -> f64 {
-    let es = det_sum_by(pairs.len(), |i| pairs[i].0 * pairs[i].1);
-    let ws = det_sum_by(pairs.len(), |i| pairs[i].1);
-    if ws > 0.0 {
-        es / ws
-    } else {
-        fallback
-    }
-}
-
 fn pairwise<F: Fn(usize) -> f64>(lo: usize, hi: usize, f: &F) -> f64 {
     let n = hi - lo;
     if n <= LEAF {
@@ -142,13 +129,5 @@ mod tests {
         assert_ne!(merged[0], merged[2], "series too tame to detect reorder");
         let det: Vec<u64> = (0..3).map(|_| det_sum(&xs).to_bits()).collect();
         assert!(det.windows(2).all(|w| w[0] == w[1]));
-    }
-
-    #[test]
-    fn weighted_mean_fallback() {
-        assert_eq!(det_weighted_mean(&[], -0.5), -0.5);
-        assert_eq!(det_weighted_mean(&[(2.0, 0.0)], -0.5), -0.5);
-        let pairs = [(1.0, 2.0), (3.0, 2.0)];
-        assert_eq!(det_weighted_mean(&pairs, 0.0), 2.0);
     }
 }

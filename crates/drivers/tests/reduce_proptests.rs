@@ -8,7 +8,7 @@
 //! primitive level.
 
 use proptest::prelude::*;
-use qmc_drivers::{det_sum, det_sum_by, det_weighted_mean};
+use qmc_drivers::{det_sum, det_sum_by};
 
 proptest! {
     /// Gathering the same terms through any chunking, with the chunks
@@ -78,17 +78,5 @@ proptest! {
             (tree - acc).abs() <= 1e-9 * acc.abs().max(1.0),
             "tree {} vs kahan {}", tree, acc
         );
-    }
-
-    /// The weighted mean is invariant to how its pairs were gathered and
-    /// lands on the plain ratio of deterministic sums.
-    #[test]
-    fn weighted_mean_is_the_ratio_of_det_sums(
-        pairs in prop::collection::vec((-50.0f64..50.0, 0.01f64..2.0), 1..120),
-    ) {
-        let es = det_sum_by(pairs.len(), |i| pairs[i].0 * pairs[i].1);
-        let ws = det_sum_by(pairs.len(), |i| pairs[i].1);
-        let mean = det_weighted_mean(&pairs, f64::NAN);
-        prop_assert_eq!(mean.to_bits(), (es / ws).to_bits());
     }
 }

@@ -220,18 +220,6 @@ impl<T: Real, const W: usize> WideLane<T, W> {
         WideLane(out)
     }
 
-    /// Branchless cutoff mask: lane `k` keeps `self[k]` where
-    /// `r[k] < bound`, else takes zero — lowers to a packed compare +
-    /// blend, the vector form of the Jastrow functor cutoff branch.
-    #[inline(always)]
-    pub fn zero_where_ge(self, r: WideLane<T, W>, bound: T) -> Self {
-        let mut out = self.0;
-        for k in 0..W {
-            out[k] = if r.0[k] < bound { out[k] } else { T::ZERO };
-        }
-        WideLane(out)
-    }
-
     /// Horizontal sum in lane order (0, 1, ..). Splitting a reduction
     /// across lanes and summing here changes the summation order relative
     /// to a scalar loop: the J2 kernels' one order, which the tests hold
@@ -297,15 +285,5 @@ mod tests {
         assert_eq!(a.mul(b).0, [0.5, 1.0, 1.5, 2.0]);
         assert_eq!(a.min(b).0, [0.5, 0.5, 0.5, 0.5]);
         assert_eq!(a.max(b).0, a.0);
-    }
-
-    #[test]
-    fn zero_where_ge_is_branchless_cutoff() {
-        let u = WideLane::<f64, LANES>(core::array::from_fn(|k| k as f64 + 1.0));
-        let r = WideLane::<f64, LANES>(core::array::from_fn(|k| k as f64));
-        let masked = u.zero_where_ge(r, 4.0);
-        for k in 0..LANES {
-            assert_eq!(masked.0[k], if (k as f64) < 4.0 { u.0[k] } else { 0.0 });
-        }
     }
 }

@@ -20,7 +20,7 @@ use qmc_instrument::{
 };
 use qmc_workloads::{
     checkpoint_step, run_benchmark_controlled, BenchControl, Benchmark, CodeVersion, RunConfig,
-    Size, Workload,
+    Size, Workload, VMC_BLOCK_SWEEPS,
 };
 
 const USAGE: &str = "miniqmc: full QMC miniapp (paper §7.1)\n\
@@ -29,8 +29,10 @@ const USAGE: &str = "miniqmc: full QMC miniapp (paper §7.1)\n\
      --code ref|refmp|soa|current (default current)\n\
      --backend reference|simd   B-spline and distance kernels of the\n\
          SoA code versions (default simd)\n\
-     --threads N --walkers N --steps N (each at least 1)\n\
-     --warmup N --tau X (positive) --seed N\n\
+     --threads N --walkers N --steps N (each at least 1; VMC --steps\n\
+         are sweeps, a multiple of 4; default 10 for DMC, 8 for VMC)\n\
+     --warmup N --seed N\n\
+     --tau X (positive; default 0.005 for DMC, 0.05 for VMC)\n\
      --crowd W   lock-step crowds of W walkers (0/absent: per-walker)\n\
      --fused-refresh   with --crowd: route block refreshes through the\n\
          fused multi-walker SPO kernel (Bspline-mw-vgl); trades bitwise\n\
@@ -103,10 +105,11 @@ fn count(opts: &Options, key: &str, default: usize) -> usize {
         .unwrap_or_else(|e| fail_usage(&e))
 }
 
-/// `--tau`: a zero, negative or non-finite time step moves no walker
-/// sensibly, so it is a usage error, not a run of NaN energies.
-fn time_step(opts: &Options) -> f64 {
-    let tau: f64 = arg(opts, "tau", 0.005);
+/// `--tau`, `default` when absent: a zero, negative or non-finite time
+/// step moves no walker sensibly, so it is a usage error, not a run of
+/// NaN energies.
+fn time_step(opts: &Options, default: f64) -> f64 {
+    let tau: f64 = arg(opts, "tau", default);
     if tau > 0.0 && tau.is_finite() {
         tau
     } else {
@@ -176,12 +179,16 @@ fn main() {
         qmc_kernels::set_backend(backend);
     }
     let crowd = arg(&opts, "crowd", 0usize);
+    let (default_steps, default_tau) = match driver {
+        DriverKind::Dmc => (10, 0.005),
+        DriverKind::Vmc => (2 * VMC_BLOCK_SWEEPS, 0.05),
+    };
     let cfg = RunConfig {
         threads: count(&opts, "threads", 2),
         walkers: count(&opts, "walkers", 8),
-        steps: count(&opts, "steps", 10),
+        steps: count(&opts, "steps", default_steps),
         warmup: arg(&opts, "warmup", 2),
-        tau: time_step(&opts),
+        tau: time_step(&opts, default_tau),
         seed: arg(&opts, "seed", 42),
         batching: if crowd > 0 {
             Batching::Crowd(crowd)
@@ -192,6 +199,13 @@ fn main() {
     };
     if cfg.fused_refresh && crowd == 0 {
         fail_usage("--fused-refresh requires --crowd W");
+    }
+    if driver == DriverKind::Vmc && !cfg.steps.is_multiple_of(VMC_BLOCK_SWEEPS) {
+        fail_usage(&format!(
+            "--steps: cannot use '{}' with --driver vmc (valid: a multiple of {VMC_BLOCK_SWEEPS}, \
+             the sweeps of a block)",
+            cfg.steps
+        ));
     }
     if driver == DriverKind::Dmc && cfg.warmup >= cfg.steps {
         fail_usage(&format!(

@@ -156,7 +156,7 @@ fn reports_name_the_backend_the_code_version_ran() {
 /// accepts.
 #[test]
 fn unusable_argument_values_are_usage_errors_not_defaults() {
-    let cases: [(&[&str], &[&str]); 14] = [
+    let cases: [(&[&str], &[&str]); 17] = [
         (
             &["--driver", "bogus"],
             &["unknown driver 'bogus'", "dmc, vmc"],
@@ -186,6 +186,18 @@ fn unusable_argument_values_are_usage_errors_not_defaults() {
         (&["--tau", "0"], &["--tau", "'0'", "positive"]),
         (&["--tau", "nan"], &["--tau", "'NaN'", "positive"]),
         (&["--tau=-0.01"], &["--tau", "'-0.01'", "positive"]),
+        (
+            &["--driver", "vmc", "--steps", "7"],
+            &["--steps", "'7'", "--driver vmc", "multiple of 4"],
+        ),
+        (
+            &["--driver", "vmc", "--steps", "2"],
+            &["--steps", "'2'", "--driver vmc", "multiple of 4"],
+        ),
+        (
+            &["--driver", "vmc", "--tau", "0"],
+            &["--tau", "'0'", "positive"],
+        ),
     ];
     for (args, expected) in cases {
         let out = miniqmc().args(args).output().expect("spawn miniqmc");

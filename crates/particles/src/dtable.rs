@@ -666,11 +666,6 @@ impl<T: Real> DistTableABRef<T> {
         self.nion
     }
 
-    /// The fixed ion (source) positions this table was built against.
-    pub fn source_positions(&self) -> Vec<Pos<T>> {
-        self.ions.clone()
-    }
-
     /// Full rebuild from electron positions.
     pub fn evaluate(&mut self, r: &[Pos<T>]) {
         assert_eq!(r.len(), self.nel);
@@ -805,12 +800,6 @@ impl<T: Real> DistTableABSoA<T> {
     /// Number of ions (columns).
     pub fn num_ions(&self) -> usize {
         self.nion
-    }
-
-    /// The fixed ion (source) positions this table was built against
-    /// (reconstructed from the SoA copy).
-    pub fn source_positions(&self) -> Vec<Pos<T>> {
-        (0..self.nion).map(|a| self.ions_soa.get(a)).collect()
     }
 
     /// Full rebuild from electron SoA positions.

@@ -432,59 +432,6 @@ impl<T: Real> ParticleSet<T> {
             + self.rsoa.bytes()
             + self.tables.iter().map(DistTable::bytes).sum::<usize>()
     }
-
-    /// Clones the set *structure* (species, lattice, tables) with the same
-    /// positions — the per-thread clone of Fig. 4's `pseudo_qmc`.
-    pub fn clone_structure(&self) -> Self {
-        let mut clone = Self {
-            name: self.name.clone(),
-            lattice: self.lattice.clone(),
-            g: self.g.clone(),
-            l: self.l.clone(),
-            r: self.r.clone(),
-            rsoa: self.rsoa.clone(),
-            species: self.species.clone(),
-            species_of: self.species_of.clone(),
-            group_offsets: self.group_offsets.clone(),
-            tables: Vec::new(),
-            active: None,
-        };
-        for t in &self.tables {
-            match t {
-                DistTable::AaRef(_) => {
-                    clone.tables.push(DistTable::AaRef(DistTableAARef::new(
-                        clone.len(),
-                        clone.lattice.clone(),
-                    )));
-                }
-                DistTable::AaSoa(_) => {
-                    clone.tables.push(DistTable::AaSoa(DistTableAASoA::new(
-                        clone.len(),
-                        clone.lattice.clone(),
-                    )));
-                }
-                // AB tables carry their own copy of the fixed ion source
-                // positions, so the clone can be rebuilt without access to
-                // the ion set.
-                DistTable::AbRef(t) => {
-                    clone.tables.push(DistTable::AbRef(DistTableABRef::new(
-                        clone.len(),
-                        &t.source_positions(),
-                        clone.lattice.clone(),
-                    )));
-                }
-                DistTable::AbSoa(t) => {
-                    clone.tables.push(DistTable::AbSoa(DistTableABSoA::new(
-                        clone.len(),
-                        &t.source_positions(),
-                        clone.lattice.clone(),
-                    )));
-                }
-            }
-        }
-        clone.update_tables();
-        clone
-    }
 }
 
 #[cfg(test)]
@@ -593,41 +540,5 @@ mod tests {
         let d = e.table(h).as_ab_soa().dist_row(0)[1];
         let expect = lat.min_image(ions.pos(1) - e.pos(0)).norm();
         assert!((d - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clone_structure_rebuilds_ab_tables() {
-        // Regression: clone_structure used to panic whenever an AB
-        // (electron-ion) table was attached.
-        let lat = CrystalLattice::cubic(10.0);
-        let ions = ParticleSet::<f64>::new(
-            "ion0",
-            lat.clone(),
-            vec![(
-                Species {
-                    name: "C".into(),
-                    charge: 4.0,
-                },
-                vec![TinyVector([0.0, 0.0, 0.0]), TinyVector([5.0, 5.0, 5.0])],
-            )],
-        );
-        let mut e = two_group_set();
-        e.add_table_aa(Layout::Soa);
-        let h_soa = e.add_table_ab(&ions, Layout::Soa);
-        let h_ref = e.add_table_ab(&ions, Layout::Aos);
-
-        let c = e.clone_structure();
-        assert_eq!(c.table(h_soa).as_ab_soa().num_ions(), 2);
-        assert_eq!(c.table(h_ref).as_ab_ref().num_ions(), 2);
-        // Distances in the clone match the source for both layouts.
-        for i in 0..e.len() {
-            for a in 0..2 {
-                let want = lat.min_image(ions.pos(a) - e.pos(i)).norm();
-                let soa = c.table(h_soa).as_ab_soa().dist_row(i)[a];
-                let aos = c.table(h_ref).as_ab_ref().dist(i, a);
-                assert!((soa - want).abs() < 1e-12);
-                assert!((aos - want).abs() < 1e-12);
-            }
-        }
     }
 }

@@ -23,6 +23,6 @@ pub use build::{CodeVersion, Workload};
 pub use qmc_drivers::Batching;
 pub use run::{
     checkpoint_step, run_benchmark_controlled, run_dmc_benchmark, run_dmc_benchmark_controlled,
-    BenchControl, RunConfig, RunOutcome,
+    run_multi_rank_benchmark, BenchControl, RunConfig, RunOutcome, VMC_BLOCK_SWEEPS,
 };
 pub use spec::{Benchmark, IonSpec, Size, WorkloadSpec};

@@ -9,20 +9,21 @@ use qmc_containers::Real;
 use qmc_crowd::CrowdScheduler;
 use qmc_drivers::{
     initial_population, population_digest, read_dmc_checkpoint, read_vmc_checkpoint, run_dmc,
-    run_vmc, Batching, CheckpointError, CheckpointSpec, Crew, DmcParams, DmcResult, DriverKind,
-    QmcEngine, RunControl, VmcParams,
+    run_multi_rank, run_vmc, Batching, CheckpointError, CheckpointSpec, Crew, DmcParams, DmcResult,
+    DriverKind, Exchange, QmcEngine, RunControl, VmcParams, Walker,
 };
-use qmc_instrument::{BlockEvent, Profile, RunReport};
+use qmc_instrument::{BlockEvent, Profile, ProfileSet, RunReport};
 use qmc_kernels::Backend;
 
 /// Execution configuration for one benchmark run.
 #[derive(Clone, Copy, Debug)]
 pub struct RunConfig {
-    /// Worker threads (engines).
+    /// Worker threads (engines or crowds; simulated ranks in
+    /// [`run_multi_rank_benchmark`]).
     pub threads: usize,
     /// Target walker population.
     pub walkers: usize,
-    /// DMC generations.
+    /// DMC generations, or VMC sweeps (a multiple of [`VMC_BLOCK_SWEEPS`]).
     pub steps: usize,
     /// Generations excluded from statistics.
     pub warmup: usize,
@@ -40,15 +41,42 @@ pub struct RunConfig {
     pub fused_refresh: bool,
 }
 
+/// Sweeps per VMC block: a VMC run's `steps` must be a multiple of it.
+pub const VMC_BLOCK_SWEEPS: usize = 4;
+
 impl RunConfig {
-    /// The VMC run this configuration describes: `steps` sweeps in blocks
-    /// of four (one from-scratch recompute per block), measured every
-    /// sweep, with the time step floored at a VMC-sized 0.05.
+    /// The DMC run this configuration describes: `steps` generations, the
+    /// first `warmup` unmeasured, a target population of `walkers`, one
+    /// from-scratch recompute every 16 generations and a branching stream
+    /// keyed from `seed`.
+    pub fn dmc_params(&self) -> DmcParams {
+        DmcParams {
+            steps: self.steps,
+            warmup: self.warmup,
+            tau: self.tau,
+            target_population: self.walkers,
+            recompute_every: 16,
+            seed: self.seed ^ 0xD00D,
+            batching: self.batching,
+        }
+    }
+
+    /// The VMC run this configuration describes: `steps` sweeps at time
+    /// step `tau`, in blocks of [`VMC_BLOCK_SWEEPS`] (one from-scratch
+    /// recompute per block), measured every sweep.
+    ///
+    /// # Panics
+    /// When `steps` is not a positive multiple of [`VMC_BLOCK_SWEEPS`].
     pub fn vmc_params(&self) -> VmcParams {
+        assert!(
+            self.steps > 0 && self.steps.is_multiple_of(VMC_BLOCK_SWEEPS),
+            "a VMC run's {} steps are not a positive multiple of {VMC_BLOCK_SWEEPS}",
+            self.steps
+        );
         VmcParams {
-            blocks: (self.steps / 4).max(1),
-            steps_per_block: 4,
-            tau: self.tau.max(0.05),
+            blocks: self.steps / VMC_BLOCK_SWEEPS,
+            steps_per_block: VMC_BLOCK_SWEEPS,
+            tau: self.tau,
             measure_every: 1,
             batching: self.batching,
         }
@@ -223,34 +251,24 @@ fn run_on_crew<T: Real, C: Crew<T>>(
     driver: DriverKind,
     ctl: BenchControl<'_>,
 ) -> Result<RunOutcome, CheckpointError> {
-    let fresh = || initial_population::<T>(workload.initial_positions(), cfg.walkers, cfg.seed);
     let mut control = RunControl {
         checkpoint: ctl.checkpoint,
         on_block: ctl.on_block,
     };
-    let (walkers, res, profile, seconds) = match driver {
+    let (walkers, run, seconds) = match driver {
         DriverKind::Dmc => {
             let (state, mut walkers) = match ctl.resume.map(read_dmc_checkpoint).transpose()? {
                 Some((state, walkers)) => (Some(state), walkers),
-                None => (None, fresh()),
-            };
-            let params = DmcParams {
-                steps: cfg.steps,
-                warmup: cfg.warmup,
-                tau: cfg.tau,
-                target_population: cfg.walkers,
-                recompute_every: 16,
-                seed: cfg.seed ^ 0xD00D,
-                batching: cfg.batching,
+                None => (None, fresh_walkers(workload, cfg)),
             };
             let t0 = std::time::Instant::now();
-            let (res, profile) = run_dmc(crew, &mut walkers, &params, state, &mut control)?;
-            (walkers, res, profile, t0.elapsed().as_secs_f64())
+            let run = run_dmc(crew, &mut walkers, &cfg.dmc_params(), state, &mut control)?;
+            (walkers, run, t0.elapsed().as_secs_f64())
         }
         DriverKind::Vmc => {
             let (state, mut walkers) = match ctl.resume.map(read_vmc_checkpoint).transpose()? {
                 Some((state, walkers)) => (Some(state), walkers),
-                None => (None, fresh()),
+                None => (None, fresh_walkers(workload, cfg)),
             };
             let params = cfg.vmc_params();
             let t0 = std::time::Instant::now();
@@ -264,11 +282,34 @@ fn run_on_crew<T: Real, C: Crew<T>>(
                 e_trial: f64::NAN,
                 e_trial_trace: Vec::new(),
             };
-            (walkers, res, profile, t0.elapsed().as_secs_f64())
+            (walkers, (res, profile), t0.elapsed().as_secs_f64())
         }
     };
+    Ok(outcome(
+        workload,
+        code,
+        crew[0].slot_mut(0),
+        &walkers,
+        run,
+        seconds,
+    ))
+}
 
-    Ok(RunOutcome {
+fn fresh_walkers<T: Real>(workload: &Workload, cfg: &RunConfig) -> Vec<Walker<T>> {
+    initial_population(workload.initial_positions(), cfg.walkers, cfg.seed)
+}
+
+/// The [`RunOutcome`] of a run on engines like `engine` that took
+/// `seconds` and left `walkers`.
+fn outcome<T: Real>(
+    workload: &Workload,
+    code: CodeVersion,
+    engine: &QmcEngine<T>,
+    walkers: &[Walker<T>],
+    (res, profile): (DmcResult, ProfileSet),
+    seconds: f64,
+) -> RunOutcome {
+    RunOutcome {
         label: code.label(),
         kernel_backend: code.kernel_backend(),
         seconds,
@@ -280,13 +321,48 @@ fn run_on_crew<T: Real, C: Crew<T>>(
         population: res.population,
         e_trial_trace: res.e_trial_trace,
         e_trial: res.e_trial,
-        walker_bytes: walkers.first().map_or(0, qmc_drivers::Walker::bytes),
-        engine_bytes: crew[0].slot_mut(0).bytes(),
+        walker_bytes: walkers.first().map_or(0, Walker::bytes),
+        engine_bytes: engine.bytes(),
         table_bytes: workload.table_bytes(code.single_precision()),
         anon_huge_bytes: qmc_instrument::anon_huge_bytes().unwrap_or(0),
         final_population: walkers.len(),
-        walker_hash: population_digest(&walkers),
-    })
+        walker_hash: population_digest(walkers),
+    }
+}
+
+/// Runs the DMC `cfg` describes over `cfg.threads` simulated ranks
+/// ([`run_multi_rank`]), one per-walker engine each, for any code version
+/// (precision dispatch). Returns the outcome, assembled as for every other
+/// run, and the walker traffic between the ranks.
+///
+/// # Panics
+/// Under crowd batching: a rank is one engine.
+pub fn run_multi_rank_benchmark(
+    workload: &Workload,
+    code: CodeVersion,
+    cfg: &RunConfig,
+) -> (RunOutcome, Exchange) {
+    assert_eq!(cfg.batching, Batching::PerWalker, "a rank is one engine");
+    if code.single_precision() {
+        multi_rank(|| workload.build_engine_f32(code), workload, code, cfg)
+    } else {
+        multi_rank(|| workload.build_engine_f64(code), workload, code, cfg)
+    }
+}
+
+fn multi_rank<T: Real>(
+    build_engine: impl Fn() -> QmcEngine<T>,
+    workload: &Workload,
+    code: CodeVersion,
+    cfg: &RunConfig,
+) -> (RunOutcome, Exchange) {
+    let mut ranks: Vec<QmcEngine<T>> = (0..cfg.threads.max(1)).map(|_| build_engine()).collect();
+    let mut walkers = fresh_walkers(workload, cfg);
+    let t0 = std::time::Instant::now();
+    let (res, profile, exchange) = run_multi_rank(&mut ranks, &mut walkers, &cfg.dmc_params());
+    let seconds = t0.elapsed().as_secs_f64();
+    let out = outcome(workload, code, &ranks[0], &walkers, (res, profile), seconds);
+    (out, exchange)
 }
 
 /// Runs a DMC benchmark for any code version, dispatching on precision

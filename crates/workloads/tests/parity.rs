@@ -12,9 +12,9 @@
 
 use qmc_crowd::CrowdScheduler;
 use qmc_drivers::{
-    initial_population, read_dmc_checkpoint, read_vmc_checkpoint, run_dmc, run_multi_rank, run_vmc,
-    walker_digest_full, Batching, CheckpointSpec, Crew, DmcParams, DriverKind, Fnv,
-    MultiRankParams, QmcEngine, RunControl, VmcParams,
+    initial_population, population_digest, read_dmc_checkpoint, read_vmc_checkpoint, run_dmc,
+    run_multi_rank, run_vmc, walker_digest_full, Batching, CheckpointSpec, Crew, DmcParams,
+    DmcResult, DriverKind, Fnv, QmcEngine, RunControl, VmcParams,
 };
 use qmc_kernels::Backend;
 use qmc_workloads::{Benchmark, CodeVersion, Size, Workload};
@@ -397,38 +397,97 @@ fn reference_and_simd_backends_give_bitwise_equal_vmc_trajectories() {
     assert_one_bit_pattern("VMC across backends", &runs);
 }
 
+/// The DMC of the multi-rank tests: twelve walkers at a time step that
+/// makes them migrate, refreshed from scratch every second generation.
+fn rank_params() -> DmcParams {
+    DmcParams {
+        steps: SWEEP.steps,
+        warmup: 1,
+        tau: 0.02,
+        target_population: 12,
+        recompute_every: 2,
+        seed: SWEEP.seed ^ 0x5EED,
+        batching: Batching::PerWalker,
+    }
+}
+
+fn rank_walkers(w: &Workload) -> Vec<qmc_drivers::Walker<f32>> {
+    initial_population(w.initial_positions(), 12, SWEEP.seed)
+}
+
+/// Every scalar output of a DMC result, bit for bit, and the final
+/// population's digest.
+fn dmc_digest(res: &DmcResult, walkers: &[qmc_drivers::Walker<f32>]) -> (Vec<u64>, u64) {
+    let mut bits: Vec<u64> = res
+        .energy
+        .samples()
+        .iter()
+        .chain(&res.e_trial_trace)
+        .map(|e| e.to_bits())
+        .collect();
+    bits.extend(res.population.iter().map(|&p| p as u64));
+    bits.extend([res.samples, res.acceptance.to_bits()]);
+    (bits, population_digest(walkers))
+}
+
+/// One rank is one engine running the program's DMC: `run_multi_rank`
+/// over a single engine is bitwise `run_dmc` over it, refreshes included.
+#[test]
+fn one_rank_is_bitwise_run_dmc() {
+    let _backend = shared();
+    let w = graphite(SWEEP.seed);
+    let params = rank_params();
+
+    let mut engine = w.build_engine_f32(CodeVersion::Current);
+    let mut walkers = rank_walkers(&w);
+    let (res, profile) = run_dmc(
+        std::slice::from_mut(&mut engine),
+        &mut walkers,
+        &params,
+        None,
+        &mut RunControl::none(),
+    )
+    .expect("an uncontrolled run writes no checkpoint");
+
+    let mut rank = w.build_engine_f32(CodeVersion::Current);
+    let mut rank_walkers = rank_walkers(&w);
+    let (rank_res, rank_profile, exchange) =
+        run_multi_rank(std::slice::from_mut(&mut rank), &mut rank_walkers, &params);
+
+    assert_eq!(
+        dmc_digest(&rank_res, &rank_walkers),
+        dmc_digest(&res, &walkers)
+    );
+    assert_eq!(exchange.walkers, 0, "one rank has no one to send to");
+    let refreshes = profile.total.drift.refreshes;
+    assert!(refreshes > 0, "the run never refreshed");
+    assert_eq!(rank_profile.total.drift.refreshes, refreshes);
+}
+
 /// Ranks meet only at the fork-join of `fan_out_tasks`: the allreduce runs
 /// `det_sum_by` over rank-indexed partials and the coordinator moves
-/// serialized walkers through the exchange pool by ascending rank. The
-/// population and time step make walkers really migrate, so a repeat at
-/// each rank count puts the exchange path under test; at 3 ranks and
-/// more a repeat is how an exchange race was once found.
+/// serialized walkers between the ranks by ascending rank. The population
+/// and time step make walkers really migrate, so a repeat at each rank
+/// count puts the exchange path under test; at 3 ranks and more a repeat
+/// is how an exchange race was once found.
 #[test]
 fn multi_rank_runs_repeat_bitwise_at_2_3_and_4_ranks() {
     let _backend = shared();
     let w = graphite(SWEEP.seed);
+    let params = rank_params();
     for ranks in [2, 3, 4] {
-        let params = MultiRankParams {
-            ranks,
-            total_population: 12,
-            steps: SWEEP.steps,
-            warmup: 1,
-            tau: 0.02,
-            seed: SWEEP.seed ^ 0x5EED,
-        };
         let [a, b] = [(); 2].map(|()| {
-            let res = run_multi_rank(
-                |_rank| w.build_engine_f32(CodeVersion::Current),
-                w.initial_positions(),
-                &params,
+            let mut engines: Vec<QmcEngine<f32>> = (0..ranks)
+                .map(|_| w.build_engine_f32(CodeVersion::Current))
+                .collect();
+            let mut walkers = rank_walkers(&w);
+            let (res, profile, exchange) = run_multi_rank(&mut engines, &mut walkers, &params);
+            assert!(exchange.walkers > 0, "{ranks} ranks: no walker migrated");
+            assert!(
+                profile.total.drift.refreshes > 0,
+                "{ranks} ranks: no refresh counted"
             );
-            assert!(res.exchanged > 0, "{ranks} ranks: no walker migrated");
-            (
-                res.energy.to_bits(),
-                res.samples,
-                res.exchanged,
-                res.bytes_exchanged,
-            )
+            (dmc_digest(&res, &walkers), exchange)
         });
         assert_eq!(a, b, "{ranks} ranks: a repeat changed the result");
     }

@@ -138,7 +138,11 @@ fn concurrent_traced_runs_each_get_exactly_their_own_spans() {
 #[test]
 fn the_hook_for_a_step_drains_that_steps_span() {
     let w = workload();
-    for (driver, prefix) in [(DriverKind::Dmc, "step"), (DriverKind::Vmc, "vmc block")] {
+    // Three DMC generations; one VMC block of four sweeps.
+    for (driver, prefix, steps) in [
+        (DriverKind::Dmc, "step", 3),
+        (DriverKind::Vmc, "vmc block", 4),
+    ] {
         let mut drained = Vec::new();
         let mut on_block = |ev: &BlockEvent| {
             let names: Vec<String> = take_trace_events()
@@ -153,7 +157,8 @@ fn the_hook_for_a_step_drains_that_steps_span() {
             on_block: Some(&mut on_block),
             ..BenchControl::default()
         };
-        run_benchmark_controlled(&w, CodeVersion::Current, &cfg(), driver, ctl)
+        let cfg = RunConfig { steps, ..cfg() };
+        run_benchmark_controlled(&w, CodeVersion::Current, &cfg, driver, ctl)
             .expect("an uncheckpointed run");
         enable_tracing(false);
         take_trace_events();

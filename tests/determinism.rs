@@ -125,11 +125,12 @@ fn recorded_population_digests_hold() {
     let w = Workload::new(Benchmark::Graphite, Size::Scaled, 99);
     let dmc = run_dmc_benchmark(&w, CodeVersion::Current, &c);
 
+    // The recorded VMC run: three blocks of four sweeps at tau = 0.05.
     let w = Workload::new(Benchmark::Be64, Size::Scaled, 99);
     let vmc = run_benchmark_controlled(
         &w,
         CodeVersion::Current,
-        &c,
+        &RunConfig { tau: 0.05, ..c },
         DriverKind::Vmc,
         BenchControl::default(),
     )

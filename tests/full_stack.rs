@@ -178,30 +178,24 @@ fn larger_problems_cost_more_per_sample() {
 
 #[test]
 fn multi_rank_run_produces_consistent_energy() {
-    use qmc::drivers::{run_multi_rank, MultiRankParams};
+    use qmc::workloads::run_multi_rank_benchmark;
     let w = Workload::new(Benchmark::NiO32, Size::Scaled, 23);
-    let params = MultiRankParams {
-        ranks: 2,
-        total_population: 4,
+    let cfg = RunConfig {
+        threads: 2,
+        walkers: 4,
         steps: 4,
-        warmup: 1,
-        tau: 0.003,
-        seed: 23,
+        ..quick_cfg(23)
     };
-    let r = run_multi_rank(
-        |_rank| w.build_engine_f32(CodeVersion::Current),
-        w.initial_positions(),
-        &params,
-    );
-    assert!(r.energy.is_finite());
+    let (r, _) = run_multi_rank_benchmark(&w, CodeVersion::Current, &cfg);
+    assert!(r.energy.0.is_finite());
     assert!(r.samples > 0);
     assert!(r.seconds > 0.0);
     // Energy consistent with the single-engine estimate.
     let single = run_dmc_benchmark(&w, CodeVersion::Current, &quick_cfg(23));
     assert!(
-        (r.energy - single.energy.0).abs() < 0.2 * (1.0 + single.energy.0.abs()),
+        (r.energy.0 - single.energy.0).abs() < 0.2 * (1.0 + single.energy.0.abs()),
         "multi-rank {} vs single {}",
-        r.energy,
+        r.energy.0,
         single.energy.0
     );
 }
@@ -211,31 +205,21 @@ fn multi_rank_run_produces_consistent_energy() {
 /// rank thread ran first.
 #[test]
 fn three_rank_run_repeats_bitwise() {
-    use qmc::drivers::{run_multi_rank, MultiRankParams};
+    use qmc::workloads::run_multi_rank_benchmark;
     let w = Workload::new(Benchmark::Graphite, Size::Scaled, 23);
-    let params = MultiRankParams {
-        ranks: 3,
-        total_population: 9,
+    let cfg = RunConfig {
+        threads: 3,
+        walkers: 9,
         steps: 6,
-        warmup: 1,
         tau: 0.02,
-        seed: 23,
+        ..quick_cfg(23)
     };
     let run = || {
-        let r = run_multi_rank(
-            |_rank| w.build_engine_f32(CodeVersion::Current),
-            w.initial_positions(),
-            &params,
-        );
-        (
-            r.energy.to_bits(),
-            r.samples,
-            r.exchanged,
-            r.bytes_exchanged,
-        )
+        let (r, exchange) = run_multi_rank_benchmark(&w, CodeVersion::Current, &cfg);
+        (r.energy.0.to_bits(), r.samples, r.walker_hash, exchange)
     };
     let first = run();
-    assert!(first.2 > 0, "no walker migrated: {first:?}");
+    assert!(first.3.walkers > 0, "no walker migrated: {first:?}");
     for _ in 0..2 {
         assert_eq!(run(), first);
     }
