@@ -9,12 +9,16 @@
 //! (`qmc_workloads::run_multi_rank_benchmark`: one engine and thread per
 //! rank, rank-local branching, one fork-join per generation, then the
 //! allreduce and the exchange of serialized walkers on the coordinator)
-//! and renders its `RunReport`. Engine construction is outside the timed
-//! run; walker initialisation is inside it, as for every other run. With
-//! the total population fixed, the work per Monte Carlo sample is constant
-//! across rank counts, so on a host with `P` hardware threads the ideal
-//! time per sample at `R` ranks is `t_1 / min(R, P)`: the overhead and the
-//! parallel efficiency are read against that ideal, and what is left is
+//! and renders its `RunReport`. The time per sample is over the measured
+//! generations (`RunReport::measured_seconds`): engine construction, walker
+//! initialisation and warm-up are outside it, as for every other
+//! throughput. Each rank count prints the best of `--reps` and, beside it,
+//! the min-max over the reps, which tells an efficiency apart from host
+//! noise. With the total population fixed, the work per Monte Carlo
+//! sample is constant across rank counts, so on a host with `P` hardware
+//! threads the ideal time per sample at `R` ranks is `t_1 / min(R, P)`:
+//! the overhead and the parallel efficiency are read against that ideal,
+//! and what is left is
 //! synchronization and communication — the quantity whose smallness the
 //! paper's near-ideal slopes demonstrate. The Ref/Current speedup is
 //! printed per rank count. Of the shared harness options, `--steps`,
@@ -43,8 +47,16 @@ fn main() {
         cores
     );
     println!(
-        "{:>6} {:>13} {:>13} {:>11} {:>11} {:>9} {:>10}",
-        "ranks", "Ref ms/samp", "Cur ms/samp", "Ref ovh%", "Cur ovh%", "speedup", "Cur eff%"
+        "{:>6} {:>13} {:>15} {:>13} {:>15} {:>11} {:>11} {:>9} {:>10}",
+        "ranks",
+        "Ref ms/samp",
+        "Ref min-max",
+        "Cur ms/samp",
+        "Cur min-max",
+        "Ref ovh%",
+        "Cur ovh%",
+        "speedup",
+        "Cur eff%"
     );
 
     // Populations drift per rank count, so the scale-invariant quantity is
@@ -57,8 +69,9 @@ fn main() {
             walkers: TOTAL_POPULATION,
             ..cfg.run_config()
         };
-        let (rep_ref, ex_ref) = best_run(&workload, CodeVersion::Ref, &rc, cfg.reps);
-        let (rep_cur, ex_cur) = best_run(&workload, CodeVersion::Current, &rc, cfg.reps);
+        let (rep_ref, ex_ref, spread_ref) = best_run(&workload, CodeVersion::Ref, &rc, cfg.reps);
+        let (rep_cur, ex_cur, spread_cur) =
+            best_run(&workload, CodeVersion::Current, &rc, cfg.reps);
         for (total, ex) in [(&mut traffic_ref, ex_ref), (&mut traffic_cur, ex_cur)] {
             total.walkers += ex.walkers;
             total.bytes += ex.bytes;
@@ -71,11 +84,14 @@ fn main() {
         // Ranks beyond the hardware threads time-share them.
         let parallel = ranks.min(cores) as f64;
         let (ideal_ref, ideal_cur) = (t1_ref / parallel, t1_cur / parallel);
+        let range = |(lo, hi): (f64, f64)| format!("{lo:.2}-{hi:.2}");
         println!(
-            "{:>6} {:>13.2} {:>13.2} {:>10.1}% {:>10.1}% {:>8.2}x {:>9.1}%",
+            "{:>6} {:>13.2} {:>15} {:>13.2} {:>15} {:>10.1}% {:>10.1}% {:>8.2}x {:>9.1}%",
             ranks,
             per_ref,
+            range(spread_ref),
             per_cur,
+            range(spread_cur),
             (per_ref / ideal_ref - 1.0) * 100.0,
             (per_cur / ideal_cur - 1.0) * 100.0,
             per_ref / per_cur,
@@ -99,26 +115,36 @@ fn main() {
     );
 }
 
-/// The best-throughput report of `reps` multi-rank runs and the walker
+/// The best-throughput report of `reps` multi-rank runs, the walker
 /// traffic of that run (the traffic is seeded, so every rep moves the same
-/// walkers).
+/// walkers) and the min-max ms/sample over the reps.
 fn best_run(
     workload: &Workload,
     code: CodeVersion,
     rc: &RunConfig,
     reps: usize,
-) -> (RunReport, Exchange) {
-    (0..reps.max(1))
+) -> (RunReport, Exchange, (f64, f64)) {
+    let runs: Vec<(RunReport, Exchange)> = (0..reps.max(1))
         .map(|_| {
             let (out, exchange) = run_multi_rank_benchmark(workload, code, rc);
             (out.report(workload, rc), exchange)
         })
+        .collect();
+    let spread = runs
+        .iter()
+        .map(|(r, _)| ms_per_sample(r))
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), t| {
+            (lo.min(t), hi.max(t))
+        });
+    let (report, exchange) = runs
+        .into_iter()
         .max_by(|a, b| a.0.throughput().total_cmp(&b.0.throughput()))
-        .expect("at least one rep")
+        .expect("at least one rep");
+    (report, exchange, spread)
 }
 
-/// Wall milliseconds per Monte Carlo sample of a run (`inf` for a run
-/// that measured none).
+/// Wall milliseconds per Monte Carlo sample over a run's measured
+/// generations (NaN for a run that measured none).
 fn ms_per_sample(report: &RunReport) -> f64 {
-    report.seconds / report.samples as f64 * 1e3
+    report.measured_seconds / report.samples as f64 * 1e3
 }

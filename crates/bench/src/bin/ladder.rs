@@ -89,10 +89,10 @@ fn fig2(ladder: &Ladder) {
             r.benchmark, r.electrons
         );
         let (t_ref, t_cur) = (r.profile.total_seconds(), c.profile.total_seconds());
-        let speed = r.seconds / c.seconds;
+        let speed = r.measured_seconds / c.measured_seconds;
         println!(
             "wall: Ref {:.3}s, Current {:.3}s  ->  speedup {speed:.2}x",
-            r.seconds, c.seconds
+            r.measured_seconds, c.measured_seconds
         );
         println!(
             "{:<14} {:>12} {:>18} {:>12}",

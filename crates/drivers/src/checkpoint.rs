@@ -1,4 +1,4 @@
-//! Bitwise checkpoint/restart: the `qmc-checkpoint/1` format.
+//! Bitwise checkpoint/restart: the `qmc-checkpoint/2` format.
 //!
 //! A checkpoint is the complete state of a run at a generation/block
 //! boundary: the driver state ([`DmcState`] / [`VmcState`] — counters,
@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! magic          u64        "QMCCKPT1"
-//! schema         u64 + utf8 "qmc-checkpoint/1"
+//! schema         u64 + utf8 "qmc-checkpoint/2"
 //! driver         u64        0 = vmc, 1 = dmc
 //! precision      u64        size_of::<T>() of the walker buffers (4 | 8)
 //! <driver state> ...        see write_dmc_checkpoint / write_vmc_checkpoint
@@ -47,8 +47,10 @@ use crate::{BranchController, ScalarEstimator};
 use qmc_containers::Real;
 use qmc_instrument::BlockEvent;
 
-/// Schema tag of the checkpoint format.
-pub const CHECKPOINT_SCHEMA: &str = "qmc-checkpoint/1";
+/// Schema tag of the checkpoint format. Its walker buffers hold 5·nel²
+/// reals per determinant and no Slater matrix; a file of any other schema,
+/// `qmc-checkpoint/1` included, is refused rather than misread.
+pub const CHECKPOINT_SCHEMA: &str = "qmc-checkpoint/2";
 
 /// File magic: `b"QMCCKPT1"` as a little-endian `u64`.
 const MAGIC: u64 = u64::from_le_bytes(*b"QMCCKPT1");
@@ -849,6 +851,30 @@ mod tests {
         seal_and_write(&path, out).expect("write");
         match read_dmc_checkpoint::<f32>(&path) {
             Err(CheckpointError::BadSchema(s)) => assert_eq!(s, "qmc-checkpoint/99"),
+            other => panic!("expected BadSchema, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A complete, checksummed file of the previous schema, whose walker
+    /// buffers hold a Slater block this build would read as the G rows, is
+    /// refused by its tag.
+    #[test]
+    fn a_schema_1_file_is_refused() {
+        let (state, walkers) = sample_dmc_state();
+        let path = temp_path("qmc_ck_schema1.qmc");
+        write_dmc_checkpoint(&path, &state, &walkers).expect("write");
+        let mut bytes = std::fs::read(&path).expect("read bytes");
+        bytes.truncate(bytes.len() - 8);
+        let at = 16;
+        assert_eq!(
+            &bytes[at..at + CHECKPOINT_SCHEMA.len()],
+            CHECKPOINT_SCHEMA.as_bytes()
+        );
+        bytes[at..at + CHECKPOINT_SCHEMA.len()].copy_from_slice(b"qmc-checkpoint/1");
+        seal_and_write(&path, bytes).expect("rewrite");
+        match read_dmc_checkpoint::<f32>(&path) {
+            Err(CheckpointError::BadSchema(s)) => assert_eq!(s, "qmc-checkpoint/1"),
             other => panic!("expected BadSchema, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();

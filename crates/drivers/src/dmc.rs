@@ -22,6 +22,7 @@ use crate::reduce;
 use crate::walker::Walker;
 use qmc_containers::Real;
 use qmc_instrument::{drain_thread_profile, span_lazy, ProfileSet};
+use std::time::Instant;
 
 /// DMC run parameters.
 #[derive(Clone, Copy, Debug)]
@@ -82,11 +83,15 @@ pub struct DmcResult {
     /// Trial energy after each generation's feedback update (the
     /// trajectory the run report serializes alongside `population`).
     pub e_trial_trace: Vec<f64>,
+    /// Wall seconds of the measured (post-warmup) generations this call
+    /// ran — the time `samples` took, without walker initialisation or
+    /// warm-up: the denominator of the throughput.
+    pub measured_seconds: f64,
 }
 
 /// The complete between-generation state of a DMC run: everything besides
 /// the walker population itself that the next generation depends on. This
-/// is exactly what `qmc-checkpoint/1` serializes for the DMC driver.
+/// is exactly what `qmc-checkpoint/2` serializes for the DMC driver.
 #[derive(Clone, Debug)]
 pub struct DmcState {
     /// Population controller (trial energy, feedback, private RNG).
@@ -177,12 +182,13 @@ impl DmcState {
         self.step += 1;
     }
 
-    /// Final result of the run this state accumulated.
+    /// Final result of the run this state accumulated, whose measured
+    /// generations took `measured_seconds` of wall time.
     #[expect(
         clippy::cast_precision_loss,
         reason = "walker and step counts are exact in f64"
     )]
-    pub fn into_result(self) -> DmcResult {
+    pub fn into_result(self, measured_seconds: f64) -> DmcResult {
         DmcResult {
             energy: self.energy,
             population: self.population,
@@ -194,6 +200,7 @@ impl DmcState {
             samples: self.samples,
             e_trial: self.branch.e_trial,
             e_trial_trace: self.e_trial_trace,
+            measured_seconds,
         }
     }
 }
@@ -285,8 +292,10 @@ pub fn run_dmc<T: Real, C: Crew<T>>(
         DmcState::fresh(mean_local_energy(walkers), params)
     };
 
+    let mut measured_seconds = 0.0;
     while state.step < params.steps {
         let step = state.step;
+        let clock = Instant::now();
         // Driver-level step span on its own lane, above the crew lanes.
         let step_span = span_lazy(crew.len() as u64, || format!("step {step}"));
         let refresh = params.refreshes_at(step);
@@ -306,8 +315,11 @@ pub fn run_dmc<T: Real, C: Crew<T>>(
         // Close the step span first, so the hook's drain lists it.
         drop(step_span);
         control.after_dmc_generation(&state, walkers, params, e_avg, wsum)?;
+        if step >= params.warmup {
+            measured_seconds += clock.elapsed().as_secs_f64();
+        }
     }
 
     profile.merge_total(&drain_thread_profile());
-    Ok((state.into_result(), profile))
+    Ok((state.into_result(measured_seconds), profile))
 }

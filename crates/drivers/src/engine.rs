@@ -138,13 +138,15 @@ impl<T: Real> QmcEngine<T> {
     /// value in the calling thread's profile (the `mp_drift` block of the
     /// run report).
     ///
-    /// Runs [`TrialWaveFunction::refresh_log`]: the determinants reinvert
-    /// the Slater rows they hold instead of re-evaluating every orbital,
-    /// which is bitwise a full `evaluate_log` because each row was computed
-    /// at the position its electron still has. The one exception is a
-    /// walker whose last refresh ran under fused crowds
+    /// Runs [`TrialWaveFunction::refresh_log`]: the determinants rebuild
+    /// their Slater rows with the value kernel and reinvert them, and keep
+    /// the gradient and Laplacian rows they hold instead of re-evaluating
+    /// them, which is bitwise a full `evaluate_log` because each stored row
+    /// was computed at the position its electron still has and the value
+    /// kernel gives the derivative kernels' ψ bit for bit. The one
+    /// exception is a walker whose last refresh ran under fused crowds
     /// (`Crowd::set_fused_refresh`) and is then resumed on engines: it
-    /// keeps the fused kernel's rows until its electrons move, and that
+    /// keeps the fused kernel's G/L rows until its electrons move, and that
     /// path was never bitwise equal to engines.
     pub fn refresh_from_scratch(&mut self) {
         let before = self.psi.log_value();

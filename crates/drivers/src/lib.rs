@@ -19,7 +19,7 @@
 //!   the drivers merge per-walker quantities through.
 //! * [`serialize`] — exact-state walker wire codec (plus explicit
 //!   [`serialize::reseed_for_migration`] re-keying for rank migration).
-//! * [`checkpoint`] — the `qmc-checkpoint/1` bitwise checkpoint/restart
+//! * [`checkpoint`] — the `qmc-checkpoint/2` bitwise checkpoint/restart
 //!   format and the [`checkpoint::RunControl`] hooks the drivers call at
 //!   block/generation boundaries.
 //! * [`fingerprint`] — FNV-1a walker/population digests asserting that

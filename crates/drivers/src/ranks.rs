@@ -25,6 +25,7 @@ use crate::serialize::{deserialize_walker, reseed_for_migration, serialize_walke
 use crate::walker::Walker;
 use qmc_containers::Real;
 use qmc_instrument::{drain_thread_profile, ProfileSet};
+use std::time::Instant;
 
 /// Load-balance traffic of a multi-rank run: the serialized walker
 /// messages the ranks sent each other.
@@ -86,8 +87,11 @@ pub fn run_multi_rank<T: Real>(
         .collect();
     let mut traffic = Exchange::default();
 
+    let mut measured_seconds = 0.0;
     while state.step < params.steps {
-        let refresh = params.refreshes_at(state.step);
+        let step = state.step;
+        let clock = Instant::now();
+        let refresh = params.refreshes_at(step);
         let tasks = ranks.iter_mut().zip(books.iter_mut()).collect();
         let partials = fan_out_tasks(tasks, "rank", &mut profile, |lane, (engine, rank)| {
             let (accepted, attempted) = advance(
@@ -126,11 +130,14 @@ pub fn run_multi_rank<T: Real>(
             rank.branch.e_trial = state.branch.e_trial;
         }
         rebalance(&mut books, &mut traffic);
+        if step >= params.warmup {
+            measured_seconds += clock.elapsed().as_secs_f64();
+        }
     }
 
     profile.merge_total(&drain_thread_profile());
     walkers.extend(books.into_iter().flat_map(|r| r.walkers));
-    (state.into_result(), profile, traffic)
+    (state.into_result(measured_seconds), profile, traffic)
 }
 
 /// Moves walkers until the ranks hold the contiguous chunk shape of the

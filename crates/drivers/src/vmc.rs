@@ -15,6 +15,7 @@ use crate::estimator::ScalarEstimator;
 use crate::walker::Walker;
 use qmc_containers::Real;
 use qmc_instrument::{drain_thread_profile, span_lazy, ProfileSet};
+use std::time::Instant;
 
 /// VMC run parameters.
 #[derive(Clone, Copy, Debug)]
@@ -53,10 +54,13 @@ pub struct VmcResult {
     pub acceptance: f64,
     /// Monte Carlo samples generated (walker-sweeps).
     pub samples: u64,
+    /// Wall seconds of the blocks this call ran, without walker
+    /// initialisation: the denominator of the throughput.
+    pub measured_seconds: f64,
 }
 
 /// The complete between-block state of a VMC run — what
-/// `qmc-checkpoint/1` serializes for the VMC driver (plus the walkers).
+/// `qmc-checkpoint/2` serializes for the VMC driver (plus the walkers).
 #[derive(Clone, Debug, Default)]
 pub struct VmcState {
     /// Accumulated local-energy samples.
@@ -77,12 +81,13 @@ impl VmcState {
         Self::default()
     }
 
-    /// Final result of the run this state accumulated.
+    /// Final result of the run this state accumulated, whose blocks took
+    /// `measured_seconds` of wall time.
     #[expect(
         clippy::cast_precision_loss,
         reason = "walker and step counts are exact in f64"
     )]
-    pub fn into_result(self) -> VmcResult {
+    pub fn into_result(self, measured_seconds: f64) -> VmcResult {
         VmcResult {
             energy: self.energy,
             acceptance: if self.attempted > 0 {
@@ -91,6 +96,7 @@ impl VmcState {
                 0.0
             },
             samples: self.samples,
+            measured_seconds,
         }
     }
 }
@@ -173,8 +179,10 @@ pub fn run_vmc<T: Real, C: Crew<T>>(
         VmcState::fresh()
     };
 
+    let mut measured_seconds = 0.0;
     while state.block < params.blocks {
         let block = state.block;
+        let clock = Instant::now();
         let block_span = span_lazy(crew.len() as u64, || format!("vmc block {block}"));
         let samples_before = state.energy.len();
         let parts = fan_out(
@@ -196,10 +204,11 @@ pub fn run_vmc<T: Real, C: Crew<T>>(
         // Close the block span first, so the hook's drain lists it.
         drop(block_span);
         control.after_vmc_block(&state, walkers, params, samples_before)?;
+        measured_seconds += clock.elapsed().as_secs_f64();
     }
 
     profile.merge_total(&drain_thread_profile());
-    Ok((state.into_result(), profile))
+    Ok((state.into_result(measured_seconds), profile))
 }
 
 /// [`run_vmc`] on one engine, for callers that predate the crew

@@ -39,8 +39,12 @@ pub struct RunReport {
     pub steps: usize,
     /// Crowd size (0 for the per-walker drive).
     pub crowd_size: usize,
-    /// Total wall-clock seconds for the run loop.
+    /// Total wall-clock seconds for the run loop: walker initialisation,
+    /// warm-up and the measured generations.
     pub seconds: f64,
+    /// Wall-clock seconds of the measured generations alone, the time
+    /// `samples` took.
+    pub measured_seconds: f64,
     /// Monte Carlo samples generated after warmup.
     pub samples: u64,
     /// Overall acceptance ratio of proposed single-particle moves.
@@ -96,10 +100,10 @@ fn write_profile(w: &mut JsonWriter, p: &Profile) {
 }
 
 impl RunReport {
-    /// Throughput `P = samples / seconds` (§6.2 figure of merit).
+    /// Throughput `P = samples / measured_seconds` (§6.2 figure of merit).
     pub fn throughput(&self) -> f64 {
-        if self.seconds > 0.0 {
-            self.samples as f64 / self.seconds
+        if self.measured_seconds > 0.0 {
+            self.samples as f64 / self.measured_seconds
         } else {
             0.0
         }
@@ -108,12 +112,13 @@ impl RunReport {
     /// DMC efficiency `kappa = 1 / (sigma^2 tau_corr T)` (§3), the figure
     /// the paper's throughput gains translate into: `sigma` is the
     /// blocking error of the mean, `tau_corr` its autocorrelation time
-    /// (floored at one step) and `T` the run's wall time. NaN when the run
-    /// has no error estimate (too few blocks) or no time.
+    /// (floored at one step) and `T` the wall time of the measured
+    /// generations that estimate came from. NaN when the run has no error
+    /// estimate (too few blocks) or no time.
     pub fn kappa(&self) -> f64 {
         let sigma2 = self.energy_err * self.energy_err;
-        if sigma2 > 0.0 && self.seconds > 0.0 {
-            1.0 / (sigma2 * self.energy_tau.max(1.0) * self.seconds)
+        if sigma2 > 0.0 && self.measured_seconds > 0.0 {
+            1.0 / (sigma2 * self.energy_tau.max(1.0) * self.measured_seconds)
         } else {
             f64::NAN
         }
@@ -146,6 +151,7 @@ impl RunReport {
         w.key("steps").u64_val(self.steps as u64);
         w.key("crowd_size").u64_val(self.crowd_size as u64);
         w.key("seconds").f64_val(self.seconds);
+        w.key("measured_seconds").f64_val(self.measured_seconds);
         w.key("samples").u64_val(self.samples);
         w.key("throughput_samples_per_s").f64_val(self.throughput());
         w.key("acceptance").f64_val(self.acceptance);
@@ -253,8 +259,9 @@ impl RunReport {
         let _ = writeln!(out, "walker-hash: {:016x}", self.walker_hash);
         let _ = writeln!(
             out,
-            "time: {:.3} s  samples: {}  throughput: {:.1}/s",
+            "time: {:.3} s ({:.3} s measured)  samples: {}  throughput: {:.1}/s",
             self.seconds,
+            self.measured_seconds,
             self.samples,
             self.throughput()
         );
@@ -324,7 +331,8 @@ mod tests {
             walkers: 8,
             steps: 4,
             crowd_size: 4,
-            seconds: 0.5,
+            seconds: 0.625,
+            measured_seconds: 0.5,
             samples: 32,
             acceptance: 0.61,
             energy_mean: -1.25,
@@ -376,6 +384,12 @@ mod tests {
         );
         let kappa = v.get("kappa").unwrap().as_f64().unwrap();
         assert!((kappa - r.kappa()).abs() <= 1e-9 * kappa, "{kappa}");
+        // Throughput is over the measured generations, not the whole loop.
+        assert_eq!(v.get("measured_seconds").unwrap().as_f64(), Some(0.5));
+        assert_eq!(
+            v.get("throughput_samples_per_s").unwrap().as_f64(),
+            Some(64.0)
+        );
         let san = v.get("sanitizer").unwrap();
         assert_eq!(san.get("total_checks").unwrap().as_f64(), Some(5.0));
         assert!(san.get("enabled").is_none(), "the sanitizer always counts");

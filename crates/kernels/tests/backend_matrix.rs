@@ -418,6 +418,72 @@ fn v_tiles_bitwise_at_every_block_boundary() {
     }
 }
 
+/// The value kernel is the ψ slab of the derivative kernels, bit for bit:
+/// `evaluate_v` and one `mw_evaluate_v` dispatch against the psi of
+/// `evaluate_vgh`, `evaluate_vgh_diag` and `mw_evaluate_vgl`, on both
+/// backends. `DiracDeterminant` stores no Slater matrix: every reinvert
+/// rebuilds its rows with the value kernel, rows first computed by a
+/// derivative kernel, so a walker's trajectory hangs on this. The points
+/// are random, within 1e-9 of a grid node, and in cells whose stencils wrap
+/// on no axis, one, two and all three.
+fn v_is_the_psi_slab<T: Real>(ns: usize, seed: u64) {
+    let grid = [4, 5, 6];
+    let table = Table::<T>::random(grid, ns, seed);
+    let t = table.view();
+    let (gmat, lapmet) = metric::<T>();
+    let mut us = positions::<T>(3, seed ^ 0x0F0F);
+    us.extend(edge_positions::<T>(grid, 3, seed ^ 0xF0F0));
+    us.extend([[0, 0, 0], [3, 0, 0], [3, 4, 0], [3, 4, 5]].map(|c| in_cell::<T>(grid, c)));
+    let bits = |x: &[T]| x.iter().map(|v| v.to_f64().to_bits()).collect::<Vec<_>>();
+    let nw = us.len();
+    for b in Backend::ALL {
+        let mut mw_v = vec![T::ZERO; nw * ns];
+        mw_evaluate_v(b, &t, &us, &mut mw_v);
+        let mut mw = (
+            vec![T::ZERO; nw * ns],
+            vec![T::ZERO; 3 * nw * ns],
+            vec![T::ZERO; nw * ns],
+        );
+        mw_evaluate_vgl(b, &t, &us, &gmat, &lapmet, &mut mw.0, &mut mw.1, &mut mw.2);
+        for (q, &u) in us.iter().enumerate() {
+            let at = format!("{b}, ns {ns}, point {q} {u:?}");
+            let mut psi = vec![T::ZERO; ns];
+            evaluate_v(b, &t, u, &mut psi);
+            let mut vgh = (
+                vec![T::ZERO; ns],
+                vec![T::ZERO; 3 * ns],
+                vec![T::ZERO; 6 * ns],
+            );
+            evaluate_vgh(b, &t, u, &mut vgh.0, &mut vgh.1, &mut vgh.2);
+            let v = bits(&psi);
+            assert_eq!(v, bits(&vgh.0), "{at}: v vs vgh psi");
+            assert_eq!(v, bits(&vgh_diag(b, &t, u)[0]), "{at}: v vs vgh-diag psi");
+            assert_eq!(v, bits(&mw_v[q * ns..(q + 1) * ns]), "{at}: v vs mw-v");
+            assert_eq!(
+                v,
+                bits(&mw.0[q * ns..(q + 1) * ns]),
+                "{at}: v vs mw-vgl psi"
+            );
+        }
+    }
+}
+
+/// Every f32 tile edge: 16-wide blocks, 2- and 4-block tiles, scalar tails.
+#[test]
+fn v_is_the_psi_slab_of_every_vgh_f32() {
+    for ns in 16..=65 {
+        v_is_the_psi_slab::<f32>(ns, 3000 + ns as u64);
+    }
+}
+
+/// Every f64 tile edge: 8-wide blocks, 2- and 4-block tiles, scalar tails.
+#[test]
+fn v_is_the_psi_slab_of_every_vgh_f64() {
+    for ns in 8..=33 {
+        v_is_the_psi_slab::<f64>(ns, 4000 + ns as u64);
+    }
+}
+
 // -- stencil-edge positions: fractional coordinates hugging grid nodes ------
 
 /// Randomized fractional positions within ±1e-9 of a grid node in every

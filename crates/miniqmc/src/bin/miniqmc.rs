@@ -38,7 +38,7 @@ const USAGE: &str = "miniqmc: full QMC miniapp (paper §7.1)\n\
          fused multi-walker SPO kernel (Bspline-mw-vgl); trades bitwise\n\
          parity with the per-walker drive for batched throughput\n\
      --driver dmc|vmc (default dmc)\n\
-     --checkpoint PATH[:EVERY]   write a qmc-checkpoint/1 file after\n\
+     --checkpoint PATH[:EVERY]   write a qmc-checkpoint/2 file after\n\
          every EVERY completed generations/blocks (default 1); the file\n\
          is replaced atomically, so a killed job keeps its last one\n\
      --resume PATH   resume bitwise from a checkpoint (walker RNG\n\

@@ -8,6 +8,20 @@
 //! every `recompute_period` accepted sweeps to bound mixed-precision drift
 //! (§7.2 of the paper, ref. 13).
 //!
+//! ## What a walker carries
+//!
+//! A walker's state is `A⁻¹` and the orbital gradient and Laplacian rows:
+//! 5·nel² reals. The Slater matrix itself is not kept (the compute-on-the-fly
+//! rule of §7.5): only a reinvert reads it, and every reinvert gets it from
+//! its caller in double precision — [`WaveFunctionComponent::evaluate_log`]
+//! from the `evaluate_vgl` rows it just computed, the fused crowd refresh
+//! from its multi-walker rows, and the block refresh and the in-sweep
+//! recompute by re-running the value kernel at the electrons' positions.
+//! `evaluate_v`'s values are the ψ slab of `evaluate_vgl` bit for bit (same
+//! per-node weights, node order and `mul_add` chain; `qmc-kernels`'
+//! `backend_matrix` holds it), so a rebuilt row is the row that would have
+//! been stored.
+//!
 //! ## Storage order of the inverse
 //!
 //! The determinant holds `B = A⁻¹` row-major, as LU returns it, not the
@@ -26,9 +40,9 @@
 //!   and its rank-1 correction is the same `mul_add` per element.
 //!
 //! `save_state`/`load_state` still write and read the inverse row =
-//! electron (`M`'s order) through a blocked transpose, so the walker
-//! buffer, the checkpoint format and every walker hash are unchanged —
-//! which is the end-to-end proof of the two claims above.
+//! electron (`M`'s order) through a blocked transpose, so the serialized
+//! inverse, and every walker hash with it, did not move when the storage
+//! order did — which is the end-to-end proof of the two claims above.
 
 use crate::buffer::WalkerBuffer;
 use crate::spo::SpoSet;
@@ -69,8 +83,6 @@ pub struct DiracDeterminant<T: Real> {
     nel: usize,
     /// `B = A⁻¹`, row-major (module docs).
     inv: Matrix<T>,
-    /// Slater matrix rows (`psiM`), kept current on accepts.
-    psi_m: Matrix<T>,
     /// Orbital gradients per electron row (3 component matrices).
     g_m: [Matrix<T>; 3],
     /// Orbital Laplacians per electron row.
@@ -110,7 +122,6 @@ impl<T: Real> DiracDeterminant<T> {
             first,
             nel,
             inv: Matrix::zeros(nel, nel),
-            psi_m: Matrix::zeros(nel, nel),
             g_m: [
                 Matrix::zeros(nel, nel),
                 Matrix::zeros(nel, nel),
@@ -152,13 +163,12 @@ impl<T: Real> DiracDeterminant<T> {
         iat >= self.first && iat < self.first + self.nel
     }
 
-    /// Rebuilds the inverse from the stored Slater matrix in double
+    /// Rebuilds the inverse from the Slater matrix `a64` in double
     /// precision (mixed-precision hygiene), under the `DetUpdate` timer.
     /// Returns the double-precision `A⁻¹` as LU produced it.
-    fn reinvert(&mut self) -> Matrix<f64> {
+    fn reinvert(&mut self, a64: &Matrix<f64>) -> Matrix<f64> {
         let (inv64, log, sign) = time_kernel(Kernel::DetUpdate, || {
-            let a64: Matrix<f64> = self.psi_m.cast();
-            let (inv64, log, sign) = invert_with_log_det(&a64).expect("singular Slater matrix");
+            let (inv64, log, sign) = invert_with_log_det(a64).expect("singular Slater matrix");
             self.inv = inv64.cast();
             (inv64, log, sign)
         });
@@ -179,13 +189,30 @@ impl<T: Real> DiracDeterminant<T> {
         }
     }
 
+    /// The Slater matrix in double precision, rebuilt with the value kernel
+    /// at the electrons' positions in `p`. Row `mover`, if given, is the
+    /// candidate's values already in `psi_v`: inside `accept_move` the
+    /// particle set still holds the mover's old position.
+    fn slater_from_values(&mut self, p: &ParticleSet<T>, mover: Option<usize>) -> Matrix<f64> {
+        let mut a64 = Matrix::zeros(self.nel, self.nel);
+        if let Some(k) = mover {
+            set_row(&mut a64, k, self.psi_v.as_slice());
+        }
+        for i in (0..self.nel).filter(|&i| Some(i) != mover) {
+            self.spo
+                .evaluate_v(p.pos(self.first + i), self.psi_v.as_mut_slice());
+            set_row(&mut a64, i, self.psi_v.as_slice());
+        }
+        a64
+    }
+
     /// Second half of [`WaveFunctionComponent::evaluate_log`]: with
-    /// `psi_m`/`g_m`/`l_m` already filled, reinverts in double precision
-    /// and accumulates G/L of `log|det|` into the particle set. Shared by
-    /// the scalar and crowd-batched from-scratch paths.
-    fn finish_log(&mut self, p: &mut ParticleSet<T>) -> f64 {
+    /// `g_m`/`l_m` already filled, reinverts the Slater matrix `a64` and
+    /// accumulates G/L of `log|det|` into the particle set. Shared by every
+    /// from-scratch path.
+    fn finish_log(&mut self, p: &mut ParticleSet<T>, a64: &Matrix<f64>) -> f64 {
         let nel = self.nel;
-        let inv64 = self.reinvert();
+        let inv64 = self.reinvert(a64);
         for i in 0..nel {
             let mut g = TinyVector::<f64, 3>::zero();
             let mut lap: f64 = 0.0;
@@ -204,19 +231,35 @@ impl<T: Real> DiracDeterminant<T> {
         self.log_value
     }
 
-    /// Copies one walker's slab slices out of the multi-walker VGL batch
-    /// into row `i` of this determinant's Slater/gradient/Laplacian
-    /// matrices. `psi`/`lap` are `ns`-long, `grad` is `3 * ns` (three `ns`
-    /// slabs), all for this walker only.
-    fn scatter_row(&mut self, i: usize, ns: usize, psi: &[T], grad: &[T], lap: &[T]) {
+    /// Copies one electron's orbital values, gradients and Laplacians into
+    /// row `i` of the Slater matrix `a64` and of this determinant's
+    /// gradient/Laplacian matrices. `psi`/`lap` are `ns`-long, `grad` is
+    /// `3 * ns` (three `ns` slabs).
+    fn scatter_row(
+        &mut self,
+        a64: &mut Matrix<f64>,
+        i: usize,
+        ns: usize,
+        psi: &[T],
+        grad: &[T],
+        lap: &[T],
+    ) {
         let nel = self.nel;
-        self.psi_m.row_mut(i).copy_from_slice(&psi[..nel]);
+        set_row(a64, i, psi);
         for d in 0..3 {
             self.g_m[d]
                 .row_mut(i)
                 .copy_from_slice(&grad[d * ns..d * ns + nel]);
         }
         self.l_m.row_mut(i).copy_from_slice(&lap[..nel]);
+    }
+}
+
+/// Writes the first `a64.cols()` orbital values of `psi` into row `i` of
+/// the double-precision Slater matrix `a64`.
+fn set_row<T: Real>(a64: &mut Matrix<f64>, i: usize, psi: &[T]) {
+    for (a, v) in a64.row_mut(i).iter_mut().zip(psi) {
+        *a = v.to_f64();
     }
 }
 
@@ -231,12 +274,12 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
 
     fn evaluate_log(&mut self, p: &mut ParticleSet<T>) -> f64 {
         let nel = self.nel;
-        // Fill psiM, gM, lM from the SPO set.
+        // Fill the Slater matrix, gM and lM from the SPO set.
+        let mut a64 = Matrix::zeros(nel, nel);
         for i in 0..nel {
             let pos = p.pos(self.first + i);
             let Self {
                 spo,
-                psi_m,
                 g_m,
                 l_m,
                 psi_v,
@@ -251,7 +294,7 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
                 psi_l.as_mut_slice(),
             );
             let ns = psi_v.len();
-            psi_m.row_mut(i).copy_from_slice(&psi_v.as_slice()[..nel]);
+            set_row(&mut a64, i, psi_v.as_slice());
             for d in 0..3 {
                 g_m[d]
                     .row_mut(i)
@@ -261,33 +304,36 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
         }
         // Accumulate gradient/Laplacian of log|det| per electron using the
         // fresh double-precision inverse.
-        self.finish_log(p)
+        self.finish_log(p, &a64)
     }
 
-    /// Reinverts the stored Slater matrix and accumulates G/L from the
-    /// stored gradient and Laplacian rows, without evaluating an orbital.
-    /// Every row was written by `evaluate_vgl` at the position its electron
-    /// still has (by [`Self::evaluate_log`] or an accepted move) or
-    /// restored bit for bit by `load_state`, so this is bitwise
+    /// Rebuilds the Slater matrix with the value kernel, reinverts it and
+    /// accumulates G/L from the stored gradient and Laplacian rows. Every
+    /// stored row was written by `evaluate_vgl` at the position its
+    /// electron still has (by [`Self::evaluate_log`] or an accepted move)
+    /// or restored bit for bit by `load_state`, and `evaluate_v` gives
+    /// `evaluate_vgl`'s values bit for bit, so this is bitwise
     /// [`Self::evaluate_log`] — except after a fused crowd refresh
-    /// ([`Self::mw_evaluate_log_batched`]), whose rows come from the
+    /// ([`Self::mw_evaluate_log_batched`]), whose G/L rows come from the
     /// multi-walker kernel: a walker resumed from there on per-walker
     /// engines keeps those rows until its electrons move.
     fn refresh_log(&mut self, p: &mut ParticleSet<T>) -> f64 {
-        self.finish_log(p)
+        let a64 = self.slater_from_values(p, None);
+        self.finish_log(p, &a64)
     }
 
     /// Fused crowd refresh: one [`SpoSet::mw_evaluate_vgl`] call per
     /// electron row covering every walker in the crowd, scattered into each
-    /// walker's Slater/G/L matrices, then the per-walker reinvert + G/L
-    /// accumulation of the scalar path. Falls back to the scalar loop when
-    /// the siblings are not determinants over the same electron range
-    /// (heterogeneous crowds never occur in practice, but the fallback
-    /// keeps the contract total).
+    /// walker's Slater matrix (one per walker, for this call only) and G/L
+    /// matrices, then the per-walker reinvert + G/L accumulation of the
+    /// scalar path. Falls back to the scalar loop when the siblings are not
+    /// determinants over the same electron range (heterogeneous crowds
+    /// never occur in practice, but the fallback keeps the contract total).
     ///
-    /// Uses the batched SPO entry point, which for B-splines is *not*
-    /// bit-identical to the scalar `vgh`-then-transform path — this method
-    /// is only reachable through opt-in batched drivers (`fused_refresh`).
+    /// Uses the batched SPO entry point, whose B-spline gradients and
+    /// Laplacians are *not* bit-identical to the scalar
+    /// `vgh`-then-transform path (its ψ is) — this method is only reachable
+    /// through opt-in batched drivers (`fused_refresh`).
     fn mw_evaluate_log_batched(
         &mut self,
         rest: &mut [&mut (dyn WaveFunctionComponent<T> + 'static)],
@@ -321,6 +367,7 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
         let mut psi = vec![T::default(); nw * ns];
         let mut grad = vec![T::default(); nw * 3 * ns];
         let mut lap = vec![T::default(); nw * ns];
+        let mut slater: Vec<Matrix<f64>> = (0..nw).map(|_| Matrix::zeros(nel, nel)).collect();
         for i in 0..nel {
             for (w, p) in psets.iter().enumerate() {
                 pos[w] = p.pos(first + i);
@@ -329,7 +376,14 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
             // every walker (the `Bspline-mw-vgl` kernel for spline SPOs).
             self.spo
                 .mw_evaluate_vgl(&pos, &mut psi, &mut grad, &mut lap);
-            self.scatter_row(i, ns, &psi[..ns], &grad[..3 * ns], &lap[..ns]);
+            self.scatter_row(
+                &mut slater[0],
+                i,
+                ns,
+                &psi[..ns],
+                &grad[..3 * ns],
+                &lap[..ns],
+            );
             for (k, c) in rest.iter_mut().enumerate() {
                 let w = k + 1;
                 let d = c
@@ -337,6 +391,7 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
                     .downcast_mut::<DiracDeterminant<T>>()
                     .expect("checked above");
                 d.scatter_row(
+                    &mut slater[w],
                     i,
                     ns,
                     &psi[w * ns..(w + 1) * ns],
@@ -345,17 +400,18 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
                 );
             }
         }
-        logs[0] += self.finish_log(psets[0]);
-        for ((c, p), l) in rest
+        logs[0] += self.finish_log(psets[0], &slater[0]);
+        for (((c, p), l), a64) in rest
             .iter_mut()
             .zip(psets[1..].iter_mut())
             .zip(logs[1..].iter_mut())
+            .zip(&slater[1..])
         {
             let d = c
                 .as_any_mut()
                 .downcast_mut::<DiracDeterminant<T>>()
                 .expect("checked above");
-            *l += d.finish_log(p);
+            *l += d.finish_log(p, a64);
         }
     }
 
@@ -524,11 +580,8 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
             (4 * nel * nel) as u64,
             (3 * nel * nel * std::mem::size_of::<T>()) as u64,
         );
-        // Keep psiM / gM / lM rows current.
+        // Keep gM / lM rows current.
         let ns = self.psi_v.len();
-        self.psi_m
-            .row_mut(local)
-            .copy_from_slice(&self.psi_v.as_slice()[..nel]);
         for d in 0..3 {
             self.g_m[d]
                 .row_mut(local)
@@ -543,7 +596,10 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
         }
         self.accepted_since_recompute += 1;
         if self.accepted_since_recompute >= self.recompute_period {
-            self.reinvert();
+            // `p` still holds the mover's old position: its row comes from
+            // the candidate's values in `psi_v`.
+            let a64 = self.slater_from_values(p, Some(local));
+            self.reinvert(&a64);
         }
     }
 
@@ -572,7 +628,6 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
     }
 
     fn save_state(&mut self, buf: &mut WalkerBuffer<T>) {
-        buf.put_matrix(&self.psi_m);
         for d in 0..3 {
             buf.put_matrix(&self.g_m[d]);
         }
@@ -591,7 +646,6 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
         reason = "stored from a usize by save_state"
     )]
     fn load_state(&mut self, buf: &mut WalkerBuffer<T>) {
-        buf.get_matrix(&mut self.psi_m);
         for d in 0..3 {
             buf.get_matrix(&mut self.g_m[d]);
         }
@@ -610,10 +664,9 @@ impl<T: Real> WaveFunctionComponent<T> for DiracDeterminant<T> {
     }
 
     fn bytes(&self) -> usize {
-        // psiM + inverse + gradient/Laplacian matrices.
-        let inv_bytes = self.psi_m.bytes();
-        self.psi_m.bytes()
-            + inv_bytes
+        // Inverse + gradient/Laplacian matrices; the Slater matrix a
+        // reinvert reads is built for that call and dropped.
+        self.inv.bytes()
             + self
                 .g_m
                 .iter()
@@ -633,7 +686,7 @@ mod tests {
     const NEL: usize = 6;
     const SIDE: f64 = 7.0;
 
-    fn electrons() -> ParticleSet<f64> {
+    fn electrons<T: Real>() -> ParticleSet<T> {
         let pos: Vec<Pos<f64>> = (0..NEL)
             .map(|i| {
                 let t = i as f64;
@@ -708,6 +761,95 @@ mod tests {
                 (4 * nel * std::mem::size_of::<f64>()) as u64
             )
         );
+    }
+
+    /// A walker carries `A⁻¹` and the three gradient and one Laplacian rows
+    /// per electron, 5·nel² reals, and the log value, sign and recompute
+    /// count as doubles: no Slater matrix.
+    #[test]
+    fn a_walker_carries_five_nel_squared_reals() {
+        let mut p = electrons();
+        let mut det = determinant();
+        det.evaluate_log(&mut p);
+        let mut buf = WalkerBuffer::new();
+        det.save_state(&mut buf);
+        assert_eq!((buf.reals().len(), buf.doubles().len()), (5 * NEL * NEL, 3));
+        assert_eq!(
+            buf.bytes(),
+            (5 * NEL * NEL + 3) * std::mem::size_of::<f64>()
+        );
+    }
+
+    /// The in-sweep recompute inside `accept_move` rebuilds the Slater
+    /// matrix with the value kernel; it must reinvert exactly the matrix the
+    /// determinant used to store, whose row `i` was the `evaluate_vgl` ψ at
+    /// electron `i`'s accepted position. The mover's row is the candidate's:
+    /// the particle set still holds its old position during `accept_move`.
+    /// Value-only and VGL ratios alternate, so both accept paths feed it.
+    fn in_sweep_recompute_reinverts_the_stored_rows<T: Real>() {
+        let (nel, period) = (NEL, 4);
+        let mut p = electrons::<T>();
+        let mut det = DiracDeterminant::new(Box::new(CosineSpo::<T>::new(nel, [SIDE; 3])), 0, nel);
+        det.set_recompute_period(period);
+        det.evaluate_log(&mut p);
+
+        // The old code's stored Slater matrix, kept by hand.
+        let mut spo = CosineSpo::<T>::new(nel, [SIDE; 3]);
+        let (mut psi, mut grad, mut lap) = (
+            vec![T::ZERO; nel],
+            vec![T::ZERO; 3 * nel],
+            vec![T::ZERO; nel],
+        );
+        let mut stored = Matrix::<f64>::zeros(nel, nel);
+        for i in 0..nel {
+            spo.evaluate_vgl(p.pos(i), &mut psi, &mut grad, &mut lap);
+            set_row(&mut stored, i, &psi);
+        }
+        let mut recomputes = 0;
+        for m in 0..5 * period {
+            let iat = (5 * m + 2) % nel;
+            let s = m as f64;
+            let step = TinyVector([0.31 * (1.0 + s).sin(), -0.27 * s.cos(), 0.19]);
+            p.prepare_move(iat);
+            p.make_move(iat, p.pos(iat) + step.cast());
+            if m % 2 == 0 {
+                det.ratio_grad(&p, iat, &mut TinyVector::zero());
+            } else {
+                det.ratio(&p, iat);
+            }
+            let (_, newpos) = p.active_pos().expect("a move is active");
+            spo.evaluate_vgl(newpos, &mut psi, &mut grad, &mut lap);
+            set_row(&mut stored, iat, &psi);
+            det.accept_move(&p, iat);
+            p.accept_move(iat);
+            if det.accepted_since_recompute == 0 {
+                recomputes += 1;
+                let (inv64, log, sign) = invert_with_log_det(&stored).expect("regular");
+                let want: Matrix<T> = inv64.cast();
+                let bits = |m: &Matrix<T>| {
+                    (0..nel)
+                        .flat_map(|i| m.row(i).iter().map(|x| x.to_f64().to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&det.inv), bits(&want), "move {m}: A⁻¹");
+                assert_eq!(
+                    (det.log_value.to_bits(), det.sign),
+                    (log.to_bits(), sign),
+                    "move {m}: log|det|, sign"
+                );
+            }
+        }
+        assert_eq!(recomputes, 5, "the recompute fired inside accept_move");
+    }
+
+    #[test]
+    fn in_sweep_recompute_reinverts_the_stored_rows_f64() {
+        in_sweep_recompute_reinverts_the_stored_rows::<f64>();
+    }
+
+    #[test]
+    fn in_sweep_recompute_reinverts_the_stored_rows_f32() {
+        in_sweep_recompute_reinverts_the_stored_rows::<f32>();
     }
 
     /// `inv_row` remembers which column of `A⁻¹` it holds so `eval_grad(k)`

@@ -638,6 +638,41 @@ mod tests {
         }
     }
 
+    /// `CosineSpo`'s value path is its VGL path's ψ bit for bit (`cos` is
+    /// the second half of `sin_cos`), in both precisions, through
+    /// `evaluate_v` and `mw_evaluate_v` alike: the determinant's rebuilt
+    /// Slater rows rest on it.
+    fn cosine_v_is_the_vgl_psi<T: Real>() {
+        let ns = 7;
+        let mut spo = CosineSpo::<T>::new(ns, [4.0, 5.0, 6.0]);
+        let pos: Vec<Pos<T>> = [[1.1, 2.2, 0.7], [3.0, 0.5, 4.4], [-0.3, 7.9, 5.99]]
+            .iter()
+            .map(|p| TinyVector(p.map(T::from_f64)))
+            .collect();
+        let bits = |x: &[T]| x.iter().map(|v| v.to_f64().to_bits()).collect::<Vec<_>>();
+        let mut mw = vec![T::ZERO; pos.len() * ns];
+        spo.mw_evaluate_v(&pos, &mut mw);
+        for (q, &p) in pos.iter().enumerate() {
+            let (mut psi, mut grad, mut lap) =
+                (vec![T::ZERO; ns], vec![T::ZERO; 3 * ns], vec![T::ZERO; ns]);
+            spo.evaluate_vgl(p, &mut psi, &mut grad, &mut lap);
+            let mut v = vec![T::ZERO; ns];
+            spo.evaluate_v(p, &mut v);
+            assert_eq!(bits(&v), bits(&psi), "point {q}");
+            assert_eq!(bits(&mw[q * ns..(q + 1) * ns]), bits(&psi), "mw, point {q}");
+        }
+    }
+
+    #[test]
+    fn cosine_v_is_the_vgl_psi_f64() {
+        cosine_v_is_the_vgl_psi::<f64>();
+    }
+
+    #[test]
+    fn cosine_v_is_the_vgl_psi_f32() {
+        cosine_v_is_the_vgl_psi::<f32>();
+    }
+
     #[test]
     fn cosine_mw_vgl_default_is_bitwise_scalar_loop() {
         let mut spo = CosineSpo::<f64>::new(6, [4.0, 5.0, 6.0]);

@@ -38,9 +38,10 @@ pub trait WaveFunctionComponent<T: Real>: Send {
     ///
     /// The default is [`Self::evaluate_log`]. A component may reuse any
     /// state that is bitwise what `evaluate_log` would recompute at these
-    /// positions: the determinant keeps its Slater, gradient and Laplacian
-    /// rows (each written by `evaluate_vgl` at the position its electron
-    /// still has) and only reinverts.
+    /// positions: the determinant keeps its gradient and Laplacian rows
+    /// (each written by `evaluate_vgl` at the position its electron still
+    /// has), rebuilds its Slater rows with the value kernel (bitwise
+    /// `evaluate_vgl`'s ψ) and reinverts.
     fn refresh_log(&mut self, p: &mut ParticleSet<T>) -> f64 {
         self.evaluate_log(p)
     }

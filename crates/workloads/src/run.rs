@@ -105,8 +105,13 @@ pub struct RunOutcome {
     pub label: String,
     /// Kernel backend the run's engines used.
     pub kernel_backend: Backend,
-    /// Wall-clock seconds of the DMC loop (excluding engine construction).
+    /// Wall-clock seconds of the driver call (excluding engine
+    /// construction): walker initialisation, warm-up and the measured
+    /// generations.
     pub seconds: f64,
+    /// Wall-clock seconds of the measured generations alone, the time
+    /// `samples` took.
+    pub measured_seconds: f64,
     /// Monte Carlo samples generated after warmup.
     pub samples: u64,
     /// Per-kernel profile merged over all threads, with the run's
@@ -144,10 +149,14 @@ pub struct RunOutcome {
 }
 
 impl RunOutcome {
-    /// Throughput `P = samples / seconds` (§6.2 figure of merit).
+    /// Throughput `P = samples / measured_seconds` (§6.2 figure of merit).
     #[expect(clippy::cast_precision_loss, reason = "sample counts are exact in f64")]
     pub fn throughput(&self) -> f64 {
-        self.samples as f64 / self.seconds
+        if self.measured_seconds > 0.0 {
+            self.samples as f64 / self.measured_seconds
+        } else {
+            0.0
+        }
     }
 
     /// Assembles the [`RunReport`], the one run result every front-end
@@ -169,6 +178,7 @@ impl RunOutcome {
                 Batching::Crowd(_) => cfg.batching.crowd_size(),
             },
             seconds: self.seconds,
+            measured_seconds: self.measured_seconds,
             samples: self.samples,
             acceptance: self.acceptance,
             energy_mean: mean,
@@ -192,7 +202,7 @@ impl RunOutcome {
 /// [`BenchControl::default`] is a plain uncontrolled run.
 #[derive(Default)]
 pub struct BenchControl<'a> {
-    /// Resume from this `qmc-checkpoint/1` file instead of initializing
+    /// Resume from this `qmc-checkpoint/2` file instead of initializing
     /// fresh walkers.
     pub resume: Option<&'a str>,
     /// Periodic checkpointing during the run.
@@ -281,6 +291,7 @@ fn run_on_crew<T: Real, C: Crew<T>>(
                 samples: res.samples,
                 e_trial: f64::NAN,
                 e_trial_trace: Vec::new(),
+                measured_seconds: res.measured_seconds,
             };
             (walkers, (res, profile), t0.elapsed().as_secs_f64())
         }
@@ -313,6 +324,7 @@ fn outcome<T: Real>(
         label: code.label(),
         kernel_backend: code.kernel_backend(),
         seconds,
+        measured_seconds: res.measured_seconds,
         samples: res.samples,
         profile: profile.total,
         crowd_profiles: profile.groups,
@@ -430,6 +442,38 @@ mod tests {
             assert!(out.acceptance > 0.0 && out.acceptance <= 1.0);
             assert!(out.walker_bytes > 0 && out.engine_bytes > 0);
             assert!(out.throughput() > 0.0);
+        }
+    }
+
+    /// Throughput counts only the measured generations: walker
+    /// initialisation and warm-up are in `seconds` but not in
+    /// `measured_seconds`, for the per-walker DMC and the simulated ranks.
+    #[test]
+    fn measured_seconds_cover_only_measured_generations() {
+        let w = Workload::new(Benchmark::Graphite, Size::Scaled, 5);
+        let cfg = |warmup| RunConfig {
+            threads: 1,
+            walkers: 2,
+            steps: 2,
+            warmup,
+            tau: 0.002,
+            seed: 7,
+            ..Default::default()
+        };
+        let all_warmup = run_dmc_benchmark(&w, CodeVersion::Current, &cfg(2));
+        assert_eq!((all_warmup.samples, all_warmup.measured_seconds), (0, 0.0));
+        assert!(all_warmup.seconds > 0.0);
+        assert_eq!(all_warmup.throughput(), 0.0);
+        let one = run_dmc_benchmark(&w, CodeVersion::Current, &cfg(1));
+        let (ranks, _) = run_multi_rank_benchmark(&w, CodeVersion::Current, &cfg(1));
+        for out in [one, ranks] {
+            assert!(out.samples > 0);
+            assert!(
+                0.0 < out.measured_seconds && out.measured_seconds < out.seconds,
+                "measured {} of {} s",
+                out.measured_seconds,
+                out.seconds
+            );
         }
     }
 

@@ -1,4 +1,5 @@
-//! The block-boundary refresh reuses the Slater rows the determinants hold:
+//! The block-boundary refresh reuses the gradient and Laplacian rows the
+//! determinants hold and rebuilds their Slater rows with the value kernel:
 //! `QmcEngine::refresh_from_scratch` (through `TrialWaveFunction::refresh_log`)
 //! must leave every bit a full `evaluate_log` leaves, from the same walker.
 //!

@@ -67,7 +67,9 @@ fn run<C: Crew<f32>>(w: &Workload, crew: &mut [C]) -> (u64, Profile) {
 /// The digest is the same whether each thread drains after every walker or
 /// only where the driver drains (once per generation, per crew member), and
 /// both equal the digest recorded on the parent of the sampled-timer change
-/// (c4457e1), before any edit. `calls`, `flops` and `bytes` agree exactly.
+/// (c4457e1), before any edit — re-recorded when the walker buffers dropped
+/// the determinants' Slater matrices as the parent's digest folded without
+/// that block. `calls`, `flops` and `bytes` agree exactly.
 #[test]
 fn drain_granularity_moves_no_bit_and_no_count() {
     set_backend(Backend::Simd);
@@ -91,7 +93,7 @@ fn drain_granularity_moves_no_bit_and_no_count() {
 
     assert_eq!(once, every, "drain granularity moved the population digest");
     assert_eq!(
-        once, 0x1ab4_a304_8c24_9284,
+        once, 0xbb51_8de3_40e7_f213,
         "population digest recorded on the parent"
     );
     for &k in &ALL_KERNELS {

@@ -111,8 +111,11 @@ fn different_seeds_decorrelate() {
 /// Sherman–Morrison, row-wise LU inverse), before any edit. The VMC values
 /// were re-recorded when the two-body Jastrow took its lane-split sums as
 /// its only reduction order, which moved every bit of that run (it ran
-/// the scalar order before). A change that is *meant* to move bits
-/// re-records these and says so; any other failure here is a regression.
+/// the scalar order before). The two walker hashes were re-recorded when
+/// the walker buffers dropped the determinants' Slater matrices: each is
+/// the parent's digest folded without that block, and no energy bit or
+/// sample count moved. A change that is *meant* to move bits re-records
+/// these and says so; any other failure here is a regression.
 #[test]
 fn recorded_population_digests_hold() {
     let _backend = BACKEND.write().unwrap();
@@ -139,12 +142,12 @@ fn recorded_population_digests_hold() {
 
     assert_eq!(
         (dmc.walker_hash, dmc.energy.0.to_bits(), dmc.samples),
-        (0xe33e_e74f_480f_7771, 0x4077_6383_821b_ff3c, 53),
+        (0x0809_d3c6_befa_3721, 0x4077_6383_821b_ff3c, 53),
         "DMC, scaled Graphite, f32 Current, simd backend"
     );
     assert_eq!(
         (vmc.walker_hash, vmc.energy.0.to_bits(), vmc.samples),
-        (0x3c66_1936_e51a_c9f1, 0x4090_6405_1203_bcf4, 48),
+        (0xdd01_73d0_42b7_c664, 0x4090_6405_1203_bcf4, 48),
         "VMC, scaled Be-64, f32 Current, simd backend"
     );
 }
